@@ -292,4 +292,17 @@ if (( ring_rate < sync_rate )); then
   exit 1
 fi
 
+step "benchmark package (offline build against these crates + smoke set)"
+# The benchmark is a package of its own that calls a pinned list of public
+# functions (benchmark/README.md "Pinned public surface"). Building it here
+# and running its six workloads at 1/50 scale makes removing or changing
+# one of those functions fail locally, not in the benchmark pipeline; the
+# run exits non-zero unless every workload reports `ok` with nothing failed.
+bash benchmark/run.sh --smoke --trace 0 >/dev/null \
+  || { echo "ci: the benchmark's smoke set failed against these crates"; exit 1; }
+
+step "lines of Rust under crates/ (the ROADMAP net-LOC measure)"
+# 45,606 at PR 11; a simplicity PR states its delta from this number.
+find crates -name '*.rs' | xargs wc -l | tail -1
+
 printf '\nci: all checks passed\n'

@@ -5,9 +5,9 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use std::hint::black_box;
 
 use superfe_apps::policies;
-use superfe_nic::{FeNic, ParallelNic};
+use superfe_nic::{FeNic, ShardPool};
 use superfe_policy::{compile, dsl, CompiledPolicy};
-use superfe_switch::{FeSwitch, SwitchEvent};
+use superfe_switch::{FeSwitch, SwitchEvent, TaggedEvent, TenantId};
 use superfe_trafficgen::Workload;
 
 const PACKETS: usize = 20_000;
@@ -48,15 +48,23 @@ fn bench_engine(c: &mut Criterion) {
 
 fn bench_parallel(c: &mut Criterion) {
     let (compiled, events) = events_for(policies::NPOD);
+    let tenant = TenantId(0);
+    let events: Vec<TaggedEvent> = events
+        .into_iter()
+        .map(|event| TaggedEvent { tenant, event })
+        .collect();
     let mut g = c.benchmark_group("nic_parallel");
     g.sample_size(10);
     g.throughput(Throughput::Elements(PACKETS as u64));
     for workers in [1usize, 2, 4, 8] {
         g.bench_function(format!("workers_{workers}"), |b| {
-            let nic = ParallelNic::new(workers);
             b.iter(|| {
-                let out = nic.run(&compiled, &events, 16_384).expect("runs");
-                black_box(out.stats.records)
+                let mut pool = ShardPool::new(workers, None);
+                pool.attach(tenant, &compiled, 16_384, None, None)
+                    .expect("engine");
+                pool.push_all(events.iter().cloned()).expect("runs");
+                let out = pool.finish().expect("runs");
+                black_box(out[0].1.stats.records)
             });
         });
     }

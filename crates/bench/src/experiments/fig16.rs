@@ -6,9 +6,9 @@
 //! (bounded by the host's parallelism, but demonstrating the same
 //! contention-free scaling mechanism).
 
-use superfe_nic::{solve_placement, CycleModel, NfpModel, OptFlags, ParallelNic};
+use superfe_nic::{solve_placement, CycleModel, NfpModel, OptFlags, ShardPool};
 use superfe_policy::{compile, dsl};
-use superfe_switch::FeSwitch;
+use superfe_switch::{FeSwitch, TaggedEvent, TenantId};
 use superfe_trafficgen::Workload;
 
 use crate::experiments::study_apps;
@@ -50,23 +50,28 @@ pub fn measured_parallel() -> Vec<(usize, f64)> {
     let compiled = compile(&dsl::parse(src).expect("parses")).expect("compiles");
     let trace = Workload::mawi().packets(PACKETS).seed(16).generate();
     let mut sw = FeSwitch::new(compiled.switch.clone()).expect("deploys");
+    let tenant = TenantId(0);
     let mut events = Vec::new();
     for p in &trace.records {
         events.extend(sw.process(p));
     }
     events.extend(sw.flush());
+    let events: Vec<TaggedEvent> = events
+        .into_iter()
+        .map(|event| TaggedEvent { tenant, event })
+        .collect();
 
-    let best_of = |w: usize| -> f64 {
-        (0..3)
-            .map(|_| {
-                ParallelNic::new(w)
-                    .run(&compiled, &events, 16_384)
-                    .expect("runs")
-                    .elapsed
-                    .as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
+    // Wall-clock time from first push to merged output on `w` shards.
+    let run = |w: usize| -> f64 {
+        let mut pool = ShardPool::new(w, None);
+        pool.attach(tenant, &compiled, 16_384, None, None)
+            .expect("engine");
+        let start = std::time::Instant::now();
+        pool.push_all(events.iter().cloned()).expect("runs");
+        pool.finish().expect("runs");
+        start.elapsed().as_secs_f64()
     };
+    let best_of = |w: usize| -> f64 { (0..3).map(|_| run(w)).fold(f64::INFINITY, f64::min) };
     let workers = [1usize, 2, 4, 8];
     let base = best_of(1);
     workers.iter().map(|&w| (w, base / best_of(w))).collect()

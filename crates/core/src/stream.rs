@@ -2,27 +2,33 @@
 //!
 //! [`StreamingPipeline`] is the staged form of [`crate::SuperFe`]: the
 //! switch simulator acts as a producer whose emitted events flow straight
-//! into a [`superfe_nic::StreamingNic`] — CG-key-sharded worker threads fed
-//! over bounded channels — so feature computation overlaps packet
-//! processing and the full event stream is never materialized. Results are
-//! identical to the single-threaded pipeline up to group ordering (see
-//! DESIGN.md "Threading model").
+//! into a [`superfe_nic::ShardPool`] — CG-key-sharded worker threads fed
+//! over bounded rings — so feature computation overlaps packet processing
+//! and the full event stream is never materialized. It is the one-unit
+//! case of the executor the multi-tenant control plane drives: a pool with
+//! a single unit attached at stream position zero. Results are identical
+//! to the single-threaded pipeline up to group ordering (see DESIGN.md
+//! "Threading model").
 
 use superfe_net::wire::ParseError;
 use superfe_net::{Direction, PacketRecord};
-use superfe_nic::{NicError, StreamingNic};
+use superfe_nic::{NicError, ShardPool};
 use superfe_policy::dsl;
 use superfe_policy::{CompiledPolicy, Policy, PolicyError};
+use superfe_switch::tenant::{TaggedEvent, TenantId};
 use superfe_switch::{FeSwitch, SwitchEvent};
 
 use crate::pipeline::{Extraction, SuperFeConfig};
+
+/// The pipeline's only unit (and its only switch partition).
+const UNIT: TenantId = TenantId(0);
 
 /// A deployed streaming SuperFE instance: one switch producer feeding
 /// `workers` NIC shards.
 pub struct StreamingPipeline {
     compiled: CompiledPolicy,
     switch: FeSwitch,
-    nic: StreamingNic,
+    nic: ShardPool,
     /// Reusable event frame between switch and executor.
     frame: Vec<SwitchEvent>,
 }
@@ -51,8 +57,8 @@ impl StreamingPipeline {
 
     /// Deploys with an in-pipeline quantized inference stage: every
     /// finalized feature vector is scored *inside its NIC worker shard*
-    /// before egress ([`superfe_nic::StreamingNic::with_inference`]), and
-    /// alerts come back in [`Extraction::inline_alerts`]. The model should
+    /// before egress (see [`superfe_nic::ShardPool::attach`]), and alerts
+    /// come back in [`Extraction::inline_alerts`]. The model should
     /// first be certified against the policy by the SF09xx analysis pass.
     pub fn with_inference(
         policy: &Policy,
@@ -67,7 +73,7 @@ impl StreamingPipeline {
     /// — the detector attachment point used by `superfe-detect`: egressing
     /// feature vectors flow into the sinks incrementally instead of
     /// accumulating in [`Extraction::packet_vectors`] (see
-    /// [`superfe_nic::StreamingNic::with_sinks`]).
+    /// [`superfe_nic::ShardPool::attach`]).
     pub fn with_sinks(
         policy: &Policy,
         cfg: SuperFeConfig,
@@ -105,19 +111,9 @@ impl StreamingPipeline {
             .ok_or_else(|| {
                 PolicyError::BadParameters("degenerate switch cache configuration".into())
             })?;
-        let nic = match inference {
-            Some(model) => {
-                StreamingNic::with_inference(&compiled, cfg.cache.fg_table_size, workers, model)
-            }
-            None => StreamingNic::with_options(
-                &compiled,
-                cfg.cache.fg_table_size,
-                workers,
-                sinks,
-                metrics,
-            ),
-        }
-        .map_err(|e| PolicyError::BadParameters(e.to_string()))?;
+        let mut nic = ShardPool::new(workers, metrics);
+        nic.attach(UNIT, &compiled, cfg.cache.fg_table_size, sinks, inference)
+            .map_err(|e| PolicyError::BadParameters(e.to_string()))?;
         Ok(StreamingPipeline {
             compiled,
             switch,
@@ -141,7 +137,16 @@ impl StreamingPipeline {
     pub fn push(&mut self, p: &PacketRecord) -> Result<(), NicError> {
         self.frame.clear();
         self.switch.process_into(p, &mut self.frame);
-        self.nic.push_all(self.frame.drain(..))
+        self.forward()
+    }
+
+    /// Tags the switch's pending events for the unit and routes them.
+    fn forward(&mut self) -> Result<(), NicError> {
+        let tagged = self.frame.drain(..).map(|event| TaggedEvent {
+            tenant: UNIT,
+            event,
+        });
+        self.nic.push_all(tagged)
     }
 
     /// Feeds a raw Ethernet frame (exercising the switch parser).
@@ -167,10 +172,14 @@ impl StreamingPipeline {
     pub fn finish(mut self) -> Result<Extraction, NicError> {
         self.frame.clear();
         self.switch.flush_into(&mut self.frame);
-        self.nic.push_all(self.frame.drain(..))?;
+        self.forward()?;
         let cache_stats = self.switch.cache_stats();
         let switch_stats = *self.switch.stats();
-        let out = self.nic.finish()?;
+        let (_, out) = self
+            .nic
+            .finish()?
+            .pop()
+            .expect("the pipeline's one unit is never detached");
         Ok(Extraction {
             group_vectors: out.group_vectors,
             packet_vectors: out.packet_vectors,

@@ -106,7 +106,7 @@ fn inference_cycles(alu_ops: u64, nfp: &NfpModel) -> f64 {
 /// entry — or a level observed at zero population — falls back to the
 /// static estimate, so a freshly attached (or not-yet-loaded) tenant is
 /// still sized for its worst case. The control plane builds this from
-/// [`SharedStreamingNic::state_pressure`](superfe_nic::SharedStreamingNic::state_pressure).
+/// [`ShardPool::state_pressure`](superfe_nic::ShardPool::state_pressure).
 #[derive(Clone, Debug, Default)]
 pub struct StatePressure {
     /// Observed per-level group populations, aligned with the NIC program

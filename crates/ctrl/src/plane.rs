@@ -1,9 +1,9 @@
 //! The control plane: N admitted policies live on one shared data path.
 //!
 //! [`CtrlPlane`] owns the shared switch
-//! ([`SharedSwitch`](superfe_switch::tenant::SharedSwitch)) and the shared
-//! streaming NIC ([`SharedStreamingNic`](superfe_nic::SharedStreamingNic)),
-//! and sequences reconfiguration in **epochs**:
+//! ([`SharedSwitch`](superfe_switch::tenant::SharedSwitch)) and the NIC
+//! shard pool ([`ShardPool`](superfe_nic::ShardPool)), and sequences
+//! reconfiguration in **epochs**:
 //!
 //! 1. [`CtrlPlane::attach`] gates the candidate policy (optimize → compile
 //!    → static analysis, the same `superfe_core::deploy::gate` every solo
@@ -16,13 +16,15 @@
 //!    hardware demand. Otherwise its demand composes with the admitted
 //!    set through the admission controller before the plane installs a
 //!    new filter entry, cache partition, and NIC engine set.
-//! 2. [`CtrlPlane::detach`] picks the handshake by unit population: a
-//!    unit's sole member drains its switch partition into the event
-//!    stream and finalizes destructively; a member of a fused unit gets a
-//!    **snapshot** detach — the partition is cloned and flushed
-//!    non-destructively and the NIC finalizes a clone of the unit engine,
-//!    so the departing member's output is bitwise what a solo detach
-//!    would return while the surviving members' state is never touched.
+//! 2. [`CtrlPlane::detach`] is one epoch-boundary operation parameterized
+//!    by what survives: when the tenant's switch partition dies with it the
+//!    partition is drained, otherwise (a fused member, or a unit sharing
+//!    its partition) it is cloned and flushed non-destructively; either
+//!    flush travels in the NIC's detach marker and feeds only the departing
+//!    member's engine — the unit's own when it is the last member, a clone
+//!    when members survive — so the departing tenant's output is bitwise
+//!    what a solo run over its window returns while the survivors' state
+//!    is never touched.
 //!
 //! Below whole-plan fusion sits **SF08xx prefix sharing** (cross-tenant
 //! CSE): when a candidate is *not* equivalent to any live plan but its
@@ -52,7 +54,7 @@
 
 use superfe_core::pipeline::SuperFeConfig;
 use superfe_net::{Granularity, PacketRecord};
-use superfe_nic::{SharedStreamingNic, StreamOutput, UnitPressure, VectorSink};
+use superfe_nic::{ShardPool, StreamOutput, UnitPressure, VectorSink};
 use superfe_policy::analyze::{codes, equiv, share as pshare, Diagnostic};
 use superfe_policy::{NicProgram, Policy, SwitchProgram};
 use superfe_switch::resources::{compose, model, SwitchResources};
@@ -164,7 +166,7 @@ pub struct TenantOccupancy {
 pub struct CtrlPlane {
     pub(crate) analyze: superfe_core::analyze::AnalyzeConfig,
     pub(crate) switch: SharedSwitch,
-    pub(crate) nic: SharedStreamingNic,
+    pub(crate) nic: ShardPool,
     pub(crate) slots: Vec<Slot>,
     pub(crate) units: Vec<Unit>,
     pub(crate) groups: Vec<Group>,
@@ -209,7 +211,7 @@ impl CtrlPlane {
         CtrlPlane {
             analyze,
             switch: SharedSwitch::new(),
-            nic: SharedStreamingNic::new(workers),
+            nic: ShardPool::new(workers, None),
             slots: Vec::new(),
             units: Vec::new(),
             groups: Vec::new(),
@@ -549,10 +551,13 @@ impl CtrlPlane {
                 "degenerate cache configuration for tenant partition".into(),
             ));
         }
-        if let Err(e) = self
-            .nic
-            .attach(id, &demand.compiled, spec.cfg.cache.fg_table_size, sinks)
-        {
+        if let Err(e) = self.nic.attach(
+            id,
+            &demand.compiled,
+            spec.cfg.cache.fg_table_size,
+            sinks,
+            None,
+        ) {
             // Roll the switch half back so the plane stays consistent.
             let mut discard = Vec::new();
             self.switch.detach_into(id, &mut discard);
@@ -666,15 +671,14 @@ impl CtrlPlane {
     }
 
     /// Detaches `tenant` at the current epoch, returning its complete
-    /// isolated output. Blocks until every NIC shard acked the epoch.
+    /// isolated output (budget-evicted vectors included). Blocks until
+    /// every NIC shard acked the epoch.
     ///
-    /// The handshake is picked by population, innermost shared layer
-    /// first: a member of a fused unit is finalized against a snapshot of
-    /// the shared engine state; the sole member of a unit whose partition
-    /// feeds *other* units finalizes its own engines against a partition
-    /// snapshot (the partition survives for the other subscribers); the
-    /// sole member of a partition's sole unit drains destructively. In
-    /// every case the survivors are bitwise unaffected.
+    /// The tenant's switch partition is drained when it dies with the
+    /// tenant, and snapshot-flushed (live state untouched) when a fused
+    /// member or another unit keeps consuming it; the NIC finalizes the
+    /// tenant against that flush. In every case the survivors are bitwise
+    /// unaffected.
     pub fn detach(&mut self, tenant: TenantId) -> Result<StreamOutput, CtrlError> {
         let Some(pos) = self.slots.iter().position(|s| s.id == tenant) else {
             return Err(CtrlError::UnknownTenant(tenant));
@@ -691,38 +695,24 @@ impl CtrlPlane {
             .iter()
             .position(|g| g.id == gid)
             .expect("unit without group");
-        let out = if self.units[upos].members.len() > 1 {
-            // Fused member: snapshot-flush the shared partition (live
-            // state untouched) and finalize an engine clone against it.
-            self.frame.clear();
+        let unit_survives = self.units[upos].members.len() > 1;
+        let partition_survives = unit_survives || self.groups[gpos].units.len() > 1;
+        self.frame.clear();
+        if partition_survives {
             self.switch.snapshot_into(gid, &mut self.frame);
-            let events: Vec<TaggedEvent> = self.frame.drain(..).collect();
-            let out = self.nic.snapshot_detach(tenant, events)?;
-            self.units[upos].members.retain(|&m| m != tenant);
-            out
-        } else if self.groups[gpos].units.len() > 1 {
-            // Sole unit member, but the partition feeds other units: the
-            // unit finalizes against a partition snapshot and the
-            // partition keeps serving the remaining subscribers.
-            self.frame.clear();
-            self.switch.snapshot_into(gid, &mut self.frame);
-            let events: Vec<TaggedEvent> = self.frame.drain(..).collect();
-            let out = self.nic.prefix_detach(tenant, events)?;
-            self.groups[gpos].units.retain(|&u| u != unit_id);
-            self.units.remove(upos);
-            out
         } else {
-            // Sole member of the partition's sole unit: drain the switch
-            // partition so in-flight batched records reach the NIC ahead
-            // of the detach marker.
-            self.frame.clear();
             self.switch.detach_into(gid, &mut self.frame);
-            self.nic.push_all(self.frame.drain(..))?;
-            let out = self.nic.detach(tenant)?;
+        }
+        let out = self.nic.detach(tenant, self.frame.drain(..))?;
+        if unit_survives {
+            self.units[upos].members.retain(|&m| m != tenant);
+        } else {
             self.units.remove(upos);
+            self.groups[gpos].units.retain(|&u| u != unit_id);
+        }
+        if !partition_survives {
             self.groups.remove(gpos);
-            out
-        };
+        }
         self.slots.remove(pos);
         self.epoch += 1;
         Ok(out)

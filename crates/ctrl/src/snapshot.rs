@@ -11,7 +11,7 @@
 //!   ([`SharedSwitch::save_tenant_state`](superfe_switch::tenant::SharedSwitch::save_tenant_state)),
 //! - every NIC unit's per-shard engine state, member egress sequence
 //!   numbers, and accumulated per-packet vectors
-//!   ([`SharedStreamingNic::dump_state`](superfe_nic::SharedStreamingNic::dump_state)),
+//!   ([`ShardPool::dump_state`](superfe_nic::ShardPool::dump_state)),
 //! - per-group events-routed counters (they gate late fusion/prefix
 //!   joins, so they must survive).
 //!
@@ -45,7 +45,7 @@ use crate::plane::{CtrlPlane, Group, Slot, TenantSpec, Unit};
 
 /// Format version of plane snapshot bytes. Bumped on any layout change;
 /// [`CtrlPlane::restore`] refuses other versions rather than guessing.
-pub const SNAPSHOT_VERSION: u16 = 1;
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 const MAGIC: &[u8] = b"SFSN";
 
@@ -329,6 +329,7 @@ impl CtrlPlane {
                     &demand.compiled,
                     rep.cfg.cache.fg_table_size,
                     sinks(&rep.name),
+                    None,
                 )?;
             } else {
                 plane.nic.attach_to_group(

@@ -5,7 +5,7 @@
 //! isolated end to end: a tenant's [`ServeReport`] is a pure function of
 //! its own policy, detector, and traffic, bitwise-identical to the same
 //! policy served solo. The registry only tracks the per-tenant executors
-//! and hands their sinks to `SharedStreamingNic::attach`; all scoring and
+//! and hands their sinks to `ShardPool::attach`; all scoring and
 //! canonical ordering is [`Serving`]'s.
 
 use superfe_ml::FrozenDetector;

@@ -1,7 +1,7 @@
 //! The sharded serving executor: ring-fed inference workers scoring
 //! egressed feature vectors in batches.
 //!
-//! Mirrors the `StreamingNic` design one stage downstream: each NIC shard's
+//! Mirrors the `ShardPool` design one stage downstream: each NIC shard's
 //! [`VectorSink`] routes vectors to inference workers by group-key hash, in
 //! batches over bounded SPSC rings (`superfe_net::ring`). Because the ring
 //! is strictly single-producer/single-consumer, the executor builds one

@@ -61,7 +61,9 @@ impl InlineStats {
 /// The per-shard inference stage: one shared quantized model, private
 /// counters and alert buffer. Lives inside the worker thread; scoring is
 /// pure integer arithmetic, so sharing the model read-only across shards
-/// cannot introduce nondeterminism.
+/// cannot introduce nondeterminism. `Clone` forks the stage (alerts so far
+/// included) when a fused member is finalized off a copy of its unit.
+#[derive(Clone)]
 pub struct InlineInference {
     model: Arc<QuantizedDetector>,
     alerts: Vec<InlineAlert>,
@@ -109,11 +111,7 @@ impl InlineInference {
 /// the per-key order does not, so the canonical `(key, score, threshold)`
 /// sequence is worker-count-independent.
 pub fn canonicalize_inline_alerts(alerts: &mut [InlineAlert]) {
-    alerts.sort_by(|a, b| {
-        format!("{:?}", a.key)
-            .cmp(&format!("{:?}", b.key))
-            .then(a.seq.cmp(&b.seq))
-    });
+    alerts.sort_by_cached_key(|a| (format!("{:?}", a.key), a.seq));
 }
 
 /// The worker-count-independent fingerprint of a canonical inline alert

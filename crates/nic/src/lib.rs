@@ -18,18 +18,18 @@
 //! - [`perf`]: the cycle model with the three §6.2 optimizations as toggles
 //!   (hash reuse, thread-level latency hiding, division elimination) — the
 //!   basis of Figs. 16 and 17.
-//! - [`stream`]: the streaming multi-core executor — CG-key-sharded worker
-//!   threads fed over bounded channels with backpressure, the software
-//!   analogue of the NBI packet distribution.
+//! - [`pool`]: the one streaming multi-core executor — a pool of
+//!   CG-key-sharded worker threads fed over bounded rings with
+//!   backpressure, the software analogue of the NBI packet distribution,
+//!   serving any number of execution units with epoch-based in-band
+//!   attach/detach. A solo pipeline is the one-unit case; the
+//!   `superfe-ctrl` control plane drives the many-unit case.
+//! - [`stream`]: the executor's vocabulary — egress tags, the
+//!   [`VectorSink`] attachment point, [`StreamOutput`], ring geometry.
 //! - [`inference`]: the in-pipeline quantized inference stage — a
 //!   fixed-point detector compiled by the SF09xx pass, executed on each
 //!   finalized vector inside the worker shard so only alerts leave the
 //!   pipeline.
-//! - [`shared`]: the multi-tenant variant of [`stream`] — one shard pool
-//!   serving N per-tenant engines, with epoch-based in-band attach/detach
-//!   driven by the `superfe-ctrl` control plane.
-//! - [`parallel`]: the batch façade over [`stream`] for callers holding a
-//!   complete event slice.
 //! - [`resources`]: NIC memory utilization for Table 4.
 //! - [`feasibility`]: the `SF04xx` diagnostics of `superfe check`, combining
 //!   the placement ILP and the capacity model into pass/warn/fail findings.
@@ -39,11 +39,10 @@ pub mod engine;
 pub mod error;
 pub mod feasibility;
 pub mod inference;
-pub mod parallel;
 pub mod perf;
 pub mod placement;
+pub mod pool;
 pub mod resources;
-pub mod shared;
 pub mod stream;
 pub mod table;
 
@@ -54,10 +53,9 @@ pub use feasibility::{check_capacity, check_nic};
 pub use inference::{
     canonicalize_inline_alerts, inline_alert_fingerprint, InlineAlert, InlineInference, InlineStats,
 };
-pub use parallel::{ParallelNic, ParallelOutput};
 pub use perf::{cycles_from_cost, CycleModel, OptFlags, PerfEstimate};
 pub use placement::{solve_placement, Placement};
+pub use pool::{ShardPool, ShardUnitState, UnitPressure, UnitStateDump};
 pub use resources::{model_many, NicResources};
-pub use shared::{ShardUnitState, SharedStreamingNic, UnitPressure, UnitStateDump};
-pub use stream::{EgressVector, StreamOutput, StreamingNic, VectorSink};
+pub use stream::{EgressVector, StreamOutput, VectorSink};
 pub use table::{EvictionPolicy, GroupTable, TableBudget, TableStats};

@@ -1,0 +1,1818 @@
+//! The NIC executor: one CG-key-sharded worker pool serving N execution
+//! units over bounded SPSC frame rings.
+//!
+//! The NFP's ingress NBI distributes packets to cores on a per-IP basis so
+//! cores never contend on group state (§6.2), and one switch + SmartNIC
+//! serves many applications at once. [`ShardPool`] is the software analogue
+//! of both as a *pipeline stage*: the producer (the switch simulator) pushes
+//! [`TaggedEvent`]s as they are emitted, the pool routes each one to the
+//! worker owning its CG-key shard, and workers compute features
+//! concurrently while the producer is still parsing packets — the full
+//! event stream is never materialized. A solo deployment
+//! (`superfe_core::StreamingPipeline`) is the one-unit case: a pool with a
+//! single unit attached at stream position zero.
+//!
+//! Design invariants (see DESIGN.md "Threading model"):
+//!
+//! - **Shard-by-CG-key, never tenant-salted**: an MGPV eviction goes to
+//!   worker `hash % workers` whoever owns it. Every record of a group
+//!   carries the same CG hash, so a group's state lives on exactly one
+//!   worker — no locks, no cross-worker merges of partial group state —
+//!   and each tenant's per-shard event subsequence (hence its merged
+//!   output order and `(shard, seq)` egress tags) is the same whether it
+//!   runs alone or next to others.
+//! - **FG broadcast**: FG-table updates are appended to *every* worker's
+//!   frame, in stream order relative to the MGPV events around them, which
+//!   preserves the switch's FgUpdate-before-reference ordering per worker.
+//! - **Bounded rings, bounded frame inventory**: each worker is fed over a
+//!   [`superfe_net::ring`] holding at most [`CHANNEL_DEPTH`] frames of
+//!   [`FRAME_SIZE`] events; a producer outrunning a worker blocks
+//!   (backpressure). The doorbell publishes [`DOORBELL_FRAMES`] frames per
+//!   wakeup. Drained frames return over a per-worker recycle ring of
+//!   [`RECYCLE_DEPTH`] slots with drop-on-full semantics, so steady-state
+//!   inventory is capped at `workers × (CHANNEL_DEPTH + RECYCLE_DEPTH + 2)`
+//!   frames.
+//! - **Deterministic merge**: per-shard outputs are concatenated in shard
+//!   order, never completion order.
+//! - **Execution units with member demux**: each worker owns one private
+//!   [`FeNic`] per *unit* — a set of tenants the SF07xx analysis proved
+//!   equivalent, fused by the control plane; a lone tenant is a unit of
+//!   one. The engine runs the extraction (and the optional in-pipeline
+//!   inference stage) once and fans the results out: every member receives
+//!   its own copy of each vector under its own egress numbering through its
+//!   own [`VectorSink`]. Several units may consume one switch partition's
+//!   events (an SF08xx prefix *group*); state never crosses unit
+//!   boundaries.
+//! - **Epoch-based reconfiguration**: [`ShardPool::attach`],
+//!   [`ShardPool::join`], [`ShardPool::detach`] and the state handshakes
+//!   travel *in-band* as control markers through the same rings as event
+//!   frames, so every worker applies them at the same point of the event
+//!   stream — the epoch boundary. Markers ring the doorbell immediately
+//!   (`send_now`), so a handshake is never parked behind a half-staged
+//!   frame batch, and every wait for their acks gives up with
+//!   [`NicError::WorkerLost`] once the worker's thread has finished.
+
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
+
+use superfe_ml::QuantizedDetector;
+use superfe_net::metrics::{monotonic_ns, AtomicHistogram, StageMetrics};
+use superfe_net::ring;
+use superfe_net::Granularity;
+use superfe_policy::CompiledPolicy;
+use superfe_switch::tenant::{TaggedEvent, TenantId};
+use superfe_switch::SwitchEvent;
+
+use crate::engine::{FeNic, FeatureVector};
+use crate::error::NicError;
+use crate::inference::InlineInference;
+use crate::stream::{
+    add_levels, EgressVector, StreamOutput, VectorSink, CHANNEL_DEPTH, DOORBELL_FRAMES, FRAME_SIZE,
+    RECYCLE_DEPTH,
+};
+use crate::table::TableBudget;
+
+/// How often a wait for handshake acks re-checks that the workers it is
+/// waiting on are still running.
+const ACK_POLL: Duration = Duration::from_millis(20);
+
+/// One shard's dump payload: `(unit, state)` per resident unit.
+type ShardDump = Vec<(TenantId, ShardUnitState)>;
+
+/// What travels to a worker: an event frame or an epoch control marker.
+enum ShardMsg {
+    /// A batch of tagged events in stream order.
+    Frame(Vec<TaggedEvent>),
+    /// Attach marker: adopt this pre-built engine as a new unit whose
+    /// first member is the unit id itself, effective for all events after
+    /// this point in the stream. `group` names the switch partition whose
+    /// tagged events feed the engine — the unit itself for a solo attach,
+    /// or a shared-prefix group id when several units consume one
+    /// partition's stream. With a `model`, every vector the engine
+    /// finalizes is scored on the shard before egress.
+    Attach {
+        unit: TenantId,
+        group: TenantId,
+        engine: Box<FeNic>,
+        sink: Option<Box<dyn VectorSink>>,
+        model: Option<Arc<QuantizedDetector>>,
+    },
+    /// Join marker: add `member` to an existing unit's demux fan-out.
+    Join {
+        unit: TenantId,
+        member: TenantId,
+        sink: Option<Box<dyn VectorSink>>,
+    },
+    /// Detach marker: finalize `member` of `unit` at this point of the
+    /// stream. `events` is this shard's share of the partition flush that
+    /// ends the member's window; it feeds the unit's engine only — the
+    /// engine itself when the member is the unit's last, a clone when
+    /// members survive — so nothing else on the shard observes it.
+    Detach {
+        unit: TenantId,
+        member: TenantId,
+        events: Vec<SwitchEvent>,
+        ack: Sender<(usize, StreamOutput)>,
+    },
+    /// Dump marker: non-destructively capture every unit's engine state on
+    /// this shard (clones — live processing state is untouched).
+    Dump { ack: Sender<(usize, ShardDump)> },
+    /// Restore marker: overwrite one unit's dynamic state (engine, member
+    /// egress sequence counters, accumulated per-packet vectors) with a
+    /// previously dumped shard state. The unit must already exist with the
+    /// same member roster; acks `false` otherwise.
+    Restore {
+        unit: TenantId,
+        state: ShardUnitState,
+        ack: Sender<(usize, bool)>,
+    },
+    /// Pressure marker: report every unit's live state occupancy on this
+    /// shard (resident groups per level plus eviction/overflow counters).
+    Pressure {
+        ack: Sender<(usize, Vec<UnitPressure>)>,
+    },
+}
+
+/// One unit's dumped state on one shard (see [`ShardPool::dump_state`]).
+pub struct ShardUnitState {
+    /// The shard this state came from (and must return to).
+    pub shard: usize,
+    /// A clone of the unit's engine at the dump's stream cut.
+    pub engine: Box<FeNic>,
+    /// Per-member `(member, next egress seq)` counters, in join order.
+    pub member_seqs: Vec<(TenantId, u64)>,
+    /// Per-packet vectors accumulated for sinkless members.
+    pub pkts_accum: Vec<FeatureVector>,
+}
+
+/// One execution unit's dumped state across every shard, in shard order.
+pub struct UnitStateDump {
+    /// The unit id.
+    pub unit: TenantId,
+    /// The shared-prefix group (switch partition) feeding the unit.
+    pub group: TenantId,
+    /// Per-shard state, sorted by shard index.
+    pub shards: Vec<ShardUnitState>,
+}
+
+/// One unit's live state occupancy, merged across shards (see
+/// [`ShardPool::state_pressure`]). This is the population feedback the
+/// control plane's admission uses in place of static estimates.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnitPressure {
+    /// The unit id.
+    pub unit: TenantId,
+    /// Resident groups per granularity level, summed across shards.
+    pub groups_per_level: Vec<(Granularity, usize)>,
+    /// Group-table overflow drops (DropNew budget refusals), summed.
+    pub overflow_drops: u64,
+    /// Groups evicted by the table budget, summed.
+    pub evicted_groups: u64,
+}
+
+/// Egresses `vectors` through one member's sink under its own numbering.
+fn egress(
+    sink: &mut dyn VectorSink,
+    shard: usize,
+    seq: &mut u64,
+    vectors: impl IntoIterator<Item = FeatureVector>,
+) {
+    for vector in vectors {
+        sink.emit(EgressVector {
+            shard,
+            seq: *seq,
+            vector,
+        });
+        *seq += 1;
+    }
+}
+
+/// One member's egress half: its sink and `(shard, seq)` numbering.
+struct MemberEgress {
+    member: TenantId,
+    sink: Option<Box<dyn VectorSink>>,
+    /// Per-(member, shard) monotonic egress sequence number.
+    seq: u64,
+}
+
+impl MemberEgress {
+    /// End of stream for this member on this shard: `out` is the unit's
+    /// output; a member with a sink streamed its per-packet vectors out
+    /// already and now egresses the group vectors and flushes.
+    fn finish(mut self, shard: usize, mut out: StreamOutput) -> (TenantId, StreamOutput) {
+        if let Some(mut sink) = self.sink.take() {
+            out.packet_vectors.clear();
+            let groups = out.group_vectors.iter().cloned();
+            egress(sink.as_mut(), shard, &mut self.seq, groups);
+            sink.flush();
+            // Dropping the sink here (before the worker is joined) closes
+            // any downstream channels it holds.
+        }
+        (self.member, out)
+    }
+}
+
+/// One execution unit's state on one worker: a single engine shared by
+/// every member, plus the per-member demux fan-out.
+struct UnitEngine {
+    unit: TenantId,
+    /// The switch partition (shared-prefix group) whose events feed this
+    /// engine; equals `unit` outside prefix sharing.
+    group: TenantId,
+    nic: Box<FeNic>,
+    members: Vec<MemberEgress>,
+    /// Per-packet vectors accumulated for sinkless members' final output
+    /// (sinked members stream theirs out per frame).
+    pkts_accum: Vec<FeatureVector>,
+    shard: usize,
+    /// The in-pipeline inference stage: every vector is scored once for
+    /// the whole unit, right where it is finalized.
+    infer: Option<InlineInference>,
+    /// The engine's own stream position on this shard — the `seq` inline
+    /// alerts carry. Counts every scored vector, sink or no sink.
+    seq: u64,
+}
+
+impl UnitEngine {
+    fn has_sink(&self) -> bool {
+        self.members.iter().any(|m| m.sink.is_some())
+    }
+
+    /// Scores freshly finalized vectors at the engine's stream position.
+    fn score(&mut self, vectors: &[FeatureVector]) {
+        if let Some(infer) = self.infer.as_mut() {
+            for v in vectors {
+                infer.score(self.shard, self.seq, v);
+                self.seq += 1;
+            }
+        }
+    }
+
+    /// Scores and demuxes freshly accumulated per-packet vectors: a copy
+    /// to every member with a sink (each under its own numbering), and
+    /// into the unit buffer when any sinkless member still needs them. The
+    /// last taker gets them by move.
+    fn drain_packets(&mut self) {
+        let mut fresh = self.nic.take_packet_vectors();
+        if fresh.is_empty() {
+            return;
+        }
+        self.score(&fresh);
+        let keep = self.members.iter().any(|m| m.sink.is_none());
+        let last_sink = self.members.iter().rposition(|m| m.sink.is_some());
+        for (i, m) in self.members.iter_mut().enumerate() {
+            let Some(sink) = m.sink.as_deref_mut() else {
+                continue;
+            };
+            if !keep && Some(i) == last_sink {
+                egress(sink, self.shard, &mut m.seq, fresh.drain(..));
+            } else {
+                egress(sink, self.shard, &mut m.seq, fresh.iter().cloned());
+            }
+        }
+        if keep {
+            self.pkts_accum.append(&mut fresh);
+        }
+    }
+
+    /// End of stream for the whole unit on this shard: finish the engine
+    /// once, then demux — every member gets its own copy of the output
+    /// (and its sink flushed), the last one by move, so a one-member unit
+    /// (every solo run) clones nothing.
+    fn finalize(mut self) -> Vec<(TenantId, StreamOutput)> {
+        self.drain_packets();
+        let groups = self.nic.finish();
+        self.score(&groups);
+        let (alerts, inline_stats) = self.infer.take().map(InlineInference::into_parts).unzip();
+        let mut whole = StreamOutput {
+            group_vectors: groups,
+            packet_vectors: self.pkts_accum,
+            stats: *self.nic.stats(),
+            groups_per_level: self.nic.groups_per_level(),
+            evicted_vectors: self.nic.take_evicted(),
+            inline_alerts: alerts.unwrap_or_default(),
+            inline_stats,
+        };
+        let (shard, n) = (self.shard, self.members.len());
+        self.members
+            .into_iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let out = if i + 1 == n {
+                    std::mem::take(&mut whole)
+                } else {
+                    whole.clone()
+                };
+                m.finish(shard, out)
+            })
+            .collect()
+    }
+
+    /// Splits the member at `pos` off a still-populated unit as a unit of
+    /// its own over a *clone* of the engine, so finalizing it cannot touch
+    /// the survivors' live state.
+    fn fork(&mut self, pos: usize) -> UnitEngine {
+        let m = self.members.remove(pos);
+        let pkts_accum = if m.sink.is_some() {
+            Vec::new()
+        } else {
+            self.pkts_accum.clone()
+        };
+        if self.members.iter().all(|m| m.sink.is_some()) {
+            self.pkts_accum.clear();
+        }
+        UnitEngine {
+            unit: self.unit,
+            group: self.group,
+            nic: self.nic.clone(),
+            members: vec![m],
+            pkts_accum,
+            shard: self.shard,
+            infer: self.infer.clone(),
+            seq: self.seq,
+        }
+    }
+}
+
+/// One worker: the units resident on its shard and its event loop.
+struct Shard {
+    index: usize,
+    engines: Vec<UnitEngine>,
+    metrics: Option<Arc<StageMetrics>>,
+}
+
+impl Shard {
+    /// The current time, read only when the pool is instrumented.
+    fn clock(&self) -> Option<u64> {
+        self.metrics.as_ref().map(|_| monotonic_ns())
+    }
+
+    /// Records the time since `since` into one stage histogram and
+    /// returns the new reading.
+    fn lap(
+        &self,
+        since: Option<u64>,
+        stage: impl Fn(&StageMetrics) -> &AtomicHistogram,
+    ) -> Option<u64> {
+        let now = self.clock()?;
+        stage(self.metrics.as_ref()?).record(now.saturating_sub(since?));
+        Some(now)
+    }
+
+    /// Drains the ring until the pool closes it, then finalizes every unit
+    /// still resident: end of stream for everyone left.
+    fn run(
+        mut self,
+        mut rx: ring::Consumer<ShardMsg>,
+        mut recycle: ring::Producer<Vec<TaggedEvent>>,
+    ) -> Vec<(TenantId, StreamOutput)> {
+        let shard = self.index;
+        while let Ok(msg) = rx.recv() {
+            let t0 = self.clock();
+            match msg {
+                ShardMsg::Frame(mut frame) => {
+                    for e in &frame {
+                        // One shared-prefix partition's event feeds every
+                        // unit in its group.
+                        for u in self.engines.iter_mut().filter(|u| u.group == e.tenant) {
+                            u.nic.handle(&e.event);
+                        }
+                    }
+                    let t1 = self.lap(t0, |m| &m.shard);
+                    for u in &mut self.engines {
+                        u.drain_packets();
+                    }
+                    if t1.is_some() && self.engines.iter().any(UnitEngine::has_sink) {
+                        self.lap(t1, |m| &m.sink);
+                    }
+                    frame.clear();
+                    // Bounded recycling: hand the frame back if the ring
+                    // has room, otherwise drop (free) it.
+                    let _ = recycle.try_send(frame);
+                    continue;
+                }
+                ShardMsg::Attach {
+                    unit,
+                    group,
+                    engine,
+                    sink,
+                    model,
+                } => self.engines.push(UnitEngine {
+                    unit,
+                    group,
+                    nic: engine,
+                    members: vec![MemberEgress {
+                        member: unit,
+                        sink,
+                        seq: 0,
+                    }],
+                    pkts_accum: Vec::new(),
+                    shard,
+                    infer: model.map(InlineInference::new),
+                    seq: 0,
+                }),
+                ShardMsg::Join { unit, member, sink } => {
+                    if let Some(u) = self.engines.iter_mut().find(|u| u.unit == unit) {
+                        u.members.push(MemberEgress {
+                            member,
+                            sink,
+                            seq: 0,
+                        });
+                    }
+                }
+                ShardMsg::Detach {
+                    unit,
+                    member,
+                    events,
+                    ack,
+                } => {
+                    if let Some(out) = self.detach(unit, member, &events) {
+                        let _ = ack.send((shard, out));
+                    }
+                }
+                ShardMsg::Dump { ack } => {
+                    let _ = ack.send((shard, self.dump()));
+                }
+                ShardMsg::Restore { unit, state, ack } => {
+                    let _ = ack.send((shard, self.restore(unit, state)));
+                }
+                ShardMsg::Pressure { ack } => {
+                    let _ = ack.send((shard, self.pressure()));
+                }
+            }
+            // Markers count as shard work too, so the queue-dwell and
+            // shard histograms see the same ring items.
+            self.lap(t0, |m| &m.shard);
+        }
+        self.engines
+            .into_iter()
+            .flat_map(UnitEngine::finalize)
+            .collect()
+    }
+
+    /// Finalizes `member` against `events` (mirroring the end-of-stream
+    /// order: partition flush, packet drain, finish): destructively when it
+    /// is its unit's last member, on a fork of the unit otherwise.
+    fn detach(
+        &mut self,
+        unit: TenantId,
+        member: TenantId,
+        events: &[SwitchEvent],
+    ) -> Option<StreamOutput> {
+        let pos = self.engines.iter().position(|u| u.unit == unit)?;
+        let members = &self.engines[pos].members;
+        let mpos = members.iter().position(|m| m.member == member)?;
+        let mut leaving = if members.len() == 1 {
+            self.engines.remove(pos)
+        } else {
+            self.engines[pos].fork(mpos)
+        };
+        for e in events {
+            leaving.nic.handle(e);
+        }
+        leaving.finalize().pop().map(|(_, out)| out)
+    }
+
+    fn dump(&self) -> ShardDump {
+        self.engines
+            .iter()
+            .map(|u| {
+                let state = ShardUnitState {
+                    shard: self.index,
+                    engine: u.nic.clone(),
+                    member_seqs: u.members.iter().map(|m| (m.member, m.seq)).collect(),
+                    pkts_accum: u.pkts_accum.clone(),
+                };
+                (u.unit, state)
+            })
+            .collect()
+    }
+
+    fn restore(&mut self, unit: TenantId, state: ShardUnitState) -> bool {
+        let Some(u) = self.engines.iter_mut().find(|u| u.unit == unit) else {
+            return false;
+        };
+        let roster = u.members.iter().map(|m| m.member);
+        if !roster.eq(state.member_seqs.iter().map(|(id, _)| *id)) {
+            return false;
+        }
+        u.nic = state.engine;
+        for (m, (_, seq)) in u.members.iter_mut().zip(state.member_seqs) {
+            m.seq = seq;
+        }
+        u.pkts_accum = state.pkts_accum;
+        true
+    }
+
+    fn pressure(&self) -> Vec<UnitPressure> {
+        self.engines
+            .iter()
+            .map(|u| UnitPressure {
+                unit: u.unit,
+                groups_per_level: u.nic.groups_per_level(),
+                overflow_drops: u.nic.stats().overflow_drops,
+                evicted_groups: u.nic.stats().evicted_groups,
+            })
+            .collect()
+    }
+}
+
+struct Worker {
+    tx: ring::Producer<ShardMsg>,
+    /// Consumer end of this worker's bounded frame recycle ring.
+    recycle: ring::Consumer<Vec<TaggedEvent>>,
+    join: JoinHandle<Vec<(TenantId, StreamOutput)>>,
+    /// Frame currently being filled for this worker.
+    pending: Vec<TaggedEvent>,
+}
+
+/// One attached member and the unit whose engine serves it.
+struct MemberEntry {
+    member: TenantId,
+    unit: TenantId,
+}
+
+/// One execution unit and the shared-prefix group (switch partition) whose
+/// event stream feeds it; `group == unit` outside prefix sharing.
+struct UnitEntry {
+    unit: TenantId,
+    group: TenantId,
+}
+
+/// The streaming NIC executor: one worker pool, any number of units.
+///
+/// Constructed empty; units come and go via [`ShardPool::attach`] /
+/// [`ShardPool::detach`], and fused members via [`ShardPool::join`], while
+/// the event stream flows. [`ShardPool::push`] routes events as they
+/// arrive and [`ShardPool::finish`] flushes, joins, and merges
+/// deterministically.
+pub struct ShardPool {
+    workers: Vec<Worker>,
+    /// Locally stashed recycled frames ready for reuse (bounded: refilled
+    /// only from the fixed-capacity recycle rings).
+    spare: Vec<Vec<TaggedEvent>>,
+    /// Attached members in attach order.
+    members: Vec<MemberEntry>,
+    /// Execution units in creation order.
+    units: Vec<UnitEntry>,
+    /// Shared-prefix groups (switch partitions) in creation order, with
+    /// events-routed counters; a solo unit is a group of one.
+    groups: Vec<(TenantId, u64)>,
+    /// Group-table budget applied to every subsequently attached unit.
+    budget: TableBudget,
+}
+
+impl ShardPool {
+    /// Spawns `workers` shard threads (clamped to ≥ 1) with no units.
+    ///
+    /// With `metrics` attached, every ring item's dwell (producer send →
+    /// worker receive), per-item shard processing time, and per-frame sink
+    /// egress time are recorded into the shared [`StageMetrics`]
+    /// histograms.
+    pub fn new(workers: usize, metrics: Option<Arc<StageMetrics>>) -> Self {
+        let workers = (0..workers.max(1))
+            .map(|index| {
+                let (tx, rx) = ring::channel_with::<ShardMsg>(
+                    CHANNEL_DEPTH,
+                    DOORBELL_FRAMES,
+                    Arc::default(),
+                    metrics.as_ref().map(|m| m.queue.clone()),
+                );
+                // Recycle ring: the worker produces drained frames, the
+                // routing thread consumes them. try_send drops on full.
+                let (recycle_tx, recycle) = ring::channel::<Vec<TaggedEvent>>(RECYCLE_DEPTH, 1);
+                let shard = Shard {
+                    index,
+                    engines: Vec::new(),
+                    metrics: metrics.clone(),
+                };
+                Worker {
+                    tx,
+                    recycle,
+                    join: std::thread::spawn(move || shard.run(rx, recycle_tx)),
+                    pending: Vec::with_capacity(FRAME_SIZE),
+                }
+            })
+            .collect();
+        ShardPool {
+            workers,
+            spare: Vec::new(),
+            members: Vec::new(),
+            units: Vec::new(),
+            groups: Vec::new(),
+            budget: TableBudget::default(),
+        }
+    }
+
+    /// Sets the group-table budget (DRAM cap + eviction policy) used by
+    /// every unit attached *after* this call; already-attached units keep
+    /// theirs. Lets operators pin `RandomWay` to an explicit seed
+    /// (CLI `--evict-seed`) so evictions replay deterministically. Groups
+    /// the budget evicts come back in [`StreamOutput::evicted_vectors`].
+    pub fn set_table_budget(&mut self, budget: TableBudget) {
+        self.budget = budget;
+    }
+
+    /// Number of shards.
+    pub fn workers(&self) -> usize {
+        self.workers.len()
+    }
+
+    fn group_of_unit(&self, unit: TenantId) -> Option<TenantId> {
+        self.units.iter().find(|u| u.unit == unit).map(|u| u.group)
+    }
+
+    fn routed_of_group(&self, group: TenantId) -> Option<u64> {
+        self.groups
+            .iter()
+            .find(|(g, _)| *g == group)
+            .map(|(_, n)| *n)
+    }
+
+    /// Validates and splits an optional per-shard sink list.
+    fn split_sinks(
+        &self,
+        sinks: Option<Vec<Box<dyn VectorSink>>>,
+    ) -> Result<Vec<Option<Box<dyn VectorSink>>>, NicError> {
+        let n = self.workers.len();
+        match sinks {
+            Some(s) if s.len() != n => Err(NicError::Engine(format!(
+                "sink count {} does not match worker count {n}",
+                s.len()
+            ))),
+            Some(s) => Ok(s.into_iter().map(Some).collect()),
+            None => Ok((0..n).map(|_| None).collect()),
+        }
+    }
+
+    /// Attaches `tenant` as a new unit (of which it is the first member)
+    /// at the current epoch: all events pushed after this call are
+    /// processed by its engines; nothing before is.
+    ///
+    /// `fg_table_size` is the unit's NIC group-table quota. `sinks`, when
+    /// given, must hold one sink per shard (`sinks[i]` moves into worker
+    /// `i` and receives that shard's vectors as they are computed,
+    /// [`EgressVector`]-tagged with their stream position). With sinks
+    /// attached the tenant's per-packet vectors are *diverted*: they flow
+    /// to the sinks incrementally instead of accumulating in
+    /// [`StreamOutput::packet_vectors`] (which comes back empty); per-group
+    /// vectors are both egressed at end of stream and returned.
+    ///
+    /// `model`, when given, compiles a quantized detector into the unit:
+    /// every finalized vector (per-packet and per-group) is scored *inside
+    /// its worker shard* before egress, and alerts surface in
+    /// [`StreamOutput::inline_alerts`]. The model is shared read-only
+    /// across shards — scoring is pure integer arithmetic, so the alert
+    /// stream per group key is bitwise identical at every worker count.
+    pub fn attach(
+        &mut self,
+        tenant: TenantId,
+        compiled: &CompiledPolicy,
+        fg_table_size: usize,
+        sinks: Option<Vec<Box<dyn VectorSink>>>,
+        model: Option<Arc<QuantizedDetector>>,
+    ) -> Result<(), NicError> {
+        self.attach_unit(tenant, tenant, compiled, fg_table_size, sinks, model)?;
+        self.groups.push((tenant, 0));
+        Ok(())
+    }
+
+    /// Attaches `tenant` as a new unit consuming the event stream of the
+    /// already-attached shared-prefix group `group` (the id the shared
+    /// switch partition tags its events with). The unit gets its own
+    /// engines and its own NIC program — only the switch-side prefix is
+    /// shared — so its output is bitwise a solo run's.
+    ///
+    /// The group must still be at stream position zero (no events routed),
+    /// or the new unit's output would miss history; the control plane
+    /// additionally guarantees no *packets* reached the shared partition.
+    pub fn attach_to_group(
+        &mut self,
+        group: TenantId,
+        tenant: TenantId,
+        compiled: &CompiledPolicy,
+        fg_table_size: usize,
+        sinks: Option<Vec<Box<dyn VectorSink>>>,
+    ) -> Result<(), NicError> {
+        match self.routed_of_group(group) {
+            None => Err(NicError::Engine(format!("group {group} is not attached"))),
+            Some(0) => self.attach_unit(group, tenant, compiled, fg_table_size, sinks, None),
+            Some(_) => Err(NicError::Engine(format!(
+                "group {group} has already processed events; a late unit cannot share its prefix"
+            ))),
+        }
+    }
+
+    /// Builds per-shard engines for a new unit of one and sends the attach
+    /// markers; shared by [`ShardPool::attach`] (solo group) and
+    /// [`ShardPool::attach_to_group`] (existing group).
+    fn attach_unit(
+        &mut self,
+        group: TenantId,
+        tenant: TenantId,
+        compiled: &CompiledPolicy,
+        fg_table_size: usize,
+        sinks: Option<Vec<Box<dyn VectorSink>>>,
+        model: Option<Arc<QuantizedDetector>>,
+    ) -> Result<(), NicError> {
+        if self.members.iter().any(|m| m.member == tenant) {
+            return Err(NicError::Engine(format!(
+                "tenant {tenant} is already attached"
+            )));
+        }
+        let sinks = self.split_sinks(sinks)?;
+        // All engines are instantiated up front so configuration problems
+        // surface here, not inside a worker thread.
+        let engines = (0..self.workers.len())
+            .map(|_| {
+                FeNic::with_budget(compiled, fg_table_size, self.budget)
+                    .map(Box::new)
+                    .ok_or_else(|| {
+                        NicError::Engine("degenerate NIC group-table configuration".into())
+                    })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        // Everything already queued belongs to the previous epoch: flush it
+        // ahead of the markers so the attach point is a clean stream cut.
+        self.flush_all()?;
+        for (w, (engine, sink)) in engines.into_iter().zip(sinks).enumerate() {
+            // Control markers publish immediately (send_now): an epoch cut
+            // must not sit staged behind the doorbell batch.
+            self.workers[w]
+                .tx
+                .send_now(ShardMsg::Attach {
+                    unit: tenant,
+                    group,
+                    engine,
+                    sink,
+                    model: model.clone(),
+                })
+                .map_err(|_| NicError::WorkerLost { worker: w })?;
+        }
+        self.units.push(UnitEntry {
+            unit: tenant,
+            group,
+        });
+        self.members.push(MemberEntry {
+            member: tenant,
+            unit: tenant,
+        });
+        Ok(())
+    }
+
+    /// Joins `member` to the existing unit `unit`'s demux fan-out.
+    ///
+    /// The caller (the control plane) certifies equivalence and must
+    /// guarantee the unit is still at stream position zero — no events
+    /// routed to it yet — otherwise the member's output would include
+    /// history from before its attach point. That necessary condition is
+    /// re-checked here; the sufficient condition (no *packets* offered to
+    /// the unit's switch partition, which could be batching records that
+    /// have not evicted yet) is the control plane's.
+    pub fn join(
+        &mut self,
+        unit: TenantId,
+        member: TenantId,
+        sinks: Option<Vec<Box<dyn VectorSink>>>,
+    ) -> Result<(), NicError> {
+        let Some(group) = self.group_of_unit(unit) else {
+            return Err(NicError::Engine(format!("unit {unit} is not attached")));
+        };
+        if self.routed_of_group(group) != Some(0) {
+            return Err(NicError::Engine(format!(
+                "unit {unit} has already processed events; a late member cannot join"
+            )));
+        }
+        if self.members.iter().any(|m| m.member == member) {
+            return Err(NicError::Engine(format!(
+                "tenant {member} is already attached"
+            )));
+        }
+        let sinks = self.split_sinks(sinks)?;
+        self.flush_all()?;
+        for (w, sink) in sinks.into_iter().enumerate() {
+            self.workers[w]
+                .tx
+                .send_now(ShardMsg::Join { unit, member, sink })
+                .map_err(|_| NicError::WorkerLost { worker: w })?;
+        }
+        self.members.push(MemberEntry { member, unit });
+        Ok(())
+    }
+
+    /// Detaches `member` at the current epoch and returns its complete
+    /// output: pending frames are flushed, every shard finalizes the member
+    /// (egressing its remaining vectors and flushing its sink), and the
+    /// per-shard pieces are merged once all shards have acked. Blocks until
+    /// the epoch completes.
+    ///
+    /// `events` is the flush of the member's switch partition that ends
+    /// its window, chosen by the caller according to what survives: the
+    /// partition's *draining* flush (`SharedSwitch::detach_into`) when it
+    /// dies with the member, its *snapshot* flush
+    /// (`SharedSwitch::snapshot_into`) when other members or units keep
+    /// consuming it. It rides in the markers rather than as ordinary
+    /// frames — routed per shard exactly like live traffic, but fed to the
+    /// departing member's engine only: the unit's own engine when the
+    /// member is its last, a clone when fused members survive. Either way
+    /// the member gets exactly the output a solo run over its window
+    /// produces, and survivors' live state is never touched.
+    pub fn detach(
+        &mut self,
+        member: TenantId,
+        events: impl IntoIterator<Item = TaggedEvent>,
+    ) -> Result<StreamOutput, NicError> {
+        let Some(pos) = self.members.iter().position(|m| m.member == member) else {
+            return Err(NicError::Engine(format!("tenant {member} is not attached")));
+        };
+        let unit = self.members[pos].unit;
+        let group = self
+            .group_of_unit(unit)
+            .expect("attached members have units");
+        let mut per_shard = self.route_flush(group, events).into_iter();
+        let pieces = self.handshake(|ack| ShardMsg::Detach {
+            unit,
+            member,
+            events: per_shard.next().unwrap_or_default(),
+            ack,
+        })?;
+        self.members.remove(pos);
+        if !self.members.iter().any(|m| m.unit == unit) {
+            self.units.retain(|u| u.unit != unit);
+            if !self.units.iter().any(|u| u.group == group) {
+                self.groups.retain(|(g, _)| *g != group);
+            }
+        }
+        let mut out = StreamOutput::default();
+        for (_, piece) in pieces {
+            out.absorb(piece);
+        }
+        Ok(out)
+    }
+
+    /// Splits a switch-partition flush per shard with the live routing
+    /// rules — MGPV evictions to `hash % workers`, FG updates broadcast —
+    /// keeping only events tagged with `group`.
+    fn route_flush(
+        &self,
+        group: TenantId,
+        events: impl IntoIterator<Item = TaggedEvent>,
+    ) -> Vec<Vec<SwitchEvent>> {
+        let n = self.workers.len();
+        let mut per_shard: Vec<Vec<SwitchEvent>> = (0..n).map(|_| Vec::new()).collect();
+        for e in events.into_iter().filter(|e| e.tenant == group) {
+            match &e.event {
+                SwitchEvent::FgUpdate(_) => {
+                    for v in per_shard.iter_mut() {
+                        v.push(e.event.clone());
+                    }
+                }
+                SwitchEvent::Mgpv(m) => per_shard[(m.hash as usize) % n].push(e.event),
+            }
+        }
+        per_shard
+    }
+
+    /// Non-destructively captures every unit's engine state on every shard
+    /// at the current stream cut — the NIC half of a plane snapshot. The
+    /// live engines keep processing afterwards; pending frames are flushed
+    /// first so the dump lands on a clean epoch boundary. Units are
+    /// returned in creation order, shards sorted within each unit.
+    /// In-pipeline inference state is not part of a dump.
+    pub fn dump_state(&mut self) -> Result<Vec<UnitStateDump>, NicError> {
+        let acks = self.handshake(|ack| ShardMsg::Dump { ack })?;
+        let mut units: Vec<UnitStateDump> = self
+            .units
+            .iter()
+            .map(|u| UnitStateDump {
+                unit: u.unit,
+                group: u.group,
+                shards: Vec::with_capacity(self.workers.len()),
+            })
+            .collect();
+        for (unit, state) in acks.into_iter().flat_map(|(_, dump)| dump) {
+            if let Some(u) = units.iter_mut().find(|x| x.unit == unit) {
+                u.shards.push(state);
+            }
+        }
+        Ok(units)
+    }
+
+    /// Overwrites one attached unit's dynamic state with a previously
+    /// dumped per-shard state (see [`ShardPool::dump_state`]).
+    ///
+    /// The unit must already be attached — structurally rebuilt by
+    /// replaying its attach/join history — with the same member roster and
+    /// at the same worker count; `shards` must hold exactly one state per
+    /// shard. Fails without touching the unit otherwise.
+    pub fn restore_unit(
+        &mut self,
+        unit: TenantId,
+        shards: Vec<ShardUnitState>,
+    ) -> Result<(), NicError> {
+        let n = self.workers.len();
+        if shards.len() != n {
+            return Err(NicError::Engine(format!(
+                "restore of unit {unit} carries {} shard states for {n} workers",
+                shards.len()
+            )));
+        }
+        let mut by_shard: Vec<Option<ShardUnitState>> = (0..n).map(|_| None).collect();
+        for s in shards {
+            let idx = s.shard;
+            if idx >= n || by_shard[idx].is_some() {
+                return Err(NicError::Engine(format!(
+                    "restore of unit {unit} has a missing or duplicate shard index"
+                )));
+            }
+            by_shard[idx] = Some(s);
+        }
+        let mut states = by_shard.into_iter().flatten();
+        let acks = self.handshake(|ack| ShardMsg::Restore {
+            unit,
+            state: states.next().expect("one state per shard"),
+            ack,
+        })?;
+        match acks.iter().find(|(_, ok)| !ok) {
+            Some((shard, _)) => Err(NicError::Engine(format!(
+                "shard {shard} rejected the restore of unit {unit}: engine geometry or member roster mismatch"
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// Reports every unit's live state occupancy — resident groups per
+    /// level plus budget-eviction counters, merged across shards in unit
+    /// creation order. This is the population feedback the control plane's
+    /// admission consumes in place of its static per-tenant estimates.
+    pub fn state_pressure(&mut self) -> Result<Vec<UnitPressure>, NicError> {
+        let acks = self.handshake(|ack| ShardMsg::Pressure { ack })?;
+        let mut merged: Vec<UnitPressure> = self
+            .units
+            .iter()
+            .map(|u| UnitPressure {
+                unit: u.unit,
+                groups_per_level: Vec::new(),
+                overflow_drops: 0,
+                evicted_groups: 0,
+            })
+            .collect();
+        for p in acks.into_iter().flat_map(|(_, pressures)| pressures) {
+            if let Some(m) = merged.iter_mut().find(|m| m.unit == p.unit) {
+                add_levels(&mut m.groups_per_level, p.groups_per_level);
+                m.overflow_drops += p.overflow_drops;
+                m.evicted_groups += p.evicted_groups;
+            }
+        }
+        Ok(merged)
+    }
+
+    /// The shared-prefix groups' events-routed counters, in creation order
+    /// — the stream positions a plane snapshot must persist, because they
+    /// gate late joins and prefix shares.
+    pub fn group_positions(&self) -> Vec<(TenantId, u64)> {
+        self.groups.clone()
+    }
+
+    /// Overwrites one group's events-routed counter (plane restore).
+    /// Returns `false` for an unknown group.
+    pub fn set_group_position(&mut self, group: TenantId, routed: u64) -> bool {
+        match self.groups.iter_mut().find(|(g, _)| *g == group) {
+            Some(entry) => {
+                entry.1 = routed;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// One epoch handshake: flushes pending frames, sends one marker per
+    /// shard (built by `msg`, in shard order) and waits for one ack per
+    /// shard, returned sorted by shard.
+    ///
+    /// Markers go out with `send_now` (publish + doorbell immediately):
+    /// this call blocks on the acks, so a marker left staged behind the
+    /// doorbell batch would deadlock the handshake. A worker that dies
+    /// with its marker still in the ring never acks — and the marker keeps
+    /// the ack channel open — so the wait polls the workers' threads.
+    fn handshake<T>(
+        &mut self,
+        mut msg: impl FnMut(Sender<(usize, T)>) -> ShardMsg,
+    ) -> Result<Vec<(usize, T)>, NicError> {
+        self.flush_all()?;
+        let n = self.workers.len();
+        let (ack_tx, ack_rx) = channel();
+        for w in 0..n {
+            self.workers[w]
+                .tx
+                .send_now(msg(ack_tx.clone()))
+                .map_err(|_| NicError::WorkerLost { worker: w })?;
+        }
+        drop(ack_tx);
+        let mut acks: Vec<(usize, T)> = Vec::with_capacity(n);
+        let mut acked = vec![false; n];
+        while acks.len() < n {
+            // Sampled *before* the wait: a worker already finished here
+            // sent its ack, if any, before exiting, so a wait that then
+            // times out on an empty channel proves it never will.
+            let lost = (0..n).find(|&w| !acked[w] && self.workers[w].join.is_finished());
+            match ack_rx.recv_timeout(ACK_POLL) {
+                Ok(ack) => {
+                    acked[ack.0] = true;
+                    acks.push(ack);
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    if let Some(worker) = lost {
+                        return Err(NicError::WorkerLost { worker });
+                    }
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    let worker = acked.iter().position(|a| !a).unwrap_or(0);
+                    return Err(NicError::WorkerLost { worker });
+                }
+            }
+        }
+        // Deterministic merge in shard order, independent of ack arrival.
+        acks.sort_by_key(|(shard, _)| *shard);
+        Ok(acks)
+    }
+
+    /// Routes one tagged event: MGPV evictions to shard `hash % workers`,
+    /// FG updates to every shard.
+    ///
+    /// Blocks when the target worker is [`CHANNEL_DEPTH`] frames behind
+    /// (backpressure). Fails only if a worker thread has died.
+    pub fn push(&mut self, event: TaggedEvent) -> Result<(), NicError> {
+        if let Some(entry) = self.groups.iter_mut().find(|(g, _)| *g == event.tenant) {
+            entry.1 += 1;
+        }
+        match &event.event {
+            SwitchEvent::FgUpdate(_) => {
+                for w in 0..self.workers.len() {
+                    self.workers[w].pending.push(event.clone());
+                    self.flush_if_full(w)?;
+                }
+                Ok(())
+            }
+            SwitchEvent::Mgpv(m) => {
+                let w = (m.hash as usize) % self.workers.len();
+                self.workers[w].pending.push(event);
+                self.flush_if_full(w)
+            }
+        }
+    }
+
+    /// Routes a batch of tagged events in order (a switch frame).
+    pub fn push_all(
+        &mut self,
+        events: impl IntoIterator<Item = TaggedEvent>,
+    ) -> Result<(), NicError> {
+        for e in events {
+            self.push(e)?;
+        }
+        Ok(())
+    }
+
+    /// Drains one frame for worker `w` if it reached [`FRAME_SIZE`].
+    fn flush_if_full(&mut self, w: usize) -> Result<(), NicError> {
+        if self.workers[w].pending.len() >= FRAME_SIZE {
+            self.flush_worker(w)?;
+        }
+        Ok(())
+    }
+
+    /// Sends worker `w`'s pending frame, replacing it with a recycled one.
+    ///
+    /// The ring doorbell batches publication: the worker is woken once per
+    /// [`DOORBELL_FRAMES`] frames (or when the producer blocks on a full
+    /// ring, at a handshake, or at [`ShardPool::finish`]), not once per
+    /// frame.
+    fn flush_worker(&mut self, w: usize) -> Result<(), NicError> {
+        if self.workers[w].pending.is_empty() {
+            return Ok(());
+        }
+        let replacement = self.take_spare();
+        let frame = std::mem::replace(&mut self.workers[w].pending, replacement);
+        self.workers[w]
+            .tx
+            .send(ShardMsg::Frame(frame))
+            .map_err(|_| NicError::WorkerLost { worker: w })
+    }
+
+    fn flush_all(&mut self) -> Result<(), NicError> {
+        for w in 0..self.workers.len() {
+            self.flush_worker(w)?;
+        }
+        Ok(())
+    }
+
+    /// A recycled frame if one is available, else a fresh allocation.
+    fn take_spare(&mut self) -> Vec<TaggedEvent> {
+        for w in &mut self.workers {
+            while let Ok(f) = w.recycle.try_recv() {
+                self.spare.push(f);
+            }
+        }
+        self.spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(FRAME_SIZE))
+    }
+
+    /// Flushes remaining frames, closes the rings, joins every worker in
+    /// shard order, and returns each remaining member's merged output in
+    /// attach order.
+    pub fn finish(mut self) -> Result<Vec<(TenantId, StreamOutput)>, NicError> {
+        self.flush_all()?;
+        let mut merged: Vec<(TenantId, StreamOutput)> = self
+            .members
+            .iter()
+            .map(|m| (m.member, StreamOutput::default()))
+            .collect();
+        for (i, worker) in self.workers.into_iter().enumerate() {
+            // Dropping the producer publishes any staged frames, closes the
+            // ring, and wakes the worker; its loop drains and exits.
+            drop(worker.tx);
+            let pieces = worker
+                .join
+                .join()
+                .map_err(|_| NicError::WorkerLost { worker: i })?;
+            for (tenant, piece) in pieces {
+                if let Some((_, out)) = merged.iter_mut().find(|(t, _)| *t == tenant) {
+                    out.absorb(piece);
+                }
+            }
+        }
+        Ok(merged)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+    use superfe_net::PacketRecord;
+    use superfe_policy::compile;
+    use superfe_policy::dsl::parse;
+    use superfe_switch::tenant::SharedSwitch;
+    use superfe_switch::{CacheMode, MgpvConfig};
+
+    const T0: TenantId = TenantId(0);
+    const T1: TenantId = TenantId(1);
+    const T2: TenantId = TenantId(2);
+
+    fn compiled(src: &str) -> CompiledPolicy {
+        compile(&parse(src).unwrap()).unwrap()
+    }
+
+    fn host(reducers: &str, unit: &str) -> CompiledPolicy {
+        compiled(&format!(
+            "pktstream\n.groupby(host)\n.reduce(size, [{reducers}])\n.collect({unit})"
+        ))
+    }
+
+    fn host_sum() -> CompiledPolicy {
+        host("f_sum", "host")
+    }
+
+    fn flow_tcp() -> CompiledPolicy {
+        compiled(
+            "pktstream\n.filter(tcp.exist)\n.groupby(flow)\n.reduce(size, [f_sum, f_max])\n\
+             .collect(flow)",
+        )
+    }
+
+    /// A shared switch with one default-configured partition per entry.
+    fn switch(partitions: &[(TenantId, &CompiledPolicy)]) -> SharedSwitch {
+        let mut sw = SharedSwitch::new();
+        for (id, c) in partitions {
+            assert!(sw.attach(
+                *id,
+                c.switch.clone(),
+                MgpvConfig::default(),
+                CacheMode::Mgpv
+            ));
+        }
+        sw
+    }
+
+    /// All-TCP traffic from 31 hosts.
+    fn hosts31(n: u32) -> Vec<PacketRecord> {
+        (0..n)
+            .map(|i| PacketRecord::tcp(u64::from(i) * 100, 100, i % 31 + 1, 1000, 2, 80))
+            .collect()
+    }
+
+    /// Mixed traffic from 13 hosts, a quarter of it UDP.
+    fn packets(n: u64) -> Vec<PacketRecord> {
+        (0..n)
+            .map(|i| {
+                if i % 4 == 0 {
+                    PacketRecord::udp(i * 500, 120, (i % 13 + 1) as u32, 53, 7, 53)
+                } else {
+                    PacketRecord::tcp(i * 500, 300, (i % 13 + 1) as u32, 2000, 7, 443)
+                }
+            })
+            .collect()
+    }
+
+    fn feed(sw: &mut SharedSwitch, pool: &mut ShardPool, pkts: &[PacketRecord]) {
+        let mut frame = Vec::new();
+        for p in pkts {
+            sw.process_into(p, &mut frame);
+            pool.push_all(frame.drain(..)).unwrap();
+        }
+    }
+
+    fn flush(sw: &mut SharedSwitch, pool: &mut ShardPool) {
+        let mut frame = Vec::new();
+        sw.flush_into(&mut frame);
+        pool.push_all(frame).unwrap();
+    }
+
+    /// The solo case: a fresh pool with one unit attached at position zero
+    /// over the whole of `pkts`.
+    fn solo_with(
+        c: &CompiledPolicy,
+        pkts: &[PacketRecord],
+        workers: usize,
+        sinks: Option<Vec<Box<dyn VectorSink>>>,
+        model: Option<Arc<QuantizedDetector>>,
+        metrics: Option<Arc<StageMetrics>>,
+    ) -> StreamOutput {
+        let mut sw = switch(&[(T0, c)]);
+        let mut pool = ShardPool::new(workers, metrics);
+        pool.attach(T0, c, 16_384, sinks, model).unwrap();
+        feed(&mut sw, &mut pool, pkts);
+        flush(&mut sw, &mut pool);
+        let mut outs = pool.finish().unwrap();
+        assert_eq!(outs.len(), 1);
+        outs.remove(0).1
+    }
+
+    fn solo(c: &CompiledPolicy, pkts: &[PacketRecord], workers: usize) -> StreamOutput {
+        solo_with(c, pkts, workers, None, None, None)
+    }
+
+    fn sorted(mut v: Vec<FeatureVector>) -> Vec<FeatureVector> {
+        v.sort_by_cached_key(|a| format!("{:?}", a.key));
+        v
+    }
+
+    #[test]
+    fn streaming_matches_single_worker() {
+        let c = host_sum();
+        let pkts = hosts31(2000);
+        let seq = solo(&c, &pkts, 1);
+        let par = solo(&c, &pkts, 8);
+        assert_eq!(seq.stats.records, 2000);
+        assert_eq!(par.stats.records, 2000);
+        // Shards partition the MGPV messages: none lost, none duplicated.
+        assert_eq!(seq.stats.msgs, par.stats.msgs);
+        assert_eq!(sorted(seq.group_vectors), sorted(par.group_vectors));
+    }
+
+    #[test]
+    fn worker_count_clamped_to_one() {
+        assert_eq!(ShardPool::new(0, None).workers(), 1);
+    }
+
+    #[test]
+    fn merge_order_is_deterministic() {
+        // Same input, many runs: output order must be identical every time
+        // (workers are joined in shard order, not completion order).
+        let c = host_sum();
+        let pkts = hosts31(1500);
+        let baseline = solo(&c, &pkts, 4);
+        for _ in 0..3 {
+            let again = solo(&c, &pkts, 4);
+            assert_eq!(baseline.group_vectors, again.group_vectors);
+            assert_eq!(baseline.packet_vectors, again.packet_vectors);
+        }
+    }
+
+    #[test]
+    fn frames_are_recycled() {
+        // Push far more events than CHANNEL_DEPTH × workers frames; with
+        // recycling the executor still completes with bounded memory, and
+        // every record survives the frame transport.
+        let out = solo(&host_sum(), &hosts31(20_000), 2);
+        assert_eq!(out.stats.records, 20_000);
+        let total: f64 = out.group_vectors.iter().map(|g| g.values[0]).sum();
+        assert!((total - 20_000.0 * 100.0).abs() < 1e-6, "total {total}");
+    }
+
+    #[test]
+    fn stage_metrics_observe_the_run() {
+        let metrics = Arc::new(StageMetrics::default());
+        let out = solo_with(
+            &host_sum(),
+            &hosts31(5000),
+            2,
+            None,
+            None,
+            Some(metrics.clone()),
+        );
+        assert_eq!(out.stats.records, 5000);
+        let s = metrics.summaries();
+        // Every delivered ring item contributes one queue-dwell and one
+        // shard sample; no sink is attached so the sink histogram stays
+        // empty.
+        assert!(s.queue.count > 0);
+        assert_eq!(s.queue.count, s.shard.count);
+        assert_eq!(s.sink.count, 0);
+        assert!(s.shard.p99_ns >= s.shard.p50_ns);
+    }
+
+    /// Collects egressed vectors into a shared buffer for inspection.
+    struct CollectSink {
+        out: Arc<Mutex<Vec<EgressVector>>>,
+        flushed: Arc<AtomicUsize>,
+    }
+
+    impl VectorSink for CollectSink {
+        fn emit(&mut self, v: EgressVector) {
+            self.out.lock().unwrap().push(v);
+        }
+        fn flush(&mut self) {
+            self.flushed.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn solo_with_sinks(
+        c: &CompiledPolicy,
+        n: u32,
+        workers: usize,
+    ) -> (StreamOutput, Vec<EgressVector>, usize) {
+        let out = Arc::new(Mutex::new(Vec::new()));
+        let flushed = Arc::new(AtomicUsize::new(0));
+        let sinks = (0..workers)
+            .map(|_| {
+                Box::new(CollectSink {
+                    out: out.clone(),
+                    flushed: flushed.clone(),
+                }) as Box<dyn VectorSink>
+            })
+            .collect();
+        let merged = solo_with(c, &hosts31(n), workers, Some(sinks), None, None);
+        let egressed = std::mem::take(&mut *out.lock().unwrap());
+        (merged, egressed, flushed.load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn sinks_divert_packet_vectors_and_tag_positions() {
+        let c = host("f_sum", "pkt");
+        let plain = solo(&c, &hosts31(2000), 2);
+        let (merged, egressed, flushes) = solo_with_sinks(&c, 2000, 2);
+        // Diverted: the sink sees what the plain run buffered.
+        assert!(merged.packet_vectors.is_empty());
+        assert_eq!(flushes, 2);
+        assert_eq!(egressed.len(), plain.packet_vectors.len());
+        let sink_sorted = sorted(egressed.iter().map(|e| e.vector.clone()).collect());
+        assert_eq!(sorted(plain.packet_vectors), sink_sorted);
+        // Tags: per-shard sequence numbers are dense from 0.
+        for shard in 0..2 {
+            let mut seqs: Vec<u64> = egressed
+                .iter()
+                .filter(|e| e.shard == shard)
+                .map(|e| e.seq)
+                .collect();
+            seqs.sort_unstable();
+            assert!(seqs.iter().enumerate().all(|(i, &s)| s == i as u64));
+        }
+    }
+
+    #[test]
+    fn sinks_also_see_group_vectors() {
+        let (merged, egressed, _) = solo_with_sinks(&host_sum(), 500, 3);
+        // Group-collect policy: groups are both egressed and returned.
+        assert_eq!(egressed.len(), merged.group_vectors.len());
+        assert_eq!(
+            sorted(egressed.into_iter().map(|e| e.vector).collect()),
+            sorted(merged.group_vectors)
+        );
+    }
+
+    fn quant_model(train: &[Vec<f64>]) -> Arc<QuantizedDetector> {
+        use superfe_ml::{
+            quantize, train_and_calibrate, CalibrationConfig, CentroidDetector, Detector,
+            QuantConfig,
+        };
+        let refs: Vec<&[f64]> = train.iter().map(Vec::as_slice).collect();
+        let frozen = train_and_calibrate(
+            Box::new(CentroidDetector::new(train[0].len()).unwrap()) as Box<dyn Detector>,
+            &refs,
+            0.05,
+            CalibrationConfig::default(),
+        )
+        .unwrap();
+        Arc::new(quantize(&frozen, &QuantConfig::default()).unwrap())
+    }
+
+    /// A model trained far away (second axis dominant) from what
+    /// `host(f_sum, f_max)` emits ([~6400, 100], first axis dominant):
+    /// every host alerts.
+    fn hostile_model() -> Arc<QuantizedDetector> {
+        let train: Vec<Vec<f64>> = (0..64)
+            .map(|i| vec![1.0 + f64::from(i % 5) * 0.1, 500.0 + f64::from(i % 7)])
+            .collect();
+        quant_model(&train)
+    }
+
+    #[test]
+    fn inline_inference_raises_alerts_on_group_vectors() {
+        let c = host("f_sum, f_max", "host");
+        let pkts = hosts31(2000);
+        let out = solo_with(&c, &pkts, 2, None, Some(hostile_model()), None);
+        let stats = out.inline_stats.expect("inference was attached");
+        assert_eq!(stats.scored, out.group_vectors.len() as u64);
+        assert_eq!(stats.dim_errors, 0);
+        assert_eq!(stats.alerts, out.group_vectors.len() as u64);
+        assert_eq!(out.inline_alerts.len(), out.group_vectors.len());
+        for a in &out.inline_alerts {
+            assert!(a.score > a.threshold);
+        }
+        // Without inference the same run reports no inline stage at all.
+        let plain = solo(&c, &pkts, 2);
+        assert!(plain.inline_stats.is_none());
+        assert!(plain.inline_alerts.is_empty());
+        // And the vector outputs themselves are unchanged by scoring.
+        assert_eq!(
+            sorted(plain.group_vectors),
+            sorted(out.group_vectors.clone())
+        );
+        // A fused unit scores once; every member gets the alert stream.
+        let mut sw = switch(&[(T0, &c)]);
+        let mut pool = ShardPool::new(2, None);
+        pool.attach(T0, &c, 16_384, None, Some(hostile_model()))
+            .unwrap();
+        pool.join(T0, T1, None).unwrap();
+        feed(&mut sw, &mut pool, &pkts);
+        flush(&mut sw, &mut pool);
+        for (id, member) in pool.finish().unwrap() {
+            assert_eq!(member.inline_stats, Some(stats), "member {id}");
+            assert_eq!(member.inline_alerts.len(), out.inline_alerts.len());
+        }
+    }
+
+    #[test]
+    fn inline_alert_stream_is_worker_count_independent() {
+        let c = host("f_sum, f_max", "host");
+        let model = hostile_model();
+        let mut fingerprints = Vec::new();
+        for workers in [1, 2, 4, 8] {
+            let out = solo_with(&c, &hosts31(2000), workers, None, Some(model.clone()), None);
+            let mut alerts = out.inline_alerts;
+            crate::inference::canonicalize_inline_alerts(&mut alerts);
+            fingerprints.push(crate::inference::inline_alert_fingerprint(&alerts));
+        }
+        assert!(!fingerprints[0].is_empty());
+        for fp in &fingerprints[1..] {
+            assert_eq!(&fingerprints[0], fp, "alert stream depends on worker count");
+        }
+    }
+
+    #[test]
+    fn inline_inference_scores_packet_vectors_without_diverting_them() {
+        let c = host("f_sum", "pkt");
+        let pkts = hosts31(2000);
+        let train: Vec<Vec<f64>> = (0..64).map(|i| vec![100.0 + f64::from(i % 5)]).collect();
+        let out = solo_with(&c, &pkts, 2, None, Some(quant_model(&train)), None);
+        // No sink attached: scored per-packet vectors are still returned.
+        let plain = solo(&c, &pkts, 2);
+        assert_eq!(out.packet_vectors.len(), plain.packet_vectors.len());
+        let stats = out.inline_stats.expect("inference was attached");
+        assert_eq!(
+            stats.scored,
+            (plain.packet_vectors.len() + plain.group_vectors.len()) as u64
+        );
+        assert_eq!(sorted(out.packet_vectors), sorted(plain.packet_vectors));
+    }
+
+    #[test]
+    fn multi_granularity_fg_broadcast() {
+        // FG updates must reach every worker so finer levels resolve on
+        // whichever shard their CG records land.
+        let c = compiled(
+            "pktstream\n.groupby(socket)\n.reduce(size, [f_sum])\n.collect(socket)\n\
+             .groupby(host)\n.reduce(size, [f_sum])\n.collect(host)",
+        );
+        let out = solo(&c, &hosts31(600), 4);
+        assert_eq!(out.stats.unresolved_fg, 0);
+        let hosts = out
+            .group_vectors
+            .iter()
+            .filter(|v| matches!(v.key, superfe_net::GroupKey::Host(_)))
+            .count();
+        assert_eq!(hosts, 31);
+    }
+
+    #[test]
+    fn two_tenants_match_their_solo_runs() {
+        for workers in [1usize, 4] {
+            let (a, b) = (host_sum(), flow_tcp());
+            let pkts = packets(800);
+            let mut sw = switch(&[(T0, &a), (T1, &b)]);
+            let mut pool = ShardPool::new(workers, None);
+            pool.attach(T0, &a, 16_384, None, None).unwrap();
+            pool.attach(T1, &b, 16_384, None, None).unwrap();
+            feed(&mut sw, &mut pool, &pkts);
+            flush(&mut sw, &mut pool);
+            let outs = pool.finish().unwrap();
+            assert_eq!(outs.len(), 2);
+            for ((_, out), c) in outs.iter().zip([&a, &b]) {
+                let alone = solo(c, &pkts, workers);
+                assert_eq!(out.group_vectors, alone.group_vectors);
+                assert_eq!(out.stats.records, alone.stats.records);
+            }
+        }
+    }
+
+    /// Serves `pkts` on a two-shard pool, detaching `leaver` (fed by
+    /// partition `group`) half-way — with the partition's draining flush
+    /// when it dies with the leaver, its snapshot flush when it survives —
+    /// and returns the leaver's output and the survivors'.
+    fn detach_midway(
+        mut sw: SharedSwitch,
+        mut pool: ShardPool,
+        pkts: &[PacketRecord],
+        leaver: TenantId,
+        group: TenantId,
+        partition_survives: bool,
+    ) -> (StreamOutput, Vec<(TenantId, StreamOutput)>) {
+        let (before, after) = pkts.split_at(pkts.len() / 2);
+        feed(&mut sw, &mut pool, before);
+        let mut flush_events = Vec::new();
+        if partition_survives {
+            sw.snapshot_into(group, &mut flush_events);
+        } else {
+            sw.detach_into(group, &mut flush_events);
+        }
+        let gone = pool.detach(leaver, flush_events).unwrap();
+        feed(&mut sw, &mut pool, after);
+        flush(&mut sw, &mut pool);
+        (gone, pool.finish().unwrap())
+    }
+
+    #[test]
+    fn detach_handshake_returns_output_and_isolates_survivor() {
+        let (a, b) = (host_sum(), flow_tcp());
+        let pkts = packets(1000);
+        let sw = switch(&[(T0, &a), (T1, &b)]);
+        let mut pool = ShardPool::new(2, None);
+        pool.attach(T0, &a, 16_384, None, None).unwrap();
+        pool.attach(T1, &b, 16_384, None, None).unwrap();
+        // Epoch: drain tenant 1 out of switch and NIC mid-stream.
+        let (gone, outs) = detach_midway(sw, pool, &pkts, T1, T1, false);
+        assert_eq!(gone.group_vectors, solo(&b, &pkts[..500], 2).group_vectors);
+        assert_eq!(outs.len(), 1);
+        assert_eq!(outs[0].0, T0);
+        // The survivor is bit-identical to its solo run.
+        assert_eq!(outs[0].1.group_vectors, solo(&a, &pkts, 2).group_vectors);
+    }
+
+    #[test]
+    fn fused_unit_demuxes_members_bitwise() {
+        for workers in [1usize, 3] {
+            let a = host_sum();
+            let pkts = packets(800);
+            let mut sw = switch(&[(T0, &a)]);
+            let mut pool = ShardPool::new(workers, None);
+            pool.attach(T0, &a, 16_384, None, None).unwrap();
+            pool.join(T0, T1, None).unwrap();
+            pool.join(T0, T2, None).unwrap();
+            feed(&mut sw, &mut pool, &pkts);
+            flush(&mut sw, &mut pool);
+            let outs = pool.finish().unwrap();
+            assert_eq!(outs.len(), 3);
+            let alone = solo(&a, &pkts, workers);
+            for (id, out) in &outs {
+                assert_eq!(
+                    out.group_vectors, alone.group_vectors,
+                    "member {id} diverged at {workers} workers"
+                );
+                assert_eq!(out.stats.records, alone.stats.records);
+            }
+        }
+    }
+
+    #[test]
+    fn fused_member_detach_is_bitwise_solo_and_spares_survivors() {
+        let a = host_sum();
+        let pkts = packets(1000);
+        let sw = switch(&[(T0, &a)]);
+        let mut pool = ShardPool::new(2, None);
+        pool.attach(T0, &a, 16_384, None, None).unwrap();
+        pool.join(T0, T1, None).unwrap();
+        // Member detach: the partition is snapshot-flushed (live state
+        // untouched) and member 1 is finalized on a fork of the unit.
+        let (gone, outs) = detach_midway(sw, pool, &pkts, T1, T0, true);
+        // The departed member equals a solo run over its window; the
+        // survivor equals a solo run over the whole trace.
+        let half = solo(&a, &pkts[..500], 2);
+        assert_eq!(gone.group_vectors, half.group_vectors);
+        assert_eq!(gone.packet_vectors, half.packet_vectors);
+        assert_eq!(outs.len(), 1);
+        assert_eq!(outs[0].0, T0);
+        assert_eq!(outs[0].1.group_vectors, solo(&a, &pkts, 2).group_vectors);
+    }
+
+    #[test]
+    fn join_guards_stream_position() {
+        let a = host_sum();
+        let mut sw = switch(&[(T0, &a)]);
+        let mut pool = ShardPool::new(2, None);
+        pool.attach(T0, &a, 16_384, None, None).unwrap();
+        pool.join(T0, T1, None).unwrap();
+        // Once the unit has routed events, late joins are refused.
+        feed(&mut sw, &mut pool, &packets(50));
+        flush(&mut sw, &mut pool);
+        assert!(pool.join(T0, T2, None).is_err());
+        assert!(pool.join(TenantId(9), TenantId(3), None).is_err());
+        pool.finish().unwrap();
+    }
+
+    #[test]
+    fn prefix_group_units_match_their_solo_runs() {
+        // Two tenants sharing one switch partition (same prefix: no
+        // filter, groupby host) but running different reduce tails: each
+        // unit's output must be bitwise identical to a solo run of its own
+        // full policy.
+        for workers in [1usize, 3] {
+            let (a, b) = (host_sum(), host("f_max", "host"));
+            let pkts = packets(800);
+            // One partition, attached under the group id (tenant 0).
+            let mut sw = switch(&[(T0, &a)]);
+            let mut pool = ShardPool::new(workers, None);
+            pool.attach(T0, &a, 16_384, None, None).unwrap();
+            pool.attach_to_group(T0, T1, &b, 16_384, None).unwrap();
+            feed(&mut sw, &mut pool, &pkts);
+            flush(&mut sw, &mut pool);
+            let outs = pool.finish().unwrap();
+            assert_eq!(outs.len(), 2);
+            for ((_, out), c) in outs.iter().zip([&a, &b]) {
+                let alone = solo(c, &pkts, workers);
+                assert_eq!(out.group_vectors, alone.group_vectors);
+                assert_eq!(out.stats.records, alone.stats.records);
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_unit_detach_is_bitwise_solo_and_spares_survivors() {
+        let (a, b) = (host_sum(), host("f_max", "host"));
+        let pkts = packets(1000);
+        let sw = switch(&[(T0, &a)]);
+        let mut pool = ShardPool::new(2, None);
+        pool.attach(T0, &a, 16_384, None, None).unwrap();
+        pool.attach_to_group(T0, T1, &b, 16_384, None).unwrap();
+        // The shared partition stays live for tenant 0; tenant 1's own
+        // engines finalize against the partition's snapshot flush.
+        let (gone, outs) = detach_midway(sw, pool, &pkts, T1, T0, true);
+        let half = solo(&b, &pkts[..500], 2);
+        assert_eq!(gone.group_vectors, half.group_vectors);
+        assert_eq!(gone.packet_vectors, half.packet_vectors);
+        assert_eq!(outs.len(), 1);
+        assert_eq!(outs[0].0, T0);
+        assert_eq!(outs[0].1.group_vectors, solo(&a, &pkts, 2).group_vectors);
+    }
+
+    #[test]
+    fn prefix_group_guards_position() {
+        let (a, b) = (host_sum(), host("f_max", "host"));
+        let mut sw = switch(&[(T0, &a)]);
+        let mut pool = ShardPool::new(2, None);
+        pool.attach(T0, &a, 16_384, None, None).unwrap();
+        // Unknown group, and duplicate members, are refused.
+        assert!(pool
+            .attach_to_group(TenantId(9), T1, &b, 16_384, None)
+            .is_err());
+        pool.attach_to_group(T0, T1, &b, 16_384, None).unwrap();
+        assert!(pool.attach_to_group(T0, T1, &b, 16_384, None).is_err());
+        // Once the group has routed events, late prefix shares are refused.
+        feed(&mut sw, &mut pool, &packets(50));
+        flush(&mut sw, &mut pool);
+        let late = pool
+            .attach_to_group(T0, T2, &b, 16_384, None)
+            .expect_err("late prefix share");
+        assert!(!late.to_string().contains("  "), "mangled message: {late}");
+        pool.finish().unwrap();
+    }
+
+    #[test]
+    fn attach_rejects_duplicates_and_bad_sink_counts() {
+        let a = host_sum();
+        let mut pool = ShardPool::new(2, None);
+        pool.attach(TenantId(7), &a, 16_384, None, None).unwrap();
+        assert!(pool.attach(TenantId(7), &a, 16_384, None, None).is_err());
+        // One sink per shard, or none at all.
+        let no_sinks = pool.attach(TenantId(8), &a, 16_384, Some(Vec::new()), None);
+        assert!(matches!(no_sinks, Err(NicError::Engine(_))));
+        assert!(pool.detach(TenantId(9), Vec::new()).is_err());
+        assert!(pool.join(TenantId(7), TenantId(7), None).is_err());
+        pool.finish().unwrap();
+    }
+
+    #[test]
+    fn dump_restore_resumes_bitwise_identically() {
+        // Run half the stream, dump every unit, rebuild a fresh executor
+        // (replayed attach), restore the dumped state, run the rest: every
+        // member's output must be bitwise what the uninterrupted run made.
+        for workers in [1usize, 4] {
+            let (a, b) = (host_sum(), flow_tcp());
+            let pkts = packets(1000);
+            let attach_both = |pool: &mut ShardPool| {
+                pool.attach(T0, &a, 16_384, None, None).unwrap();
+                pool.attach(T1, &b, 16_384, None, None).unwrap();
+            };
+            // Uninterrupted reference.
+            let mut sw = switch(&[(T0, &a), (T1, &b)]);
+            let mut pool = ShardPool::new(workers, None);
+            attach_both(&mut pool);
+            feed(&mut sw, &mut pool, &pkts);
+            flush(&mut sw, &mut pool);
+            let full = pool.finish().unwrap();
+            // Interrupted run: dump at the half-way cut...
+            let mut sw1 = switch(&[(T0, &a), (T1, &b)]);
+            let mut pool1 = ShardPool::new(workers, None);
+            attach_both(&mut pool1);
+            feed(&mut sw1, &mut pool1, &pkts[..500]);
+            let dumps = pool1.dump_state().unwrap();
+            let positions = pool1.group_positions();
+            assert_eq!(dumps.len(), 2);
+            assert!(dumps.iter().all(|d| d.shards.len() == workers));
+            drop(pool1.finish().unwrap());
+            // ...then rebuild structurally and refill the dumped state.
+            // The switch side keeps running (sw1 still holds its state).
+            let mut pool2 = ShardPool::new(workers, None);
+            attach_both(&mut pool2);
+            for d in dumps {
+                pool2.restore_unit(d.unit, d.shards).unwrap();
+            }
+            for (g, n) in positions {
+                assert!(pool2.set_group_position(g, n));
+            }
+            feed(&mut sw1, &mut pool2, &pkts[500..]);
+            flush(&mut sw1, &mut pool2);
+            let resumed = pool2.finish().unwrap();
+            assert_eq!(full.len(), resumed.len());
+            for ((t1, o1), (t2, o2)) in full.iter().zip(&resumed) {
+                assert_eq!(t1, t2);
+                assert_eq!(
+                    o1.group_vectors, o2.group_vectors,
+                    "tenant {t1} diverged at {workers} workers"
+                );
+                assert_eq!(o1.packet_vectors, o2.packet_vectors);
+                assert_eq!(o1.stats.records, o2.stats.records);
+                assert_eq!(o1.stats.vectors, o2.stats.vectors);
+            }
+        }
+    }
+
+    #[test]
+    fn restore_guards_roster_and_shard_count() {
+        let a = host_sum();
+        let mut pool = ShardPool::new(2, None);
+        pool.attach(T0, &a, 16_384, None, None).unwrap();
+        let dumps = pool.dump_state().unwrap();
+        let shards = dumps.into_iter().next().unwrap().shards;
+        // Wrong unit id: the roster check rejects it.
+        let rejected = pool.restore_unit(TenantId(9), shards).unwrap_err();
+        assert!(
+            !rejected.to_string().contains("  "),
+            "mangled message: {rejected}"
+        );
+        // Wrong shard count.
+        let dumps = pool.dump_state().unwrap();
+        let mut shards = dumps.into_iter().next().unwrap().shards;
+        shards.pop();
+        assert!(pool.restore_unit(T0, shards).is_err());
+        pool.finish().unwrap();
+    }
+
+    #[test]
+    fn state_pressure_reports_populations() {
+        let (a, b) = (host_sum(), flow_tcp());
+        let mut sw = switch(&[(T0, &a), (T1, &b)]);
+        let mut pool = ShardPool::new(2, None);
+        pool.attach(T0, &a, 16_384, None, None).unwrap();
+        pool.attach(T1, &b, 16_384, None, None).unwrap();
+        feed(&mut sw, &mut pool, &packets(600));
+        let pressure = pool.state_pressure().unwrap();
+        assert_eq!(pressure.len(), 2);
+        for p in &pressure {
+            let total: usize = p.groups_per_level.iter().map(|(_, n)| n).sum();
+            assert!(total > 0, "unit {} reports no resident groups", p.unit);
+            // Default budgets are far above this workload: no evictions.
+            assert_eq!(p.overflow_drops, 0);
+            assert_eq!(p.evicted_groups, 0);
+        }
+        // Every partition's routed counter moved with the traffic.
+        let positions = pool.group_positions();
+        assert_eq!(positions.len(), 2);
+        assert!(positions.iter().all(|(_, n)| *n > 0));
+        pool.finish().unwrap();
+    }
+}

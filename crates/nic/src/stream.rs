@@ -1,55 +1,11 @@
-//! Streaming multi-core NIC executor: CG-key-sharded workers fed over
-//! bounded SPSC frame rings.
-//!
-//! The NFP's ingress NBI distributes packets to cores on a per-IP basis so
-//! cores never contend on group state (§6.2). This module is the software
-//! analogue as a *pipeline stage*: the producer (switch simulator) pushes
-//! events as they are emitted, the executor routes each one to the worker
-//! owning its CG-key shard, and workers compute features concurrently while
-//! the producer is still parsing packets — the full event stream is never
-//! materialized.
-//!
-//! Design invariants (see DESIGN.md "Threading model"):
-//!
-//! - **Shard-by-CG-key**: an [`SwitchEvent::Mgpv`] goes to worker
-//!   `hash % workers`. Every record of a group carries the same CG hash, so
-//!   a group's state lives on exactly one worker — no locks, no cross-worker
-//!   merges of partial group state.
-//! - **FG broadcast**: [`SwitchEvent::FgUpdate`]s are appended to *every*
-//!   worker's frame, in stream order relative to the Mgpv events around
-//!   them. Each worker therefore sees an ordered subsequence of the original
-//!   stream containing all FG updates plus its own Mgpv shard, which
-//!   preserves the switch's FgUpdate-before-reference ordering per worker.
-//! - **Bounded rings**: each worker is fed over a
-//!   [`superfe_net::ring`] SPSC ring holding at most [`CHANNEL_DEPTH`]
-//!   frames. A producer outrunning a worker blocks on `send` (backpressure)
-//!   instead of buffering unboundedly. The ring's doorbell publishes
-//!   [`DOORBELL_FRAMES`] frames per wakeup, so a worker is signalled once
-//!   per ~thousand events, not once per frame.
-//! - **Frame batching & bounded recycling**: events travel in
-//!   [`FRAME_SIZE`]-event frames to amortize synchronization; drained
-//!   frames return to the producer over a *bounded* per-worker recycle ring
-//!   ([`RECYCLE_DEPTH`] slots) with drop-on-full semantics, so steady-state
-//!   frame inventory is provably capped at
-//!   `workers × (CHANNEL_DEPTH + RECYCLE_DEPTH + 2)` frames.
-//! - **Deterministic merge**: workers are joined and their outputs
-//!   concatenated in shard order, making results independent of thread
-//!   scheduling.
+//! The vocabulary of the streaming NIC executor ([`crate::pool`]): what
+//! egresses a worker shard, where it can be sent, what a finished run
+//! returns, and the ring geometry that bounds everything in flight.
 
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use superfe_ml::QuantizedDetector;
-use superfe_net::metrics::{monotonic_ns, StageMetrics};
-use superfe_net::ring;
 use superfe_net::Granularity;
-use superfe_policy::CompiledPolicy;
-use superfe_switch::SwitchEvent;
 
-use crate::engine::{EvictedVector, FeNic, FeatureVector, NicStats};
-use crate::error::NicError;
-use crate::inference::{InlineAlert, InlineInference, InlineStats};
-use crate::table::TableBudget;
+use crate::engine::{EvictedVector, FeatureVector, NicStats};
+use crate::inference::{InlineAlert, InlineStats};
 
 /// Events per channel frame (amortizes one synchronization over the frame).
 pub const FRAME_SIZE: usize = 256;
@@ -101,25 +57,14 @@ pub trait VectorSink: Send {
     fn flush(&mut self) {}
 }
 
-/// What one worker shard produces.
-struct ShardOutput {
-    groups: Vec<FeatureVector>,
-    pkts: Vec<FeatureVector>,
-    evicted: Vec<EvictedVector>,
-    stats: NicStats,
-    groups_per_level: Vec<(Granularity, usize)>,
-    /// Alerts and counters of the in-pipeline inference stage, when one
-    /// was attached.
-    inline: Option<(Vec<InlineAlert>, InlineStats)>,
-}
-
-/// Merged output of a streaming run.
-#[derive(Debug)]
+/// One member's merged output of a streaming run.
+#[derive(Clone, Debug, Default)]
 pub struct StreamOutput {
     /// Per-group feature vectors, concatenated in shard order.
     pub group_vectors: Vec<FeatureVector>,
     /// Per-packet feature vectors, concatenated in shard order (arrival
-    /// order within each shard).
+    /// order within each shard). Empty for a member with sinks attached:
+    /// its per-packet vectors were diverted to them as they were computed.
     pub packet_vectors: Vec<FeatureVector>,
     /// Aggregated engine counters. Note `fg_updates` counts per worker:
     /// broadcasts are applied once per shard.
@@ -131,8 +76,8 @@ pub struct StreamOutput {
     /// shard order. Empty under the default budget.
     pub evicted_vectors: Vec<EvictedVector>,
     /// Alerts raised by the in-pipeline inference stage, concatenated in
-    /// shard order. Empty unless the executor was built with
-    /// [`StreamingNic::with_inference`]. Use
+    /// shard order. Empty unless the unit was attached with a quantized
+    /// model. Use
     /// [`canonicalize_inline_alerts`](crate::inference::canonicalize_inline_alerts)
     /// for a worker-count-independent order.
     pub inline_alerts: Vec<InlineAlert>,
@@ -141,698 +86,32 @@ pub struct StreamOutput {
     pub inline_stats: Option<InlineStats>,
 }
 
-struct Worker {
-    tx: ring::Producer<Vec<SwitchEvent>>,
-    /// Consumer end of this worker's bounded frame recycle ring.
-    recycle: ring::Consumer<Vec<SwitchEvent>>,
-    join: JoinHandle<ShardOutput>,
-    /// Frame currently being filled for this worker.
-    pending: Vec<SwitchEvent>,
-}
-
-/// A streaming, CG-key-sharded multi-core NIC executor.
-///
-/// Construction spawns one thread per shard, each owning a private
-/// [`FeNic`]; [`StreamingNic::push`] routes events as they arrive and
-/// [`StreamingNic::finish`] flushes, joins, and merges deterministically.
-pub struct StreamingNic {
-    workers: Vec<Worker>,
-    /// Locally stashed recycled frames ready for reuse (bounded: refilled
-    /// only from the fixed-capacity recycle rings).
-    spare: Vec<Vec<SwitchEvent>>,
-}
-
-impl StreamingNic {
-    /// Spawns `workers` shard threads (clamped to ≥ 1) for `compiled`.
-    ///
-    /// All engines are instantiated up front so configuration problems
-    /// surface here as [`NicError::Engine`], not inside a worker thread.
-    pub fn new(
-        compiled: &CompiledPolicy,
-        fg_table_size: usize,
-        workers: usize,
-    ) -> Result<Self, NicError> {
-        Self::build(
-            compiled,
-            fg_table_size,
-            workers,
-            None,
-            None,
-            TableBudget::default(),
-            None,
-        )
-    }
-
-    /// Like [`StreamingNic::new`], but with an explicit per-level DRAM
-    /// budget on every shard engine. Evicted groups surface in
-    /// [`StreamOutput::evicted_vectors`].
-    pub fn with_budget(
-        compiled: &CompiledPolicy,
-        fg_table_size: usize,
-        workers: usize,
-        budget: TableBudget,
-    ) -> Result<Self, NicError> {
-        Self::build(compiled, fg_table_size, workers, None, None, budget, None)
-    }
-
-    /// Like [`StreamingNic::new`], but compiles a quantized detector into
-    /// the pipeline: every finalized feature vector (per-packet and
-    /// per-group) is scored *inside its worker shard* before egress, and
-    /// alerts surface in [`StreamOutput::inline_alerts`].
-    ///
-    /// The model is shared read-only across shards — scoring is pure
-    /// integer arithmetic ([`QuantizedDetector::score_q`]), so the alert
-    /// stream per group key is bitwise identical at every worker count.
-    pub fn with_inference(
-        compiled: &CompiledPolicy,
-        fg_table_size: usize,
-        workers: usize,
-        model: Arc<QuantizedDetector>,
-    ) -> Result<Self, NicError> {
-        Self::build(
-            compiled,
-            fg_table_size,
-            workers,
-            None,
-            None,
-            TableBudget::default(),
-            Some(model),
-        )
-    }
-
-    /// Like [`StreamingNic::new`], but attaches one [`VectorSink`] per
-    /// shard: `sinks[i]` moves into worker `i`'s thread and receives that
-    /// shard's vectors as they are computed ([`EgressVector`] tags carry
-    /// the stream position).
-    ///
-    /// With a sink attached, per-packet vectors are *diverted*: they flow
-    /// to the sink incrementally instead of accumulating in
-    /// [`StreamOutput::packet_vectors`] (which comes back empty). Per-group
-    /// vectors are both egressed at end of stream and returned.
-    ///
-    /// `sinks.len()` must equal the (clamped, ≥ 1) worker count.
-    pub fn with_sinks(
-        compiled: &CompiledPolicy,
-        fg_table_size: usize,
-        workers: usize,
-        sinks: Vec<Box<dyn VectorSink>>,
-    ) -> Result<Self, NicError> {
-        Self::with_options(compiled, fg_table_size, workers, Some(sinks), None)
-    }
-
-    /// Fully-general constructor: optional per-shard sinks and optional
-    /// per-stage latency instrumentation. With `metrics` attached, every
-    /// frame's ring dwell (producer send → worker receive), per-frame shard
-    /// processing time, and per-frame sink egress time are recorded into
-    /// the shared [`StageMetrics`] histograms.
-    pub fn with_options(
-        compiled: &CompiledPolicy,
-        fg_table_size: usize,
-        workers: usize,
-        sinks: Option<Vec<Box<dyn VectorSink>>>,
-        metrics: Option<Arc<StageMetrics>>,
-    ) -> Result<Self, NicError> {
-        if let Some(sinks) = &sinks {
-            if sinks.len() != workers.max(1) {
-                return Err(NicError::Engine(format!(
-                    "sink count {} does not match worker count {}",
-                    sinks.len(),
-                    workers.max(1)
-                )));
-            }
+impl StreamOutput {
+    /// Appends the next shard's piece. Called in shard order — that, not
+    /// completion order, is what makes the merged output deterministic.
+    pub(crate) fn absorb(&mut self, piece: StreamOutput) {
+        self.group_vectors.extend(piece.group_vectors);
+        self.packet_vectors.extend(piece.packet_vectors);
+        self.evicted_vectors.extend(piece.evicted_vectors);
+        self.inline_alerts.extend(piece.inline_alerts);
+        self.stats.absorb(&piece.stats);
+        add_levels(&mut self.groups_per_level, piece.groups_per_level);
+        if let Some(stats) = piece.inline_stats {
+            self.inline_stats
+                .get_or_insert_with(InlineStats::default)
+                .absorb(&stats);
         }
-        Self::build(
-            compiled,
-            fg_table_size,
-            workers,
-            sinks,
-            metrics,
-            TableBudget::default(),
-            None,
-        )
-    }
-
-    fn build(
-        compiled: &CompiledPolicy,
-        fg_table_size: usize,
-        workers: usize,
-        sinks: Option<Vec<Box<dyn VectorSink>>>,
-        metrics: Option<Arc<StageMetrics>>,
-        budget: TableBudget,
-        inference: Option<Arc<QuantizedDetector>>,
-    ) -> Result<Self, NicError> {
-        let workers = workers.max(1);
-        let mut engines = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            engines.push(
-                FeNic::with_budget(compiled, fg_table_size, budget).ok_or_else(|| {
-                    NicError::Engine("degenerate NIC group-table configuration".into())
-                })?,
-            );
-        }
-        let mut sinks: Vec<Option<Box<dyn VectorSink>>> = match sinks {
-            Some(s) => s.into_iter().map(Some).collect(),
-            None => (0..workers).map(|_| None).collect(),
-        };
-        let workers = engines
-            .into_iter()
-            .enumerate()
-            .map(|(shard, mut nic)| {
-                let (tx, mut rx) = ring::channel_with::<Vec<SwitchEvent>>(
-                    CHANNEL_DEPTH,
-                    DOORBELL_FRAMES,
-                    Arc::default(),
-                    metrics.as_ref().map(|m| m.queue.clone()),
-                );
-                // Recycle ring: the worker produces drained frames, the
-                // routing thread consumes them. try_send drops on full.
-                let (mut recycle_tx, recycle_rx) =
-                    ring::channel::<Vec<SwitchEvent>>(RECYCLE_DEPTH, 1);
-                let mut sink = sinks[shard].take();
-                let mut infer = inference.clone().map(InlineInference::new);
-                let metrics = metrics.clone();
-                let join = std::thread::spawn(move || {
-                    let mut seq: u64 = 0;
-                    // Per-packet vectors scored in-pipeline without a sink
-                    // attached are buffered here instead of inside the
-                    // engine (they are drained per frame for scoring).
-                    let mut local_pkts: Vec<FeatureVector> = Vec::new();
-                    while let Ok(mut frame) = rx.recv() {
-                        let t0 = metrics.as_ref().map(|_| monotonic_ns());
-                        for e in &frame {
-                            nic.handle(e);
-                        }
-                        if let (Some(m), Some(t0)) = (&metrics, t0) {
-                            m.shard.record(monotonic_ns().saturating_sub(t0));
-                        }
-                        if sink.is_some() || infer.is_some() {
-                            // Drain this frame's per-packet vectors in
-                            // arrival order: score in-pipeline, then divert
-                            // to the sink (or buffer locally without one).
-                            let t1 = sink.as_ref().and(metrics.as_ref()).map(|_| monotonic_ns());
-                            for vector in nic.take_packet_vectors() {
-                                if let Some(inf) = infer.as_mut() {
-                                    inf.score(shard, seq, &vector);
-                                }
-                                match sink.as_mut() {
-                                    Some(sink) => {
-                                        sink.emit(EgressVector { shard, seq, vector });
-                                    }
-                                    None => local_pkts.push(vector),
-                                }
-                                seq += 1;
-                            }
-                            if let (Some(m), Some(t1)) = (&metrics, t1) {
-                                m.sink.record(monotonic_ns().saturating_sub(t1));
-                            }
-                        }
-                        frame.clear();
-                        // Bounded recycling: hand the frame back if the
-                        // recycle ring has room, otherwise drop (free) it.
-                        let _ = recycle_tx.try_send(frame);
-                    }
-                    let groups = nic.finish();
-                    let mut pkts = local_pkts;
-                    let stragglers = nic.take_packet_vectors();
-                    if let Some(inf) = infer.as_mut() {
-                        for vector in &stragglers {
-                            inf.score(shard, seq, vector);
-                            seq += 1;
-                        }
-                    }
-                    pkts.extend(stragglers);
-                    // Per-group vectors at end of stream: one seq counter
-                    // covers both the inference tags and the sink tags, so
-                    // the two streams agree on positions.
-                    for vector in &groups {
-                        if let Some(inf) = infer.as_mut() {
-                            inf.score(shard, seq, vector);
-                        }
-                        if let Some(sink) = sink.as_mut() {
-                            sink.emit(EgressVector {
-                                shard,
-                                seq,
-                                vector: vector.clone(),
-                            });
-                        }
-                        seq += 1;
-                    }
-                    if let Some(mut sink) = sink.take() {
-                        sink.flush();
-                        // Dropping the sink here (before the join) closes
-                        // any downstream channels it holds.
-                    }
-                    ShardOutput {
-                        groups,
-                        pkts,
-                        evicted: nic.take_evicted(),
-                        stats: *nic.stats(),
-                        groups_per_level: nic.groups_per_level(),
-                        inline: infer.map(InlineInference::into_parts),
-                    }
-                });
-                Worker {
-                    tx,
-                    recycle: recycle_rx,
-                    join,
-                    pending: Vec::with_capacity(FRAME_SIZE),
-                }
-            })
-            .collect();
-        Ok(StreamingNic {
-            workers,
-            spare: Vec::new(),
-        })
-    }
-
-    /// Number of shards.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Routes one event: Mgpv to its CG-key shard, FgUpdate to every shard.
-    ///
-    /// Blocks when the target worker is [`CHANNEL_DEPTH`] frames behind
-    /// (backpressure). Fails only if a worker thread has died.
-    pub fn push(&mut self, event: SwitchEvent) -> Result<(), NicError> {
-        match event {
-            SwitchEvent::FgUpdate(_) => {
-                for w in 0..self.workers.len() {
-                    self.workers[w].pending.push(event.clone());
-                    self.flush_if_full(w)?;
-                }
-                Ok(())
-            }
-            SwitchEvent::Mgpv(ref m) => {
-                let w = (m.hash as usize) % self.workers.len();
-                self.workers[w].pending.push(event);
-                self.flush_if_full(w)
-            }
-        }
-    }
-
-    /// Routes a batch of events in order (a switch frame).
-    pub fn push_all(
-        &mut self,
-        events: impl IntoIterator<Item = SwitchEvent>,
-    ) -> Result<(), NicError> {
-        for e in events {
-            self.push(e)?;
-        }
-        Ok(())
-    }
-
-    /// Drains one frame for worker `w` if it reached [`FRAME_SIZE`].
-    fn flush_if_full(&mut self, w: usize) -> Result<(), NicError> {
-        if self.workers[w].pending.len() >= FRAME_SIZE {
-            self.flush_worker(w)?;
-        }
-        Ok(())
-    }
-
-    /// Sends worker `w`'s pending frame, replacing it with a recycled one.
-    ///
-    /// The ring doorbell batches publication: the worker is woken once per
-    /// [`DOORBELL_FRAMES`] frames (or when the producer blocks on a full
-    /// ring, or at [`StreamingNic::finish`]), not once per frame.
-    fn flush_worker(&mut self, w: usize) -> Result<(), NicError> {
-        if self.workers[w].pending.is_empty() {
-            return Ok(());
-        }
-        let replacement = self.take_spare();
-        let frame = std::mem::replace(&mut self.workers[w].pending, replacement);
-        self.workers[w]
-            .tx
-            .send(frame)
-            .map_err(|_| NicError::WorkerLost { worker: w })
-    }
-
-    /// A recycled frame if one is available, else a fresh allocation.
-    fn take_spare(&mut self) -> Vec<SwitchEvent> {
-        for w in &mut self.workers {
-            while let Ok(f) = w.recycle.try_recv() {
-                self.spare.push(f);
-            }
-        }
-        self.spare
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(FRAME_SIZE))
-    }
-
-    /// Flushes remaining frames, closes the rings, joins every worker in
-    /// shard order, and merges their outputs deterministically.
-    pub fn finish(mut self) -> Result<StreamOutput, NicError> {
-        for w in 0..self.workers.len() {
-            self.flush_worker(w)?;
-        }
-        let mut out = StreamOutput {
-            group_vectors: Vec::new(),
-            packet_vectors: Vec::new(),
-            stats: NicStats::default(),
-            groups_per_level: Vec::new(),
-            evicted_vectors: Vec::new(),
-            inline_alerts: Vec::new(),
-            inline_stats: None,
-        };
-        for (i, worker) in self.workers.into_iter().enumerate() {
-            // Dropping the producer publishes any staged frames, closes the
-            // ring, and wakes the worker; its loop drains and exits.
-            drop(worker.tx);
-            let shard = worker
-                .join
-                .join()
-                .map_err(|_| NicError::WorkerLost { worker: i })?;
-            out.group_vectors.extend(shard.groups);
-            out.packet_vectors.extend(shard.pkts);
-            out.evicted_vectors.extend(shard.evicted);
-            out.stats.absorb(&shard.stats);
-            if let Some((alerts, stats)) = shard.inline {
-                out.inline_alerts.extend(alerts);
-                out.inline_stats
-                    .get_or_insert_with(InlineStats::default)
-                    .absorb(&stats);
-            }
-            if out.groups_per_level.is_empty() {
-                out.groups_per_level = shard.groups_per_level;
-            } else {
-                // Every engine reports the same level list in policy order.
-                for (acc, (_, n)) in out.groups_per_level.iter_mut().zip(shard.groups_per_level) {
-                    acc.1 += n;
-                }
-            }
-        }
-        Ok(out)
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use superfe_net::PacketRecord;
-    use superfe_policy::compile;
-    use superfe_policy::dsl::parse;
-    use superfe_switch::FeSwitch;
-
-    fn compiled(src: &str) -> CompiledPolicy {
-        compile(&parse(src).unwrap()).unwrap()
-    }
-
-    fn run_streaming(c: &CompiledPolicy, n: u32, workers: usize) -> StreamOutput {
-        let mut sw = FeSwitch::new(c.switch.clone()).unwrap();
-        let mut nic = StreamingNic::new(c, 16_384, workers).unwrap();
-        let mut frame = Vec::new();
-        for i in 0..n {
-            let p = PacketRecord::tcp(u64::from(i) * 100, 100, i % 31 + 1, 1000, 2, 80);
-            frame.clear();
-            sw.process_into(&p, &mut frame);
-            nic.push_all(frame.drain(..)).unwrap();
+/// Sums another shard's per-level group counts into `acc`. Every engine of
+/// a unit reports the same level list in policy order.
+pub(crate) fn add_levels(acc: &mut Vec<(Granularity, usize)>, more: Vec<(Granularity, usize)>) {
+    if acc.is_empty() {
+        *acc = more;
+    } else {
+        for (a, (_, n)) in acc.iter_mut().zip(more) {
+            a.1 += n;
         }
-        frame.clear();
-        sw.flush_into(&mut frame);
-        nic.push_all(frame.drain(..)).unwrap();
-        nic.finish().unwrap()
-    }
-
-    fn sorted(mut v: Vec<FeatureVector>) -> Vec<FeatureVector> {
-        v.sort_by(|a, b| format!("{:?}", a.key).cmp(&format!("{:?}", b.key)));
-        v
-    }
-
-    #[test]
-    fn streaming_matches_single_worker() {
-        let c = compiled("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(host)");
-        let seq = run_streaming(&c, 2000, 1);
-        let par = run_streaming(&c, 2000, 8);
-        assert_eq!(seq.stats.records, 2000);
-        assert_eq!(par.stats.records, 2000);
-        assert_eq!(sorted(seq.group_vectors), sorted(par.group_vectors));
-    }
-
-    #[test]
-    fn worker_count_clamped_to_one() {
-        let c = compiled("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(host)");
-        assert_eq!(StreamingNic::new(&c, 16_384, 0).unwrap().workers(), 1);
-    }
-
-    #[test]
-    fn merge_order_is_deterministic() {
-        // Same input, many runs: output order must be identical every time
-        // (workers are joined in shard order, not completion order).
-        let c = compiled("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(host)");
-        let baseline = run_streaming(&c, 1500, 4);
-        for _ in 0..3 {
-            let again = run_streaming(&c, 1500, 4);
-            assert_eq!(baseline.group_vectors, again.group_vectors);
-            assert_eq!(baseline.packet_vectors, again.packet_vectors);
-        }
-    }
-
-    #[test]
-    fn frames_are_recycled() {
-        // Push far more events than CHANNEL_DEPTH × workers frames; with
-        // recycling the executor still completes with bounded memory, and
-        // every record survives the frame transport.
-        let c = compiled("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(host)");
-        let out = run_streaming(&c, 20_000, 2);
-        assert_eq!(out.stats.records, 20_000);
-        let total: f64 = out.group_vectors.iter().map(|g| g.values[0]).sum();
-        assert!((total - 20_000.0 * 100.0).abs() < 1e-6, "total {total}");
-    }
-
-    #[test]
-    fn stage_metrics_observe_the_run() {
-        let c = compiled("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(host)");
-        let metrics = Arc::new(StageMetrics::default());
-        let mut sw = FeSwitch::new(c.switch.clone()).unwrap();
-        let mut nic =
-            StreamingNic::with_options(&c, 16_384, 2, None, Some(metrics.clone())).unwrap();
-        let mut frame = Vec::new();
-        for i in 0..5000u32 {
-            let p = PacketRecord::tcp(u64::from(i) * 100, 100, i % 31 + 1, 1000, 2, 80);
-            frame.clear();
-            sw.process_into(&p, &mut frame);
-            nic.push_all(frame.drain(..)).unwrap();
-        }
-        frame.clear();
-        sw.flush_into(&mut frame);
-        nic.push_all(frame.drain(..)).unwrap();
-        let out = nic.finish().unwrap();
-        assert_eq!(out.stats.records, 5000);
-        let s = metrics.summaries();
-        // Every delivered frame contributes one queue-dwell and one shard
-        // sample; no sink is attached so the sink histogram stays empty.
-        assert!(s.queue.count > 0);
-        assert_eq!(s.queue.count, s.shard.count);
-        assert_eq!(s.sink.count, 0);
-        assert!(s.shard.p99_ns >= s.shard.p50_ns);
-    }
-
-    /// Collects egressed vectors into a shared buffer for inspection.
-    struct CollectSink {
-        out: std::sync::Arc<std::sync::Mutex<Vec<EgressVector>>>,
-        flushed: std::sync::Arc<std::sync::atomic::AtomicUsize>,
-    }
-
-    impl VectorSink for CollectSink {
-        fn emit(&mut self, v: EgressVector) {
-            self.out.lock().unwrap().push(v);
-        }
-        fn flush(&mut self) {
-            self.flushed
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        }
-    }
-
-    fn run_with_sinks(
-        c: &CompiledPolicy,
-        n: u32,
-        workers: usize,
-    ) -> (StreamOutput, Vec<EgressVector>, usize) {
-        let out = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let flushed = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let sinks: Vec<Box<dyn VectorSink>> = (0..workers.max(1))
-            .map(|_| {
-                Box::new(CollectSink {
-                    out: out.clone(),
-                    flushed: flushed.clone(),
-                }) as Box<dyn VectorSink>
-            })
-            .collect();
-        let mut sw = FeSwitch::new(c.switch.clone()).unwrap();
-        let mut nic = StreamingNic::with_sinks(c, 16_384, workers, sinks).unwrap();
-        let mut frame = Vec::new();
-        for i in 0..n {
-            let p = PacketRecord::tcp(u64::from(i) * 100, 100, i % 31 + 1, 1000, 2, 80);
-            frame.clear();
-            sw.process_into(&p, &mut frame);
-            nic.push_all(frame.drain(..)).unwrap();
-        }
-        frame.clear();
-        sw.flush_into(&mut frame);
-        nic.push_all(frame.drain(..)).unwrap();
-        let merged = nic.finish().unwrap();
-        let egressed = std::mem::take(&mut *out.lock().unwrap());
-        let flushes = flushed.load(std::sync::atomic::Ordering::SeqCst);
-        (merged, egressed, flushes)
-    }
-
-    #[test]
-    fn sinks_divert_packet_vectors_and_tag_positions() {
-        let c = compiled("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(pkt)");
-        let plain = run_streaming(&c, 2000, 2);
-        let (merged, egressed, flushes) = run_with_sinks(&c, 2000, 2);
-        // Diverted: the sink sees what the plain run buffered.
-        assert!(merged.packet_vectors.is_empty());
-        assert_eq!(flushes, 2);
-        assert_eq!(egressed.len(), plain.packet_vectors.len());
-        let sink_sorted = sorted(egressed.iter().map(|e| e.vector.clone()).collect());
-        assert_eq!(sorted(plain.packet_vectors), sink_sorted);
-        // Tags: per-shard sequence numbers are dense from 0.
-        for shard in 0..2 {
-            let mut seqs: Vec<u64> = egressed
-                .iter()
-                .filter(|e| e.shard == shard)
-                .map(|e| e.seq)
-                .collect();
-            seqs.sort_unstable();
-            assert!(seqs.iter().enumerate().all(|(i, &s)| s == i as u64));
-        }
-    }
-
-    #[test]
-    fn sinks_also_see_group_vectors() {
-        let c = compiled("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(host)");
-        let (merged, egressed, _) = run_with_sinks(&c, 500, 3);
-        // Group-collect policy: groups are both egressed and returned.
-        assert_eq!(egressed.len(), merged.group_vectors.len());
-        assert_eq!(
-            sorted(egressed.into_iter().map(|e| e.vector).collect()),
-            sorted(merged.group_vectors)
-        );
-    }
-
-    #[test]
-    fn sink_count_must_match_workers() {
-        let c = compiled("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(host)");
-        let err = StreamingNic::with_sinks(&c, 16_384, 2, Vec::new());
-        assert!(matches!(err, Err(NicError::Engine(_))));
-    }
-
-    fn quant_model(train: &[Vec<f64>]) -> Arc<QuantizedDetector> {
-        use superfe_ml::{
-            quantize, train_and_calibrate, CalibrationConfig, CentroidDetector, Detector,
-            QuantConfig,
-        };
-        let refs: Vec<&[f64]> = train.iter().map(Vec::as_slice).collect();
-        let frozen = train_and_calibrate(
-            Box::new(CentroidDetector::new(train[0].len()).unwrap()) as Box<dyn Detector>,
-            &refs,
-            0.05,
-            CalibrationConfig::default(),
-        )
-        .unwrap();
-        Arc::new(quantize(&frozen, &QuantConfig::default()).unwrap())
-    }
-
-    fn run_with_inference(
-        c: &CompiledPolicy,
-        n: u32,
-        workers: usize,
-        model: Arc<QuantizedDetector>,
-    ) -> StreamOutput {
-        let mut sw = FeSwitch::new(c.switch.clone()).unwrap();
-        let mut nic = StreamingNic::with_inference(c, 16_384, workers, model).unwrap();
-        let mut frame = Vec::new();
-        for i in 0..n {
-            let p = PacketRecord::tcp(u64::from(i) * 100, 100, i % 31 + 1, 1000, 2, 80);
-            frame.clear();
-            sw.process_into(&p, &mut frame);
-            nic.push_all(frame.drain(..)).unwrap();
-        }
-        frame.clear();
-        sw.flush_into(&mut frame);
-        nic.push_all(frame.drain(..)).unwrap();
-        nic.finish().unwrap()
-    }
-
-    #[test]
-    fn inline_inference_raises_alerts_on_group_vectors() {
-        let c =
-            compiled("pktstream\n.groupby(host)\n.reduce(size, [f_sum, f_max])\n.collect(host)");
-        // Train far away (second axis dominant) from what the pipeline
-        // emits ([~6400, 100], first axis dominant): every host alerts.
-        let train: Vec<Vec<f64>> = (0..64)
-            .map(|i| vec![1.0 + f64::from(i % 5) * 0.1, 500.0 + f64::from(i % 7)])
-            .collect();
-        let out = run_with_inference(&c, 2000, 2, quant_model(&train));
-        let stats = out.inline_stats.expect("inference was attached");
-        assert_eq!(stats.scored, out.group_vectors.len() as u64);
-        assert_eq!(stats.dim_errors, 0);
-        assert_eq!(stats.alerts, out.group_vectors.len() as u64);
-        assert_eq!(out.inline_alerts.len(), out.group_vectors.len());
-        for a in &out.inline_alerts {
-            assert!(a.score > a.threshold);
-        }
-        // Without inference the same run reports no inline stage at all.
-        let plain = run_streaming(&c, 2000, 2);
-        assert!(plain.inline_stats.is_none());
-        assert!(plain.inline_alerts.is_empty());
-        // And the vector outputs themselves are unchanged by scoring.
-        assert_eq!(sorted(plain.group_vectors), sorted(out.group_vectors));
-    }
-
-    #[test]
-    fn inline_alert_stream_is_worker_count_independent() {
-        let c =
-            compiled("pktstream\n.groupby(host)\n.reduce(size, [f_sum, f_max])\n.collect(host)");
-        let train: Vec<Vec<f64>> = (0..64)
-            .map(|i| vec![1.0 + f64::from(i % 5) * 0.1, 500.0 + f64::from(i % 7)])
-            .collect();
-        let model = quant_model(&train);
-        let mut fingerprints = Vec::new();
-        for workers in [1, 2, 4, 8] {
-            let out = run_with_inference(&c, 2000, workers, model.clone());
-            let mut alerts = out.inline_alerts;
-            crate::inference::canonicalize_inline_alerts(&mut alerts);
-            fingerprints.push(crate::inference::inline_alert_fingerprint(&alerts));
-        }
-        assert!(!fingerprints[0].is_empty());
-        for fp in &fingerprints[1..] {
-            assert_eq!(&fingerprints[0], fp, "alert stream depends on worker count");
-        }
-    }
-
-    #[test]
-    fn inline_inference_scores_packet_vectors_without_diverting_them() {
-        let c = compiled("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(pkt)");
-        let train: Vec<Vec<f64>> = (0..64).map(|i| vec![100.0 + f64::from(i % 5)]).collect();
-        let out = run_with_inference(&c, 2000, 2, quant_model(&train));
-        // No sink attached: scored per-packet vectors are still returned.
-        let plain = run_streaming(&c, 2000, 2);
-        assert_eq!(out.packet_vectors.len(), plain.packet_vectors.len());
-        let stats = out.inline_stats.expect("inference was attached");
-        assert_eq!(
-            stats.scored,
-            (plain.packet_vectors.len() + plain.group_vectors.len()) as u64
-        );
-        assert_eq!(sorted(out.packet_vectors), sorted(plain.packet_vectors));
-    }
-
-    #[test]
-    fn multi_granularity_fg_broadcast() {
-        // FG updates must reach every worker so finer levels resolve on
-        // whichever shard their CG records land.
-        let c = compiled(
-            "pktstream\n.groupby(socket)\n.reduce(size, [f_sum])\n.collect(socket)\n\
-             .groupby(host)\n.reduce(size, [f_sum])\n.collect(host)",
-        );
-        let out = run_streaming(&c, 600, 4);
-        assert_eq!(out.stats.unresolved_fg, 0);
-        let hosts = out
-            .group_vectors
-            .iter()
-            .filter(|v| matches!(v.key, superfe_net::GroupKey::Host(_)))
-            .count();
-        assert_eq!(hosts, 31);
     }
 }

@@ -73,6 +73,34 @@ impl TableBudget {
             policy,
         }
     }
+
+    fn save_state(&self, w: &mut superfe_net::snap::StateWriter) {
+        w.put_u64(self.max_dram_entries as u64);
+        let (tag, seed) = match self.policy {
+            EvictionPolicy::DropNew => (0, 0),
+            EvictionPolicy::EvictOldest => (1, 0),
+            EvictionPolicy::RandomWay { seed } => (2, seed),
+            EvictionPolicy::Lru => (3, 0),
+        };
+        w.put_u8(tag);
+        w.put_u64(seed);
+    }
+
+    fn load_state(r: &mut superfe_net::snap::StateReader<'_>) -> Option<Self> {
+        let max_dram_entries = usize::try_from(r.get_u64()?).ok()?;
+        let (tag, seed) = (r.get_u8()?, r.get_u64()?);
+        let policy = match tag {
+            0 => EvictionPolicy::DropNew,
+            1 => EvictionPolicy::EvictOldest,
+            2 => EvictionPolicy::RandomWay { seed },
+            3 => EvictionPolicy::Lru,
+            _ => return None,
+        };
+        Some(TableBudget {
+            max_dram_entries,
+            policy,
+        })
+    }
 }
 
 /// Lookup/insert statistics, used to validate the low-collision-rate claim
@@ -336,8 +364,10 @@ impl<V> GroupTable<V> {
         self.ticks.clear();
     }
 
-    /// Serializes the table's dynamic contents (chain and spill order
-    /// preserved) with `save_v` writing each value.
+    /// Serializes the table's budget and dynamic contents (chain and spill
+    /// order preserved) with `save_v` writing each value. The budget
+    /// travels with the state so a restored table stays as bounded as the
+    /// one that was saved.
     pub fn save_state(
         &self,
         w: &mut superfe_net::snap::StateWriter,
@@ -345,6 +375,7 @@ impl<V> GroupTable<V> {
     ) {
         w.put_u32(self.buckets.len() as u32);
         w.put_u32(self.width as u32);
+        self.budget.save_state(w);
         for b in &self.buckets {
             w.put_u16(b.len() as u16);
             for (k, v) in b {
@@ -373,9 +404,10 @@ impl<V> GroupTable<V> {
         }
     }
 
-    /// Restores dynamic contents saved by [`GroupTable::save_state`] into
-    /// this (freshly constructed, same-geometry) table. Returns `None` on a
-    /// geometry mismatch or truncated input.
+    /// Restores budget and dynamic contents saved by
+    /// [`GroupTable::save_state`] into this (freshly constructed,
+    /// same-geometry) table. Returns `None` on a geometry mismatch or
+    /// truncated input.
     pub fn load_state(
         &mut self,
         r: &mut superfe_net::snap::StateReader<'_>,
@@ -384,6 +416,8 @@ impl<V> GroupTable<V> {
         if r.get_u32()? as usize != self.buckets.len() || r.get_u32()? as usize != self.width {
             return None;
         }
+        // Before the entries: the policy decides how re-inserts are ticked.
+        self.budget = TableBudget::load_state(r)?;
         self.clear();
         for b in 0..self.buckets.len() {
             let n = r.get_u16()? as usize;
@@ -656,12 +690,13 @@ mod tests {
         t.save_state(&mut w, |v, w| w.put_u32(*v));
         let bytes = w.into_bytes();
 
-        let mut u = GroupTable::<u32>::with_budget(4, 2, budget).unwrap();
+        // The budget is part of the state: a default-budget table adopts it.
+        let mut u = GroupTable::<u32>::new(4, 2).unwrap();
         let mut r = superfe_net::snap::StateReader::new(&bytes);
-        #[allow(clippy::redundant_closure_for_method_calls)]
         #[allow(clippy::redundant_closure_for_method_calls)]
         u.load_state(&mut r, |r| r.get_u32()).unwrap();
         assert!(r.is_empty());
+        assert_eq!(u.budget(), budget);
         let a: Vec<(GroupKey, u32)> = t.iter().map(|(k, v)| (*k, *v)).collect();
         let b: Vec<(GroupKey, u32)> = u.iter().map(|(k, v)| (*k, *v)).collect();
         assert_eq!(a, b);

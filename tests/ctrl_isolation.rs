@@ -525,3 +525,132 @@ mod alert_isolation {
         }
     }
 }
+
+mod eviction_isolation {
+    use superfe::ctrl::{CtrlPlane, TenantSpec};
+    use superfe::net::PacketRecord;
+    use superfe::nic::{EvictedVector, EvictionPolicy, FeNic, TableBudget};
+    use superfe::policy::dsl;
+    use superfe::switch::FeSwitch;
+    use superfe::{gate, AnalyzeConfig, SuperFeConfig};
+
+    const FLOW_BYTES: &str = "pktstream\n.groupby(flow)\n.reduce(size, [f_sum])\n.collect(flow)";
+
+    fn spec(name: &str) -> TenantSpec {
+        TenantSpec {
+            name: name.into(),
+            policy: dsl::parse(FLOW_BYTES).expect("valid"),
+            cfg: SuperFeConfig::default(),
+        }
+    }
+
+    /// A 64-entry DRAM spill: the trace overfills thousands of group-table
+    /// buckets, so the budget evicts constantly.
+    fn budget() -> TableBudget {
+        TableBudget::capped(64, EvictionPolicy::EvictOldest)
+    }
+
+    /// ~35k flows from scattered sources (consecutive addresses would
+    /// fill the buckets evenly and never spill), every fourth packet
+    /// revisiting an earlier flow.
+    fn churn() -> Vec<PacketRecord> {
+        (0..40_000u32)
+            .map(|i| {
+                let flow = if i % 4 == 3 { i / 2 } else { i };
+                let src = flow.wrapping_mul(2_654_435_761) | 1;
+                let size = 60 + (i % 1400) as u16;
+                PacketRecord::tcp(u64::from(i) * 50, size, src, 4000, 9, 443)
+            })
+            .collect()
+    }
+
+    /// What the budget evicts when the same switch and engine run in
+    /// lock-step on one thread, no executor in between.
+    fn lockstep_evicted(pkts: &[PacketRecord]) -> Vec<EvictedVector> {
+        let s = spec("lockstep");
+        let compiled = gate(&s.policy, &s.cfg).expect("gates");
+        let mut sw = FeSwitch::with_config(compiled.switch.clone(), s.cfg.cache, s.cfg.mode)
+            .expect("deploys");
+        let mut nic =
+            FeNic::with_budget(&compiled, s.cfg.cache.fg_table_size, budget()).expect("engine");
+        let mut frame = Vec::new();
+        for p in pkts {
+            sw.process_into(p, &mut frame);
+            nic.handle_all(frame.iter());
+            frame.clear();
+        }
+        sw.flush_into(&mut frame);
+        nic.handle_all(frame.iter());
+        nic.finish();
+        nic.take_evicted()
+    }
+
+    fn multiset(mut v: Vec<EvictedVector>) -> Vec<EvictedVector> {
+        v.sort_by_cached_key(|e| format!("{:?}", e.vector.key));
+        v
+    }
+
+    /// Serves `names` (equivalent tenants, so they fuse) under the budget,
+    /// detaching the first at `detach_at` when set; returns every tenant's
+    /// output in attach order.
+    fn serve(
+        names: &[&str],
+        pkts: &[PacketRecord],
+        workers: usize,
+        detach_at: Option<usize>,
+    ) -> Vec<superfe::nic::StreamOutput> {
+        let mut plane = CtrlPlane::new(workers, AnalyzeConfig::default());
+        plane.set_table_budget(budget());
+        let ids: Vec<_> = names
+            .iter()
+            .map(|n| plane.attach(&spec(n), None).expect("admitted"))
+            .collect();
+        assert_eq!(plane.units().len(), 1, "equivalent tenants fuse");
+        let mut first = None;
+        for (i, p) in pkts.iter().enumerate() {
+            if detach_at == Some(i) {
+                first = Some(plane.detach(ids[0]).expect("detach handshake"));
+            }
+            plane.push(p).expect("workers alive");
+        }
+        let rest = plane.finish().expect("workers alive");
+        first
+            .into_iter()
+            .chain(rest.into_iter().map(|r| r.output))
+            .collect()
+    }
+
+    /// A budgeted plane hands back every vector its budget evicts: a lone
+    /// tenant's equal the lock-step engine's as a multiset, every member of
+    /// a fused unit gets its own full copy, and a fused member leaving
+    /// mid-stream takes exactly its window's.
+    #[test]
+    fn budgeted_plane_returns_every_evicted_vector() {
+        let pkts = churn();
+        let due = multiset(lockstep_evicted(&pkts));
+        assert!(due.len() > 1_000, "only {} evictions", due.len());
+        let alone = serve(&["a"], &pkts, 1, None);
+        assert_eq!(multiset(alone[0].evicted_vectors.clone()), due);
+        for member in serve(&["a", "b"], &pkts, 1, None) {
+            assert_eq!(multiset(member.evicted_vectors), due);
+        }
+        let half = pkts.len() / 2;
+        let outs = serve(&["a", "b"], &pkts, 1, Some(half));
+        let due_half = multiset(lockstep_evicted(&pkts[..half]));
+        assert_eq!(multiset(outs[0].evicted_vectors.clone()), due_half);
+        assert_eq!(multiset(outs[1].evicted_vectors.clone()), due);
+        // Sharded, each shard budgets its own table, so which groups are
+        // evicted moves — but every byte still lands in exactly one
+        // evicted or final vector of every member.
+        let offered: f64 = pkts.iter().map(|p| f64::from(p.size)).sum();
+        for member in serve(&["a", "b"], &pkts, 4, None) {
+            assert!(!member.evicted_vectors.is_empty());
+            let evicted = member.evicted_vectors.iter().map(|e| &e.vector);
+            let returned: f64 = evicted
+                .chain(&member.group_vectors)
+                .map(|v| v.values[0])
+                .sum();
+            assert_eq!(returned, offered);
+        }
+    }
+}

@@ -1,11 +1,12 @@
 //! Failure injection: the NIC engine must degrade gracefully — never panic,
-//! never fabricate features — when the switch event stream is damaged, and
-//! the switch must shrug off malformed frames.
+//! never fabricate features — when the switch event stream is damaged, the
+//! switch must shrug off malformed frames, and a shard worker that dies
+//! must surface as an error, never as a hung handshake.
 
 use superfe::net::{Direction, PacketRecord};
-use superfe::nic::FeNic;
+use superfe::nic::{EgressVector, FeNic, NicError, ShardPool, VectorSink};
 use superfe::policy::{compile, dsl, CompiledPolicy};
-use superfe::switch::{FeSwitch, MgpvRecord, NicLoadBalancer, SwitchEvent};
+use superfe::switch::{FeSwitch, MgpvRecord, NicLoadBalancer, SwitchEvent, TaggedEvent, TenantId};
 use superfe::trafficgen::Workload;
 
 fn multi_level_policy() -> CompiledPolicy {
@@ -190,4 +191,68 @@ fn load_balanced_nics_match_single_nic() {
     expected.sort_by_key(key);
     merged.sort_by_key(key);
     assert_eq!(expected, merged);
+}
+
+/// The worker that owns this sink dies on the first vector it egresses.
+struct PanickingSink;
+
+impl VectorSink for PanickingSink {
+    fn emit(&mut self, _: EgressVector) {
+        panic!("injected sink failure");
+    }
+}
+
+/// A shard worker that dies with an epoch marker already in its ring can
+/// never ack it — and the marker keeps the ack channel open — so every
+/// wait on the pool must notice the dead thread instead: `detach`,
+/// `dump_state` and `finish` all return `WorkerLost`, under a watchdog,
+/// whether the pool serves the doomed unit alone or next to a healthy one.
+#[test]
+fn dead_worker_is_an_error_not_a_hung_handshake() {
+    type Op = fn(ShardPool, TenantId) -> Result<(), NicError>;
+    let ops: [(&str, Op); 3] = [
+        ("detach", |mut pool, t| pool.detach(t, Vec::new()).map(drop)),
+        ("dump_state", |mut pool, _| pool.dump_state().map(drop)),
+        ("finish", |pool, _| pool.finish().map(drop)),
+    ];
+    let per_packet = compile(
+        &dsl::parse("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(pkt)")
+            .expect("parses"),
+    )
+    .expect("compiles");
+    let doomed = TenantId(0);
+    let events = events_for(&per_packet, 100);
+    assert!(events.len() < 256, "must stay pending in one frame");
+    for units in [1u16, 2] {
+        for (name, op) in ops {
+            let mut pool = ShardPool::new(1, None);
+            let sinks: Vec<Box<dyn VectorSink>> = vec![Box::new(PanickingSink)];
+            pool.attach(doomed, &per_packet, 16_384, Some(sinks), None)
+                .expect("attaches");
+            let healthy = TenantId(units - 1);
+            if healthy != doomed {
+                pool.attach(healthy, &per_packet, 16_384, None, None)
+                    .expect("attaches");
+            }
+            // Less than a frame: the events (and the panic they cause) are
+            // still pending when the operation under test starts.
+            for event in events.iter().cloned() {
+                let tagged = TaggedEvent {
+                    tenant: doomed,
+                    event,
+                };
+                pool.push(tagged).expect("staged");
+            }
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || done_tx.send(op(pool, healthy)));
+            let result = done_rx
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("{name} hung on a dead worker ({units} units)"));
+            assert_eq!(
+                result,
+                Err(NicError::WorkerLost { worker: 0 }),
+                "{name} with {units} units"
+            );
+        }
+    }
 }

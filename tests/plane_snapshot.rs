@@ -2,12 +2,13 @@
 //! snapshotted mid-stream and restored into a fresh process-equivalent
 //! plane must produce **bitwise-identical** remaining output — across
 //! worker counts, with SF07xx fusion and SF08xx prefix sharing engaged,
-//! after detach of a fused unit's founder, and under bounded-state
-//! eviction churn with epoch markers in flight.
+//! after detach of a fused unit's founder, under bounded-state eviction
+//! churn with epoch markers in flight, and under a NIC table budget whose
+//! evicted vectors are part of the output.
 
 use superfe::ctrl::{CtrlPlane, TenantSpec};
 use superfe::net::PacketRecord;
-use superfe::nic::StreamOutput;
+use superfe::nic::{EvictionPolicy, StreamOutput, TableBudget};
 use superfe::policy::dsl;
 use superfe::switch::CgEvictPolicy;
 use superfe::{AnalyzeConfig, SuperFeConfig};
@@ -160,6 +161,10 @@ fn assert_outputs_bitwise(
             out.stats.vectors, res.stats.vectors,
             "{name} vector count diverged at {workers} workers"
         );
+        assert_eq!(
+            out.evicted_vectors, res.evicted_vectors,
+            "{name} budget-evicted vectors diverged at {workers} workers"
+        );
     }
 }
 
@@ -304,6 +309,55 @@ fn restore_under_bounded_state_churn_and_epoch_markers() {
         );
         assert_eq!(gone.group_vectors, ref_gone.group_vectors);
         assert_outputs_bitwise(&full, &resumed, workers);
+    }
+}
+
+/// A table budget and everything it evicted survive the round trip: a
+/// tenant churning through a 64-entry DRAM spill is snapshotted while
+/// thousands of evicted vectors wait in its engines, and the restored
+/// plane — still bounded by the same budget — hands back exactly the
+/// evicted and final vectors of the uninterrupted run.
+#[test]
+fn restore_keeps_the_budget_and_what_it_evicted() {
+    let specs = [spec(
+        "flow-bytes",
+        "pktstream\n.groupby(flow)\n.reduce(size, [f_sum])\n.collect(flow)",
+    )];
+    // Scattered sources: consecutive addresses would fill the group-table
+    // buckets evenly and never spill.
+    let pkts: Vec<PacketRecord> = (0..40_000u32)
+        .map(|i| {
+            let src = i.wrapping_mul(2_654_435_761) | 1;
+            PacketRecord::tcp(u64::from(i) * 50, 60 + (i % 1400) as u16, src, 4000, 9, 443)
+        })
+        .collect();
+    for &workers in &[1usize, 4] {
+        let drive = |snapshot_at: Option<usize>| -> Vec<(String, StreamOutput)> {
+            let mut plane = CtrlPlane::new(workers, AnalyzeConfig::default());
+            plane.set_table_budget(TableBudget::capped(64, EvictionPolicy::EvictOldest));
+            plane.attach(&specs[0], None).expect("admitted");
+            let split = snapshot_at.unwrap_or(0);
+            for p in &pkts[..split] {
+                plane.push(p).expect("workers alive");
+            }
+            if snapshot_at.is_some() {
+                let bytes = plane.snapshot().expect("snapshot");
+                plane.finish().expect("workers alive");
+                plane = CtrlPlane::restore(AnalyzeConfig::default(), &specs, &bytes, |_| None)
+                    .expect("restore");
+            }
+            for p in &pkts[split..] {
+                plane.push(p).expect("workers alive");
+            }
+            let runs = plane.finish().expect("workers alive");
+            runs.into_iter().map(|r| (r.name, r.output)).collect()
+        };
+        let full = drive(None);
+        assert!(
+            full[0].1.evicted_vectors.len() > 1_000,
+            "the budget must bite at {workers} workers"
+        );
+        assert_outputs_bitwise(&full, &drive(Some(25_000)), workers);
     }
 }
 
