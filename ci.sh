@@ -281,14 +281,31 @@ step "ring vs sync_channel microbench (ring must not be slower)"
 # std sync_channel it replaced, on this host, or the swap has regressed.
 bench_out=$(cargo bench -q -p superfe-bench --bench ring 2>/dev/null)
 printf '%s\n' "$bench_out"
-rate() { grep -o "spsc_transfer/$1 .* \([0-9]*\) elem/s" <<<"$bench_out" \
+# The elem/s figure of one bench function in $bench_out.
+elem_rate() { grep -o "$1 .* \([0-9]*\) elem/s" <<<"$bench_out" \
   | grep -o '[0-9]* elem/s' | grep -o '^[0-9]*'; }
-ring_rate=$(rate ring_doorbell_4)
-sync_rate=$(rate sync_channel)
+ring_rate=$(elem_rate spsc_transfer/ring_doorbell_4)
+sync_rate=$(elem_rate spsc_transfer/sync_channel)
 [[ -n "$ring_rate" && -n "$sync_rate" ]] \
   || { echo "ci: could not parse ring microbench output"; exit 1; }
 if (( ring_rate < sync_rate )); then
   echo "ci: ring transfer ($ring_rate elem/s) is slower than sync_channel ($sync_rate elem/s)"
+  exit 1
+fi
+
+step "MGPV insert, sparse vs dense gaps (insert cost must not follow trace time)"
+# The aging probes owed per insert grow with the inter-packet gap (3 at 1 µs,
+# 1,002 at 1 ms under the default 1 MHz probe rate); the bitmap sweep makes
+# their cost follow resident groups instead. The ratio is host-independent:
+# a per-slot probe loop puts sparse some 70× below dense.
+bench_out=$(cargo bench -q -p superfe-bench --bench hotpath 2>/dev/null)
+printf '%s\n' "$bench_out"
+dense_rate=$(elem_rate mgpv_hotpath/insert_dense_gap)
+sparse_rate=$(elem_rate mgpv_hotpath/insert_sparse_gap)
+[[ -n "$dense_rate" && -n "$sparse_rate" ]] \
+  || { echo "ci: could not parse hotpath microbench output"; exit 1; }
+if (( sparse_rate * 3 < dense_rate )); then
+  echo "ci: sparse-gap insert ($sparse_rate elem/s) is more than 3x below dense-gap ($dense_rate elem/s)"
   exit 1
 fi
 

@@ -5,10 +5,10 @@
 //! insert (with evictions into a recycled event frame) and the per-record
 //! `GroupExec` map/reduce update plus finalization.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Bencher, Criterion, Throughput};
 use std::hint::black_box;
 
-use superfe_net::Granularity;
+use superfe_net::{Granularity, PacketRecord};
 use superfe_policy::exec::{GroupExec, RecordView};
 use superfe_policy::{compile, dsl};
 use superfe_switch::{MgpvCache, MgpvConfig, SwitchEvent};
@@ -27,12 +27,13 @@ fn bench_mgpv_insert_evict(c: &mut Criterion) {
     let mut g = c.benchmark_group("mgpv_hotpath");
     g.sample_size(10);
     g.throughput(Throughput::Elements(PACKETS as u64));
-    g.bench_function("insert_evict", |b| {
+    // Every record through a fresh cache, events into one recycled frame.
+    let insert_all = |cfg: MgpvConfig, records: &[PacketRecord], b: &mut Bencher| {
         b.iter_batched(
             || MgpvCache::new(cfg).expect("cache"),
             |mut cache| {
                 let mut frame: Vec<SwitchEvent> = Vec::new();
-                for p in &trace.records {
+                for p in records {
                     frame.clear();
                     cache.insert_into(p, Granularity::Flow.key_of(p), None, &mut frame);
                     black_box(frame.len());
@@ -41,7 +42,22 @@ fn bench_mgpv_insert_evict(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         );
-    });
+    };
+    g.bench_function("insert_evict", |b| insert_all(cfg, &trace.records, b));
+    // The same trace at the default geometry, respaced to a dense (1 µs) and
+    // a sparse (1 ms) inter-packet gap: the aging probes owed per insert grow
+    // with the gap (3 vs 1,002 at the default 1 MHz probe rate), the insert's
+    // cost must not. `ci.sh` holds sparse to within 3× of dense.
+    for (name, gap_ns) in [
+        ("insert_dense_gap", 1_000u64),
+        ("insert_sparse_gap", 1_000_000),
+    ] {
+        let mut respaced = trace.records.clone();
+        for (i, p) in respaced.iter_mut().enumerate() {
+            p.ts_ns = i as u64 * gap_ns;
+        }
+        g.bench_function(name, |b| insert_all(MgpvConfig::default(), &respaced, b));
+    }
     g.finish();
 }
 

@@ -39,7 +39,7 @@
 //! timestamps every item at send and records `recv − send` nanoseconds at
 //! the consumer (see [`crate::metrics`]).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::Thread;
 
@@ -93,6 +93,14 @@ struct CachePadded<T>(T);
 /// flag with a swap, so at most one unpark is issued per registration, and
 /// the re-check plus `unpark`'s token guarantee a registration between
 /// publish and park still wakes.
+///
+/// Each side stores one location and then loads the other (waiter: `parked`
+/// then the condition; waker: the condition then `parked`). Release/acquire
+/// alone lets both loads run ahead of both stores — on x86 too, out of the
+/// store buffer — and then the waiter parks on a stale condition while the
+/// waker skips the unpark: a lost wakeup. A `SeqCst` fence between the
+/// store and the load on *both* sides (end of `register_current`, start of
+/// `notify`) forbids that outcome: at least one side sees the other's store.
 #[derive(Debug, Default)]
 pub struct Waiter {
     parked: AtomicBool,
@@ -105,6 +113,7 @@ impl Waiter {
     pub fn register_current(&self) {
         *lock(&self.thread) = Some(std::thread::current());
         self.parked.store(true, Ordering::Release);
+        fence(Ordering::SeqCst);
     }
 
     /// Withdraws a registration (the condition turned true before parking).
@@ -118,9 +127,10 @@ impl Waiter {
         std::thread::park();
     }
 
-    /// Wakes the registered waiter, if one is parked. A single relaxed-ish
+    /// Wakes the registered waiter, if one is parked. A fence and a single
     /// flag load in the common nobody-parked case.
     pub fn notify(&self) {
+        fence(Ordering::SeqCst);
         if self.parked.load(Ordering::Acquire) && self.parked.swap(false, Ordering::AcqRel) {
             if let Some(t) = lock(&self.thread).clone() {
                 t.unpark();

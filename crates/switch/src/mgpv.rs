@@ -147,7 +147,7 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Counters exported by the cache.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MgpvStats {
     /// Packets offered to the cache.
     pub packets: u64,
@@ -255,6 +255,12 @@ struct CgEntry {
 pub struct MgpvCache {
     cfg: MgpvConfig,
     entries: Vec<Option<CgEntry>>,
+    /// One bit per CG slot, set exactly where `entries` holds a group, so
+    /// the table walks (aging sweep, efficiency sample, [`Self::occupied`])
+    /// cost a word load per 64 slots plus one entry load per *resident*
+    /// group. Host bookkeeping derived from `entries`: it is neither
+    /// modelled switch SRAM nor part of a snapshot.
+    occupancy: Vec<u64>,
     long: Vec<Vec<MgpvRecord>>,
     free_longs: Vec<u16>,
     fg_table: Vec<Option<GroupKey>>,
@@ -264,9 +270,30 @@ pub struct MgpvCache {
     last_probe_ns: u64,
     stats: MgpvStats,
     sample_countdown: u32,
+    /// Entries loaded by the table walks (the work-bound test's meter).
+    #[cfg(test)]
+    entry_visits: u64,
 }
 
 const SAMPLE_EVERY: u32 = 1024;
+
+/// The first occupied slot in `[from, end)` of an occupancy bitmap.
+fn next_occupied(occupancy: &[u64], from: usize, end: usize) -> Option<usize> {
+    if from >= end {
+        return None;
+    }
+    let mut word = from / 64;
+    let mut bits = occupancy[word] & (u64::MAX << (from % 64));
+    while bits == 0 {
+        word += 1;
+        if word * 64 >= end {
+            return None;
+        }
+        bits = occupancy[word];
+    }
+    let slot = word * 64 + bits.trailing_zeros() as usize;
+    (slot < end).then_some(slot)
+}
 
 impl MgpvCache {
     /// Creates a cache; returns `None` for degenerate configurations
@@ -277,6 +304,7 @@ impl MgpvCache {
         }
         Some(MgpvCache {
             entries: vec![None; cfg.short_count],
+            occupancy: vec![0; cfg.short_count.div_ceil(64)],
             long: vec![Vec::new(); cfg.long_count],
             free_longs: (0..cfg.long_count as u16).rev().collect(),
             fg_table: vec![None; cfg.fg_table_size],
@@ -285,6 +313,8 @@ impl MgpvCache {
             last_probe_ns: 0,
             stats: MgpvStats::default(),
             sample_countdown: SAMPLE_EVERY,
+            #[cfg(test)]
+            entry_visits: 0,
             cfg,
         })
     }
@@ -306,7 +336,38 @@ impl MgpvCache {
 
     /// Number of occupied CG slots.
     pub fn occupied(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
+        self.occupancy.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Starts a group in `bucket` over `short` (no long buffer yet), marking
+    /// the slot occupied.
+    fn install(
+        &mut self,
+        bucket: usize,
+        key: GroupKey,
+        hash: u32,
+        now: u64,
+        short: Vec<MgpvRecord>,
+    ) {
+        self.entries[bucket] = Some(CgEntry {
+            key,
+            hash,
+            last_access_ns: now,
+            short,
+            long_ptr: None,
+        });
+        self.occupancy[bucket / 64] |= 1 << (bucket % 64);
+    }
+
+    /// The resident group in `bucket`, which the bitmap says is occupied.
+    fn resident(&mut self, bucket: usize) -> &CgEntry {
+        #[cfg(test)]
+        {
+            self.entry_visits += 1;
+        }
+        self.entries[bucket]
+            .as_ref()
+            .expect("occupancy bit set only where an entry is resident")
     }
 
     /// Inserts one packet, returning the events it triggered, in order.
@@ -329,6 +390,20 @@ impl MgpvCache {
     /// [`MgpvCache::insert`] used by the streaming pipeline, which recycles
     /// one event frame across packets instead of allocating per packet.
     pub fn insert_into(
+        &mut self,
+        p: &PacketRecord,
+        cg_key: GroupKey,
+        fg_key: Option<GroupKey>,
+        events: &mut Vec<SwitchEvent>,
+    ) {
+        self.place(p, cg_key, fg_key, events);
+        self.age(p.ts_ns, events);
+        self.sample(p.ts_ns);
+    }
+
+    /// Caches one packet's record in its CG group, maintaining the FG table
+    /// and evicting whatever the record displaces.
+    fn place(
         &mut self,
         p: &PacketRecord,
         cg_key: GroupKey,
@@ -386,13 +461,8 @@ impl MgpvCache {
         // --- CG slot handling (policy-dependent). ---
         let bucket = self.cg_bucket(cg_key, hash, now, events);
         if self.entries[bucket].is_none() {
-            self.entries[bucket] = Some(CgEntry {
-                key: cg_key,
-                hash,
-                last_access_ns: now,
-                short: Vec::with_capacity(self.cfg.short_size),
-                long_ptr: None,
-            });
+            let short = Vec::with_capacity(self.cfg.short_size);
+            self.install(bucket, cg_key, hash, now, short);
         }
 
         // Append the record, spilling to a long buffer as needed.
@@ -407,13 +477,8 @@ impl MgpvCache {
                     self.evict_bucket(bucket, EvictionCause::LongFull, Some(now), events);
                     // The group stays conceptually known but its buffers are
                     // recycled; re-create an empty entry for future packets.
-                    self.entries[bucket] = Some(CgEntry {
-                        key: cg_key,
-                        hash,
-                        last_access_ns: now,
-                        short: Vec::with_capacity(cfg.short_size),
-                        long_ptr: None,
-                    });
+                    let short = Vec::with_capacity(cfg.short_size);
+                    self.install(bucket, cg_key, hash, now, short);
                 }
             } else if entry.short.len() < cfg.short_size {
                 entry.short.push(rec);
@@ -429,13 +494,7 @@ impl MgpvCache {
                 // the short buffer (ShortFull) and restart it with this
                 // record.
                 self.evict_bucket(bucket, EvictionCause::ShortFull, Some(now), events);
-                self.entries[bucket] = Some(CgEntry {
-                    key: cg_key,
-                    hash,
-                    last_access_ns: now,
-                    short: vec![rec],
-                    long_ptr: None,
-                });
+                self.install(bucket, cg_key, hash, now, vec![rec]);
                 self.stats.resident_records += 1;
             }
         }
@@ -447,37 +506,53 @@ impl MgpvCache {
                 self.fg_refs[slot].push(bucket);
             }
         }
+    }
 
-        // --- Aging probes (recirculated internal packets, §5.2). ---
-        if let Some(t) = self.cfg.aging_t_ns {
-            // Probes the recirculation port performed while wall time passed.
-            let elapsed = now.saturating_sub(self.last_probe_ns);
-            self.last_probe_ns = self.last_probe_ns.max(now);
-            let timed = (elapsed as f64 * self.cfg.probe_rate_hz / 1e9) as usize;
-            let n_probes = (self.cfg.probes_per_packet + timed).min(self.cfg.short_count);
-            for _ in 0..n_probes {
-                let i = self.probe_cursor;
-                self.probe_cursor = (self.probe_cursor + 1) % self.cfg.short_count;
-                let expired = match &self.entries[i] {
-                    Some(e) => now.saturating_sub(e.last_access_ns) > t,
-                    None => false,
-                };
-                if expired {
+    /// The aging probes (recirculated internal packets, §5.2): the ones this
+    /// packet carries plus the ones the recirculation port performed while
+    /// wall time passed, capped at one full scan.
+    ///
+    /// The model probes slots `cursor, cursor + 1, …` one by one; the host
+    /// walks the same range through the occupancy bitmap, so it inspects
+    /// the same resident groups in the same ascending order and skips only
+    /// slots a probe would have found empty.
+    fn age(&mut self, now: u64, events: &mut Vec<SwitchEvent>) {
+        let Some(t) = self.cfg.aging_t_ns else {
+            return;
+        };
+        let slots = self.cfg.short_count;
+        let elapsed = now.saturating_sub(self.last_probe_ns);
+        self.last_probe_ns = self.last_probe_ns.max(now);
+        let timed = (elapsed as f64 * self.cfg.probe_rate_hz / 1e9) as usize;
+        let n_probes = (self.cfg.probes_per_packet + timed).min(slots);
+        let start = self.probe_cursor;
+        let end = start + n_probes;
+        self.probe_cursor = end % slots;
+        // At most one scan, so the range wraps at most once.
+        for (mut from, to) in [(start, end.min(slots)), (0, end.saturating_sub(slots))] {
+            while let Some(i) = next_occupied(&self.occupancy, from, to) {
+                if now.saturating_sub(self.resident(i).last_access_ns) > t {
                     self.evict_bucket(i, EvictionCause::Aging, Some(now), events);
                 }
+                from = i + 1;
             }
         }
+    }
 
-        // --- Buffer-efficiency sampling. ---
+    /// Buffer-efficiency sampling, every [`SAMPLE_EVERY`] packets.
+    fn sample(&mut self, now: u64) {
         self.sample_countdown -= 1;
-        if self.sample_countdown == 0 {
-            self.sample_countdown = SAMPLE_EVERY;
-            for e in self.entries.iter().flatten() {
-                self.stats.occupied_samples += 1;
-                if now.saturating_sub(e.last_access_ns) <= self.cfg.activity_window_ns {
-                    self.stats.active_samples += 1;
-                }
+        if self.sample_countdown != 0 {
+            return;
+        }
+        self.sample_countdown = SAMPLE_EVERY;
+        let mut from = 0;
+        while let Some(i) = next_occupied(&self.occupancy, from, self.cfg.short_count) {
+            self.stats.occupied_samples += 1;
+            if now.saturating_sub(self.resident(i).last_access_ns) <= self.cfg.activity_window_ns {
+                self.stats.active_samples += 1;
             }
+            from = i + 1;
         }
     }
 
@@ -490,10 +565,10 @@ impl MgpvCache {
 
     /// Evicts every resident group into a caller-supplied buffer.
     pub fn flush_into(&mut self, events: &mut Vec<SwitchEvent>) {
-        for b in 0..self.entries.len() {
-            if self.entries[b].is_some() {
-                self.evict_bucket(b, EvictionCause::Flush, None, events);
-            }
+        let mut from = 0;
+        while let Some(b) = next_occupied(&self.occupancy, from, self.cfg.short_count) {
+            self.evict_bucket(b, EvictionCause::Flush, None, events);
+            from = b + 1;
         }
     }
 
@@ -552,6 +627,7 @@ impl MgpvCache {
             Some(e) => e,
             None => return,
         };
+        self.occupancy[bucket / 64] &= !(1 << (bucket % 64));
         let mut records = entry.short;
         if let Some(lp) = entry.long_ptr {
             records.append(&mut self.long[lp as usize]);
@@ -561,11 +637,13 @@ impl MgpvCache {
             // Nothing cached (can happen right after a LongFull recycle).
             return;
         }
-        // Clear reverse references from FG slots to this bucket.
+        // Clear reverse references from FG slots to this bucket, once per
+        // distinct slot (a message holds at most short + long records).
         if self.has_fg_table() {
-            for r in &records {
+            for (j, r) in records.iter().enumerate() {
                 let slot = r.fg_idx as usize;
-                if slot < self.fg_refs.len() {
+                let seen = records[..j].iter().any(|q| q.fg_idx == r.fg_idx);
+                if !seen && slot < self.fg_refs.len() {
                     self.fg_refs[slot].retain(|&b| b != bucket);
                 }
             }
@@ -578,11 +656,8 @@ impl MgpvCache {
                 self.stats.delay_samples += 1;
             }
         }
-        let cause_idx = EvictionCause::all()
-            .iter()
-            .position(|c| *c == cause)
-            .expect("cause in enumeration");
-        self.stats.evictions[cause_idx] += 1;
+        // `EvictionCause` declares its variants in reporting order.
+        self.stats.evictions[cause as usize] += 1;
         self.stats.evicted_records += records.len() as u64;
         self.stats.resident_records = self
             .stats
@@ -655,7 +730,8 @@ impl MgpvCache {
 
     /// Restores state written by [`MgpvCache::save_state`] into a cache
     /// created with the *same* configuration. Returns `None` (leaving the
-    /// cache untouched) on geometry mismatch or truncated input.
+    /// cache untouched) on geometry mismatch, truncated input, or a long
+    /// buffer with more than one owner.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Option<()> {
         let geometry = [
             r.get_u32()? as usize,
@@ -675,6 +751,13 @@ impl MgpvCache {
         {
             return None;
         }
+        // Each long buffer has one owner: a single entry, or the free stack.
+        // Two owners would interleave two groups' records in one buffer.
+        let mut long_claimed = vec![false; self.cfg.long_count];
+        let mut claim = |lp: u16| {
+            let claimed = long_claimed.get_mut(lp as usize)?;
+            (!std::mem::replace(claimed, true)).then_some(lp)
+        };
         let mut entries = Vec::with_capacity(self.cfg.short_count);
         for _ in 0..self.cfg.short_count {
             if !r.get_bool()? {
@@ -694,14 +777,7 @@ impl MgpvCache {
             }
             let has_long = r.get_bool()?;
             let lp = r.get_u16()?;
-            let long_ptr = if has_long {
-                if (lp as usize) >= self.cfg.long_count {
-                    return None;
-                }
-                Some(lp)
-            } else {
-                None
-            };
+            let long_ptr = if has_long { Some(claim(lp)?) } else { None };
             entries.push(Some(CgEntry {
                 key,
                 hash,
@@ -728,11 +804,7 @@ impl MgpvCache {
         }
         let mut free_longs = Vec::with_capacity(n_free);
         for _ in 0..n_free {
-            let lp = r.get_u16()?;
-            if (lp as usize) >= self.cfg.long_count {
-                return None;
-            }
-            free_longs.push(lp);
+            free_longs.push(claim(r.get_u16()?)?);
         }
         let mut fg_table = Vec::with_capacity(self.cfg.fg_table_size);
         for _ in 0..self.cfg.fg_table_size {
@@ -768,6 +840,10 @@ impl MgpvCache {
             return None;
         }
         let stats = MgpvStats::load_state(r)?;
+        self.occupancy.fill(0);
+        for (bucket, _) in entries.iter().enumerate().filter(|(_, e)| e.is_some()) {
+            self.occupancy[bucket / 64] |= 1 << (bucket % 64);
+        }
         self.entries = entries;
         self.long = long;
         self.free_longs = free_longs;
@@ -810,6 +886,12 @@ mod tests {
             Granularity::Host.key_of(p),
             Some(Granularity::Socket.key_of(p)),
         )
+    }
+
+    fn snapshot(c: &MgpvCache) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        c.save_state(&mut w);
+        w.into_bytes()
     }
 
     fn mgpv_events(events: &[SwitchEvent]) -> Vec<&MgpvMessage> {
@@ -1265,6 +1347,195 @@ mod tests {
         assert!(same
             .load_state(&mut StateReader::new(&bytes[..bytes.len() - 1]))
             .is_none());
+    }
+
+    #[test]
+    fn load_rejects_doubly_owned_long_buffers() {
+        use superfe_net::snap::StateReader;
+        // Two groups, each holding one of the two long buffers.
+        let mut clean = MgpvCache::new(cfg_small()).unwrap();
+        for host in [1u32, 2] {
+            let p = pkt(host, 9, 1000, 10);
+            let (cg, fg) = keys(&p);
+            for _ in 0..3 {
+                clean.insert(&p, cg, fg);
+            }
+        }
+        let owners: Vec<usize> = (0..clean.entries.len())
+            .filter(|&b| matches!(&clean.entries[b], Some(e) if e.long_ptr.is_some()))
+            .collect();
+        assert_eq!(owners.len(), 2);
+        assert!(clean.free_longs.is_empty());
+        let clean_bytes = snapshot(&clean);
+
+        // Two entries owning the same long buffer.
+        let mut shared = clean.clone();
+        let lp = shared.entries[owners[0]].as_ref().unwrap().long_ptr;
+        shared.entries[owners[1]].as_mut().unwrap().long_ptr = lp;
+        // An owned long buffer that is also on the free stack.
+        let mut freed = clean.clone();
+        freed.free_longs.push(lp.unwrap());
+
+        for corrupt in [shared, freed] {
+            let mut target = MgpvCache::new(cfg_small()).unwrap();
+            let bytes = snapshot(&corrupt);
+            assert!(target.load_state(&mut StateReader::new(&bytes)).is_none());
+            // The refused load left the cache untouched.
+            assert_eq!(
+                snapshot(&target),
+                snapshot(&MgpvCache::new(cfg_small()).unwrap())
+            );
+        }
+
+        // A clean snapshot round-trips to identical bytes: the occupancy
+        // bitmap is rebuilt on load, never stored.
+        let mut target = MgpvCache::new(cfg_small()).unwrap();
+        let mut r = StateReader::new(&clean_bytes);
+        target.load_state(&mut r).expect("clean state loads");
+        assert!(r.is_empty());
+        assert_eq!(snapshot(&target), clean_bytes);
+        assert_eq!(target.occupancy, clean.occupancy);
+    }
+
+    #[test]
+    fn eviction_counters_follow_reporting_order() {
+        for (i, cause) in EvictionCause::all().into_iter().enumerate() {
+            assert_eq!(cause as usize, i);
+        }
+    }
+
+    #[test]
+    fn gap_sweep_inspects_only_resident_groups() {
+        let mut cache = MgpvCache::new(MgpvConfig::default()).unwrap();
+        for host in 1..=100u32 {
+            let p = pkt(host, 9, 1000, u64::from(host));
+            cache.insert(&p, Granularity::Host.key_of(&p), None);
+        }
+        let resident = cache.occupied();
+        assert!(resident > 50);
+        // Ten seconds on: the probes owed cover the whole table (16,384
+        // slots), yet only the resident groups are looked at.
+        let before = cache.entry_visits;
+        let p = pkt(1, 9, 1000, 10_000_000_000);
+        let ev = cache.insert(&p, Granularity::Host.key_of(&p), None);
+        let visits = cache.entry_visits - before;
+        assert!(
+            visits <= resident as u64,
+            "{visits} visits, {resident} groups"
+        );
+        assert_eq!(mgpv_events(&ev).len(), resident - 1);
+        assert_eq!(cache.occupied(), 1);
+    }
+
+    /// The parent commit's insert: the same placement, then its per-slot
+    /// probe loop and whole-table sample verbatim — the reference the
+    /// bitmap walks are held to.
+    fn insert_reference(
+        c: &mut MgpvCache,
+        p: &PacketRecord,
+        cg_key: GroupKey,
+        fg_key: Option<GroupKey>,
+        events: &mut Vec<SwitchEvent>,
+    ) {
+        c.place(p, cg_key, fg_key, events);
+        let now = p.ts_ns;
+        if let Some(t) = c.cfg.aging_t_ns {
+            let elapsed = now.saturating_sub(c.last_probe_ns);
+            c.last_probe_ns = c.last_probe_ns.max(now);
+            let timed = (elapsed as f64 * c.cfg.probe_rate_hz / 1e9) as usize;
+            let n_probes = (c.cfg.probes_per_packet + timed).min(c.cfg.short_count);
+            for _ in 0..n_probes {
+                let i = c.probe_cursor;
+                c.probe_cursor = (c.probe_cursor + 1) % c.cfg.short_count;
+                let expired = match &c.entries[i] {
+                    Some(e) => now.saturating_sub(e.last_access_ns) > t,
+                    None => false,
+                };
+                if expired {
+                    c.evict_bucket(i, EvictionCause::Aging, Some(now), events);
+                }
+            }
+        }
+        c.sample_countdown -= 1;
+        if c.sample_countdown == 0 {
+            c.sample_countdown = SAMPLE_EVERY;
+            for e in c.entries.iter().flatten() {
+                c.stats.occupied_samples += 1;
+                if now.saturating_sub(e.last_access_ns) <= c.cfg.activity_window_ns {
+                    c.stats.active_samples += 1;
+                }
+            }
+        }
+    }
+
+    mod sweep_differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn cfg_strategy() -> impl Strategy<Value = MgpvConfig> {
+            (0usize..6, 0usize..9, 0usize..3, 0u8..2, 0u8..2).prop_map(
+                |(slots, probes_per_packet, rate, aging, policy)| MgpvConfig {
+                    // Below, at and above a bitmap word, and multi-word.
+                    short_count: [1, 63, 64, 65, 100, 4096][slots],
+                    short_size: 2,
+                    long_count: 4,
+                    long_size: 4,
+                    fg_table_size: 16,
+                    aging_t_ns: (aging == 1).then_some(1_000_000),
+                    probes_per_packet,
+                    probe_rate_hz: [0.0, 1e5, 1e6][rate],
+                    activity_window_ns: 2_000_000,
+                    policy: if policy == 0 {
+                        CgEvictPolicy::DirectMapped
+                    } else {
+                        CgEvictPolicy::RandomWay { ways: 4, seed: 5 }
+                    },
+                },
+            )
+        }
+
+        /// `(host, port, gap_ns)`: gaps run from zero to 100 ms, beyond a
+        /// full scan of the largest table at the slowest non-zero rate.
+        fn pkt_strategy() -> impl Strategy<Value = (u32, u16, u64)> {
+            (1u32..300, 0u16..3, 0u8..4, 0u64..1_000).prop_map(|(host, port, class, x)| {
+                (host, port, x * [0, 50, 5_000, 100_000][class as usize])
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn bitmap_sweep_matches_per_slot_loop(
+                cfg in cfg_strategy(),
+                pkts in proptest::collection::vec(pkt_strategy(), 1..250),
+            ) {
+                let mut swept = MgpvCache::new(cfg).unwrap();
+                let mut reference = MgpvCache::new(cfg).unwrap();
+                // Start near a sample so the efficiency walk is compared too.
+                swept.sample_countdown = 100;
+                reference.sample_countdown = 100;
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let mut ts = 0u64;
+                for (host, port, gap_ns) in pkts {
+                    ts += gap_ns;
+                    let p = pkt(host, 9, 1000 + port, ts);
+                    let (cg, fg) = keys(&p);
+                    got.clear();
+                    want.clear();
+                    swept.insert_into(&p, cg, fg, &mut got);
+                    insert_reference(&mut reference, &p, cg, fg, &mut want);
+                    prop_assert_eq!(&got, &want);
+                    prop_assert_eq!(swept.stats(), reference.stats());
+                    prop_assert_eq!(snapshot(&swept), snapshot(&reference));
+                    for (b, e) in swept.entries.iter().enumerate() {
+                        let bit = swept.occupancy[b / 64] >> (b % 64) & 1 == 1;
+                        prop_assert_eq!(bit, e.is_some(), "slot {}", b);
+                    }
+                }
+                prop_assert_eq!(swept.flush(), reference.flush());
+            }
+        }
     }
 
     #[test]

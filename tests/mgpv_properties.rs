@@ -15,22 +15,33 @@ use superfe::switch::{CgEvictPolicy, MgpvCache, MgpvConfig, SwitchEvent};
 struct PktSpec {
     host: u8,
     port: u8,
-    gap_us: u16,
+    gap_us: u32,
     size: u16,
 }
 
+/// Gaps are mostly intra-flow scale (< 2 ms), with one in eight drawn up to
+/// 200 ms: longer than a full probe scan of every table below, so the
+/// one-scan cap and the cursor wrap are exercised.
 fn pkt_strategy() -> impl Strategy<Value = PktSpec> {
-    (0u8..12, 0u8..4, 0u16..2_000, 64u16..1500).prop_map(|(host, port, gap_us, size)| PktSpec {
-        host,
-        port,
-        gap_us,
-        size,
-    })
+    (0u8..12, 0u8..4, 0u8..8, 0u32..200_000, 64u16..1500).prop_map(
+        |(host, port, long_gap, gap_us, size)| PktSpec {
+            host,
+            port,
+            gap_us: if long_gap == 0 {
+                gap_us
+            } else {
+                gap_us % 2_000
+            },
+            size,
+        },
+    )
 }
 
 fn cache_strategy() -> impl Strategy<Value = MgpvConfig> {
     (
-        1usize..32,
+        // Half the tables small enough to collide constantly, half up to 200
+        // slots: past one and three words of the occupancy bitmap.
+        prop_oneof![1usize..32, 1usize..=200],
         1usize..6,
         0usize..8,
         2usize..12,
