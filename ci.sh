@@ -36,6 +36,16 @@ step "ring stress (randomized SPSC producer/consumer)"
 # at the data path.
 cargo test -q -p superfe-net --test ring_stress
 
+step "allocation budget (NIC hot path, counted)"
+# A counting global allocator around `FeNic::handle` on the Kitsune policy:
+# two allocations for a steady-state record (its emitted vector, and the
+# pending-vector buffer regrown after `take_packet_vectors`), at most five
+# more for a record that opens a socket and a channel.
+# Per-group copies of the level program put that at twenty. Already part of
+# the workspace tests; named here because it is the deterministic form of
+# what the kitsune_steady / kitsune_churn microbenches below only time.
+cargo test -q --test alloc_budget
+
 step "superfe check (bundled policies + examples)"
 # Every bundled application policy and every example .sfe file must pass the
 # full static analyzer — structural lints, dataflow lints, the SF05xx
@@ -308,6 +318,16 @@ if (( sparse_rate * 3 < dense_rate )); then
   echo "ci: sparse-gap insert ($sparse_rate elem/s) is more than 3x below dense-gap ($dense_rate elem/s)"
   exit 1
 fi
+# The NIC engine on Kitsune with every record in one socket, and with every
+# record opening a socket and a channel. Printed, not gated: steady/churn is
+# 1.3-1.9 depending on the host and was 2.1 with per-group program copies —
+# too close for a threshold that holds everywhere. The alloc_budget step is
+# the gate.
+steady_rate=$(elem_rate nic_hotpath/kitsune_steady)
+churn_rate=$(elem_rate nic_hotpath/kitsune_churn)
+[[ -n "$steady_rate" && -n "$churn_rate" ]] \
+  || { echo "ci: could not parse the kitsune hotpath output"; exit 1; }
+echo "ci: nic_hotpath kitsune_steady $steady_rate elem/s, kitsune_churn $churn_rate elem/s"
 
 step "benchmark package (offline build against these crates + smoke set)"
 # The benchmark is a package of its own that calls a pinned list of public

@@ -1,17 +1,23 @@
-//! Hot-path microbenches: MGPV cache insert/evict and the NIC reduce loop.
+//! Hot-path microbenches: MGPV cache insert/evict, the NIC reduce loop, and
+//! the NIC engine on Kitsune with and without new groups.
 //!
-//! These isolate the two inner loops the streaming pipeline spends its time
-//! in, below the end-to-end benches in `e2e.rs`/`nic.rs`: the switch cache
-//! insert (with evictions into a recycled event frame) and the per-record
-//! `GroupExec` map/reduce update plus finalization.
+//! These isolate the inner loops the streaming pipeline spends its time in,
+//! below the end-to-end benches in `e2e.rs`/`nic.rs`: the switch cache
+//! insert (with evictions into a recycled event frame), one group's
+//! map/reduce update through its `LevelPlan` plus finalization, and
+//! `FeNic::handle` over a real switch's events — every packet in one socket
+//! (`kitsune_steady`: update and finalize only) against every packet opening
+//! a socket and a channel (`kitsune_churn`: two group creations on top).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Bencher, Criterion, Throughput};
 use std::hint::black_box;
 
 use superfe_net::{Granularity, PacketRecord};
-use superfe_policy::exec::{GroupExec, RecordView};
+use superfe_nic::FeNic;
+use superfe_policy::exec::{GroupExec, LevelPlan, RecordView};
 use superfe_policy::{compile, dsl};
-use superfe_switch::{MgpvCache, MgpvConfig, SwitchEvent};
+use superfe_streaming::DecayMemo;
+use superfe_switch::{FeSwitch, MgpvCache, MgpvConfig, SwitchEvent};
 use superfe_trafficgen::Workload;
 
 const PACKETS: usize = 20_000;
@@ -65,14 +71,15 @@ fn bench_nic_reduce(c: &mut Criterion) {
     let trace = Workload::mawi().packets(PACKETS).seed(11).generate();
     let compiled =
         compile(&dsl::parse(superfe_apps::policies::NPOD).expect("parses")).expect("compiles");
-    let level = &compiled.nic.levels[0];
+    let plan = LevelPlan::new(&compiled.nic.levels[0]);
     let mut g = c.benchmark_group("nic_hotpath");
     g.sample_size(10);
     g.throughput(Throughput::Elements(PACKETS as u64));
     g.bench_function("reduce_update", |b| {
         b.iter_batched(
-            || GroupExec::new(level),
+            || GroupExec::new(&plan),
             |mut exec| {
+                let mut memo = DecayMemo::new();
                 for p in &trace.records {
                     let view = RecordView {
                         size: f64::from(p.size),
@@ -80,15 +87,64 @@ fn bench_nic_reduce(c: &mut Criterion) {
                         direction: p.direction_factor(),
                         tcp_flags: p.tcp_flags,
                     };
-                    exec.update(&view, 7);
+                    memo.clear();
+                    exec.update(&plan, &view, 7, &mut memo);
                 }
                 let mut out = Vec::new();
-                exec.finalize_into(&mut out);
+                exec.finalize_into(&plan, &mut out);
                 black_box(out.len())
             },
             BatchSize::SmallInput,
         );
     });
+
+    // The Kitsune engine, fed what a real switch emits for `packets`, its
+    // per-packet vectors taken every 256 events as a shard frame would.
+    let kitsune =
+        compile(&dsl::parse(superfe_apps::policies::KITSUNE).expect("parses")).expect("compiles");
+    let mut engine_over = |name: &str, packets: Vec<PacketRecord>| {
+        let mut sw = FeSwitch::new(kitsune.switch.clone()).expect("switch");
+        let mut events = Vec::new();
+        for p in &packets {
+            sw.process_into(p, &mut events);
+        }
+        sw.flush_into(&mut events);
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                || FeNic::new(&kitsune, MgpvConfig::default().fg_table_size).expect("engine"),
+                |mut nic| {
+                    let mut vectors = 0;
+                    for frame in events.chunks(256) {
+                        nic.handle_all(frame);
+                        vectors += black_box(nic.take_packet_vectors()).len();
+                    }
+                    assert_eq!(vectors, PACKETS);
+                    nic
+                },
+                BatchSize::SmallInput,
+            );
+        });
+    };
+    let packet = |i: usize, src_port: u16, dst: u32| {
+        PacketRecord::tcp(
+            i as u64 * 1_000,
+            100 + (i % 1400) as u16,
+            1,
+            src_port,
+            dst,
+            80,
+        )
+    };
+    engine_over(
+        "kitsune_steady",
+        (0..PACKETS).map(|i| packet(i, 1000, 2)).collect(),
+    );
+    engine_over(
+        "kitsune_churn",
+        (0..PACKETS)
+            .map(|i| packet(i, i as u16, 2 + i as u32))
+            .collect(),
+    );
     g.finish();
 }
 

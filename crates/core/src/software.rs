@@ -18,14 +18,19 @@ use superfe_net::{wire, Direction, GroupKey, PacketRecord};
 use superfe_nic::FeatureVector;
 use superfe_policy::ast::CollectUnit;
 use superfe_policy::dsl;
-use superfe_policy::exec::{view_of_packet, GroupExec};
+use superfe_policy::exec::{view_of_packet, GroupExec, LevelPlan};
 use superfe_policy::{compile, CompiledPolicy, Policy, PolicyError};
+use superfe_streaming::DecayMemo;
 use superfe_switch::pipeline::eval_predicate;
 
 /// A software (single-server) feature extractor for one policy.
 pub struct SoftwareExtractor {
     compiled: CompiledPolicy,
+    /// One plan per level of `compiled.nic`, driving that level's groups.
+    plans: Vec<LevelPlan>,
     levels: Vec<HashMap<GroupKey, GroupExec>>,
+    /// Decay factors of the packet in hand, shared by its levels.
+    memo: DecayMemo,
     per_pkt: bool,
     packet_vectors: Vec<FeatureVector>,
     pkts: u64,
@@ -36,7 +41,8 @@ impl SoftwareExtractor {
     /// Builds the extractor for a policy.
     pub fn new(policy: &Policy) -> Result<Self, PolicyError> {
         let compiled = compile(policy)?;
-        let levels = compiled.nic.levels.iter().map(|_| HashMap::new()).collect();
+        let plans: Vec<LevelPlan> = compiled.nic.levels.iter().map(LevelPlan::new).collect();
+        let levels = plans.iter().map(|_| HashMap::new()).collect();
         let per_pkt = compiled
             .nic
             .levels
@@ -44,7 +50,9 @@ impl SoftwareExtractor {
             .any(|l| l.collect == Some(CollectUnit::Pkt));
         Ok(SoftwareExtractor {
             compiled,
+            plans,
             levels,
+            memo: DecayMemo::new(),
             per_pkt,
             packet_vectors: Vec::new(),
             pkts: 0,
@@ -79,15 +87,17 @@ impl SoftwareExtractor {
         let view = view_of_packet(p);
         let mut pkt_values = Vec::new();
         let mut pkt_key: Option<GroupKey> = None;
+        self.memo.clear();
         for (li, level) in self.compiled.nic.levels.iter().enumerate() {
             let key = level.granularity.key_of(p);
             let hash = key.hash32();
+            let plan = &self.plans[li];
             let exec = self.levels[li]
                 .entry(key)
-                .or_insert_with(|| GroupExec::new(level));
-            exec.update(&view, hash);
+                .or_insert_with(|| GroupExec::new(plan));
+            exec.update(plan, &view, hash, &mut self.memo);
             if self.per_pkt {
-                pkt_values.extend(exec.finalize());
+                exec.finalize_into(plan, &mut pkt_values);
                 pkt_key.get_or_insert(key);
             }
         }
@@ -119,7 +129,7 @@ impl SoftwareExtractor {
             if level.granularity == key.granularity() {
                 return self.levels[li]
                     .get(key)
-                    .map(superfe_policy::exec::GroupExec::finalize);
+                    .map(|g| g.finalize(&self.plans[li]));
             }
         }
         None
@@ -133,7 +143,7 @@ impl SoftwareExtractor {
                 for (key, exec) in &self.levels[li] {
                     groups.push(FeatureVector {
                         key: *key,
-                        values: exec.finalize().into(),
+                        values: exec.finalize(&self.plans[li]).into(),
                     });
                 }
             }

@@ -9,9 +9,9 @@
 use superfe_net::snap::{StateReader, StateWriter};
 use superfe_net::{Granularity, GroupKey};
 use superfe_policy::ast::CollectUnit;
-use superfe_policy::exec::{GroupExec, RecordView};
+use superfe_policy::exec::{GroupExec, LevelPlan, RecordView};
 use superfe_policy::{CompiledPolicy, LevelProgram};
-use superfe_streaming::FeatureValues;
+use superfe_streaming::{DecayMemo, FeatureValues};
 use superfe_switch::{MgpvMessage, SwitchEvent};
 
 use crate::table::{GroupTable, TableBudget, TableStats};
@@ -142,6 +142,9 @@ impl NicStats {
 #[derive(Clone)]
 struct LevelState {
     program: LevelProgram,
+    /// What every group of the level shares; the table's groups hold state
+    /// only and are driven through it.
+    plan: LevelPlan,
     table: GroupTable<GroupExec>,
 }
 
@@ -157,8 +160,11 @@ pub struct FeNic {
     fg_mirror: Vec<Option<GroupKey>>,
     per_pkt: bool,
     pkt_vectors: Vec<FeatureVector>,
-    /// Reused per-record feature scratch for the `collect(pkt)` path.
+    /// Reused feature scratch: a record's `collect(pkt)` block, or one
+    /// budget-evicted group's.
     pkt_scratch: Vec<f64>,
+    /// Decay factors of the record in hand, shared by its levels.
+    memo: DecayMemo,
     /// Groups evicted by the DRAM budget, finalized and awaiting drain.
     evicted: Vec<EvictedVector>,
     /// Reused scratch receiving raw evictions from the group tables.
@@ -194,6 +200,7 @@ impl FeNic {
                 GroupTable::with_budget(TABLE_BUCKETS, TABLE_WIDTH, budget).map(|table| {
                     LevelState {
                         program: lp.clone(),
+                        plan: LevelPlan::new(lp),
                         table,
                     }
                 })
@@ -218,6 +225,7 @@ impl FeNic {
             per_pkt,
             pkt_vectors: Vec::new(),
             pkt_scratch: Vec::new(),
+            memo: DecayMemo::new(),
             evicted: Vec::new(),
             evict_scratch: Vec::new(),
             stats: NicStats::default(),
@@ -297,6 +305,7 @@ impl FeNic {
             let mut pkt_values = std::mem::take(&mut self.pkt_scratch);
             pkt_values.clear();
             let mut pkt_key: Option<GroupKey> = None;
+            self.memo.clear();
 
             for level in &mut self.levels {
                 let g = level.program.granularity;
@@ -319,17 +328,17 @@ impl FeNic {
                         }
                     }
                 };
-                let program = &level.program;
+                let plan = &level.plan;
                 match level.table.get_or_insert_with(
                     key,
                     hash,
-                    || GroupExec::new(program),
+                    || GroupExec::new(plan),
                     &mut self.evict_scratch,
                 ) {
                     Some(exec) => {
-                        exec.update(&view, hash);
+                        exec.update(plan, &view, hash, &mut self.memo);
                         if self.per_pkt {
-                            exec.finalize_into(&mut pkt_values);
+                            exec.finalize_into(plan, &mut pkt_values);
                             pkt_key.get_or_insert(key);
                         }
                     }
@@ -343,15 +352,19 @@ impl FeNic {
                 }
                 for (ekey, eexec) in self.evict_scratch.drain(..) {
                     self.stats.evicted_groups += 1;
-                    let mut vals = Vec::new();
-                    eexec.finalize_into(&mut vals);
+                    // Finalized behind the record's own block in the reused
+                    // scratch, copied out, and cut off again.
+                    let own = pkt_values.len();
+                    pkt_values.reserve(plan.feature_len());
+                    eexec.finalize_into(plan, &mut pkt_values);
                     self.evicted.push(EvictedVector {
                         level: g,
                         vector: FeatureVector {
                             key: ekey,
-                            values: vals.as_slice().into(),
+                            values: pkt_values[own..].into(),
                         },
                     });
+                    pkt_values.truncate(own);
                 }
             }
 
@@ -387,7 +400,7 @@ impl FeNic {
             if let Some(CollectUnit::Group(_)) = level.program.collect {
                 for (key, exec) in level.table.iter() {
                     scratch.clear();
-                    exec.finalize_into(&mut scratch);
+                    exec.finalize_into(&level.plan, &mut scratch);
                     out.push(FeatureVector {
                         key: *key,
                         values: scratch.as_slice().into(),
@@ -408,7 +421,8 @@ impl FeNic {
         w.put_u16(self.levels.len() as u16);
         for level in &self.levels {
             level.program.granularity.save_state(w);
-            w.put_section(|w| level.table.save_state(w, GroupExec::save_state));
+            let LevelState { plan, table, .. } = level;
+            w.put_section(|w| table.save_state(w, |g, w| g.save_state(plan, w)));
         }
         w.put_u32(self.fg_mirror.len() as u32);
         for slot in &self.fg_mirror {
@@ -443,9 +457,8 @@ impl FeNic {
             if Granularity::load_state(r)? != level.program.granularity {
                 return None;
             }
-            let program = &level.program;
-            let table = &mut level.table;
-            r.get_section(|r| table.load_state(r, |r| GroupExec::load_state(program, r)))?;
+            let LevelState { plan, table, .. } = level;
+            r.get_section(|r| table.load_state(r, |r| GroupExec::load_state(plan, r)))?;
         }
         if r.get_u32()? as usize != self.fg_mirror.len() {
             return None;

@@ -147,6 +147,9 @@ impl TableStats {
 #[derive(Clone, Debug)]
 pub struct GroupTable<V> {
     buckets: Vec<Vec<(GroupKey, V)>>,
+    /// Entries across all of `buckets`, so [`GroupTable::len`] — polled live
+    /// by admission feedback — does not sum 16k chain lengths per call.
+    in_buckets: usize,
     width: usize,
     /// DRAM spill values. Keyed with the vendored Fx hasher: the std
     /// SipHash default is DoS-hardened but several times slower, and the
@@ -190,6 +193,7 @@ impl<V> GroupTable<V> {
         };
         Some(GroupTable {
             buckets: (0..buckets).map(|_| Vec::with_capacity(width)).collect(),
+            in_buckets: 0,
             width,
             overflow: FxHashMap::default(),
             order: VecDeque::new(),
@@ -208,7 +212,11 @@ impl<V> GroupTable<V> {
 
     /// Number of resident groups (bucket array + overflow).
     pub fn len(&self) -> usize {
-        self.buckets.iter().map(Vec::len).sum::<usize>() + self.overflow.len()
+        debug_assert_eq!(
+            self.in_buckets,
+            self.buckets.iter().map(Vec::len).sum::<usize>()
+        );
+        self.in_buckets + self.overflow.len()
     }
 
     /// Whether the table holds no groups.
@@ -248,6 +256,7 @@ impl<V> GroupTable<V> {
         if self.buckets[b].len() < self.width && !self.overflow.contains_key(&key) {
             self.stats.fast_hits += 1;
             self.buckets[b].push((key, default()));
+            self.in_buckets += 1;
             let last = self.buckets[b].len() - 1;
             return Some(&mut self.buckets[b][last].1);
         }
@@ -359,6 +368,7 @@ impl<V> GroupTable<V> {
         for b in &mut self.buckets {
             b.clear();
         }
+        self.in_buckets = 0;
         self.overflow.clear();
         self.order.clear();
         self.ticks.clear();
@@ -406,8 +416,11 @@ impl<V> GroupTable<V> {
 
     /// Restores budget and dynamic contents saved by
     /// [`GroupTable::save_state`] into this (freshly constructed,
-    /// same-geometry) table. Returns `None` on a geometry mismatch or
-    /// truncated input.
+    /// same-geometry) table. Returns `None` on a geometry mismatch, on
+    /// truncated input, and on contents no table could have saved: a chain
+    /// longer than `width`, a spill larger than the budget, or a key stored
+    /// twice — any of which would later surface as a duplicate group or a
+    /// lookup costing more than the one bus access the chain models.
     pub fn load_state(
         &mut self,
         r: &mut superfe_net::snap::StateReader<'_>,
@@ -421,20 +434,39 @@ impl<V> GroupTable<V> {
         self.clear();
         for b in 0..self.buckets.len() {
             let n = r.get_u16()? as usize;
+            if n > self.width {
+                return None;
+            }
             for _ in 0..n {
                 let k = GroupKey::load_state(r)?;
+                if self.buckets[b].iter().any(|(seen, _)| *seen == k) {
+                    return None;
+                }
                 let v = load_v(r)?;
                 self.buckets[b].push((k, v));
+                self.in_buckets += 1;
             }
         }
         let spilled = r.get_u32()? as usize;
+        if spilled > self.budget.max_dram_entries {
+            return None;
+        }
         for _ in 0..spilled {
             let k = GroupKey::load_state(r)?;
             let v = load_v(r)?;
             // Spill entries were saved in live order, so re-ticking them in
             // sequence reproduces the relative recency exactly.
             self.note_insert(k);
-            self.overflow.insert(k, v);
+            if self.overflow.insert(k, v).is_some() {
+                return None;
+            }
+        }
+        // A spilled key never also sits in a chain (`get_or_insert_with`
+        // checks the spill before it fills a chain slot).
+        if !self.overflow.is_empty()
+            && (self.buckets.iter().flatten()).any(|(k, _)| self.overflow.contains_key(k))
+        {
+            return None;
         }
         self.rng = r.get_u64()?;
         self.stats.lookups = r.get_u64()?;
@@ -701,5 +733,101 @@ mod tests {
         let b: Vec<(GroupKey, u32)> = u.iter().map(|(k, v)| (*k, *v)).collect();
         assert_eq!(a, b);
         assert_eq!(t.stats().dram_lookups, u.stats().dram_lookups);
+    }
+
+    /// A table snapshot written field by field, so a test can write one no
+    /// table would: `buckets` are the chains, `spill` the DRAM entries.
+    fn snapshot(width: u32, budget: TableBudget, buckets: &[&[u32]], spill: &[u32]) -> Vec<u8> {
+        let mut w = superfe_net::snap::StateWriter::new();
+        w.put_u32(buckets.len() as u32);
+        w.put_u32(width);
+        budget.save_state(&mut w);
+        for chain in buckets {
+            w.put_u16(chain.len() as u16);
+            for i in *chain {
+                key(*i).save_state(&mut w);
+                w.put_u32(*i);
+            }
+        }
+        w.put_u32(spill.len() as u32);
+        for i in spill {
+            key(*i).save_state(&mut w);
+            w.put_u32(*i);
+        }
+        for _ in 0..6 {
+            w.put_u64(0); // rng + five counters
+        }
+        w.into_bytes()
+    }
+
+    fn load(bytes: &[u8], buckets: usize, width: usize) -> Option<GroupTable<u32>> {
+        let mut t = GroupTable::<u32>::new(buckets, width).unwrap();
+        let mut r = superfe_net::snap::StateReader::new(bytes);
+        #[allow(clippy::redundant_closure_for_method_calls)]
+        t.load_state(&mut r, |r| r.get_u32())?;
+        r.is_empty().then_some(t)
+    }
+
+    #[test]
+    fn load_refuses_contents_no_table_could_have_saved() {
+        let budget = TableBudget::capped(2, EvictionPolicy::EvictOldest);
+        // The well-formed neighbour of every corrupt case below loads, and
+        // saves back to the bytes it was loaded from.
+        let clean = snapshot(2, budget, &[&[1, 2], &[3]], &[4, 5]);
+        let t = load(&clean, 2, 2).expect("clean snapshot loads");
+        assert_eq!(t.len(), 5);
+        let mut w = superfe_net::snap::StateWriter::new();
+        t.save_state(&mut w, |v, w| w.put_u32(*v));
+        assert_eq!(
+            w.into_bytes(),
+            clean,
+            "save -> load -> save is the identity"
+        );
+
+        let corrupt = [
+            (
+                "chain longer than width",
+                snapshot(2, budget, &[&[1, 2, 6], &[3]], &[4, 5]),
+            ),
+            (
+                "spill larger than the budget",
+                snapshot(2, budget, &[&[1, 2], &[3]], &[4, 5, 6]),
+            ),
+            (
+                "key twice in one chain",
+                snapshot(2, budget, &[&[1, 1], &[3]], &[4, 5]),
+            ),
+            (
+                "key in a chain and in the spill",
+                snapshot(2, budget, &[&[1, 2], &[3]], &[4, 3]),
+            ),
+            (
+                "key twice in the spill",
+                snapshot(2, budget, &[&[1, 2], &[3]], &[4, 4]),
+            ),
+        ];
+        for (what, bytes) in &corrupt {
+            assert!(load(bytes, 2, 2).is_none(), "{what} must be refused");
+        }
+    }
+
+    #[test]
+    fn len_counter_tracks_insert_evict_clear_and_load() {
+        let budget = TableBudget::capped(3, EvictionPolicy::EvictOldest);
+        let mut t = GroupTable::<u32>::with_budget(4, 2, budget).unwrap();
+        let mut ev = Vec::new();
+        let count = |t: &GroupTable<u32>| t.iter().count();
+        for i in 0..40 {
+            t.get_or_insert_with(key(i), i % 4, || i, &mut ev);
+            assert_eq!(t.len(), count(&t));
+        }
+        assert_eq!(t.len(), 4 * 2 + 3);
+        assert!(!ev.is_empty());
+        let mut w = superfe_net::snap::StateWriter::new();
+        t.save_state(&mut w, |v, w| w.put_u32(*v));
+        let u = load(&w.into_bytes(), 4, 2).unwrap();
+        assert_eq!(u.len(), t.len());
+        t.clear();
+        assert_eq!((t.len(), count(&t)), (0, 0));
     }
 }

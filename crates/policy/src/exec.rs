@@ -4,17 +4,22 @@
 //! software baseline extractor (consuming packets directly) run the same
 //! `map`/`reduce`/`synthesize` semantics; this module implements them once.
 //!
-//! A [`GroupExec`] holds the per-group mapper and reducer state of one
-//! [`LevelProgram`] group and is driven with one [`RecordView`] per packet.
+//! What a level *is* and what a group *has* are separate types. A
+//! [`LevelPlan`], built once per [`LevelProgram`], owns everything every
+//! group of the level shares; a [`GroupExec`] holds one group's mapper and
+//! reducer state and is driven through its plan with one [`RecordView`] per
+//! packet.
+
+use std::ops::Range;
 
 use superfe_net::snap::{StateReader, StateWriter};
 use superfe_streaming::{
-    markers, normalize, sample_evenly, DampedPair, DampedStat, Histogram, HyperLogLog, MinMax,
-    Moments, Reducer, SeqArray, Sum, Welford,
+    markers, normalize, sample_evenly, DampedPair, DampedStat, DecayMemo, Histogram, HyperLogLog,
+    MinMax, Moments, Reducer, SeqArray, Sum, Welford,
 };
 
 use crate::ast::{Field, MapFn, ReduceFn, SynthFn};
-use crate::compile::{LevelProgram, MapOp, ReduceOp};
+use crate::compile::{LevelProgram, MapOp};
 
 /// The per-record values a group execution consumes, independent of whether
 /// they came from a parsed packet (software path) or an MGPV record (NIC
@@ -30,6 +35,10 @@ pub struct RecordView {
     /// Raw TCP flag bits.
     pub tcp_flags: u8,
 }
+
+/// Snapshot tag of [`ReducerInstance::Damped`], which a [`GroupExec`] writes
+/// itself for the reducers it keeps in its damped lane.
+const TAG_DAMPED: u8 = 7;
 
 /// One instantiated reducing function.
 #[derive(Clone, Debug)]
@@ -190,6 +199,18 @@ impl ReducerInstance {
         }
     }
 
+    /// [`ReducerInstance::update_hashed`] with the damped reducers' decay
+    /// factors served from `memo` — bit-identical.
+    fn update_memo(&mut self, value: f64, hash: u32, rec: &RecordView, memo: &mut DecayMemo) {
+        match self {
+            ReducerInstance::Damped(d) => d.update_at_memo(value, rec.ts_ns, memo),
+            ReducerInstance::Bidir(p, _) => {
+                p.update_memo(value, rec.ts_ns, rec.direction >= 0, memo);
+            }
+            other => other.update_hashed(value, hash, rec.ts_ns, rec.direction),
+        }
+    }
+
     /// Emits this function's feature values.
     pub fn finalize(&self) -> Vec<f64> {
         let mut out = Vec::new();
@@ -245,7 +266,7 @@ impl ReducerInstance {
             ReducerInstance::Card(_) => 4,
             ReducerInstance::Array(_) => 5,
             ReducerInstance::Hist(..) => 6,
-            ReducerInstance::Damped(_) => 7,
+            ReducerInstance::Damped(_) => TAG_DAMPED,
             ReducerInstance::Bidir(..) => 8,
         }
     }
@@ -375,10 +396,7 @@ pub fn apply_synths(mut features: Vec<f64>, synths: &[SynthFn]) -> Vec<f64> {
 
 /// A precompiled per-record value source.
 ///
-/// Field lookups used to run per record: every `update` built a
-/// `Vec<(String, Option<f64>)>` of map outputs (one `String` allocation per
-/// map per record) and resolved `Field::Named` by reverse linear string
-/// search. The name → slot binding is static per level, so [`GroupExec::new`]
+/// The name → slot binding is static per level, so [`LevelPlan::new`]
 /// resolves it once and the hot path reduces to an indexed load.
 #[derive(Clone, Copy, Debug)]
 enum ValueSource {
@@ -431,151 +449,238 @@ impl ValueSource {
     }
 }
 
-/// The execution state of one group at one granularity level.
-#[derive(Clone, Debug)]
-pub struct GroupExec {
-    maps: Vec<(MapOp, MapState)>,
-    /// Bound source of `maps[i].src`, referencing only slots `< i`.
-    map_sources: Vec<ValueSource>,
-    reduces: Vec<(ReduceOp, Vec<ReducerInstance>)>,
-    /// Bound source of `reduces[i].src`.
-    reduce_sources: Vec<ValueSource>,
-    /// This record's map outputs, reused across records. Slot `i` is written
-    /// before anything reads it, so stale values are never observed.
-    map_out: Vec<Option<f64>>,
+/// Which lane of a [`GroupExec`] holds one reducer's accumulator.
+#[derive(Clone, Copy, Debug)]
+enum Slot {
+    /// Index into the dense `f_damped` lane.
+    Damped(usize),
+    /// Index into the lane of every other reducer.
+    General(usize),
 }
 
-impl GroupExec {
-    /// Instantiates the state for one group of `level`.
+/// One `reduce` of a level: where its value comes from, which reducers it
+/// feeds and how its feature block is synthesized.
+#[derive(Clone, Debug)]
+struct ReducePlan {
+    source: ValueSource,
+    /// This reduce's reducers, as a range of [`LevelPlan::slots`].
+    slots: Range<usize>,
+    synths: Vec<SynthFn>,
+}
+
+/// Map outputs of one record live on the stack up to this many maps.
+const STACK_MAPS: usize = 8;
+
+/// Everything about a level that is the same for every group: the map
+/// functions, the bound value sources, the reduce layout and one pristine
+/// group to copy. Built once where the engine is constructed; a
+/// [`GroupExec`] holds only state and is driven through its plan.
+#[derive(Clone, Debug)]
+pub struct LevelPlan {
+    /// Each map's function and bound source, which references only the
+    /// outputs of earlier maps.
+    maps: Vec<(MapFn, ValueSource)>,
+    reduces: Vec<ReducePlan>,
+    /// Lane slot of every reducer, in policy order — the order `update`,
+    /// `finalize_into` and `save_state` walk, whatever the lanes hold.
+    slots: Vec<Slot>,
+    feature_len: usize,
+    template: GroupExec,
+}
+
+impl LevelPlan {
+    /// Plans the execution of `level`.
     pub fn new(level: &LevelProgram) -> Self {
-        let map_sources = level
+        let maps = level
             .maps
             .iter()
             .enumerate()
-            .map(|(i, m)| ValueSource::bind(&m.src, &level.maps, i))
+            .map(|(i, m)| (m.func, ValueSource::bind(&m.src, &level.maps, i)))
             .collect();
-        let reduce_sources = level
+        let (mut slots, mut damped, mut general) = (Vec::new(), Vec::new(), Vec::new());
+        let reduces = level
             .reduces
             .iter()
-            .map(|r| ValueSource::bind(&r.src, &level.maps, level.maps.len()))
+            .map(|r| {
+                let first = slots.len();
+                for f in &r.funcs {
+                    slots.push(match ReducerInstance::new(f) {
+                        ReducerInstance::Damped(d) => {
+                            damped.push(d);
+                            Slot::Damped(damped.len() - 1)
+                        }
+                        other => {
+                            general.push(other);
+                            Slot::General(general.len() - 1)
+                        }
+                    });
+                }
+                ReducePlan {
+                    source: ValueSource::bind(&r.src, &level.maps, level.maps.len()),
+                    slots: first..slots.len(),
+                    synths: r.synths.clone(),
+                }
+            })
             .collect();
-        GroupExec {
-            maps: level
-                .maps
-                .iter()
-                .map(|m| (m.clone(), MapState::default()))
-                .collect(),
-            map_sources,
-            reduces: level
-                .reduces
-                .iter()
-                .map(|r| {
-                    let instances = r.funcs.iter().map(ReducerInstance::new).collect();
-                    (r.clone(), instances)
-                })
-                .collect(),
-            reduce_sources,
-            map_out: vec![None; level.maps.len()],
+        LevelPlan {
+            maps,
+            reduces,
+            slots,
+            feature_len: level.feature_len(),
+            template: GroupExec {
+                maps: vec![MapState::default(); level.maps.len()].into(),
+                damped: damped.into(),
+                general: general.into(),
+            },
         }
+    }
+
+    /// Feature length of every group of the level.
+    pub fn feature_len(&self) -> usize {
+        self.feature_len
+    }
+}
+
+/// The state of one group at one granularity level: mapper state and
+/// reducer accumulators, nothing of the program. Every method takes the
+/// [`LevelPlan`] the group was created from.
+#[derive(Clone, Debug)]
+pub struct GroupExec {
+    maps: Box<[MapState]>,
+    /// The 1-D damped statistics, 48 bytes each — a third of a
+    /// [`ReducerInstance`], which is sized by its largest variant.
+    damped: Box<[DampedStat]>,
+    general: Box<[ReducerInstance]>,
+}
+
+impl GroupExec {
+    /// A fresh group of `plan`'s level: a copy of the plan's template.
+    pub fn new(plan: &LevelPlan) -> Self {
+        plan.template.clone()
     }
 
     /// Feeds one record through the level's maps and reduces.
     ///
-    /// `key_hash` is the switch-computed hash, reused by `f_card`.
-    pub fn update(&mut self, rec: &RecordView, key_hash: u32) {
-        let GroupExec {
-            maps,
-            map_sources,
-            reduces,
-            reduce_sources,
-            map_out,
-        } = self;
+    /// `key_hash` is the switch-computed hash, reused by `f_card`. `memo`
+    /// serves repeated decay factors; the caller clears it once per record
+    /// (it may span the levels of that record).
+    pub fn update(
+        &mut self,
+        plan: &LevelPlan,
+        rec: &RecordView,
+        key_hash: u32,
+        memo: &mut DecayMemo,
+    ) {
+        // Slot `i` is written before anything reads it.
+        let (mut stack, mut heap) = ([None; STACK_MAPS], Vec::new());
+        let map_out: &mut [Option<f64>] = if self.maps.len() <= STACK_MAPS {
+            &mut stack[..self.maps.len()]
+        } else {
+            heap.resize(self.maps.len(), None);
+            &mut heap
+        };
         // Evaluate maps in order; later maps may read earlier outputs.
-        for (i, (op, state)) in maps.iter_mut().enumerate() {
-            let src = map_sources[i].read(rec, map_out);
-            map_out[i] = state.apply(op.func, src, rec);
+        for (i, (state, (func, source))) in self.maps.iter_mut().zip(&plan.maps).enumerate() {
+            map_out[i] = state.apply(*func, source.read(rec, map_out), rec);
         }
-        for ((_, instances), source) in reduces.iter_mut().zip(reduce_sources.iter()) {
-            let value = match source.read(rec, map_out) {
-                Some(v) => v,
-                None => continue, // e.g. f_ipt's first packet
+        for r in &plan.reduces {
+            let Some(value) = r.source.read(rec, map_out) else {
+                continue; // e.g. f_ipt's first packet
             };
             let sample_hash = mix_hash(key_hash, value);
-            for inst in instances {
-                inst.update_hashed(value, sample_hash, rec.ts_ns, rec.direction);
+            for slot in &plan.slots[r.slots.clone()] {
+                match *slot {
+                    Slot::Damped(i) => self.damped[i].update_at_memo(value, rec.ts_ns, memo),
+                    Slot::General(i) => {
+                        self.general[i].update_memo(value, sample_hash, rec, memo);
+                    }
+                }
             }
         }
     }
 
     /// Emits the group's feature block (reduces in order, synthesized).
-    pub fn finalize(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.feature_len());
-        self.finalize_into(&mut out);
+    pub fn finalize(&self, plan: &LevelPlan) -> Vec<f64> {
+        let mut out = Vec::with_capacity(plan.feature_len);
+        self.finalize_into(plan, &mut out);
         out
     }
 
     /// Appends the group's feature block to `out` — the buffer-reusing form
     /// of [`GroupExec::finalize`] for the per-packet collection path.
-    pub fn finalize_into(&self, out: &mut Vec<f64>) {
-        for (op, instances) in &self.reduces {
-            if op.synths.is_empty() {
-                for inst in instances {
-                    inst.finalize_into(out);
-                }
+    pub fn finalize_into(&self, plan: &LevelPlan, out: &mut Vec<f64>) {
+        for r in &plan.reduces {
+            let slots = &plan.slots[r.slots.clone()];
+            if r.synths.is_empty() {
+                self.finalize_slots(slots, out);
             } else {
                 let mut block = Vec::new();
-                for inst in instances {
-                    inst.finalize_into(&mut block);
-                }
-                out.extend(apply_synths(block, &op.synths));
+                self.finalize_slots(slots, &mut block);
+                out.extend(apply_synths(block, &r.synths));
             }
         }
     }
 
-    /// Expected feature length (stable across groups of the level).
-    pub fn feature_len(&self) -> usize {
-        self.reduces.iter().map(|(op, _)| op.feature_len()).sum()
+    fn finalize_slots(&self, slots: &[Slot], out: &mut Vec<f64>) {
+        for slot in slots {
+            match *slot {
+                Slot::Damped(i) => out.extend_from_slice(&self.damped[i].triple()),
+                Slot::General(i) => self.general[i].finalize_into(out),
+            }
+        }
     }
 
     /// Serializes the group's dynamic state (mapper state + reducer
-    /// accumulators). Program structure and bound sources are rebuilt from
-    /// the level program on load; `map_out` is per-record scratch and is
-    /// skipped.
-    pub fn save_state(&self, w: &mut StateWriter) {
+    /// accumulators, in policy order). Which lane holds a reducer is layout,
+    /// not state: the bytes are those of one [`ReducerInstance`] per reducer.
+    pub fn save_state(&self, plan: &LevelPlan, w: &mut StateWriter) {
         w.put_u16(self.maps.len() as u16);
-        for (_, state) in &self.maps {
+        for state in self.maps.iter() {
             state.save_state(w);
         }
-        w.put_u16(self.reduces.len() as u16);
-        for (_, instances) in &self.reduces {
-            w.put_u16(instances.len() as u16);
-            for inst in instances {
-                inst.save_state(w);
+        w.put_u16(plan.reduces.len() as u16);
+        for r in &plan.reduces {
+            w.put_u16(r.slots.len() as u16);
+            for slot in &plan.slots[r.slots.clone()] {
+                match *slot {
+                    Slot::Damped(i) => {
+                        w.put_u8(TAG_DAMPED);
+                        self.damped[i].save_state(w);
+                    }
+                    Slot::General(i) => self.general[i].save_state(w),
+                }
             }
         }
     }
 
-    /// Reconstructs a group from `level` and restores the dynamic state
-    /// written by [`GroupExec::save_state`]. Returns `None` when the
-    /// snapshot's shape does not match the program (different policy) or
-    /// the input is corrupt.
-    pub fn load_state(level: &LevelProgram, r: &mut StateReader<'_>) -> Option<Self> {
-        let mut g = GroupExec::new(level);
+    /// Restores a group of `plan`'s level from the dynamic state written by
+    /// [`GroupExec::save_state`]. Returns `None` when the snapshot's shape
+    /// does not match the plan (different policy) or the input is corrupt.
+    pub fn load_state(plan: &LevelPlan, r: &mut StateReader<'_>) -> Option<Self> {
+        let mut g = GroupExec::new(plan);
         if r.get_u16()? as usize != g.maps.len() {
             return None;
         }
-        for (_, state) in &mut g.maps {
+        for state in g.maps.iter_mut() {
             *state = MapState::load_state(r)?;
         }
-        if r.get_u16()? as usize != g.reduces.len() {
+        if r.get_u16()? as usize != plan.reduces.len() {
             return None;
         }
-        for (_, instances) in &mut g.reduces {
-            if r.get_u16()? as usize != instances.len() {
+        for reduce in &plan.reduces {
+            if r.get_u16()? as usize != reduce.slots.len() {
                 return None;
             }
-            for inst in instances {
-                inst.load_state(r)?;
+            for slot in &plan.slots[reduce.slots.clone()] {
+                match *slot {
+                    Slot::Damped(i) => {
+                        if r.get_u8()? != TAG_DAMPED {
+                            return None;
+                        }
+                        g.damped[i] = DampedStat::load_state(r)?;
+                    }
+                    Slot::General(i) => g.general[i].load_state(r)?,
+                }
             }
         }
         Some(g)
@@ -610,10 +715,24 @@ mod tests {
     use super::*;
     use crate::builder::pktstream;
     use crate::compile::compile;
+    use proptest::prelude::*;
     use superfe_net::Granularity;
 
     fn level_of(src_policy: crate::ast::Policy) -> LevelProgram {
         compile(&src_policy).unwrap().nic.levels.remove(0)
+    }
+
+    /// A level's plan and one fresh group of it.
+    fn group_of(src_policy: crate::ast::Policy) -> (LevelPlan, GroupExec) {
+        let plan = LevelPlan::new(&level_of(src_policy));
+        let g = GroupExec::new(&plan);
+        (plan, g)
+    }
+
+    /// One record into one group, under a memo of its own as an engine's
+    /// would be after its per-record `clear`.
+    fn feed(g: &mut GroupExec, plan: &LevelPlan, rec: &RecordView, key_hash: u32) {
+        g.update(plan, rec, key_hash, &mut DecayMemo::new());
     }
 
     fn rec(size: f64, ts_ms: u64, dir: i64) -> RecordView {
@@ -636,11 +755,11 @@ mod tests {
             .collect_group(Granularity::Flow)
             .build()
             .unwrap();
-        let mut g = GroupExec::new(&level_of(p));
+        let (plan, mut g) = group_of(p);
         for (i, s) in [100.0, 200.0, 300.0].iter().enumerate() {
-            g.update(&rec(*s, i as u64, 1), 0);
+            feed(&mut g, &plan, &rec(*s, i as u64, 1), 0);
         }
-        let f = g.finalize();
+        let f = g.finalize(&plan);
         assert_eq!(f.len(), 4);
         assert!((f[0] - 200.0).abs() < 1e-9); // mean
         assert!((f[1] - 6666.666).abs() < 1.0); // var
@@ -657,11 +776,11 @@ mod tests {
             .collect_group(Granularity::Flow)
             .build()
             .unwrap();
-        let mut g = GroupExec::new(&level_of(p));
-        g.update(&rec(100.0, 0, 1), 0);
-        g.update(&rec(100.0, 10, 1), 0);
-        g.update(&rec(100.0, 30, 1), 0);
-        let f = g.finalize();
+        let (plan, mut g) = group_of(p);
+        feed(&mut g, &plan, &rec(100.0, 0, 1), 0);
+        feed(&mut g, &plan, &rec(100.0, 10, 1), 0);
+        feed(&mut g, &plan, &rec(100.0, 30, 1), 0);
+        let f = g.finalize(&plan);
         // Two IPT samples: 10ms and 20ms (in ns).
         assert!((f[0] - 15e6).abs() < 1.0, "mean ipt {}", f[0]);
         assert!((f[1] - 30e6).abs() < 1.0, "sum ipt {}", f[1]);
@@ -677,11 +796,11 @@ mod tests {
             .collect_group(Granularity::Flow)
             .build()
             .unwrap();
-        let mut g = GroupExec::new(&level_of(p));
+        let (plan, mut g) = group_of(p);
         for (i, dir) in [1i64, 1, -1, 1, -1, -1].iter().enumerate() {
-            g.update(&rec(100.0, i as u64, *dir), 0);
+            feed(&mut g, &plan, &rec(100.0, i as u64, *dir), 0);
         }
-        assert_eq!(g.finalize(), vec![1.0, 1.0, -1.0, 1.0, -1.0, -1.0]);
+        assert_eq!(g.finalize(&plan), vec![1.0, 1.0, -1.0, 1.0, -1.0, -1.0]);
     }
 
     #[test]
@@ -693,12 +812,12 @@ mod tests {
             .collect_group(Granularity::Flow)
             .build()
             .unwrap();
-        let mut g = GroupExec::new(&level_of(p));
+        let (plan, mut g) = group_of(p);
         for (i, dir) in [1i64, 1, -1, -1, 1].iter().enumerate() {
-            g.update(&rec(100.0, i as u64, *dir), 0);
+            feed(&mut g, &plan, &rec(100.0, i as u64, *dir), 0);
         }
         // Three bursts.
-        assert_eq!(g.finalize(), vec![3.0]);
+        assert_eq!(g.finalize(&plan), vec![3.0]);
     }
 
     #[test]
@@ -721,10 +840,10 @@ mod tests {
             .collect_group(Granularity::Channel)
             .build()
             .unwrap();
-        let mut g = GroupExec::new(&level_of(p));
-        g.update(&rec(300.0, 0, 1), 0);
-        g.update(&rec(400.0, 1, -1), 0);
-        let f = g.finalize();
+        let (plan, mut g) = group_of(p);
+        feed(&mut g, &plan, &rec(300.0, 0, 1), 0);
+        feed(&mut g, &plan, &rec(400.0, 1, -1), 0);
+        let f = g.finalize(&plan);
         assert_eq!(f.len(), 4);
         assert!((f[0] - 500.0).abs() < 1e-6, "magnitude {}", f[0]); // 3-4-5
     }
@@ -741,11 +860,11 @@ mod tests {
             .collect_group(Granularity::Flow)
             .build()
             .unwrap();
-        let mut g = GroupExec::new(&level_of(p));
+        let (plan, mut g) = group_of(p);
         for (i, dir) in [1i64, -1, 1, -1].iter().enumerate() {
-            g.update(&rec(100.0, i as u64, *dir), 0);
+            feed(&mut g, &plan, &rec(100.0, i as u64, *dir), 0);
         }
-        let f = g.finalize();
+        let f = g.finalize(&plan);
         assert_eq!(f.len(), 2);
         assert!(f.iter().all(|x| x.abs() <= 1.0));
     }
@@ -764,10 +883,9 @@ mod tests {
             .collect_group(Granularity::Flow)
             .build()
             .unwrap();
-        let level = level_of(p);
-        let g = GroupExec::new(&level);
-        assert_eq!(g.feature_len(), 16);
-        assert_eq!(g.finalize().len(), 16);
+        let (plan, g) = group_of(p);
+        assert_eq!(plan.feature_len(), 16);
+        assert_eq!(g.finalize(&plan).len(), 16);
     }
 
     #[test]
@@ -785,12 +903,12 @@ mod tests {
             .collect_group(Granularity::Flow)
             .build()
             .unwrap();
-        let mut g = GroupExec::new(&level_of(p));
+        let (plan, mut g) = group_of(p);
         // Edges: 0,1,3,7,15,... — 0.5 -> bin 0, 2 -> bin 1, 5 -> bin 2.
         for (i, s) in [0.5, 2.0, 5.0].iter().enumerate() {
-            g.update(&rec(*s, i as u64, 1), 0);
+            feed(&mut g, &plan, &rec(*s, i as u64, 1), 0);
         }
-        let f = g.finalize();
+        let f = g.finalize(&plan);
         assert_eq!(f[0], 1.0);
         assert_eq!(f[1], 1.0);
         assert_eq!(f[2], 1.0);
@@ -804,12 +922,324 @@ mod tests {
             .collect_group(Granularity::Host)
             .build()
             .unwrap();
-        let mut g = GroupExec::new(&level_of(p));
+        let (plan, mut g) = group_of(p);
         for i in 0..500u32 {
             // 100 distinct sizes.
-            g.update(&rec(f64::from(i % 100), u64::from(i), 1), 0);
+            feed(&mut g, &plan, &rec(f64::from(i % 100), u64::from(i), 1), 0);
         }
-        let est = g.finalize()[0];
+        let est = g.finalize(&plan)[0];
         assert!((est - 100.0).abs() / 100.0 < 0.3, "estimate {est}");
+    }
+
+    /// Bytes a group keeps on the heap: its three lanes (none of Kitsune's
+    /// reducers owns a buffer of its own).
+    fn lane_bytes(g: &GroupExec) -> usize {
+        std::mem::size_of_val(&*g.maps)
+            + std::mem::size_of_val(&*g.damped)
+            + std::mem::size_of_val(&*g.general)
+    }
+
+    #[test]
+    fn kitsune_groups_stay_within_their_measured_sizes() {
+        const WINDOWS: &str = "{5}, X{3}, X{1}, X{0.1}, X{0.01}";
+        let d1 = format!("[f_damped{}]", WINDOWS.replace('X', "f_damped"));
+        let d2 = format!("[f_damped2d{}]", WINDOWS.replace('X', "f_damped2d"));
+        let src = format!(
+            "pktstream\n.groupby(socket)\n.reduce(size, {d1})\n.reduce(size, {d2})\n.collect(pkt)\n\
+             .groupby(channel)\n.map(ipt, tstamp, f_ipt)\n.reduce(size, {d1})\n\
+             .reduce(size, {d2})\n.reduce(ipt, {d1})\n.collect(pkt)\n\
+             .groupby(host)\n.reduce(size, {d1})\n.reduce(size, {d1})\n.collect(pkt)"
+        );
+        let levels = compile(&crate::dsl::parse(&src).unwrap())
+            .unwrap()
+            .nic
+            .levels;
+        let bytes: Vec<usize> = levels
+            .iter()
+            .map(|l| lane_bytes(&GroupExec::new(&LevelPlan::new(l))))
+            .collect();
+        // The §6.2 model sizes the socket group at 280 bytes of 4-byte words;
+        // the host engine keeps f64 words and stays under four times that.
+        assert!(bytes[0] <= 1024, "socket group {} bytes", bytes[0]);
+        assert!(bytes[1] <= 1280, "channel group {} bytes", bytes[1]);
+        // The host level inherits the channel level's `ipt` map state.
+        assert!(bytes[2] <= 512, "host group {} bytes", bytes[2]);
+        // Five damped2d in the general lane, every f_damped in the dense one.
+        let socket = GroupExec::new(&LevelPlan::new(&levels[0]));
+        assert_eq!((socket.damped.len(), socket.general.len()), (5, 5));
+    }
+
+    #[test]
+    fn more_maps_than_the_stack_holds() {
+        let mut b = pktstream().groupby(Granularity::Flow);
+        for i in 0..=STACK_MAPS {
+            b = b.map(&format!("m{i}"), "_", MapFn::FOne);
+        }
+        let last = format!("m{STACK_MAPS}");
+        let p = b
+            .map("d", &last, MapFn::FDirection)
+            .reduce("d", vec![ReduceFn::Sum])
+            .collect_group(Granularity::Flow)
+            .build()
+            .unwrap();
+        let (plan, mut g) = group_of(p);
+        assert!(g.maps.len() > STACK_MAPS);
+        for (i, dir) in [1i64, -1, -1].iter().enumerate() {
+            feed(&mut g, &plan, &rec(100.0, i as u64, *dir), 0);
+        }
+        assert_eq!(g.finalize(&plan), vec![-1.0]);
+    }
+
+    /// The shape this module had before plans and lanes: every reducer of a
+    /// group a [`ReducerInstance`] in one `Vec` per reduce, fields resolved
+    /// by name per record, decay factors computed per reducer. The lanes and
+    /// the memo must not differ from it in one bit of output or of snapshot.
+    struct RefGroup {
+        maps: Vec<MapState>,
+        reduces: Vec<Vec<ReducerInstance>>,
+    }
+
+    impl RefGroup {
+        fn new(level: &LevelProgram) -> Self {
+            RefGroup {
+                maps: vec![MapState::default(); level.maps.len()],
+                reduces: level
+                    .reduces
+                    .iter()
+                    .map(|r| r.funcs.iter().map(ReducerInstance::new).collect())
+                    .collect(),
+            }
+        }
+
+        fn lookup(field: &Field, rec: &RecordView, outs: &[(String, Option<f64>)]) -> Option<f64> {
+            match field {
+                Field::Size => Some(rec.size),
+                Field::Tstamp => Some(rec.ts_ns as f64),
+                Field::Direction => Some(rec.direction as f64),
+                Field::TcpFlags => Some(f64::from(rec.tcp_flags)),
+                Field::Named(n) => outs.iter().rev().find(|(name, _)| name == n)?.1,
+                _ => None,
+            }
+        }
+
+        fn update(&mut self, level: &LevelProgram, rec: &RecordView, key_hash: u32) {
+            let mut outs = Vec::new();
+            for (op, state) in level.maps.iter().zip(&mut self.maps) {
+                let src = Self::lookup(&op.src, rec, &outs);
+                outs.push((op.dst.name(), state.apply(op.func, src, rec)));
+            }
+            for (op, instances) in level.reduces.iter().zip(&mut self.reduces) {
+                let Some(value) = Self::lookup(&op.src, rec, &outs) else {
+                    continue;
+                };
+                let hash = mix_hash(key_hash, value);
+                for inst in instances {
+                    inst.update_hashed(value, hash, rec.ts_ns, rec.direction);
+                }
+            }
+        }
+
+        fn finalize(&self, level: &LevelProgram) -> Vec<f64> {
+            let mut out = Vec::new();
+            for (op, instances) in level.reduces.iter().zip(&self.reduces) {
+                let block = instances
+                    .iter()
+                    .flat_map(ReducerInstance::finalize)
+                    .collect();
+                out.extend(apply_synths(block, &op.synths));
+            }
+            out
+        }
+
+        fn save_state(&self, w: &mut StateWriter) {
+            w.put_u16(self.maps.len() as u16);
+            for state in &self.maps {
+                state.save_state(w);
+            }
+            w.put_u16(self.reduces.len() as u16);
+            for instances in &self.reduces {
+                w.put_u16(instances.len() as u16);
+                for inst in instances {
+                    inst.save_state(w);
+                }
+            }
+        }
+    }
+
+    /// Every reducing function, with small parameters.
+    fn any_reduce_fn() -> impl Strategy<Value = ReduceFn> {
+        let lambda = || prop_oneof![Just(0.0), Just(0.01), Just(0.1), Just(1.0), Just(5.0)];
+        let (width, bins) = (100.0, 4);
+        prop_oneof![
+            prop_oneof![
+                Just(ReduceFn::Sum),
+                Just(ReduceFn::Mean),
+                Just(ReduceFn::Var),
+                Just(ReduceFn::Std),
+                Just(ReduceFn::Max),
+                Just(ReduceFn::Min),
+                Just(ReduceFn::Kur),
+                Just(ReduceFn::Skew),
+                Just(ReduceFn::Mag),
+                Just(ReduceFn::Radius),
+                Just(ReduceFn::Cov),
+                Just(ReduceFn::Pcc),
+                Just(ReduceFn::Card { k: 4 }),
+                Just(ReduceFn::Array { cap: 5 }),
+                Just(ReduceFn::Hist { width, bins }),
+                Just(ReduceFn::HistLog {
+                    unit: 1.0,
+                    base: 2.0,
+                    bins
+                }),
+                Just(ReduceFn::Pdf { width, bins }),
+                Just(ReduceFn::Cdf { width, bins }),
+                Just(ReduceFn::Percent {
+                    width,
+                    bins,
+                    q: 50.0
+                }),
+            ],
+            // A third each to the dense lane and to its 2-D kin, so the lanes
+            // interleave and the memo sees repeats.
+            lambda().prop_map(|lambda| ReduceFn::Damped { lambda }),
+            lambda().prop_map(|lambda| ReduceFn::Damped2d { lambda }),
+        ]
+    }
+
+    /// A level built directly (no policy validation in the way): one of a
+    /// few map chains, one to three reduces over sources that may or may not
+    /// resolve, with and without `synthesize` chains.
+    fn any_level() -> impl Strategy<Value = LevelProgram> {
+        let map = |dst: &str, src: &str, func| MapOp {
+            dst: Field::from_name(dst),
+            src: Field::from_name(src),
+            func,
+        };
+        let maps = prop_oneof![
+            Just(vec![]),
+            Just(vec![map("ipt", "tstamp", MapFn::FIpt)]),
+            Just(vec![
+                map("one", "_", MapFn::FOne),
+                map("d", "one", MapFn::FDirection)
+            ]),
+            Just(vec![
+                map("ipt", "tstamp", MapFn::FSpeed),
+                map("b", "_", MapFn::FBurst),
+                // A later writer of the same name wins.
+                map("ipt", "tstamp", MapFn::FIpt),
+            ]),
+        ];
+        let src = prop_oneof![
+            Just("size"),
+            Just("ipt"),
+            Just("d"),
+            Just("b"),
+            Just("tcpflags"),
+            Just("direction")
+        ];
+        let synths = prop_oneof![
+            Just(vec![]),
+            Just(vec![]),
+            Just(vec![SynthFn::Norm]),
+            Just(vec![SynthFn::Marker, SynthFn::Sample { n: 2 }]),
+        ];
+        let reduce = (
+            src,
+            proptest::collection::vec(any_reduce_fn(), 1..6),
+            synths,
+        )
+            .prop_map(|(src, funcs, synths)| crate::compile::ReduceOp {
+                src: Field::from_name(src),
+                funcs,
+                synths,
+            });
+        (maps, proptest::collection::vec(reduce, 1..4)).prop_map(|(maps, reduces)| LevelProgram {
+            granularity: Granularity::Flow,
+            maps,
+            reduces,
+            collect: None,
+        })
+    }
+
+    /// `(group, size, timestamp step, ingress, flags)`; steps repeat a
+    /// timestamp, advance it by 1 µs to 1 s, or go back 200 ms.
+    fn any_records() -> impl Strategy<Value = Vec<(usize, u16, i64, bool, u8)>> {
+        let step = prop_oneof![
+            Just(0i64),
+            Just(1_000),
+            Just(1_000_000),
+            Just(100_000_000),
+            Just(1_000_000_000),
+            Just(-200_000_000)
+        ];
+        proptest::collection::vec(
+            (0usize..2, 40u16..1500, step, proptest::bool::ANY, 0u8..64),
+            1..48,
+        )
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn lanes_and_memo_match_the_reference_bitwise(
+            levels in proptest::collection::vec(any_level(), 1..4),
+            records in any_records(),
+        ) {
+            let plans: Vec<LevelPlan> = levels.iter().map(LevelPlan::new).collect();
+            // Two groups per level.
+            let mut groups: Vec<[GroupExec; 2]> = plans
+                .iter()
+                .map(|p| [GroupExec::new(p), GroupExec::new(p)])
+                .collect();
+            let mut refs: Vec<[RefGroup; 2]> = levels
+                .iter()
+                .map(|l| [RefGroup::new(l), RefGroup::new(l)])
+                .collect();
+            let mut memo = DecayMemo::new();
+            let mut ts_ns = 1_000_000_000i64;
+            for (n, (which, size, step, ingress, flags)) in records.into_iter().enumerate() {
+                ts_ns = (ts_ns + step).max(0);
+                let view = RecordView {
+                    size: f64::from(size),
+                    ts_ns: ts_ns as u64,
+                    direction: if ingress { 1 } else { -1 },
+                    tcp_flags: flags,
+                };
+                // One memo per record, shared by its levels.
+                memo.clear();
+                for (li, level) in levels.iter().enumerate() {
+                    let hash = 0x9E37_79B9u32.wrapping_mul((li * 2 + which + 1) as u32);
+                    groups[li][which].update(&plans[li], &view, hash, &mut memo);
+                    refs[li][which].update(level, &view, hash);
+                    prop_assert_eq!(
+                        bits(&groups[li][which].finalize(&plans[li])),
+                        bits(&refs[li][which].finalize(level)),
+                        "record {} level {}", n, li
+                    );
+                }
+            }
+            for (li, plan) in plans.iter().enumerate() {
+                for which in 0..2 {
+                    let (mut got, mut want) = (StateWriter::new(), StateWriter::new());
+                    groups[li][which].save_state(plan, &mut got);
+                    refs[li][which].save_state(&mut want);
+                    let got = got.into_bytes();
+                    prop_assert_eq!(&got, &want.into_bytes(), "snapshot of level {}", li);
+                    // And the bytes load back into the same lanes.
+                    let mut r = StateReader::new(&got);
+                    let loaded = GroupExec::load_state(plan, &mut r);
+                    prop_assert!(loaded.is_some() && r.is_empty());
+                    let mut again = StateWriter::new();
+                    loaded.unwrap().save_state(plan, &mut again);
+                    prop_assert_eq!(&again.into_bytes(), &got);
+                }
+            }
+        }
     }
 }

@@ -15,6 +15,57 @@ use crate::reducer::Reducer;
 /// Nanoseconds per second, the timestamp unit used across SuperFE.
 const NS_PER_SEC: f64 = 1e9;
 
+/// Decay factor `2^(-λ·Δt)` for a gap of `dt_ns` nanoseconds.
+fn decay_factor(lambda: f64, dt_ns: u64) -> f64 {
+    let dt = dt_ns as f64 / NS_PER_SEC;
+    (2.0f64).powf(-lambda * dt)
+}
+
+/// Entries a [`DecayMemo`] holds; a record that needs more simply computes.
+const MEMO_SLOTS: usize = 16;
+
+/// A per-record memo of decay factors.
+///
+/// One record updates many damped reducers — Kitsune's 35 across three
+/// levels — but they share a handful of `(λ, Δt)` pairs: the same five λ at
+/// every level, and one Δt per group. `2^(-λ·Δt)` is a pure function of
+/// `(λ bits, Δt ns)`, so serving a repeat from this memo returns exactly the
+/// bits a fresh `powf` would. The owner clears it once per record.
+#[derive(Clone, Debug, Default)]
+pub struct DecayMemo {
+    keys: [(u64, u64); MEMO_SLOTS],
+    factors: [f64; MEMO_SLOTS],
+    len: usize,
+}
+
+impl DecayMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        DecayMemo::default()
+    }
+
+    /// Forgets every factor (start of a new record).
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// The decay factor for `(lambda, dt_ns)`, computed at most once until
+    /// the next [`DecayMemo::clear`] while the memo has room.
+    pub fn decay(&mut self, lambda: f64, dt_ns: u64) -> f64 {
+        let key = (lambda.to_bits(), dt_ns);
+        if let Some(i) = self.keys[..self.len].iter().position(|k| *k == key) {
+            return self.factors[i];
+        }
+        let d = decay_factor(lambda, dt_ns);
+        if self.len < MEMO_SLOTS {
+            self.keys[self.len] = key;
+            self.factors[self.len] = d;
+            self.len += 1;
+        }
+        d
+    }
+}
+
 /// 1-D damped incremental statistics over a timestamped stream.
 ///
 /// # Examples
@@ -37,6 +88,10 @@ pub struct DampedStat {
     seen: bool,
 }
 
+// The NIC engine packs these into a dense per-group lane; its measured group
+// sizes (DESIGN.md, "NIC engine") assume this width.
+const _: () = assert!(std::mem::size_of::<DampedStat>() == 48);
+
 impl DampedStat {
     /// Creates a damped stream with decay rate `lambda` (per second).
     ///
@@ -52,18 +107,25 @@ impl DampedStat {
         }
     }
 
-    /// Decay factor for a gap of `dt_ns` nanoseconds.
-    fn decay(&self, dt_ns: u64) -> f64 {
-        let dt = dt_ns as f64 / NS_PER_SEC;
-        (2.0f64).powf(-self.lambda * dt)
+    /// Decay factor for a gap of `dt_ns` nanoseconds, through `memo` when
+    /// the caller has one.
+    fn decay(&self, dt_ns: u64, memo: Option<&mut DecayMemo>) -> f64 {
+        match memo {
+            Some(m) => m.decay(self.lambda, dt_ns),
+            None => decay_factor(self.lambda, dt_ns),
+        }
     }
 
     /// Applies decay up to `ts_ns` without inserting a sample.
     pub fn decay_to(&mut self, ts_ns: u64) {
+        self.decay_with(ts_ns, None);
+    }
+
+    fn decay_with(&mut self, ts_ns: u64, memo: Option<&mut DecayMemo>) {
         if !self.seen || ts_ns <= self.last_ts {
             return;
         }
-        let d = self.decay(ts_ns - self.last_ts);
+        let d = self.decay(ts_ns - self.last_ts, memo);
         self.w *= d;
         self.ls *= d;
         self.ss *= d;
@@ -75,9 +137,17 @@ impl DampedStat {
     /// Out-of-order timestamps are tolerated by treating them as Δt = 0 (the
     /// same policy as Kitsune's reference implementation).
     pub fn update_at(&mut self, x: f64, ts_ns: u64) {
-        if self.seen && ts_ns > self.last_ts {
-            self.decay_to(ts_ns);
-        }
+        self.update_with(x, ts_ns, None);
+    }
+
+    /// [`DampedStat::update_at`] taking its decay factor through `memo` —
+    /// bit-identical, one `powf` per distinct `(λ, Δt)` of the record.
+    pub fn update_at_memo(&mut self, x: f64, ts_ns: u64, memo: &mut DecayMemo) {
+        self.update_with(x, ts_ns, Some(memo));
+    }
+
+    fn update_with(&mut self, x: f64, ts_ns: u64, memo: Option<&mut DecayMemo>) {
+        self.decay_with(ts_ns, memo);
         self.last_ts = self.last_ts.max(ts_ns);
         self.seen = true;
         self.w += 1.0;
@@ -202,9 +272,9 @@ impl DampedPair {
         }
     }
 
-    fn decay_joint(&mut self, ts_ns: u64) {
+    fn decay_joint(&mut self, ts_ns: u64, memo: Option<&mut DecayMemo>) {
         if self.seen && ts_ns > self.last_ts {
-            let d = self.a.decay(ts_ns - self.last_ts);
+            let d = self.a.decay(ts_ns - self.last_ts, memo);
             self.sr *= d;
             self.w3 *= d;
             self.last_ts = ts_ns;
@@ -217,18 +287,29 @@ impl DampedPair {
     /// with the most recent residual of stream "b" (Kitsune's incStatCov
     /// approximation).
     pub fn update_a(&mut self, x: f64, ts_ns: u64) {
-        self.decay_joint(ts_ns);
-        self.a.update_at(x, ts_ns);
-        self.last_res_a = x - self.a.mean();
-        self.sr += self.last_res_a * self.last_res_b;
-        self.w3 += 1.0;
+        self.update_with(x, ts_ns, true, None);
     }
 
     /// Feeds a sample into stream "b" at `ts_ns`.
     pub fn update_b(&mut self, x: f64, ts_ns: u64) {
-        self.decay_joint(ts_ns);
-        self.b.update_at(x, ts_ns);
-        self.last_res_b = x - self.b.mean();
+        self.update_with(x, ts_ns, false, None);
+    }
+
+    /// [`DampedPair::update_a`] (`into_a`) or [`DampedPair::update_b`]
+    /// taking both decay factors through `memo` — bit-identical.
+    pub fn update_memo(&mut self, x: f64, ts_ns: u64, into_a: bool, memo: &mut DecayMemo) {
+        self.update_with(x, ts_ns, into_a, Some(memo));
+    }
+
+    fn update_with(&mut self, x: f64, ts_ns: u64, into_a: bool, mut memo: Option<&mut DecayMemo>) {
+        self.decay_joint(ts_ns, memo.as_deref_mut());
+        if into_a {
+            self.a.update_with(x, ts_ns, memo);
+            self.last_res_a = x - self.a.mean();
+        } else {
+            self.b.update_with(x, ts_ns, memo);
+            self.last_res_b = x - self.b.mean();
+        }
         self.sr += self.last_res_a * self.last_res_b;
         self.w3 += 1.0;
     }
@@ -365,6 +446,85 @@ mod tests {
         }
         assert!((s.mean() - 5.0).abs() < 1e-9);
         assert_eq!(s.finalize().len(), 3);
+    }
+
+    #[test]
+    fn memo_hit_returns_the_bits_of_a_fresh_powf() {
+        let mut memo = DecayMemo::new();
+        for (lambda, dt) in [(5.0, 1_234_567u64), (0.01, 3 * SEC), (0.1, 1)] {
+            let fresh = decay_factor(lambda, dt).to_bits();
+            assert_eq!(memo.decay(lambda, dt).to_bits(), fresh, "miss");
+            assert_eq!(memo.decay(lambda, dt).to_bits(), fresh, "hit");
+        }
+        assert_eq!(memo.len, 3);
+    }
+
+    #[test]
+    fn memo_past_capacity_still_computes() {
+        let mut memo = DecayMemo::new();
+        // 40 distinct keys in one record: 16 are kept, every answer is right,
+        // early ones are still served, late ones are recomputed each time.
+        for round in 0..2 {
+            for i in 0..40u64 {
+                let (lambda, dt) = (0.5 + i as f64, 1_000 * (i + 1));
+                let want = decay_factor(lambda, dt).to_bits();
+                assert_eq!(memo.decay(lambda, dt).to_bits(), want, "{round}/{i}");
+            }
+            assert_eq!(memo.len, MEMO_SLOTS);
+        }
+    }
+
+    #[test]
+    fn memo_clear_forgets() {
+        let mut memo = DecayMemo::new();
+        memo.decay(1.0, SEC);
+        assert_eq!(memo.len, 1);
+        memo.clear();
+        assert_eq!(memo.len, 0);
+        // Same key after clear: computed again, same bits.
+        assert_eq!(memo.decay(1.0, SEC).to_bits(), 0.5f64.to_bits());
+    }
+
+    #[test]
+    fn memo_zero_lambda_and_zero_gap_are_exactly_one() {
+        let mut memo = DecayMemo::new();
+        assert_eq!(memo.decay(0.0, 7 * SEC), 1.0);
+        assert_eq!(memo.decay(3.0, 0), 1.0);
+        // λ = 0 at two gaps and Δt = 0 at two rates are four distinct keys.
+        assert_eq!(memo.decay(0.0, SEC), 1.0);
+        assert_eq!(memo.decay(1.0, 0), 1.0);
+        assert_eq!(memo.len, 4);
+    }
+
+    #[test]
+    fn memoised_updates_match_plain_updates_bitwise() {
+        let mut plain = (DampedStat::new(3.0), DampedPair::new(3.0));
+        let mut memod = plain;
+        let mut memo = DecayMemo::new();
+        // Forward, repeated and backward timestamps, both directions.
+        for (i, ts) in [0, SEC, SEC, 5 * SEC / 2, 2 * SEC, 4 * SEC]
+            .iter()
+            .enumerate()
+        {
+            let x = 100.0 + i as f64;
+            plain.0.update_at(x, *ts);
+            memo.clear();
+            memod.0.update_at_memo(x, *ts, &mut memo);
+            if i % 2 == 0 {
+                plain.1.update_a(x, *ts);
+            } else {
+                plain.1.update_b(x, *ts);
+            }
+            memod.1.update_memo(x, *ts, i % 2 == 0, &mut memo);
+            let bits = |t: [f64; 3], q: [f64; 4]| {
+                t.iter().chain(&q).map(|v| v.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(
+                bits(plain.0.triple(), plain.1.quad()),
+                bits(memod.0.triple(), memod.1.quad()),
+                "record {i}"
+            );
+        }
     }
 
     #[test]

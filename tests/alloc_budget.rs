@@ -1,0 +1,145 @@
+//! The allocation budget of the NIC hot path, held deterministically: how
+//! many heap allocations `FeNic::handle` makes for one Kitsune record that
+//! lands in existing groups, and how many more for one that opens a socket
+//! and a channel. Timing benches show the same thing on a quiet host; this
+//! counts, so it fails the same way everywhere.
+//!
+//! A counting `#[global_allocator]` needs `unsafe impl GlobalAlloc`, which is
+//! why this file — and only this file — lifts the workspace's
+//! `unsafe_code = "deny"`. It is a test binary of its own so the allocator
+//! is installed nowhere else.
+#![allow(unsafe_code)]
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use superfe::apps::policies::KITSUNE;
+use superfe::net::PacketRecord;
+use superfe::nic::FeNic;
+use superfe::policy::{compile, dsl};
+use superfe::switch::{FeSwitch, MgpvConfig, MgpvMessage, SwitchEvent};
+
+thread_local! {
+    /// Allocations made by this thread (the harness's other threads do not
+    /// disturb the count). `const` so reading it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the only addition is a thread-local counter bump
+// that neither allocates nor unwinds (`try_with` covers thread teardown).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // Growing a buffer counts as an allocation.
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Allocations this thread makes while running `f`.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// Runs `packets` through the switch and flushes it, then splits every MGPV
+/// message into one message per record, so one `handle` is one record.
+fn events_per_record(sw: &mut FeSwitch, packets: &[PacketRecord]) -> Vec<SwitchEvent> {
+    let mut events = Vec::new();
+    for p in packets {
+        sw.process_into(p, &mut events);
+    }
+    sw.flush_into(&mut events);
+    let mut split = Vec::new();
+    for e in events {
+        match e {
+            SwitchEvent::Mgpv(m) => split.extend(m.records.iter().map(|r| {
+                SwitchEvent::Mgpv(MgpvMessage {
+                    records: vec![*r],
+                    ..m.clone()
+                })
+            })),
+            other => split.push(other),
+        }
+    }
+    split
+}
+
+fn is_record(e: &SwitchEvent) -> bool {
+    matches!(e, SwitchEvent::Mgpv(_))
+}
+
+#[test]
+fn kitsune_records_stay_within_their_allocation_budget() {
+    const RECORDS: usize = 64;
+    let compiled = compile(&dsl::parse(KITSUNE).unwrap()).unwrap();
+    let mut sw = FeSwitch::new(compiled.switch.clone()).unwrap();
+    let mut nic = FeNic::new(&compiled, MgpvConfig::default().fg_table_size).unwrap();
+    let mut ts = 0u64;
+    let mut packet = |src_port: u16, dst_ip: u32| {
+        ts += 1_000;
+        PacketRecord::tcp(ts, 400, 1, src_port, dst_ip, 80)
+    };
+
+    // One socket of host 1, long enough that every buffer has its size.
+    let warm: Vec<_> = (0..RECORDS).map(|_| packet(1000, 2)).collect();
+    for e in events_per_record(&mut sw, &warm) {
+        nic.handle(&e);
+        drop(nic.take_packet_vectors());
+    }
+
+    // Steady state: the record's 115-value vector, and the buffer of pending
+    // vectors regrown because `take_packet_vectors` handed it away.
+    const STEADY: u64 = 2;
+    let steady: Vec<_> = (0..RECORDS).map(|_| packet(1000, 2)).collect();
+    let steady = events_per_record(&mut sw, &steady);
+    assert_eq!(steady.iter().filter(|e| is_record(e)).count(), RECORDS);
+    for e in &steady {
+        let n = allocations(|| {
+            nic.handle(e);
+            drop(nic.take_packet_vectors());
+        });
+        assert_eq!(n, STEADY * u64::from(is_record(e)), "steady record");
+    }
+
+    // Every record a new socket and a new channel of the same host: at most
+    // five allocations above steady state (two lanes for the socket group,
+    // three for the channel group).
+    let fresh: Vec<_> = (0..RECORDS as u16)
+        .map(|i| packet(2000 + i, 100 + u32::from(i)))
+        .collect();
+    let fresh = events_per_record(&mut sw, &fresh);
+    let before = nic.groups_per_level();
+    for e in &fresh {
+        let n = allocations(|| {
+            nic.handle(e);
+            drop(nic.take_packet_vectors());
+        });
+        assert!(
+            n <= (STEADY + 5) * u64::from(is_record(e)),
+            "opening record: {n}"
+        );
+    }
+    let after = nic.groups_per_level();
+    assert_eq!(after[0].1 - before[0].1, RECORDS, "sockets opened");
+    assert_eq!(after[1].1 - before[1].1, RECORDS, "channels opened");
+    assert_eq!(after[2].1, before[2].1, "same host throughout");
+}
