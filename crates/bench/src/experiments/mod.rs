@@ -1,8 +1,6 @@
 //! One submodule per table/figure of the paper's evaluation (§8).
 
 pub mod ablations;
-pub mod ctrl;
-pub mod detect;
 pub mod fig09;
 pub mod fig10;
 pub mod fig11;
@@ -16,7 +14,6 @@ pub mod scale;
 pub mod tab02;
 pub mod tab03;
 pub mod tab04;
-pub mod throughput;
 
 /// The four §8.3 case-study applications: `(name, policy source)`.
 pub fn study_apps() -> Vec<(&'static str, &'static str)> {
@@ -29,30 +26,34 @@ pub fn study_apps() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-/// One experiment section: display name plus its report generator.
-type Section = (&'static str, fn() -> String);
+/// One experiment: the name the `bench` binary takes (its module's name)
+/// and its report generator.
+pub type Experiment = (&'static str, fn() -> String);
+
+/// Every experiment, in paper order.
+pub const EXPERIMENTS: [Experiment; 14] = [
+    ("tab02", tab02::run),
+    ("tab03", tab03::run),
+    ("fig09", fig09::run),
+    ("fig10", fig10::run),
+    ("fig11", fig11::run),
+    ("tab04", tab04::run),
+    ("fig12", fig12::run),
+    ("fig13", fig13::run),
+    ("fig14", fig14::run),
+    ("fig15", fig15::run),
+    ("fig16", fig16::run),
+    ("fig17", fig17::run),
+    ("ablations", ablations::run),
+    ("scale", scale::run),
+];
 
 /// Runs every experiment, in paper order, concatenating the reports.
 pub fn run_all() -> String {
-    let sections: Vec<Section> = vec![
-        ("Table 2", tab02::run as fn() -> String),
-        ("Table 3", tab03::run),
-        ("Figure 9", fig09::run),
-        ("Figure 10", fig10::run),
-        ("Figure 11", fig11::run),
-        ("Table 4", tab04::run),
-        ("Figure 12", fig12::run),
-        ("Figure 13", fig13::run),
-        ("Figure 14", fig14::run),
-        ("Figure 15", fig15::run),
-        ("Figure 16", fig16::run),
-        ("Figure 17", fig17::run),
-        ("Ablations", ablations::run),
-    ];
     let mut out = String::new();
-    for (name, f) in sections {
-        eprintln!("[run_all] {name} ...");
-        out.push_str(&f());
+    for (name, report) in EXPERIMENTS {
+        eprintln!("[bench] {name} ...");
+        out.push_str(&report());
         out.push('\n');
     }
     out

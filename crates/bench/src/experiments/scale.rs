@@ -1,71 +1,62 @@
-//! Corpus-scale state management: the `BENCH_scale.json` artifact.
+//! Bounded NIC state at corpus scale: flow count × DRAM eviction policy.
 //!
-//! Sweeps flow count × NIC DRAM eviction policy over the streamed
-//! [`superfe_trafficgen::ScaleWorkload`] (diurnal curve, flash crowd,
-//! mid-stream attack burst — never materialized) and measures, per cell:
-//! throughput, peak RSS (`VmHWM`, reset per cell where the platform
-//! allows), eviction/overflow counters, and — for the flow counts where an
-//! unbounded baseline is affordable — the accuracy impact of eviction
-//! (fraction of baseline groups whose final feature vector survives
-//! intact, i.e. emitted exactly once and bitwise-equal).
+//! Streams [`superfe_trafficgen::ScaleWorkload`] (diurnal curve, flash
+//! crowd, mid-stream attack burst — never materialized) through one
+//! `FeSwitch` + one `FeNic` under a fixed DRAM overflow budget and reports,
+//! per cell, what the budget did: groups evicted, updates refused, and the
+//! accuracy cost against an unbounded pass (fraction of its groups whose
+//! feature vector no longer comes out exactly once and bitwise-equal).
+//! Everything here is a function of the seeds; what the budget costs in
+//! time and memory is the `scale_churn` workload of `benchmark/`.
 //!
-//! The extractor runs single-threaded (one `FeSwitch` + one `FeNic`) so
-//! the bounded-state behavior, not shard scheduling, is what's measured.
-//! Evicted groups are drained incrementally ([`superfe_nic::FeNic::
-//! take_evicted`]) — at 1M flows letting them accumulate would itself be
-//! the unbounded growth the budget exists to prevent.
+//! The extractor runs single-threaded so the bounded-state behavior, not
+//! shard scheduling, is what's observed. Evicted groups are drained
+//! incrementally ([`superfe_nic::FeNic::take_evicted`]) — letting them
+//! accumulate would itself be the unbounded growth the budget exists to
+//! prevent.
 
 use std::collections::HashMap;
 
 use superfe_core::{gate, SuperFeConfig};
 use superfe_net::GroupKey;
-use superfe_nic::{EvictionPolicy, FeNic, NicStats, TableBudget};
+use superfe_nic::{EvictionPolicy, FeNic, FeatureVector, NicStats, TableBudget};
 use superfe_policy::dsl;
 use superfe_switch::FeSwitch;
 use superfe_trafficgen::ScaleWorkload;
 
-use crate::harness::{self, host_json, HarnessConfig, Measurement};
+use crate::util::table;
 
-/// Default flow-count sweep (the corpus regimes named by the roadmap).
-pub const FLOW_SWEEP: [usize; 3] = [10_000, 100_000, 1_000_000];
+/// Flow counts swept.
+const FLOW_SWEEP: [usize; 2] = [10_000, 100_000];
 
-/// Default workload seed (`--seed` overrides it).
-pub const DEFAULT_SEED: u64 = 11;
+/// Workload seed.
+const SEED: u64 = 11;
 
-/// Default `RandomWay` victim seed (`--evict-seed` overrides it).
-pub const DEFAULT_EVICT_SEED: u64 = 7;
+/// `RandomWay` victim seed.
+const EVICT_SEED: u64 = 7;
 
-/// DRAM overflow budget (entries per group-table level) under measurement.
-/// The NIC fast table absorbs ~64k groups before anything spills, so with
-/// this cap the 10k corpus never spills, the 100k corpus spills past the
-/// cap and must evict, and the 1M corpus churns hard — the sweep shows the
-/// whole gradient.
-pub const MAX_DRAM_ENTRIES: usize = 1 << 14;
+/// DRAM overflow budget (entries per group-table level). The NIC fast
+/// table absorbs ~64k groups before anything spills, so with this cap the
+/// 10k corpus never spills and the 100k corpus spills past the cap and
+/// must evict.
+const MAX_DRAM_ENTRIES: usize = 1 << 14;
 
-/// Largest flow count for which the unbounded accuracy baseline is
-/// computed (holding every group's final vector in a map); above this the
-/// accuracy column is reported as `null` to keep the bench itself bounded.
-pub const ACCURACY_BASELINE_MAX_FLOWS: usize = 200_000;
-
-/// Flow-granularity measurement policy: one group per flow, mergeable
+/// Flow-granularity policy: one group per flow, mergeable
 /// (`f_sum`) and non-mergeable-looking (`f_max`) reductions.
-pub const POLICY: &str = "pktstream\n.groupby(flow)\n.reduce(size, [f_sum, f_max])\n.collect(flow)";
+const POLICY: &str = "pktstream\n.groupby(flow)\n.reduce(size, [f_sum, f_max])\n.collect(flow)";
 
 /// Packets between incremental eviction drains.
 const DRAIN_EVERY: u64 = 4096;
 
-/// The swept eviction policies, with their JSON labels. `evict_seed`
-/// drives the `RandomWay` victim sequence; the `lru` row sits next to
-/// `evict_oldest` so the bench shows what true access-ordering buys over
-/// the insertion-order approximation.
-pub fn policy_sweep(evict_seed: u64) -> Vec<(&'static str, EvictionPolicy)> {
-    vec![
-        ("drop_new", EvictionPolicy::DropNew),
-        ("evict_oldest", EvictionPolicy::EvictOldest),
-        ("lru", EvictionPolicy::Lru),
-        ("random_way", EvictionPolicy::RandomWay { seed: evict_seed }),
-    ]
-}
+/// The swept eviction policies. The `lru` row sits next to `evict_oldest`
+/// so the table shows what true access-ordering buys over the
+/// insertion-order approximation.
+const POLICY_SWEEP: [(&str, EvictionPolicy); 4] = [
+    ("drop_new", EvictionPolicy::DropNew),
+    ("evict_oldest", EvictionPolicy::EvictOldest),
+    ("lru", EvictionPolicy::Lru),
+    ("random_way", EvictionPolicy::RandomWay { seed: EVICT_SEED }),
+];
 
 /// FNV-1a over a byte slice, continuing `h`.
 fn fnv1a(h: &mut u64, bytes: &[u8]) {
@@ -94,13 +85,31 @@ struct PassOutput {
     evicted_vectors: u64,
     final_vectors: u64,
     nic: NicStats,
-    /// Per-key emitted vectors, kept only when an accuracy comparison
-    /// against this pass (or of this pass) is requested.
-    per_key: Option<HashMap<GroupKey, Vec<Vec<f64>>>>,
+    /// Per-key emitted vectors, for the accuracy comparison.
+    per_key: HashMap<GroupKey, Vec<Vec<f64>>>,
+}
+
+impl PassOutput {
+    /// Folds emitted vectors into the digest, the counters and the per-key
+    /// record.
+    fn absorb(&mut self, vectors: impl IntoIterator<Item = FeatureVector>, evicted: bool) {
+        for v in vectors {
+            digest_vector(&mut self.digest, &v.key, v.values.as_slice());
+            if evicted {
+                self.evicted_vectors += 1;
+            } else {
+                self.final_vectors += 1;
+            }
+            self.per_key
+                .entry(v.key)
+                .or_default()
+                .push(v.values.as_slice().to_vec());
+        }
+    }
 }
 
 /// Streams the workload through one switch+NIC pair under `budget`.
-fn run_pass(flows: usize, seed: u64, budget: TableBudget, keep_per_key: bool) -> PassOutput {
+fn run_pass(flows: usize, seed: u64, budget: TableBudget) -> PassOutput {
     let policy = dsl::parse(POLICY).expect("bundled policy parses");
     let cfg = SuperFeConfig::default();
     let compiled = gate(&policy, &cfg).expect("policy deploys");
@@ -109,26 +118,8 @@ fn run_pass(flows: usize, seed: u64, budget: TableBudget, keep_per_key: bool) ->
     let mut nic = FeNic::with_budget(&compiled, cfg.cache.fg_table_size, budget)
         .expect("default table geometry");
 
-    let mut out = PassOutput {
-        per_key: keep_per_key.then(HashMap::new),
-        ..PassOutput::default()
-    };
+    let mut out = PassOutput::default();
     let mut frame = Vec::new();
-    let fold = |out: &mut PassOutput, vectors: Vec<superfe_nic::FeatureVector>, evicted: bool| {
-        for v in vectors {
-            digest_vector(&mut out.digest, &v.key, v.values.as_slice());
-            if evicted {
-                out.evicted_vectors += 1;
-            } else {
-                out.final_vectors += 1;
-            }
-            if let Some(map) = out.per_key.as_mut() {
-                map.entry(v.key)
-                    .or_default()
-                    .push(v.values.as_slice().to_vec());
-            }
-        }
-    };
     for p in ScaleWorkload::flows(flows).seed(seed).stream() {
         frame.clear();
         switch.process_into(&p, &mut frame);
@@ -137,31 +128,28 @@ fn run_pass(flows: usize, seed: u64, budget: TableBudget, keep_per_key: bool) ->
         }
         out.packets += 1;
         if out.packets.is_multiple_of(DRAIN_EVERY) {
-            let ev: Vec<_> = nic.take_evicted().into_iter().map(|e| e.vector).collect();
-            fold(&mut out, ev, true);
+            out.absorb(nic.take_evicted().into_iter().map(|e| e.vector), true);
         }
     }
-    let ev: Vec<_> = nic.take_evicted().into_iter().map(|e| e.vector).collect();
-    fold(&mut out, ev, true);
-    let fin = nic.finish();
-    fold(&mut out, fin, false);
+    out.absorb(nic.take_evicted().into_iter().map(|e| e.vector), true);
+    out.absorb(nic.finish(), false);
     out.nic = *nic.stats();
     out
 }
 
 /// Accuracy of a bounded pass against the unbounded baseline.
 #[derive(Clone, Copy, Debug)]
-pub struct Accuracy {
+struct Accuracy {
     /// Groups the unbounded run finished with.
-    pub baseline_groups: u64,
+    baseline_groups: u64,
     /// Baseline groups whose bounded output is a single bitwise-equal
     /// vector (never split by eviction, never dropped).
-    pub intact_groups: u64,
+    intact_groups: u64,
 }
 
 impl Accuracy {
     /// Fraction of baseline groups degraded by the budget.
-    pub fn delta(&self) -> f64 {
+    fn delta(&self) -> f64 {
         if self.baseline_groups == 0 {
             return 0.0;
         }
@@ -170,16 +158,12 @@ impl Accuracy {
 }
 
 fn compare(baseline: &HashMap<GroupKey, Vec<Vec<f64>>>, bounded: &PassOutput) -> Accuracy {
-    let per_key = bounded
-        .per_key
-        .as_ref()
-        .expect("bounded pass kept per-key vectors");
     let mut intact = 0u64;
     for (key, base_vecs) in baseline {
         let [base] = base_vecs.as_slice() else {
             continue; // baseline itself split (cannot happen unbounded)
         };
-        if let Some([one]) = per_key.get(key).map(Vec::as_slice) {
+        if let Some([one]) = bounded.per_key.get(key).map(Vec::as_slice) {
             if one.len() == base.len()
                 && one
                     .iter()
@@ -196,164 +180,51 @@ fn compare(baseline: &HashMap<GroupKey, Vec<Vec<f64>>>, bounded: &PassOutput) ->
     }
 }
 
-/// One measured (flows × policy) cell.
-#[derive(Clone, Debug)]
-pub struct Cell {
-    /// Background flows in the workload.
-    pub flows: usize,
-    /// JSON label of the eviction policy.
-    pub policy: &'static str,
-    /// Packets the stream emitted.
-    pub packets: u64,
-    /// The harnessed wall-clock measurement.
-    pub measurement: Measurement,
-    /// End-to-end throughput in packets/second (from the mean run).
-    pub pkts_per_sec: f64,
-    /// Peak RSS in kiB over this cell's runs (`VmHWM`; cumulative
-    /// upper bound where the watermark reset is unsupported).
-    pub peak_rss_kb: u64,
-    /// FNV-1a digest over every emitted vector (evicted + final).
-    pub digest: u64,
-    /// Vectors emitted early by DRAM eviction.
-    pub evicted_vectors: u64,
-    /// Groups alive at finish.
-    pub final_vectors: u64,
-    /// NIC engine counters of one pass.
-    pub nic: NicStats,
-    /// Accuracy vs the unbounded baseline; `None` above
-    /// [`ACCURACY_BASELINE_MAX_FLOWS`].
-    pub accuracy: Option<Accuracy>,
-}
-
-/// The full sweep.
-#[derive(Clone, Debug)]
-pub struct ScaleBench {
-    /// Workload seed in force.
-    pub seed: u64,
-    /// Warmup/measured run protocol in force.
-    pub harness: HarnessConfig,
-    /// One row per (flows × policy) cell.
-    pub cells: Vec<Cell>,
-}
-
-/// Runs the sweep: for each flow count, an unbounded baseline (when
-/// affordable) then every eviction policy under the fixed DRAM budget.
-pub fn measure_with(
-    flow_counts: &[usize],
-    seed: u64,
-    evict_seed: u64,
-    cfg: &HarnessConfig,
-) -> ScaleBench {
-    let mut cells = Vec::new();
-    for &flows in flow_counts {
-        let with_accuracy = flows <= ACCURACY_BASELINE_MAX_FLOWS;
-        let baseline = with_accuracy.then(|| {
-            run_pass(flows, seed, TableBudget::default(), true)
-                .per_key
-                .expect("baseline keeps per-key vectors")
-        });
-        for (label, policy) in policy_sweep(evict_seed) {
-            let budget = TableBudget {
-                max_dram_entries: MAX_DRAM_ENTRIES,
-                policy,
-            };
-            harness::reset_peak_rss();
-            let mut last: Option<PassOutput> = None;
-            let measurement = harness::measure(cfg, |_| {
-                last = Some(run_pass(flows, seed, budget, with_accuracy));
-            });
-            let peak_rss_kb = harness::peak_rss_kb();
-            let out = last.expect("at least one measured run");
-            let accuracy = baseline.as_ref().map(|b| compare(b, &out));
-            cells.push(Cell {
-                flows,
-                policy: label,
-                packets: out.packets,
-                pkts_per_sec: out.packets as f64 / measurement.mean_secs(),
-                measurement,
-                peak_rss_kb,
-                digest: out.digest,
-                evicted_vectors: out.evicted_vectors,
-                final_vectors: out.final_vectors,
-                nic: out.nic,
-                accuracy,
-            });
-        }
-    }
-    ScaleBench {
-        seed,
-        harness: *cfg,
-        cells,
-    }
-}
-
-/// [`measure_with`] over the default sweep and harness protocol.
-pub fn measure(flow_counts: &[usize], seed: u64) -> ScaleBench {
-    measure_with(
-        flow_counts,
-        seed,
-        DEFAULT_EVICT_SEED,
-        &HarnessConfig::default(),
-    )
-}
-
-impl ScaleBench {
-    /// Renders the measurement as the `BENCH_scale.json` document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"experiment\": \"scale_state_management\",\n");
-        out.push_str("  \"workload\": \"corpus_scale\",\n");
-        out.push_str("  \"policy\": \"flow_sum_max\",\n");
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  {},\n", host_json()));
-        out.push_str(&format!(
-            "  \"warmup_runs\": {}, \"measured_runs\": {},\n",
-            self.harness.warmup,
-            self.harness.runs.max(1)
-        ));
-        out.push_str(&format!(
-            "  \"budget\": {{ \"max_dram_entries\": {MAX_DRAM_ENTRIES} }},\n"
-        ));
-        out.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let sep = if i + 1 == self.cells.len() { "" } else { "," };
-            let accuracy = match &c.accuracy {
-                Some(a) => format!(
-                    "{{ \"baseline_groups\": {}, \"intact_groups\": {}, \"delta\": {:.6} }}",
-                    a.baseline_groups,
-                    a.intact_groups,
-                    a.delta()
-                ),
-                None => "null".into(),
-            };
-            out.push_str(&format!(
-                "    {{ \"flows\": {}, \"policy\": \"{}\", \"packets\": {}, \
-                 \"pkts_per_sec\": {:.0}, {},\n      \"peak_rss_kb\": {}, \
-                 \"evicted_vectors\": {}, \"final_vectors\": {}, \
-                 \"evicted_groups\": {}, \"overflow_drops\": {}, \
-                 \"digest\": \"{:016x}\", \"accuracy\": {} }}{sep}\n",
-                c.flows,
-                c.policy,
-                c.packets,
-                c.pkts_per_sec,
-                c.measurement.elapsed_ms().to_json_fields("elapsed_ms"),
-                c.peak_rss_kb,
-                c.evicted_vectors,
-                c.final_vectors,
-                c.nic.evicted_groups,
-                c.nic.overflow_drops,
-                c.digest,
-                accuracy
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
-
-/// Runs the default sweep and returns the JSON document.
+/// The flows × eviction-policy table: for each flow count an unbounded
+/// baseline pass, then every eviction policy under the fixed DRAM budget.
 pub fn run() -> String {
-    measure(&FLOW_SWEEP, DEFAULT_SEED).to_json()
+    let mut rows = Vec::new();
+    for flows in FLOW_SWEEP {
+        let baseline = run_pass(flows, SEED, TableBudget::default()).per_key;
+        for (label, policy) in POLICY_SWEEP {
+            let budget = TableBudget::capped(MAX_DRAM_ENTRIES, policy);
+            let out = run_pass(flows, SEED, budget);
+            let acc = compare(&baseline, &out);
+            rows.push(vec![
+                flows.to_string(),
+                label.to_string(),
+                out.packets.to_string(),
+                out.nic.evicted_groups.to_string(),
+                out.evicted_vectors.to_string(),
+                out.final_vectors.to_string(),
+                out.nic.overflow_drops.to_string(),
+                format!("{:016x}", out.digest),
+                acc.baseline_groups.to_string(),
+                acc.intact_groups.to_string(),
+                format!("{:.6}", acc.delta()),
+            ]);
+        }
+    }
+    table(
+        &format!(
+            "Bounded NIC state: flows x eviction policy under a {MAX_DRAM_ENTRIES}-entry DRAM \
+             budget (seed {SEED})"
+        ),
+        &[
+            "flows",
+            "policy",
+            "packets",
+            "evicted groups",
+            "evicted vectors",
+            "final vectors",
+            "overflow drops",
+            "digest",
+            "baseline groups",
+            "intact groups",
+            "accuracy delta",
+        ],
+        &rows,
+    )
 }
 
 #[cfg(test)]
@@ -361,50 +232,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_sweep_produces_schema_and_deterministic_digests() {
-        let cfg = HarnessConfig { warmup: 0, runs: 2 };
-        let b = measure_with(&[2_000], 3, DEFAULT_EVICT_SEED, &cfg);
-        assert_eq!(b.cells.len(), 4);
-        for c in &b.cells {
-            assert!(c.packets > 0);
-            assert!(c.pkts_per_sec > 0.0);
-            assert!(c.final_vectors + c.evicted_vectors > 0, "no vectors out");
-            let a = c.accuracy.expect("small sweep has a baseline");
-            assert!(a.baseline_groups > 0);
-            assert!(a.intact_groups <= a.baseline_groups);
-        }
+    fn below_the_cap_every_policy_matches_the_unbounded_pass() {
         // At 2k flows nothing spills past the DRAM budget: every policy
         // behaves identically and matches the unbounded baseline exactly.
-        assert!(b.cells.iter().all(|c| c.nic.evicted_groups == 0));
-        assert!(b.cells.iter().all(|c| c.accuracy.unwrap().delta() == 0.0));
-        let d0 = b.cells[0].digest;
-        assert!(b.cells.iter().all(|c| c.digest == d0));
-        // Same seed, same digest on a re-run.
-        let again = measure_with(
-            &[2_000],
-            3,
-            DEFAULT_EVICT_SEED,
-            &HarnessConfig { warmup: 0, runs: 1 },
-        );
-        assert_eq!(again.cells[0].digest, d0);
-        let json = b.to_json();
-        for key in [
-            "\"experiment\"",
-            "\"scale_state_management\"",
-            "\"host_parallelism\"",
-            "\"budget\"",
-            "\"max_dram_entries\"",
-            "\"cells\"",
-            "\"flows\"",
-            "\"pkts_per_sec\"",
-            "\"peak_rss_kb\"",
-            "\"evicted_groups\"",
-            "\"overflow_drops\"",
-            "\"digest\"",
-            "\"accuracy\"",
-            "\"elapsed_ms_mean\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+        let baseline = run_pass(2_000, 3, TableBudget::default());
+        assert!(baseline.packets > 0);
+        assert!(baseline.final_vectors > 0, "no vectors out");
+        for (label, policy) in POLICY_SWEEP {
+            let budget = TableBudget::capped(MAX_DRAM_ENTRIES, policy);
+            let out = run_pass(2_000, 3, budget);
+            assert_eq!(out.nic.evicted_groups, 0, "{label}");
+            assert_eq!(out.digest, baseline.digest, "{label}");
+            let acc = compare(&baseline.per_key, &out);
+            assert!(acc.baseline_groups > 0);
+            assert_eq!(acc.delta(), 0.0, "{label}");
         }
     }
 
@@ -422,7 +263,7 @@ mod tests {
         per_key.insert(key(4), vec![vec![5.0, -5.0]]); // diverged
                                                        // key(3) dropped entirely (DropNew at the cap).
         let bounded = PassOutput {
-            per_key: Some(per_key),
+            per_key,
             ..PassOutput::default()
         };
         let acc = compare(&baseline, &bounded);
@@ -432,22 +273,20 @@ mod tests {
     }
 
     /// The full gradient needs enough groups to overflow the NIC fast
-    /// table (~64k entries) — expensive in debug builds, so opt-in:
-    /// `cargo test --release -p superfe-bench -- --ignored scale`.
+    /// table (~64k entries) — expensive in debug builds, so opt-in, and a
+    /// named `ci.sh` step:
+    /// `cargo test --release -p superfe-bench -- --ignored tight_budget`.
     #[test]
     #[ignore = "needs ~90k flows to spill past the fast table; run in release"]
     fn tight_budget_evicts_and_accuracy_degrades() {
         let seed = 5;
         let flows = 90_000;
-        let baseline = run_pass(flows, seed, TableBudget::default(), true);
-        let tight = TableBudget {
-            max_dram_entries: MAX_DRAM_ENTRIES,
-            policy: EvictionPolicy::EvictOldest,
-        };
-        let bounded = run_pass(flows, seed, tight, true);
+        let baseline = run_pass(flows, seed, TableBudget::default());
+        let tight = TableBudget::capped(MAX_DRAM_ENTRIES, EvictionPolicy::EvictOldest);
+        let bounded = run_pass(flows, seed, tight);
         assert!(bounded.nic.evicted_groups > 0, "cap must bite");
         assert_eq!(bounded.packets, baseline.packets);
-        let acc = compare(baseline.per_key.as_ref().unwrap(), &bounded);
+        let acc = compare(&baseline.per_key, &bounded);
         // Insertion-order eviction mostly reaps *finished* short flows, so
         // its accuracy cost is small — but every evicted group still
         // surfaced as a typed vector, nothing silently lost.
@@ -458,18 +297,11 @@ mod tests {
         );
         // DropNew refuses new groups instead: drops counted, no evictions,
         // and the refused groups are the measurable accuracy loss.
-        let drop = run_pass(
-            flows,
-            seed,
-            TableBudget {
-                max_dram_entries: MAX_DRAM_ENTRIES,
-                policy: EvictionPolicy::DropNew,
-            },
-            true,
-        );
+        let drop_new = TableBudget::capped(MAX_DRAM_ENTRIES, EvictionPolicy::DropNew);
+        let drop = run_pass(flows, seed, drop_new);
         assert!(drop.nic.overflow_drops > 0);
         assert_eq!(drop.nic.evicted_groups, 0);
-        let drop_acc = compare(baseline.per_key.as_ref().unwrap(), &drop);
+        let drop_acc = compare(&baseline.per_key, &drop);
         assert!(
             drop_acc.delta() > acc.delta(),
             "refusing new groups costs more accuracy than reaping old ones"

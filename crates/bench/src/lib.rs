@@ -1,9 +1,11 @@
 //! The SuperFE evaluation harness: one module per table/figure of §8.
 //!
 //! Every module exposes `run() -> String` producing the table the paper
-//! reports (same rows/series; absolute numbers come from this machine and
-//! the hardware models). The `run_all` binary regenerates everything;
-//! per-experiment binaries (`fig09_throughput`, `tab02_traces`, …) run one.
+//! reports (same rows/series; functional shapes and hardware-model numbers,
+//! plus this machine's wall clock in Figs. 9, 15 and 16). The one `bench`
+//! binary runs them by module name: `cargo run --release -p superfe-bench --
+//! <all|list|tab02|fig12|...>`. Performance numbers anything is claimed
+//! against come from `benchmark/run.sh`, not from this crate.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -19,7 +21,8 @@
 //! | [`experiments::fig15`] | Fig. 15 — streaming vs naive algorithms |
 //! | [`experiments::fig16`] | Fig. 16 — multi-core scalability |
 //! | [`experiments::fig17`] | Fig. 17 — incremental NIC optimizations |
+//! | [`experiments::ablations`] | Ablations — long buffers, probe rate, table width |
+//! | [`experiments::scale`] | Bounded NIC state — flows × eviction policy |
 
 pub mod experiments;
-pub mod harness;
 pub mod util;

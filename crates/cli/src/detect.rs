@@ -1,0 +1,809 @@
+//! `superfe detect`: online detection over a labelled intrusion trace.
+//!
+//! Trains a detector on a benign intrusion-scenario trace through the
+//! `Training → Calibrating → Serving` lifecycle, then serves a labelled
+//! attack trace through [`superfe_detect::DetectPipeline`] and reports the
+//! calibrated threshold, alert counts split by ground-truth label, and
+//! precision/recall/F1/AUC. With `--in-pipeline` the same trace is also
+//! served through the SF09xx-certified fixed-point model inside the NIC
+//! shards, and the certificate is reported next to the measured
+//! float-vs-quantized score divergence.
+//!
+//! Everything in the document is a function of the flags: the same seed
+//! gives the same bytes. What inference costs is the `kitsune_inline`
+//! workload of `benchmark/` against `kitsune_extract`.
+
+use std::sync::Arc;
+
+use superfe_core::{StreamingPipeline, SuperFe, SuperFeConfig};
+use superfe_detect::{
+    label_scores, max_score_delta, score_offline_quantized, DetectPipeline, DetectorKind,
+    QuantizedSection, ServeConfig,
+};
+use superfe_ml::{auc, train_and_calibrate, CalibrationConfig, Confusion, FrozenDetector};
+use superfe_net::PacketRecord;
+use superfe_policy::analyze::json_escape;
+use superfe_policy::analyze::quant::{certify, QuantCheckConfig};
+use superfe_trafficgen::intrusion::{self, IntrusionConfig, Scenario};
+
+use crate::{err, parsed, CliError};
+
+/// The policy served: Kitsune's 115-dimensional per-packet feature vector
+/// over three granularities.
+const POLICY: &str = superfe_apps::policies::KITSUNE;
+
+/// Configuration of `superfe detect`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DetectConfig {
+    /// Which intrusion scenario to serve.
+    pub scenario: Scenario,
+    /// Which detector model to train.
+    pub detector: DetectorKind,
+    /// Benign packets in the training trace (seeded with `seed`).
+    pub benign_packets: usize,
+    /// Benign packets in the served trace (seeded with `seed + 1`).
+    pub serve_benign: usize,
+    /// Attack packets in the served trace.
+    pub attack_packets: usize,
+    /// Base RNG seed: the training trace uses `seed`, the served trace
+    /// `seed + 1`, and the detector (KitNET init / CART background) `seed`.
+    pub seed: u64,
+    /// NIC shard and inference worker count.
+    pub workers: usize,
+    /// Calibration quantile (see [`CalibrationConfig`]).
+    pub quantile: f64,
+    /// Calibration margin (see [`CalibrationConfig`]).
+    pub margin: f64,
+    /// Also serve through the in-pipeline quantized path: certify the
+    /// detector's fixed-point lowering (SF09xx) and run the same trace
+    /// through [`StreamingPipeline::with_inference`].
+    pub in_pipeline: bool,
+}
+
+impl Default for DetectConfig {
+    fn default() -> Self {
+        let cal = CalibrationConfig::default();
+        DetectConfig {
+            scenario: Scenario::Mirai,
+            detector: DetectorKind::KitNet,
+            benign_packets: 6_000,
+            serve_benign: 3_000,
+            attack_packets: 1_500,
+            seed: 1,
+            workers: 2,
+            quantile: cal.quantile,
+            margin: cal.margin,
+            in_pipeline: false,
+        }
+    }
+}
+
+/// Parses a scenario name (case-insensitive, `-`/`_` interchangeable).
+fn parse_scenario(s: &str) -> Option<Scenario> {
+    let norm = s.to_ascii_lowercase().replace('-', "_");
+    Scenario::all()
+        .into_iter()
+        .find(|sc| sc.name().to_ascii_lowercase() == norm)
+}
+
+/// Parses the flags after `superfe detect` into the configuration and the
+/// optional `--out` path. Flags are a trust boundary: every value that
+/// would make the run meaningless (a non-finite threshold, an empty served
+/// trace) is refused here, naming the flag.
+pub(crate) fn parse_flags<'a>(
+    mut it: impl Iterator<Item = &'a String>,
+) -> Result<(DetectConfig, Option<String>), CliError> {
+    let mut cfg = DetectConfig::default();
+    let mut out = None;
+    while let Some(flag) = it.next() {
+        let mut value = || {
+            it.next()
+                .cloned()
+                .ok_or_else(|| err(format!("{flag} needs a value")))
+        };
+        match flag.as_str() {
+            "--scenario" => {
+                let v = value()?;
+                cfg.scenario = parse_scenario(&v).ok_or_else(|| {
+                    err(format!(
+                        "--scenario expects one of os_scan, ssdp_flood, syn_dos, \
+                         fuzzing, mirai; got '{v}'"
+                    ))
+                })?;
+            }
+            "--detector" => {
+                let v = value()?;
+                cfg.detector = DetectorKind::parse(&v).ok_or_else(|| {
+                    err(format!(
+                        "--detector expects one of kitnet, knn, cart, centroid; got '{v}'"
+                    ))
+                })?;
+            }
+            "--benign" => cfg.benign_packets = parsed(flag, &value()?, "an integer")?,
+            "--serve-benign" => cfg.serve_benign = parsed(flag, &value()?, "an integer")?,
+            "--attack" => cfg.attack_packets = parsed(flag, &value()?, "an integer")?,
+            "--seed" => cfg.seed = parsed(flag, &value()?, "an integer")?,
+            "--workers" => {
+                cfg.workers = parsed(flag, &value()?, "an integer")?;
+                if cfg.workers == 0 {
+                    return Err(err("--workers expects a positive count"));
+                }
+            }
+            "--quantile" => {
+                cfg.quantile = parsed(flag, &value()?, "a number")?;
+                // `contains` is false for NaN, so this refuses it too.
+                if !(0.0..=1.0).contains(&cfg.quantile) {
+                    return Err(err("--quantile expects a value in [0, 1]"));
+                }
+            }
+            "--margin" => {
+                cfg.margin = parsed(flag, &value()?, "a number")?;
+                // NaN and inf parse as numbers and would calibrate a
+                // threshold no score can cross.
+                if !(cfg.margin.is_finite() && cfg.margin > 0.0) {
+                    return Err(err("--margin expects a finite positive value"));
+                }
+            }
+            "--in-pipeline" => cfg.in_pipeline = true,
+            "--out" => out = Some(value()?),
+            other => return Err(err(format!("unknown option '{other}'"))),
+        }
+    }
+    if cfg.serve_benign == 0 && cfg.attack_packets == 0 {
+        return Err(err(
+            "--serve-benign and --attack are both 0: the served trace is empty",
+        ));
+    }
+    Ok((cfg, out))
+}
+
+/// The `"detection"` section: the host-side float serving run.
+#[derive(Clone, Debug)]
+pub(crate) struct DetectionSummary {
+    /// Feature dimension of the policy's per-packet vectors.
+    feature_dim: usize,
+    /// Vectors used for training (before the calibration split).
+    train_vectors: usize,
+    /// Held-out benign vectors used for calibration.
+    calibration_vectors: usize,
+    /// The calibrated alert threshold.
+    threshold: f64,
+    /// Vectors scored by the serving executor.
+    scored: u64,
+    /// Scored vectors matched to a ground-truth label.
+    matched: usize,
+    /// Total alerts.
+    alerts: u64,
+    /// Alert-vs-label counts at the calibrated threshold: `tp` is alerts on
+    /// attack traffic, `fp` alerts on benign traffic (the CI smoke requires
+    /// 0 there).
+    confusion: Confusion,
+    /// Threshold-free ranking quality.
+    auc: f64,
+}
+
+/// The `"in_pipeline"` section: the SF09xx certificate and the fixed-point
+/// stage's alert stream.
+#[derive(Clone, Debug)]
+pub(crate) enum InPipelineSummary {
+    /// The detector has no fixed-point lowering (e.g. `knn`); the reason is
+    /// the SF0902 culprit.
+    Unsupported {
+        /// Blocking layer reported by the SF09xx pass.
+        reason: String,
+    },
+    /// The quantized stage ran in-pipeline.
+    Served {
+        /// Certificate-derived report section (format, bound, measured
+        /// delta, inline alert counts).
+        section: QuantizedSection,
+        /// Quantized-scored vectors matched to a ground-truth label.
+        matched: usize,
+        /// Inline-alert-vs-label counts over the matched vectors.
+        confusion: Confusion,
+    },
+}
+
+/// One `superfe detect` run.
+#[derive(Clone, Debug)]
+pub(crate) struct DetectRun {
+    cfg: DetectConfig,
+    detection: DetectionSummary,
+    /// Present when `cfg.in_pipeline`.
+    in_pipeline: Option<InPipelineSummary>,
+}
+
+/// A library error surfaced to the user as its message.
+fn fail(e: impl std::fmt::Display) -> CliError {
+    err(e.to_string())
+}
+
+/// Train + calibrate offline, then serve the labelled trace once through
+/// the host-side float path and, when asked, once through the in-pipeline
+/// quantized path. Degenerate configurations come back as errors.
+pub(crate) fn run(cfg: &DetectConfig) -> Result<DetectRun, CliError> {
+    // --- Train + calibrate on a benign trace (offline extraction). ---
+    let train_set = intrusion::generate(&IntrusionConfig {
+        scenario: cfg.scenario,
+        benign_packets: cfg.benign_packets,
+        attack_packets: 0,
+        seed: cfg.seed,
+    });
+    let mut fe = SuperFe::from_dsl(POLICY).map_err(fail)?;
+    for (p, _) in &train_set.labelled {
+        fe.push(p);
+    }
+    let train_vectors = fe.finish().packet_vectors;
+    if train_vectors.is_empty() {
+        return Err(err("training trace produced no feature vectors"));
+    }
+    let dim = train_vectors[0].values.len();
+    let refs: Vec<&[f64]> = train_vectors.iter().map(|v| v.values.as_slice()).collect();
+    let cal_frac = 0.2;
+    let det = cfg.detector.build(dim, cfg.seed).map_err(fail)?;
+    let frozen = train_and_calibrate(
+        det,
+        &refs,
+        cal_frac,
+        CalibrationConfig {
+            quantile: cfg.quantile,
+            margin: cfg.margin,
+        },
+    )
+    .map_err(fail)?;
+    let calibration_vectors =
+        ((refs.len() as f64 * cal_frac).round() as usize).clamp(1, refs.len() - 1);
+
+    // --- The served trace: benign warm-up, then the attack window. ---
+    let serve_set = intrusion::generate(&IntrusionConfig {
+        scenario: cfg.scenario,
+        benign_packets: cfg.serve_benign,
+        attack_packets: cfg.attack_packets,
+        seed: cfg.seed + 1,
+    });
+
+    let serve_cfg = ServeConfig {
+        workers: cfg.workers,
+        record_scores: true,
+        scenario: cfg.scenario.name().to_string(),
+        ..ServeConfig::default()
+    };
+    let mut dp =
+        DetectPipeline::from_dsl(POLICY, cfg.workers, &frozen, &serve_cfg).map_err(fail)?;
+    for (p, _) in &serve_set.labelled {
+        dp.push(p).map_err(fail)?;
+    }
+    let (_, report) = dp.finish().map_err(fail)?;
+
+    let scores = report.scores.as_ref().expect("record_scores was requested");
+    let scored_pairs = label_scores(scores, &serve_set.labelled);
+    let threshold = frozen.threshold();
+    let confusion = Confusion::from_pairs(scored_pairs.iter().map(|&(s, l)| (s > threshold, l)));
+
+    let in_pipeline = if cfg.in_pipeline {
+        Some(serve_in_pipeline(cfg, &frozen, &serve_set.labelled)?)
+    } else {
+        None
+    };
+    Ok(DetectRun {
+        cfg: *cfg,
+        detection: DetectionSummary {
+            feature_dim: dim,
+            train_vectors: refs.len() - calibration_vectors,
+            calibration_vectors,
+            threshold,
+            scored: report.totals.scored,
+            matched: scored_pairs.len(),
+            alerts: report.totals.alerts,
+            confusion,
+            auc: auc(&scored_pairs),
+        },
+        in_pipeline,
+    })
+}
+
+/// Certifies the fixed-point lowering, serves the trace through the
+/// in-pipeline stage, and assembles the in-pipeline section.
+fn serve_in_pipeline(
+    cfg: &DetectConfig,
+    frozen: &FrozenDetector,
+    labelled: &[(PacketRecord, bool)],
+) -> Result<InPipelineSummary, CliError> {
+    let policy = superfe_policy::dsl::parse(POLICY).map_err(fail)?;
+    let cert = certify(&policy, frozen, &QuantCheckConfig::default());
+    let Some(model) = cert.detector else {
+        return Ok(InPipelineSummary::Unsupported {
+            reason: cert.culprit.unwrap_or_else(|| "lowering".into()),
+        });
+    };
+    let model = Arc::new(model);
+
+    let mut fe = StreamingPipeline::with_inference(
+        &policy,
+        SuperFeConfig::default(),
+        cfg.workers,
+        model.clone(),
+    )
+    .map_err(fail)?;
+    for (p, _) in labelled {
+        fe.push(p).map_err(fail)?;
+    }
+    let ex = fe.finish().map_err(fail)?;
+    let stats = ex.inline_stats.unwrap_or_default();
+
+    // Reference-score the extraction's own vectors with the same quantized
+    // model to split inline alerts by ground-truth label, and measure the
+    // float-vs-quantized divergence the SF0901 bound must dominate.
+    let off = score_offline_quantized(
+        &model,
+        &ex.packet_vectors,
+        &ex.group_vectors,
+        cfg.scenario.name(),
+    );
+    let pairs = label_scores(&off.scores, labelled);
+    let delta = max_score_delta(
+        frozen,
+        &model,
+        ex.packet_vectors.iter().chain(&ex.group_vectors),
+    );
+
+    Ok(InPipelineSummary::Served {
+        section: QuantizedSection {
+            format: model.format(),
+            certified: cert.certified,
+            bound: cert.bound,
+            culprit: cert.culprit,
+            alu_ops: cert.alu_ops,
+            threshold: model.threshold(),
+            scored: stats.scored,
+            alerts: stats.alerts,
+            dim_errors: stats.dim_errors,
+            score_delta_max: delta,
+        },
+        matched: pairs.len(),
+        confusion: Confusion::from_pairs(pairs.iter().map(|&(s, l)| (model.is_alert(s), l))),
+    })
+}
+
+/// How a float of the document is written.
+#[derive(Clone, Copy)]
+enum Notation {
+    /// `{:.9e}`: thresholds, bounds, score deltas.
+    Scientific,
+    /// `{:.4}`: ratios in [0, 1].
+    Fixed,
+}
+
+/// Renders one float of the document. JSON has no `NaN` or `inf`; a value
+/// that is not finite (an unprovable SF0902 bound) is written as `null`.
+fn json_f64(x: f64, notation: Notation) -> String {
+    if !x.is_finite() {
+        return "null".into();
+    }
+    match notation {
+        Notation::Scientific => format!("{x:.9e}"),
+        Notation::Fixed => format!("{x:.4}"),
+    }
+}
+
+impl DetectRun {
+    /// The `"detection"` section alone.
+    fn detection_json(&self) -> String {
+        use Notation::{Fixed, Scientific};
+        let d = &self.detection;
+        format!(
+            "  \"detection\": {{\n\
+             \x20   \"feature_dim\": {},\n\
+             \x20   \"train_vectors\": {},\n\
+             \x20   \"calibration_vectors\": {},\n\
+             \x20   \"threshold\": {},\n\
+             \x20   \"scored\": {},\n\
+             \x20   \"matched\": {},\n\
+             \x20   \"alerts\": {},\n\
+             \x20   \"alerts_on_attack\": {},\n\
+             \x20   \"alerts_on_benign\": {},\n\
+             \x20   \"precision\": {},\n\
+             \x20   \"recall\": {},\n\
+             \x20   \"f1\": {},\n\
+             \x20   \"auc\": {}\n\
+             \x20 }}",
+            d.feature_dim,
+            d.train_vectors,
+            d.calibration_vectors,
+            json_f64(d.threshold, Scientific),
+            d.scored,
+            d.matched,
+            d.alerts,
+            d.confusion.tp,
+            d.confusion.fp,
+            json_f64(d.confusion.precision(), Fixed),
+            json_f64(d.confusion.recall(), Fixed),
+            json_f64(d.confusion.f1(), Fixed),
+            json_f64(d.auc, Fixed),
+        )
+    }
+
+    /// Renders the `"in_pipeline"` section: the SF09xx certificate next to
+    /// the in-pipeline alert stream and score fidelity.
+    fn in_pipeline_json(ip: &InPipelineSummary) -> String {
+        use Notation::Scientific;
+        let body = match ip {
+            InPipelineSummary::Unsupported { reason } => format!(
+                "    \"supported\": false,\n    \"reason\": \"{}\"\n",
+                json_escape(reason)
+            ),
+            InPipelineSummary::Served {
+                section,
+                matched,
+                confusion,
+            } => format!(
+                "    \"supported\": true,\n\
+                 \x20   \"format\": \"{}\",\n\
+                 \x20   \"certified\": {},\n\
+                 \x20   \"bound\": {},\n\
+                 \x20   \"culprit\": {},\n\
+                 \x20   \"alu_ops\": {},\n\
+                 \x20   \"threshold\": {},\n\
+                 \x20   \"scored\": {},\n\
+                 \x20   \"alerts\": {},\n\
+                 \x20   \"dim_errors\": {},\n\
+                 \x20   \"matched\": {matched},\n\
+                 \x20   \"alerts_on_attack\": {},\n\
+                 \x20   \"alerts_on_benign\": {},\n\
+                 \x20   \"score_delta_max\": {},\n\
+                 \x20   \"delta_within_bound\": {}\n",
+                json_escape(&section.format),
+                section.certified,
+                json_f64(section.bound, Scientific),
+                section
+                    .culprit
+                    .as_ref()
+                    .map_or("null".into(), |c| format!("\"{}\"", json_escape(c))),
+                section.alu_ops,
+                json_f64(section.threshold, Scientific),
+                section.scored,
+                section.alerts,
+                section.dim_errors,
+                confusion.tp,
+                confusion.fp,
+                json_f64(section.score_delta_max, Scientific),
+                section.delta_within_bound(),
+            ),
+        };
+        format!("  \"in_pipeline\": {{\n{body}  }}")
+    }
+
+    /// Renders the full document.
+    fn to_json(&self) -> String {
+        let mut out = format!(
+            "{{\n\
+             \x20 \"experiment\": \"online_detection\",\n\
+             \x20 \"policy\": \"Kitsune\",\n\
+             \x20 \"scenario\": \"{}\",\n\
+             \x20 \"detector\": \"{}\",\n\
+             \x20 \"seed\": {},\n\
+             \x20 \"workers\": {},\n",
+            json_escape(self.cfg.scenario.name()),
+            json_escape(self.cfg.detector.name()),
+            self.cfg.seed,
+            self.cfg.workers,
+        );
+        out.push_str(&self.detection_json());
+        if let Some(ip) = &self.in_pipeline {
+            out.push_str(",\n");
+            out.push_str(&Self::in_pipeline_json(ip));
+        }
+        out.push_str("\n}\n");
+        out
+    }
+
+    /// The human-readable lines printed under the document.
+    fn summary_text(&self) -> String {
+        let d = &self.detection;
+        let mut text = format!(
+            "\ndetector={} scenario={} threshold={:.6e}\n\
+             alerts_on_attack={} alerts_on_benign={} f1={:.4} auc={:.4}\n",
+            self.cfg.detector.name(),
+            self.cfg.scenario.name(),
+            d.threshold,
+            d.confusion.tp,
+            d.confusion.fp,
+            d.confusion.f1(),
+            d.auc,
+        );
+        match &self.in_pipeline {
+            Some(InPipelineSummary::Served {
+                section, confusion, ..
+            }) => {
+                let certificate = if section.certified {
+                    format!(" <= SF0901 bound {:.3e}", section.bound)
+                } else {
+                    " (uncertified: SF0902)".to_string()
+                };
+                text.push_str(&format!(
+                    "in-pipeline ({}): {} alerts (attack={}, benign={}), \
+                     |float-quant| max {:.3e}{certificate}\n",
+                    section.format,
+                    section.alerts,
+                    confusion.tp,
+                    confusion.fp,
+                    section.score_delta_max,
+                ));
+            }
+            Some(InPipelineSummary::Unsupported { reason }) => {
+                text.push_str(&format!(
+                    "in-pipeline: detector has no fixed-point lowering ({reason})\n"
+                ));
+            }
+            None => {}
+        }
+        text
+    }
+}
+
+/// Runs the command: the JSON document (also written to `out` when given)
+/// followed by the summary lines.
+pub(crate) fn execute(cfg: &DetectConfig, out: Option<String>) -> Result<String, CliError> {
+    let run = run(cfg)?;
+    let mut text = run.to_json();
+    if let Some(path) = out {
+        std::fs::write(&path, &text).map_err(|e| err(format!("writing {path}: {e}")))?;
+    }
+    text.push_str(&run.summary_text());
+    Ok(text)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{parse_args, Command};
+
+    fn args(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
+
+    /// A small, fast configuration for tests.
+    fn small() -> DetectConfig {
+        DetectConfig {
+            detector: DetectorKind::Centroid,
+            benign_packets: 1_200,
+            serve_benign: 600,
+            attack_packets: 300,
+            workers: 2,
+            ..DetectConfig::default()
+        }
+    }
+
+    /// The document is written one `"key": value` per line, so checking
+    /// each line's value and comma is a full JSON check of it — enough to
+    /// refuse `NaN`, `inf` and a dangling comma, which is what a
+    /// hand-written document can get wrong.
+    fn assert_is_json(doc: &str) {
+        let lines: Vec<&str> = doc.lines().map(str::trim).collect();
+        let mut depth = 0;
+        for (i, line) in lines.iter().enumerate() {
+            let body = line.strip_suffix(',').unwrap_or(line);
+            let last_member = lines.get(i + 1).is_none_or(|next| next.starts_with('}'));
+            let wants_comma = !last_member && !body.ends_with('{');
+            assert_eq!(
+                line.ends_with(','),
+                wants_comma,
+                "comma on line {i}: {line}"
+            );
+            let value = match body {
+                "{" => "{",
+                "}" => "}",
+                member => {
+                    let (key, value) = member.split_once(": ").expect("\"key\": value");
+                    assert!(key.len() > 2 && key.starts_with('"') && key.ends_with('"'));
+                    value
+                }
+            };
+            let number = value.starts_with(|c: char| c == '-' || c.is_ascii_digit())
+                && value.parse::<f64>().is_ok_and(f64::is_finite);
+            let string = value.len() >= 2 && value.starts_with('"') && value.ends_with('"');
+            match value {
+                "{" => depth += 1,
+                "}" => depth -= 1,
+                "true" | "false" | "null" => {}
+                _ => assert!(number || string, "'{value}' on line {i} is not JSON"),
+            }
+            assert!(depth > 0 || i + 1 == lines.len(), "document closed early");
+        }
+        assert_eq!(depth, 0, "unbalanced braces");
+    }
+
+    #[test]
+    fn detection_section_is_byte_identical_across_runs() {
+        let cfg = small();
+        let a = run(&cfg).unwrap();
+        let b = run(&cfg).unwrap();
+        assert_eq!(
+            a.detection_json(),
+            b.detection_json(),
+            "same seed must reproduce the detection section byte-for-byte"
+        );
+    }
+
+    #[test]
+    fn different_seed_changes_the_workload() {
+        let a = run(&small()).unwrap();
+        let b = run(&DetectConfig {
+            seed: 99,
+            ..small()
+        })
+        .unwrap();
+        // The threshold is derived from seeded traffic: a different seed
+        // must be visible in the section.
+        assert_ne!(a.detection_json(), b.detection_json());
+    }
+
+    #[test]
+    fn in_pipeline_section_measures_the_quantized_path() {
+        // A tighter margin than the default 1.1 so the small centroid
+        // config actually crosses the threshold on attack traffic.
+        let cfg = DetectConfig {
+            in_pipeline: true,
+            quantile: 0.99,
+            margin: 1.0,
+            ..small()
+        };
+        let run = run(&cfg).unwrap();
+        let Some(InPipelineSummary::Served {
+            section,
+            matched,
+            confusion,
+        }) = &run.in_pipeline
+        else {
+            panic!("centroid must lower to a served in-pipeline section");
+        };
+        assert!(section.scored > 0, "inline stage scored nothing");
+        assert_eq!(section.dim_errors, 0);
+        assert!(*matched > 0, "no quantized scores matched a label");
+        assert!(
+            section.delta_within_bound(),
+            "measured delta {} exceeds certified bound {}",
+            section.score_delta_max,
+            section.bound
+        );
+        // The attack must still be visible through the fixed-point path.
+        assert!(confusion.tp > 0, "quantized path missed the attack");
+        assert_is_json(&run.to_json());
+    }
+
+    #[test]
+    fn unquantizable_detector_reports_unsupported() {
+        let cfg = DetectConfig {
+            detector: DetectorKind::Knn,
+            in_pipeline: true,
+            ..small()
+        };
+        let run = run(&cfg).unwrap();
+        let Some(InPipelineSummary::Unsupported { reason }) = &run.in_pipeline else {
+            panic!("knn has no fixed-point lowering");
+        };
+        assert!(!reason.is_empty());
+        let json = run.to_json();
+        assert_is_json(&json);
+        assert!(json.contains("\"supported\": false"));
+    }
+
+    #[test]
+    fn scenario_names_parse() {
+        for sc in Scenario::all() {
+            assert_eq!(parse_scenario(sc.name()), Some(sc));
+        }
+        assert_eq!(parse_scenario("syn-dos"), Some(Scenario::SynDos));
+        assert_eq!(parse_scenario("unknown"), None);
+    }
+
+    #[test]
+    fn parses_detect_options() {
+        let c = parse_args(&args(
+            "detect --scenario syn_dos --detector centroid --benign 900 \
+             --serve-benign 400 --attack 200 --seed 5 --workers 4 \
+             --quantile 0.99 --margin 1.2 --in-pipeline --out d.json",
+        ))
+        .unwrap();
+        assert_eq!(
+            c,
+            Command::Detect {
+                cfg: DetectConfig {
+                    scenario: Scenario::SynDos,
+                    detector: DetectorKind::Centroid,
+                    benign_packets: 900,
+                    serve_benign: 400,
+                    attack_packets: 200,
+                    seed: 5,
+                    workers: 4,
+                    quantile: 0.99,
+                    margin: 1.2,
+                    in_pipeline: true,
+                },
+                out: Some("d.json".into()),
+            }
+        );
+        assert_eq!(
+            parse_args(&args("detect")),
+            Ok(Command::Detect {
+                cfg: DetectConfig::default(),
+                out: None,
+            })
+        );
+        // One empty half of the served trace is a legal (if dull) run.
+        assert!(parse_args(&args("detect --attack 0")).is_ok());
+        assert!(parse_args(&args("detect --serve-benign 0")).is_ok());
+    }
+
+    #[test]
+    fn rejects_bad_detect_input_naming_the_flag() {
+        for (line, flag) in [
+            ("detect --scenario nope", "--scenario"),
+            ("detect --detector nope", "--detector"),
+            ("detect --workers 0", "--workers"),
+            ("detect --quantile 1.5", "--quantile"),
+            ("detect --margin -1", "--margin"),
+            ("detect --seed", "--seed"),
+            // Values that parse as numbers but cannot calibrate or serve.
+            ("detect --margin nan", "--margin"),
+            ("detect --margin inf", "--margin"),
+            ("detect --margin -inf", "--margin"),
+            ("detect --quantile nan", "--quantile"),
+            ("detect --quantile inf", "--quantile"),
+            ("detect --serve-benign 0 --attack 0", "--serve-benign"),
+            ("detect --attack 0 --serve-benign 0", "--attack"),
+        ] {
+            let e = parse_args(&args(line)).expect_err(line);
+            assert!(e.message.contains(flag), "'{line}' -> '{e}' omits {flag}");
+        }
+    }
+
+    #[test]
+    fn non_finite_floats_render_as_null() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(json_f64(x, Notation::Scientific), "null");
+            assert_eq!(json_f64(x, Notation::Fixed), "null");
+        }
+        assert_eq!(json_f64(0.25, Notation::Fixed), "0.2500");
+        assert_eq!(json_f64(0.25, Notation::Scientific), "2.500000000e-1");
+    }
+
+    #[test]
+    fn detect_command_emits_the_document_then_the_summary() {
+        let out = execute(
+            &DetectConfig {
+                in_pipeline: true,
+                ..small()
+            },
+            None,
+        )
+        .unwrap();
+        let (json, summary) = out.split_at(out.find("\n}\n").expect("document ends") + 3);
+        assert_is_json(json);
+        for key in [
+            "\"experiment\": \"online_detection\"",
+            "\"detection\"",
+            "\"alerts_on_attack\"",
+            "\"alerts_on_benign\"",
+            "\"in_pipeline\"",
+            "\"supported\": true",
+            "\"format\"",
+            "\"certified\"",
+            "\"score_delta_max\"",
+            "\"delta_within_bound\"",
+        ] {
+            assert!(json.contains(key), "missing {key} in {json}");
+        }
+        // What the ledger owns is not in the document.
+        for gone in [
+            "throughput",
+            "elapsed_ms",
+            "warmup_runs",
+            "host_parallelism",
+        ] {
+            assert!(!json.contains(gone), "'{gone}' is back in {json}");
+        }
+        assert!(summary.contains("alerts_on_attack="), "{summary}");
+        assert!(summary.contains("in-pipeline (Q"), "{summary}");
+    }
+}

@@ -40,6 +40,8 @@
 //! The library half exists so the argument parser and command logic are unit
 //! testable; `main.rs` is a thin wrapper.
 
+pub mod detect;
+
 use std::fmt::Write as _;
 
 use superfe_apps::all_apps;
@@ -48,6 +50,7 @@ use superfe_nic::{
     cycles_from_cost, resources as nic_resources, solve_placement, CycleModel, NfpModel, OptFlags,
 };
 use superfe_policy::analyze::cost::policy_cost;
+use superfe_policy::analyze::json_escape;
 use superfe_policy::ir::opt::optimize;
 use superfe_policy::{compile, dsl, Policy};
 use superfe_switch::{resources as switch_resources, MgpvConfig, TofinoBudget};
@@ -115,23 +118,11 @@ pub enum Command {
         /// Load the trace from this path instead of generating.
         load_trace: Option<String>,
     },
-    /// Measure streaming-pipeline throughput (the `BENCH_pipeline.json`
-    /// smoke).
-    Bench {
-        /// Trace size in packets.
-        packets: usize,
-        /// Worker counts to sweep.
-        workers: Vec<usize>,
-        /// Workload RNG seed.
-        seed: u64,
-        /// Also write the JSON document to this path.
-        out: Option<String>,
-    },
-    /// Train, calibrate, and serve a detector online (the
-    /// `BENCH_detect.json` smoke).
+    /// Train, calibrate, and serve a detector online over a labelled
+    /// intrusion trace.
     Detect {
-        /// The benchmark configuration.
-        cfg: superfe_bench::experiments::detect::DetectConfig,
+        /// What to train and serve.
+        cfg: detect::DetectConfig,
         /// Also write the JSON document to this path.
         out: Option<String>,
     },
@@ -176,21 +167,6 @@ pub enum Command {
         /// eviction sequences are reproducible run to run.
         evict_seed: Option<u64>,
     },
-    /// Corpus-scale state-management sweep (the `BENCH_scale.json` smoke).
-    BenchScale {
-        /// Flow counts to sweep.
-        flows: Vec<usize>,
-        /// Workload RNG seed.
-        seed: u64,
-        /// `RandomWay` eviction-victim seed (reproducible eviction runs).
-        evict_seed: u64,
-        /// Warmup runs per cell.
-        warmup: usize,
-        /// Measured runs per cell.
-        runs: usize,
-        /// Also write the JSON document to this path.
-        out: Option<String>,
-    },
     /// Print usage.
     Help,
 }
@@ -226,6 +202,12 @@ impl std::error::Error for CliError {}
 
 fn err(msg: impl Into<String>) -> CliError {
     CliError::text(msg)
+}
+
+/// Parses one flag value, naming the flag and what it expects on failure.
+fn parsed<T: std::str::FromStr>(flag: &str, v: &str, expects: &str) -> Result<T, CliError> {
+    v.parse()
+        .map_err(|_| err(format!("{flag} expects {expects}")))
 }
 
 /// Output format of the analysis commands (`check`, `explain`).
@@ -312,19 +294,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         }
                     }
                     "--packets" => {
-                        packets = value()?
-                            .parse()
-                            .map_err(|_| err("--packets expects an integer"))?;
+                        packets = parsed("--packets", &value()?, "an integer")?;
                     }
                     "--seed" => {
-                        seed = value()?
-                            .parse()
-                            .map_err(|_| err("--seed expects an integer"))?;
+                        seed = parsed("--seed", &value()?, "an integer")?;
                     }
                     "--workers" => {
-                        workers = value()?
-                            .parse()
-                            .map_err(|_| err("--workers expects an integer"))?;
+                        workers = parsed("--workers", &value()?, "an integer")?;
                         if workers == 0 {
                             return Err(err("--workers expects a positive count"));
                         }
@@ -346,19 +322,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     "--no-cse" => cse = false,
                     "--snapshot" => snapshot = Some(value()?),
                     "--snapshot-at" => {
-                        snapshot_at = Some(
-                            value()?
-                                .parse()
-                                .map_err(|_| err("--snapshot-at expects an integer"))?,
-                        );
+                        snapshot_at = Some(parsed("--snapshot-at", &value()?, "an integer")?);
                     }
                     "--restore" => restore = Some(value()?),
                     "--evict-seed" => {
-                        evict_seed = Some(
-                            value()?
-                                .parse()
-                                .map_err(|_| err("--evict-seed expects an integer"))?,
-                        );
+                        evict_seed = Some(parsed("--evict-seed", &value()?, "an integer")?);
                     }
                     other => return Err(err(format!("unknown option '{other}'"))),
                 }
@@ -439,21 +407,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 };
                 match flag.as_str() {
                     "--headroom" => {
-                        headroom = value()?
-                            .parse()
-                            .map_err(|_| err("--headroom expects a percentage"))?;
+                        headroom = parsed("--headroom", &value()?, "a percentage")?;
                     }
                     "--cache-slots" => {
-                        cache_slots = Some(
-                            value()?
-                                .parse()
-                                .map_err(|_| err("--cache-slots expects an integer"))?,
-                        );
+                        cache_slots = Some(parsed("--cache-slots", &value()?, "an integer")?);
                     }
                     "--groups" => {
-                        groups = value()?
-                            .parse()
-                            .map_err(|_| err("--groups expects an integer"))?;
+                        groups = parsed("--groups", &value()?, "an integer")?;
                     }
                     "--format" => format = parse_format(&value()?)?,
                     other => return Err(err(format!("unknown option '{other}'"))),
@@ -492,14 +452,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 };
                 match flag.as_str() {
                     "--groups" => {
-                        groups = value()?
-                            .parse()
-                            .map_err(|_| err("--groups expects an integer"))?;
+                        groups = parsed("--groups", &value()?, "an integer")?;
                     }
                     "--group-packets" => {
-                        group_packets = value()?
-                            .parse()
-                            .map_err(|_| err("--group-packets expects an integer"))?;
+                        group_packets = parsed("--group-packets", &value()?, "an integer")?;
                     }
                     "--format" => format = parse_format(&value()?)?,
                     other => return Err(err(format!("unknown option '{other}'"))),
@@ -540,22 +496,16 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         }
                     }
                     "--packets" => {
-                        packets = value()?
-                            .parse()
-                            .map_err(|_| err("--packets expects an integer"))?;
+                        packets = parsed("--packets", &value()?, "an integer")?;
                     }
                     "--seed" => {
-                        seed = value()?
-                            .parse()
-                            .map_err(|_| err("--seed expects an integer"))?;
+                        seed = parsed("--seed", &value()?, "an integer")?;
                     }
                     "--csv" => csv = Some(value()?),
                     "--save-trace" => save_trace = Some(value()?),
                     "--load-trace" => load_trace = Some(value()?),
                     "--limit" => {
-                        limit = value()?
-                            .parse()
-                            .map_err(|_| err("--limit expects an integer"))?;
+                        limit = parsed("--limit", &value()?, "an integer")?;
                     }
                     other => return Err(err(format!("unknown option '{other}'"))),
                 }
@@ -571,189 +521,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 load_trace,
             })
         }
-        "bench" => {
-            let rest: Vec<String> = it.clone().cloned().collect();
-            if rest.first().map(String::as_str) == Some("scale") {
-                let mut flows = vec![10_000usize, 50_000];
-                let mut seed = superfe_bench::experiments::scale::DEFAULT_SEED;
-                let mut evict_seed = superfe_bench::experiments::scale::DEFAULT_EVICT_SEED;
-                let mut warmup = 0usize;
-                let mut runs = 1usize;
-                let mut out = None;
-                let mut it = rest[1..].iter();
-                while let Some(flag) = it.next() {
-                    let mut value = || {
-                        it.next()
-                            .cloned()
-                            .ok_or_else(|| err(format!("{flag} needs a value")))
-                    };
-                    match flag.as_str() {
-                        "--flows" => {
-                            flows = value()?
-                                .split(',')
-                                .map(|f| f.trim().parse::<usize>())
-                                .collect::<Result<_, _>>()
-                                .map_err(|_| err("--flows expects comma-separated integers"))?;
-                            if flows.is_empty() {
-                                return Err(err("--flows expects at least one count"));
-                            }
-                        }
-                        "--seed" => {
-                            seed = value()?
-                                .parse()
-                                .map_err(|_| err("--seed expects an integer"))?;
-                        }
-                        "--evict-seed" => {
-                            evict_seed = value()?
-                                .parse()
-                                .map_err(|_| err("--evict-seed expects an integer"))?;
-                        }
-                        "--warmup" => {
-                            warmup = value()?
-                                .parse()
-                                .map_err(|_| err("--warmup expects an integer"))?;
-                        }
-                        "--runs" => {
-                            runs = value()?
-                                .parse()
-                                .map_err(|_| err("--runs expects an integer"))?;
-                            if runs == 0 {
-                                return Err(err("--runs expects a positive count"));
-                            }
-                        }
-                        "--out" => out = Some(value()?),
-                        other => return Err(err(format!("unknown option '{other}'"))),
-                    }
-                }
-                return Ok(Command::BenchScale {
-                    flows,
-                    seed,
-                    evict_seed,
-                    warmup,
-                    runs,
-                    out,
-                });
-            }
-            let mut packets = 10_000usize;
-            let mut workers = vec![1usize, 2];
-            let mut seed = superfe_bench::experiments::throughput::DEFAULT_SEED;
-            let mut out = None;
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| err(format!("{flag} needs a value")))
-                };
-                match flag.as_str() {
-                    "--packets" => {
-                        packets = value()?
-                            .parse()
-                            .map_err(|_| err("--packets expects an integer"))?;
-                    }
-                    "--workers" => {
-                        workers = value()?
-                            .split(',')
-                            .map(|w| w.trim().parse::<usize>())
-                            .collect::<Result<_, _>>()
-                            .map_err(|_| err("--workers expects comma-separated integers"))?;
-                        if workers.is_empty() {
-                            return Err(err("--workers expects at least one count"));
-                        }
-                    }
-                    "--seed" => {
-                        seed = value()?
-                            .parse()
-                            .map_err(|_| err("--seed expects an integer"))?;
-                    }
-                    "--out" => out = Some(value()?),
-                    other => return Err(err(format!("unknown option '{other}'"))),
-                }
-            }
-            Ok(Command::Bench {
-                packets,
-                workers,
-                seed,
-                out,
-            })
-        }
         "detect" => {
-            use superfe_bench::experiments::detect::{parse_scenario, DetectConfig};
-            let mut cfg = DetectConfig::default();
-            let mut out = None;
-            while let Some(flag) = it.next() {
-                let mut value = || {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| err(format!("{flag} needs a value")))
-                };
-                match flag.as_str() {
-                    "--scenario" => {
-                        let v = value()?;
-                        cfg.scenario = parse_scenario(&v).ok_or_else(|| {
-                            err(format!(
-                                "--scenario expects one of os_scan, ssdp_flood, syn_dos, \
-                                 fuzzing, mirai; got '{v}'"
-                            ))
-                        })?;
-                    }
-                    "--detector" => {
-                        let v = value()?;
-                        cfg.detector =
-                            superfe_detect::DetectorKind::parse(&v).ok_or_else(|| {
-                                err(format!(
-                                "--detector expects one of kitnet, knn, cart, centroid; got '{v}'"
-                            ))
-                            })?;
-                    }
-                    "--benign" => {
-                        cfg.benign_packets = value()?
-                            .parse()
-                            .map_err(|_| err("--benign expects an integer"))?;
-                    }
-                    "--serve-benign" => {
-                        cfg.serve_benign = value()?
-                            .parse()
-                            .map_err(|_| err("--serve-benign expects an integer"))?;
-                    }
-                    "--attack" => {
-                        cfg.attack_packets = value()?
-                            .parse()
-                            .map_err(|_| err("--attack expects an integer"))?;
-                    }
-                    "--seed" => {
-                        cfg.seed = value()?
-                            .parse()
-                            .map_err(|_| err("--seed expects an integer"))?;
-                    }
-                    "--workers" => {
-                        cfg.workers = value()?
-                            .parse()
-                            .map_err(|_| err("--workers expects an integer"))?;
-                        if cfg.workers == 0 {
-                            return Err(err("--workers expects a positive count"));
-                        }
-                    }
-                    "--quantile" => {
-                        cfg.quantile = value()?
-                            .parse()
-                            .map_err(|_| err("--quantile expects a number"))?;
-                        if !(0.0..=1.0).contains(&cfg.quantile) {
-                            return Err(err("--quantile expects a value in [0, 1]"));
-                        }
-                    }
-                    "--margin" => {
-                        cfg.margin = value()?
-                            .parse()
-                            .map_err(|_| err("--margin expects a number"))?;
-                        if cfg.margin <= 0.0 {
-                            return Err(err("--margin expects a positive value"));
-                        }
-                    }
-                    "--in-pipeline" => cfg.in_pipeline = true,
-                    "--out" => out = Some(value()?),
-                    other => return Err(err(format!("unknown option '{other}'"))),
-                }
-            }
+            let (cfg, out) = detect::parse_flags(it)?;
             Ok(Command::Detect { cfg, out })
         }
         other => Err(err(format!(
@@ -813,9 +582,6 @@ pub fn usage() -> String {
      \x20 superfe run <policy> [options]     extract features from a synthetic trace\n\
      \x20 superfe serve <p1> [<p2> ...]      serve N policies concurrently on one\n\
      \x20                                    shared switch/NIC (multi-tenant)\n\
-     \x20 superfe bench [options]            streaming-pipeline throughput smoke\n\
-     \x20 superfe bench scale [options]      corpus-scale state-management sweep\n\
-     \x20                                    (flows x eviction policy)\n\
      \x20 superfe detect [options]           train, calibrate, and serve a detector\n\
      \x20                                    online over a labelled intrusion trace\n\
      \n\
@@ -867,20 +633,6 @@ pub fn usage() -> String {
      \x20 --evict-seed S                     pin group-table eviction to seeded\n\
      \x20                                    RandomWay for reproducible runs\n\
      \n\
-     bench options:\n\
-     \x20 --packets N                        trace size            [10000]\n\
-     \x20 --workers A,B,...                  worker counts to sweep [1,2]\n\
-     \x20 --seed S                           workload RNG seed     [4]\n\
-     \x20 --out PATH                         also write the JSON document\n\
-     \n\
-     bench scale options:\n\
-     \x20 --flows A,B,...                    flow counts to sweep  [10000,50000]\n\
-     \x20 --seed S                           workload RNG seed     [11]\n\
-     \x20 --evict-seed S                     random_way victim seed [7]\n\
-     \x20 --warmup N                         warmup runs per cell  [0]\n\
-     \x20 --runs N                           measured runs per cell [1]\n\
-     \x20 --out PATH                         also write the JSON document\n\
-     \n\
      detect options:\n\
      \x20 --scenario NAME                    os_scan|ssdp_flood|syn_dos|fuzzing|\n\
      \x20                                    mirai                 [mirai]\n\
@@ -892,28 +644,11 @@ pub fn usage() -> String {
      \x20 --workers N                        NIC shards = inference workers [2]\n\
      \x20 --quantile Q                       calibration quantile  [1.0]\n\
      \x20 --margin M                         calibration margin    [1.1]\n\
-     \x20 --in-pipeline                      also run the SF09xx-certified\n\
-     \x20                                    fixed-point model inside the NIC\n\
-     \x20                                    shards and report its cost\n\
+     \x20 --in-pipeline                      also serve through the SF09xx-\n\
+     \x20                                    certified fixed-point model inside\n\
+     \x20                                    the NIC shards\n\
      \x20 --out PATH                         also write the JSON document\n"
         .to_string()
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Runs the SF07xx cross-policy equivalence analysis and renders the
@@ -965,7 +700,7 @@ fn fusion_section_json(named: &[(String, Policy)], vc: &superfe_policy::ValueCon
             let members: Vec<String> = c
                 .members
                 .iter()
-                .map(|&m| format!("\"{}\"", json_str(refs[m].0)))
+                .map(|&m| format!("\"{}\"", json_escape(refs[m].0)))
                 .collect();
             format!(
                 "{{\"hash\":\"{:016x}\",\"members\":[{}]}}",
@@ -980,9 +715,9 @@ fn fusion_section_json(named: &[(String, Policy)], vc: &superfe_policy::ValueCon
         .map(|m| {
             format!(
                 "{{\"a\":\"{}\",\"b\":\"{}\",\"reason\":\"{}\",\"divergence\":{}}}",
-                json_str(refs[m.a].0),
-                json_str(refs[m.b].0),
-                json_str(&m.reason),
+                json_escape(refs[m.a].0),
+                json_escape(refs[m.b].0),
+                json_escape(&m.reason),
                 m.divergence
                     .as_ref()
                     .map(divergence_json)
@@ -1006,9 +741,9 @@ fn fusion_section_json(named: &[(String, Policy)], vc: &superfe_policy::ValueCon
 fn divergence_json(d: &superfe_policy::analyze::share::Divergence) -> String {
     format!(
         "{{\"stage\":\"{}\",\"op\":{},\"culprit\":\"{}\"}}",
-        json_str(d.stage.label()),
+        json_escape(d.stage.label()),
         d.op_index,
-        json_str(&d.culprit)
+        json_escape(&d.culprit)
     )
 }
 
@@ -1059,7 +794,7 @@ fn sharing_section_json(named: &[(String, Policy)], vc: &superfe_policy::ValueCo
             let members: Vec<String> = g
                 .members
                 .iter()
-                .map(|&m| format!("\"{}\"", json_str(refs[m].0)))
+                .map(|&m| format!("\"{}\"", json_escape(refs[m].0)))
                 .collect();
             format!(
                 "{{\"prefix\":\"{:016x}\",\"members\":[{}],\"ops\":[{}]}}",
@@ -1067,7 +802,7 @@ fn sharing_section_json(named: &[(String, Policy)], vc: &superfe_policy::ValueCo
                 members.join(","),
                 g.ops
                     .iter()
-                    .map(|o| format!("\"{}\"", json_str(o)))
+                    .map(|o| format!("\"{}\"", json_escape(o)))
                     .collect::<Vec<_>>()
                     .join(",")
             )
@@ -1080,8 +815,8 @@ fn sharing_section_json(named: &[(String, Policy)], vc: &superfe_policy::ValueCo
         .map(|m| {
             format!(
                 "{{\"a\":\"{}\",\"b\":\"{}\",\"divergence\":{}}}",
-                json_str(refs[m.a].0),
-                json_str(refs[m.b].0),
+                json_escape(refs[m.a].0),
+                json_escape(refs[m.b].0),
                 divergence_json(&m.divergence)
             )
         })
@@ -1123,7 +858,7 @@ fn explain(
         let rewrites: Vec<String> = optimized
             .rewrites
             .iter()
-            .map(|r| format!("\"{}\"", json_str(&r.to_string())))
+            .map(|r| format!("\"{}\"", json_escape(&r.to_string())))
             .collect();
         return Ok(format!(
             "{{\"policy\":\"{}\",\"feature_dimension\":{},\"cost\":{{\
@@ -1132,7 +867,7 @@ fn explain(
              \"value_config\":{{\"group_packets\":{},\"aging_t_ns\":{},\"acc_bits\":{}}},\
              \"report\":{},\"rewrites\":[{}],\"ops_before\":{},\"ops_after\":{},\
              \"cycles_per_record\":{:.1},\"gbps_at_120_cores\":{:.2}}}\n",
-            json_str(policy),
+            json_escape(policy),
             cost.feature_dimension(),
             cost.filter_entries,
             cost.total_alu_ops(),
@@ -1659,7 +1394,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                             .map(|((name, _), r)| {
                                 format!(
                                     "{{\"policy\":\"{}\",\"report\":{}}}",
-                                    json_str(name),
+                                    json_escape(name),
                                     r.render_json()
                                 )
                             })
@@ -1881,99 +1616,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             }
             Ok(text)
         }
-        Command::Bench {
-            packets,
-            workers,
-            seed,
-            out,
-        } => {
-            let bench = superfe_bench::experiments::throughput::measure(packets, &workers, seed);
-            let json = bench.to_json();
-            if let Some(path) = out {
-                std::fs::write(&path, &json).map_err(|e| err(format!("writing {path}: {e}")))?;
-            }
-            Ok(json)
-        }
-        Command::BenchScale {
-            flows,
-            seed,
-            evict_seed,
-            warmup,
-            runs,
-            out,
-        } => {
-            let bench = superfe_bench::experiments::scale::measure_with(
-                &flows,
-                seed,
-                evict_seed,
-                &superfe_bench::harness::HarnessConfig { warmup, runs },
-            );
-            let json = bench.to_json();
-            if let Some(path) = out {
-                std::fs::write(&path, &json).map_err(|e| err(format!("writing {path}: {e}")))?;
-            }
-            Ok(json)
-        }
-        Command::Detect { cfg, out } => {
-            let bench = superfe_bench::experiments::detect::measure(&cfg).map_err(err)?;
-            let json = bench.to_json();
-            if let Some(path) = out {
-                std::fs::write(&path, &json).map_err(|e| err(format!("writing {path}: {e}")))?;
-            }
-            let d = &bench.detection;
-            let t = &bench.throughput;
-            let mut text = json;
-            text.push_str(&format!(
-                "\ndetector={} scenario={} threshold={:.6e}\n\
-                 alerts_on_attack={} alerts_on_benign={} f1={:.4} auc={:.4}\n\
-                 throughput: extract {:.0} pkts/s, with inference {:.0} pkts/s ({:+.1}% overhead)\n",
-                bench.cfg.detector.name(),
-                bench.cfg.scenario.name(),
-                d.threshold,
-                d.alerts_on_attack,
-                d.alerts_on_benign,
-                d.f1,
-                d.auc,
-                t.extract_pkts_per_sec,
-                t.detect_pkts_per_sec,
-                t.inference_overhead_pct,
-            ));
-            use superfe_bench::experiments::detect::InPipelineSummary;
-            match &bench.in_pipeline {
-                Some(InPipelineSummary::Measured {
-                    section,
-                    pkts_per_sec,
-                    vs_extract_ratio,
-                    alerts_on_attack,
-                    alerts_on_benign,
-                    ..
-                }) => {
-                    text.push_str(&format!(
-                        "in-pipeline ({}): {:.0} pkts/s ({:.2}x extract), {} alerts \
-                         (attack={}, benign={}), |float-quant| max {:.3e}{}\n",
-                        section.format,
-                        pkts_per_sec,
-                        vs_extract_ratio,
-                        section.alerts,
-                        alerts_on_attack,
-                        alerts_on_benign,
-                        section.score_delta_max,
-                        if section.certified {
-                            format!(" <= SF0901 bound {:.3e}", section.bound)
-                        } else {
-                            " (uncertified: SF0902)".to_string()
-                        },
-                    ));
-                }
-                Some(InPipelineSummary::Unsupported { reason }) => {
-                    text.push_str(&format!(
-                        "in-pipeline: detector has no fixed-point lowering ({reason})\n"
-                    ));
-                }
-                None => {}
-            }
-            Ok(text)
-        }
+        Command::Detect { cfg, out } => detect::execute(&cfg, out),
     }
 }
 
@@ -2021,129 +1664,10 @@ mod tests {
         assert!(parse_args(&args("run x --packets abc")).is_err());
         assert!(parse_args(&args("run x --unknown 1")).is_err());
         assert!(parse_args(&args("compile")).is_err());
-        assert!(parse_args(&args("bench --workers x,y")).is_err());
-        assert!(parse_args(&args("bench --packets")).is_err());
-    }
-
-    #[test]
-    fn parses_bench_options() {
-        assert_eq!(
-            parse_args(&args(
-                "bench --packets 500 --workers 1,4 --seed 7 --out b.json"
-            )),
-            Ok(Command::Bench {
-                packets: 500,
-                workers: vec![1, 4],
-                seed: 7,
-                out: Some("b.json".into()),
-            })
-        );
-        assert_eq!(
-            parse_args(&args("bench")),
-            Ok(Command::Bench {
-                packets: 10_000,
-                workers: vec![1, 2],
-                seed: superfe_bench::experiments::throughput::DEFAULT_SEED,
-                out: None,
-            })
-        );
-    }
-
-    #[test]
-    fn parses_detect_options() {
-        use superfe_bench::experiments::detect::DetectConfig;
-        use superfe_trafficgen::intrusion::Scenario;
-
-        let c = parse_args(&args(
-            "detect --scenario syn_dos --detector centroid --benign 900 \
-             --serve-benign 400 --attack 200 --seed 5 --workers 4 \
-             --quantile 0.99 --margin 1.2 --in-pipeline --out d.json",
-        ))
-        .unwrap();
-        assert_eq!(
-            c,
-            Command::Detect {
-                cfg: DetectConfig {
-                    scenario: Scenario::SynDos,
-                    detector: superfe_detect::DetectorKind::Centroid,
-                    benign_packets: 900,
-                    serve_benign: 400,
-                    attack_packets: 200,
-                    seed: 5,
-                    workers: 4,
-                    quantile: 0.99,
-                    margin: 1.2,
-                    in_pipeline: true,
-                },
-                out: Some("d.json".into()),
-            }
-        );
-        assert_eq!(
-            parse_args(&args("detect")),
-            Ok(Command::Detect {
-                cfg: DetectConfig::default(),
-                out: None,
-            })
-        );
-    }
-
-    #[test]
-    fn rejects_bad_detect_input() {
-        assert!(parse_args(&args("detect --scenario nope")).is_err());
-        assert!(parse_args(&args("detect --detector nope")).is_err());
-        assert!(parse_args(&args("detect --workers 0")).is_err());
-        assert!(parse_args(&args("detect --quantile 1.5")).is_err());
-        assert!(parse_args(&args("detect --margin -1")).is_err());
-        assert!(parse_args(&args("detect --seed")).is_err());
-    }
-
-    #[test]
-    fn detect_command_emits_schema() {
-        use superfe_bench::experiments::detect::DetectConfig;
-        let out = execute(Command::Detect {
-            cfg: DetectConfig {
-                detector: superfe_detect::DetectorKind::Centroid,
-                benign_packets: 1_200,
-                serve_benign: 600,
-                attack_packets: 300,
-                in_pipeline: true,
-                ..DetectConfig::default()
-            },
-            out: None,
-        })
-        .unwrap();
-        for key in [
-            "\"experiment\": \"online_detection\"",
-            "\"detection\"",
-            "\"alerts_on_attack\"",
-            "\"alerts_on_benign\"",
-            "\"throughput\"",
-            "\"in_pipeline\"",
-            "\"score_delta_max\"",
-            "alerts_on_attack=",
-            "in-pipeline (Q",
-        ] {
-            assert!(out.contains(key), "missing {key} in {out}");
-        }
-    }
-
-    #[test]
-    fn bench_command_emits_schema() {
-        let out = execute(Command::Bench {
-            packets: 1_000,
-            workers: vec![1, 2],
-            seed: 4,
-            out: None,
-        })
-        .unwrap();
-        for key in [
-            "\"experiment\": \"streaming_pipeline_throughput\"",
-            "\"host_parallelism\"",
-            "\"baseline\"",
-            "\"workers\": 2",
-        ] {
-            assert!(out.contains(key), "missing {key} in {out}");
-        }
+        // The benchmark stack is `benchmark/run.sh`; the CLI has no face on it.
+        let e = parse_args(&args("bench")).unwrap_err();
+        assert!(e.message.contains("unknown command 'bench'"), "{e}");
+        assert!(parse_args(&args("bench scale --flows 1000")).is_err());
     }
 
     #[test]
@@ -2231,35 +1755,6 @@ mod tests {
         assert!(parse_args(&args("serve cumul --restore a --detach-at 0:10")).is_err());
         // A restore resumes the snapshotted eviction state wholesale.
         assert!(parse_args(&args("serve cumul --restore a --evict-seed 1")).is_err());
-    }
-
-    #[test]
-    fn parses_bench_scale_options() {
-        match parse_args(&args(
-            "bench scale --flows 1000,2000 --seed 9 --evict-seed 3 --runs 2 --out b.json",
-        ))
-        .unwrap()
-        {
-            Command::BenchScale {
-                flows,
-                seed,
-                evict_seed,
-                warmup,
-                runs,
-                out,
-            } => {
-                assert_eq!(flows, vec![1_000, 2_000]);
-                assert_eq!(seed, 9);
-                assert_eq!(evict_seed, 3);
-                assert_eq!(warmup, 0);
-                assert_eq!(runs, 2);
-                assert_eq!(out.as_deref(), Some("b.json"));
-            }
-            other => panic!("expected BenchScale, got {other:?}"),
-        }
-        assert!(parse_args(&args("bench scale --runs 0")).is_err());
-        assert!(parse_args(&args("bench scale --evict-seed nope")).is_err());
-        assert!(parse_args(&args("bench scale --flows nope")).is_err());
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl StreamingPipeline {
         cfg: SuperFeConfig,
         workers: usize,
     ) -> Result<Self, PolicyError> {
-        Self::build(policy, cfg, workers, None, None, None)
+        Self::build(policy, cfg, workers, None, None)
     }
 
     /// Deploys with an in-pipeline quantized inference stage: every
@@ -66,7 +66,7 @@ impl StreamingPipeline {
         workers: usize,
         model: std::sync::Arc<superfe_ml::QuantizedDetector>,
     ) -> Result<Self, PolicyError> {
-        Self::build(policy, cfg, workers, None, None, Some(model))
+        Self::build(policy, cfg, workers, None, Some(model))
     }
 
     /// Deploys with one [`superfe_nic::VectorSink`] attached per NIC shard
@@ -80,22 +80,7 @@ impl StreamingPipeline {
         workers: usize,
         sinks: Vec<Box<dyn superfe_nic::VectorSink>>,
     ) -> Result<Self, PolicyError> {
-        Self::build(policy, cfg, workers, Some(sinks), None, None)
-    }
-
-    /// Deploys with optional sinks *and* optional per-stage latency
-    /// instrumentation: with `metrics` attached, every frame's ring dwell,
-    /// shard processing time, and sink egress time are recorded into the
-    /// shared [`superfe_net::StageMetrics`] histograms (the bench harness's
-    /// producer→shard→sink breakdown).
-    pub fn with_options(
-        policy: &Policy,
-        cfg: SuperFeConfig,
-        workers: usize,
-        sinks: Option<Vec<Box<dyn superfe_nic::VectorSink>>>,
-        metrics: Option<std::sync::Arc<superfe_net::StageMetrics>>,
-    ) -> Result<Self, PolicyError> {
-        Self::build(policy, cfg, workers, sinks, metrics, None)
+        Self::build(policy, cfg, workers, Some(sinks), None)
     }
 
     fn build(
@@ -103,7 +88,6 @@ impl StreamingPipeline {
         cfg: SuperFeConfig,
         workers: usize,
         sinks: Option<Vec<Box<dyn superfe_nic::VectorSink>>>,
-        metrics: Option<std::sync::Arc<superfe_net::StageMetrics>>,
         inference: Option<std::sync::Arc<superfe_ml::QuantizedDetector>>,
     ) -> Result<Self, PolicyError> {
         let compiled = crate::deploy::gate(policy, &cfg)?;
@@ -111,7 +95,7 @@ impl StreamingPipeline {
             .ok_or_else(|| {
                 PolicyError::BadParameters("degenerate switch cache configuration".into())
             })?;
-        let mut nic = ShardPool::new(workers, metrics);
+        let mut nic = ShardPool::new(workers, None);
         nic.attach(UNIT, &compiled, cfg.cache.fg_table_size, sinks, inference)
             .map_err(|e| PolicyError::BadParameters(e.to_string()))?;
         Ok(StreamingPipeline {

@@ -34,7 +34,9 @@ pub mod pipeline;
 pub mod quantized;
 pub mod serve;
 
-pub use alert::{canonicalize_alerts, canonicalize_scores, score_fingerprint, Alert, ScoredVector};
+pub use alert::{
+    canonicalize_alerts, canonicalize_scores, label_scores, score_fingerprint, Alert, ScoredVector,
+};
 pub use error::DetectError;
 pub use multi::MultiServing;
 pub use offline::{score_offline, OfflineScores};

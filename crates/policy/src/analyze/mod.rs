@@ -274,7 +274,7 @@ impl AnalysisReport {
 }
 
 /// Escapes a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

@@ -401,6 +401,81 @@ mod prefix_isolation {
     }
 }
 
+mod bundled_isolation {
+    use super::*;
+    use superfe::apps::policies;
+    use superfe_trafficgen::Workload;
+
+    /// The bundled applications at trace scale, where the properties above
+    /// use synthetic pools on ≤ 200 packets: AWF twice (the SF07xx
+    /// duplicate — 5,000-wide `f_array` vectors cloned at the demux), NPOD
+    /// and CUMUL over a MAWI-like trace. Every tenant's vectors must be the
+    /// same through the fused plane, the unfused plane, and alone.
+    #[test]
+    fn bundled_set_is_bitwise_identical_fused_unfused_and_solo() {
+        const WORKERS: usize = 2;
+        let trace = Workload::mawi().packets(3_000).seed(4).generate();
+        let specs: Vec<TenantSpec> = [
+            ("awf-0", policies::AWF),
+            ("awf-1", policies::AWF),
+            ("npod", policies::NPOD),
+            ("cumul", policies::CUMUL),
+        ]
+        .into_iter()
+        .map(|(name, src)| TenantSpec {
+            name: name.into(),
+            policy: dsl::parse(src).expect("bundled policy parses"),
+            cfg: SuperFeConfig::default(),
+        })
+        .collect();
+        let serve = |fuse: bool| {
+            let mut plane = if fuse {
+                CtrlPlane::new(WORKERS, AnalyzeConfig::default())
+            } else {
+                CtrlPlane::without_fusion(WORKERS, AnalyzeConfig::default())
+            };
+            for spec in &specs {
+                plane.attach(spec, None).expect("the set is admissible");
+            }
+            let units = plane.units().len();
+            for p in &trace.records {
+                plane.push(p).expect("workers alive");
+            }
+            (plane.finish().expect("workers alive"), units)
+        };
+        let (fused, fused_units) = serve(true);
+        let (unfused, unfused_units) = serve(false);
+        assert_eq!(fused_units, 3, "the AWF pair shares one execution unit");
+        assert_eq!(unfused_units, 4);
+        for ((f, u), spec) in fused.iter().zip(&unfused).zip(&specs) {
+            let mut fe = StreamingPipeline::with_config(&spec.policy, spec.cfg, WORKERS)
+                .expect("policy deploys");
+            for p in &trace.records {
+                fe.push(p).expect("workers alive");
+            }
+            let solo = fe.finish().expect("workers alive");
+            assert!(
+                !solo.group_vectors.is_empty() || !solo.packet_vectors.is_empty(),
+                "{} emitted nothing",
+                spec.name
+            );
+            for (how, run) in [("fused", f), ("unfused", u)] {
+                assert_eq!(run.name, spec.name);
+                assert_eq!(
+                    run.output.group_vectors, solo.group_vectors,
+                    "{} group vectors diverged {how}",
+                    spec.name
+                );
+                assert_eq!(
+                    run.output.packet_vectors, solo.packet_vectors,
+                    "{} packet vectors diverged {how}",
+                    spec.name
+                );
+            }
+        }
+    }
+}
+
 mod alert_isolation {
     use superfe::ctrl::{CtrlPlane, TenantSpec};
     use superfe::detect::{MultiServing, ServeConfig, ServeReport};

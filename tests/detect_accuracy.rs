@@ -6,11 +6,8 @@
 //! (AUC > 0.75 for Kitsune) — plus the properties calibration buys:
 //! benign warm-up stays quiet and the attack window raises alerts.
 
-use std::collections::HashMap;
-
-use superfe::detect::{score_offline, DetectPipeline, DetectorKind, ServeConfig};
+use superfe::detect::{label_scores, score_offline, DetectPipeline, DetectorKind, ServeConfig};
 use superfe::ml::{auc, train_and_calibrate, CalibrationConfig, Confusion};
-use superfe::net::{Granularity, GroupKey};
 use superfe::SuperFe;
 use superfe_trafficgen::intrusion::{self, IntrusionConfig, Scenario};
 
@@ -19,31 +16,6 @@ const POLICY: &str = superfe::apps::policies::KITSUNE;
 
 /// The offline §8.3 floor for Kitsune (see `superfe_apps::study`).
 const AUC_FLOOR: f64 = 0.75;
-
-fn scored_with_labels(
-    scores: &[superfe::detect::ScoredVector],
-    labelled: &[(superfe::net::PacketRecord, bool)],
-) -> Vec<(f64, bool)> {
-    // Ground truth by (socket key, occurrence index), as in the study.
-    let mut occurrence: HashMap<GroupKey, usize> = HashMap::new();
-    let mut label_of: HashMap<(GroupKey, usize), bool> = HashMap::new();
-    for (p, l) in labelled {
-        let k = Granularity::Socket.key_of(p);
-        let n = occurrence.entry(k).or_insert(0);
-        label_of.insert((k, *n), *l);
-        *n += 1;
-    }
-    let mut occ2: HashMap<GroupKey, usize> = HashMap::new();
-    scores
-        .iter()
-        .filter_map(|s| {
-            let n = occ2.entry(s.key).or_insert(0);
-            let key = (s.key, *n);
-            *n += 1;
-            label_of.get(&key).map(|&l| (s.score, l))
-        })
-        .collect()
-}
 
 #[test]
 fn served_kitnet_clears_the_offline_accuracy_floor() {
@@ -94,7 +66,8 @@ fn served_kitnet_clears_the_offline_accuracy_floor() {
     assert_eq!(report.totals.scored as usize, serve_set.labelled.len());
 
     // --- Quality floor (threshold-free, matches the offline study). ---
-    let pairs = scored_with_labels(scores, &serve_set.labelled);
+    // Ground truth by (socket key, occurrence index), as in the study.
+    let pairs = label_scores(scores, &serve_set.labelled);
     assert_eq!(
         pairs.len(),
         serve_set.labelled.len(),
