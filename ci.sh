@@ -130,9 +130,9 @@ step "admission rejection smoke (over-budget tenant set exits non-zero)"
 # Three sALU-heavy policies compose past the Tofino budget when nothing is
 # shared; with cross-tenant sharing disabled the control plane must refuse
 # the set, naming the binding resource, before anything touches the data
-# path. With sharing on, the same set fits: the SF08xx analysis certifies
-# one shared parse/groupby prefix, so the composed switch demand drops
-# under budget — assert both sides of that line.
+# path. With sharing on, the same set fits: the join rule certifies one
+# shared parse/groupby prefix, so the composed switch demand drops under
+# budget — assert both sides of that line.
 if target/release/superfe serve kitsune helad n-baiot --packets 100 \
     --no-fuse >/dev/null 2>"$detect_smoke.err"; then
   echo "ci: admission accepted an over-budget tenant set"
@@ -147,51 +147,39 @@ rm -f "$detect_smoke.err"
 target/release/superfe serve kitsune helad n-baiot --packets 100 >/dev/null \
   || { echo "ci: prefix sharing failed to admit the sALU-heavy set"; exit 1; }
 
-step "cross-policy fusion smoke (SF07xx report + fused serve)"
-# AWF and DF are the same extractor under different names: the SF07xx
-# equivalence analysis must put them in one plan class (SF0701) in both
-# output formats, and a fused serve must still verify bitwise against solo.
-fusion_json=$(target/release/superfe check awf df --format json) \
+step "sharing smoke (SF07xx + SF08xx report, fused and prefix-shared serve)"
+# One tenant set exercising both depths of the sharing lattice: AWF and DF
+# are the same extractor under different names (one plan class, SF0701),
+# and flow_stats shares their parse → groupby(flow) → filter(tcp.exist)
+# switch prefix but keeps its own map/reduce tail (one partition class,
+# SF0801). Both output formats must report it, and the serve must run three
+# tenants on two execution units and one switch partition with every
+# tenant's output bitwise identical to its solo run.
+sharing_set="awf df examples/flow_stats.sfe"
+share_json=$(target/release/superfe check $sharing_set --format json) \
   || { echo "ci: multi-policy check failed"; exit 1; }
-grep -q '"plans_saved":1' <<<"$fusion_json" \
+grep -q '"plans_saved":1' <<<"$share_json" \
   || { echo "ci: fusion report did not save the AWF/DF duplicate plan"; exit 1; }
-grep -q '"code":"SF0701"' <<<"$fusion_json" \
+grep -q '"code":"SF0701"' <<<"$share_json" \
   || { echo "ci: fusion report is missing the SF0701 class finding"; exit 1; }
-target/release/superfe check awf df | grep -q "cross-policy fusion (SF07xx)" \
-  || { echo "ci: text check lost the fusion section"; exit 1; }
-fused_out=$(target/release/superfe serve awf df --packets 4000 --workers 2 \
-  --verify-solo) || { echo "ci: fused serve smoke failed"; exit 1; }
-grep -q "execution units at shutdown: 1 (cross-policy fusion enabled)" \
-  <<<"$fused_out" || { echo "ci: serve did not fuse the AWF/DF pair"; exit 1; }
-for t in 0 1; do
-  grep -q "verified tenant t$t .*bitwise identical" <<<"$fused_out" \
-    || { echo "ci: fused serve did not verify tenant t$t"; exit 1; }
-done
-
-step "shared-prefix smoke (SF08xx report + prefix-shared serve)"
-# flow_stats and flow_volume share parse → groupby(flow) → filter(tcp.exist)
-# but diverge in their map/reduce tails: the SF08xx analysis must certify one
-# shared switch prefix (SF0801) in both output formats, and a prefix-shared
-# serve must run both tenants on a single switch partition while every
-# tenant's output stays bitwise identical to its solo run.
-share_json=$(target/release/superfe check examples/flow_stats.sfe \
-  examples/flow_volume.sfe --format json) \
-  || { echo "ci: shared-prefix check failed"; exit 1; }
+grep -q '"partitions_saved":2' <<<"$share_json" \
+  || { echo "ci: sharing report did not save the two duplicate switch partitions"; exit 1; }
 grep -q '"code":"SF0801"' <<<"$share_json" \
   || { echo "ci: sharing report is missing the SF0801 shared-prefix finding"; exit 1; }
-grep -q '"partitions_saved":1' <<<"$share_json" \
-  || { echo "ci: sharing report did not save a switch partition"; exit 1; }
-target/release/superfe check examples/flow_stats.sfe examples/flow_volume.sfe \
-  | grep -q "cross-tenant prefix sharing (SF08xx)" \
+share_text=$(target/release/superfe check $sharing_set)
+grep -q "cross-policy fusion (SF07xx)" <<<"$share_text" \
+  || { echo "ci: text check lost the fusion section"; exit 1; }
+grep -q "cross-tenant prefix sharing (SF08xx)" <<<"$share_text" \
   || { echo "ci: text check lost the sharing section"; exit 1; }
-shared_out=$(target/release/superfe serve examples/flow_stats.sfe \
-  examples/flow_volume.sfe --packets 4000 --workers 2 --verify-solo) \
-  || { echo "ci: prefix-shared serve smoke failed"; exit 1; }
+shared_out=$(target/release/superfe serve $sharing_set --packets 4000 --workers 2 \
+  --verify-solo) || { echo "ci: shared serve smoke failed"; exit 1; }
+grep -q "execution units at shutdown: 2 (cross-policy fusion enabled)" \
+  <<<"$shared_out" || { echo "ci: serve did not fuse the AWF/DF pair"; exit 1; }
 grep -q "shared switch partitions at shutdown: 1 (cross-tenant CSE enabled)" \
   <<<"$shared_out" || { echo "ci: serve did not share the switch prefix"; exit 1; }
-for t in 0 1; do
+for t in 0 1 2; do
   grep -q "verified tenant t$t .*bitwise identical" <<<"$shared_out" \
-    || { echo "ci: prefix-shared serve did not verify tenant t$t"; exit 1; }
+    || { echo "ci: shared serve did not verify tenant t$t"; exit 1; }
 done
 
 step "corpus-scale state (90k flows under a DRAM budget; bounded RSS from the ledger)"
@@ -293,7 +281,8 @@ bash benchmark/run.sh --smoke --trace 0 >/dev/null \
 
 step "lines of Rust under crates/ (the ROADMAP net-LOC measure)"
 # 45,606 at PR 11, 45,945 before ISSUE 16 retired the second benchmark
-# stack; a simplicity PR states its delta from the number printed here.
+# stack, 43,942 before ISSUE 17 merged the two sharing analyses; a
+# simplicity PR states its delta from the number printed here.
 find crates -name '*.rs' | xargs wc -l | tail -1
 
 printf '\nci: all checks passed\n'

@@ -51,6 +51,7 @@ use superfe_nic::{
 };
 use superfe_policy::analyze::cost::policy_cost;
 use superfe_policy::analyze::json_escape;
+use superfe_policy::analyze::share::{analyze_sharing, Divergence, ShareAnalysis};
 use superfe_policy::ir::opt::optimize;
 use superfe_policy::{compile, dsl, Policy};
 use superfe_switch::{resources as switch_resources, MgpvConfig, TofinoBudget};
@@ -150,11 +151,9 @@ pub enum Command {
         /// Re-run every tenant alone and fail unless the shared-plane
         /// output is bitwise identical.
         verify_solo: bool,
-        /// Analysis-certified cross-policy fusion (disable with --no-fuse,
-        /// which also disables SF08xx prefix sharing).
+        /// Analysis-certified cross-tenant sharing — SF07xx plan fusion
+        /// and SF08xx prefix sharing (disable with --no-fuse).
         fuse: bool,
-        /// SF08xx cross-tenant prefix sharing (disable with --no-cse).
-        cse: bool,
         /// Write a live plane snapshot to this path mid-stream.
         snapshot: Option<String>,
         /// Packet index at which the snapshot is taken (with `--snapshot`;
@@ -260,7 +259,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             let mut cache_slots = Vec::new();
             let mut verify_solo = false;
             let mut fuse = true;
-            let mut cse = true;
             let mut snapshot = None;
             let mut snapshot_at = None;
             let mut restore = None;
@@ -315,11 +313,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                         cache_slots.push(pair);
                     }
                     "--verify-solo" => verify_solo = true,
-                    "--no-fuse" => {
-                        fuse = false;
-                        cse = false;
-                    }
-                    "--no-cse" => cse = false,
+                    "--no-fuse" => fuse = false,
                     "--snapshot" => snapshot = Some(value()?),
                     "--snapshot-at" => {
                         snapshot_at = Some(parsed("--snapshot-at", &value()?, "an integer")?);
@@ -365,7 +359,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 cache_slots,
                 verify_solo,
                 fuse,
-                cse,
                 snapshot,
                 snapshot_at,
                 restore,
@@ -620,8 +613,6 @@ pub fn usage() -> String {
      \x20 --no-fuse                          disable all cross-tenant sharing:\n\
      \x20                                    SF07xx fusion and SF08xx prefix\n\
      \x20                                    sharing (default: both enabled)\n\
-     \x20 --no-cse                           disable only SF08xx prefix sharing\n\
-     \x20                                    (equivalent tenants still fuse)\n\
      \x20 --verify-solo                      fail unless every tenant's output is\n\
      \x20                                    bitwise identical to a solo run\n\
      \x20 --snapshot PATH                    write a live plane snapshot mid-stream\n\
@@ -651,24 +642,57 @@ pub fn usage() -> String {
         .to_string()
 }
 
-/// Runs the SF07xx cross-policy equivalence analysis and renders the
-/// human-readable fusion section: the plan classes (who shares whose
-/// hardware) and every SF0701/SF0702 finding.
-fn fusion_section_text(named: &[(String, Policy)], vc: &superfe_policy::ValueConfig) -> String {
+/// Completes a multi-policy `check` / `explain`: the per-policy outputs
+/// `per`, then the fusion and prefix-sharing sections, all four renderings
+/// of which read the one sharing analysis run here.
+fn with_sharing_sections(
+    per: &[String],
+    named: &[(String, Policy)],
+    vc: &superfe_policy::ValueConfig,
+    format: OutputFormat,
+) -> String {
     let refs: Vec<(&str, &Policy)> = named.iter().map(|(n, p)| (n.as_str(), p)).collect();
-    let analysis = superfe_policy::analyze::equiv::analyze_fusion(&refs, vc);
+    let analysis = analyze_sharing(&refs, vc);
+    match format {
+        OutputFormat::Text => format!(
+            "{}{}{}",
+            per.concat(),
+            fusion_section_text(named, &analysis),
+            sharing_section_text(named, &analysis)
+        ),
+        OutputFormat::Json => format!(
+            "{{\"policies\":[{}],\"fusion\":{},\"sharing\":{}}}\n",
+            per.join(","),
+            fusion_section_json(named, &analysis),
+            sharing_section_json(named, &analysis)
+        ),
+    }
+}
+
+/// `"a","b"` — the member names of one class, as JSON array items.
+fn members_json(named: &[(String, Policy)], members: &[usize]) -> String {
+    let quoted: Vec<String> = members
+        .iter()
+        .map(|&m| format!("\"{}\"", json_escape(&named[m].0)))
+        .collect();
+    quoted.join(",")
+}
+
+/// The human-readable fusion section: the plan classes (who shares whose
+/// hardware) and every SF0701/SF0702 finding.
+fn fusion_section_text(named: &[(String, Policy)], analysis: &ShareAnalysis) -> String {
     let mut out = String::new();
     writeln!(
         out,
         "cross-policy fusion (SF07xx): {} policies need {} execution plan(s); \
          fusion saves {} duplicate plan(s)",
         named.len(),
-        analysis.classes.len(),
-        analysis.plans_saved()
+        analysis.plans.len(),
+        named.len() - analysis.plans.len()
     )
     .expect("write");
-    for (ci, class) in analysis.classes.iter().enumerate() {
-        let members: Vec<&str> = class.members.iter().map(|&m| refs[m].0).collect();
+    for (ci, class) in analysis.plans.iter().enumerate() {
+        let members: Vec<&str> = class.members.iter().map(|&m| named[m].0.as_str()).collect();
         writeln!(
             out,
             "  plan {}: {}{}",
@@ -682,41 +706,34 @@ fn fusion_section_text(named: &[(String, Policy)], vc: &superfe_policy::ValueCon
         )
         .expect("write");
     }
-    for d in analysis.report.diagnostics() {
+    for d in analysis.plan_report.diagnostics() {
         writeln!(out, "  {d}").expect("write");
     }
     out
 }
 
-/// The machine rendering of the SF07xx analysis: plan classes with member
-/// names and the finding report, as one JSON object.
-fn fusion_section_json(named: &[(String, Policy)], vc: &superfe_policy::ValueConfig) -> String {
-    let refs: Vec<(&str, &Policy)> = named.iter().map(|(n, p)| (n.as_str(), p)).collect();
-    let analysis = superfe_policy::analyze::equiv::analyze_fusion(&refs, vc);
+/// The machine rendering of the fusion section: plan classes with member
+/// names and the SF07xx finding report, as one JSON object.
+fn fusion_section_json(named: &[(String, Policy)], analysis: &ShareAnalysis) -> String {
     let classes: Vec<String> = analysis
-        .classes
+        .plans
         .iter()
         .map(|c| {
-            let members: Vec<String> = c
-                .members
-                .iter()
-                .map(|&m| format!("\"{}\"", json_escape(refs[m].0)))
-                .collect();
             format!(
                 "{{\"hash\":\"{:016x}\",\"members\":[{}]}}",
                 c.hash,
-                members.join(",")
+                members_json(named, &c.members)
             )
         })
         .collect();
     let near: Vec<String> = analysis
-        .near_misses
+        .plan_near_misses
         .iter()
         .map(|m| {
             format!(
                 "{{\"a\":\"{}\",\"b\":\"{}\",\"reason\":\"{}\",\"divergence\":{}}}",
-                json_escape(refs[m.a].0),
-                json_escape(refs[m.b].0),
+                json_escape(&named[m.a].0),
+                json_escape(&named[m.b].0),
                 json_escape(&m.reason),
                 m.divergence
                     .as_ref()
@@ -729,16 +746,16 @@ fn fusion_section_json(named: &[(String, Policy)], vc: &superfe_policy::ValueCon
         "{{\"policy_count\":{},\"plan_count\":{},\"plans_saved\":{},\"classes\":[{}],\
          \"near_misses\":[{}],\"report\":{}}}",
         named.len(),
-        analysis.classes.len(),
-        analysis.plans_saved(),
+        analysis.plans.len(),
+        named.len() - analysis.plans.len(),
         classes.join(","),
         near.join(","),
-        analysis.report.render_json()
+        analysis.plan_report.render_json()
     )
 }
 
 /// The machine rendering of one SF0702/SF0802 first-divergence diff.
-fn divergence_json(d: &superfe_policy::analyze::share::Divergence) -> String {
+fn divergence_json(d: &Divergence) -> String {
     format!(
         "{{\"stage\":\"{}\",\"op\":{},\"culprit\":\"{}\"}}",
         json_escape(d.stage.label()),
@@ -747,59 +764,53 @@ fn divergence_json(d: &superfe_policy::analyze::share::Divergence) -> String {
     )
 }
 
-/// Runs the SF08xx shared-prefix analysis and renders the human-readable
-/// sharing section: the prefix groups (whose switch partitions merge) and
-/// every SF0801/SF0802/SF0803 finding.
-fn sharing_section_text(named: &[(String, Policy)], vc: &superfe_policy::ValueConfig) -> String {
-    let refs: Vec<(&str, &Policy)> = named.iter().map(|(n, p)| (n.as_str(), p)).collect();
-    let plan = superfe_policy::ir::opt::share::share(&refs, vc);
+/// The human-readable prefix-sharing section: the partition classes (whose
+/// switch partitions merge) and every SF0801/SF0802/SF0803 finding.
+fn sharing_section_text(named: &[(String, Policy)], analysis: &ShareAnalysis) -> String {
+    let partitions = analysis.partitions.len();
     let mut out = String::new();
     writeln!(
         out,
-        "cross-tenant prefix sharing (SF08xx): {}",
-        plan.summary()
+        "cross-tenant prefix sharing (SF08xx): {} policies → {} switch partition{} ({} saved)",
+        named.len(),
+        partitions,
+        if partitions == 1 { "" } else { "s" },
+        named.len() - partitions
     )
     .expect("write");
-    for (gi, group) in plan.groups.iter().enumerate() {
-        let members: Vec<&str> = group.members.iter().map(|&m| refs[m].0).collect();
+    for (gi, class) in analysis.partitions.iter().enumerate() {
+        let members: Vec<&str> = class.members.iter().map(|&m| named[m].0.as_str()).collect();
         writeln!(
             out,
             "  partition {}: {}{}",
             gi + 1,
             members.join(", "),
-            if group.members.len() > 1 {
-                format!(" (shared prefix {:#018x})", group.prefix)
+            if class.members.len() > 1 {
+                format!(" (shared prefix {:#018x})", class.prefix)
             } else {
                 String::new()
             }
         )
         .expect("write");
     }
-    for d in plan.analysis.report.diagnostics() {
+    for d in analysis.partition_report.diagnostics() {
         writeln!(out, "  {d}").expect("write");
     }
     out
 }
 
-/// The machine rendering of the SF08xx analysis: prefix groups with member
-/// names, structured near-misses, and the finding report, as one JSON
-/// object.
-fn sharing_section_json(named: &[(String, Policy)], vc: &superfe_policy::ValueConfig) -> String {
-    let refs: Vec<(&str, &Policy)> = named.iter().map(|(n, p)| (n.as_str(), p)).collect();
-    let plan = superfe_policy::ir::opt::share::share(&refs, vc);
-    let groups: Vec<String> = plan
-        .groups
+/// The machine rendering of the prefix-sharing section: partition classes
+/// with member names, structured near-misses, and the SF08xx finding
+/// report, as one JSON object.
+fn sharing_section_json(named: &[(String, Policy)], analysis: &ShareAnalysis) -> String {
+    let groups: Vec<String> = analysis
+        .partitions
         .iter()
         .map(|g| {
-            let members: Vec<String> = g
-                .members
-                .iter()
-                .map(|&m| format!("\"{}\"", json_escape(refs[m].0)))
-                .collect();
             format!(
                 "{{\"prefix\":\"{:016x}\",\"members\":[{}],\"ops\":[{}]}}",
                 g.prefix,
-                members.join(","),
+                members_json(named, &g.members),
                 g.ops
                     .iter()
                     .map(|o| format!("\"{}\"", json_escape(o)))
@@ -808,15 +819,14 @@ fn sharing_section_json(named: &[(String, Policy)], vc: &superfe_policy::ValueCo
             )
         })
         .collect();
-    let near: Vec<String> = plan
-        .analysis
-        .near_misses
+    let near: Vec<String> = analysis
+        .partition_near_misses
         .iter()
         .map(|m| {
             format!(
                 "{{\"a\":\"{}\",\"b\":\"{}\",\"divergence\":{}}}",
-                json_escape(refs[m.a].0),
-                json_escape(refs[m.b].0),
+                json_escape(&named[m.a].0),
+                json_escape(&named[m.b].0),
                 divergence_json(&m.divergence)
             )
         })
@@ -825,11 +835,11 @@ fn sharing_section_json(named: &[(String, Policy)], vc: &superfe_policy::ValueCo
         "{{\"policy_count\":{},\"partition_count\":{},\"partitions_saved\":{},\"groups\":[{}],\
          \"near_misses\":[{}],\"report\":{}}}",
         named.len(),
-        plan.groups.len(),
-        plan.partitions_saved(),
+        analysis.partitions.len(),
+        named.len() - analysis.partitions.len(),
         groups.join(","),
         near.join(","),
-        plan.analysis.report.render_json()
+        analysis.partition_report.render_json()
     )
 }
 
@@ -991,7 +1001,6 @@ fn serve(
     cache_slots: &[(usize, usize)],
     verify_solo: bool,
     fuse: bool,
-    cse: bool,
     snapshot: Option<(&str, usize)>,
     restore: Option<&str>,
     evict_seed: Option<u64>,
@@ -1108,10 +1117,10 @@ fn serve(
     }
 
     let snapshot = snapshot.map(|(path, at)| (path, at.min(t.records.len())));
-    let mut plane = match (fuse, cse) {
-        (true, true) => CtrlPlane::new(workers, AnalyzeConfig::default()),
-        (true, false) => CtrlPlane::without_cse(workers, AnalyzeConfig::default()),
-        (false, _) => CtrlPlane::without_fusion(workers, AnalyzeConfig::default()),
+    let mut plane = if fuse {
+        CtrlPlane::new(workers, AnalyzeConfig::default())
+    } else {
+        CtrlPlane::without_fusion(workers, AnalyzeConfig::default())
     };
     // An explicit eviction seed pins every tenant attached below to the
     // seeded `RandomWay` policy, making eviction sequences reproducible
@@ -1219,7 +1228,7 @@ fn serve(
     writeln!(
         text,
         "shared switch partitions at shutdown: {live_groups} (cross-tenant CSE {})",
-        if cse { "enabled" } else { "disabled" }
+        if fuse { "enabled" } else { "disabled" }
     )
     .expect("write");
     for occ in &occupancy {
@@ -1317,7 +1326,6 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             cache_slots,
             verify_solo,
             fuse,
-            cse,
             snapshot,
             snapshot_at,
             restore,
@@ -1333,7 +1341,6 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             &cache_slots,
             verify_solo,
             fuse,
-            cse,
             snapshot
                 .as_deref()
                 .map(|p| (p, snapshot_at.unwrap_or(packets / 2))),
@@ -1375,38 +1382,21 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                     OutputFormat::Json => format!("{}\n", reports[0].render_json()),
                 }
             } else {
-                // Several policies: per-policy reports plus the SF07xx
-                // cross-policy fusion report over the whole set.
-                match format {
-                    OutputFormat::Text => {
-                        let mut out = String::new();
-                        for ((name, _), report) in named.iter().zip(&reports) {
-                            write!(out, "checking {name}\n{}", report.render()).expect("write");
-                        }
-                        out.push_str(&fusion_section_text(&named, &cfg.value_config()));
-                        out.push_str(&sharing_section_text(&named, &cfg.value_config()));
-                        out
-                    }
-                    OutputFormat::Json => {
-                        let per: Vec<String> = named
-                            .iter()
-                            .zip(&reports)
-                            .map(|((name, _), r)| {
-                                format!(
-                                    "{{\"policy\":\"{}\",\"report\":{}}}",
-                                    json_escape(name),
-                                    r.render_json()
-                                )
-                            })
-                            .collect();
-                        format!(
-                            "{{\"policies\":[{}],\"fusion\":{},\"sharing\":{}}}\n",
-                            per.join(","),
-                            fusion_section_json(&named, &cfg.value_config()),
-                            sharing_section_json(&named, &cfg.value_config())
-                        )
-                    }
-                }
+                // Several policies: per-policy reports plus the sharing
+                // sections over the whole set.
+                let per: Vec<String> = named
+                    .iter()
+                    .zip(&reports)
+                    .map(|((name, _), r)| match format {
+                        OutputFormat::Text => format!("checking {name}\n{}", r.render()),
+                        OutputFormat::Json => format!(
+                            "{{\"policy\":\"{}\",\"report\":{}}}",
+                            json_escape(name),
+                            r.render_json()
+                        ),
+                    })
+                    .collect();
+                with_sharing_sections(&per, &named, &cfg.value_config(), format)
             };
             if failed {
                 // Non-zero exit: main prints machine output to stdout and
@@ -1438,33 +1428,20 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                 group_packets,
                 ..AnalyzeConfig::default()
             };
-            match format {
-                OutputFormat::Text => {
-                    let mut out = String::new();
-                    for name in &policies {
-                        out.push_str(&explain(name, groups, group_packets, format)?);
-                    }
-                    out.push_str(&fusion_section_text(&named, &cfg.value_config()));
-                    out.push_str(&sharing_section_text(&named, &cfg.value_config()));
-                    Ok(out)
-                }
-                OutputFormat::Json => {
-                    let mut per = Vec::new();
-                    for name in &policies {
-                        per.push(
-                            explain(name, groups, group_packets, format)?
-                                .trim_end()
-                                .to_string(),
-                        );
-                    }
-                    Ok(format!(
-                        "{{\"policies\":[{}],\"fusion\":{},\"sharing\":{}}}\n",
-                        per.join(","),
-                        fusion_section_json(&named, &cfg.value_config()),
-                        sharing_section_json(&named, &cfg.value_config())
-                    ))
-                }
+            let mut per = Vec::new();
+            for name in &policies {
+                let one = explain(name, groups, group_packets, format)?;
+                per.push(match format {
+                    OutputFormat::Text => one,
+                    OutputFormat::Json => one.trim_end().to_string(),
+                });
             }
+            Ok(with_sharing_sections(
+                &per,
+                &named,
+                &cfg.value_config(),
+                format,
+            ))
         }
         Command::Compile { policy } => {
             let (_, p) = resolve_policy(&policy)?;
@@ -1704,21 +1681,12 @@ mod tests {
                 cache_slots: vec![(0, 4096)],
                 verify_solo: true,
                 fuse: false,
-                cse: false,
                 snapshot: None,
                 snapshot_at: None,
                 restore: None,
                 evict_seed: None,
             }
         );
-        // --no-cse disables only prefix sharing; --no-fuse disables both.
-        match parse_args(&args("serve cumul kitsune --no-cse")).unwrap() {
-            Command::Serve { fuse, cse, .. } => {
-                assert!(fuse);
-                assert!(!cse);
-            }
-            other => panic!("expected Serve, got {other:?}"),
-        }
         assert!(parse_args(&args("serve")).is_err());
         assert!(parse_args(&args("serve cumul --attach-at nope")).is_err());
         assert!(parse_args(&args("serve cumul --attach-at 7:0")).is_err());
@@ -1774,7 +1742,6 @@ mod tests {
                 cache_slots: vec![],
                 verify_solo: false,
                 fuse: true,
-                cse: true,
                 snapshot_at: snapshot.is_some().then_some(1_000),
                 snapshot,
                 restore,
@@ -1811,7 +1778,6 @@ mod tests {
             cache_slots: vec![],
             verify_solo: true,
             fuse: true,
-            cse: true,
             snapshot: None,
             snapshot_at: None,
             restore: None,
@@ -1844,7 +1810,6 @@ mod tests {
             cache_slots: vec![],
             verify_solo: false,
             fuse: false,
-            cse: false,
             snapshot: None,
             snapshot_at: None,
             restore: None,
@@ -1869,7 +1834,6 @@ mod tests {
                 cache_slots: vec![],
                 verify_solo: false,
                 fuse: true,
-                cse: true,
                 snapshot: None,
                 snapshot_at: None,
                 restore: None,
@@ -2272,7 +2236,7 @@ mod tests {
     fn serve_prefix_sharing_shares_partitions_bitwise() {
         let dir = std::env::temp_dir().join("superfe_cli_serve_share_test");
         let (a, b) = write_prefix_pair(&dir);
-        let run = |cse| {
+        let run = |fuse| {
             execute(Command::Serve {
                 policies: vec![a.clone(), b.clone()],
                 trace: WorkloadPreset::Campus,
@@ -2283,8 +2247,7 @@ mod tests {
                 detach_at: vec![],
                 cache_slots: vec![],
                 verify_solo: true,
-                fuse: true,
-                cse,
+                fuse,
                 snapshot: None,
                 snapshot_at: None,
                 restore: None,
@@ -2390,7 +2353,6 @@ mod tests {
             cache_slots: vec![],
             verify_solo: true,
             fuse: true,
-            cse: true,
             snapshot: None,
             snapshot_at: None,
             restore: None,
@@ -2427,7 +2389,6 @@ mod tests {
             cache_slots: vec![],
             verify_solo: false,
             fuse: true,
-            cse: true,
             snapshot: None,
             snapshot_at: None,
             restore: None,
@@ -2456,7 +2417,6 @@ mod tests {
             cache_slots: vec![(1, 4_000_000)],
             verify_solo: false,
             fuse: true,
-            cse: true,
             snapshot: None,
             snapshot_at: None,
             restore: None,

@@ -95,6 +95,9 @@ pub enum CtrlError {
     /// version-mismatched bytes, or specs that do not match the saved
     /// topology).
     Snapshot(String),
+    /// Every tenant id has been handed out: ids are 16-bit and never
+    /// recycled, so a plane attaches at most 65,536 tenants over its life.
+    TenantIdsExhausted,
 }
 
 impl std::fmt::Display for CtrlError {
@@ -105,6 +108,9 @@ impl std::fmt::Display for CtrlError {
             CtrlError::UnknownTenant(t) => write!(f, "tenant {t} is not attached"),
             CtrlError::Switch(msg) => write!(f, "shared switch error: {msg}"),
             CtrlError::Snapshot(msg) => write!(f, "plane snapshot error: {msg}"),
+            CtrlError::TenantIdsExhausted => {
+                write!(f, "tenant id space exhausted (ids are never recycled)")
+            }
         }
     }
 }

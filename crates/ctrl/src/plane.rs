@@ -7,15 +7,10 @@
 //!
 //! 1. [`CtrlPlane::attach`] gates the candidate policy (optimize → compile
 //!    → static analysis, the same `superfe_core::deploy::gate` every solo
-//!    path uses), then consults the SF07xx cross-policy equivalence
-//!    analysis (`superfe_policy::analyze::equiv`): if the candidate is
-//!    provably equivalent to an already-deployed policy — same canonical
-//!    hash, same deployment config, proven value-range match, and the
-//!    shared plan still at stream position zero — it **fuses**, joining
-//!    the existing execution unit's demux fan-out with zero marginal
-//!    hardware demand. Otherwise its demand composes with the admitted
-//!    set through the admission controller before the plane installs a
-//!    new filter entry, cache partition, and NIC engine set.
+//!    path uses), then asks the one **join rule** how deep the candidate
+//!    may share with what is already deployed (see below). Whatever the
+//!    rule leaves as marginal demand composes with the admitted set through
+//!    the admission controller before anything touches the data path.
 //! 2. [`CtrlPlane::detach`] is one epoch-boundary operation parameterized
 //!    by what survives: when the tenant's switch partition dies with it the
 //!    partition is drained, otherwise (a fused member, or a unit sharing
@@ -26,36 +21,42 @@
 //!    what a solo run over its window returns while the survivors' state
 //!    is never touched.
 //!
-//! Below whole-plan fusion sits **SF08xx prefix sharing** (cross-tenant
-//! CSE): when a candidate is *not* equivalent to any live plan but its
-//! switch prefix — parse, groupby chain, filter conjunct set — hashes
-//! equal to a live partition's and the SF08xx value certificate holds
-//! ([`superfe_policy::analyze::share::certify_prefix`]), the candidate's
-//! execution unit subscribes to that partition's event stream instead of
-//! installing its own. Units then nest inside **groups**: a group is one
-//! switch partition; each of its units is one NIC engine set with its own
-//! map/reduce tail; fused tenants share a unit via demux. Prefix joins are
-//! position-gated like fusion, and the partition's record layout is
-//! widened to the canonical metadata union at join time (lossless: the
-//! gate guarantees the partition is empty). Admission composes switch
-//! demand once per group and NIC demand once per unit
-//! ([`crate::admission::admit_composed`]).
+//! **The join rule.** Every deployed unit keeps its policy's canonical
+//! stage-prefix lattice ([`PrefixForm`]). A candidate is compared against
+//! the units deployed under the same configuration that are still at the
+//! candidate's stream position, and joins at the deepest depth
+//! [`certify`] proves:
+//!
+//! - the **whole lattice** → [`Join::Member`]: the same program. The
+//!   tenant joins that unit's demux fan-out with zero marginal hardware
+//!   demand (SF07xx fusion);
+//! - the **switch prefix** — parse, groupby chain, filter conjunct set →
+//!   [`Join::Unit`]: a new execution unit (its own NIC engines and
+//!   map/reduce tail) subscribed to that unit's switch partition. The
+//!   partition's record layout is widened to the canonical metadata union
+//!   at join time — lossless, the position gate guarantees it is empty
+//!   (SF08xx prefix sharing);
+//! - nothing → [`Join::Partition`]: a new partition and a new unit.
+//!
+//! So units nest inside **groups**: a group is one switch partition; each
+//! of its units is one NIC engine set; fused tenants share a unit via
+//! demux. Admission composes switch demand once per group and NIC demand
+//! once per unit ([`crate::admission::admit_composed`]).
 //!
 //! Untouched tenants lose or duplicate zero vectors across either
 //! operation: their partitions, engines, and channels are never touched,
 //! and the epoch markers travel in-band so they cannot reorder against
-//! event frames. Fusion preserves the same contract through the demux
-//! fan-out: every fused member receives its own copy of every vector
-//! under its own egress numbering. Prefix sharing preserves it through
-//! the soundness fact the certificate encodes: the MGPV event stream —
-//! record content *and* eviction timing — is fully determined by the
-//! shared prefix, so every unit observes exactly the stream its solo
-//! partition would have produced.
+//! event frames. Sharing preserves the same contract: every fused member
+//! receives its own copy of every vector under its own egress numbering,
+//! and the MGPV event stream — record content *and* eviction timing — is
+//! fully determined by the switch prefix, so every unit observes exactly
+//! the stream its solo partition would have produced.
 
 use superfe_core::pipeline::SuperFeConfig;
 use superfe_net::{Granularity, PacketRecord};
 use superfe_nic::{ShardPool, StreamOutput, UnitPressure, VectorSink};
-use superfe_policy::analyze::{codes, equiv, share as pshare, Diagnostic};
+use superfe_policy::analyze::share::{certify, prefix_form, Depth, PrefixForm};
+use superfe_policy::analyze::{codes, Diagnostic};
 use superfe_policy::{NicProgram, Policy, SwitchProgram};
 use superfe_switch::resources::{compose, model, SwitchResources};
 use superfe_switch::tenant::{
@@ -87,49 +88,59 @@ pub(crate) struct Slot {
 }
 
 /// One deployed execution unit: a NIC engine set that one or more
-/// SF07xx-equivalent tenants share, fed by the switch partition of the
+/// tenants running the same plan share, fed by the switch partition of the
 /// group it belongs to.
 pub(crate) struct Unit {
     pub(crate) id: TenantId,
-    pub(crate) hash: u64,
+    /// The policy's canonical lattice: `form.full()` is the unit's plan
+    /// identity, `form.switch_prefix` its partition identity.
+    pub(crate) form: PrefixForm,
+    /// The founding member's policy — the certification anchor later
+    /// candidates are checked against.
     pub(crate) policy: Policy,
     pub(crate) cfg: SuperFeConfig,
     pub(crate) demand: TenantDemand,
     pub(crate) members: Vec<TenantId>,
-    /// The prefix group (switch partition) whose event stream feeds this
-    /// unit; equals `id` unless the unit joined via an SF08xx prefix
-    /// share.
+    /// The switch partition whose event stream feeds this unit; equals
+    /// `id` unless the unit joined an existing partition.
     pub(crate) group: TenantId,
     /// Stream position (packets pushed) when the unit attached; a
-    /// candidate may only fuse while the plane is still at this position,
-    /// otherwise the shared plan would owe the late member history.
+    /// candidate may only join while the plane is still at this position,
+    /// otherwise the shared state would owe the late joiner history. Every
+    /// unit of a group therefore carries the same position.
     pub(crate) attach_pos: u64,
 }
 
-/// One deployed switch partition and the units subscribed to its event
-/// stream. A group with more than one unit is an SF08xx prefix share: one
-/// parse → groupby → filter pipeline and one MGPV cache serving several
-/// per-tenant map/reduce tails.
+/// One deployed switch partition: one parse → groupby → filter pipeline
+/// and one MGPV cache, serving the per-tenant map/reduce tails of every
+/// unit whose `group` names it. What those units agree on — switch prefix,
+/// deployment configuration, attach position — is read from any of them.
 pub(crate) struct Group {
     pub(crate) id: TenantId,
-    /// The certified switch-prefix hash
-    /// ([`pshare::PrefixForm::switch_prefix`]) every member agrees on.
-    pub(crate) prefix: u64,
-    /// The founding representative's policy — the certification anchor
-    /// later candidates are checked against.
-    pub(crate) policy: Policy,
-    pub(crate) cfg: SuperFeConfig,
     /// Modeled demand of the partition under its current (union) record
     /// layout; recomputed when a join widens the layout.
     pub(crate) switch: SwitchResources,
-    /// The granularity chain, compared structurally at join time as a
-    /// belt-and-braces check behind the prefix hash.
-    pub(crate) levels: Vec<Granularity>,
-    /// Stream position when the partition attached; prefix joins are
-    /// gated on the plane still being at this position, which also
-    /// guarantees the partition is empty when its layout is widened.
-    pub(crate) attach_pos: u64,
-    pub(crate) units: Vec<TenantId>,
+}
+
+/// How a candidate joins the deployed set — the one sharing decision of
+/// the plane (see the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Join {
+    /// Same plan as `units[i]`: join its demux fan-out.
+    Member(usize),
+    /// Same switch prefix as `groups[i]`: a new unit on that partition.
+    Unit(usize),
+    /// Nothing to share: a new partition and a new unit.
+    Partition,
+}
+
+/// The switch programs of the units subscribed to partition `gid`.
+pub(crate) fn group_programs(units: &[Unit], gid: TenantId) -> Vec<&SwitchProgram> {
+    units
+        .iter()
+        .filter(|u| u.group == gid)
+        .map(|u| &u.demand.compiled.switch)
+        .collect()
 }
 
 /// One tenant's final output at plane shutdown.
@@ -170,9 +181,10 @@ pub struct CtrlPlane {
     pub(crate) slots: Vec<Slot>,
     pub(crate) units: Vec<Unit>,
     pub(crate) groups: Vec<Group>,
-    pub(crate) fusion: bool,
-    pub(crate) cse: bool,
-    pub(crate) next_id: u16,
+    pub(crate) sharing: bool,
+    /// The next tenant id; past `u16::MAX` the id space is exhausted (ids
+    /// are never recycled).
+    pub(crate) next_id: u32,
     pub(crate) frame: Vec<TaggedEvent>,
     pub(crate) epoch: u64,
     pub(crate) pushed: u64,
@@ -181,32 +193,23 @@ pub struct CtrlPlane {
 impl CtrlPlane {
     /// A plane with `workers` NIC shards and the given hardware model for
     /// admission (budget, NFP, expected group population, headroom), with
-    /// analysis-certified cross-policy fusion and SF08xx prefix sharing
-    /// enabled.
+    /// analysis-certified cross-tenant sharing enabled.
     pub fn new(workers: usize, analyze: superfe_core::analyze::AnalyzeConfig) -> Self {
-        Self::build(workers, analyze, true, true)
+        Self::build(workers, analyze, true)
     }
 
-    /// Like [`CtrlPlane::new`] but with all cross-tenant sharing disabled
-    /// — no SF07xx fusion and no SF08xx prefix sharing: every tenant gets
-    /// its own partition and engines even when provably equivalent (the
-    /// baseline the sharing benchmarks compare against).
+    /// Like [`CtrlPlane::new`] but with cross-tenant sharing disabled:
+    /// every tenant gets its own partition and engines even when provably
+    /// equivalent (the unshared reference the isolation differentials and
+    /// the admission-rejection smoke compare against).
     pub fn without_fusion(workers: usize, analyze: superfe_core::analyze::AnalyzeConfig) -> Self {
-        Self::build(workers, analyze, false, false)
-    }
-
-    /// Like [`CtrlPlane::new`] but with only SF08xx prefix sharing
-    /// disabled: provably-equivalent whole plans still fuse, but tenants
-    /// that merely share a switch prefix get separate partitions.
-    pub fn without_cse(workers: usize, analyze: superfe_core::analyze::AnalyzeConfig) -> Self {
-        Self::build(workers, analyze, true, false)
+        Self::build(workers, analyze, false)
     }
 
     pub(crate) fn build(
         workers: usize,
         analyze: superfe_core::analyze::AnalyzeConfig,
-        fusion: bool,
-        cse: bool,
+        sharing: bool,
     ) -> Self {
         CtrlPlane {
             analyze,
@@ -215,8 +218,7 @@ impl CtrlPlane {
             slots: Vec::new(),
             units: Vec::new(),
             groups: Vec::new(),
-            fusion,
-            cse,
+            sharing,
             next_id: 0,
             frame: Vec::new(),
             epoch: 0,
@@ -237,14 +239,9 @@ impl CtrlPlane {
         self.nic.set_table_budget(budget);
     }
 
-    /// Whether analysis-certified cross-policy fusion is enabled.
+    /// Whether analysis-certified cross-tenant sharing is enabled.
     pub fn fusion_enabled(&self) -> bool {
-        self.fusion
-    }
-
-    /// Whether SF08xx cross-tenant prefix sharing is enabled.
-    pub fn cse_enabled(&self) -> bool {
-        self.cse
+        self.sharing
     }
 
     /// Completed reconfiguration epochs (each attach/detach is one).
@@ -273,7 +270,8 @@ impl CtrlPlane {
     /// Live switch partitions in creation order, each with its unit count
     /// (SF08xx prefix-shared partitions feed more than one unit).
     pub fn groups(&self) -> Vec<(TenantId, usize)> {
-        self.groups.iter().map(|g| (g.id, g.units.len())).collect()
+        let units = |gid| self.units.iter().filter(|u| u.group == gid).count();
+        self.groups.iter().map(|g| (g.id, units(g.id))).collect()
     }
 
     /// Link-level counters of the shared switch.
@@ -345,96 +343,93 @@ impl CtrlPlane {
         self.units.iter().find(|u| u.id == unit).map(|u| u.group)
     }
 
-    /// The unit index `spec` may fuse into, per the SF07xx legality rule:
-    /// equal canonical hash, identical deployment config, the unit still
-    /// at the candidate's stream position, and semantic equivalence
-    /// (value ranges, units, saturation) proven against the
-    /// representative.
-    fn fusion_target(&self, spec: &TenantSpec, hash: u64) -> Option<usize> {
-        if !self.fusion {
-            return None;
-        }
-        let vc = self.analyze.value_config();
-        self.units.iter().position(|u| {
-            u.hash == hash
-                && u.cfg == spec.cfg
-                && u.attach_pos == self.pushed
-                && equiv::check_equivalence(&u.policy, &spec.policy, &vc).is_ok()
-        })
-    }
-
-    /// The group index whose switch partition `spec` may subscribe to,
-    /// per the SF08xx legality rule: equal switch-prefix hash, identical
-    /// deployment config (the cache quota and mode fully determine MGPV
-    /// behavior), structurally equal granularity chain, the partition
-    /// still at the candidate's stream position, and the value
-    /// certificate ([`pshare::certify_prefix`]) proven against the
-    /// group's founding representative.
-    fn prefix_target(
+    /// The join rule (see the module docs): the deepest certified sharing
+    /// `spec` may enter with a live unit deployed under the same
+    /// configuration — the cache quota and mode fully determine MGPV
+    /// behavior — that is still at the candidate's stream position.
+    /// Equal hashes nominate, [`certify`] against the unit's founding
+    /// policy decides; the granularity chain is compared structurally as a
+    /// belt-and-braces check behind the prefix hash.
+    pub(crate) fn plan_join(
         &self,
         spec: &TenantSpec,
         demand: &TenantDemand,
-        prefix: u64,
-    ) -> Option<usize> {
-        if !self.cse {
-            return None;
+        form: &PrefixForm,
+    ) -> Join {
+        let mut join = Join::Partition;
+        if !self.sharing {
+            return join;
         }
         let vc = self.analyze.value_config();
-        self.groups.iter().position(|g| {
-            g.prefix == prefix
-                && g.cfg == spec.cfg
-                && g.attach_pos == self.pushed
-                && g.levels == demand.compiled.switch.levels
-                && pshare::certify_prefix(&g.policy, &spec.policy, &vc).is_ok()
-        })
+        for (upos, u) in self.units.iter().enumerate() {
+            if u.form.switch_prefix != form.switch_prefix
+                || u.cfg != spec.cfg
+                || u.attach_pos != self.pushed
+                || u.demand.compiled.switch.levels != demand.compiled.switch.levels
+            {
+                continue;
+            }
+            if u.form.full() == form.full()
+                && certify(&u.policy, &spec.policy, &vc, Depth::Full).is_ok()
+            {
+                return Join::Member(upos);
+            }
+            if join == Join::Partition
+                && certify(&u.policy, &spec.policy, &vc, Depth::Switch).is_ok()
+            {
+                let gpos = self.groups.iter().position(|g| g.id == u.group);
+                join = Join::Unit(gpos.expect("unit without group"));
+            }
+        }
+        join
     }
 
     /// Models the demand of group `gpos`'s partition after widening its
     /// record layout to the canonical metadata union of every member
     /// program plus the candidate's.
     fn widened_usage(&self, gpos: usize, demand: &TenantDemand) -> SwitchResources {
-        let gid = self.groups[gpos].id;
-        let mut progs: Vec<&SwitchProgram> = self
-            .units
-            .iter()
-            .filter(|u| u.group == gid)
-            .map(|u| &u.demand.compiled.switch)
-            .collect();
+        let mut progs = group_programs(&self.units, self.groups[gpos].id);
         progs.push(&demand.compiled.switch);
         let union = SwitchProgram {
             filter: demand.compiled.switch.filter.clone(),
             levels: demand.compiled.switch.levels.clone(),
             metadata: union_metadata(&progs),
         };
-        model(&union, &self.groups[gpos].cfg.cache)
+        model(&union, &demand.cache)
+    }
+
+    /// The demand admission composes once `join` is carried out: switch
+    /// demand once per partition, NIC programs once per unit. A member adds
+    /// nothing; a unit adds its NIC program and whatever the widened record
+    /// layout costs the shared partition; a partition adds both halves.
+    fn composed<'a>(
+        &'a self,
+        join: Join,
+        demand: &'a TenantDemand,
+    ) -> (Vec<SwitchResources>, Vec<&'a NicProgram>) {
+        let mut switch: Vec<SwitchResources> = self.groups.iter().map(|g| g.switch).collect();
+        let mut nics: Vec<&NicProgram> =
+            self.units.iter().map(|u| &u.demand.compiled.nic).collect();
+        match join {
+            Join::Member(_) => return (switch, nics),
+            Join::Unit(gpos) => switch[gpos] = self.widened_usage(gpos, demand),
+            Join::Partition => switch.push(demand.switch),
+        }
+        nics.push(&demand.compiled.nic);
+        (switch, nics)
     }
 
     /// Dry-runs admission for `spec` against the currently-admitted set
     /// without deploying anything. The verdict's warnings carry an SF0703
     /// note when fusion changes the composed demand — either because the
     /// candidate itself would fuse (zero marginal demand) or because the
-    /// admitted set already shares plans.
+    /// admitted set already shares plans — and an SF0803 note when units
+    /// outnumber the partitions that feed them.
     pub fn admission_check(&self, spec: &TenantSpec) -> Result<AdmissionReport, AdmissionError> {
         let demand = self.gate(spec)?;
-        let vc = self.analyze.value_config();
-        let hash = equiv::canonical_hash(&spec.policy, &vc);
-        let fused_into = self.fusion_target(spec, hash);
-        let shared_into = if fused_into.is_none() {
-            let prefix = pshare::prefix_form(&spec.policy, &vc).switch_prefix;
-            self.prefix_target(spec, &demand, prefix)
-        } else {
-            None
-        };
-        let mut switch: Vec<SwitchResources> = self.groups.iter().map(|g| g.switch).collect();
-        let mut nics: Vec<&NicProgram> =
-            self.units.iter().map(|u| &u.demand.compiled.nic).collect();
-        if let Some(gpos) = shared_into {
-            switch[gpos] = self.widened_usage(gpos, &demand);
-            nics.push(&demand.compiled.nic);
-        } else if fused_into.is_none() {
-            switch.push(demand.switch);
-            nics.push(&demand.compiled.nic);
-        }
+        let form = prefix_form(&spec.policy, &self.analyze.value_config());
+        let join = self.plan_join(spec, &demand, &form);
+        let (switch, nics) = self.composed(join, &demand);
         let mut report = admit_composed(&self.analyze, &switch, &nics)?;
         // Surface the fusion headroom: what the same tenant set would cost
         // with one partition + engine set per tenant.
@@ -461,10 +456,10 @@ impl CtrlPlane {
                 solo.salus,
                 solo.tables,
             );
-            if let Some(pos) = fused_into {
+            if let Join::Member(upos) = join {
                 note.push_str(&format!(
                     "; candidate is SF07xx-equivalent to unit {} and adds zero marginal demand",
-                    self.units[pos].id
+                    self.units[upos].id
                 ));
             }
             report
@@ -479,7 +474,7 @@ impl CtrlPlane {
                 nics.len(),
                 switch.len(),
             );
-            if let Some(gpos) = shared_into {
+            if let Join::Unit(gpos) = join {
                 note.push_str(&format!(
                     "; candidate shares partition {}'s certified switch prefix and its marginal \
                      demand is NIC-only",
@@ -498,176 +493,126 @@ impl CtrlPlane {
     /// egress — e.g. its detector's serving sinks).
     ///
     /// Packets pushed before this call never reach the new tenant; packets
-    /// pushed after all do. Other tenants are unaffected. When the SF07xx
-    /// analysis certifies the candidate equivalent to a live unit (see
-    /// [`CtrlPlane::admission_check`]), the tenant joins that unit's demux
-    /// fan-out instead of consuming new hardware; its observable output is
-    /// bitwise identical either way.
+    /// pushed after all do. Other tenants are unaffected. How much hardware
+    /// the tenant consumes is the join rule's decision (see
+    /// [`CtrlPlane::admission_check`]); its observable output is bitwise
+    /// identical either way.
     pub fn attach(
         &mut self,
         spec: &TenantSpec,
         sinks: Option<Vec<Box<dyn VectorSink>>>,
     ) -> Result<TenantId, CtrlError> {
+        // Ids are never recycled: refuse before anything is touched.
+        let id = u16::try_from(self.next_id).map_err(|_| CtrlError::TenantIdsExhausted)?;
         let demand = self.gate(spec)?;
-        let vc = self.analyze.value_config();
-        let hash = equiv::canonical_hash(&spec.policy, &vc);
-        if let Some(pos) = self.fusion_target(spec, hash) {
-            let unit_id = self.units[pos].id;
-            let id = TenantId(self.next_id);
-            self.nic.join(unit_id, id, sinks)?;
-            self.next_id = self.next_id.checked_add(1).expect("tenant id space");
-            self.units[pos].members.push(id);
-            self.slots.push(Slot {
-                id,
-                name: spec.name.clone(),
-                unit: unit_id,
-            });
-            self.epoch += 1;
-            return Ok(id);
+        let form = prefix_form(&spec.policy, &self.analyze.value_config());
+        let join = self.plan_join(spec, &demand, &form);
+        if !matches!(join, Join::Member(_)) {
+            // Admission with population feedback: already-loaded units are
+            // modeled at their observed group population, the candidate at
+            // the static worst-case estimate.
+            let pressure = self.live_pressure()?;
+            let (switch, nics) = self.composed(join, &demand);
+            admit_composed_observed(&self.analyze, &switch, &nics, &pressure)?;
         }
-        let prefix = pshare::prefix_form(&spec.policy, &vc).switch_prefix;
-        if let Some(gpos) = self.prefix_target(spec, &demand, prefix) {
-            return self.attach_to_group(spec, demand, hash, gpos, sinks);
-        }
-        // Admission with population feedback: already-loaded units are
-        // modeled at their observed group population, the candidate at the
-        // static worst-case estimate.
-        let pressure = self.live_pressure()?;
-        let mut switch: Vec<SwitchResources> = self.groups.iter().map(|g| g.switch).collect();
-        switch.push(demand.switch);
-        let mut nics: Vec<&NicProgram> =
-            self.units.iter().map(|u| &u.demand.compiled.nic).collect();
-        nics.push(&demand.compiled.nic);
-        admit_composed_observed(&self.analyze, &switch, &nics, &pressure)?;
-        let id = TenantId(self.next_id);
-        self.next_id = self.next_id.checked_add(1).expect("tenant id space");
-        if !self.switch.attach(
-            id,
-            demand.compiled.switch.clone(),
-            spec.cfg.cache,
-            spec.cfg.mode,
-        ) {
-            return Err(CtrlError::Switch(
-                "degenerate cache configuration for tenant partition".into(),
-            ));
-        }
-        if let Err(e) = self.nic.attach(
-            id,
-            &demand.compiled,
-            spec.cfg.cache.fg_table_size,
-            sinks,
-            None,
-        ) {
-            // Roll the switch half back so the plane stays consistent.
-            let mut discard = Vec::new();
-            self.switch.detach_into(id, &mut discard);
-            return Err(CtrlError::Nic(e));
-        }
-        self.groups.push(Group {
-            id,
-            prefix,
-            policy: spec.policy.clone(),
-            cfg: spec.cfg,
-            switch: demand.switch,
-            levels: demand.compiled.switch.levels.clone(),
-            attach_pos: self.pushed,
-            units: vec![id],
-        });
-        self.units.push(Unit {
-            id,
-            hash,
-            policy: spec.policy.clone(),
-            cfg: spec.cfg,
-            demand,
-            members: vec![id],
-            group: id,
-            attach_pos: self.pushed,
-        });
-        self.slots.push(Slot {
-            id,
-            name: spec.name.clone(),
-            unit: id,
-        });
-        self.epoch += 1;
-        Ok(id)
+        self.install(TenantId(id), spec, demand, form, join, sinks)?;
+        self.next_id += 1;
+        Ok(TenantId(id))
     }
 
-    /// Subscribes a new execution unit for `spec` to group `gpos`'s
-    /// switch partition (the SF08xx prefix-share attach path). The
-    /// position gate guarantees the partition is empty, so re-attaching
-    /// it with the widened canonical-union record layout is lossless.
-    fn attach_to_group(
+    /// Carries out `join` for tenant `id`: the one place the data path and
+    /// the slot / unit / group tables change on an attach. Admission is the
+    /// caller's; [`CtrlPlane::restore`] replays saved tenants through here
+    /// without it.
+    pub(crate) fn install(
         &mut self,
+        id: TenantId,
         spec: &TenantSpec,
         demand: TenantDemand,
-        hash: u64,
-        gpos: usize,
+        form: PrefixForm,
+        join: Join,
         sinks: Option<Vec<Box<dyn VectorSink>>>,
-    ) -> Result<TenantId, CtrlError> {
-        let gid = self.groups[gpos].id;
-        // Admission: the candidate's marginal demand is its NIC engine
-        // set plus whatever the widened record layout costs the shared
-        // partition. Existing units are modeled at their observed group
-        // population.
-        let pressure = self.live_pressure()?;
-        let widened = self.widened_usage(gpos, &demand);
-        let mut switch: Vec<SwitchResources> = self.groups.iter().map(|g| g.switch).collect();
-        switch[gpos] = widened;
-        let mut nics: Vec<&NicProgram> =
-            self.units.iter().map(|u| &u.demand.compiled.nic).collect();
-        nics.push(&demand.compiled.nic);
-        admit_composed_observed(&self.analyze, &switch, &nics, &pressure)?;
-        let id = TenantId(self.next_id);
-        // NIC first — it is the fallible half; the switch re-attach below
-        // cannot fail for a configuration the group already validated.
-        self.nic.attach_to_group(
-            gid,
-            id,
-            &demand.compiled,
-            spec.cfg.cache.fg_table_size,
-            sinks,
-        )?;
-        self.next_id = self.next_id.checked_add(1).expect("tenant id space");
-        // Swap the partition in for one with the union record layout. The
-        // position gate makes this lossless: nothing has been routed
-        // since the group attached, so the partition holds no state.
-        self.frame.clear();
-        self.switch.detach_into(gid, &mut self.frame);
-        debug_assert!(
-            self.frame.is_empty(),
-            "position-gated partition must be empty at a prefix join"
-        );
-        self.frame.clear();
-        let mut progs: Vec<&SwitchProgram> = self
-            .units
-            .iter()
-            .filter(|u| u.group == gid)
-            .map(|u| &u.demand.compiled.switch)
-            .collect();
-        progs.push(&demand.compiled.switch);
-        let ok = self
-            .switch
-            .attach_shared(gid, &progs, spec.cfg.cache, spec.cfg.mode);
-        debug_assert!(ok, "re-attaching a validated partition cannot fail");
-        self.groups[gpos].switch = widened;
-        self.groups[gpos].units.push(id);
-        self.units.push(Unit {
-            id,
-            hash,
-            policy: spec.policy.clone(),
-            cfg: spec.cfg,
-            demand,
-            members: vec![id],
-            group: gid,
-            attach_pos: self.pushed,
-        });
+    ) -> Result<(), CtrlError> {
+        let fg_table_size = spec.cfg.cache.fg_table_size;
+        let (unit, group) = match join {
+            Join::Member(upos) => {
+                let unit = &mut self.units[upos];
+                self.nic.join(unit.id, id, sinks)?;
+                unit.members.push(id);
+                (unit.id, None)
+            }
+            Join::Unit(gpos) => {
+                let gid = self.groups[gpos].id;
+                let widened = self.widened_usage(gpos, &demand);
+                // NIC first — it is the fallible half; the switch re-attach
+                // below cannot fail for a configuration the group already
+                // validated.
+                self.nic
+                    .attach_to_group(gid, id, &demand.compiled, fg_table_size, sinks)?;
+                // Swap the partition in for one with the union record
+                // layout. The position gate makes this lossless: nothing has
+                // been routed since the group attached, so the partition
+                // holds no state.
+                self.frame.clear();
+                self.switch.detach_into(gid, &mut self.frame);
+                debug_assert!(
+                    self.frame.is_empty(),
+                    "position-gated partition must be empty at a prefix join"
+                );
+                self.frame.clear();
+                let mut progs = group_programs(&self.units, gid);
+                progs.push(&demand.compiled.switch);
+                let ok = self
+                    .switch
+                    .attach_shared(gid, &progs, spec.cfg.cache, spec.cfg.mode);
+                debug_assert!(ok, "re-attaching a validated partition cannot fail");
+                self.groups[gpos].switch = widened;
+                (id, Some(gid))
+            }
+            Join::Partition => {
+                if !self.switch.attach(
+                    id,
+                    demand.compiled.switch.clone(),
+                    spec.cfg.cache,
+                    spec.cfg.mode,
+                ) {
+                    return Err(CtrlError::Switch(
+                        "degenerate cache configuration for tenant partition".into(),
+                    ));
+                }
+                if let Err(e) = self
+                    .nic
+                    .attach(id, &demand.compiled, fg_table_size, sinks, None)
+                {
+                    // Roll the switch half back so the plane stays consistent.
+                    let mut discard = Vec::new();
+                    self.switch.detach_into(id, &mut discard);
+                    return Err(CtrlError::Nic(e));
+                }
+                let switch = demand.switch;
+                self.groups.push(Group { id, switch });
+                (id, Some(id))
+            }
+        };
+        if let Some(group) = group {
+            self.units.push(Unit {
+                id,
+                form,
+                policy: spec.policy.clone(),
+                cfg: spec.cfg,
+                demand,
+                members: vec![id],
+                group,
+                attach_pos: self.pushed,
+            });
+        }
         self.slots.push(Slot {
             id,
             name: spec.name.clone(),
-            unit: id,
+            unit,
         });
         self.epoch += 1;
-        Ok(id)
+        Ok(())
     }
 
     /// Detaches `tenant` at the current epoch, returning its complete
@@ -696,7 +641,8 @@ impl CtrlPlane {
             .position(|g| g.id == gid)
             .expect("unit without group");
         let unit_survives = self.units[upos].members.len() > 1;
-        let partition_survives = unit_survives || self.groups[gpos].units.len() > 1;
+        let partition_survives =
+            unit_survives || self.units.iter().filter(|u| u.group == gid).count() > 1;
         self.frame.clear();
         if partition_survives {
             self.switch.snapshot_into(gid, &mut self.frame);
@@ -708,7 +654,6 @@ impl CtrlPlane {
             self.units[upos].members.retain(|&m| m != tenant);
         } else {
             self.units.remove(upos);
-            self.groups[gpos].units.retain(|&u| u != unit_id);
         }
         if !partition_survives {
             self.groups.remove(gpos);
@@ -931,7 +876,6 @@ mod tests {
         // reduce tails) but share the parse → groupby(host) switch
         // prefix: one partition, two execution units.
         let mut plane = CtrlPlane::new(2, AnalyzeConfig::default());
-        assert!(plane.cse_enabled());
         let a = plane.attach(&host_sum(), None).unwrap();
         let b = plane.attach(&host_max(), None).unwrap();
         let c = plane.attach(&flow_stats(), None).unwrap();
@@ -984,30 +928,6 @@ mod tests {
     }
 
     #[test]
-    fn without_cse_separates_partitions_but_still_fuses() {
-        let mut plane = CtrlPlane::without_cse(1, AnalyzeConfig::default());
-        assert!(plane.fusion_enabled());
-        assert!(!plane.cse_enabled());
-        let a = plane.attach(&host_sum(), None).unwrap();
-        plane.attach(&host_max(), None).unwrap();
-        plane.attach(&host_sum_renamed(), None).unwrap();
-        // The prefix pair stays on separate partitions, but the
-        // SF07xx-equivalent pair still fuses into one unit.
-        assert_eq!(plane.groups().len(), 2);
-        assert_eq!(plane.units().len(), 2);
-        assert_eq!(plane.units()[0], (a, 2));
-        plane.finish().unwrap();
-
-        // without_fusion disables both layers of sharing.
-        let mut plain = CtrlPlane::without_fusion(1, AnalyzeConfig::default());
-        assert!(!plain.cse_enabled());
-        plain.attach(&host_sum(), None).unwrap();
-        plain.attach(&host_max(), None).unwrap();
-        assert_eq!(plain.groups().len(), 2);
-        plain.finish().unwrap();
-    }
-
-    #[test]
     fn admission_check_surfaces_prefix_saving() {
         let mut plane = CtrlPlane::new(1, AnalyzeConfig::default());
         plane.attach(&host_sum(), None).unwrap();
@@ -1042,13 +962,15 @@ mod tests {
         assert_eq!(plane.units().len(), 2);
         plane.finish().unwrap();
 
-        // And with fusion disabled, even position-aligned equivalents
-        // stay separate.
+        // And with sharing disabled, even position-aligned equivalents
+        // stay separate, at every depth of the lattice.
         let mut plain = CtrlPlane::without_fusion(1, AnalyzeConfig::default());
         assert!(!plain.fusion_enabled());
         plain.attach(&host_sum(), None).unwrap();
         plain.attach(&host_sum_renamed(), None).unwrap();
-        assert_eq!(plain.units().len(), 2);
+        plain.attach(&host_max(), None).unwrap();
+        assert_eq!(plain.units().len(), 3);
+        assert_eq!(plain.groups().len(), 3);
         plain.finish().unwrap();
     }
 
@@ -1070,6 +992,35 @@ mod tests {
             .iter()
             .any(|d| d.code == codes::FUSION_HEADROOM));
         plane.finish().unwrap();
+    }
+
+    #[test]
+    fn tenant_id_exhaustion_is_a_typed_error_not_a_panic() {
+        let mut plane = CtrlPlane::new(1, AnalyzeConfig::default());
+        plane.next_id = u32::from(u16::MAX);
+        let last = plane.attach(&host_sum(), None).unwrap();
+        assert_eq!(last, TenantId(u16::MAX));
+        // Every join depth refuses before touching the pool: a member of
+        // the live unit, a unit on its partition, a fresh partition.
+        for spec in [host_sum_renamed(), host_max(), flow_stats()] {
+            assert!(matches!(
+                plane.attach(&spec, None),
+                Err(CtrlError::TenantIdsExhausted)
+            ));
+        }
+        assert_eq!(
+            (plane.units(), plane.groups()),
+            (vec![(last, 1)], vec![(last, 1)])
+        );
+        for p in packets(300) {
+            plane.push(&p).unwrap();
+        }
+        let runs = plane.finish().unwrap();
+        assert_eq!(runs.len(), 1);
+        assert_eq!(
+            runs[0].output.group_vectors,
+            solo(&host_sum(), 300, 1).group_vectors
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`CtrlPlane::snapshot`] serializes everything a restarted plane needs to
 //! resume mid-stream with **bitwise-identical** remaining output:
 //!
-//! - plane metadata (epoch, stream position, id allocator, sharing flags,
+//! - plane metadata (epoch, stream position, id allocator, sharing flag,
 //!   worker count),
 //! - the tenant topology — slots, execution units with their member
 //!   rosters, and prefix groups — as *names and ids*, not policies,
@@ -12,16 +12,20 @@
 //! - every NIC unit's per-shard engine state, member egress sequence
 //!   numbers, and accumulated per-packet vectors
 //!   ([`ShardPool::dump_state`](superfe_nic::ShardPool::dump_state)),
-//! - per-group events-routed counters (they gate late fusion/prefix
-//!   joins, so they must survive).
+//! - per-group events-routed counters (they gate late joins, so they must
+//!   survive).
 //!
 //! **Structure is rebuilt, not stored.** Policies are not serializable (and
 //! a snapshot must not become an alternative deployment channel that skips
 //! the admission gate), so [`CtrlPlane::restore`] is handed the original
-//! [`TenantSpec`]s, replays each attach through the same compile/gate path,
-//! and then transplants the dynamic state on top. Saved canonical hashes
-//! and prefix hashes are checked against the recomputed ones, so feeding
-//! the wrong spec file is rejected rather than silently producing drift.
+//! [`TenantSpec`]s, replays each attach through the same compile/gate path
+//! and the same join rule ([`CtrlPlane::plan_join`]) as a live attach, and
+//! then transplants the dynamic state on top. Saved plan hashes are
+//! checked against the recomputed ones, so feeding the wrong spec file is
+//! rejected rather than silently producing drift; and every saved
+//! tenant → unit → group edge must be the one the join rule re-derives, so
+//! bytes that point a unit at a foreign partition are refused instead of
+//! feeding it another partition's event stream.
 //!
 //! One re-seating rule makes replay total: a unit whose *founding* member
 //! detached before the snapshot keeps running under the founder's id, but
@@ -35,17 +39,15 @@
 use superfe_core::analyze::AnalyzeConfig;
 use superfe_net::snap::{StateReader, StateWriter};
 use superfe_nic::{FeNic, FeatureVector, ShardUnitState, VectorSink};
-use superfe_policy::analyze::{equiv, share as pshare};
-use superfe_policy::SwitchProgram;
-use superfe_switch::resources::model;
-use superfe_switch::tenant::{union_metadata, TenantId};
+use superfe_policy::analyze::share::prefix_form;
+use superfe_switch::tenant::TenantId;
 
 use crate::error::CtrlError;
-use crate::plane::{CtrlPlane, Group, Slot, TenantSpec, Unit};
+use crate::plane::{CtrlPlane, Join, TenantSpec};
 
 /// Format version of plane snapshot bytes. Bumped on any layout change;
 /// [`CtrlPlane::restore`] refuses other versions rather than guessing.
-pub const SNAPSHOT_VERSION: u16 = 2;
+pub const SNAPSHOT_VERSION: u16 = 3;
 
 const MAGIC: &[u8] = b"SFSN";
 
@@ -57,24 +59,25 @@ fn need<T>(v: Option<T>, what: &str) -> Result<T, CtrlError> {
     v.ok_or_else(|| snap_err(format!("truncated or corrupt snapshot: {what}")))
 }
 
+/// The re-seated id of saved unit or group `old` (see the module docs).
+fn reseated(map: &[(u16, TenantId)], old: u16, what: &str) -> Result<TenantId, CtrlError> {
+    map.iter()
+        .find(|(o, _)| *o == old)
+        .map(|&(_, new)| new)
+        .ok_or_else(|| snap_err(format!("unknown {what} id {old}")))
+}
+
 struct SlotMeta {
     id: u16,
     name: String,
-    unit: u16,
 }
 
 struct UnitMeta {
     id: u16,
     hash: u64,
+    group: u16,
     attach_pos: u64,
     members: Vec<u16>,
-}
-
-struct GroupMeta {
-    id: u16,
-    prefix: u64,
-    attach_pos: u64,
-    units: Vec<u16>,
 }
 
 impl CtrlPlane {
@@ -88,22 +91,22 @@ impl CtrlPlane {
         w.put_u16(SNAPSHOT_VERSION);
         // Meta.
         w.put_u32(self.nic.workers() as u32);
-        w.put_bool(self.fusion);
-        w.put_bool(self.cse);
-        w.put_u16(self.next_id);
+        w.put_bool(self.sharing);
+        w.put_u32(self.next_id);
         w.put_u64(self.epoch);
         w.put_u64(self.pushed);
-        // Topology: slots, units, groups — names and ids only.
+        // Topology: slots, units, groups — names and ids only. A slot's
+        // unit is the one listing it as a member; a group's units are the
+        // ones naming it.
         w.put_u16(self.slots.len() as u16);
         for s in &self.slots {
             w.put_u16(s.id.0);
             w.put_str(&s.name);
-            w.put_u16(s.unit.0);
         }
         w.put_u16(self.units.len() as u16);
         for u in &self.units {
             w.put_u16(u.id.0);
-            w.put_u64(u.hash);
+            w.put_u64(u.form.full());
             w.put_u16(u.group.0);
             w.put_u64(u.attach_pos);
             w.put_u16(u.members.len() as u16);
@@ -114,12 +117,6 @@ impl CtrlPlane {
         w.put_u16(self.groups.len() as u16);
         for g in &self.groups {
             w.put_u16(g.id.0);
-            w.put_u64(g.prefix);
-            w.put_u64(g.attach_pos);
-            w.put_u16(g.units.len() as u16);
-            for u in &g.units {
-                w.put_u16(u.0);
-            }
         }
         // Switch dynamic state: link counters + one section per partition.
         self.switch.save_stats(&mut w);
@@ -192,9 +189,8 @@ impl CtrlPlane {
         if workers == 0 {
             return Err(snap_err("snapshot records zero workers"));
         }
-        let fusion = need(r.get_bool(), "fusion flag")?;
-        let cse = need(r.get_bool(), "cse flag")?;
-        let next_id = need(r.get_u16(), "id allocator")?;
+        let sharing = need(r.get_bool(), "sharing flag")?;
+        let next_id = need(r.get_u32(), "id allocator")?;
         let epoch = need(r.get_u64(), "epoch")?;
         let pushed = need(r.get_u64(), "stream position")?;
 
@@ -203,16 +199,14 @@ impl CtrlPlane {
         for _ in 0..nslots {
             let id = need(r.get_u16(), "slot id")?;
             let name = need(r.get_str(), "slot name")?.to_string();
-            let unit = need(r.get_u16(), "slot unit")?;
-            slots.push(SlotMeta { id, name, unit });
+            slots.push(SlotMeta { id, name });
         }
         let nunits = need(r.get_u16(), "unit count")? as usize;
         let mut units = Vec::with_capacity(nunits);
-        let mut unit_groups = Vec::with_capacity(nunits);
         for _ in 0..nunits {
             let id = need(r.get_u16(), "unit id")?;
             let hash = need(r.get_u64(), "unit hash")?;
-            unit_groups.push(need(r.get_u16(), "unit group")?);
+            let group = need(r.get_u16(), "unit group")?;
             let attach_pos = need(r.get_u64(), "unit attach position")?;
             let nmembers = need(r.get_u16(), "unit member count")? as usize;
             let mut members = Vec::with_capacity(nmembers);
@@ -222,6 +216,7 @@ impl CtrlPlane {
             units.push(UnitMeta {
                 id,
                 hash,
+                group,
                 attach_pos,
                 members,
             });
@@ -229,22 +224,12 @@ impl CtrlPlane {
         let ngroups = need(r.get_u16(), "group count")? as usize;
         let mut groups = Vec::with_capacity(ngroups);
         for _ in 0..ngroups {
-            let id = need(r.get_u16(), "group id")?;
-            let prefix = need(r.get_u64(), "group prefix")?;
-            let attach_pos = need(r.get_u64(), "group attach position")?;
-            let nunits = need(r.get_u16(), "group unit count")? as usize;
-            let mut gunits = Vec::with_capacity(nunits);
-            for _ in 0..nunits {
-                gunits.push(need(r.get_u16(), "group unit")?);
-            }
-            groups.push(GroupMeta {
-                id,
-                prefix,
-                attach_pos,
-                units: gunits,
-            });
+            groups.push(need(r.get_u16(), "group id")?);
         }
-        if slots.iter().any(|s| s.id >= next_id) {
+        if next_id > u32::from(u16::MAX) + 1 {
+            return Err(snap_err("id allocator beyond the tenant id space"));
+        }
+        if slots.iter().any(|s| u32::from(s.id) >= next_id) {
             return Err(snap_err("id allocator below a live tenant id"));
         }
 
@@ -265,161 +250,74 @@ impl CtrlPlane {
                 .ok_or_else(|| snap_err(format!("unit {} has no members", u.id)))?;
             unit_new.push((u.id, TenantId(first)));
         }
-        let new_unit = |old: u16| -> Result<TenantId, CtrlError> {
-            unit_new
-                .iter()
-                .find(|(o, _)| *o == old)
-                .map(|&(_, n)| n)
-                .ok_or_else(|| snap_err(format!("unknown unit id {old}")))
-        };
+        let new_unit = |old: u16| reseated(&unit_new, old, "unit");
         let mut group_new: Vec<(u16, TenantId)> = Vec::with_capacity(groups.len());
-        for g in &groups {
-            let first = *g
-                .units
-                .first()
-                .ok_or_else(|| snap_err(format!("group {} has no units", g.id)))?;
-            group_new.push((g.id, new_unit(first)?));
-        }
-        let new_group = |old: u16| -> Result<TenantId, CtrlError> {
-            group_new
+        for &g in &groups {
+            let first = units
                 .iter()
-                .find(|(o, _)| *o == old)
-                .map(|&(_, n)| n)
-                .ok_or_else(|| snap_err(format!("unknown group id {old}")))
-        };
+                .find(|u| u.group == g)
+                .ok_or_else(|| snap_err(format!("group {g} has no units")))?;
+            group_new.push((g, new_unit(first.id)?));
+        }
+        let new_group = |old: u16| reseated(&group_new, old, "group");
 
-        let mut plane = CtrlPlane::build(workers, analyze, fusion, cse);
+        let mut plane = CtrlPlane::build(workers, analyze, sharing);
         let vc = plane.analyze.value_config();
 
-        // Replay every unit attach through the same compile/gate path the
-        // original attach took, validating recomputed hashes against the
-        // saved ones so mismatched specs are caught here.
+        // Replay every saved tenant, unit by unit, through the compile/gate
+        // path and the join rule a live attach takes — at the stream
+        // position its unit attached at, which is what the rule gates on.
+        // The rule must re-derive exactly the saved edge: the unit's first
+        // member founds its partition or joins the one its group already
+        // rebuilt, every later member joins that unit. The saved set was
+        // admitted as a whole, so composed admission is not re-run.
         let spec_of = |name: &str| -> Result<&TenantSpec, CtrlError> {
             specs
                 .iter()
                 .find(|sp| sp.name == name)
                 .ok_or_else(|| snap_err(format!("no spec provided for saved tenant '{name}'")))
         };
-        for (i, u) in units.iter().enumerate() {
-            let uid = new_unit(u.id)?;
-            let gid = new_group(unit_groups[i])?;
-            let rep = spec_of(name_of(u.members[0])?)?;
-            let demand = plane.gate(rep)?;
-            let hash = equiv::canonical_hash(&rep.policy, &vc);
-            if hash != u.hash {
-                return Err(snap_err(format!(
-                    "spec '{}' does not match saved unit {} (canonical hash differs)",
-                    rep.name, u.id
-                )));
-            }
-            let gmeta = groups
-                .iter()
-                .find(|g| g.id == unit_groups[i])
-                .ok_or_else(|| snap_err(format!("unit {} references unknown group", u.id)))?;
-            let founding = gmeta.units.first() == Some(&u.id);
-            if founding {
-                if pshare::prefix_form(&rep.policy, &vc).switch_prefix != gmeta.prefix {
+        for u in &units {
+            let gid = new_group(u.group)?;
+            plane.pushed = u.attach_pos;
+            for (k, &m) in u.members.iter().enumerate() {
+                let spec = spec_of(name_of(m)?)?;
+                let demand = plane.gate(spec)?;
+                let form = prefix_form(&spec.policy, &vc);
+                let expected = if k > 0 {
+                    Join::Member(plane.units.len() - 1)
+                } else {
+                    if form.full() != u.hash {
+                        return Err(snap_err(format!(
+                            "spec '{}' does not match saved unit {} (plan hash differs)",
+                            spec.name, u.id
+                        )));
+                    }
+                    match plane.groups.iter().position(|g| g.id == gid) {
+                        Some(gpos) => Join::Unit(gpos),
+                        None => Join::Partition,
+                    }
+                };
+                let join = plane.plan_join(spec, &demand, &form);
+                if join != expected {
                     return Err(snap_err(format!(
-                        "spec '{}' does not match saved group {} (prefix hash differs)",
-                        rep.name, gmeta.id
+                        "saved topology places tenant '{}' in unit {} of group {} ({expected:?}), \
+                         but the join rule derives {join:?}",
+                        spec.name, u.id, u.group
                     )));
                 }
-                plane.nic.attach(
-                    uid,
-                    &demand.compiled,
-                    rep.cfg.cache.fg_table_size,
-                    sinks(&rep.name),
-                    None,
-                )?;
-            } else {
-                plane.nic.attach_to_group(
-                    gid,
-                    uid,
-                    &demand.compiled,
-                    rep.cfg.cache.fg_table_size,
-                    sinks(&rep.name),
-                )?;
+                plane.install(TenantId(m), spec, demand, form, join, sinks(&spec.name))?;
             }
-            for &m in &u.members[1..] {
-                let mname = name_of(m)?;
-                plane.nic.join(uid, TenantId(m), sinks(mname))?;
-            }
-            plane.units.push(Unit {
-                id: uid,
-                hash,
-                policy: rep.policy.clone(),
-                cfg: rep.cfg,
-                demand,
-                members: u.members.iter().map(|&m| TenantId(m)).collect(),
-                group: gid,
-                attach_pos: u.attach_pos,
-            });
         }
-
-        // Rebuild the switch partitions (one per group; shared-prefix
-        // groups get the canonical union record layout, exactly as the
-        // original prefix joins left them).
-        for g in &groups {
-            let gid = new_group(g.id)?;
-            let member_units: Vec<&Unit> = g
-                .units
-                .iter()
-                .map(|&old| {
-                    let nid = new_unit(old)?;
-                    plane
-                        .units
-                        .iter()
-                        .find(|u| u.id == nid)
-                        .ok_or_else(|| snap_err(format!("group {} lost unit {old}", g.id)))
-                })
-                .collect::<Result<_, _>>()?;
-            let first = member_units[0];
-            let cfg = first.cfg;
-            let progs: Vec<&SwitchProgram> = member_units
-                .iter()
-                .map(|u| &u.demand.compiled.switch)
-                .collect();
-            let (usage, ok) = if progs.len() == 1 {
-                (
-                    first.demand.switch,
-                    plane
-                        .switch
-                        .attach(gid, progs[0].clone(), cfg.cache, cfg.mode),
-                )
-            } else {
-                let union = SwitchProgram {
-                    filter: progs[0].filter.clone(),
-                    levels: progs[0].levels.clone(),
-                    metadata: union_metadata(&progs),
-                };
-                (
-                    model(&union, &cfg.cache),
-                    plane.switch.attach_shared(gid, &progs, cfg.cache, cfg.mode),
-                )
-            };
-            if !ok {
-                return Err(snap_err(format!(
-                    "switch refused re-attach of saved partition {}",
-                    g.id
-                )));
-            }
-            plane.groups.push(Group {
-                id: gid,
-                prefix: g.prefix,
-                policy: first.policy.clone(),
-                cfg,
-                switch: usage,
-                levels: first.demand.compiled.switch.levels.clone(),
-                attach_pos: g.attach_pos,
-                units: member_units.iter().map(|u| u.id).collect(),
-            });
-        }
+        // Slots back into saved (attach) order; every slot must have been
+        // installed as some unit's member.
+        let mut installed = std::mem::take(&mut plane.slots);
         for s in &slots {
-            plane.slots.push(Slot {
-                id: TenantId(s.id),
-                name: s.name.clone(),
-                unit: new_unit(s.unit)?,
-            });
+            let pos = installed
+                .iter()
+                .position(|i| i.id.0 == s.id)
+                .ok_or_else(|| snap_err(format!("tenant slot {} belongs to no unit", s.id)))?;
+            plane.slots.push(installed.swap_remove(pos));
         }
 
         // Transplant the dynamic state: switch partitions first, then NIC
@@ -428,8 +326,8 @@ impl CtrlPlane {
             plane.switch.load_stats(&mut r),
             "shared switch link counters",
         )?;
-        for g in &groups {
-            let gid = new_group(g.id)?;
+        for &g in &groups {
+            let gid = new_group(g)?;
             need(
                 r.get_section(|r| plane.switch.load_tenant_state(gid, r)),
                 "switch partition state",

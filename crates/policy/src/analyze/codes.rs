@@ -11,7 +11,7 @@
 //! | `SF04xx` | SmartNIC memory feasibility             | `superfe-nic`         |
 //! | `SF05xx` | value ranges / overflow proofs          | `analyze::values`     |
 //! | `SF06xx` | static cost model                       | `analyze::cost`       |
-//! | `SF07xx` | cross-policy equivalence / fusion       | `analyze::equiv`      |
+//! | `SF07xx` | cross-policy equivalence / fusion       | `analyze::share`      |
 //! | `SF08xx` | shared-prefix analysis / cross-tenant CSE | `analyze::share`    |
 //! | `SF09xx` | quantized-inference certification       | `analyze::quant`      |
 
@@ -109,7 +109,7 @@ pub const COST_OPS_HIGH: &str = "SF0601";
 /// Per-packet state bytes touched exceed the memory-bus comfort threshold.
 pub const COST_STATE_HIGH: &str = "SF0602";
 
-// --- SF07xx: cross-policy equivalence / fusion (emitted by analyze::equiv
+// --- SF07xx: cross-policy equivalence / fusion (emitted by analyze::share
 // and the admission controller) ---------------------------------------------
 
 /// Two or more policies are proven semantically equivalent and fusible

@@ -22,12 +22,11 @@
 //!   32-bit sALU and Q16 fixed-point widths at the configured batch size.
 //! - `SF06xx` — the static cost model ([`cost`]): per-packet op and
 //!   state-touch estimates, note-severity when far outside the envelope.
-//! - `SF07xx` — cross-policy equivalence and fusion legality ([`equiv`]):
-//!   canonical plan hashing, the semantic-equivalence certificate, and the
-//!   shared-subplan / near-miss report behind multi-tenant plan fusion.
-//! - `SF08xx` — shared-prefix analysis ([`share`]): sub-policy CSE on the
-//!   stage-prefix lattice, value-certified, behind cross-tenant sharing of
-//!   one switch partition with per-tenant NIC tails.
+//! - `SF07xx` / `SF08xx` — the sharing lattice ([`share`]): one canonical
+//!   stage-prefix form and one value certificate per tenant pair. Agreement
+//!   up to the switch boundary lets tenants share one switch partition with
+//!   per-tenant NIC tails (`SF08xx`); agreement at full depth is plan
+//!   fusion (`SF07xx`).
 //! - `SF09xx` — quantized-inference certification ([`quant`]): layers on the
 //!   SF05xx interval facts to derive per-feature output hulls, lowers a
 //!   frozen detector to fixed point, and certifies a worst-case
@@ -39,7 +38,6 @@
 pub mod codes;
 pub mod cost;
 pub mod dataflow;
-pub mod equiv;
 pub mod quant;
 pub mod share;
 pub mod structural;

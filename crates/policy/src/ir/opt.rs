@@ -26,15 +26,8 @@
 //! The passes run to a fixpoint: fusing a map typically kills its feeder on
 //! the next round.
 //!
-//! A fourth, cross-policy transformation lives in [`fuse`]: merging N
-//! admitted tenant policies into one shared extraction plan, certified by
-//! the SF07xx equivalence analysis. A fifth lives in [`share`]: sub-policy
-//! common-subexpression elimination — one switch partition per certified
-//! shared stage prefix, with per-tenant NIC tails — certified by the
-//! SF08xx shared-prefix analysis.
-
-pub mod fuse;
-pub mod share;
+//! Cross-policy sharing is not a rewrite of any one policy: the control
+//! plane reads [`crate::analyze::share`] and decides it at attach time.
 
 use std::fmt;
 

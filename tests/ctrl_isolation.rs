@@ -476,6 +476,142 @@ mod bundled_isolation {
     }
 }
 
+mod join_rule_isolation {
+    use super::*;
+
+    /// One fused pair, one prefix-sharing unit on their partition, one
+    /// tenant that shares nothing: every depth of the sharing lattice in
+    /// one tenant set.
+    const SET: [(&str, &str); 4] = [
+        (
+            "host-sum",
+            "pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(host)",
+        ),
+        (
+            "host-sum-renamed",
+            "pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(host)",
+        ),
+        (
+            "host-max",
+            "pktstream\n.groupby(host)\n.reduce(size, [f_max])\n.collect(host)",
+        ),
+        (
+            "flow-stats",
+            "pktstream\n.filter(tcp.exist)\n.groupby(flow)\n.reduce(size, [f_mean, f_max])\n\
+             .collect(flow)",
+        ),
+    ];
+    /// `flow-stats`, the one tenant outside the shared `groupby(host)`
+    /// partition.
+    const LONER: usize = 3;
+    const WORKERS: usize = 2;
+
+    fn set_spec(i: usize) -> TenantSpec {
+        TenantSpec {
+            name: SET[i].0.into(),
+            policy: dsl::parse(SET[i].1).expect("set policy is valid"),
+            cfg: SuperFeConfig::default(),
+        }
+    }
+
+    fn packets() -> Vec<PacketRecord> {
+        (0..1200u64)
+            .map(|i| {
+                if i % 5 == 0 {
+                    PacketRecord::udp(i * 700, 90, (i % 11 + 1) as u32, 53, 4, 53)
+                } else {
+                    PacketRecord::tcp(
+                        i * 700,
+                        400 + (i % 29) as u16,
+                        (i % 11 + 1) as u32,
+                        1500,
+                        4,
+                        443,
+                    )
+                }
+            })
+            .collect()
+    }
+
+    fn solo(i: usize, pkts: &[PacketRecord]) -> superfe::Extraction {
+        let s = set_spec(i);
+        let mut fe =
+            StreamingPipeline::with_config(&s.policy, s.cfg, WORKERS).expect("policy deploys");
+        for p in pkts {
+            fe.push(p).expect("workers alive");
+        }
+        fe.finish().expect("workers alive")
+    }
+
+    /// All orderings of `0..4`.
+    fn orders() -> Vec<[usize; 4]> {
+        let mut out = Vec::new();
+        for a in 0..4 {
+            for b in (0..4).filter(|&b| b != a) {
+                for c in (0..4).filter(|&c| c != a && c != b) {
+                    out.push([a, b, c, 6 - a - b - c]);
+                }
+            }
+        }
+        out
+    }
+
+    /// The regression guard for the one join rule: whatever order the four
+    /// tenants arrive in at position 0, the plane converges on the same
+    /// topology — three units on two partitions — and stays bitwise-solo,
+    /// also when the shared partition's founding tenant leaves mid-stream.
+    #[test]
+    fn every_attach_order_converges_and_stays_bitwise_solo() {
+        let pkts = packets();
+        let half = pkts.len() / 2;
+        let full: Vec<_> = (0..4).map(|i| solo(i, &pkts)).collect();
+        let window: Vec<_> = (0..4).map(|i| solo(i, &pkts[..half])).collect();
+        let orders = orders();
+        assert_eq!(orders.len(), 24);
+        for order in orders {
+            for detach_founder in [false, true] {
+                let mut plane = CtrlPlane::new(WORKERS, AnalyzeConfig::default());
+                let ids: Vec<_> = order
+                    .iter()
+                    .map(|&i| plane.attach(&set_spec(i), None).expect("admissible"))
+                    .collect();
+                assert_eq!(plane.units().len(), 3, "units in order {order:?}");
+                assert_eq!(plane.groups().len(), 2, "partitions in order {order:?}");
+                // The shared partition's founder: the first of the three
+                // `groupby(host)` tenants to arrive.
+                let founder = order.iter().position(|&i| i != LONER).expect("three hosts");
+                for (n, p) in pkts.iter().enumerate() {
+                    if detach_founder && n == half {
+                        let gone = plane.detach(ids[founder]).expect("drain handshake");
+                        let want = &window[order[founder]];
+                        assert_eq!(gone.group_vectors, want.group_vectors, "{order:?}");
+                        assert_eq!(gone.packet_vectors, want.packet_vectors, "{order:?}");
+                        assert_eq!(
+                            plane.groups().len(),
+                            2,
+                            "the partition outlives its founder"
+                        );
+                    }
+                    plane.push(p).expect("workers alive");
+                }
+                let runs = plane.finish().expect("workers alive");
+                assert_eq!(runs.len(), if detach_founder { 3 } else { 4 });
+                for run in runs {
+                    let at = ids.iter().position(|&id| id == run.id).expect("attached");
+                    let want = &full[order[at]];
+                    assert_eq!(run.name, SET[order[at]].0);
+                    assert_eq!(
+                        run.output.group_vectors, want.group_vectors,
+                        "{} diverged in order {order:?} (founder detached: {detach_founder})",
+                        run.name
+                    );
+                    assert_eq!(run.output.packet_vectors, want.packet_vectors);
+                }
+            }
+        }
+    }
+}
+
 mod alert_isolation {
     use superfe::ctrl::{CtrlPlane, TenantSpec};
     use superfe::detect::{MultiServing, ServeConfig, ServeReport};

@@ -6,7 +6,9 @@
 //! churn with epoch markers in flight, and under a NIC table budget whose
 //! evicted vectors are part of the output.
 
+use superfe::ctrl::CtrlError;
 use superfe::ctrl::{CtrlPlane, TenantSpec};
+use superfe::net::snap::StateReader;
 use superfe::net::PacketRecord;
 use superfe::nic::{EvictionPolicy, StreamOutput, TableBudget};
 use superfe::policy::dsl;
@@ -399,5 +401,65 @@ fn restore_rejects_bad_bytes_and_wrong_specs() {
         CtrlPlane::restore(AnalyzeConfig::default(), &specs, &bytes, |_| None).expect("restore");
     assert_eq!(restored.tenants().len(), 1);
     assert_eq!(restored.workers(), 2);
+    restored.finish().expect("workers alive");
+}
+
+/// The topology section is checked edge by edge, not trusted: bytes that
+/// point a unit at another partition's group restore to a typed error,
+/// never to a plane that would feed the unit a foreign event stream.
+#[test]
+fn restore_rejects_a_unit_rewired_to_a_foreign_group() {
+    let specs = [host_sum(), flow_stats(), host_max()];
+    let mut plane = CtrlPlane::new(2, AnalyzeConfig::default());
+    let a = plane.attach(&specs[0], None).expect("admitted");
+    let b = plane.attach(&specs[1], None).expect("admitted");
+    let c = plane.attach(&specs[2], None).expect("admitted");
+    // host-max is the *second* unit of host-sum's partition — the edge a
+    // founder-only check never looks at.
+    assert_eq!(plane.groups(), vec![(a, 2), (b, 1)], "two partitions");
+    for p in &packets(200) {
+        plane.push(p).expect("workers alive");
+    }
+    let bytes = plane.snapshot().expect("snapshot");
+    plane.finish().expect("workers alive");
+
+    // Walk the header to host-max's group field: magic, version, workers,
+    // sharing flag, id allocator, epoch, position; the slots (id, name);
+    // then per unit id, plan hash, *group*, position, members.
+    let mut r = StateReader::new(&bytes);
+    r.get_bytes().expect("magic");
+    r.get_u16().expect("version");
+    r.get_u32().expect("workers");
+    r.get_bool().expect("sharing flag");
+    r.get_u32().expect("id allocator");
+    r.get_u64().expect("epoch");
+    r.get_u64().expect("position");
+    for _ in 0..r.get_u16().expect("slot count") {
+        r.get_u16().expect("slot id");
+        r.get_str().expect("slot name");
+    }
+    assert_eq!(r.get_u16(), Some(3), "three units");
+    let mut group_field = 0;
+    for (unit, group) in [(a, a), (b, b), (c, a)] {
+        assert_eq!(r.get_u16(), Some(unit.0), "unit id");
+        r.get_u64().expect("plan hash");
+        group_field = bytes.len() - r.remaining();
+        assert_eq!(r.get_u16(), Some(group.0), "unit group");
+        r.get_u64().expect("attach position");
+        assert_eq!(r.get_u16(), Some(1), "one member");
+        r.get_u16().expect("member");
+    }
+    let mut rewired = bytes.clone();
+    rewired[group_field..group_field + 2].copy_from_slice(&b.0.to_le_bytes());
+
+    match CtrlPlane::restore(AnalyzeConfig::default(), &specs, &rewired, |_| None) {
+        Err(CtrlError::Snapshot(msg)) => assert!(msg.contains("host-max"), "{msg}"),
+        Err(other) => panic!("expected a snapshot error, got {other}"),
+        Ok(_) => panic!("a unit rewired to a foreign group must not restore"),
+    }
+    // The untouched bytes still restore.
+    let restored =
+        CtrlPlane::restore(AnalyzeConfig::default(), &specs, &bytes, |_| None).expect("restore");
+    assert_eq!(restored.groups(), vec![(a, 2), (b, 1)]);
     restored.finish().expect("workers alive");
 }
