@@ -28,13 +28,22 @@ fi
 step "cargo test (workspace)"
 cargo test -q --workspace
 
-step "ring stress (randomized SPSC producer/consumer)"
+step "ring stress (randomized SPSC producer/consumer) + schedule explorer"
 # The frame ring under the executor's event path: randomized capacities,
 # doorbell batches, send flavors, and consumer stalls must preserve order
 # and lose nothing, and producer-drop must drain-then-terminate. Already
 # part of the workspace tests; run named here so a failure points straight
 # at the data path.
 cargo test -q -p superfe-net --test ring_stress
+# The same ring under the deterministic schedule explorer: every producer /
+# consumer / dwell-timeout interleaving of capacity 1-2 rings within the
+# stated bounds, x86-TSO store buffers included. A failure here is a
+# protocol bug in ring.rs (lost wakeup, lost or repeated `hungry`), named
+# with the schedule that shows it; the schedule count it prints is the same
+# every run.
+model_out=$(cargo test -q -p superfe-net --lib ring::model -- --nocapture 2>&1) \
+  || { printf '%s\n' "$model_out"; echo "ci: the ring's schedule explorer failed"; exit 1; }
+grep "schedules in all" <<<"$model_out"
 
 step "allocation budget (NIC hot path, counted)"
 # A counting global allocator around `FeNic::handle` on the Kitsune policy:
@@ -200,6 +209,24 @@ scale_rss=$(grep -o '"peak_rss_mb":{"value":[0-9]*' <<<"$scale_line" | grep -o '
 [[ -n "$scale_rss" ]] || { echo "ci: scale_churn reported no peak_rss_mb"; exit 1; }
 if (( scale_rss >= 1000 )); then
   echo "ci: scale_churn peaked at ${scale_rss} MiB RSS (cap 1000 MiB)"
+  exit 1
+fi
+
+step "paced latency (10k pkt/s into Kitsune; a hungry worker gets its frame)"
+# The open-loop workload is where the ring's publish rule shows: a frame is
+# published when full *or when its worker asked*, so at 10,000 pkt/s a
+# vector leaves within a ring dwell (~4 ms end to end, ~3 of them the
+# switch's own MGPV aging) instead of waiting for 1,024 later events
+# (65 ms with the full-only rule). The bound is 5x the expected value so a
+# loud host cannot trip it.
+paced_line=$(bash benchmark/run.sh --workload kitsune_paced --seed 4 --seconds 2 --trace 0 \
+  | tail -1) || { echo "ci: the kitsune_paced workload did not run"; exit 1; }
+grep -q '"correct":true' <<<"$paced_line" \
+  || { echo "ci: kitsune_paced output diverged from its reference digest"; exit 1; }
+paced_ms=$(grep -o '"vector_latency_mean_ms":{"value":[0-9]*' <<<"$paced_line" | grep -o '[0-9]*$')
+[[ -n "$paced_ms" ]] || { echo "ci: kitsune_paced reported no vector_latency_mean_ms"; exit 1; }
+if (( paced_ms >= 20 )); then
+  echo "ci: kitsune_paced holds a vector ${paced_ms} ms (bound 20 ms): early publish is not happening"
   exit 1
 fi
 

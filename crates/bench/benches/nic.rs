@@ -59,7 +59,7 @@ fn bench_parallel(c: &mut Criterion) {
     for workers in [1usize, 2, 4, 8] {
         g.bench_function(format!("workers_{workers}"), |b| {
             b.iter(|| {
-                let mut pool = ShardPool::new(workers, None);
+                let mut pool = ShardPool::new(workers);
                 pool.attach(tenant, &compiled, 16_384, None, None)
                     .expect("engine");
                 pool.push_all(events.iter().cloned()).expect("runs");

@@ -95,7 +95,7 @@ impl StreamingPipeline {
             .ok_or_else(|| {
                 PolicyError::BadParameters("degenerate switch cache configuration".into())
             })?;
-        let mut nic = ShardPool::new(workers, None);
+        let mut nic = ShardPool::new(workers);
         nic.attach(UNIT, &compiled, cfg.cache.fg_table_size, sinks, inference)
             .map_err(|e| PolicyError::BadParameters(e.to_string()))?;
         Ok(StreamingPipeline {
@@ -218,6 +218,66 @@ mod tests {
             assert_eq!(got.switch_stats.pkts_in, 4000);
             assert_eq!(got.groups_per_level, expect.groups_per_level);
         }
+    }
+
+    #[test]
+    fn vectors_leave_a_slow_stream_before_finish() {
+        use std::sync::{Arc, Mutex};
+        use std::time::{Duration, Instant};
+        use superfe_nic::{EgressVector, VectorSink};
+
+        struct StampSink(Arc<Mutex<Vec<Instant>>>);
+        impl VectorSink for StampSink {
+            fn emit(&mut self, _: EgressVector) {
+                self.0.lock().unwrap().push(Instant::now());
+            }
+        }
+
+        let policy =
+            dsl::parse("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(pkt)").unwrap();
+        let cfg = SuperFeConfig::default();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sinks: Vec<Box<dyn VectorSink>> = vec![Box::new(StampSink(seen.clone()))];
+        let mut fe = StreamingPipeline::with_sinks(&policy, cfg, 1, sinks).unwrap();
+        // A second switch fed the same packets says how many vectors the
+        // events emitted so far will produce: one per batched record.
+        let mut mirror =
+            FeSwitch::with_config(fe.compiled().switch.clone(), cfg.cache, cfg.mode).unwrap();
+        let mut emitted = Vec::new();
+        // Two hosts, so their MGPV buffers fill and evict every few dozen
+        // packets: a handful of events, far less than a frame; then
+        // silence for several ring dwells (1 ms each); then a trickle, which
+        // must shake the earlier vectors loose long before a frame fills.
+        let mut trace = packets(u64::MAX).enumerate().map(|(i, p)| PacketRecord {
+            src_ip: (i % 2 + 1) as u32,
+            ..p
+        });
+        for p in trace.by_ref().take(300) {
+            mirror.process_into(&p, &mut emitted);
+            fe.push(&p).unwrap();
+        }
+        let early: usize = emitted
+            .iter()
+            .map(|e| match e {
+                SwitchEvent::Mgpv(m) => m.records.len(),
+                SwitchEvent::FgUpdate(_) => 0,
+            })
+            .sum();
+        assert!(early > 0 && emitted.len() < superfe_nic::stream::FRAME_SIZE / 8);
+        std::thread::sleep(Duration::from_millis(5));
+        let mut pushed = 300;
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while seen.lock().unwrap().len() < early {
+            assert!(Instant::now() < deadline, "vectors wait for finish");
+            fe.push(&trace.next().unwrap()).unwrap();
+            pushed += 1;
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let finishing = Instant::now();
+        fe.finish().unwrap();
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), pushed);
+        assert!(seen[..early].iter().all(|at| *at < finishing));
     }
 
     #[test]

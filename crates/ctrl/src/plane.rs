@@ -214,7 +214,7 @@ impl CtrlPlane {
         CtrlPlane {
             analyze,
             switch: SharedSwitch::new(),
-            nic: ShardPool::new(workers, None),
+            nic: ShardPool::new(workers),
             slots: Vec::new(),
             units: Vec::new(),
             groups: Vec::new(),

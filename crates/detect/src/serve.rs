@@ -176,8 +176,7 @@ impl Serving {
         for (w, rxs) in worker_rxs.iter_mut().enumerate() {
             let waiter = std::sync::Arc::new(ring::Waiter::default());
             for txs in shard_txs.iter_mut() {
-                let (tx, rx) =
-                    ring::channel_with::<Vec<EgressVector>>(depth, 1, waiter.clone(), None);
+                let (tx, rx) = ring::channel_with::<Vec<EgressVector>>(depth, 1, waiter.clone());
                 txs.push(tx);
                 rxs.push(rx);
             }

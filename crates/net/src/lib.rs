@@ -34,6 +34,6 @@ pub mod wire;
 pub use dir::{Direction, DirectionResolver};
 pub use hash::{crc32, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use key::{ChannelKey, FiveTuple, Granularity, GroupKey, HostKey};
-pub use metrics::{monotonic_ns, AtomicHistogram, HistSummary, StageMetrics, StageSummaries};
+pub use metrics::{monotonic_ns, AtomicHistogram, HistSummary};
 pub use packet::{PacketRecord, Protocol};
 pub use snap::{StateReader, StateWriter};

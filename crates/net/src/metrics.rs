@@ -1,14 +1,11 @@
-//! Lock-free latency telemetry shared by the data path and the bench
-//! harness: a monotonic nanosecond clock and atomic histograms.
+//! Lock-free latency telemetry: a monotonic nanosecond clock and atomic
+//! histograms.
 //!
-//! The streaming pipeline is instrumented at three stages
-//! (producer→shard queue dwell, per-frame shard processing, sink egress);
-//! workers record into [`AtomicHistogram`]s through a shared
-//! [`StageMetrics`] handle with one `fetch_add` per sample, so measurement
-//! never takes a lock on the hot path. All timestamps come from
-//! [`monotonic_ns`] — a single process-wide monotonic clock anchor — so
-//! every stage and every run reports on the same time base instead of
-//! scattering independent `Instant::now()` pairs.
+//! Threads record into an [`AtomicHistogram`] with one `fetch_add` per
+//! sample, so measurement never takes a lock on a hot path. All timestamps
+//! come from [`monotonic_ns`] — a single process-wide monotonic clock
+//! anchor — so every stage and every run reports on the same time base
+//! instead of scattering independent `Instant::now()` pairs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -17,8 +14,7 @@ use std::time::Instant;
 /// Nanoseconds since the process-wide monotonic anchor (first call).
 ///
 /// The anchor is a [`std::time::Instant`], so the value is monotonic and
-/// immune to wall-clock adjustments. Every component that timestamps —
-/// ring instrumentation, stage metrics, the bench harness clock — reads
+/// immune to wall-clock adjustments. Every component that timestamps reads
 /// this one source.
 pub fn monotonic_ns() -> u64 {
     static ANCHOR: OnceLock<Instant> = OnceLock::new();
@@ -157,45 +153,6 @@ pub struct HistSummary {
     pub max_ns: u64,
 }
 
-/// Per-stage latency histograms for one streaming-pipeline run:
-/// producer→shard queue dwell, per-frame shard processing, and sink egress.
-///
-/// Constructed by the bench harness, shared (`Arc`) into the executor; the
-/// ring transport records `queue` itself (each histogram is independently
-/// `Arc`-shareable so a ring can hold just the dwell histogram), the worker
-/// loops record `shard` and `sink`.
-#[derive(Debug, Default)]
-pub struct StageMetrics {
-    /// Frame dwell time in the event ring (producer send → worker receive).
-    pub queue: std::sync::Arc<AtomicHistogram>,
-    /// Per-frame NIC processing time on the worker.
-    pub shard: std::sync::Arc<AtomicHistogram>,
-    /// Per-frame sink egress time (vector emission) on the worker.
-    pub sink: std::sync::Arc<AtomicHistogram>,
-}
-
-impl StageMetrics {
-    /// Snapshots all three stages.
-    pub fn summaries(&self) -> StageSummaries {
-        StageSummaries {
-            queue: self.queue.summary(),
-            shard: self.shard.summary(),
-            sink: self.sink.summary(),
-        }
-    }
-}
-
-/// Snapshot of [`StageMetrics`].
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct StageSummaries {
-    /// Queue-dwell distribution.
-    pub queue: HistSummary,
-    /// Shard-processing distribution.
-    pub shard: HistSummary,
-    /// Sink-egress distribution.
-    pub sink: HistSummary,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,16 +203,5 @@ mod tests {
         // the 128 ns bin edge.
         assert_eq!(h.percentile(0.5), Some(100));
         assert_eq!(h.summary().p99_ns, 100);
-    }
-
-    #[test]
-    fn stage_metrics_snapshot() {
-        let m = StageMetrics::default();
-        m.queue.record(500);
-        m.shard.record(1500);
-        let s = m.summaries();
-        assert_eq!(s.queue.count, 1);
-        assert_eq!(s.shard.count, 1);
-        assert_eq!(s.sink.count, 0);
     }
 }

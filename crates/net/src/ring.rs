@@ -20,30 +20,49 @@
 //!   write and the consumer's `Acquire` load form the happens-before edge
 //!   that makes the payload visible; head works symmetrically for slot
 //!   reuse.
-//! - **Doorbell batching.** `send` stages items locally and stores the
-//!   shared `tail` (plus a possible consumer wakeup) only once per
-//!   `doorbell_batch` items, on [`Producer::doorbell`], before blocking,
-//!   and on drop. One synchronization point amortizes a whole batch.
-//! - **Spin-then-park waiting.** An empty consumer (or full producer)
-//!   spins briefly, then registers itself in a [`Waiter`] and parks. The
-//!   waker checks a `parked` flag — a single load in the common (running)
-//!   case. The waiter re-checks the ring *after* registering and before
-//!   parking, and `Thread::unpark` carries a token, so wakeups cannot be
-//!   lost.
+//! - **Doorbell batching: published when full, or when the consumer
+//!   asked.** `send` stages items locally and stores the shared `tail`
+//!   (plus a possible consumer wakeup) once per `doorbell_batch` items —
+//!   or at once when it takes the consumer's `hungry` request, see below —
+//!   and on [`Producer::doorbell`], before blocking, and on drop. One
+//!   synchronization point amortizes a whole batch while the consumer is
+//!   busy; a consumer with nothing to do gets a batch of one.
+//! - **Spin-then-park waiting, and the consumer keeps the time.** An empty
+//!   consumer (or full producer) spins briefly, then registers itself in a
+//!   [`Waiter`] and parks. The waker checks a `parked` flag — a single
+//!   load in the common (running) case. The waiter re-checks the ring
+//!   *after* registering and before parking, and `Thread::unpark` carries a
+//!   token, so wakeups cannot be lost. [`Consumer::recv`] first parks for
+//!   one `DWELL` only; if the ring is still empty when the dwell ends it
+//!   raises the ring's `hungry` flag and parks untimed. The producer pays
+//!   one relaxed load for this ([`Producer::take_hungry`]) and never reads
+//!   a clock: under load the consumer never sits out a dwell, the flag is
+//!   never raised and batches fill exactly as before; at low rate an item
+//!   leaves within one dwell plus one wake of the next `send`; a silent
+//!   source costs no wake-up after the first dwell. The flag is a polled
+//!   level, not an edge: a source that stops with items staged is flushed
+//!   by its next `send`, a `doorbell` or its drop, not by a timer.
 //! - **Bounded, with backpressure or drop.** [`Producer::send`] blocks when
 //!   the ring is full (after ringing the doorbell so the consumer can
 //!   drain); [`Producer::try_send`] returns the item instead — the recycle
 //!   paths use it to drop frames rather than block.
 //!
-//! Optional instrumentation: a ring built with a dwell histogram
-//! timestamps every item at send and records `recv − send` nanoseconds at
-//! the consumer (see [`crate::metrics`]).
+//! Every atomic, fence, park and unpark below comes from the private
+//! `sync` shim (`ring/sync.rs`): plain `std` outside tests, and inside a
+//! test that installs a scheduler a yield to the deterministic schedule
+//! explorer of `ring/explore.rs`, which `ring/model.rs` drives over every
+//! producer / consumer / dwell-timeout interleaving of small rings.
 
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::Thread;
+use std::time::Duration;
 
-use crate::metrics::{monotonic_ns, AtomicHistogram};
+use sync::{fence, AtomicBool, AtomicU64, Ordering, Thread};
+
+#[cfg(test)]
+mod explore;
+#[cfg(test)]
+mod model;
+mod sync;
 
 /// Spin iterations (CPU `pause`) before yielding while waiting.
 const SPINS: u32 = 64;
@@ -52,6 +71,42 @@ const SPINS: u32 = 64;
 /// single-core host the peer cannot run while we spin, so parking early is
 /// cheaper than burning the core.
 const YIELDS: u32 = 4;
+
+/// How long an empty consumer parks before it asks the producer for a
+/// partial batch. One futex wake costs 5–10 CPU-µs, so a wake per
+/// millisecond of idleness is under 1% of a core; a shorter dwell buys
+/// little latency (the wake itself is ~0.1 ms away at 10 kHz) for more
+/// wakes, a longer one is latency with nothing saved.
+const DWELL: Duration = Duration::from_millis(1);
+
+/// The spin → yield rungs of a wait, shared by both sides of the ring.
+struct Backoff {
+    spins: u32,
+    yields: u32,
+}
+
+impl Backoff {
+    fn new() -> Self {
+        Backoff {
+            spins: sync::polls(SPINS),
+            yields: sync::polls(YIELDS),
+        }
+    }
+
+    /// Burns one poll interval; `false` once it is time to park instead.
+    fn snooze(&mut self) -> bool {
+        if self.spins > 0 {
+            self.spins -= 1;
+            std::hint::spin_loop();
+        } else if self.yields > 0 {
+            self.yields -= 1;
+            std::thread::yield_now();
+        } else {
+            return false;
+        }
+        true
+    }
+}
 
 /// Error returned by [`Producer::send`] when the consumer is gone.
 #[derive(Debug, PartialEq, Eq)]
@@ -111,7 +166,7 @@ impl Waiter {
     /// Registers the calling thread as the parked waiter. The caller MUST
     /// re-check its wait condition after this call and before parking.
     pub fn register_current(&self) {
-        *lock(&self.thread) = Some(std::thread::current());
+        *lock(&self.thread) = Some(sync::current());
         self.parked.store(true, Ordering::Release);
         fence(Ordering::SeqCst);
     }
@@ -124,7 +179,12 @@ impl Waiter {
     /// Parks the calling thread until notified (or spuriously woken — the
     /// caller loops on its condition either way).
     pub fn park(&self) {
-        std::thread::park();
+        sync::park();
+    }
+
+    /// Parks for at most one [`DWELL`]; `true` when the whole dwell passed.
+    fn park_dwell(&self) -> bool {
+        sync::park_timeout(DWELL)
     }
 
     /// Wakes the registered waiter, if one is parked. A fence and a single
@@ -132,7 +192,10 @@ impl Waiter {
     pub fn notify(&self) {
         fence(Ordering::SeqCst);
         if self.parked.load(Ordering::Acquire) && self.parked.swap(false, Ordering::AcqRel) {
-            if let Some(t) = lock(&self.thread).clone() {
+            // Cloned out first: the wake is a syscall, and nothing may wait
+            // for the handle's lock behind it.
+            let thread = lock(&self.thread).clone();
+            if let Some(t) = thread {
                 t.unpark();
             }
         }
@@ -145,13 +208,8 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-struct Slot<T> {
-    /// Payload plus its send timestamp (0 when uninstrumented).
-    item: Mutex<Option<(T, u64)>>,
-}
-
 struct Shared<T> {
-    slots: Box<[Slot<T>]>,
+    slots: Box<[Mutex<Option<T>>]>,
     /// Consumed count (owned by the consumer, read by the producer).
     head: CachePadded<AtomicU64>,
     /// Published count (owned by the producer, read by the consumer).
@@ -162,7 +220,13 @@ struct Shared<T> {
     /// consumer thread can share it (see [`channel_with`]).
     consumer_waiter: Arc<Waiter>,
     producer_waiter: Waiter,
-    dwell: Option<Arc<AtomicHistogram>>,
+    /// Raised by a consumer that sat out a whole [`DWELL`] on an empty ring
+    /// and is about to park untimed; lowered by the producer that takes
+    /// it. `Relaxed` throughout: it publishes no data, and the producer
+    /// polls it on every `send`, so a stale read costs one `send` of delay
+    /// and is never a lost request. On its own line so the producer's poll
+    /// stays a cache hit while the consumer moves `head`.
+    hungry: CachePadded<AtomicBool>,
 }
 
 impl<T> Shared<T> {
@@ -194,31 +258,26 @@ pub struct Consumer<T> {
 /// every `doorbell_batch` sends (both clamped to ≥ 1; the batch is also
 /// clamped to the capacity).
 pub fn channel<T: Send>(capacity: usize, doorbell_batch: usize) -> (Producer<T>, Consumer<T>) {
-    channel_with(capacity, doorbell_batch, Arc::new(Waiter::default()), None)
+    channel_with(capacity, doorbell_batch, Arc::new(Waiter::default()))
 }
 
 /// Like [`channel`], with an explicit consumer [`Waiter`] (shareable by a
-/// thread consuming several rings) and optional dwell instrumentation.
+/// thread consuming several rings).
 pub fn channel_with<T: Send>(
     capacity: usize,
     doorbell_batch: usize,
     consumer_waiter: Arc<Waiter>,
-    dwell: Option<Arc<AtomicHistogram>>,
 ) -> (Producer<T>, Consumer<T>) {
     let capacity = capacity.max(1);
     let shared = Arc::new(Shared {
-        slots: (0..capacity)
-            .map(|_| Slot {
-                item: Mutex::new(None),
-            })
-            .collect(),
+        slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
         head: CachePadded(AtomicU64::new(0)),
         tail: CachePadded(AtomicU64::new(0)),
         producer_open: AtomicBool::new(true),
         consumer_open: AtomicBool::new(true),
         consumer_waiter,
         producer_waiter: Waiter::default(),
-        dwell,
+        hungry: CachePadded(AtomicBool::new(false)),
     });
     (
         Producer {
@@ -256,14 +315,26 @@ impl<T> Producer<T> {
         self.tail - self.published
     }
 
+    /// Takes the consumer's request for an early batch, if it raised one:
+    /// `true` at most once per request, and only after the consumer sat out
+    /// a whole dwell on an empty ring (see the module documentation). A
+    /// caller that batches *above* the ring — the shard pool fills frames —
+    /// polls this to learn that its partial batch is wanted now. One
+    /// relaxed load when nothing was asked.
+    pub fn take_hungry(&mut self) -> bool {
+        let hungry = &self.shared.hungry.0;
+        hungry.load(Ordering::Relaxed) && hungry.swap(false, Ordering::Relaxed)
+    }
+
     /// Sends one item, blocking while the ring is full (backpressure).
+    /// Publishes when the doorbell batch is full or the consumer asked.
     /// Fails only when the consumer is gone, handing the item back.
     pub fn send(&mut self, item: T) -> Result<(), SendError<T>> {
         if self.wait_for_slot().is_err() {
             return Err(SendError(item));
         }
         self.write(item);
-        if self.staged() >= self.batch {
+        if self.take_hungry() || self.staged() >= self.batch {
             self.doorbell();
         }
         Ok(())
@@ -298,12 +369,7 @@ impl<T> Producer<T> {
 
     fn write(&mut self, item: T) {
         let idx = (self.tail % self.shared.capacity()) as usize;
-        let ts = if self.shared.dwell.is_some() {
-            monotonic_ns()
-        } else {
-            0
-        };
-        *lock(&self.shared.slots[idx].item) = Some((item, ts));
+        *lock(&self.shared.slots[idx]) = Some(item);
         self.tail += 1;
     }
 
@@ -323,8 +389,7 @@ impl<T> Producer<T> {
             // consumer can never drain us.
             self.doorbell();
         }
-        let mut spins = 0u32;
-        let mut yields = 0u32;
+        let mut backoff = Backoff::new();
         loop {
             if !self.shared.consumer_open.load(Ordering::Acquire) {
                 return Err(());
@@ -333,13 +398,7 @@ impl<T> Producer<T> {
             if self.tail - self.cached_head < self.shared.capacity() {
                 return Ok(());
             }
-            if spins < SPINS {
-                spins += 1;
-                std::hint::spin_loop();
-            } else if yields < YIELDS {
-                yields += 1;
-                std::thread::yield_now();
-            } else {
+            if !backoff.snooze() {
                 self.shared.producer_waiter.register_current();
                 self.cached_head = self.shared.head.0.load(Ordering::Acquire);
                 if self.tail - self.cached_head < self.shared.capacity()
@@ -387,51 +446,47 @@ impl<T> Consumer<T> {
             }
         }
         let idx = (self.head % self.shared.capacity()) as usize;
-        let (item, ts) = lock(&self.shared.slots[idx].item)
+        let item = lock(&self.shared.slots[idx])
             .take()
             .expect("SPSC protocol: published slot is filled");
         self.head += 1;
         self.shared.head.0.store(self.head, Ordering::Release);
         self.shared.producer_waiter.notify();
-        if let Some(h) = &self.shared.dwell {
-            if ts != 0 {
-                h.record(monotonic_ns().saturating_sub(ts));
-            }
-        }
         Ok(item)
     }
 
-    /// Blocking receive: spins briefly, then parks until the producer's
+    /// Blocking receive: spins briefly, parks for one dwell, then asks the
+    /// producer for whatever it has staged (`hungry`) and parks until its
     /// doorbell. Err when the producer is gone and the ring is drained.
     pub fn recv(&mut self) -> Result<T, RecvError> {
-        let mut spins = 0u32;
-        let mut yields = 0u32;
+        let mut backoff = Backoff::new();
+        // Whether this call already sat out a whole dwell on an empty ring.
+        let mut dwelt = false;
         loop {
             match self.try_recv() {
                 Ok(item) => return Ok(item),
                 Err(TryRecvError::Disconnected) => return Err(RecvError),
                 Err(TryRecvError::Empty) => {}
             }
-            if spins < SPINS {
-                spins += 1;
-                std::hint::spin_loop();
-            } else if yields < YIELDS {
-                yields += 1;
-                std::thread::yield_now();
-            } else {
-                let waiter = self.shared.consumer_waiter.clone();
-                waiter.register_current();
-                match self.try_recv() {
-                    Ok(item) => {
-                        waiter.cancel();
-                        return Ok(item);
-                    }
-                    Err(TryRecvError::Disconnected) => {
-                        waiter.cancel();
-                        return Err(RecvError);
-                    }
-                    Err(TryRecvError::Empty) => waiter.park(),
+            if backoff.snooze() {
+                continue;
+            }
+            let waiter = self.shared.consumer_waiter.clone();
+            waiter.register_current();
+            if dwelt {
+                self.shared.hungry.0.store(true, Ordering::Relaxed);
+            }
+            match self.try_recv() {
+                Ok(item) => {
+                    waiter.cancel();
+                    return Ok(item);
                 }
+                Err(TryRecvError::Disconnected) => {
+                    waiter.cancel();
+                    return Err(RecvError);
+                }
+                Err(TryRecvError::Empty) if dwelt => waiter.park(),
+                Err(TryRecvError::Empty) => dwelt = waiter.park_dwell(),
             }
         }
     }
@@ -542,25 +597,80 @@ mod tests {
         assert_eq!(consumer.join().unwrap(), Ok(42));
     }
 
+    /// Polls until the consumer thread has raised `hungry`, under a
+    /// watchdog: the flag is the only thing a parked consumer shows.
+    fn wait_until_hungry<T>(tx: &Producer<T>) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while !tx.shared.hungry.0.load(Ordering::Relaxed) {
+            assert!(std::time::Instant::now() < deadline, "consumer never asked");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    fn dwell_instrumentation_records_per_item() {
-        let hist = Arc::new(AtomicHistogram::default());
-        let (mut tx, mut rx) =
-            channel_with::<u32>(4, 1, Arc::new(Waiter::default()), Some(hist.clone()));
-        for i in 0..4 {
-            tx.send(i).unwrap();
-        }
-        for _ in 0..4 {
-            rx.recv().unwrap();
-        }
-        assert_eq!(hist.count(), 4);
+    fn consumer_asks_once_after_a_whole_dwell_and_not_before() {
+        let (mut tx, mut rx) = channel::<u32>(8, 4);
+        let (go, gone) = std::sync::mpsc::channel::<()>();
+        let consumer = std::thread::spawn(move || {
+            // Busy: not in `recv` until told to look.
+            gone.recv().expect("test thread lives");
+            let first = rx.recv();
+            gone.recv().expect("test thread lives");
+            (first, rx.recv())
+        });
+        // A busy consumer never asks, however long it stays busy.
+        std::thread::sleep(DWELL * 3);
+        assert!(!tx.take_hungry());
+        // One that waits asks on its own, with nothing sent — and not
+        // before a whole dwell has passed since it could first have parked.
+        // (Late observation can hide an early raise, never invent one.)
+        let waiting_since = std::time::Instant::now();
+        go.send(()).unwrap();
+        wait_until_hungry(&tx);
+        assert!(
+            waiting_since.elapsed() >= DWELL,
+            "asked before the dwell was over"
+        );
+        // Take-once: the first poll sees the request, the second does not,
+        // and a consumer parked untimed does not repeat it.
+        assert!(tx.take_hungry());
+        assert!(!tx.take_hungry());
+        std::thread::sleep(DWELL * 3);
+        assert!(!tx.take_hungry());
+        // The request is used up and the consumer, served, is busy again:
+        // the next send is an ordinary staged one.
+        tx.send_now(1).unwrap();
+        tx.send(2).unwrap();
+        assert_eq!(tx.staged(), 1, "no request, no early publication");
+        // Back in `recv` it finds nothing published, dwells, asks again.
+        go.send(()).unwrap();
+        wait_until_hungry(&tx);
+        tx.doorbell();
+        assert_eq!(consumer.join().unwrap(), (Ok(1), Ok(2)));
+    }
+
+    #[test]
+    fn send_that_takes_the_request_publishes_a_batch_of_one() {
+        let (mut tx, mut rx) = channel::<u32>(8, 4);
+        let consumer = std::thread::spawn(move || (rx.recv(), rx));
+        wait_until_hungry(&tx);
+        // One item against a doorbell batch of four: published at once,
+        // because the consumer asked, and the request is used up.
+        tx.send(7).unwrap();
+        assert_eq!(tx.staged(), 0);
+        let (got, mut rx) = consumer.join().unwrap();
+        assert_eq!(got, Ok(7));
+        // The consumer is busy now (not in `recv`): batching is back.
+        tx.send(8).unwrap();
+        assert_eq!(tx.staged(), 1);
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
     }
 
     #[test]
     fn shared_waiter_serves_multiple_rings() {
         let waiter = Arc::new(Waiter::default());
-        let (mut tx_a, mut rx_a) = channel_with::<u32>(4, 1, waiter.clone(), None);
-        let (mut tx_b, mut rx_b) = channel_with::<u32>(4, 1, waiter.clone(), None);
+        let (mut tx_a, mut rx_a) = channel_with::<u32>(4, 1, waiter.clone());
+        let (mut tx_b, mut rx_b) = channel_with::<u32>(4, 1, waiter.clone());
         let consumer = std::thread::spawn(move || {
             let mut got = Vec::new();
             let mut open = 2;

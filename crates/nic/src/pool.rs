@@ -27,11 +27,21 @@
 //! - **Bounded rings, bounded frame inventory**: each worker is fed over a
 //!   [`superfe_net::ring`] holding at most [`CHANNEL_DEPTH`] frames of
 //!   [`FRAME_SIZE`] events; a producer outrunning a worker blocks
-//!   (backpressure). The doorbell publishes [`DOORBELL_FRAMES`] frames per
-//!   wakeup. Drained frames return over a per-worker recycle ring of
-//!   [`RECYCLE_DEPTH`] slots with drop-on-full semantics, so steady-state
-//!   inventory is capped at `workers × (CHANNEL_DEPTH + RECYCLE_DEPTH + 2)`
-//!   frames.
+//!   (backpressure). Drained frames return over a per-worker recycle ring
+//!   of [`RECYCLE_DEPTH`] slots with drop-on-full semantics, so
+//!   steady-state inventory is capped at
+//!   `workers × (CHANNEL_DEPTH + RECYCLE_DEPTH + 2)` frames.
+//! - **A frame is published when it is full, or when its worker asked**:
+//!   a frame goes to its ring at [`FRAME_SIZE`] events and the doorbell
+//!   rings every [`DOORBELL_FRAMES`] frames — unless the worker has sat out
+//!   one ring dwell with nothing to do and raised its ring's `hungry` flag,
+//!   in which case the next push *to any worker* sends that worker's
+//!   partial frame and rings at once. The consumer keeps the time; the push
+//!   path reads no clock, only one relaxed flag per worker with something
+//!   pending. A saturated worker never asks, so under load frames fill
+//!   exactly as if the rule were "full" alone. A source that stops
+//!   mid-frame is flushed by its next push, a handshake or
+//!   [`ShardPool::finish`], not by a timer.
 //! - **Deterministic merge**: per-shard outputs are concatenated in shard
 //!   order, never completion order.
 //! - **Execution units with member demux**: each worker owns one private
@@ -58,7 +68,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use superfe_ml::QuantizedDetector;
-use superfe_net::metrics::{monotonic_ns, AtomicHistogram, StageMetrics};
 use superfe_net::ring;
 use superfe_net::Granularity;
 use superfe_policy::CompiledPolicy;
@@ -236,10 +245,6 @@ struct UnitEngine {
 }
 
 impl UnitEngine {
-    fn has_sink(&self) -> bool {
-        self.members.iter().any(|m| m.sink.is_some())
-    }
-
     /// Scores freshly finalized vectors at the engine's stream position.
     fn score(&mut self, vectors: &[FeatureVector]) {
         if let Some(infer) = self.infer.as_mut() {
@@ -340,27 +345,9 @@ impl UnitEngine {
 struct Shard {
     index: usize,
     engines: Vec<UnitEngine>,
-    metrics: Option<Arc<StageMetrics>>,
 }
 
 impl Shard {
-    /// The current time, read only when the pool is instrumented.
-    fn clock(&self) -> Option<u64> {
-        self.metrics.as_ref().map(|_| monotonic_ns())
-    }
-
-    /// Records the time since `since` into one stage histogram and
-    /// returns the new reading.
-    fn lap(
-        &self,
-        since: Option<u64>,
-        stage: impl Fn(&StageMetrics) -> &AtomicHistogram,
-    ) -> Option<u64> {
-        let now = self.clock()?;
-        stage(self.metrics.as_ref()?).record(now.saturating_sub(since?));
-        Some(now)
-    }
-
     /// Drains the ring until the pool closes it, then finalizes every unit
     /// still resident: end of stream for everyone left.
     fn run(
@@ -370,7 +357,6 @@ impl Shard {
     ) -> Vec<(TenantId, StreamOutput)> {
         let shard = self.index;
         while let Ok(msg) = rx.recv() {
-            let t0 = self.clock();
             match msg {
                 ShardMsg::Frame(mut frame) => {
                     for e in &frame {
@@ -380,18 +366,13 @@ impl Shard {
                             u.nic.handle(&e.event);
                         }
                     }
-                    let t1 = self.lap(t0, |m| &m.shard);
                     for u in &mut self.engines {
                         u.drain_packets();
-                    }
-                    if t1.is_some() && self.engines.iter().any(UnitEngine::has_sink) {
-                        self.lap(t1, |m| &m.sink);
                     }
                     frame.clear();
                     // Bounded recycling: hand the frame back if the ring
                     // has room, otherwise drop (free) it.
                     let _ = recycle.try_send(frame);
-                    continue;
                 }
                 ShardMsg::Attach {
                     unit,
@@ -442,9 +423,6 @@ impl Shard {
                     let _ = ack.send((shard, self.pressure()));
                 }
             }
-            // Markers count as shard work too, so the queue-dwell and
-            // shard histograms see the same ring items.
-            self.lap(t0, |m| &m.shard);
         }
         self.engines
             .into_iter()
@@ -566,27 +544,16 @@ pub struct ShardPool {
 
 impl ShardPool {
     /// Spawns `workers` shard threads (clamped to ≥ 1) with no units.
-    ///
-    /// With `metrics` attached, every ring item's dwell (producer send →
-    /// worker receive), per-item shard processing time, and per-frame sink
-    /// egress time are recorded into the shared [`StageMetrics`]
-    /// histograms.
-    pub fn new(workers: usize, metrics: Option<Arc<StageMetrics>>) -> Self {
+    pub fn new(workers: usize) -> Self {
         let workers = (0..workers.max(1))
             .map(|index| {
-                let (tx, rx) = ring::channel_with::<ShardMsg>(
-                    CHANNEL_DEPTH,
-                    DOORBELL_FRAMES,
-                    Arc::default(),
-                    metrics.as_ref().map(|m| m.queue.clone()),
-                );
+                let (tx, rx) = ring::channel::<ShardMsg>(CHANNEL_DEPTH, DOORBELL_FRAMES);
                 // Recycle ring: the worker produces drained frames, the
                 // routing thread consumes them. try_send drops on full.
                 let (recycle_tx, recycle) = ring::channel::<Vec<TaggedEvent>>(RECYCLE_DEPTH, 1);
                 let shard = Shard {
                     index,
                     engines: Vec::new(),
-                    metrics: metrics.clone(),
                 };
                 Worker {
                     tx,
@@ -1045,6 +1012,27 @@ impl ShardPool {
     /// Blocks when the target worker is [`CHANNEL_DEPTH`] frames behind
     /// (backpressure). Fails only if a worker thread has died.
     pub fn push(&mut self, event: TaggedEvent) -> Result<(), NicError> {
+        self.route(event)?;
+        self.serve_hungry()
+    }
+
+    /// Routes a batch of tagged events in order — everything the switch
+    /// emitted for one packet, possibly nothing: a worker that asked for
+    /// its frame is served by the next packet whether or not that packet
+    /// produced an event for it.
+    pub fn push_all(
+        &mut self,
+        events: impl IntoIterator<Item = TaggedEvent>,
+    ) -> Result<(), NicError> {
+        for e in events {
+            self.route(e)?;
+        }
+        self.serve_hungry()
+    }
+
+    /// Appends one event to its workers' pending frames and sends the
+    /// frames that became full.
+    fn route(&mut self, event: TaggedEvent) -> Result<(), NicError> {
         if let Some(entry) = self.groups.iter_mut().find(|(g, _)| *g == event.tenant) {
             entry.1 += 1;
         }
@@ -1064,13 +1052,18 @@ impl ShardPool {
         }
     }
 
-    /// Routes a batch of tagged events in order (a switch frame).
-    pub fn push_all(
-        &mut self,
-        events: impl IntoIterator<Item = TaggedEvent>,
-    ) -> Result<(), NicError> {
-        for e in events {
-            self.push(e)?;
+    /// The "or the worker asked" half of the publish rule, once per push:
+    /// every worker that has something unpublished — a partial frame, or
+    /// frames staged behind the doorbell — and whose ring says it sat out a
+    /// dwell hungry gets all of it now. The request is taken only when
+    /// there is something to give, so it stays up until there is.
+    fn serve_hungry(&mut self) -> Result<(), NicError> {
+        for w in 0..self.workers.len() {
+            let worker = &mut self.workers[w];
+            if (!worker.pending.is_empty() || worker.tx.staged() > 0) && worker.tx.take_hungry() {
+                self.flush_worker(w)?;
+                self.workers[w].tx.doorbell();
+            }
         }
         Ok(())
     }
@@ -1086,9 +1079,9 @@ impl ShardPool {
     /// Sends worker `w`'s pending frame, replacing it with a recycled one.
     ///
     /// The ring doorbell batches publication: the worker is woken once per
-    /// [`DOORBELL_FRAMES`] frames (or when the producer blocks on a full
-    /// ring, at a handshake, or at [`ShardPool::finish`]), not once per
-    /// frame.
+    /// [`DOORBELL_FRAMES`] frames (or when it asked, when the producer
+    /// blocks on a full ring, at a handshake, or at [`ShardPool::finish`]),
+    /// not once per frame.
     fn flush_worker(&mut self, w: usize) -> Result<(), NicError> {
         if self.workers[w].pending.is_empty() {
             return Ok(());
@@ -1240,10 +1233,9 @@ mod tests {
         workers: usize,
         sinks: Option<Vec<Box<dyn VectorSink>>>,
         model: Option<Arc<QuantizedDetector>>,
-        metrics: Option<Arc<StageMetrics>>,
     ) -> StreamOutput {
         let mut sw = switch(&[(T0, c)]);
-        let mut pool = ShardPool::new(workers, metrics);
+        let mut pool = ShardPool::new(workers);
         pool.attach(T0, c, 16_384, sinks, model).unwrap();
         feed(&mut sw, &mut pool, pkts);
         flush(&mut sw, &mut pool);
@@ -1253,7 +1245,7 @@ mod tests {
     }
 
     fn solo(c: &CompiledPolicy, pkts: &[PacketRecord], workers: usize) -> StreamOutput {
-        solo_with(c, pkts, workers, None, None, None)
+        solo_with(c, pkts, workers, None, None)
     }
 
     fn sorted(mut v: Vec<FeatureVector>) -> Vec<FeatureVector> {
@@ -1276,7 +1268,7 @@ mod tests {
 
     #[test]
     fn worker_count_clamped_to_one() {
-        assert_eq!(ShardPool::new(0, None).workers(), 1);
+        assert_eq!(ShardPool::new(0).workers(), 1);
     }
 
     #[test]
@@ -1302,28 +1294,6 @@ mod tests {
         assert_eq!(out.stats.records, 20_000);
         let total: f64 = out.group_vectors.iter().map(|g| g.values[0]).sum();
         assert!((total - 20_000.0 * 100.0).abs() < 1e-6, "total {total}");
-    }
-
-    #[test]
-    fn stage_metrics_observe_the_run() {
-        let metrics = Arc::new(StageMetrics::default());
-        let out = solo_with(
-            &host_sum(),
-            &hosts31(5000),
-            2,
-            None,
-            None,
-            Some(metrics.clone()),
-        );
-        assert_eq!(out.stats.records, 5000);
-        let s = metrics.summaries();
-        // Every delivered ring item contributes one queue-dwell and one
-        // shard sample; no sink is attached so the sink histogram stays
-        // empty.
-        assert!(s.queue.count > 0);
-        assert_eq!(s.queue.count, s.shard.count);
-        assert_eq!(s.sink.count, 0);
-        assert!(s.shard.p99_ns >= s.shard.p50_ns);
     }
 
     /// Collects egressed vectors into a shared buffer for inspection.
@@ -1356,7 +1326,7 @@ mod tests {
                 }) as Box<dyn VectorSink>
             })
             .collect();
-        let merged = solo_with(c, &hosts31(n), workers, Some(sinks), None, None);
+        let merged = solo_with(c, &hosts31(n), workers, Some(sinks), None);
         let egressed = std::mem::take(&mut *out.lock().unwrap());
         (merged, egressed, flushed.load(Ordering::SeqCst))
     }
@@ -1395,6 +1365,128 @@ mod tests {
         );
     }
 
+    /// Longer than the ring's dwell (1 ms, private to `superfe_net::ring`)
+    /// several times over: a worker left alone this long has asked.
+    const A_FEW_DWELLS: Duration = Duration::from_millis(5);
+
+    /// Stamps every egressed vector with when it was emitted.
+    struct StampSink(Arc<Mutex<Vec<(EgressVector, std::time::Instant)>>>);
+
+    impl VectorSink for StampSink {
+        fn emit(&mut self, v: EgressVector) {
+            self.0.lock().unwrap().push((v, std::time::Instant::now()));
+        }
+    }
+
+    /// Everything the switch emits for `pkts`, final flush included.
+    fn tagged(c: &CompiledPolicy, pkts: &[PacketRecord]) -> Vec<TaggedEvent> {
+        let mut sw = switch(&[(T0, c)]);
+        let mut events = Vec::new();
+        for p in pkts {
+            sw.process_into(p, &mut events);
+        }
+        sw.flush_into(&mut events);
+        events
+    }
+
+    /// Per-packet vectors `events` will produce: one per batched record.
+    fn records_in(events: &[TaggedEvent]) -> usize {
+        events
+            .iter()
+            .map(|e| match &e.event {
+                SwitchEvent::Mgpv(m) => m.records.len(),
+                SwitchEvent::FgUpdate(_) => 0,
+            })
+            .sum()
+    }
+
+    /// Polls, under a 2 s watchdog, until `shard`'s sink holds `n` vectors.
+    fn wait_for_vectors(
+        seen: &Mutex<Vec<(EgressVector, std::time::Instant)>>,
+        shard: usize,
+        n: usize,
+        mut meanwhile: impl FnMut(),
+    ) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while seen
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|(e, _)| e.shard == shard)
+            .count()
+            < n
+        {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "shard {shard} still waits for its partial frame"
+            );
+            meanwhile();
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+
+    #[test]
+    fn a_hungry_worker_gets_its_partial_frame_before_finish() {
+        let c = host("f_sum", "pkt");
+        let events = tagged(&c, &hosts31(600));
+        assert!(events.len() < FRAME_SIZE / 2, "must stay one partial frame");
+        let (first, last) = events.split_at(events.len() - 1);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let mut pool = ShardPool::new(1);
+        let sinks: Vec<Box<dyn VectorSink>> = vec![Box::new(StampSink(seen.clone()))];
+        pool.attach(T0, &c, 16_384, Some(sinks), None).unwrap();
+        // Far less than a frame, then silence, then one more event: the
+        // worker sat out its dwell and asked, and that push serves it —
+        // or, on a host too loaded for the worker to have run yet, the
+        // next packet does, though the switch emits nothing for it.
+        pool.push_all(first.iter().cloned()).unwrap();
+        std::thread::sleep(A_FEW_DWELLS);
+        pool.push(last[0].clone()).unwrap();
+        wait_for_vectors(&seen, 0, records_in(first), || {
+            pool.push_all(std::iter::empty()).unwrap();
+        });
+        // All of that before `finish`, which only has the rest to flush.
+        let finishing = std::time::Instant::now();
+        pool.finish().unwrap();
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 600);
+        assert!(seen[..records_in(first)]
+            .iter()
+            .all(|(_, at)| *at < finishing));
+    }
+
+    #[test]
+    fn a_hungry_worker_is_served_by_pushes_to_another() {
+        // Four workers, one single-granularity unit: each host's events
+        // all land on one shard. Shard `idle` gets a partial frame and then
+        // nothing; every later push lands on shard `busy`. The idle
+        // shard's vectors must come out anyway, while the pushes go on.
+        let c = host("f_sum", "pkt");
+        let mut by_shard: Vec<Vec<TaggedEvent>> = vec![Vec::new(); 4];
+        for e in tagged(&c, &hosts31(600)) {
+            let SwitchEvent::Mgpv(m) = &e.event else {
+                panic!("a single-granularity policy emits no FG updates");
+            };
+            by_shard[m.hash as usize % 4].push(e);
+        }
+        let mut shards = (0..4).filter(|&s| !by_shard[s].is_empty());
+        let (idle, busy) = (shards.next().unwrap(), shards.next().unwrap());
+        assert!(by_shard[idle].len() < FRAME_SIZE / 2);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let mut pool = ShardPool::new(4);
+        let sinks = (0..4)
+            .map(|_| Box::new(StampSink(seen.clone())) as Box<dyn VectorSink>)
+            .collect();
+        pool.attach(T0, &c, 16_384, Some(sinks), None).unwrap();
+        pool.push_all(by_shard[idle].iter().cloned()).unwrap();
+        std::thread::sleep(A_FEW_DWELLS);
+        let mut elsewhere = by_shard[busy].iter().cycle().cloned();
+        wait_for_vectors(&seen, idle, records_in(&by_shard[idle]), || {
+            pool.push(elsewhere.next().unwrap()).unwrap();
+        });
+        pool.finish().unwrap();
+    }
+
     fn quant_model(train: &[Vec<f64>]) -> Arc<QuantizedDetector> {
         use superfe_ml::{
             quantize, train_and_calibrate, CalibrationConfig, CentroidDetector, Detector,
@@ -1425,7 +1517,7 @@ mod tests {
     fn inline_inference_raises_alerts_on_group_vectors() {
         let c = host("f_sum, f_max", "host");
         let pkts = hosts31(2000);
-        let out = solo_with(&c, &pkts, 2, None, Some(hostile_model()), None);
+        let out = solo_with(&c, &pkts, 2, None, Some(hostile_model()));
         let stats = out.inline_stats.expect("inference was attached");
         assert_eq!(stats.scored, out.group_vectors.len() as u64);
         assert_eq!(stats.dim_errors, 0);
@@ -1445,7 +1537,7 @@ mod tests {
         );
         // A fused unit scores once; every member gets the alert stream.
         let mut sw = switch(&[(T0, &c)]);
-        let mut pool = ShardPool::new(2, None);
+        let mut pool = ShardPool::new(2);
         pool.attach(T0, &c, 16_384, None, Some(hostile_model()))
             .unwrap();
         pool.join(T0, T1, None).unwrap();
@@ -1463,7 +1555,7 @@ mod tests {
         let model = hostile_model();
         let mut fingerprints = Vec::new();
         for workers in [1, 2, 4, 8] {
-            let out = solo_with(&c, &hosts31(2000), workers, None, Some(model.clone()), None);
+            let out = solo_with(&c, &hosts31(2000), workers, None, Some(model.clone()));
             let mut alerts = out.inline_alerts;
             crate::inference::canonicalize_inline_alerts(&mut alerts);
             fingerprints.push(crate::inference::inline_alert_fingerprint(&alerts));
@@ -1479,7 +1571,7 @@ mod tests {
         let c = host("f_sum", "pkt");
         let pkts = hosts31(2000);
         let train: Vec<Vec<f64>> = (0..64).map(|i| vec![100.0 + f64::from(i % 5)]).collect();
-        let out = solo_with(&c, &pkts, 2, None, Some(quant_model(&train)), None);
+        let out = solo_with(&c, &pkts, 2, None, Some(quant_model(&train)));
         // No sink attached: scored per-packet vectors are still returned.
         let plain = solo(&c, &pkts, 2);
         assert_eq!(out.packet_vectors.len(), plain.packet_vectors.len());
@@ -1515,7 +1607,7 @@ mod tests {
             let (a, b) = (host_sum(), flow_tcp());
             let pkts = packets(800);
             let mut sw = switch(&[(T0, &a), (T1, &b)]);
-            let mut pool = ShardPool::new(workers, None);
+            let mut pool = ShardPool::new(workers);
             pool.attach(T0, &a, 16_384, None, None).unwrap();
             pool.attach(T1, &b, 16_384, None, None).unwrap();
             feed(&mut sw, &mut pool, &pkts);
@@ -1561,7 +1653,7 @@ mod tests {
         let (a, b) = (host_sum(), flow_tcp());
         let pkts = packets(1000);
         let sw = switch(&[(T0, &a), (T1, &b)]);
-        let mut pool = ShardPool::new(2, None);
+        let mut pool = ShardPool::new(2);
         pool.attach(T0, &a, 16_384, None, None).unwrap();
         pool.attach(T1, &b, 16_384, None, None).unwrap();
         // Epoch: drain tenant 1 out of switch and NIC mid-stream.
@@ -1579,7 +1671,7 @@ mod tests {
             let a = host_sum();
             let pkts = packets(800);
             let mut sw = switch(&[(T0, &a)]);
-            let mut pool = ShardPool::new(workers, None);
+            let mut pool = ShardPool::new(workers);
             pool.attach(T0, &a, 16_384, None, None).unwrap();
             pool.join(T0, T1, None).unwrap();
             pool.join(T0, T2, None).unwrap();
@@ -1603,7 +1695,7 @@ mod tests {
         let a = host_sum();
         let pkts = packets(1000);
         let sw = switch(&[(T0, &a)]);
-        let mut pool = ShardPool::new(2, None);
+        let mut pool = ShardPool::new(2);
         pool.attach(T0, &a, 16_384, None, None).unwrap();
         pool.join(T0, T1, None).unwrap();
         // Member detach: the partition is snapshot-flushed (live state
@@ -1623,7 +1715,7 @@ mod tests {
     fn join_guards_stream_position() {
         let a = host_sum();
         let mut sw = switch(&[(T0, &a)]);
-        let mut pool = ShardPool::new(2, None);
+        let mut pool = ShardPool::new(2);
         pool.attach(T0, &a, 16_384, None, None).unwrap();
         pool.join(T0, T1, None).unwrap();
         // Once the unit has routed events, late joins are refused.
@@ -1645,7 +1737,7 @@ mod tests {
             let pkts = packets(800);
             // One partition, attached under the group id (tenant 0).
             let mut sw = switch(&[(T0, &a)]);
-            let mut pool = ShardPool::new(workers, None);
+            let mut pool = ShardPool::new(workers);
             pool.attach(T0, &a, 16_384, None, None).unwrap();
             pool.attach_to_group(T0, T1, &b, 16_384, None).unwrap();
             feed(&mut sw, &mut pool, &pkts);
@@ -1665,7 +1757,7 @@ mod tests {
         let (a, b) = (host_sum(), host("f_max", "host"));
         let pkts = packets(1000);
         let sw = switch(&[(T0, &a)]);
-        let mut pool = ShardPool::new(2, None);
+        let mut pool = ShardPool::new(2);
         pool.attach(T0, &a, 16_384, None, None).unwrap();
         pool.attach_to_group(T0, T1, &b, 16_384, None).unwrap();
         // The shared partition stays live for tenant 0; tenant 1's own
@@ -1683,7 +1775,7 @@ mod tests {
     fn prefix_group_guards_position() {
         let (a, b) = (host_sum(), host("f_max", "host"));
         let mut sw = switch(&[(T0, &a)]);
-        let mut pool = ShardPool::new(2, None);
+        let mut pool = ShardPool::new(2);
         pool.attach(T0, &a, 16_384, None, None).unwrap();
         // Unknown group, and duplicate members, are refused.
         assert!(pool
@@ -1704,7 +1796,7 @@ mod tests {
     #[test]
     fn attach_rejects_duplicates_and_bad_sink_counts() {
         let a = host_sum();
-        let mut pool = ShardPool::new(2, None);
+        let mut pool = ShardPool::new(2);
         pool.attach(TenantId(7), &a, 16_384, None, None).unwrap();
         assert!(pool.attach(TenantId(7), &a, 16_384, None, None).is_err());
         // One sink per shard, or none at all.
@@ -1729,14 +1821,14 @@ mod tests {
             };
             // Uninterrupted reference.
             let mut sw = switch(&[(T0, &a), (T1, &b)]);
-            let mut pool = ShardPool::new(workers, None);
+            let mut pool = ShardPool::new(workers);
             attach_both(&mut pool);
             feed(&mut sw, &mut pool, &pkts);
             flush(&mut sw, &mut pool);
             let full = pool.finish().unwrap();
             // Interrupted run: dump at the half-way cut...
             let mut sw1 = switch(&[(T0, &a), (T1, &b)]);
-            let mut pool1 = ShardPool::new(workers, None);
+            let mut pool1 = ShardPool::new(workers);
             attach_both(&mut pool1);
             feed(&mut sw1, &mut pool1, &pkts[..500]);
             let dumps = pool1.dump_state().unwrap();
@@ -1746,7 +1838,7 @@ mod tests {
             drop(pool1.finish().unwrap());
             // ...then rebuild structurally and refill the dumped state.
             // The switch side keeps running (sw1 still holds its state).
-            let mut pool2 = ShardPool::new(workers, None);
+            let mut pool2 = ShardPool::new(workers);
             attach_both(&mut pool2);
             for d in dumps {
                 pool2.restore_unit(d.unit, d.shards).unwrap();
@@ -1774,7 +1866,7 @@ mod tests {
     #[test]
     fn restore_guards_roster_and_shard_count() {
         let a = host_sum();
-        let mut pool = ShardPool::new(2, None);
+        let mut pool = ShardPool::new(2);
         pool.attach(T0, &a, 16_384, None, None).unwrap();
         let dumps = pool.dump_state().unwrap();
         let shards = dumps.into_iter().next().unwrap().shards;
@@ -1796,7 +1888,7 @@ mod tests {
     fn state_pressure_reports_populations() {
         let (a, b) = (host_sum(), flow_tcp());
         let mut sw = switch(&[(T0, &a), (T1, &b)]);
-        let mut pool = ShardPool::new(2, None);
+        let mut pool = ShardPool::new(2);
         pool.attach(T0, &a, 16_384, None, None).unwrap();
         pool.attach(T1, &b, 16_384, None, None).unwrap();
         feed(&mut sw, &mut pool, &packets(600));

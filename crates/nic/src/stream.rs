@@ -1,6 +1,11 @@
 //! The vocabulary of the streaming NIC executor ([`crate::pool`]): what
 //! egresses a worker shard, where it can be sent, what a finished run
 //! returns, and the ring geometry that bounds everything in flight.
+//!
+//! The geometry states the *full* half of the pool's publish rule — a
+//! frame is published when it is full, or when its worker asked (see
+//! [`crate::pool`]): [`FRAME_SIZE`] and [`DOORBELL_FRAMES`] are what a busy
+//! worker gets, a worker with nothing to do gets what there is.
 
 use superfe_net::Granularity;
 
@@ -15,8 +20,9 @@ pub const CHANNEL_DEPTH: usize = 8;
 
 /// Frames published per doorbell ring on the event path: the producer
 /// stages up to this many frames locally and wakes the worker once for the
-/// batch. Must stay below [`CHANNEL_DEPTH`] so a full ring still has
-/// published frames for the worker to drain.
+/// batch (at once for a worker that asked). Must stay below
+/// [`CHANNEL_DEPTH`] so a full ring still has published frames for the
+/// worker to drain.
 pub const DOORBELL_FRAMES: usize = 4;
 
 /// Capacity of each worker's frame recycle ring. When a worker drains

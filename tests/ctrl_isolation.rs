@@ -135,6 +135,21 @@ fn assert_bitwise_solo(
     tenants: &[Lifecycle],
     pkts: &[PacketRecord],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
+    assert_bitwise_solo_stalling(tenants, pkts, &[])
+}
+
+/// How long the stalled producer sleeps: two and a half ring dwells (the
+/// dwell is 1 ms, private to `superfe::net::ring`), so every worker has
+/// asked for its partial frame by the time the next packet is pushed.
+const STALL: std::time::Duration = std::time::Duration::from_micros(2_500);
+
+/// [`assert_bitwise_solo`] with the plane's producer sleeping [`STALL`]
+/// before each packet index in `stalls`; the solo runs never stall.
+fn assert_bitwise_solo_stalling(
+    tenants: &[Lifecycle],
+    pkts: &[PacketRecord],
+    stalls: &[usize],
+) -> Result<(), proptest::test_runner::TestCaseError> {
     for &workers in &WORKER_COUNTS {
         let mut plane = CtrlPlane::new(workers, AnalyzeConfig::default());
         let mut ids = vec![None; tenants.len()];
@@ -152,6 +167,9 @@ fn assert_bitwise_solo(
                     let id = ids[ti].expect("detach window follows attach");
                     outputs[ti] = Some(plane.detach(id).expect("drain handshake"));
                 }
+            }
+            if stalls.contains(&i) {
+                std::thread::sleep(STALL);
             }
             plane.push(p).expect("workers alive");
         }
@@ -196,6 +214,25 @@ proptest! {
         pkts in trace(),
     ) {
         assert_bitwise_solo(&tenants, &pkts)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Frame boundaries depend on time since a hungry worker can ask for
+    /// its partial frame; isolation must not. A plane whose producer stalls
+    /// past the ring dwell at random packet indices — between attach and
+    /// detach epochs, with some tenants' shards idle and others' busy —
+    /// still gives every tenant its (never stalled) solo run, bitwise.
+    #[test]
+    fn stalled_plane_is_bitwise_identical_to_solo(
+        tenants in subset(),
+        pkts in trace(),
+        stalls in proptest::collection::vec(0usize..200, 1..=6),
+    ) {
+        let stalls: Vec<usize> = stalls.into_iter().map(|i| i % pkts.len()).collect();
+        assert_bitwise_solo_stalling(&tenants, &pkts, &stalls)?;
     }
 }
 

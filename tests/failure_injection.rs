@@ -225,7 +225,7 @@ fn dead_worker_is_an_error_not_a_hung_handshake() {
     assert!(events.len() < 256, "must stay pending in one frame");
     for units in [1u16, 2] {
         for (name, op) in ops {
-            let mut pool = ShardPool::new(1, None);
+            let mut pool = ShardPool::new(1);
             let sinks: Vec<Box<dyn VectorSink>> = vec![Box::new(PanickingSink)];
             pool.attach(doomed, &per_packet, 16_384, Some(sinks), None)
                 .expect("attaches");
@@ -235,13 +235,19 @@ fn dead_worker_is_an_error_not_a_hung_handshake() {
                     .expect("attaches");
             }
             // Less than a frame: the events (and the panic they cause) are
-            // still pending when the operation under test starts.
+            // usually still pending when the operation under test starts.
+            // Not always: a worker that idled a whole ring dwell through
+            // the attach may ask for its partial frame, and then it dies
+            // under these pushes instead — the same `WorkerLost`, earlier.
             for event in events.iter().cloned() {
                 let tagged = TaggedEvent {
                     tenant: doomed,
                     event,
                 };
-                pool.push(tagged).expect("staged");
+                match pool.push(tagged) {
+                    Ok(()) | Err(NicError::WorkerLost { worker: 0 }) => {}
+                    Err(e) => panic!("push: {e}"),
+                }
             }
             let (done_tx, done_rx) = std::sync::mpsc::channel();
             std::thread::spawn(move || done_tx.send(op(pool, healthy)));
@@ -255,4 +261,100 @@ fn dead_worker_is_an_error_not_a_hung_handshake() {
             );
         }
     }
+}
+
+/// Holds its worker inside the first `emit` until released, then kills it.
+struct StallThenPanicSink {
+    entered: std::sync::mpsc::Sender<()>,
+    release: std::sync::mpsc::Receiver<()>,
+}
+
+impl VectorSink for StallThenPanicSink {
+    fn emit(&mut self, _: EgressVector) {
+        let _ = self.entered.send(());
+        let _ = self.release.recv();
+        panic!("injected sink failure");
+    }
+}
+
+/// The other half of a dead worker: it dies while the **producer** is
+/// parked on its full ring. The worker's unwinding drops the ring's
+/// consumer, which must wake the producer into `WorkerLost` — under a
+/// watchdog, because the failure mode is a producer parked forever. The
+/// interleaving is forced, not hoped for: the worker is held inside its
+/// first `emit`, so the producer *must* fill the ring and block, and only
+/// once its push count has stopped moving is the worker let go to die.
+#[test]
+fn worker_dying_under_a_blocked_producer_is_an_error_not_a_hang() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::channel;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+    use superfe::nic::stream::{CHANNEL_DEPTH, FRAME_SIZE};
+
+    let watchdog = Duration::from_secs(10);
+    let per_packet = compile(
+        &dsl::parse("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(pkt)")
+            .expect("parses"),
+    )
+    .expect("compiles");
+    // What fits between the producer and a worker that consumes nothing:
+    // the ring, the frame the worker holds and the frame being filled.
+    let in_flight = (CHANNEL_DEPTH + 2) * FRAME_SIZE;
+    // Far more than that, by replaying a short trace's events: the worker
+    // never gets past its first frame, so what the later ones hold is moot.
+    let trace = events_for(&per_packet, 5_000);
+    let events: Vec<SwitchEvent> = trace.iter().cycle().take(3 * in_flight).cloned().collect();
+
+    let doomed = TenantId(0);
+    let (entered_tx, entered) = channel();
+    let (release, release_rx) = channel();
+    let mut pool = ShardPool::new(1);
+    let sink = StallThenPanicSink {
+        entered: entered_tx,
+        release: release_rx,
+    };
+    pool.attach(
+        doomed,
+        &per_packet,
+        16_384,
+        Some(vec![Box::new(sink)]),
+        None,
+    )
+    .expect("attaches");
+    let pushed = Arc::new(AtomicUsize::new(0));
+    let (done_tx, done) = channel();
+    let producer = {
+        let pushed = pushed.clone();
+        std::thread::spawn(move || {
+            let outcome = events.into_iter().try_for_each(|event| {
+                pool.push(TaggedEvent {
+                    tenant: doomed,
+                    event,
+                })?;
+                pushed.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            });
+            let _ = done_tx.send(outcome);
+        })
+    };
+    entered
+        .recv_timeout(watchdog)
+        .expect("the worker reaches its sink");
+    let started = Instant::now();
+    loop {
+        let before = pushed.load(Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(20));
+        if before >= CHANNEL_DEPTH * FRAME_SIZE && pushed.load(Ordering::SeqCst) == before {
+            break;
+        }
+        assert!(started.elapsed() < watchdog, "the producer never blocked");
+    }
+    assert!(pushed.load(Ordering::SeqCst) <= in_flight);
+    release.send(()).expect("the worker waits in its sink");
+    let outcome = done
+        .recv_timeout(watchdog)
+        .expect("push hung on a worker that died under a full ring");
+    assert_eq!(outcome, Err(NicError::WorkerLost { worker: 0 }));
+    producer.join().expect("producer thread");
 }

@@ -7,11 +7,15 @@
 //! so this isolates exactly the sharding, broadcast, transport, and merge
 //! machinery.
 
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
 use proptest::prelude::*;
 
 use superfe::net::{Direction, PacketRecord};
+use superfe::nic::{EgressVector, VectorSink};
 use superfe::policy::dsl;
-use superfe::{StreamingPipeline, SuperFe};
+use superfe::{StreamingPipeline, SuperFe, SuperFeConfig};
 
 /// Worker counts every property must hold for.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -151,6 +155,94 @@ proptest! {
             prop_assert!(
                 base_pkts == pkt_vecs,
                 "packet vectors diverged at workers={} for:\n{}",
+                workers,
+                src
+            );
+        }
+    }
+}
+
+/// How long the stalled producer sleeps: two and a half ring dwells (the
+/// dwell is 1 ms, private to `superfe::net::ring`), so every worker has
+/// asked for its partial frame by the time the next packet is pushed.
+const STALL: Duration = Duration::from_micros(2_500);
+
+/// One egressed vector with its `(shard, seq)` tag, comparable bitwise.
+type Tagged = (usize, u64, String, Vec<u64>);
+
+/// Records every egressing vector with its stream-position tag.
+struct TagSink(Arc<Mutex<Vec<Tagged>>>);
+
+impl VectorSink for TagSink {
+    fn emit(&mut self, v: EgressVector) {
+        let bits = v.vector.values.iter().map(|x| x.to_bits()).collect();
+        let key = format!("{:?}", v.vector.key);
+        self.0
+            .lock()
+            .expect("no sink panics")
+            .push((v.shard, v.seq, key, bits));
+    }
+}
+
+/// Runs the streaming pipeline with tagging sinks, the producer sleeping
+/// [`STALL`] before each packet index in `stalls`: every egressed vector
+/// in `(shard, seq)` order, and the returned group vectors in merge order.
+fn run_tagged(
+    src: &str,
+    pkts: &[PacketRecord],
+    workers: usize,
+    stalls: &[usize],
+) -> (Vec<Tagged>, Vec<(String, Vec<u64>)>) {
+    let policy = dsl::parse(src).expect("valid policy");
+    let egressed = Arc::new(Mutex::new(Vec::new()));
+    let sinks = (0..workers)
+        .map(|_| Box::new(TagSink(egressed.clone())) as Box<dyn VectorSink>)
+        .collect();
+    let mut fe = StreamingPipeline::with_sinks(&policy, SuperFeConfig::default(), workers, sinks)
+        .expect("valid policy");
+    for (i, p) in pkts.iter().enumerate() {
+        if stalls.contains(&i) {
+            std::thread::sleep(STALL);
+        }
+        fe.push(p).expect("workers alive");
+    }
+    let out = fe.finish().expect("workers alive");
+    let mut egressed = std::mem::take(&mut *egressed.lock().expect("no sink panics"));
+    // Shards egress concurrently; the tag is the order.
+    egressed.sort();
+    let groups = out
+        .group_vectors
+        .into_iter()
+        .map(|v| {
+            let bits = v.values.iter().map(|x| x.to_bits()).collect();
+            (format!("{:?}", v.key), bits)
+        })
+        .collect();
+    (egressed, groups)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Frame boundaries now depend on time — a worker that sat out a dwell
+    /// gets its partial frame — and the output must not: a producer that
+    /// stalls long enough for every worker to ask, at random packet
+    /// indices, yields the same vectors under the same `(shard, seq)` tags
+    /// and the same merged group sequence as one that never stalls.
+    #[test]
+    fn stalled_producer_moves_frame_boundaries_not_output(
+        src in policy_source(),
+        pkts in trace(),
+        stalls in proptest::collection::vec(0usize..200, 0..=6),
+    ) {
+        let stalls: Vec<usize> = stalls.into_iter().map(|i| i % pkts.len()).collect();
+        for workers in WORKER_COUNTS {
+            let steady = run_tagged(&src, &pkts, workers, &[]);
+            let stalled = run_tagged(&src, &pkts, workers, &stalls);
+            prop_assert!(
+                steady == stalled,
+                "stalls at {:?} changed the output at workers={} for:\n{}",
+                stalls,
                 workers,
                 src
             );
