@@ -4,6 +4,10 @@
 //! JSON shape are an interface. The files under `golden/` were generated at
 //! the commit that still ran two analyses; they differ from its output only
 //! in the 16 hex digits of the plan hash and in `f_one(_)` for `f_one(?)`.
+//!
+//! Also pins `superfe detect` — document and summary lines, every byte a
+//! function of the flags — as the binary printed it while the float section
+//! was still scored by host-side inference workers.
 
 use std::path::Path;
 
@@ -23,8 +27,8 @@ const SETS: [(&str, &str); 3] = [
 #[test]
 fn multi_policy_reports_match_the_golden_files() {
     // Policy paths appear in the output as given, so they are resolved from
-    // the workspace root. The only test in this binary: nothing races the
-    // working directory.
+    // the workspace root. The only test in this binary that reads the
+    // working directory: nothing races it.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     std::env::set_current_dir(&root).expect("workspace root");
     for (stem, policies) in SETS {
@@ -38,5 +42,35 @@ fn multi_policy_reports_match_the_golden_files() {
                 assert_eq!(out, want, "`superfe {line}` vs {}", golden.display());
             }
         }
+    }
+}
+
+/// `(file stem, flags)` on top of [`DETECT_SIZES`]: the float section
+/// alone, float beside the certified Q39.24 model, a detector with no
+/// fixed-point lowering, and a second detector at another shard count whose
+/// calibration is tight enough to alert.
+const DETECT_RUNS: [(&str, &str); 4] = [
+    ("kitnet", ""),
+    ("kitnet_in_pipeline", "--in-pipeline"),
+    ("knn_in_pipeline", "--detector knn --in-pipeline"),
+    (
+        "centroid_in_pipeline_w4",
+        "--detector centroid --in-pipeline --workers 4 --quantile 0.99 --margin 1.0",
+    ),
+];
+
+/// Trace sizes small enough for the debug profile.
+const DETECT_SIZES: &str = "--benign 1200 --serve-benign 600 --attack 300";
+
+#[test]
+fn detect_documents_match_the_golden_files() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for (stem, flags) in DETECT_RUNS {
+        let line = format!("detect {DETECT_SIZES} {flags}");
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let out = execute(parse_args(&args).expect("valid arguments")).expect(&line);
+        let file = golden.join(format!("detect_{stem}.txt"));
+        let want = std::fs::read_to_string(&file).expect("golden file");
+        assert_eq!(out, want, "`superfe {line}` vs {}", file.display());
     }
 }
