@@ -120,6 +120,15 @@ if [[ "$ip_benign" -ne 0 ]]; then
   echo "ci: in-pipeline quantized model raised $ip_benign benign alerts"
   exit 1
 fi
+# Both sections are scored inside the NIC shards, and a group key lives on
+# one shard whatever their number: the document an operator reads must not
+# depend on --workers beyond the line that prints it.
+detect_w1=$(target/release/superfe detect --in-pipeline --workers 1 | grep -v '"workers":')
+detect_w4=$(target/release/superfe detect --in-pipeline --workers 4 | grep -v '"workers":')
+if ! diff <(printf '%s\n' "$detect_w1") <(printf '%s\n' "$detect_w4"); then
+  echo "ci: superfe detect --in-pipeline differs between --workers 1 and --workers 4"
+  exit 1
+fi
 
 step "multi-tenant serve smoke (3 tenants, solo-identical)"
 # Three bundled policies on one shared switch/NIC, with a mid-stream hot
@@ -308,8 +317,9 @@ bash benchmark/run.sh --smoke --trace 0 >/dev/null \
 
 step "lines of Rust under crates/ (the ROADMAP net-LOC measure)"
 # 45,606 at PR 11, 45,945 before ISSUE 16 retired the second benchmark
-# stack, 43,942 before ISSUE 17 merged the two sharing analyses; a
-# simplicity PR states its delta from the number printed here.
+# stack, 43,942 before ISSUE 17 merged the two sharing analyses, 44,719
+# before ISSUE 20 retired the host-side scoring path; a simplicity PR
+# states its delta from the number printed here.
 find crates -name '*.rs' | xargs wc -l | tail -1
 
 printf '\nci: all checks passed\n'

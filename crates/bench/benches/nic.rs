@@ -60,7 +60,7 @@ fn bench_parallel(c: &mut Criterion) {
         g.bench_function(format!("workers_{workers}"), |b| {
             b.iter(|| {
                 let mut pool = ShardPool::new(workers);
-                pool.attach(tenant, &compiled, 16_384, None, None)
+                pool.attach(tenant, &compiled, 16_384, None)
                     .expect("engine");
                 pool.push_all(events.iter().cloned()).expect("runs");
                 let out = pool.finish().expect("runs");

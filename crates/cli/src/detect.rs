@@ -2,11 +2,12 @@
 //!
 //! Trains a detector on a benign intrusion-scenario trace through the
 //! `Training → Calibrating → Serving` lifecycle, then serves a labelled
-//! attack trace through [`superfe_detect::DetectPipeline`] and reports the
-//! calibrated threshold, alert counts split by ground-truth label, and
-//! precision/recall/F1/AUC. With `--in-pipeline` the same trace is also
-//! served through the SF09xx-certified fixed-point model inside the NIC
-//! shards, and the certificate is reported next to the measured
+//! attack trace through [`StreamingPipeline::with_inference`] — the float
+//! model scoring each vector in the NIC shard that finalized it — and
+//! reports the calibrated threshold, alert counts split by ground-truth
+//! label, and precision/recall/F1/AUC. With `--in-pipeline` the same trace
+//! is served once more with the SF09xx-certified fixed-point model in the
+//! same stage, and the certificate is reported next to the measured
 //! float-vs-quantized score divergence.
 //!
 //! Everything in the document is a function of the flags: the same seed
@@ -15,12 +16,13 @@
 
 use std::sync::Arc;
 
-use superfe_core::{StreamingPipeline, SuperFe, SuperFeConfig};
+use superfe_core::{Extraction, StreamingPipeline, SuperFe, SuperFeConfig};
 use superfe_detect::{
-    label_scores, max_score_delta, score_offline_quantized, DetectPipeline, DetectorKind,
-    QuantizedSection, ServeConfig,
+    label_scores, max_score_delta, score_offline, DetectorKind, QuantizedSection,
 };
-use superfe_ml::{auc, train_and_calibrate, CalibrationConfig, Confusion, FrozenDetector};
+use superfe_ml::{
+    auc, train_and_calibrate, CalibrationConfig, Confusion, FrozenDetector, SharedScorer,
+};
 use superfe_net::PacketRecord;
 use superfe_policy::analyze::json_escape;
 use superfe_policy::analyze::quant::{certify, QuantCheckConfig};
@@ -48,7 +50,7 @@ pub struct DetectConfig {
     /// Base RNG seed: the training trace uses `seed`, the served trace
     /// `seed + 1`, and the detector (KitNET init / CART background) `seed`.
     pub seed: u64,
-    /// NIC shard and inference worker count.
+    /// NIC shard count.
     pub workers: usize,
     /// Calibration quantile (see [`CalibrationConfig`]).
     pub quantile: f64,
@@ -157,7 +159,7 @@ pub(crate) fn parse_flags<'a>(
     Ok((cfg, out))
 }
 
-/// The `"detection"` section: the host-side float serving run.
+/// The `"detection"` section: the float model's serving run.
 #[derive(Clone, Debug)]
 pub(crate) struct DetectionSummary {
     /// Feature dimension of the policy's per-packet vectors.
@@ -168,7 +170,7 @@ pub(crate) struct DetectionSummary {
     calibration_vectors: usize,
     /// The calibrated alert threshold.
     threshold: f64,
-    /// Vectors scored by the serving executor.
+    /// Vectors scored by the in-shard stage.
     scored: u64,
     /// Scored vectors matched to a ground-truth label.
     matched: usize,
@@ -218,9 +220,30 @@ fn fail(e: impl std::fmt::Display) -> CliError {
     err(e.to_string())
 }
 
-/// Train + calibrate offline, then serve the labelled trace once through
-/// the host-side float path and, when asked, once through the in-pipeline
-/// quantized path. Degenerate configurations come back as errors.
+/// Serves `labelled` with `model` scoring in the NIC shards. Returns the
+/// extraction (the stage's counters in it) and — to split the alerts by
+/// ground-truth label — the `(score, label)` pairs of the same model
+/// reference-scoring the extraction's own vectors.
+fn serve(
+    cfg: &DetectConfig,
+    model: SharedScorer,
+    labelled: &[(PacketRecord, bool)],
+) -> Result<(Extraction, Vec<(f64, bool)>), CliError> {
+    let policy = superfe_policy::dsl::parse(POLICY).map_err(fail)?;
+    let deploy = SuperFeConfig::default();
+    let mut fe = StreamingPipeline::with_inference(&policy, deploy, cfg.workers, model.clone())
+        .map_err(fail)?;
+    for (p, _) in labelled {
+        fe.push(p).map_err(fail)?;
+    }
+    let ex = fe.finish().map_err(fail)?;
+    let off = score_offline(&*model, &ex.packet_vectors, &ex.group_vectors);
+    Ok((ex, label_scores(&off.scores, labelled)))
+}
+
+/// Train + calibrate offline, then serve the labelled trace once with the
+/// float model and, when asked, once with its fixed-point lowering.
+/// Degenerate configurations come back as errors.
 pub(crate) fn run(cfg: &DetectConfig) -> Result<DetectRun, CliError> {
     // --- Train + calibrate on a benign trace (offline extraction). ---
     let train_set = intrusion::generate(&IntrusionConfig {
@@ -262,21 +285,9 @@ pub(crate) fn run(cfg: &DetectConfig) -> Result<DetectRun, CliError> {
         seed: cfg.seed + 1,
     });
 
-    let serve_cfg = ServeConfig {
-        workers: cfg.workers,
-        record_scores: true,
-        scenario: cfg.scenario.name().to_string(),
-        ..ServeConfig::default()
-    };
-    let mut dp =
-        DetectPipeline::from_dsl(POLICY, cfg.workers, &frozen, &serve_cfg).map_err(fail)?;
-    for (p, _) in &serve_set.labelled {
-        dp.push(p).map_err(fail)?;
-    }
-    let (_, report) = dp.finish().map_err(fail)?;
-
-    let scores = report.scores.as_ref().expect("record_scores was requested");
-    let scored_pairs = label_scores(scores, &serve_set.labelled);
+    let frozen = Arc::new(frozen);
+    let (ex, scored_pairs) = serve(cfg, frozen.clone(), &serve_set.labelled)?;
+    let stats = ex.inline_stats.unwrap_or_default();
     let threshold = frozen.threshold();
     let confusion = Confusion::from_pairs(scored_pairs.iter().map(|&(s, l)| (s > threshold, l)));
 
@@ -292,9 +303,9 @@ pub(crate) fn run(cfg: &DetectConfig) -> Result<DetectRun, CliError> {
             train_vectors: refs.len() - calibration_vectors,
             calibration_vectors,
             threshold,
-            scored: report.totals.scored,
+            scored: stats.scored,
             matched: scored_pairs.len(),
-            alerts: report.totals.alerts,
+            alerts: stats.alerts,
             confusion,
             auc: auc(&scored_pairs),
         },
@@ -302,8 +313,8 @@ pub(crate) fn run(cfg: &DetectConfig) -> Result<DetectRun, CliError> {
     })
 }
 
-/// Certifies the fixed-point lowering, serves the trace through the
-/// in-pipeline stage, and assembles the in-pipeline section.
+/// Certifies the fixed-point lowering, serves the trace with it, and
+/// assembles the in-pipeline section.
 fn serve_in_pipeline(
     cfg: &DetectConfig,
     frozen: &FrozenDetector,
@@ -317,30 +328,9 @@ fn serve_in_pipeline(
         });
     };
     let model = Arc::new(model);
-
-    let mut fe = StreamingPipeline::with_inference(
-        &policy,
-        SuperFeConfig::default(),
-        cfg.workers,
-        model.clone(),
-    )
-    .map_err(fail)?;
-    for (p, _) in labelled {
-        fe.push(p).map_err(fail)?;
-    }
-    let ex = fe.finish().map_err(fail)?;
+    let (ex, pairs) = serve(cfg, model.clone(), labelled)?;
     let stats = ex.inline_stats.unwrap_or_default();
-
-    // Reference-score the extraction's own vectors with the same quantized
-    // model to split inline alerts by ground-truth label, and measure the
-    // float-vs-quantized divergence the SF0901 bound must dominate.
-    let off = score_offline_quantized(
-        &model,
-        &ex.packet_vectors,
-        &ex.group_vectors,
-        cfg.scenario.name(),
-    );
-    let pairs = label_scores(&off.scores, labelled);
+    // The float-vs-quantized divergence the SF0901 bound must dominate.
     let delta = max_score_delta(
         frozen,
         &model,

@@ -632,7 +632,7 @@ pub fn usage() -> String {
      \x20 --serve-benign N                   served-trace benign packets   [3000]\n\
      \x20 --attack N                         served-trace attack packets   [1500]\n\
      \x20 --seed S                           RNG seed              [1]\n\
-     \x20 --workers N                        NIC shards = inference workers [2]\n\
+     \x20 --workers N                        NIC shards [2]\n\
      \x20 --quantile Q                       calibration quantile  [1.0]\n\
      \x20 --margin M                         calibration margin    [1.1]\n\
      \x20 --in-pipeline                      also serve through the SF09xx-\n\

@@ -46,12 +46,12 @@ pub struct Extraction {
     pub nic_stats: NicStats,
     /// Live groups per granularity level at the end of the run.
     pub groups_per_level: Vec<(superfe_net::Granularity, usize)>,
-    /// Alerts raised by the in-pipeline quantized inference stage, in shard
-    /// order. Empty unless the pipeline was built with
+    /// Alerts raised by the in-shard inference stage, in shard order. Empty
+    /// unless the pipeline was built with
     /// [`crate::StreamingPipeline::with_inference`].
     pub inline_alerts: Vec<superfe_nic::InlineAlert>,
-    /// Counters of the in-pipeline inference stage; `None` when no
-    /// quantized model was attached.
+    /// Counters of the in-shard inference stage; `None` when no detector
+    /// was attached.
     pub inline_stats: Option<superfe_nic::InlineStats>,
 }
 

@@ -52,27 +52,32 @@ impl StreamingPipeline {
         cfg: SuperFeConfig,
         workers: usize,
     ) -> Result<Self, PolicyError> {
-        Self::build(policy, cfg, workers, None, None)
+        Self::build(policy, cfg, workers, None)
     }
 
-    /// Deploys with an in-pipeline quantized inference stage: every
-    /// finalized feature vector is scored *inside its NIC worker shard*
-    /// before egress (see [`superfe_nic::ShardPool::attach`]), and alerts
-    /// come back in [`Extraction::inline_alerts`]. The model should
-    /// first be certified against the policy by the SF09xx analysis pass.
+    /// Deploys with a detector: every finalized feature vector is scored
+    /// *inside the NIC worker shard that computed it* (see
+    /// [`superfe_nic::ShardPool::score_with`]), and alerts come back in
+    /// [`Extraction::inline_alerts`]. Any [`superfe_ml::Scorer`] serves — a
+    /// float [`superfe_ml::FrozenDetector`], or its fixed-point lowering,
+    /// which should first be certified against the policy by the SF09xx
+    /// analysis pass.
     pub fn with_inference(
         policy: &Policy,
         cfg: SuperFeConfig,
         workers: usize,
-        model: std::sync::Arc<superfe_ml::QuantizedDetector>,
+        model: superfe_ml::SharedScorer,
     ) -> Result<Self, PolicyError> {
-        Self::build(policy, cfg, workers, None, Some(model))
+        let mut fe = Self::build(policy, cfg, workers, None)?;
+        fe.nic
+            .score_with(UNIT, model)
+            .map_err(|e| PolicyError::BadParameters(e.to_string()))?;
+        Ok(fe)
     }
 
-    /// Deploys with one [`superfe_nic::VectorSink`] attached per NIC shard
-    /// — the detector attachment point used by `superfe-detect`: egressing
-    /// feature vectors flow into the sinks incrementally instead of
-    /// accumulating in [`Extraction::packet_vectors`] (see
+    /// Deploys with one [`superfe_nic::VectorSink`] attached per NIC shard:
+    /// egressing feature vectors flow into the sinks incrementally instead
+    /// of accumulating in [`Extraction::packet_vectors`] (see
     /// [`superfe_nic::ShardPool::attach`]).
     pub fn with_sinks(
         policy: &Policy,
@@ -80,7 +85,7 @@ impl StreamingPipeline {
         workers: usize,
         sinks: Vec<Box<dyn superfe_nic::VectorSink>>,
     ) -> Result<Self, PolicyError> {
-        Self::build(policy, cfg, workers, Some(sinks), None)
+        Self::build(policy, cfg, workers, Some(sinks))
     }
 
     fn build(
@@ -88,7 +93,6 @@ impl StreamingPipeline {
         cfg: SuperFeConfig,
         workers: usize,
         sinks: Option<Vec<Box<dyn superfe_nic::VectorSink>>>,
-        inference: Option<std::sync::Arc<superfe_ml::QuantizedDetector>>,
     ) -> Result<Self, PolicyError> {
         let compiled = crate::deploy::gate(policy, &cfg)?;
         let switch = FeSwitch::with_config(compiled.switch.clone(), cfg.cache, cfg.mode)
@@ -96,7 +100,7 @@ impl StreamingPipeline {
                 PolicyError::BadParameters("degenerate switch cache configuration".into())
             })?;
         let mut nic = ShardPool::new(workers);
-        nic.attach(UNIT, &compiled, cfg.cache.fg_table_size, sinks, inference)
+        nic.attach(UNIT, &compiled, cfg.cache.fg_table_size, sinks)
             .map_err(|e| PolicyError::BadParameters(e.to_string()))?;
         Ok(StreamingPipeline {
             compiled,

@@ -54,7 +54,7 @@
 
 use superfe_core::pipeline::SuperFeConfig;
 use superfe_net::{Granularity, PacketRecord};
-use superfe_nic::{ShardPool, StreamOutput, UnitPressure, VectorSink};
+use superfe_nic::{ShardPool, SharedScorer, StreamOutput, UnitPressure, VectorSink};
 use superfe_policy::analyze::share::{certify, prefix_form, Depth, PrefixForm};
 use superfe_policy::analyze::{codes, Diagnostic};
 use superfe_policy::{NicProgram, Policy, SwitchProgram};
@@ -490,7 +490,7 @@ impl CtrlPlane {
 
     /// Admits and deploys `spec` at the current epoch. `sinks`, when given,
     /// must hold one [`VectorSink`] per NIC shard (the tenant's private
-    /// egress — e.g. its detector's serving sinks).
+    /// egress; a detector is given with [`CtrlPlane::score_with`]).
     ///
     /// Packets pushed before this call never reach the new tenant; packets
     /// pushed after all do. Other tenants are unaffected. How much hardware
@@ -580,10 +580,7 @@ impl CtrlPlane {
                         "degenerate cache configuration for tenant partition".into(),
                     ));
                 }
-                if let Err(e) = self
-                    .nic
-                    .attach(id, &demand.compiled, fg_table_size, sinks, None)
-                {
+                if let Err(e) = self.nic.attach(id, &demand.compiled, fg_table_size, sinks) {
                     // Roll the switch half back so the plane stays consistent.
                     let mut discard = Vec::new();
                     self.switch.detach_into(id, &mut discard);
@@ -613,6 +610,20 @@ impl CtrlPlane {
         });
         self.epoch += 1;
         Ok(())
+    }
+
+    /// Gives `tenant` a detector of its own at the current epoch: its
+    /// vectors are scored inside the NIC shards from here on and the alerts
+    /// come back in its output (see [`ShardPool::score_with`]). However the
+    /// join rule placed the tenant — fused member, unit on a shared
+    /// partition, partition of its own — the detector is the tenant's
+    /// alone. Valid at any stream position, a restored plane included: a
+    /// snapshot carries no detector state.
+    pub fn score_with(&mut self, tenant: TenantId, model: SharedScorer) -> Result<(), CtrlError> {
+        if self.unit_of(tenant).is_none() {
+            return Err(CtrlError::UnknownTenant(tenant));
+        }
+        self.nic.score_with(tenant, model).map_err(CtrlError::Nic)
     }
 
     /// Detaches `tenant` at the current epoch, returning its complete

@@ -1,48 +1,34 @@
-//! SuperFE online inference serving (`superfe-detect`).
+//! SuperFE online detection: what surrounds the one scoring path.
 //!
 //! The paper's target applications (§8.3) are ML detectors fed by extracted
-//! features; this crate closes the loop from a live packet stream to a
-//! typed alert stream. It attaches trained [`superfe_ml::Detector`]s to the
-//! streaming extraction pipeline:
+//! features. Scoring itself is a stage of the datapath
+//! (`superfe_nic::inference`, reached through
+//! [`superfe_core::StreamingPipeline::with_inference`] or
+//! `CtrlPlane::score_with`): a vector is scored in the NIC shard that
+//! finalized it, by a float [`superfe_ml::FrozenDetector`] or its certified
+//! fixed-point lowering, and only alerts leave. This crate holds the rest:
 //!
-//! - [`serve`]: the sharded serving executor — egressing feature vectors
-//!   flow from NIC shards into bounded-channel inference workers that score
-//!   in batches, emit [`Alert`]s, and apply backpressure end to end.
-//!   Telemetry ([`StageCounters`], score/latency [`superfe_streaming::Histogram`]s)
-//!   surfaces in a [`ServeReport`].
-//! - [`pipeline`]: [`DetectPipeline`] — switch producer, NIC shards, and
-//!   inference workers wired together behind one `push`/`finish` API.
-//! - [`offline`]: batch scoring with identical canonical semantics, the
-//!   reference the online path is differentially tested against.
-//! - [`quantized`]: the in-pipeline fixed-point path — offline quantized
-//!   reference scoring, inline-alert lifting, measured float-vs-quantized
-//!   score deltas, and the report section for `detect --in-pipeline`.
-//! - [`alert`]: the [`Alert`] type and the canonical (key, per-key
-//!   position) ordering that makes alert streams deterministic across
-//!   worker counts.
+//! - [`DetectorKind`]: the four built-in models by name.
+//! - [`offline`]: [`score_offline`], batch scoring under the same canonical
+//!   `(key, per-key position)` semantics — the reference the in-shard stage
+//!   is differentially tested against, for any [`superfe_ml::Scorer`].
+//! - [`scores`]: [`ScoredVector`], ground-truth labelling and the score
+//!   fingerprint. The alert type and the canonical order are the NIC's
+//!   (`superfe_nic::{InlineAlert, canonicalize}`).
+//! - [`quantized`]: measured float-vs-quantized score deltas and the report
+//!   section for `detect --in-pipeline`.
 //!
 //! Model training and threshold calibration live in
 //! [`superfe_ml::detector`] (the `Training → Calibrating → Serving`
-//! lifecycle); this crate consumes the resulting
-//! [`superfe_ml::FrozenDetector`].
+//! lifecycle).
 
-pub mod alert;
-pub mod error;
-pub mod multi;
 pub mod offline;
-pub mod pipeline;
 pub mod quantized;
-pub mod serve;
+pub mod scores;
 
-pub use alert::{
-    canonicalize_alerts, canonicalize_scores, label_scores, score_fingerprint, Alert, ScoredVector,
-};
-pub use error::DetectError;
-pub use multi::MultiServing;
 pub use offline::{score_offline, OfflineScores};
-pub use pipeline::DetectPipeline;
-pub use quantized::{inline_to_alerts, max_score_delta, score_offline_quantized, QuantizedSection};
-pub use serve::{ServeConfig, ServeReport, Serving, StageCounters};
+pub use quantized::{max_score_delta, score_offline_quantized, QuantizedSection};
+pub use scores::{label_scores, score_fingerprint, ScoredVector};
 
 use superfe_ml::{CartDetector, CentroidDetector, Detector, KitNetDetector, KnnNovelty, MlError};
 

@@ -1,98 +1,32 @@
-//! The in-pipeline quantized inference path: offline reference scoring,
-//! alert-stream conversion, and the report section.
+//! Around the fixed-point scorer: the concretely-typed offline reference,
+//! the measured float-vs-quantized divergence, and the report section.
 //!
-//! The host-side serving executor ([`crate::serve`]) scores float vectors
-//! in separate inference workers. The in-pipeline path instead executes a
-//! fixed-point [`QuantizedDetector`] *inside each NIC worker shard*
-//! ([`superfe_core::StreamingPipeline::with_inference`]), so only alerts
-//! leave the extraction pipeline. This module supplies the pieces around
-//! that stage:
+//! A [`QuantizedDetector`] rides the same in-shard stage as any other
+//! scorer ([`superfe_core::StreamingPipeline::with_inference`]) and the
+//! same offline reference ([`crate::score_offline`]). What is particular to
+//! it is the SF09xx certificate:
 //!
-//! - [`score_offline_quantized`]: batch scoring with the quantized model
-//!   under the same canonical `(key, per-key position)` semantics as
-//!   [`crate::score_offline`] — the reference the in-pipeline stage is
-//!   differentially tested against;
-//! - [`inline_to_alerts`]: lifts the NIC's [`InlineAlert`]s into the typed
-//!   [`Alert`] stream (canonical order, scenario stamped);
 //! - [`max_score_delta`]: the measured float-vs-quantized score divergence,
 //!   which the SF0901 certificate upper-bounds;
 //! - [`QuantizedSection`]: the report section `superfe detect
-//!   --in-pipeline` and `bench detect` attach to their output.
-
-use std::collections::HashMap;
+//!   --in-pipeline` attaches to its output.
 
 use superfe_ml::{FrozenDetector, QuantizedDetector};
-use superfe_nic::{FeatureVector, InlineAlert};
+use superfe_nic::FeatureVector;
 
-use crate::alert::{canonicalize_alerts, canonicalize_scores, Alert, ScoredVector};
-use crate::offline::OfflineScores;
+use crate::offline::{score_offline, OfflineScores};
 
-/// Scores a batch extraction with a fixed-point model, producing canonical
-/// score/alert streams bitwise-comparable with the in-pipeline stage's
-/// output for the same vectors.
-///
-/// `packet_vectors` must precede `group_vectors` (the in-pipeline egress
-/// order); `(shard, seq)` tags are synthetic per-key occurrence indices, as
-/// in [`crate::score_offline`].
+/// [`score_offline`] for a fixed-point model, concretely typed so a caller
+/// holding an `Arc<QuantizedDetector>` can pass `&model`. `_label` is not
+/// used (alerts carry no run label); the benchmark's pinned call passes
+/// one.
 pub fn score_offline_quantized(
     model: &QuantizedDetector,
     packet_vectors: &[FeatureVector],
     group_vectors: &[FeatureVector],
-    scenario: &str,
+    _label: &str,
 ) -> OfflineScores {
-    let mut out = OfflineScores {
-        scores: Vec::with_capacity(packet_vectors.len() + group_vectors.len()),
-        alerts: Vec::new(),
-        dim_errors: 0,
-    };
-    let mut occurrence: HashMap<String, u64> = HashMap::new();
-    for v in packet_vectors.iter().chain(group_vectors) {
-        let key_str = format!("{:?}", v.key);
-        let seq = occurrence.entry(key_str).or_insert(0);
-        match model.score(v.values.as_slice()) {
-            Ok(score) => {
-                out.scores.push(ScoredVector {
-                    key: v.key,
-                    shard: 0,
-                    seq: *seq,
-                    score,
-                });
-                if model.is_alert(score) {
-                    out.alerts.push(Alert {
-                        scenario: scenario.to_string(),
-                        key: v.key,
-                        score,
-                        threshold: model.threshold(),
-                        shard: 0,
-                        seq: *seq,
-                    });
-                }
-                *seq += 1;
-            }
-            Err(_) => out.dim_errors += 1,
-        }
-    }
-    canonicalize_scores(&mut out.scores);
-    canonicalize_alerts(&mut out.alerts);
-    out
-}
-
-/// Lifts the NIC's in-pipeline alerts into the typed [`Alert`] stream, in
-/// canonical order with the scenario label stamped.
-pub fn inline_to_alerts(inline: &[InlineAlert], scenario: &str) -> Vec<Alert> {
-    let mut alerts: Vec<Alert> = inline
-        .iter()
-        .map(|a| Alert {
-            scenario: scenario.to_string(),
-            key: a.key,
-            score: a.score,
-            threshold: a.threshold,
-            shard: a.shard,
-            seq: a.seq,
-        })
-        .collect();
-    canonicalize_alerts(&mut alerts);
-    alerts
+    score_offline(model, packet_vectors, group_vectors)
 }
 
 /// The measured maximum |float − quantized| score divergence over a vector
@@ -194,49 +128,28 @@ mod tests {
     }
 
     #[test]
-    fn offline_quantized_matches_inline_semantics() {
-        let (_, quant) = models(2);
+    fn one_offline_body_scores_float_and_quantized_alike() {
+        let (frozen, quant) = models(2);
         let pkts = vec![
             vector(1, &[3.0, 4.0]),
             vector(2, &[-9.0, -1.0]),
+            vector(1, &[4.0, 3.0, 1.0]), // wrong dim: counted, no position
             vector(1, &[4.0, 3.0]),
         ];
-        let out = score_offline_quantized(&quant, &pkts, &[], "q");
-        assert_eq!(out.scores.len(), 3);
-        assert_eq!(out.dim_errors, 0);
-        // The hostile vector (opposed direction) alerts; benign ones don't.
-        assert_eq!(out.alerts.len(), 1);
-        assert_eq!(out.alerts[0].key, GroupKey::Host(2));
-        // Scores are the exact rationals score_q / 2^fa.
-        for s in &out.scores {
-            let q = quant.score_q(&[3.0, 4.0]);
-            assert!(q.is_ok() || s.score >= 0.0);
+        let q = score_offline_quantized(&quant, &pkts, &[], "q");
+        let f = score_offline(&frozen, &pkts, &[]);
+        for out in [&q, &f] {
+            assert_eq!(out.dim_errors, 1);
+            // Canonical order: host 1's two scores in arrival order, then
+            // host 2, whose opposed direction is the only alert.
+            let order: Vec<_> = out.scores.iter().map(|s| (s.key, s.seq)).collect();
+            let (h1, h2) = (GroupKey::Host(1), GroupKey::Host(2));
+            assert_eq!(order, vec![(h1, 0), (h1, 1), (h2, 0)]);
+            assert_eq!(out.alerts.len(), 1);
+            assert_eq!((out.alerts[0].key, out.alerts[0].seq), (h2, 0));
         }
-    }
-
-    #[test]
-    fn inline_alerts_lift_to_canonical_typed_alerts() {
-        let inline = vec![
-            InlineAlert {
-                shard: 1,
-                seq: 4,
-                key: GroupKey::Host(9),
-                score: 1.5,
-                threshold: 0.5,
-            },
-            InlineAlert {
-                shard: 0,
-                seq: 0,
-                key: GroupKey::Host(2),
-                score: 1.25,
-                threshold: 0.5,
-            },
-        ];
-        let alerts = inline_to_alerts(&inline, "run");
-        assert_eq!(alerts.len(), 2);
-        assert_eq!(alerts[0].key, GroupKey::Host(2));
-        assert_eq!(alerts[1].key, GroupKey::Host(9));
-        assert!(alerts.iter().all(|a| a.scenario == "run"));
+        assert_eq!(q.alerts[0].threshold, quant.threshold());
+        assert_eq!(f.alerts[0].threshold, frozen.threshold());
     }
 
     #[test]

@@ -1,29 +1,10 @@
-//! The typed alert stream and its canonical ordering.
+//! Scored vectors: ground-truth labelling and the score fingerprint.
 
 use std::collections::HashMap;
 
 use superfe_net::{Granularity, GroupKey, PacketRecord};
 
-/// One anomaly alert emitted by the serving executor.
-#[derive(Clone, Debug)]
-pub struct Alert {
-    /// The scenario label the serve run was started with (for operators
-    /// correlating alert streams across runs; `"live"` by default).
-    pub scenario: String,
-    /// The group key of the offending feature vector (the finest
-    /// granularity for per-packet vectors).
-    pub key: GroupKey,
-    /// The anomaly score that crossed the threshold.
-    pub score: f64,
-    /// The calibrated threshold in force when the alert fired.
-    pub threshold: f64,
-    /// Stream position: NIC shard that computed the vector.
-    pub shard: usize,
-    /// Stream position: per-shard monotonic sequence number.
-    pub seq: u64,
-}
-
-/// One scored vector (recorded when `ServeConfig::record_scores` is on).
+/// One scored vector of an offline reference run ([`crate::score_offline`]).
 #[derive(Clone, Debug)]
 pub struct ScoredVector {
     /// Group key of the scored vector.
@@ -64,36 +45,9 @@ pub fn label_scores(
         .collect()
 }
 
-/// Sorts alerts into the canonical order: by group key, then by per-key
-/// stream position.
-///
-/// Every group key lives on exactly one shard and each shard's sequence
-/// numbers are monotonic in stream order, so within a key `seq` sorts
-/// vectors by arrival — and the resulting `(key, score)` sequence is
-/// identical at every worker count (the `seq` *values* differ across
-/// worker counts, but the per-key order does not).
-pub fn canonicalize_alerts(alerts: &mut [Alert]) {
-    alerts.sort_by(|a, b| {
-        format!("{:?}", a.key)
-            .cmp(&format!("{:?}", b.key))
-            .then(a.seq.cmp(&b.seq))
-    });
-}
-
-/// Sorts scored vectors into the same canonical order as
-/// [`canonicalize_alerts`].
-pub fn canonicalize_scores(scores: &mut [ScoredVector]) {
-    scores.sort_by(|a, b| {
-        format!("{:?}", a.key)
-            .cmp(&format!("{:?}", b.key))
-            .then(a.seq.cmp(&b.seq))
-    });
-}
-
 /// The worker-count-independent fingerprint of a canonical score stream:
-/// `(key, score bits)` pairs in canonical order. Two serve runs (or a serve
-/// run and an offline batch scoring) are bitwise-identical iff their
-/// fingerprints are equal.
+/// `(key, score bits)` pairs in canonical order. Two scoring runs are
+/// bitwise-identical iff their fingerprints are equal.
 pub fn score_fingerprint(scores: &[ScoredVector]) -> Vec<(String, u64)> {
     scores
         .iter()

@@ -697,6 +697,51 @@ impl FrozenDetector {
     }
 }
 
+/// What a scoring stage needs of a calibrated model — the surface
+/// [`FrozenDetector`] (float) and
+/// [`QuantizedDetector`](crate::QuantizedDetector) (fixed point) share, so
+/// the NIC's in-shard stage and the offline reference score either through
+/// one body.
+pub trait Scorer {
+    /// Model name of the underlying detector.
+    fn name(&self) -> &'static str;
+
+    /// Expected feature dimension.
+    fn feature_dim(&self) -> usize;
+
+    /// Scores a vector (pure); a wrong-length vector is an error.
+    fn score(&self, x: &[f64]) -> Result<f64, MlError>;
+
+    /// The alert threshold in force.
+    fn threshold(&self) -> f64;
+
+    /// Whether a score alerts: strictly above the threshold.
+    fn is_alert(&self, score: f64) -> bool {
+        score > self.threshold()
+    }
+}
+
+/// A scorer shared read-only by every shard of a serving stage.
+pub type SharedScorer = Arc<dyn Scorer + Send + Sync>;
+
+impl Scorer for FrozenDetector {
+    fn name(&self) -> &'static str {
+        self.name()
+    }
+
+    fn feature_dim(&self) -> usize {
+        self.feature_dim()
+    }
+
+    fn score(&self, x: &[f64]) -> Result<f64, MlError> {
+        self.score(x)
+    }
+
+    fn threshold(&self) -> f64 {
+        self.threshold()
+    }
+}
+
 /// Trains `det` on a benign vector slice, calibrating on the trailing
 /// `cal_frac` fraction (at least one vector each side), and freezes it.
 pub fn train_and_calibrate(

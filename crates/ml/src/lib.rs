@@ -15,7 +15,9 @@
 //!   recall/F1/AUC.
 //! - [`detector`]: the unified online [`Detector`] contract over all four
 //!   models, with the `Training → Calibrating → Serving` lifecycle and
-//!   held-out-slice threshold calibration used by `superfe-detect`.
+//!   held-out-slice threshold calibration, and [`Scorer`] — what a frozen
+//!   float detector and its fixed-point lowering both offer the NIC's
+//!   in-shard scoring stage.
 //! - [`quant`]: fixed-point (Qm.n) lowering of frozen detectors for
 //!   in-pipeline NIC inference, with analytically certified float-vs-
 //!   quantized score error bounds (the basis of the SF09xx pass).
@@ -34,7 +36,7 @@ pub use autoencoder::Autoencoder;
 pub use centroid::NearestCentroid;
 pub use detector::{
     train_and_calibrate, CalibrationConfig, CartDetector, CentroidDetector, Detector,
-    FrozenDetector, KitNetDetector, KnnNovelty, Lifecycle, MlError, Stage,
+    FrozenDetector, KitNetDetector, KnnNovelty, Lifecycle, MlError, Scorer, SharedScorer, Stage,
 };
 pub use kitnet::KitNet;
 pub use knn::Knn;

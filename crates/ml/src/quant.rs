@@ -25,7 +25,9 @@
 //! conversion, hence bitwise deterministic across threads and worker
 //! counts.
 
-use crate::detector::{CartDetector, CentroidDetector, FrozenDetector, KitNetDetector, MlError};
+use crate::detector::{
+    CartDetector, CentroidDetector, FrozenDetector, KitNetDetector, MlError, Scorer,
+};
 use crate::kitnet::KitNet;
 use crate::tree::FlatNode;
 
@@ -1080,6 +1082,24 @@ impl QuantizedDetector {
             QuantModel::Centroid(c) => c.error_bound(domain, self.frac_bits),
             QuantModel::Cart(t) => t.error_bound(domain, self.frac_bits),
         })
+    }
+}
+
+impl Scorer for QuantizedDetector {
+    fn name(&self) -> &'static str {
+        self.name()
+    }
+
+    fn feature_dim(&self) -> usize {
+        self.feature_dim()
+    }
+
+    fn score(&self, x: &[f64]) -> Result<f64, MlError> {
+        self.score(x)
+    }
+
+    fn threshold(&self) -> f64 {
+        self.threshold()
     }
 }
 

@@ -29,7 +29,7 @@
 //!   busy; a consumer with nothing to do gets a batch of one.
 //! - **Spin-then-park waiting, and the consumer keeps the time.** An empty
 //!   consumer (or full producer) spins briefly, then registers itself in a
-//!   [`Waiter`] and parks. The waker checks a `parked` flag — a single
+//!   `Waiter` and parks. The waker checks a `parked` flag — a single
 //!   load in the common (running) case. The waiter re-checks the ring
 //!   *after* registering and before parking, and `Thread::unpark` carries a
 //!   token, so wakeups cannot be lost. [`Consumer::recv`] first parks for
@@ -157,7 +157,7 @@ struct CachePadded<T>(T);
 /// store and the load on *both* sides (end of `register_current`, start of
 /// `notify`) forbids that outcome: at least one side sees the other's store.
 #[derive(Debug, Default)]
-pub struct Waiter {
+struct Waiter {
     parked: AtomicBool,
     thread: Mutex<Option<Thread>>,
 }
@@ -165,20 +165,20 @@ pub struct Waiter {
 impl Waiter {
     /// Registers the calling thread as the parked waiter. The caller MUST
     /// re-check its wait condition after this call and before parking.
-    pub fn register_current(&self) {
+    fn register_current(&self) {
         *lock(&self.thread) = Some(sync::current());
         self.parked.store(true, Ordering::Release);
         fence(Ordering::SeqCst);
     }
 
     /// Withdraws a registration (the condition turned true before parking).
-    pub fn cancel(&self) {
+    fn cancel(&self) {
         self.parked.store(false, Ordering::Release);
     }
 
     /// Parks the calling thread until notified (or spuriously woken — the
     /// caller loops on its condition either way).
-    pub fn park(&self) {
+    fn park(&self) {
         sync::park();
     }
 
@@ -189,7 +189,7 @@ impl Waiter {
 
     /// Wakes the registered waiter, if one is parked. A fence and a single
     /// flag load in the common nobody-parked case.
-    pub fn notify(&self) {
+    fn notify(&self) {
         fence(Ordering::SeqCst);
         if self.parked.load(Ordering::Acquire) && self.parked.swap(false, Ordering::AcqRel) {
             // Cloned out first: the wake is a syscall, and nothing may wait
@@ -216,8 +216,8 @@ struct Shared<T> {
     tail: CachePadded<AtomicU64>,
     producer_open: AtomicBool,
     consumer_open: AtomicBool,
-    /// Consumer-side wake handle; `Arc` so several rings feeding one
-    /// consumer thread can share it (see [`channel_with`]).
+    /// Consumer-side wake handle; `Arc` so `recv` can hold it across its
+    /// `&mut self` re-check of the ring.
     consumer_waiter: Arc<Waiter>,
     producer_waiter: Waiter,
     /// Raised by a consumer that sat out a whole [`DWELL`] on an empty ring
@@ -258,17 +258,11 @@ pub struct Consumer<T> {
 /// every `doorbell_batch` sends (both clamped to ≥ 1; the batch is also
 /// clamped to the capacity).
 pub fn channel<T: Send>(capacity: usize, doorbell_batch: usize) -> (Producer<T>, Consumer<T>) {
-    channel_with(capacity, doorbell_batch, Arc::new(Waiter::default()))
-}
-
-/// Like [`channel`], with an explicit consumer [`Waiter`] (shareable by a
-/// thread consuming several rings).
-pub fn channel_with<T: Send>(
-    capacity: usize,
-    doorbell_batch: usize,
-    consumer_waiter: Arc<Waiter>,
-) -> (Producer<T>, Consumer<T>) {
     let capacity = capacity.max(1);
+    // Allocated before the slots and the shared block: the order decides
+    // what the waiter's `parked` flag shares a cache line with, and the
+    // `multitenant_shared` workload reads ~5% slower the other way round.
+    let consumer_waiter = Arc::new(Waiter::default());
     let shared = Arc::new(Shared {
         slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
         head: CachePadded(AtomicU64::new(0)),
@@ -422,12 +416,6 @@ impl<T> Drop for Producer<T> {
 }
 
 impl<T> Consumer<T> {
-    /// The consumer-side wake handle (shared when several rings feed one
-    /// thread: register on it, re-poll every ring, then park).
-    pub fn waiter(&self) -> Arc<Waiter> {
-        self.shared.consumer_waiter.clone()
-    }
-
     /// Non-blocking receive.
     pub fn try_recv(&mut self) -> Result<T, TryRecvError> {
         if self.head == self.cached_tail {
@@ -664,41 +652,5 @@ mod tests {
         tx.send(8).unwrap();
         assert_eq!(tx.staged(), 1);
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-    }
-
-    #[test]
-    fn shared_waiter_serves_multiple_rings() {
-        let waiter = Arc::new(Waiter::default());
-        let (mut tx_a, mut rx_a) = channel_with::<u32>(4, 1, waiter.clone());
-        let (mut tx_b, mut rx_b) = channel_with::<u32>(4, 1, waiter.clone());
-        let consumer = std::thread::spawn(move || {
-            let mut got = Vec::new();
-            let mut open = 2;
-            while open > 0 {
-                let mut progressed = false;
-                for rx in [&mut rx_a, &mut rx_b] {
-                    match rx.try_recv() {
-                        Ok(v) => {
-                            got.push(v);
-                            progressed = true;
-                        }
-                        Err(TryRecvError::Empty) => {}
-                        Err(TryRecvError::Disconnected) => {}
-                    }
-                }
-                open = usize::from(rx_a.try_recv() != Err(TryRecvError::Disconnected))
-                    + usize::from(rx_b.try_recv() != Err(TryRecvError::Disconnected));
-                if !progressed && open > 0 {
-                    std::thread::yield_now();
-                }
-            }
-            got
-        });
-        tx_a.send(1).unwrap();
-        tx_b.send(2).unwrap();
-        drop(tx_a);
-        drop(tx_b);
-        let got = consumer.join().unwrap();
-        assert!(got.contains(&1) && got.contains(&2));
     }
 }

@@ -1,27 +1,29 @@
-//! In-pipeline quantized inference: scoring finalized feature vectors
-//! inside the worker shards, before egress.
+//! In-shard inference: scoring finalized feature vectors inside the worker
+//! shards, where they are computed.
 //!
-//! The host-side serving path ([`VectorSink`](crate::stream::VectorSink))
-//! moves every vector off the NIC and scores it in a separate stage. The
-//! in-pipeline path instead executes a fixed-point
-//! [`QuantizedDetector`](superfe_ml::QuantizedDetector) — compiled by the
-//! SF09xx certification pass — on each vector right where it is finalized,
-//! and only *alerts* leave the pipeline.
+//! This is the one scoring path. A member of the shard pool that was given
+//! a [`Scorer`](superfe_ml::Scorer) by
+//! [`ShardPool::score_with`](crate::ShardPool::score_with) has every vector
+//! its unit finalizes scored on the shard that finalized it — a float model
+//! or its SF09xx-certified fixed-point lowering alike — and only *alerts*
+//! and three counters leave with the member's output. Vectors still egress
+//! through a [`VectorSink`](crate::stream::VectorSink) when the member has
+//! one; egress is not scoring.
 //!
-//! Determinism: the quantized model is pure integer arithmetic, every group
-//! key lives on exactly one shard, and each alert carries the shard's
-//! `(key, seq)` stream position — the same canonical-ordering contract as
-//! the host alert stream, so the alert sequence per key is bitwise
-//! identical at every worker count.
+//! Determinism: a scorer is pure, every group key lives on exactly one
+//! shard, and each alert carries the `(shard, seq)` position of its vector
+//! in the stage's own stream, so under [`canonicalize`] the `(key, score,
+//! threshold)` sequence is bitwise identical at every worker count. The
+//! price of scoring where vectors are finalized is the shard split itself:
+//! a detector whose cost dwarfs extraction (brute-force k-NN) inherits the
+//! CG-key load balance instead of a finer re-hash.
 
-use std::sync::Arc;
-
-use superfe_ml::QuantizedDetector;
+use superfe_ml::SharedScorer;
 use superfe_net::GroupKey;
 
 use crate::engine::FeatureVector;
 
-/// One alert raised by the in-pipeline inference stage.
+/// One alert raised by the in-shard inference stage — the one alert type.
 #[derive(Clone, Debug)]
 pub struct InlineAlert {
     /// NIC shard that computed (and scored) the vector.
@@ -30,10 +32,9 @@ pub struct InlineAlert {
     pub seq: u64,
     /// Group key of the offending vector.
     pub key: GroupKey,
-    /// The quantized anomaly score (`score_q / 2^FA`, exactly
-    /// representable).
+    /// The anomaly score that crossed the threshold.
     pub score: f64,
-    /// The grid-snapped alert threshold in force.
+    /// The scorer's alert threshold in force.
     pub threshold: f64,
 }
 
@@ -58,31 +59,37 @@ impl InlineStats {
     }
 }
 
-/// The per-shard inference stage: one shared quantized model, private
-/// counters and alert buffer. Lives inside the worker thread; scoring is
-/// pure integer arithmetic, so sharing the model read-only across shards
-/// cannot introduce nondeterminism. `Clone` forks the stage (alerts so far
-/// included) when a fused member is finalized off a copy of its unit.
-#[derive(Clone)]
+/// One member's inference stage on one shard: a shared scorer, the stage's
+/// own stream position, private counters and an alert buffer. Lives inside
+/// the worker thread and leaves with its member, so nothing is shared but
+/// the read-only model.
 pub struct InlineInference {
-    model: Arc<QuantizedDetector>,
+    model: SharedScorer,
+    shard: usize,
+    /// Vectors offered so far — the `seq` the next alert carries. Counts
+    /// rejected vectors too: a position, not a score count.
+    seq: u64,
     alerts: Vec<InlineAlert>,
     stats: InlineStats,
 }
 
 impl InlineInference {
-    /// Creates a shard stage over a shared quantized model.
-    pub fn new(model: Arc<QuantizedDetector>) -> Self {
+    /// Creates the stage of `shard` over a shared scorer.
+    pub fn new(model: SharedScorer, shard: usize) -> Self {
         InlineInference {
             model,
+            shard,
+            seq: 0,
             alerts: Vec::new(),
             stats: InlineStats::default(),
         }
     }
 
-    /// Scores one finalized vector at its `(shard, seq)` stream position,
+    /// Scores one finalized vector at the stage's next stream position,
     /// buffering an alert when the score crosses the threshold.
-    pub fn score(&mut self, shard: usize, seq: u64, vector: &FeatureVector) {
+    pub fn score(&mut self, vector: &FeatureVector) {
+        let seq = self.seq;
+        self.seq += 1;
         let Ok(score) = self.model.score(vector.values()) else {
             self.stats.dim_errors += 1;
             return;
@@ -91,7 +98,7 @@ impl InlineInference {
         if self.model.is_alert(score) {
             self.stats.alerts += 1;
             self.alerts.push(InlineAlert {
-                shard,
+                shard: self.shard,
                 seq,
                 key: vector.key,
                 score,
@@ -106,12 +113,19 @@ impl InlineInference {
     }
 }
 
-/// Sorts inline alerts into the canonical order — by group key, then by
-/// per-key stream position. `seq` *values* differ across worker counts but
-/// the per-key order does not, so the canonical `(key, score, threshold)`
-/// sequence is worker-count-independent.
-pub fn canonicalize_inline_alerts(alerts: &mut [InlineAlert]) {
-    alerts.sort_by_cached_key(|a| (format!("{:?}", a.key), a.seq));
+/// Sorts anything with a stream `position` — `(group key, per-shard seq)` —
+/// into the canonical order: by the key's `Debug` string, then by `seq`.
+///
+/// Every group key lives on exactly one shard and a shard's sequence
+/// numbers are monotonic in stream order, so within a key `seq` sorts by
+/// arrival: the `seq` *values* differ across worker counts, the per-key
+/// order does not. The `Debug`-string order is the contract (fingerprints
+/// and golden files depend on it); the string is built once per item.
+pub fn canonicalize<T>(items: &mut [T], position: impl Fn(&T) -> (GroupKey, u64)) {
+    items.sort_by_cached_key(|item| {
+        let (key, seq) = position(item);
+        (format!("{key:?}"), seq)
+    });
 }
 
 /// The worker-count-independent fingerprint of a canonical inline alert
@@ -132,8 +146,10 @@ pub fn inline_alert_fingerprint(alerts: &[InlineAlert]) -> Vec<(String, u64, u64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use superfe_ml::{
         quantize, train_and_calibrate, CalibrationConfig, CentroidDetector, Detector, QuantConfig,
+        QuantizedDetector,
     };
     use superfe_streaming::FeatureValues;
 
@@ -164,23 +180,24 @@ mod tests {
     #[test]
     fn scores_and_counts_alerts() {
         let m = model(3);
-        let mut inf = InlineInference::new(m.clone());
+        let mut inf = InlineInference::new(m.clone(), 3);
         // A benign vector (near the centroid) and a hostile one (opposed).
-        inf.score(0, 0, &vector(1, &[5.0, 6.0, 5.0]));
-        inf.score(0, 1, &vector(2, &[-5.0, -6.0, -5.0]));
+        inf.score(&vector(1, &[5.0, 6.0, 5.0]));
+        inf.score(&vector(2, &[-5.0, -6.0, -5.0]));
         let (alerts, stats) = inf.into_parts();
         assert_eq!(stats.scored, 2);
         assert_eq!(stats.alerts, 1);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].key, GroupKey::Host(2));
+        assert_eq!((alerts[0].shard, alerts[0].seq), (3, 1));
         assert!(alerts[0].score > alerts[0].threshold);
         assert_eq!(alerts[0].threshold, m.threshold());
     }
 
     #[test]
     fn dimension_mismatch_is_counted_not_fatal() {
-        let mut inf = InlineInference::new(model(3));
-        inf.score(0, 0, &vector(1, &[1.0]));
+        let mut inf = InlineInference::new(model(3), 0);
+        inf.score(&vector(1, &[1.0]));
         let (alerts, stats) = inf.into_parts();
         assert!(alerts.is_empty());
         assert_eq!(
@@ -205,8 +222,8 @@ mod tests {
         // Same logical stream sharded two ways.
         let mut a = vec![mk(0, 0, 2), mk(0, 1, 1), mk(0, 2, 2)];
         let mut b = vec![mk(1, 0, 2), mk(0, 0, 1), mk(1, 1, 2)];
-        canonicalize_inline_alerts(&mut a);
-        canonicalize_inline_alerts(&mut b);
+        canonicalize(&mut a, |x| (x.key, x.seq));
+        canonicalize(&mut b, |x| (x.key, x.seq));
         assert_eq!(inline_alert_fingerprint(&a), inline_alert_fingerprint(&b));
     }
 

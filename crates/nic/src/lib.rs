@@ -26,10 +26,10 @@
 //!   `superfe-ctrl` control plane drives the many-unit case.
 //! - [`stream`]: the executor's vocabulary — egress tags, the
 //!   [`VectorSink`] attachment point, [`StreamOutput`], ring geometry.
-//! - [`inference`]: the in-pipeline quantized inference stage — a
-//!   fixed-point detector compiled by the SF09xx pass, executed on each
-//!   finalized vector inside the worker shard so only alerts leave the
-//!   pipeline.
+//! - [`inference`]: the one scoring path — a member's `superfe_ml::Scorer`
+//!   (a float detector or its SF09xx-certified fixed-point lowering)
+//!   executed on each finalized vector inside the worker shard, so only
+//!   alerts leave the pipeline; the alert type and its canonical order.
 //! - [`resources`]: NIC memory utilization for Table 4.
 //! - [`feasibility`]: the `SF04xx` diagnostics of `superfe check`, combining
 //!   the placement ILP and the capacity model into pass/warn/fail findings.
@@ -51,11 +51,14 @@ pub use engine::{EvictedVector, FeNic, FeatureVector, NicStats};
 pub use error::NicError;
 pub use feasibility::{check_capacity, check_nic};
 pub use inference::{
-    canonicalize_inline_alerts, inline_alert_fingerprint, InlineAlert, InlineInference, InlineStats,
+    canonicalize, inline_alert_fingerprint, InlineAlert, InlineInference, InlineStats,
 };
 pub use perf::{cycles_from_cost, CycleModel, OptFlags, PerfEstimate};
 pub use placement::{solve_placement, Placement};
 pub use pool::{ShardPool, ShardUnitState, UnitPressure, UnitStateDump};
 pub use resources::{model_many, NicResources};
 pub use stream::{EgressVector, StreamOutput, VectorSink};
+/// The scorer contract of [`ShardPool::score_with`], re-exported because it
+/// is part of this crate's public signatures.
+pub use superfe_ml::{Scorer, SharedScorer};
 pub use table::{EvictionPolicy, GroupTable, TableBudget, TableStats};

@@ -47,27 +47,28 @@
 //! - **Execution units with member demux**: each worker owns one private
 //!   [`FeNic`] per *unit* — a set of tenants the SF07xx analysis proved
 //!   equivalent, fused by the control plane; a lone tenant is a unit of
-//!   one. The engine runs the extraction (and the optional in-pipeline
-//!   inference stage) once and fans the results out: every member receives
-//!   its own copy of each vector under its own egress numbering through its
-//!   own [`VectorSink`]. Several units may consume one switch partition's
-//!   events (an SF08xx prefix *group*); state never crosses unit
-//!   boundaries.
+//!   one. The engine runs the extraction once and fans the results out:
+//!   every member receives its own copy of each vector under its own egress
+//!   numbering through its own [`VectorSink`], and a member given a scorer
+//!   ([`ShardPool::score_with`]) has each vector scored by its own
+//!   inference stage on the way. Several units may consume one switch
+//!   partition's events (an SF08xx prefix *group*); state never crosses
+//!   unit boundaries.
 //! - **Epoch-based reconfiguration**: [`ShardPool::attach`],
-//!   [`ShardPool::join`], [`ShardPool::detach`] and the state handshakes
-//!   travel *in-band* as control markers through the same rings as event
-//!   frames, so every worker applies them at the same point of the event
-//!   stream — the epoch boundary. Markers ring the doorbell immediately
-//!   (`send_now`), so a handshake is never parked behind a half-staged
-//!   frame batch, and every wait for their acks gives up with
-//!   [`NicError::WorkerLost`] once the worker's thread has finished.
+//!   [`ShardPool::join`], [`ShardPool::score_with`], [`ShardPool::detach`]
+//!   and the state handshakes travel *in-band* as control markers through
+//!   the same rings as event frames, so every worker applies them at the
+//!   same point of the event stream — the epoch boundary. Markers ring
+//!   the doorbell immediately (`send_now`), so a handshake is never parked
+//!   behind a half-staged frame batch, and every wait for their acks gives
+//!   up with [`NicError::WorkerLost`] once the worker's thread has
+//!   finished.
 
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use superfe_ml::QuantizedDetector;
+use superfe_ml::SharedScorer;
 use superfe_net::ring;
 use superfe_net::Granularity;
 use superfe_policy::CompiledPolicy;
@@ -99,20 +100,24 @@ enum ShardMsg {
     /// this point in the stream. `group` names the switch partition whose
     /// tagged events feed the engine — the unit itself for a solo attach,
     /// or a shared-prefix group id when several units consume one
-    /// partition's stream. With a `model`, every vector the engine
-    /// finalizes is scored on the shard before egress.
+    /// partition's stream.
     Attach {
         unit: TenantId,
         group: TenantId,
         engine: Box<FeNic>,
         sink: Option<Box<dyn VectorSink>>,
-        model: Option<Arc<QuantizedDetector>>,
     },
     /// Join marker: add `member` to an existing unit's demux fan-out.
     Join {
         unit: TenantId,
         member: TenantId,
         sink: Option<Box<dyn VectorSink>>,
+    },
+    /// Score marker: give `member` an inference stage over `model`; every
+    /// vector its unit finalizes after this point of the stream is scored.
+    Score {
+        member: TenantId,
+        model: SharedScorer,
     },
     /// Detach marker: finalize `member` of `unit` at this point of the
     /// stream. `events` is this shard's share of the partition flush that
@@ -198,19 +203,44 @@ fn egress(
     }
 }
 
-/// One member's egress half: its sink and `(shard, seq)` numbering.
+/// One member's egress half: its sink, its `(shard, seq)` numbering and
+/// the detector it owns, if any.
 struct MemberEgress {
     member: TenantId,
     sink: Option<Box<dyn VectorSink>>,
     /// Per-(member, shard) monotonic egress sequence number.
     seq: u64,
+    /// The member's inference stage (see [`ShardPool::score_with`]).
+    infer: Option<InlineInference>,
 }
 
 impl MemberEgress {
+    fn new(member: TenantId, sink: Option<Box<dyn VectorSink>>) -> Self {
+        MemberEgress {
+            member,
+            sink,
+            seq: 0,
+            infer: None,
+        }
+    }
+
+    /// Scores freshly finalized vectors, when the member has a detector.
+    fn score(&mut self, vectors: &[FeatureVector]) {
+        if let Some(infer) = self.infer.as_mut() {
+            vectors.iter().for_each(|v| infer.score(v));
+        }
+    }
+
     /// End of stream for this member on this shard: `out` is the unit's
-    /// output; a member with a sink streamed its per-packet vectors out
-    /// already and now egresses the group vectors and flushes.
+    /// output, to which the member adds what its own stage raised; a member
+    /// with a sink streamed its per-packet vectors out already and now
+    /// egresses the group vectors and flushes.
     fn finish(mut self, shard: usize, mut out: StreamOutput) -> (TenantId, StreamOutput) {
+        if let Some(infer) = self.infer.take() {
+            let (alerts, stats) = infer.into_parts();
+            out.inline_alerts = alerts;
+            out.inline_stats = Some(stats);
+        }
         if let Some(mut sink) = self.sink.take() {
             out.packet_vectors.clear();
             let groups = out.group_vectors.iter().cloned();
@@ -236,23 +266,12 @@ struct UnitEngine {
     /// (sinked members stream theirs out per frame).
     pkts_accum: Vec<FeatureVector>,
     shard: usize,
-    /// The in-pipeline inference stage: every vector is scored once for
-    /// the whole unit, right where it is finalized.
-    infer: Option<InlineInference>,
-    /// The engine's own stream position on this shard — the `seq` inline
-    /// alerts carry. Counts every scored vector, sink or no sink.
-    seq: u64,
 }
 
 impl UnitEngine {
-    /// Scores freshly finalized vectors at the engine's stream position.
+    /// Offers freshly finalized vectors to every member's detector.
     fn score(&mut self, vectors: &[FeatureVector]) {
-        if let Some(infer) = self.infer.as_mut() {
-            for v in vectors {
-                infer.score(self.shard, self.seq, v);
-                self.seq += 1;
-            }
-        }
+        self.members.iter_mut().for_each(|m| m.score(vectors));
     }
 
     /// Scores and demuxes freshly accumulated per-packet vectors: a copy
@@ -290,15 +309,13 @@ impl UnitEngine {
         self.drain_packets();
         let groups = self.nic.finish();
         self.score(&groups);
-        let (alerts, inline_stats) = self.infer.take().map(InlineInference::into_parts).unzip();
         let mut whole = StreamOutput {
             group_vectors: groups,
             packet_vectors: self.pkts_accum,
             stats: *self.nic.stats(),
             groups_per_level: self.nic.groups_per_level(),
             evicted_vectors: self.nic.take_evicted(),
-            inline_alerts: alerts.unwrap_or_default(),
-            inline_stats,
+            ..StreamOutput::default()
         };
         let (shard, n) = (self.shard, self.members.len());
         self.members
@@ -317,7 +334,7 @@ impl UnitEngine {
 
     /// Splits the member at `pos` off a still-populated unit as a unit of
     /// its own over a *clone* of the engine, so finalizing it cannot touch
-    /// the survivors' live state.
+    /// the survivors' live state. Its detector leaves with it.
     fn fork(&mut self, pos: usize) -> UnitEngine {
         let m = self.members.remove(pos);
         let pkts_accum = if m.sink.is_some() {
@@ -335,8 +352,6 @@ impl UnitEngine {
             members: vec![m],
             pkts_accum,
             shard: self.shard,
-            infer: self.infer.clone(),
-            seq: self.seq,
         }
     }
 }
@@ -379,28 +394,23 @@ impl Shard {
                     group,
                     engine,
                     sink,
-                    model,
                 } => self.engines.push(UnitEngine {
                     unit,
                     group,
                     nic: engine,
-                    members: vec![MemberEgress {
-                        member: unit,
-                        sink,
-                        seq: 0,
-                    }],
+                    members: vec![MemberEgress::new(unit, sink)],
                     pkts_accum: Vec::new(),
                     shard,
-                    infer: model.map(InlineInference::new),
-                    seq: 0,
                 }),
                 ShardMsg::Join { unit, member, sink } => {
                     if let Some(u) = self.engines.iter_mut().find(|u| u.unit == unit) {
-                        u.members.push(MemberEgress {
-                            member,
-                            sink,
-                            seq: 0,
-                        });
+                        u.members.push(MemberEgress::new(member, sink));
+                    }
+                }
+                ShardMsg::Score { member, model } => {
+                    let mut members = self.engines.iter_mut().flat_map(|u| &mut u.members);
+                    if let Some(m) = members.find(|m| m.member == member) {
+                        m.infer = Some(InlineInference::new(model, shard));
                     }
                 }
                 ShardMsg::Detach {
@@ -510,6 +520,8 @@ struct Worker {
 struct MemberEntry {
     member: TenantId,
     unit: TenantId,
+    /// Whether the member was given a detector ([`ShardPool::score_with`]).
+    scored: bool,
 }
 
 /// One execution unit and the shared-prefix group (switch partition) whose
@@ -626,22 +638,14 @@ impl ShardPool {
     /// to the sinks incrementally instead of accumulating in
     /// [`StreamOutput::packet_vectors`] (which comes back empty); per-group
     /// vectors are both egressed at end of stream and returned.
-    ///
-    /// `model`, when given, compiles a quantized detector into the unit:
-    /// every finalized vector (per-packet and per-group) is scored *inside
-    /// its worker shard* before egress, and alerts surface in
-    /// [`StreamOutput::inline_alerts`]. The model is shared read-only
-    /// across shards — scoring is pure integer arithmetic, so the alert
-    /// stream per group key is bitwise identical at every worker count.
     pub fn attach(
         &mut self,
         tenant: TenantId,
         compiled: &CompiledPolicy,
         fg_table_size: usize,
         sinks: Option<Vec<Box<dyn VectorSink>>>,
-        model: Option<Arc<QuantizedDetector>>,
     ) -> Result<(), NicError> {
-        self.attach_unit(tenant, tenant, compiled, fg_table_size, sinks, model)?;
+        self.attach_unit(tenant, tenant, compiled, fg_table_size, sinks)?;
         self.groups.push((tenant, 0));
         Ok(())
     }
@@ -665,7 +669,7 @@ impl ShardPool {
     ) -> Result<(), NicError> {
         match self.routed_of_group(group) {
             None => Err(NicError::Engine(format!("group {group} is not attached"))),
-            Some(0) => self.attach_unit(group, tenant, compiled, fg_table_size, sinks, None),
+            Some(0) => self.attach_unit(group, tenant, compiled, fg_table_size, sinks),
             Some(_) => Err(NicError::Engine(format!(
                 "group {group} has already processed events; a late unit cannot share its prefix"
             ))),
@@ -682,7 +686,6 @@ impl ShardPool {
         compiled: &CompiledPolicy,
         fg_table_size: usize,
         sinks: Option<Vec<Box<dyn VectorSink>>>,
-        model: Option<Arc<QuantizedDetector>>,
     ) -> Result<(), NicError> {
         if self.members.iter().any(|m| m.member == tenant) {
             return Err(NicError::Engine(format!(
@@ -714,7 +717,6 @@ impl ShardPool {
                     group,
                     engine,
                     sink,
-                    model: model.clone(),
                 })
                 .map_err(|_| NicError::WorkerLost { worker: w })?;
         }
@@ -725,6 +727,7 @@ impl ShardPool {
         self.members.push(MemberEntry {
             member: tenant,
             unit: tenant,
+            scored: false,
         });
         Ok(())
     }
@@ -765,7 +768,44 @@ impl ShardPool {
                 .send_now(ShardMsg::Join { unit, member, sink })
                 .map_err(|_| NicError::WorkerLost { worker: w })?;
         }
-        self.members.push(MemberEntry { member, unit });
+        self.members.push(MemberEntry {
+            member,
+            unit,
+            scored: false,
+        });
+        Ok(())
+    }
+
+    /// Gives `member` a detector of its own at the current epoch: every
+    /// vector its unit finalizes from here on — per-packet and per-group —
+    /// is scored *inside the worker shard that finalized it*, and what the
+    /// stage raised comes back as the member's
+    /// [`StreamOutput::inline_alerts`] / [`StreamOutput::inline_stats`].
+    /// The scorer is shared read-only across shards and pure, so the alert
+    /// stream per group key is bitwise identical at every worker count.
+    ///
+    /// Valid at any stream position and under any sharing: the stage
+    /// belongs to the member, not to its unit, so a fused neighbour or a
+    /// unit on the same partition neither sees nor pays for it, and it
+    /// leaves with the member on [`ShardPool::detach`]. Stage state is not
+    /// part of [`ShardPool::dump_state`]. A member has at most one detector.
+    pub fn score_with(&mut self, member: TenantId, model: SharedScorer) -> Result<(), NicError> {
+        let Some(entry) = self.members.iter_mut().find(|m| m.member == member) else {
+            return Err(NicError::Engine(format!("tenant {member} is not attached")));
+        };
+        if std::mem::replace(&mut entry.scored, true) {
+            return Err(NicError::Engine(format!(
+                "tenant {member} already has a detector"
+            )));
+        }
+        self.flush_all()?;
+        for (w, worker) in self.workers.iter_mut().enumerate() {
+            let model = model.clone();
+            worker
+                .tx
+                .send_now(ShardMsg::Score { member, model })
+                .map_err(|_| NicError::WorkerLost { worker: w })?;
+        }
         Ok(())
     }
 
@@ -847,7 +887,7 @@ impl ShardPool {
     /// live engines keep processing afterwards; pending frames are flushed
     /// first so the dump lands on a clean epoch boundary. Units are
     /// returned in creation order, shards sorted within each unit.
-    /// In-pipeline inference state is not part of a dump.
+    /// Inference-stage state is not part of a dump.
     pub fn dump_state(&mut self) -> Result<Vec<UnitStateDump>, NicError> {
         let acks = self.handshake(|ack| ShardMsg::Dump { ack })?;
         let mut units: Vec<UnitStateDump> = self
@@ -1145,7 +1185,7 @@ impl ShardPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
     use superfe_net::PacketRecord;
     use superfe_policy::compile;
     use superfe_policy::dsl::parse;
@@ -1232,11 +1272,14 @@ mod tests {
         pkts: &[PacketRecord],
         workers: usize,
         sinks: Option<Vec<Box<dyn VectorSink>>>,
-        model: Option<Arc<QuantizedDetector>>,
+        model: Option<SharedScorer>,
     ) -> StreamOutput {
         let mut sw = switch(&[(T0, c)]);
         let mut pool = ShardPool::new(workers);
-        pool.attach(T0, c, 16_384, sinks, model).unwrap();
+        pool.attach(T0, c, 16_384, sinks).unwrap();
+        if let Some(model) = model {
+            pool.score_with(T0, model).unwrap();
+        }
         feed(&mut sw, &mut pool, pkts);
         flush(&mut sw, &mut pool);
         let mut outs = pool.finish().unwrap();
@@ -1434,7 +1477,7 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let mut pool = ShardPool::new(1);
         let sinks: Vec<Box<dyn VectorSink>> = vec![Box::new(StampSink(seen.clone()))];
-        pool.attach(T0, &c, 16_384, Some(sinks), None).unwrap();
+        pool.attach(T0, &c, 16_384, Some(sinks)).unwrap();
         // Far less than a frame, then silence, then one more event: the
         // worker sat out its dwell and asked, and that push serves it —
         // or, on a host too loaded for the worker to have run yet, the
@@ -1477,7 +1520,7 @@ mod tests {
         let sinks = (0..4)
             .map(|_| Box::new(StampSink(seen.clone())) as Box<dyn VectorSink>)
             .collect();
-        pool.attach(T0, &c, 16_384, Some(sinks), None).unwrap();
+        pool.attach(T0, &c, 16_384, Some(sinks)).unwrap();
         pool.push_all(by_shard[idle].iter().cloned()).unwrap();
         std::thread::sleep(A_FEW_DWELLS);
         let mut elsewhere = by_shard[busy].iter().cycle().cloned();
@@ -1487,7 +1530,7 @@ mod tests {
         pool.finish().unwrap();
     }
 
-    fn quant_model(train: &[Vec<f64>]) -> Arc<QuantizedDetector> {
+    fn quant_model(train: &[Vec<f64>]) -> SharedScorer {
         use superfe_ml::{
             quantize, train_and_calibrate, CalibrationConfig, CentroidDetector, Detector,
             QuantConfig,
@@ -1506,7 +1549,7 @@ mod tests {
     /// A model trained far away (second axis dominant) from what
     /// `host(f_sum, f_max)` emits ([~6400, 100], first axis dominant):
     /// every host alerts.
-    fn hostile_model() -> Arc<QuantizedDetector> {
+    fn hostile_model() -> SharedScorer {
         let train: Vec<Vec<f64>> = (0..64)
             .map(|i| vec![1.0 + f64::from(i % 5) * 0.1, 500.0 + f64::from(i % 7)])
             .collect();
@@ -1535,18 +1578,41 @@ mod tests {
             sorted(plain.group_vectors),
             sorted(out.group_vectors.clone())
         );
-        // A fused unit scores once; every member gets the alert stream.
-        let mut sw = switch(&[(T0, &c)]);
-        let mut pool = ShardPool::new(2);
-        pool.attach(T0, &c, 16_384, None, Some(hostile_model()))
-            .unwrap();
-        pool.join(T0, T1, None).unwrap();
+    }
+
+    #[test]
+    fn a_detector_belongs_to_its_member_not_its_unit() {
+        // A fused unit of two: only the member given a detector is scored,
+        // and its alert stream is its solo run's, `(shard, seq)` included.
+        let c = host("f_sum, f_max", "host");
+        let pkts = hosts31(2000);
+        let alone = solo_with(&c, &pkts, 2, None, Some(hostile_model()));
+        let fused = || {
+            let mut pool = ShardPool::new(2);
+            pool.attach(T0, &c, 16_384, None).unwrap();
+            pool.join(T0, T1, None).unwrap();
+            pool.score_with(T1, hostile_model()).unwrap();
+            // One detector per member, and only for members.
+            assert!(pool.score_with(T1, hostile_model()).is_err());
+            assert!(pool.score_with(T2, hostile_model()).is_err());
+            (switch(&[(T0, &c)]), pool)
+        };
+        let (mut sw, mut pool) = fused();
         feed(&mut sw, &mut pool, &pkts);
         flush(&mut sw, &mut pool);
-        for (id, member) in pool.finish().unwrap() {
-            assert_eq!(member.inline_stats, Some(stats), "member {id}");
-            assert_eq!(member.inline_alerts.len(), out.inline_alerts.len());
-        }
+        let outs = pool.finish().unwrap();
+        assert!(outs[0].1.inline_stats.is_none() && outs[0].1.inline_alerts.is_empty());
+        assert_eq!(outs[1].1.inline_stats, alone.inline_stats);
+        let debug = |o: &StreamOutput| format!("{:?}", o.inline_alerts);
+        assert_eq!(debug(&outs[1].1), debug(&alone));
+        // Detached mid-stream off a fork of the unit, the stage leaves with
+        // its member: the alerts of a solo run over the member's window.
+        let (sw, pool) = fused();
+        let (gone, rest) = detach_midway(sw, pool, &pkts, T1, T0, true);
+        let half = solo_with(&c, &pkts[..1000], 2, None, Some(hostile_model()));
+        assert!(!half.inline_alerts.is_empty());
+        assert_eq!(debug(&gone), debug(&half));
+        assert!(rest[0].1.inline_stats.is_none());
     }
 
     #[test]
@@ -1557,7 +1623,7 @@ mod tests {
         for workers in [1, 2, 4, 8] {
             let out = solo_with(&c, &hosts31(2000), workers, None, Some(model.clone()));
             let mut alerts = out.inline_alerts;
-            crate::inference::canonicalize_inline_alerts(&mut alerts);
+            crate::inference::canonicalize(&mut alerts, |a| (a.key, a.seq));
             fingerprints.push(crate::inference::inline_alert_fingerprint(&alerts));
         }
         assert!(!fingerprints[0].is_empty());
@@ -1608,8 +1674,8 @@ mod tests {
             let pkts = packets(800);
             let mut sw = switch(&[(T0, &a), (T1, &b)]);
             let mut pool = ShardPool::new(workers);
-            pool.attach(T0, &a, 16_384, None, None).unwrap();
-            pool.attach(T1, &b, 16_384, None, None).unwrap();
+            pool.attach(T0, &a, 16_384, None).unwrap();
+            pool.attach(T1, &b, 16_384, None).unwrap();
             feed(&mut sw, &mut pool, &pkts);
             flush(&mut sw, &mut pool);
             let outs = pool.finish().unwrap();
@@ -1654,8 +1720,8 @@ mod tests {
         let pkts = packets(1000);
         let sw = switch(&[(T0, &a), (T1, &b)]);
         let mut pool = ShardPool::new(2);
-        pool.attach(T0, &a, 16_384, None, None).unwrap();
-        pool.attach(T1, &b, 16_384, None, None).unwrap();
+        pool.attach(T0, &a, 16_384, None).unwrap();
+        pool.attach(T1, &b, 16_384, None).unwrap();
         // Epoch: drain tenant 1 out of switch and NIC mid-stream.
         let (gone, outs) = detach_midway(sw, pool, &pkts, T1, T1, false);
         assert_eq!(gone.group_vectors, solo(&b, &pkts[..500], 2).group_vectors);
@@ -1672,7 +1738,7 @@ mod tests {
             let pkts = packets(800);
             let mut sw = switch(&[(T0, &a)]);
             let mut pool = ShardPool::new(workers);
-            pool.attach(T0, &a, 16_384, None, None).unwrap();
+            pool.attach(T0, &a, 16_384, None).unwrap();
             pool.join(T0, T1, None).unwrap();
             pool.join(T0, T2, None).unwrap();
             feed(&mut sw, &mut pool, &pkts);
@@ -1696,7 +1762,7 @@ mod tests {
         let pkts = packets(1000);
         let sw = switch(&[(T0, &a)]);
         let mut pool = ShardPool::new(2);
-        pool.attach(T0, &a, 16_384, None, None).unwrap();
+        pool.attach(T0, &a, 16_384, None).unwrap();
         pool.join(T0, T1, None).unwrap();
         // Member detach: the partition is snapshot-flushed (live state
         // untouched) and member 1 is finalized on a fork of the unit.
@@ -1716,7 +1782,7 @@ mod tests {
         let a = host_sum();
         let mut sw = switch(&[(T0, &a)]);
         let mut pool = ShardPool::new(2);
-        pool.attach(T0, &a, 16_384, None, None).unwrap();
+        pool.attach(T0, &a, 16_384, None).unwrap();
         pool.join(T0, T1, None).unwrap();
         // Once the unit has routed events, late joins are refused.
         feed(&mut sw, &mut pool, &packets(50));
@@ -1738,7 +1804,7 @@ mod tests {
             // One partition, attached under the group id (tenant 0).
             let mut sw = switch(&[(T0, &a)]);
             let mut pool = ShardPool::new(workers);
-            pool.attach(T0, &a, 16_384, None, None).unwrap();
+            pool.attach(T0, &a, 16_384, None).unwrap();
             pool.attach_to_group(T0, T1, &b, 16_384, None).unwrap();
             feed(&mut sw, &mut pool, &pkts);
             flush(&mut sw, &mut pool);
@@ -1758,7 +1824,7 @@ mod tests {
         let pkts = packets(1000);
         let sw = switch(&[(T0, &a)]);
         let mut pool = ShardPool::new(2);
-        pool.attach(T0, &a, 16_384, None, None).unwrap();
+        pool.attach(T0, &a, 16_384, None).unwrap();
         pool.attach_to_group(T0, T1, &b, 16_384, None).unwrap();
         // The shared partition stays live for tenant 0; tenant 1's own
         // engines finalize against the partition's snapshot flush.
@@ -1776,7 +1842,7 @@ mod tests {
         let (a, b) = (host_sum(), host("f_max", "host"));
         let mut sw = switch(&[(T0, &a)]);
         let mut pool = ShardPool::new(2);
-        pool.attach(T0, &a, 16_384, None, None).unwrap();
+        pool.attach(T0, &a, 16_384, None).unwrap();
         // Unknown group, and duplicate members, are refused.
         assert!(pool
             .attach_to_group(TenantId(9), T1, &b, 16_384, None)
@@ -1797,10 +1863,10 @@ mod tests {
     fn attach_rejects_duplicates_and_bad_sink_counts() {
         let a = host_sum();
         let mut pool = ShardPool::new(2);
-        pool.attach(TenantId(7), &a, 16_384, None, None).unwrap();
-        assert!(pool.attach(TenantId(7), &a, 16_384, None, None).is_err());
+        pool.attach(TenantId(7), &a, 16_384, None).unwrap();
+        assert!(pool.attach(TenantId(7), &a, 16_384, None).is_err());
         // One sink per shard, or none at all.
-        let no_sinks = pool.attach(TenantId(8), &a, 16_384, Some(Vec::new()), None);
+        let no_sinks = pool.attach(TenantId(8), &a, 16_384, Some(Vec::new()));
         assert!(matches!(no_sinks, Err(NicError::Engine(_))));
         assert!(pool.detach(TenantId(9), Vec::new()).is_err());
         assert!(pool.join(TenantId(7), TenantId(7), None).is_err());
@@ -1816,8 +1882,8 @@ mod tests {
             let (a, b) = (host_sum(), flow_tcp());
             let pkts = packets(1000);
             let attach_both = |pool: &mut ShardPool| {
-                pool.attach(T0, &a, 16_384, None, None).unwrap();
-                pool.attach(T1, &b, 16_384, None, None).unwrap();
+                pool.attach(T0, &a, 16_384, None).unwrap();
+                pool.attach(T1, &b, 16_384, None).unwrap();
             };
             // Uninterrupted reference.
             let mut sw = switch(&[(T0, &a), (T1, &b)]);
@@ -1867,7 +1933,7 @@ mod tests {
     fn restore_guards_roster_and_shard_count() {
         let a = host_sum();
         let mut pool = ShardPool::new(2);
-        pool.attach(T0, &a, 16_384, None, None).unwrap();
+        pool.attach(T0, &a, 16_384, None).unwrap();
         let dumps = pool.dump_state().unwrap();
         let shards = dumps.into_iter().next().unwrap().shards;
         // Wrong unit id: the roster check rejects it.
@@ -1889,8 +1955,8 @@ mod tests {
         let (a, b) = (host_sum(), flow_tcp());
         let mut sw = switch(&[(T0, &a), (T1, &b)]);
         let mut pool = ShardPool::new(2);
-        pool.attach(T0, &a, 16_384, None, None).unwrap();
-        pool.attach(T1, &b, 16_384, None, None).unwrap();
+        pool.attach(T0, &a, 16_384, None).unwrap();
+        pool.attach(T1, &b, 16_384, None).unwrap();
         feed(&mut sw, &mut pool, &packets(600));
         let pressure = pool.state_pressure().unwrap();
         assert_eq!(pressure.len(), 2);

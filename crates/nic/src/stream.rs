@@ -48,8 +48,9 @@ pub struct EgressVector {
     pub vector: FeatureVector,
 }
 
-/// A consumer of feature vectors egressing the streaming executor — the
-/// attachment point for online inference (`superfe-detect`).
+/// A consumer of feature vectors egressing the streaming executor. Egress
+/// is not scoring: a detector is attached with `ShardPool::score_with` and
+/// runs in the shard, with or without a sink beside it.
 ///
 /// One sink instance is moved into each worker thread, so implementations
 /// need no interior locking; blocking in [`VectorSink::emit`] backpressures
@@ -81,14 +82,14 @@ pub struct StreamOutput {
     /// Groups finalized early by DRAM budget eviction, concatenated in
     /// shard order. Empty under the default budget.
     pub evicted_vectors: Vec<EvictedVector>,
-    /// Alerts raised by the in-pipeline inference stage, concatenated in
-    /// shard order. Empty unless the unit was attached with a quantized
-    /// model. Use
-    /// [`canonicalize_inline_alerts`](crate::inference::canonicalize_inline_alerts)
-    /// for a worker-count-independent order.
+    /// Alerts raised by the member's in-shard inference stage, concatenated
+    /// in shard order. Empty unless the member was given a detector
+    /// (`ShardPool::score_with`). Use
+    /// [`canonicalize`](crate::inference::canonicalize) for a
+    /// worker-count-independent order.
     pub inline_alerts: Vec<InlineAlert>,
-    /// Merged counters of the in-pipeline inference stage; `None` when no
-    /// quantized model was attached.
+    /// Merged counters of the member's inference stage; `None` when it has
+    /// no detector.
     pub inline_stats: Option<InlineStats>,
 }
 

@@ -650,34 +650,53 @@ mod join_rule_isolation {
 }
 
 mod alert_isolation {
+    use std::sync::Arc;
+
     use superfe::ctrl::{CtrlPlane, TenantSpec};
-    use superfe::detect::{MultiServing, ServeConfig, ServeReport};
+    use superfe::detect::score_offline;
     use superfe::ml::{train_and_calibrate, CalibrationConfig, CentroidDetector, FrozenDetector};
     use superfe::net::PacketRecord;
+    use superfe::nic::{canonicalize, StreamOutput};
     use superfe::policy::dsl;
-    use superfe::switch::TenantId;
     use superfe::{AnalyzeConfig, SuperFeConfig};
 
     /// Per-packet flow statistics for the monitored tenant (dim 2).
     const MONITORED: &str =
         "pktstream\n.groupby(flow)\n.reduce(size, [f_mean, f_var])\n.collect(pkt)";
     /// The noisy neighbor: different granularity, heavy eviction churn.
-    const NEIGHBOR: &str =
+    const NOISY: &str =
         "pktstream\n.groupby(host)\n.reduce(size, [f_sum, f_min, f_max])\n.collect(host)";
+    /// Shares the monitored tenant's switch prefix, not its tail (dim 1).
+    const PREFIX: &str = "pktstream\n.groupby(flow)\n.reduce(size, [f_max])\n.collect(pkt)";
 
-    fn detector() -> FrozenDetector {
-        // Benign profile: flows of ~400 B packets, near-zero variance.
-        let data: Vec<Vec<f64>> = (0..80)
+    /// Who runs next to the monitored tenant, and so which arm of the join
+    /// rule places it.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Neighbor {
+        /// Nobody: the solo reference.
+        None,
+        /// A partition of its own, no detector.
+        Noisy,
+        /// The same policy under another name, no detector: one fused unit.
+        Fused,
+        /// Another unit on the monitored tenant's partition, with a
+        /// detector of its own.
+        Prefix,
+    }
+
+    fn detector(benign: &[Vec<f64>]) -> Arc<FrozenDetector> {
+        let refs: Vec<&[f64]> = benign.iter().map(Vec::as_slice).collect();
+        let det = CentroidDetector::new(refs[0].len()).expect("valid dim");
+        let cfg = CalibrationConfig::default();
+        Arc::new(train_and_calibrate(Box::new(det), &refs, 0.2, cfg).expect("calibrates"))
+    }
+
+    /// Benign profile: flows of ~400 B packets, near-zero variance.
+    fn monitored_detector() -> Arc<FrozenDetector> {
+        let benign: Vec<Vec<f64>> = (0..80)
             .map(|i| vec![395.0 + f64::from(i % 11), f64::from(i % 7)])
             .collect();
-        let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
-        train_and_calibrate(
-            Box::new(CentroidDetector::new(2).expect("dim 2")),
-            &refs,
-            0.2,
-            CalibrationConfig::default(),
-        )
-        .expect("calibrates")
+        detector(&benign)
     }
 
     fn traffic() -> Vec<PacketRecord> {
@@ -708,68 +727,101 @@ mod alert_isolation {
         pkts
     }
 
-    /// Serves the monitored tenant, optionally alongside the neighbor, and
-    /// returns its report.
-    fn serve(with_neighbor: bool, workers: usize) -> ServeReport {
-        let det = detector();
-        let mut plane = CtrlPlane::new(workers, AnalyzeConfig::default());
-        let mut serving = MultiServing::new();
-        let cfg = ServeConfig {
-            record_scores: true,
-            ..ServeConfig::default()
-        };
-        // Tenant ids are assigned in attach order, starting at t0.
-        let sinks = serving
-            .spawn(TenantId(0), &det, &cfg, workers)
-            .expect("fresh registry");
-        let monitored = TenantSpec {
-            name: "monitored".into(),
-            policy: dsl::parse(MONITORED).expect("valid"),
+    /// Serves the monitored tenant with its detector in the NIC shards,
+    /// alongside `neighbor`; returns its output (alerts in canonical
+    /// order) and the neighbor's.
+    fn serve(neighbor: Neighbor, workers: usize) -> (StreamOutput, Option<StreamOutput>) {
+        let spec = |name: &str, src| TenantSpec {
+            name: name.into(),
+            policy: dsl::parse(src).expect("valid"),
             cfg: SuperFeConfig::default(),
         };
-        let id = plane.attach(&monitored, Some(sinks)).expect("admitted");
-        assert_eq!(id, TenantId(0));
-        if with_neighbor {
-            let neighbor = TenantSpec {
-                name: "neighbor".into(),
-                policy: dsl::parse(NEIGHBOR).expect("valid"),
-                cfg: SuperFeConfig::default(),
+        let mut plane = CtrlPlane::new(workers, AnalyzeConfig::default());
+        let id = plane
+            .attach(&spec("monitored", MONITORED), None)
+            .expect("admitted");
+        plane
+            .score_with(id, monitored_detector())
+            .expect("attached");
+        let src = match neighbor {
+            Neighbor::None => None,
+            Neighbor::Noisy => Some(NOISY),
+            Neighbor::Fused => Some(MONITORED),
+            Neighbor::Prefix => Some(PREFIX),
+        };
+        if let Some(src) = src {
+            let other = plane
+                .attach(&spec("neighbor", src), None)
+                .expect("admitted");
+            if neighbor == Neighbor::Prefix {
+                // Opposed to everything it will see: every vector alerts.
+                let elsewhere = detector(&[vec![-1.0], vec![-2.0], vec![-3.0]]);
+                plane.score_with(other, elsewhere).expect("attached");
+            }
+            let (units, groups) = match neighbor {
+                Neighbor::Fused => (vec![(id, 2)], vec![(id, 1)]),
+                Neighbor::Prefix => (vec![(id, 1), (other, 1)], vec![(id, 2)]),
+                _ => (vec![(id, 1), (other, 1)], vec![(id, 1), (other, 1)]),
             };
-            plane.attach(&neighbor, None).expect("admitted");
+            assert_eq!((plane.units(), plane.groups()), (units, groups));
         }
         for p in traffic() {
             plane.push(&p).expect("workers alive");
         }
-        plane.finish().expect("workers alive");
-        serving.finish_tenant(TenantId(0)).expect("report")
+        let mut runs = plane.finish().expect("workers alive").into_iter();
+        let mut monitored = runs.next().expect("monitored tenant").output;
+        canonicalize(&mut monitored.inline_alerts, |a| (a.key, a.seq));
+        (monitored, runs.next().map(|r| r.output))
     }
 
-    /// Tenant A's alert stream alongside a noisy neighbor must be bitwise
-    /// identical to A's alert stream running alone — scored counts, scores,
-    /// and every alert's key/score/position.
+    /// Tenant A's alert stream must be bitwise identical to A's alert
+    /// stream running alone — scored counts, scores, and every alert's
+    /// key/score/position — alongside a noisy neighbor, fused with a
+    /// neighbor that has no detector, and sharing its switch partition with
+    /// a neighbor that has a different one.
     #[test]
     fn alerts_unchanged_by_noisy_neighbor() {
+        let det = monitored_detector();
+        let scores = |o: &StreamOutput| {
+            format!(
+                "{:?}",
+                score_offline(&*det, &o.packet_vectors, &o.group_vectors).scores
+            )
+        };
         for workers in [1, 2, 4] {
-            let alone = serve(false, workers);
-            let shared = serve(true, workers);
+            let (alone, _) = serve(Neighbor::None, workers);
             assert!(
-                !alone.alerts.is_empty(),
+                !alone.inline_alerts.is_empty(),
                 "the anomalous flow must trip the detector at {workers} workers"
             );
-            assert_eq!(
-                alone.totals.scored, shared.totals.scored,
-                "scored count changed under tenancy at {workers} workers"
-            );
-            assert_eq!(
-                format!("{:?}", alone.alerts),
-                format!("{:?}", shared.alerts),
-                "alert stream changed under tenancy at {workers} workers"
-            );
-            assert_eq!(
-                format!("{:?}", alone.scores),
-                format!("{:?}", shared.scores),
-                "score stream changed under tenancy at {workers} workers"
-            );
+            for neighbor in [Neighbor::Noisy, Neighbor::Fused, Neighbor::Prefix] {
+                let (shared, other) = serve(neighbor, workers);
+                let other = other.expect("the neighbor's output");
+                let at = format!("next to {neighbor:?} at {workers} workers");
+                assert_eq!(
+                    alone.inline_stats, shared.inline_stats,
+                    "scored count changed {at}"
+                );
+                assert_eq!(
+                    format!("{:?}", alone.inline_alerts),
+                    format!("{:?}", shared.inline_alerts),
+                    "alert stream changed {at}"
+                );
+                assert_eq!(scores(&alone), scores(&shared), "score stream changed {at}");
+                // A detector is its member's alone, under every join arm.
+                match (neighbor, other.inline_stats) {
+                    (Neighbor::Prefix, Some(stats)) => {
+                        assert_eq!(stats.scored as usize, other.packet_vectors.len(), "{at}");
+                        assert!(!other.inline_alerts.is_empty(), "{at}");
+                        let own = |a: &superfe::nic::InlineAlert| a.threshold != det.threshold();
+                        assert!(other.inline_alerts.iter().all(own), "{at}");
+                    }
+                    (Neighbor::Prefix, None) => panic!("the neighbor's detector is gone {at}"),
+                    (_, stats) => {
+                        assert!(stats.is_none() && other.inline_alerts.is_empty(), "{at}");
+                    }
+                }
+            }
         }
     }
 }

@@ -1,14 +1,17 @@
 //! Fig. 11-style end-to-end accuracy floor through the *online serving*
 //! path: train a KitNET detector on a benign trace, calibrate its threshold
 //! from held-out benign scores (no hard-coded constants), then serve a
-//! labelled Mirai-style trace through the sharded `DetectPipeline` and
-//! check the detector still clears the §8.3 offline quality floor
+//! labelled Mirai-style trace with the detector scoring inside the NIC
+//! shards and check it still clears the §8.3 offline quality floor
 //! (AUC > 0.75 for Kitsune) — plus the properties calibration buys:
 //! benign warm-up stays quiet and the attack window raises alerts.
 
-use superfe::detect::{label_scores, score_offline, DetectPipeline, DetectorKind, ServeConfig};
+use std::sync::Arc;
+
+use superfe::detect::{label_scores, score_offline, DetectorKind};
 use superfe::ml::{auc, train_and_calibrate, CalibrationConfig, Confusion};
-use superfe::SuperFe;
+use superfe::nic::{canonicalize, inline_alert_fingerprint};
+use superfe::{StreamingPipeline, SuperFe, SuperFeConfig};
 use superfe_trafficgen::intrusion::{self, IntrusionConfig, Scenario};
 
 /// The Kitsune policy (115-d per-packet vectors), as in the offline study.
@@ -51,23 +54,24 @@ fn served_kitnet_clears_the_offline_accuracy_floor() {
         attack_packets: 1_000,
         seed: 22,
     });
-    let cfg = ServeConfig {
-        workers: 2,
-        record_scores: true,
-        scenario: "fig11".into(),
-        ..ServeConfig::default()
-    };
-    let mut dp = DetectPipeline::from_dsl(POLICY, 2, &frozen, &cfg).expect("policy deploys");
+    let frozen = Arc::new(frozen);
+    let policy = superfe::policy::dsl::parse(POLICY).expect("policy parses");
+    let mut fe =
+        StreamingPipeline::with_inference(&policy, SuperFeConfig::default(), 2, frozen.clone())
+            .expect("policy deploys");
     for (p, _) in &serve_set.labelled {
-        dp.push(p).expect("pipeline alive");
+        fe.push(p).expect("pipeline alive");
     }
-    let (_, report) = dp.finish().expect("pipeline alive");
-    let scores = report.scores.as_ref().expect("record_scores on");
-    assert_eq!(report.totals.scored as usize, serve_set.labelled.len());
+    let served = fe.finish().expect("pipeline alive");
+    let stats = served.inline_stats.expect("inference was attached");
+    assert_eq!(stats.scored as usize, serve_set.labelled.len());
 
     // --- Quality floor (threshold-free, matches the offline study). ---
-    // Ground truth by (socket key, occurrence index), as in the study.
-    let pairs = label_scores(scores, &serve_set.labelled);
+    // Ground truth by (socket key, occurrence index), as in the study; the
+    // stage keeps alerts, not scores, so the scores are the same model's
+    // over the served extraction's own vectors.
+    let scores = score_offline(&*frozen, &served.packet_vectors, &served.group_vectors).scores;
+    let pairs = label_scores(&scores, &serve_set.labelled);
     assert_eq!(
         pairs.len(),
         serve_set.labelled.len(),
@@ -89,7 +93,7 @@ fn served_kitnet_clears_the_offline_accuracy_floor() {
         "alerting at the calibrated threshold must have signal"
     );
     assert_eq!(
-        report.totals.alerts as usize,
+        stats.alerts as usize,
         conf.tp + conf.fp,
         "every alert corresponds to a scored vector over threshold"
     );
@@ -100,10 +104,17 @@ fn served_kitnet_clears_the_offline_accuracy_floor() {
         fe.push(p);
     }
     let out = fe.finish();
-    let offline = score_offline(&frozen, &out.packet_vectors, &out.group_vectors, "fig11");
+    let offline = score_offline(&*frozen, &out.packet_vectors, &out.group_vectors);
     assert_eq!(
-        superfe::detect::score_fingerprint(scores),
+        superfe::detect::score_fingerprint(&scores),
         superfe::detect::score_fingerprint(&offline.scores),
-        "online serving diverged from offline batch scoring"
+        "the served extraction's scores diverged from the lock-step one's"
+    );
+    let mut alerts = served.inline_alerts;
+    canonicalize(&mut alerts, |a| (a.key, a.seq));
+    assert_eq!(
+        inline_alert_fingerprint(&alerts),
+        inline_alert_fingerprint(&offline.alerts),
+        "in-shard serving diverged from offline batch scoring"
     );
 }

@@ -1,25 +1,26 @@
-//! Differential property test of the online serving executor: for random
-//! policies × random labelled traces, the sharded
-//! [`superfe::detect::DetectPipeline`] must produce **bitwise-identical**
-//! scores and a deterministic alert stream versus offline batch scoring
+//! Differential property test of the in-shard inference stage: for random
+//! policies × random labelled traces, a detector scoring inside the NIC
+//! shards ([`superfe::StreamingPipeline::with_inference`]) must raise an
+//! alert stream **bitwise-identical** to offline batch scoring
 //! ([`superfe::detect::score_offline`]) of the same extraction, at every
-//! worker count — the executable form of the per-key ordering argument in
-//! DESIGN.md ("Online detection").
+//! worker count, whether the scorer is float or fixed-point — the
+//! executable form of the per-key ordering argument in DESIGN.md ("Online
+//! detection").
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use superfe::detect::{score_fingerprint, DetectPipeline, ServeConfig};
+use superfe::detect::score_offline;
 use superfe::ml::{
     quantize, train_and_calibrate, CalibrationConfig, CentroidDetector, KnnNovelty, QuantConfig,
-    QuantizedDetector,
+    QuantizedDetector, SharedScorer,
 };
 use superfe::net::{Direction, PacketRecord};
+use superfe::nic::{canonicalize, inline_alert_fingerprint, FeatureVector, InlineAlert};
 use superfe::{StreamingPipeline, SuperFe, SuperFeConfig};
 
-/// Worker counts every property must hold for (NIC shards = inference
-/// workers).
+/// Worker counts (NIC shards) every property must hold for.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Policies whose vectors feed the detector: per-packet collect across
@@ -101,8 +102,8 @@ fn freeze(
     kind: Kind,
 ) -> Option<(
     superfe::ml::FrozenDetector,
-    Vec<superfe::nic::FeatureVector>,
-    Vec<superfe::nic::FeatureVector>,
+    Vec<FeatureVector>,
+    Vec<FeatureVector>,
 )> {
     let mut fe = SuperFe::from_dsl(src).expect("valid policy");
     for p in pkts {
@@ -136,32 +137,11 @@ fn freeze(
     Some((frozen, out.packet_vectors, out.group_vectors))
 }
 
-/// Serves the trace online and returns the report.
-fn serve_online(
-    src: &str,
-    pkts: &[PacketRecord],
-    det: &superfe::ml::FrozenDetector,
-    workers: usize,
-) -> superfe::detect::ServeReport {
-    let cfg = ServeConfig {
-        workers,
-        record_scores: true,
-        scenario: "diff".into(),
-        ..ServeConfig::default()
-    };
-    let mut dp = DetectPipeline::from_dsl(src, workers, det, &cfg).expect("valid policy");
-    for p in pkts {
-        dp.push(p).expect("pipeline alive");
-    }
-    let (_, report) = dp.finish().expect("pipeline alive");
-    report
-}
-
 /// Quantizes a frozen detector with an input grid sized from the vectors
 /// it will actually score, so no in-range input saturates.
 fn quantize_for(
     det: &superfe::ml::FrozenDetector,
-    vectors: &[superfe::nic::FeatureVector],
+    vectors: &[FeatureVector],
 ) -> Option<QuantizedDetector> {
     let max_abs = vectors
         .iter()
@@ -177,22 +157,18 @@ fn quantize_for(
     .ok()
 }
 
-/// Serves the trace through the in-pipeline quantized stage and returns the
-/// extraction (inline alerts + stats included).
-fn serve_in_pipeline(
+/// Serves the trace with `model` scoring inside the NIC shards — one path
+/// for every scorer — and returns the extraction (alerts + stats included).
+fn serve(
     src: &str,
     pkts: &[PacketRecord],
-    model: &Arc<QuantizedDetector>,
+    model: &SharedScorer,
     workers: usize,
 ) -> superfe::Extraction {
     let policy = superfe::policy::dsl::parse(src).expect("valid policy");
-    let mut fe = StreamingPipeline::with_inference(
-        &policy,
-        SuperFeConfig::default(),
-        workers,
-        model.clone(),
-    )
-    .expect("valid policy");
+    let cfg = SuperFeConfig::default();
+    let mut fe = StreamingPipeline::with_inference(&policy, cfg, workers, model.clone())
+        .expect("valid policy");
     for p in pkts {
         fe.push(p).expect("pipeline alive");
     }
@@ -201,17 +177,43 @@ fn serve_in_pipeline(
 
 /// Alert stream in its worker-count-independent comparison form: canonical
 /// order with bitwise scores and thresholds.
-fn alert_fingerprint(alerts: &[superfe::detect::Alert]) -> Vec<(String, u64, u64)> {
-    alerts
-        .iter()
-        .map(|a| {
-            (
-                format!("{:?}", a.key),
-                a.score.to_bits(),
-                a.threshold.to_bits(),
-            )
-        })
-        .collect()
+fn alert_fingerprint(mut alerts: Vec<InlineAlert>) -> Vec<(String, u64, u64)> {
+    canonicalize(&mut alerts, |a| (a.key, a.seq));
+    inline_alert_fingerprint(&alerts)
+}
+
+/// The property itself, for any scorer: at every worker count the stage
+/// sees every emitted vector, rejects what offline rejects, and raises
+/// offline's alert stream bit for bit.
+fn assert_in_shard_matches_offline(
+    src: &str,
+    pkts: &[PacketRecord],
+    model: &SharedScorer,
+    pkt_vecs: &[FeatureVector],
+    group_vecs: &[FeatureVector],
+) -> Result<(), TestCaseError> {
+    let offline = score_offline(&**model, pkt_vecs, group_vecs);
+    let offline_alerts = alert_fingerprint(offline.alerts);
+    let total = (pkt_vecs.len() + group_vecs.len()) as u64;
+    for workers in WORKER_COUNTS {
+        let ex = serve(src, pkts, model, workers);
+        let stats = ex.inline_stats.expect("inference was attached");
+        prop_assert_eq!(
+            stats.scored + stats.dim_errors,
+            total,
+            "the stage must see every emitted vector at workers={}",
+            workers
+        );
+        prop_assert_eq!(stats.dim_errors, offline.dim_errors);
+        prop_assert!(
+            alert_fingerprint(ex.inline_alerts) == offline_alerts,
+            "{} alert stream diverged from offline at workers={} for:\n{}",
+            model.name(),
+            workers,
+            src
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -228,34 +230,13 @@ proptest! {
             // Too few vectors to train on — not an interesting input.
             return Ok(());
         };
-        let offline =
-            superfe::detect::score_offline(&det, &pkt_vecs, &group_vecs, "diff");
-        let offline_scores = score_fingerprint(&offline.scores);
-        let offline_alerts = alert_fingerprint(&offline.alerts);
-
-        for workers in WORKER_COUNTS {
-            let report = serve_online(&src, &pkts, &det, workers);
-            let scores = report.scores.as_ref().expect("record_scores on");
-            prop_assert!(
-                score_fingerprint(scores) == offline_scores,
-                "scores diverged from offline at workers={} for:\n{}",
-                workers,
-                src
-            );
-            prop_assert!(
-                alert_fingerprint(&report.alerts) == offline_alerts,
-                "alert stream diverged from offline at workers={} for:\n{}",
-                workers,
-                src
-            );
-            prop_assert_eq!(report.totals.dim_errors, offline.dim_errors);
-        }
+        let model: SharedScorer = Arc::new(det);
+        assert_in_shard_matches_offline(&src, &pkts, &model, &pkt_vecs, &group_vecs)?;
     }
 
-    /// The in-pipeline quantized stage is the fixed-point analogue of the
-    /// property above: for every worker count, its inline alert stream must
-    /// be bitwise-identical to offline batch scoring with the same
-    /// quantized model ([`superfe::detect::score_offline_quantized`]).
+    /// The fixed-point lowering rides the same stage, so the same property
+    /// holds for it: pure integer scores, bitwise equal to offline batch
+    /// scoring with the same quantized model.
     #[test]
     fn in_pipeline_quantized_alerts_match_offline_at_every_worker_count(
         src in policy_source(),
@@ -266,36 +247,12 @@ proptest! {
         let Some((det, pkt_vecs, group_vecs)) = freeze(&src, &pkts, Kind::Centroid) else {
             return Ok(());
         };
-        let all: Vec<superfe::nic::FeatureVector> =
-            pkt_vecs.iter().chain(&group_vecs).cloned().collect();
+        let all: Vec<FeatureVector> = pkt_vecs.iter().chain(&group_vecs).cloned().collect();
         let Some(model) = quantize_for(&det, &all) else {
             return Ok(());
         };
-        let model = Arc::new(model);
-        let offline = superfe::detect::score_offline_quantized(
-            &model, &pkt_vecs, &group_vecs, "diff",
-        );
-        let offline_alerts = alert_fingerprint(&offline.alerts);
-        let total = (pkt_vecs.len() + group_vecs.len()) as u64;
-
-        for workers in WORKER_COUNTS {
-            let ex = serve_in_pipeline(&src, &pkts, &model, workers);
-            let stats = ex.inline_stats.expect("inference was attached");
-            prop_assert_eq!(
-                stats.scored + stats.dim_errors,
-                total,
-                "inline stage must see every emitted vector at workers={}",
-                workers
-            );
-            prop_assert_eq!(stats.dim_errors, offline.dim_errors);
-            let inline = superfe::detect::inline_to_alerts(&ex.inline_alerts, "diff");
-            prop_assert!(
-                alert_fingerprint(&inline) == offline_alerts,
-                "quantized alert stream diverged from offline at workers={} for:\n{}",
-                workers,
-                src
-            );
-        }
+        let model: SharedScorer = Arc::new(model);
+        assert_in_shard_matches_offline(&src, &pkts, &model, &pkt_vecs, &group_vecs)?;
     }
 }
 
@@ -311,10 +268,11 @@ fn alert_stream_is_deterministic_across_runs() {
         })
         .collect();
     let (det, _, _) = freeze(src, &pkts, Kind::Knn).expect("enough vectors");
-    let first = alert_fingerprint(&serve_online(src, &pkts, &det, 4).alerts);
+    let model: SharedScorer = Arc::new(det);
+    let first = alert_fingerprint(serve(src, &pkts, &model, 4).inline_alerts);
     assert!(!first.is_empty(), "calibration inside the range must alert");
     for _ in 0..4 {
-        let again = alert_fingerprint(&serve_online(src, &pkts, &det, 4).alerts);
+        let again = alert_fingerprint(serve(src, &pkts, &model, 4).inline_alerts);
         assert_eq!(first, again, "alert stream varied between runs");
     }
 }

@@ -227,11 +227,11 @@ fn dead_worker_is_an_error_not_a_hung_handshake() {
         for (name, op) in ops {
             let mut pool = ShardPool::new(1);
             let sinks: Vec<Box<dyn VectorSink>> = vec![Box::new(PanickingSink)];
-            pool.attach(doomed, &per_packet, 16_384, Some(sinks), None)
+            pool.attach(doomed, &per_packet, 16_384, Some(sinks))
                 .expect("attaches");
             let healthy = TenantId(units - 1);
             if healthy != doomed {
-                pool.attach(healthy, &per_packet, 16_384, None, None)
+                pool.attach(healthy, &per_packet, 16_384, None)
                     .expect("attaches");
             }
             // Less than a frame: the events (and the panic they cause) are
@@ -314,14 +314,8 @@ fn worker_dying_under_a_blocked_producer_is_an_error_not_a_hang() {
         entered: entered_tx,
         release: release_rx,
     };
-    pool.attach(
-        doomed,
-        &per_packet,
-        16_384,
-        Some(vec![Box::new(sink)]),
-        None,
-    )
-    .expect("attaches");
+    pool.attach(doomed, &per_packet, 16_384, Some(vec![Box::new(sink)]))
+        .expect("attaches");
     let pushed = Arc::new(AtomicUsize::new(0));
     let (done_tx, done) = channel();
     let producer = {
@@ -357,4 +351,101 @@ fn worker_dying_under_a_blocked_producer_is_an_error_not_a_hang() {
         .expect("push hung on a worker that died under a full ring");
     assert_eq!(outcome, Err(NicError::WorkerLost { worker: 0 }));
     producer.join().expect("producer thread");
+}
+
+/// Serves 20,000 packets over 23 hosts with `model` scoring in the shards
+/// of a two-worker pipeline, on a thread of its own under a 10 s watchdog:
+/// whatever the scorer does, the caller gets an answer, not a hang and not
+/// a panic of its own.
+fn serve_with(
+    policy: &str,
+    model: superfe::ml::SharedScorer,
+) -> Result<superfe::Extraction, NicError> {
+    let policy = dsl::parse(policy).expect("parses");
+    let (done_tx, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let cfg = superfe::SuperFeConfig::default();
+        let mut fe =
+            superfe::StreamingPipeline::with_inference(&policy, cfg, 2, model).expect("deploys");
+        let pushed = (0..20_000u32).try_for_each(|i| {
+            fe.push(&PacketRecord::tcp(
+                u64::from(i) * 1_000,
+                100,
+                i % 23 + 1,
+                1000,
+                2,
+                80,
+            ))
+        });
+        let _ = done_tx.send(pushed.and_then(|()| fe.finish()));
+    });
+    done.recv_timeout(std::time::Duration::from_secs(10))
+        .expect("the caller hung, or panicked itself, on a failing scorer")
+}
+
+/// A detector that dies on its `fatal`-th vector, whichever shard has it.
+struct PanickingScorer {
+    seen: std::sync::atomic::AtomicU64,
+    fatal: u64,
+}
+
+impl superfe::ml::Scorer for PanickingScorer {
+    fn name(&self) -> &'static str {
+        "panicking"
+    }
+    fn feature_dim(&self) -> usize {
+        1
+    }
+    fn score(&self, _: &[f64]) -> Result<f64, superfe::ml::MlError> {
+        let n = self.seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        assert!(n + 1 < self.fatal, "injected scorer failure");
+        Ok(0.0)
+    }
+    fn threshold(&self) -> f64 {
+        1.0
+    }
+}
+
+/// Scoring runs in the shard worker, so a scorer that panics kills that
+/// worker — and must surface the way any dead worker does: `WorkerLost`
+/// from `push` (the producer blocked on, or sent to, the dead ring) or from
+/// `finish` (the join), early or late in the stream.
+#[test]
+fn a_panicking_scorer_is_a_lost_worker_not_a_hang() {
+    const PER_PACKET: &str = "pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(pkt)";
+    for fatal in [1, 700, 19_999] {
+        let model = std::sync::Arc::new(PanickingScorer {
+            seen: 0.into(),
+            fatal,
+        });
+        match serve_with(PER_PACKET, model) {
+            Err(NicError::WorkerLost { worker }) => assert!(worker < 2),
+            other => panic!("a scorer dying on vector {fatal} gave {:?}", other.err()),
+        }
+    }
+}
+
+/// A detector of the wrong dimension for some of what the policy emits
+/// rejects those vectors, which is counted, and the stream goes on: every
+/// vector is still returned and the rest are scored.
+#[test]
+fn dim_mismatch_is_counted_not_fatal() {
+    use superfe::ml::{train_and_calibrate, CalibrationConfig, CentroidDetector};
+    // Socket vectors have one value, host vectors two.
+    const TWO_DIMS: &str = "pktstream\n.groupby(socket)\n.reduce(size, [f_sum])\n\
+         .collect(socket)\n.groupby(host)\n.reduce(size, [f_sum, f_mean])\n.collect(host)";
+    let refs: [&[f64]; 4] = [&[1.0, 1.0], &[2.0, 1.5], &[3.0, 2.0], &[4.0, 2.5]];
+    let det = Box::new(CentroidDetector::new(2).expect("dim 2"));
+    let frozen =
+        train_and_calibrate(det, &refs, 0.25, CalibrationConfig::default()).expect("calibrates");
+    let out = serve_with(TWO_DIMS, std::sync::Arc::new(frozen)).expect("the stream continues");
+    let dims = |d| {
+        out.group_vectors
+            .iter()
+            .filter(|v| v.values.len() == d)
+            .count() as u64
+    };
+    let stats = out.inline_stats.expect("inference was attached");
+    assert!(dims(1) > 0 && dims(2) > 0, "{} / {}", dims(1), dims(2));
+    assert_eq!((stats.dim_errors, stats.scored), (dims(1), dims(2)));
 }
