@@ -50,10 +50,31 @@ step "allocation budget (NIC hot path, counted)"
 # two allocations for a steady-state record (its emitted vector, and the
 # pending-vector buffer regrown after `take_packet_vectors`), at most five
 # more for a record that opens a socket and a channel.
-# Per-group copies of the level program put that at twenty. Already part of
-# the workspace tests; named here because it is the deterministic form of
-# what the kitsune_steady / kitsune_churn microbenches below only time.
+# Per-group copies of the level program put that at twenty. Scoring the
+# record's vector in the shard — float KitNET or its Q39.24 plan — adds
+# none (it was 95 and 65). Already part of the workspace tests; named here
+# because it is the deterministic form of what the kitsune_steady /
+# kitsune_churn / kitnet_score microbenches below only time.
 cargo test -q --test alloc_budget
+
+step "scorer kernel differential (compiled KitNET plan vs the i128 reference)"
+# The lowered KitNET is a compiled plan: accumulator width proved from the
+# rows' L1 norms, constant clusters folded, weights streamed from one arena.
+# Its contract is bit-identity with the scorer it replaced, which is kept
+# as a test-only reference: random trained models x all sixteen (FA, FW)
+# corners x hostile vectors, at the proved width and forced wide. The test
+# profile's overflow checks turn a wrong width proof into a panic. Already
+# part of the workspace tests at six models; here at sixty.
+diff_out=$(KERNEL_DIFF_CASES=60 cargo test -q -p superfe-ml --lib \
+  plan_scores_are_bit_identical_to_the_reference_scorer -- --nocapture 2>&1) \
+  || { printf '%s\n' "$diff_out"; echo "ci: the plan diverged from the reference scorer"; exit 1; }
+grep "kernel differential:" <<<"$diff_out"
+# The share of the program that folding removes depends on the model (flat
+# training dimensions): print it for the one `superfe detect` pins.
+fold_out=$(cargo test -q -p superfe-cli --lib \
+  golden_kitnet_reports_what_lowering_folded -- --nocapture 2>&1) \
+  || { printf '%s\n' "$fold_out"; echo "ci: the detect golden model did not lower"; exit 1; }
+grep "detect golden model:" <<<"$fold_out"
 
 step "superfe check (bundled policies + examples)"
 # Every bundled application policy and every example .sfe file must pass the
@@ -305,6 +326,10 @@ churn_rate=$(elem_rate nic_hotpath/kitsune_churn)
 [[ -n "$steady_rate" && -n "$churn_rate" ]] \
   || { echo "ci: could not parse the kitsune hotpath output"; exit 1; }
 echo "ci: nic_hotpath kitsune_steady $steady_rate elem/s, kitsune_churn $churn_rate elem/s"
+# One KitNET score, fixed point and float. Printed, not gated: the gate on
+# the scorer is the differential above and the kitsune_inline workload.
+echo "ci: kitnet_score q39_24 $(elem_rate kitnet_score/q39_24) scores/s," \
+  "float $(elem_rate kitnet_score/float) scores/s"
 
 step "benchmark package (offline build against these crates + smoke set)"
 # The benchmark is a package of its own that calls a pinned list of public

@@ -1,5 +1,5 @@
-//! Hot-path microbenches: MGPV cache insert/evict, the NIC reduce loop, and
-//! the NIC engine on Kitsune with and without new groups.
+//! Hot-path microbenches: MGPV cache insert/evict, the NIC reduce loop, the
+//! NIC engine on Kitsune with and without new groups, and one KitNET score.
 //!
 //! These isolate the inner loops the streaming pipeline spends its time in,
 //! below the end-to-end benches in `e2e.rs`/`nic.rs`: the switch cache
@@ -8,10 +8,14 @@
 //! `FeNic::handle` over a real switch's events — every packet in one socket
 //! (`kitsune_steady`: update and finalize only) against every packet opening
 //! a socket and a channel (`kitsune_churn`: two group creations on top).
+//! `kitnet_score` is the scorer alone — the Q39.24 plan and the float model
+//! it was lowered from — on a model of Kitsune's width with flat training
+//! dimensions, which is what constant folding acts on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Bencher, Criterion, Throughput};
 use std::hint::black_box;
 
+use superfe_ml::{quantize, train_and_calibrate, CalibrationConfig, KitNetDetector, QuantConfig};
 use superfe_net::{Granularity, PacketRecord};
 use superfe_nic::FeNic;
 use superfe_policy::exec::{GroupExec, LevelPlan, RecordView};
@@ -148,5 +152,60 @@ fn bench_nic_reduce(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_mgpv_insert_evict, bench_nic_reduce);
+/// One score of a 115-dimension KitNET: nine blocks of ten correlated
+/// columns (ten-input autoencoders), five independent ones and twenty that
+/// never moved in training — the shape of the benchmark's certified model.
+fn bench_kitnet_score(c: &mut Criterion) {
+    const DIM: usize = 115;
+    const VECTORS: usize = 1_000;
+    // A splitmix-style sequence: the bench needs spread, not quality.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut unit = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut sample = || -> Vec<f64> {
+        let mut x = Vec::with_capacity(DIM);
+        for block in 0..9 {
+            let latent = unit() * f64::from(block + 1);
+            x.extend((0..10).map(|_| latent + 0.05 * unit()));
+        }
+        x.extend((0..5).map(|_| unit()));
+        x.extend((0..20).map(|i| f64::from(i) - 7.5));
+        x
+    };
+    let train: Vec<Vec<f64>> = (0..1_500).map(|_| sample()).collect();
+    let refs: Vec<&[f64]> = train.iter().map(Vec::as_slice).collect();
+    let detector = Box::new(KitNetDetector::new(DIM, 4).expect("detector"));
+    let float =
+        train_and_calibrate(detector, &refs, 0.2, CalibrationConfig::default()).expect("trains");
+    let quant = quantize(&float, &QuantConfig::default()).expect("lowers");
+    let vectors: Vec<Vec<f64>> = (0..VECTORS).map(|_| sample()).collect();
+
+    let mut g = c.benchmark_group("kitnet_score");
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(VECTORS as u64));
+    g.bench_function("q39_24", |b| {
+        b.iter(|| {
+            let sum: f64 = vectors.iter().map(|x| quant.score(x).expect("115")).sum();
+            black_box(sum)
+        });
+    });
+    g.bench_function("float", |b| {
+        b.iter(|| {
+            let sum: f64 = vectors.iter().map(|x| float.score(x).expect("115")).sum();
+            black_box(sum)
+        });
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_mgpv_insert_evict,
+    bench_nic_reduce,
+    bench_kitnet_score
+);
 criterion_main!(benches);

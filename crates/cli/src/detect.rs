@@ -241,11 +241,12 @@ fn serve(
     Ok((ex, label_scores(&off.scores, labelled)))
 }
 
-/// Train + calibrate offline, then serve the labelled trace once with the
-/// float model and, when asked, once with its fixed-point lowering.
-/// Degenerate configurations come back as errors.
-pub(crate) fn run(cfg: &DetectConfig) -> Result<DetectRun, CliError> {
-    // --- Train + calibrate on a benign trace (offline extraction). ---
+/// The fraction of the training vectors held out for calibration.
+const CAL_FRAC: f64 = 0.2;
+
+/// Trains and calibrates `cfg`'s detector on its benign trace (offline
+/// extraction). Returns the frozen model and how many vectors it was given.
+fn train(cfg: &DetectConfig) -> Result<(FrozenDetector, usize), CliError> {
     let train_set = intrusion::generate(&IntrusionConfig {
         scenario: cfg.scenario,
         benign_packets: cfg.benign_packets,
@@ -262,20 +263,26 @@ pub(crate) fn run(cfg: &DetectConfig) -> Result<DetectRun, CliError> {
     }
     let dim = train_vectors[0].values.len();
     let refs: Vec<&[f64]> = train_vectors.iter().map(|v| v.values.as_slice()).collect();
-    let cal_frac = 0.2;
     let det = cfg.detector.build(dim, cfg.seed).map_err(fail)?;
     let frozen = train_and_calibrate(
         det,
         &refs,
-        cal_frac,
+        CAL_FRAC,
         CalibrationConfig {
             quantile: cfg.quantile,
             margin: cfg.margin,
         },
     )
     .map_err(fail)?;
-    let calibration_vectors =
-        ((refs.len() as f64 * cal_frac).round() as usize).clamp(1, refs.len() - 1);
+    Ok((frozen, refs.len()))
+}
+
+/// Train + calibrate offline, then serve the labelled trace once with the
+/// float model and, when asked, once with its fixed-point lowering.
+/// Degenerate configurations come back as errors.
+pub(crate) fn run(cfg: &DetectConfig) -> Result<DetectRun, CliError> {
+    let (frozen, vectors) = train(cfg)?;
+    let calibration_vectors = ((vectors as f64 * CAL_FRAC).round() as usize).clamp(1, vectors - 1);
 
     // --- The served trace: benign warm-up, then the attack window. ---
     let serve_set = intrusion::generate(&IntrusionConfig {
@@ -299,8 +306,8 @@ pub(crate) fn run(cfg: &DetectConfig) -> Result<DetectRun, CliError> {
     Ok(DetectRun {
         cfg: *cfg,
         detection: DetectionSummary {
-            feature_dim: dim,
-            train_vectors: refs.len() - calibration_vectors,
+            feature_dim: frozen.feature_dim(),
+            train_vectors: vectors - calibration_vectors,
             calibration_vectors,
             threshold,
             scored: stats.scored,
@@ -659,6 +666,40 @@ mod tests {
         // The attack must still be visible through the fixed-point path.
         assert!(confusion.tp > 0, "quantized path missed the attack");
         assert_is_json(&run.to_json());
+    }
+
+    /// What lowering folds on the model the `detect_kitnet*` golden
+    /// documents pin, printed for `ci.sh`'s scorer-kernel step: the share of
+    /// the program that is a constant of the model, next to the unfolded
+    /// price the document reports.
+    #[test]
+    fn golden_kitnet_reports_what_lowering_folded() {
+        let cfg = DetectConfig {
+            detector: DetectorKind::KitNet,
+            ..small()
+        };
+        let (frozen, _) = train(&cfg).unwrap();
+        let policy = superfe_policy::dsl::parse(POLICY).unwrap();
+        let model = certify(&policy, &frozen, &QuantCheckConfig::default())
+            .detector
+            .expect("kitnet lowers");
+        let f = model.folded();
+        println!(
+            "detect golden model: {} of {} clusters and {} bias inputs folded, \
+             {} of {} MACs per score; alu_ops (unfolded) {}",
+            f.clusters,
+            f.of_clusters,
+            f.bias_inputs,
+            f.macs,
+            f.of_macs,
+            model.alu_ops()
+        );
+        assert_eq!(
+            model.alu_ops(),
+            9_970,
+            "the unfolded program is what is priced"
+        );
+        assert!(f.bias_inputs >= f.clusters && f.macs < f.of_macs);
     }
 
     #[test]

@@ -67,41 +67,51 @@ impl Autoencoder {
         (&self.w1, &self.b1, &self.w2, &self.b2)
     }
 
-    fn forward(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let mut hid = vec![0.0; self.h];
-        for (i, h) in hid.iter_mut().enumerate() {
-            let mut a = self.b1[i];
-            for (j, &xj) in x.iter().enumerate() {
-                a += self.w1[i * self.d + j] * xj;
-            }
-            *h = sigmoid(a);
-        }
-        let mut out = vec![0.0; self.d];
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut a = self.b2[i];
-            for (j, &hj) in hid.iter().enumerate() {
-                a += self.w2[i * self.h + j] * hj;
+    /// `out[i] = σ(b[i] + w[i, ·] · x)` over the row-major `w`.
+    fn layer(w: &[f64], b: &[f64], x: &[f64], out: &mut [f64]) {
+        for ((o, &b), row) in out.iter_mut().zip(b).zip(w.chunks_exact(x.len())) {
+            let mut a = b;
+            for (&w, &xj) in row.iter().zip(x) {
+                a += w * xj;
             }
             *o = sigmoid(a);
         }
+    }
+
+    fn forward(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let mut hid = vec![0.0; self.h];
+        let mut out = vec![0.0; self.d];
+        self.reconstruct(x, &mut hid, &mut out);
         (hid, out)
+    }
+
+    /// Encodes `x` into `hid` (`h` values) and decodes it into `out` (`d`).
+    fn reconstruct(&self, x: &[f64], hid: &mut [f64], out: &mut [f64]) {
+        Self::layer(&self.w1, &self.b1, x, hid);
+        Self::layer(&self.w2, &self.b2, hid, out);
     }
 
     /// Reconstruction RMSE of `x` (expects inputs in `[0, 1]`).
     ///
     /// Inputs of the wrong dimension score `f64::INFINITY`.
     pub fn rmse(&self, x: &[f64]) -> f64 {
+        let mut scratch = vec![0.0; self.h + self.d];
+        self.rmse_in(x, &mut scratch)
+    }
+
+    /// [`Autoencoder::rmse`] with the caller's scratch (at least `h + d`
+    /// values, overwritten) in place of two allocations.
+    pub(crate) fn rmse_in(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
         if x.len() != self.d {
             return f64::INFINITY;
         }
-        let (_, out) = self.forward(x);
-        let mse: f64 = x
-            .iter()
-            .zip(&out)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            / self.d as f64;
-        mse.sqrt()
+        let (hid, out) = scratch[..self.h + self.d].split_at_mut(self.h);
+        self.reconstruct(x, hid, out);
+        let mut sum = 0.0;
+        for (a, b) in x.iter().zip(&*out) {
+            sum += (a - b) * (a - b);
+        }
+        (sum / self.d as f64).sqrt()
     }
 
     /// One SGD step on reconstructing `x`; returns the pre-update RMSE.

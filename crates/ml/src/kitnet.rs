@@ -5,8 +5,17 @@
 //! and an output autoencoder scores the vector of per-cluster RMSEs. The
 //! final anomaly score is the output layer's RMSE.
 
+use std::cell::RefCell;
+
 use crate::autoencoder::Autoencoder;
 use crate::norm::MinMaxNorm;
+
+thread_local! {
+    /// The scoring thread's scratch: the normalised RMSE vector, one
+    /// cluster's inputs and one autoencoder's layers. Not part of the model
+    /// (which serving threads share read-only); overwritten by every score.
+    static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Training phases of the online detector.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,6 +46,11 @@ pub struct KitNet {
     output: Option<Autoencoder>,
     norm: MinMaxNorm,
     out_norm: MinMaxNorm,
+    /// Per cluster, its normalised RMSE when that is a constant of the
+    /// trained model (every input a flat dimension, so the autoencoder sees
+    /// 0.5 throughout whatever the vector). One entry per cluster, `None`
+    /// until training ends.
+    constants: Vec<Option<f64>>,
     seed: u64,
     dim: usize,
 }
@@ -71,6 +85,7 @@ impl KitNet {
             output: None,
             norm: MinMaxNorm::new(),
             out_norm: MinMaxNorm::new(),
+            constants: Vec::new(),
             seed,
             dim,
         })
@@ -152,6 +167,7 @@ impl KitNet {
                 }
                 if self.seen >= self.fm_grace + self.train_grace {
                     self.phase = Phase::Executing;
+                    self.fold_constants();
                 }
                 0.0
             }
@@ -159,23 +175,53 @@ impl KitNet {
         }
     }
 
-    /// Scores without updating any state (pure execution).
+    /// Scores without updating any state (pure execution), and without
+    /// allocating once the thread's scratch has its size.
     pub fn score(&self, x: &[f64]) -> f64 {
-        if x.len() != self.dim || self.output.is_none() {
+        let Some(output) = &self.output else {
+            return f64::INFINITY;
+        };
+        if x.len() != self.dim {
             return f64::INFINITY;
         }
-        let xn = self.norm.transform(x);
-        let rmses: Vec<f64> = self
-            .clusters
-            .iter()
-            .zip(&self.ensemble)
-            .map(|(c, ae)| {
-                let sub: Vec<f64> = c.iter().map(|&i| xn[i]).collect();
-                ae.rmse(&sub)
+        let n = self.clusters.len();
+        // An autoencoder's layers take at most twice its inputs.
+        let layers = 2 * self.m.max(n);
+        SCRATCH.with_borrow_mut(|scratch| {
+            if scratch.len() < n + self.m + layers {
+                scratch.resize(n + self.m + layers, 0.0);
+            }
+            let (rn, rest) = scratch.split_at_mut(n);
+            let (sub, layers) = rest.split_at_mut(self.m);
+            for (k, (c, ae)) in self.clusters.iter().zip(&self.ensemble).enumerate() {
+                rn[k] = match self.constants[k] {
+                    Some(constant) => constant,
+                    None => {
+                        let sub = &mut sub[..c.len()];
+                        for (s, &i) in sub.iter_mut().zip(c) {
+                            *s = self.norm.scale(i, x[i]);
+                        }
+                        self.out_norm.scale(k, ae.rmse_in(sub, layers))
+                    }
+                };
+            }
+            output.rmse_in(rn, layers)
+        })
+    }
+
+    /// Records the clusters whose score contribution no vector can move:
+    /// the same operations [`KitNet::score`] would run, once.
+    fn fold_constants(&mut self) {
+        let mut layers = vec![0.0; 2 * self.m];
+        self.constants = (self.clusters.iter().zip(&self.ensemble).enumerate())
+            .map(|(k, (c, ae))| {
+                c.iter().all(|&i| self.norm.is_flat(i)).then(|| {
+                    // What a flat dimension scales to, whatever its value.
+                    let sub = vec![0.5; c.len()];
+                    self.out_norm.scale(k, ae.rmse_in(&sub, &mut layers))
+                })
             })
             .collect();
-        let rn = self.out_norm.transform(&rmses);
-        self.output.as_ref().expect("checked").rmse(&rn)
     }
 
     fn train_ensemble(&mut self, xn: &[f64]) -> Vec<f64> {
@@ -249,6 +295,7 @@ impl KitNet {
             Autoencoder::new(clusters.len(), h_out, 0.3, self.seed ^ 0xDEAD)
                 .expect("at least one cluster"),
         );
+        self.constants = vec![None; clusters.len()];
         self.clusters = clusters;
     }
 }
@@ -321,6 +368,49 @@ mod tests {
         let a = k.score(&anomaly);
         let mean_n = normal_scores.iter().sum::<f64>() / normal_scores.len() as f64;
         assert!(a > mean_n * 2.0, "anomaly {a} vs normal mean {mean_n}");
+    }
+
+    /// `KitNet::score` as it was before it folded constants and reused
+    /// scratch: the oracle for the test below.
+    fn score_unfolded(k: &KitNet, x: &[f64]) -> f64 {
+        let xn = k.norm.transform(x);
+        let rmses: Vec<f64> = k
+            .clusters
+            .iter()
+            .zip(&k.ensemble)
+            .map(|(c, ae)| {
+                let sub: Vec<f64> = c.iter().map(|&i| xn[i]).collect();
+                ae.rmse(&sub)
+            })
+            .collect();
+        let rn = k.out_norm.transform(&rmses);
+        k.output.as_ref().unwrap().rmse(&rn)
+    }
+
+    #[test]
+    fn folded_score_is_bit_identical_to_the_unfolded_one() {
+        let mut rng = StdRng::seed_from_u64(8);
+        // Two constant columns among the five of `normal_sample`.
+        let sample = |rng: &mut StdRng| {
+            let mut x = normal_sample(rng);
+            x.extend([3.5, rng.random::<f64>(), -2.0]);
+            x
+        };
+        let mut k = KitNet::new(8, 3, 100, 300, 7).unwrap();
+        for _ in 0..400 {
+            k.process(&sample(&mut rng));
+        }
+        assert!(k.is_executing());
+        let folded = k.constants.iter().flatten().count();
+        assert!(folded >= 1 && folded < k.clusters(), "{:?}", k.constants);
+        for i in 0..200 {
+            let mut x = sample(&mut rng);
+            if i % 4 == 0 {
+                x[5] = i as f64 * 1e3; // a constant column that moved
+                x[i % 5] = [f64::NAN, f64::INFINITY, -1e12][i % 3];
+            }
+            assert_eq!(k.score(&x).to_bits(), score_unfolded(&k, &x).to_bits());
+        }
     }
 
     #[test]

@@ -42,5 +42,7 @@ pub use kitnet::KitNet;
 pub use knn::Knn;
 pub use metrics::{accuracy, auc, f1_score, precision_recall, Confusion};
 pub use norm::MinMaxNorm;
-pub use quant::{quantize, ErrorBound, LayerBound, QuantConfig, QuantError, QuantizedDetector};
+pub use quant::{
+    quantize, ErrorBound, Folded, LayerBound, QuantConfig, QuantError, QuantizedDetector,
+};
 pub use tree::DecisionTree;

@@ -53,15 +53,28 @@ impl MinMaxNorm {
         x.iter()
             .enumerate()
             .take(self.mins.len())
-            .map(|(i, &v)| {
-                let range = self.maxs[i] - self.mins[i];
-                if range <= 0.0 {
-                    0.5
-                } else {
-                    ((v - self.mins[i]) / range).clamp(0.0, 1.0)
-                }
-            })
+            .map(|(i, &v)| self.scale(i, v))
             .collect()
+    }
+
+    /// [`MinMaxNorm::transform`] of dimension `i` alone: the identity
+    /// before any observation, else `i` must be one of [`MinMaxNorm::dims`].
+    pub(crate) fn scale(&self, i: usize, v: f64) -> f64 {
+        if self.mins.is_empty() {
+            return v;
+        }
+        let range = self.maxs[i] - self.mins[i];
+        if range <= 0.0 {
+            0.5
+        } else {
+            ((v - self.mins[i]) / range).clamp(0.0, 1.0)
+        }
+    }
+
+    /// Whether dimension `i` saw one value only, so that it scales to 0.5
+    /// whatever the sample.
+    pub(crate) fn is_flat(&self, i: usize) -> bool {
+        self.maxs[i] - self.mins[i] <= 0.0
     }
 
     /// Observes and transforms in one step (the online training path).

@@ -8,10 +8,15 @@
 //! - **KitNET**: the input min–max normalizer folds into a per-feature
 //!   affine scale/zero-point pair producing activations at `FA` fraction
 //!   bits; each autoencoder becomes an integer matvec (weights at `FW`
-//!   bits, `i128` accumulators, shift-round back to `FA`) with the sigmoid
-//!   replaced by a 512-segment piecewise second-order Taylor table; RMSEs
-//!   and the output normalizer stay integer end to end (integer square
-//!   root, reciprocal-by-multiplication).
+//!   bits, shift-round back to `FA`) with the sigmoid replaced by a
+//!   512-segment piecewise second-order Taylor table; RMSEs and the output
+//!   normalizer stay integer end to end (integer square root,
+//!   reciprocal-by-multiplication). The lowering is compiled, not walked:
+//!   [`KitNetPlan`] proves the accumulator width from the rows' L1 norms
+//!   (`i64` when every row fits, `i128` otherwise — one kernel, two
+//!   instantiations), folds what is a constant of the model (clusters over
+//!   flat training dimensions, and their column of the output encoder),
+//!   and streams weights from one arena into per-thread scratch.
 //! - **Nearest centroid**: one global power-of-two input grid, integer dot
 //!   product and norms, one rounded division for the cosine.
 //! - **CART**: thresholds snap to a power-of-two grid (`floor(t·2^s)`), so
@@ -30,6 +35,8 @@ use crate::detector::{
 };
 use crate::kitnet::KitNet;
 use crate::tree::FlatNode;
+use std::cell::RefCell;
+use std::ops::{Add, Mul, Shl, Shr, Sub};
 
 /// Quantization parameters: the Qm.n format split.
 #[derive(Clone, Copy, Debug)]
@@ -111,17 +118,67 @@ pub struct ErrorBound {
 // Fixed-point primitives
 // ---------------------------------------------------------------------------
 
-/// Arithmetic right shift with round-half-away-from-zero.
-fn rshift_round(v: i128, s: u32) -> i128 {
+/// The integer a lowered KitNET accumulates in: `i64` when the width proof
+/// of [`KitNetPlan::compile`] holds for the whole model, `i128` otherwise.
+/// Activations are `i64` either way (they are clamped to `[0, 2^FA]`).
+trait Acc:
+    Copy
+    + Ord
+    + From<i64>
+    + From<bool>
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Shl<u32, Output = Self>
+    + Shr<u32, Output = Self>
+{
+    /// The unsigned twin a sum of squared reconstruction errors runs in.
+    type Sum: Copy;
+    /// The empty sum.
+    const NO_ERROR: Self::Sum;
+    /// The low 64 bits — the value itself whenever it is an activation.
+    fn low64(self) -> i64;
+    /// `sum + diff²`.
+    fn add_sq(sum: Self::Sum, diff: i64) -> Self::Sum;
+    /// `isqrt(round(sum / n))`: the integer RMSE of `n` errors.
+    fn root_mean(sum: Self::Sum, n: usize) -> i64;
+}
+
+macro_rules! impl_acc {
+    ($acc:ty, $sum:ty, $isqrt:path) => {
+        impl Acc for $acc {
+            type Sum = $sum;
+            const NO_ERROR: $sum = 0;
+
+            fn low64(self) -> i64 {
+                self as i64
+            }
+
+            fn add_sq(sum: $sum, diff: i64) -> $sum {
+                let d = <$sum>::from(diff.unsigned_abs());
+                sum + d * d
+            }
+
+            fn root_mean(sum: $sum, n: usize) -> i64 {
+                let n = n as $sum;
+                $isqrt((sum + n / 2) / n) as i64
+            }
+        }
+    };
+}
+
+impl_acc!(i64, u64, isqrt_u64);
+impl_acc!(i128, u128, isqrt_u128);
+
+/// Arithmetic right shift with round-half-away-from-zero, without a branch
+/// on the sign: for `v < 0`, `−((−v + h) >> s) = (v + h − 1) >> s` because
+/// `2^s − h = h` and `>>` floors.
+fn rshift_round<A: Acc>(v: A, s: u32) -> A {
     if s == 0 {
         return v;
     }
-    let half = 1i128 << (s - 1);
-    if v >= 0 {
-        (v + half) >> s
-    } else {
-        -((-v + half) >> s)
-    }
+    let half = A::from(1i64) << (s - 1);
+    (v + half - A::from(v < A::from(0i64))) >> s
 }
 
 /// Rounded signed division (`d > 0`).
@@ -151,8 +208,32 @@ fn isqrt_u128(v: u128) -> u128 {
     }
 }
 
+/// Floor integer square root of a `u64`: the hardware root of the nearest
+/// double, corrected (the conversion and the root are each off by at most
+/// one unit in the last place, so the loops run a step or two). A third of
+/// the time of `u64::isqrt`, eleven times a score.
+fn isqrt_u64(v: u64) -> u64 {
+    const MAX_ROOT: u64 = u32::MAX as u64;
+    let mut r = ((v as f64).sqrt() as u64).min(MAX_ROOT);
+    while r * r > v {
+        r -= 1;
+    }
+    while r < MAX_ROOT && (r + 1) * (r + 1) <= v {
+        r += 1;
+    }
+    r
+}
+
 fn pow2(e: i32) -> f64 {
     (2f64).powi(e)
+}
+
+/// `x.round() as i64` for the `x ∈ [0, 2^30]` (or NaN → 0) the input affine
+/// produces, without the call into libm: truncate, then add the half-away
+/// carry — `x − trunc(x)` is exact below 2^52.
+fn round_to_grid(x: f64) -> i64 {
+    let t = x as i64;
+    t + i64::from(x - t as f64 >= 0.5)
 }
 
 /// Saturating float → fixed-point grid conversion. The scale is a power of
@@ -185,6 +266,17 @@ const SIG_SEGMENTS: usize = 512;
 /// Half-width of the approximated domain `[-16, 16)`; `Δ = 32/512 = 2⁻⁴`.
 const SIG_HALF_RANGE: f64 = 16.0;
 
+/// One Taylor segment: σ(c), σ′(c), σ″(c)/2 at the segment center, at
+/// `frac_bits ≤ 30` — so each fits an `i32`, and the three an evaluation
+/// needs share one 16-byte slot of one cache line.
+#[derive(Clone, Copy, Debug)]
+#[repr(align(16))]
+struct SigSegment {
+    c0: i32,
+    c1: i32,
+    c2: i32,
+}
+
 /// σ(x) as 512 second-order Taylor segments over `[-16, 16)`, evaluated in
 /// pure integer arithmetic at `frac_bits` fraction bits.
 #[derive(Clone, Debug)]
@@ -194,12 +286,7 @@ struct QSigmoid {
     lo_q: i64,
     /// `log2(Δ · 2^frac_bits)` — the segment-index shift.
     seg_shift: u32,
-    /// σ(c) per segment center, at `frac_bits`.
-    c0: Vec<i64>,
-    /// σ′(c) per segment center, at `frac_bits`.
-    c1: Vec<i64>,
-    /// σ″(c)/2 per segment center, at `frac_bits`.
-    c2: Vec<i64>,
+    segments: Vec<SigSegment>,
 }
 
 fn sigmoid_f(x: f64) -> f64 {
@@ -210,30 +297,33 @@ impl QSigmoid {
     fn build(frac_bits: u32) -> Self {
         let scale = pow2(frac_bits as i32);
         let delta = 2.0 * SIG_HALF_RANGE / SIG_SEGMENTS as f64;
-        let mut c0 = Vec::with_capacity(SIG_SEGMENTS);
-        let mut c1 = Vec::with_capacity(SIG_SEGMENTS);
-        let mut c2 = Vec::with_capacity(SIG_SEGMENTS);
-        for k in 0..SIG_SEGMENTS {
-            let c = -SIG_HALF_RANGE + (k as f64 + 0.5) * delta;
-            let s = sigmoid_f(c);
-            let d1 = s * (1.0 - s);
-            let d2_half = d1 * (1.0 - 2.0 * s) / 2.0;
-            c0.push((s * scale).round() as i64);
-            c1.push((d1 * scale).round() as i64);
-            c2.push((d2_half * scale).round() as i64);
-        }
+        let segments = (0..SIG_SEGMENTS)
+            .map(|k| {
+                let c = -SIG_HALF_RANGE + (k as f64 + 0.5) * delta;
+                let s = sigmoid_f(c);
+                let d1 = s * (1.0 - s);
+                let d2_half = d1 * (1.0 - 2.0 * s) / 2.0;
+                SigSegment {
+                    c0: (s * scale).round() as i32,
+                    c1: (d1 * scale).round() as i32,
+                    c2: (d2_half * scale).round() as i32,
+                }
+            })
+            .collect();
         QSigmoid {
             frac_bits,
             lo_q: -((SIG_HALF_RANGE * scale) as i64),
             // Δ = 2⁻⁴, so a segment spans 2^(frac_bits − 4) grid units.
             seg_shift: frac_bits - 4,
-            c0,
-            c1,
-            c2,
+            segments,
         }
     }
 
     /// σ(z/2^frac_bits) at `frac_bits` fraction bits, clamped to `[0, 1]`.
+    ///
+    /// All in `i64`, whatever the model's accumulator: `|u| ≤ 2^(FA−5)` and
+    /// `|c1|, |c2| < 2^(FA−2)`, so each of the three products is below
+    /// `2^(2·FA−7) ≤ 2^53` for every legal `frac_bits`.
     fn eval(&self, z: i64) -> i64 {
         let one = 1i64 << self.frac_bits;
         if z <= self.lo_q {
@@ -243,13 +333,14 @@ impl QSigmoid {
             return one;
         }
         let k = ((z - self.lo_q) >> self.seg_shift) as usize;
+        let SigSegment { c0, c1, c2 } = self.segments[k];
         let center = self.lo_q + ((2 * k as i64 + 1) << (self.seg_shift - 1));
         let u = z - center;
         let fa = self.frac_bits;
-        let t1 = rshift_round(i128::from(self.c1[k]) * i128::from(u), fa);
-        let u2 = rshift_round(i128::from(u) * i128::from(u), fa);
-        let t2 = rshift_round(i128::from(self.c2[k]) * u2, fa);
-        (i128::from(self.c0[k]) + t1 + t2).clamp(0, i128::from(one)) as i64
+        let t1 = rshift_round(i64::from(c1) * u, fa);
+        let u2 = rshift_round(u * u, fa);
+        let t2 = rshift_round(i64::from(c2) * u2, fa);
+        (i64::from(c0) + t1 + t2).clamp(0, one)
     }
 
     /// Certified |table − σ| bound: Taylor remainder + tail clamp +
@@ -264,7 +355,7 @@ impl QSigmoid {
 }
 
 // ---------------------------------------------------------------------------
-// Quantized KitNET
+// Quantized KitNET: the lowered tree
 // ---------------------------------------------------------------------------
 
 /// Per-feature affine input quantization (the min–max normalizer folded
@@ -275,25 +366,6 @@ struct QAffine {
     mins: Vec<f64>,
     /// `≤ 0` marks a flat (constant) dimension.
     ranges: Vec<f64>,
-}
-
-impl QAffine {
-    fn eval_into(&self, x: &[f64], frac_bits: u32, out: &mut Vec<i64>) {
-        let one = 1i64 << frac_bits;
-        let scale = pow2(frac_bits as i32);
-        out.clear();
-        for (i, (&min, &range)) in self.mins.iter().zip(&self.ranges).enumerate() {
-            if range <= 0.0 {
-                out.push(one / 2);
-            } else {
-                // Same f64 expression as MinMaxNorm::transform, then an
-                // exact power-of-two scale and one round.
-                let v = x.get(i).copied().unwrap_or(0.0);
-                let n = ((v - min) / range).clamp(0.0, 1.0);
-                out.push((n * scale).round() as i64);
-            }
-        }
-    }
 }
 
 /// One out-normalizer dimension in fixed point.
@@ -312,13 +384,25 @@ enum QNormEntry {
 }
 
 impl QNormEntry {
-    fn eval(&self, r_q: i64, frac_bits: u32) -> i64 {
+    fn eval<A: Acc>(&self, r_q: i64, frac_bits: u32) -> i64 {
         let one = 1i64 << frac_bits;
         match self {
             QNormEntry::Flat => one / 2,
             QNormEntry::Affine { min_q, m, t, .. } => {
-                let v = rshift_round(i128::from(r_q - min_q) * i128::from(*m), *t);
-                v.clamp(0, i128::from(one)) as i64
+                let v = rshift_round(A::from(r_q - min_q) * A::from(*m), *t);
+                v.clamp(A::from(0i64), A::from(one)).low64()
+            }
+        }
+    }
+
+    /// Whether [`QNormEntry::eval`] fits an `i64` accumulator for every RMSE
+    /// `r_q ∈ [0, 2^FA]`: `(2^FA + |min_q|) · m + 2^(t−1) < 2^63`.
+    fn fits_i64(&self, frac_bits: u32) -> bool {
+        match self {
+            QNormEntry::Flat => true,
+            QNormEntry::Affine { min_q, m, t, .. } => {
+                let span = (1u128 << frac_bits) + u128::from(min_q.unsigned_abs());
+                *t < 63 && span * u128::from(m.unsigned_abs()) + (1u128 << *t) < 1u128 << 63
             }
         }
     }
@@ -364,83 +448,42 @@ impl QAutoencoder {
         let bs = pow2((frac_bits + weight_bits) as i32);
         let qw = |w: &[f64]| -> Vec<i64> { w.iter().map(|&v| (v * ws).round() as i64).collect() };
         let qb = |b: &[f64]| -> Vec<i64> { b.iter().map(|&v| (v * bs).round() as i64).collect() };
-        let w1q = qw(w1);
-        let w2q = qw(w2);
-        let row_l1 = |w: &[i64], rows: usize, cols: usize| -> f64 {
-            (0..rows)
-                .map(|i| {
-                    w[i * cols..(i + 1) * cols]
-                        .iter()
-                        .map(|&v| v.abs() as f64)
-                        .sum::<f64>()
-                        / ws
-                })
+        let w1 = qw(w1);
+        let w2 = qw(w2);
+        let row_l1 = |w: &[i64], cols: usize| -> f64 {
+            w.chunks_exact(cols)
+                .map(|row| row.iter().map(|&v| v.abs() as f64).sum::<f64>() / ws)
                 .fold(0.0, f64::max)
         };
-        let w1_row_l1 = row_l1(&w1q, h, d);
-        let w2_row_l1 = row_l1(&w2q, d, h);
         QAutoencoder {
             d,
             h,
-            w1: w1q,
+            w1_row_l1: row_l1(&w1, d),
+            w2_row_l1: row_l1(&w2, h),
+            w1,
             b1: qb(b1),
-            w2: qw(w2),
+            w2,
             b2: qb(b2),
-            w1_row_l1,
-            w2_row_l1,
         }
     }
 
-    fn layer(
-        w: &[i64],
-        b: &[i64],
-        (rows, cols): (usize, usize),
-        x: &[i64],
-        sig: &QSigmoid,
-        weight_bits: u32,
-        out: &mut Vec<i64>,
-    ) {
-        out.clear();
-        for i in 0..rows {
-            let mut acc = i128::from(b[i]);
-            for j in 0..cols {
-                acc += i128::from(w[i * cols + j]) * i128::from(x[j]);
-            }
-            let z = rshift_round(acc, weight_bits) as i64;
-            out.push(sig.eval(z));
-        }
-    }
-
-    /// Integer reconstruction RMSE at `frac_bits` fraction bits.
-    fn rmse_q(&self, x: &[i64], sig: &QSigmoid, weight_bits: u32) -> i64 {
-        let mut hid = Vec::with_capacity(self.h);
-        let mut out = Vec::with_capacity(self.d);
-        Self::layer(
-            &self.w1,
-            &self.b1,
-            (self.h, self.d),
-            x,
-            sig,
-            weight_bits,
-            &mut hid,
-        );
-        Self::layer(
-            &self.w2,
-            &self.b2,
-            (self.d, self.h),
-            &hid,
-            sig,
-            weight_bits,
-            &mut out,
-        );
-        let mut sum: u128 = 0;
-        for (&a, &b) in x.iter().zip(&out) {
-            let d = i128::from(a - b);
-            sum += (d * d) as u128;
-        }
-        let n = self.d as u128;
-        let mean = (sum + n / 2) / n;
-        isqrt_u128(mean) as i64
+    /// The largest magnitude an accumulator of this autoencoder can reach,
+    /// bias, any prefix of the dot product and the rounding half included:
+    /// `max over rows of |b_q| + ‖w_q,row‖₁ · 2^FA + 2^(FW−1)`. Every
+    /// activation entering a row is in `[0, 2^FA]`.
+    fn acc_bound(&self, frac_bits: u32, weight_bits: u32) -> u128 {
+        let rows = |w: &[i64], b: &[i64], cols: usize| -> u128 {
+            w.chunks_exact(cols)
+                .zip(b)
+                .map(|(row, &b)| {
+                    let l1: u128 = row.iter().map(|&v| u128::from(v.unsigned_abs())).sum();
+                    u128::from(b.unsigned_abs()) + (l1 << frac_bits)
+                })
+                .max()
+                .unwrap_or(0)
+        };
+        rows(&self.w1, &self.b1, self.d).max(rows(&self.w2, &self.b2, self.h))
+            + (1u128 << (weight_bits - 1))
     }
 
     /// Propagates an input L∞ error through this autoencoder to an output
@@ -464,6 +507,8 @@ impl QAutoencoder {
     }
 }
 
+/// A trained KitNET lowered to fixed point, still in the shape of the float
+/// model: what the certificate, the cost and [`KitNetPlan::compile`] read.
 #[derive(Clone, Debug)]
 struct QKitNet {
     input: QAffine,
@@ -530,20 +575,6 @@ impl QKitNet {
         })
     }
 
-    fn score_q(&self, x: &[f64], frac_bits: u32, weight_bits: u32) -> i64 {
-        let mut xn = Vec::with_capacity(self.input.mins.len());
-        self.input.eval_into(x, frac_bits, &mut xn);
-        let mut sub = Vec::new();
-        let mut rn = Vec::with_capacity(self.ensemble.len());
-        for (c, ae) in self.clusters.iter().zip(&self.ensemble) {
-            sub.clear();
-            sub.extend(c.iter().map(|&i| xn[i]));
-            let r = ae.rmse_q(&sub, &self.sigmoid, weight_bits);
-            rn.push(self.out_norm[rn.len()].eval(r, frac_bits));
-        }
-        self.output.rmse_q(&rn, &self.sigmoid, weight_bits)
-    }
-
     fn error_bound(&self, frac_bits: u32, weight_bits: u32) -> ErrorBound {
         let fa = frac_bits as i32;
         let fw = weight_bits as i32;
@@ -606,11 +637,336 @@ impl QKitNet {
         }
     }
 
-    fn alu_ops(&self, dim: usize) -> u64 {
-        let input = 3 * dim as u64;
+    fn alu_ops(&self) -> u64 {
+        let input = 3 * self.input.mins.len() as u64;
         let ensemble: u64 = self.ensemble.iter().map(QAutoencoder::alu_ops).sum();
         let norm = 4 * self.out_norm.len() as u64;
         input + ensemble + norm + self.output.alu_ops()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Quantized KitNET: the compiled plan
+// ---------------------------------------------------------------------------
+
+/// What KitNET lowering folded away because it is a constant of the model
+/// (see [`QuantizedDetector::folded`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Folded {
+    /// Ensemble autoencoders replaced by their constant normalised RMSE:
+    /// clusters whose every input is a flat training dimension.
+    pub clusters: usize,
+    /// Ensemble autoencoders of the model.
+    pub of_clusters: usize,
+    /// Autoencoder inputs summed into a first-layer bias because they are
+    /// constants: the output layer's inputs from folded clusters, and flat
+    /// dimensions inside a cluster that is not flat throughout.
+    pub bias_inputs: usize,
+    /// Multiply-accumulates per score the folded program no longer does.
+    pub macs: u64,
+    /// Multiply-accumulates per score of the unfolded program.
+    pub of_macs: u64,
+}
+
+impl Folded {
+    /// Counts the constant inputs of an autoencoder with `h` hidden units:
+    /// each is one column of the encoder summed into its biases.
+    fn bias(&mut self, consts: &[Option<i64>], h: usize) {
+        let n = consts.iter().flatten().count();
+        self.bias_inputs += n;
+        self.macs += (n * h) as u64;
+    }
+}
+
+/// One live input feature: `act[slot] = round(clamp((x[src] − min)/range, 0,
+/// 1) · 2^FA)`, the gather into its autoencoder's input block included.
+#[derive(Clone, Copy, Debug)]
+struct InputOp {
+    slot: usize,
+    src: usize,
+    min: f64,
+    range: f64,
+}
+
+/// One autoencoder of the plan. Its inputs are `d` consecutive activation
+/// slots from `at`, permuted so the `live` ones (which vary with the scored
+/// vector) come first and the constants of the model last; the constants
+/// are already summed into the encoder biases and pre-set in the plan's
+/// activation template. The decoder rows follow the same order — an
+/// integer sum of squares does not care which.
+#[derive(Clone, Debug)]
+struct AeStep {
+    at: usize,
+    d: usize,
+    live: usize,
+    h: usize,
+    /// An ensemble step's out-normalizer entry: its normalised RMSE is the
+    /// next live input of the output step. `None` for the output step
+    /// itself, whose RMSE is the score.
+    norm: Option<QNormEntry>,
+}
+
+impl AeStep {
+    /// Arena elements of the encoder: `h` rows of a bias and `live` weights.
+    fn encoder_len(&self) -> usize {
+        self.h * (self.live + 1)
+    }
+
+    /// Arena elements of the step: the encoder, then `d` decoder rows of a
+    /// bias and `h` weights.
+    fn arena_len(&self) -> usize {
+        self.encoder_len() + self.d * (self.h + 1)
+    }
+
+    /// Appends `ae` to `arena` and its input block to `template`;
+    /// `consts[j]` is `Some(c)` for an input that is the constant `c`.
+    /// Folding a constant column into the bias is exact: the accumulator
+    /// never overflows (the reference runs it in `i128`, the narrow plan
+    /// under the width proof, whose bound covers every partial sum), and
+    /// integer addition is associative.
+    fn lower(
+        ae: &QAutoencoder,
+        consts: &[Option<i64>],
+        arena: &mut Vec<i128>,
+        template: &mut Vec<i64>,
+    ) -> AeStep {
+        let (d, h) = (ae.d, ae.h);
+        let (fixed, live): (Vec<usize>, Vec<usize>) = (0..d).partition(|&j| consts[j].is_some());
+        let at = template.len();
+        template.resize(at + live.len(), 0);
+        template.extend(consts.iter().flatten());
+        for (row, &b) in ae.w1.chunks_exact(d).zip(&ae.b1) {
+            let folded: i128 = consts
+                .iter()
+                .zip(row)
+                .filter_map(|(c, &w)| c.map(|c| i128::from(w) * i128::from(c)))
+                .sum();
+            arena.push(i128::from(b) + folded);
+            arena.extend(live.iter().map(|&j| i128::from(row[j])));
+        }
+        for &j in live.iter().chain(&fixed) {
+            arena.push(i128::from(ae.b2[j]));
+            arena.extend(ae.w2[j * h..(j + 1) * h].iter().map(|&w| i128::from(w)));
+        }
+        AeStep {
+            at,
+            d,
+            live: live.len(),
+            h,
+            norm: None,
+        }
+    }
+
+    /// Integer reconstruction RMSE of `inp` at `FA` fraction bits; `arena`
+    /// is this step's [`AeStep::arena_len`] elements.
+    fn rmse<A: Acc>(
+        &self,
+        arena: &[A],
+        inp: &[i64],
+        hid: &mut [i64],
+        sig: &QSigmoid,
+        weight_bits: u32,
+    ) -> i64 {
+        let (encoder, decoder) = arena.split_at(self.encoder_len());
+        let hid = &mut hid[..self.h];
+        for (row, o) in encoder.chunks_exact(self.live + 1).zip(hid.iter_mut()) {
+            *o = sig.eval(neuron(row, &inp[..self.live], weight_bits));
+        }
+        let mut sum = A::NO_ERROR;
+        for (row, &x) in decoder.chunks_exact(self.h + 1).zip(inp) {
+            sum = A::add_sq(sum, x - sig.eval(neuron(row, hid, weight_bits)));
+        }
+        A::root_mean(sum, self.d)
+    }
+}
+
+/// `bias + w · x` of one arena row `[bias, weights…]`, shifted from
+/// `FA + FW` back to `FA` fraction bits.
+fn neuron<A: Acc>(row: &[A], x: &[i64], weight_bits: u32) -> i64 {
+    let mut acc = row[0];
+    for (&w, &x) in row[1..].iter().zip(x) {
+        acc = acc + w * A::from(x);
+    }
+    rshift_round(acc, weight_bits).low64()
+}
+
+/// The plan's weights and biases, every step's rows in evaluation order, at
+/// the width the model was proved to need.
+#[derive(Clone, Debug)]
+enum Arena {
+    Narrow(Vec<i64>),
+    Wide(Vec<i128>),
+}
+
+thread_local! {
+    /// The scoring thread's activations and hidden layer. Scratch is not
+    /// part of the model (which is shared read-only across shards), and it
+    /// is overwritten from the plan's template on every score, so models
+    /// can share it; it grows to the largest plan the thread has scored
+    /// and is never allocated again.
+    static SCRATCH: RefCell<Vec<i64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A KitNET compiled for scoring: [`QKitNet`] with its accumulator width
+/// proved, its constants folded and its weights laid out to be streamed.
+#[derive(Clone, Debug)]
+struct KitNetPlan {
+    frac_bits: u32,
+    weight_bits: u32,
+    /// `2^FA`, the input affine's scale.
+    scale: f64,
+    /// Live input features in slot order.
+    input: Vec<InputOp>,
+    /// The activation slots before a score: constants set, the rest zero.
+    template: Vec<i64>,
+    /// Hidden units of the widest step (scratch after the activations).
+    hidden: usize,
+    /// The unfolded ensemble autoencoders in cluster order, then the
+    /// output autoencoder.
+    steps: Vec<AeStep>,
+    arena: Arena,
+    sigmoid: QSigmoid,
+    folded: Folded,
+    /// The certificate and cost of the *unfolded* tree the plan came from.
+    bound: ErrorBound,
+    alu_ops: u64,
+}
+
+impl KitNetPlan {
+    fn compile(tree: &QKitNet, frac_bits: u32, weight_bits: u32) -> Self {
+        let half = 1i64 << (frac_bits - 1);
+        let flat = |i: usize| tree.input.ranges[i] <= 0.0;
+        let macs = |ae: &QAutoencoder| 2 * (ae.d * ae.h) as u64;
+        let members = || tree.clusters.iter().zip(&tree.ensemble).zip(&tree.out_norm);
+        let mut folded = Folded {
+            of_clusters: tree.ensemble.len(),
+            of_macs: tree.ensemble.iter().map(macs).sum::<u64>() + macs(&tree.output),
+            ..Folded::default()
+        };
+
+        // A cluster over flat dimensions only sees ½ everywhere whatever the
+        // vector: its normalised RMSE is a constant, computed here once by
+        // the kernel that would have computed it per score.
+        let constants: Vec<Option<i64>> = members()
+            .map(|((cluster, ae), norm)| {
+                cluster.iter().all(|&i| flat(i)).then(|| {
+                    let (mut arena, mut inp) = (Vec::new(), Vec::new());
+                    let step = AeStep::lower(ae, &vec![None; ae.d], &mut arena, &mut inp);
+                    inp.fill(half);
+                    let mut hid = vec![0; ae.h];
+                    let r = step.rmse(&arena, &inp, &mut hid, &tree.sigmoid, weight_bits);
+                    norm.eval::<i128>(r, frac_bits)
+                })
+            })
+            .collect();
+
+        let (mut arena, mut template) = (Vec::new(), Vec::new());
+        let (mut input, mut steps) = (Vec::new(), Vec::new());
+        for (((cluster, ae), norm), constant) in members().zip(&constants) {
+            if constant.is_some() {
+                folded.clusters += 1;
+                folded.macs += macs(ae);
+                continue;
+            }
+            let consts: Vec<Option<i64>> =
+                cluster.iter().map(|&i| flat(i).then_some(half)).collect();
+            folded.bias(&consts, ae.h);
+            let mut step = AeStep::lower(ae, &consts, &mut arena, &mut template);
+            let live = cluster.iter().filter(|&&i| !flat(i));
+            input.extend((step.at..).zip(live).map(|(slot, &src)| InputOp {
+                slot,
+                src,
+                min: tree.input.mins[src],
+                range: tree.input.ranges[src],
+            }));
+            step.norm = Some(norm.clone());
+            steps.push(step);
+        }
+        // The unfolded clusters, in order, are the live inputs of the output
+        // step and so the head of its block: where `run` puts their RMSEs.
+        folded.bias(&constants, tree.output.h);
+        steps.push(AeStep::lower(
+            &tree.output,
+            &constants,
+            &mut arena,
+            &mut template,
+        ));
+
+        // The width proof, over the unfolded rows (a folded bias is a
+        // partial sum of its row, so the same bound covers it): every
+        // accumulator, every out-norm product and every sum of squared
+        // errors of the model fits 64 bits, or the whole model runs wide.
+        let all = || tree.ensemble.iter().chain([&tree.output]);
+        let narrow = all().all(|ae| ae.acc_bound(frac_bits, weight_bits) < 1u128 << 63)
+            && all()
+                .all(|ae| ((ae.d as u128) << (2 * frac_bits)) + (ae.d as u128) / 2 < 1u128 << 64)
+            && tree.out_norm.iter().all(|n| n.fits_i64(frac_bits));
+        let arena = if narrow {
+            Arena::Narrow(
+                arena
+                    .iter()
+                    .map(|&v| i64::try_from(v).expect("bounded by the width proof"))
+                    .collect(),
+            )
+        } else {
+            Arena::Wide(arena)
+        };
+
+        KitNetPlan {
+            frac_bits,
+            weight_bits,
+            scale: pow2(frac_bits as i32),
+            input,
+            template,
+            hidden: steps.iter().map(|s| s.h).max().unwrap_or(0),
+            steps,
+            arena,
+            sigmoid: tree.sigmoid.clone(),
+            folded,
+            bound: tree.error_bound(frac_bits, weight_bits),
+            alu_ops: tree.alu_ops(),
+        }
+    }
+
+    /// Integer score of a vector of the model's dimension.
+    fn score_q(&self, x: &[f64]) -> i64 {
+        SCRATCH.with_borrow_mut(|scratch| {
+            let slots = self.template.len();
+            if scratch.len() < slots + self.hidden {
+                scratch.resize(slots + self.hidden, 0);
+            }
+            let (act, hid) = scratch.split_at_mut(slots);
+            act.copy_from_slice(&self.template);
+            for op in &self.input {
+                // Same f64 expression as MinMaxNorm::transform, then an
+                // exact power-of-two scale and one round.
+                let n = ((x[op.src] - op.min) / op.range).clamp(0.0, 1.0);
+                act[op.slot] = round_to_grid(n * self.scale);
+            }
+            match &self.arena {
+                Arena::Narrow(arena) => self.run(arena, act, hid),
+                Arena::Wide(arena) => self.run(arena, act, hid),
+            }
+        })
+    }
+
+    /// The one kernel: every step in order, each streaming its rows off the
+    /// front of the arena, the ensemble's normalised RMSEs filling the head
+    /// of the output step's block as they come.
+    fn run<A: Acc>(&self, mut arena: &[A], act: &mut [i64], hid: &mut [i64]) -> i64 {
+        let mut next_rmse = self.steps.last().map_or(0, |output| output.at);
+        let mut rmse = 0;
+        for step in &self.steps {
+            let (rows, rest) = arena.split_at(step.arena_len());
+            arena = rest;
+            let inp = &act[step.at..step.at + step.d];
+            rmse = step.rmse(rows, inp, hid, &self.sigmoid, self.weight_bits);
+            if let Some(norm) = &step.norm {
+                act[next_rmse] = norm.eval::<A>(rmse, self.frac_bits);
+                next_rmse += 1;
+            }
+        }
+        rmse
     }
 }
 
@@ -664,8 +1020,8 @@ impl QCentroid {
         let one = 1i128 << frac_bits;
         let mut dot: i128 = 0;
         let mut nx2: u128 = 0;
-        for (i, &c) in self.c_q.iter().enumerate() {
-            let xq = to_grid(x.get(i).copied().unwrap_or(0.0), scale, GRID_CAP);
+        for (&c, &v) in self.c_q.iter().zip(x) {
+            let xq = to_grid(v, scale, GRID_CAP);
             dot += i128::from(xq) * i128::from(c);
             nx2 += (i128::from(xq) * i128::from(xq)) as u128;
         }
@@ -860,8 +1216,7 @@ impl QCart {
                     left,
                     right,
                 } => {
-                    let v = x.get(feature as usize).copied().unwrap_or(0.0);
-                    let xq = to_grid(v, scale, GRID_CAP);
+                    let xq = to_grid(x[feature as usize], scale, GRID_CAP);
                     at = if xq <= thr_q { left } else { right } as usize;
                 }
             }
@@ -922,7 +1277,7 @@ impl QCart {
 
 #[derive(Clone, Debug)]
 enum QuantModel {
-    KitNet(Box<QKitNet>),
+    KitNet(Box<KitNetPlan>),
     Centroid(QCentroid),
     Cart(QCart),
 }
@@ -939,7 +1294,10 @@ pub struct QuantizedDetector {
     dim: usize,
     frac_bits: u32,
     weight_bits: u32,
-    threshold_q: i64,
+    /// `2^FA`: what an integer score is divided by.
+    scale: f64,
+    /// The calibrated threshold snapped to the score grid.
+    threshold: f64,
 }
 
 /// Lowers a frozen detector into fixed point.
@@ -957,7 +1315,8 @@ pub fn quantize(
         )));
     }
     let threshold = frozen.threshold();
-    if !(threshold.is_finite() && threshold.abs() * pow2(cfg.frac_bits as i32) < pow2(60)) {
+    let scale = pow2(cfg.frac_bits as i32);
+    if !(threshold.is_finite() && threshold.abs() * scale < pow2(60)) {
         return Err(QuantError::Degenerate(format!(
             "calibrated threshold {threshold} not representable at Q{}",
             cfg.frac_bits
@@ -966,10 +1325,12 @@ pub fn quantize(
     let det = frozen.detector();
     let any = det.as_any();
     let model = if let Some(k) = any.downcast_ref::<KitNetDetector>() {
-        QuantModel::KitNet(Box::new(QKitNet::build(
-            k.model().ok_or(QuantError::Untrained)?,
-            cfg,
-        )?))
+        let tree = QKitNet::build(k.model().ok_or(QuantError::Untrained)?, cfg)?;
+        QuantModel::KitNet(Box::new(KitNetPlan::compile(
+            &tree,
+            cfg.frac_bits,
+            cfg.weight_bits,
+        )))
     } else if let Some(c) = any.downcast_ref::<CentroidDetector>() {
         if !c.is_frozen() {
             return Err(QuantError::Untrained);
@@ -989,7 +1350,8 @@ pub fn quantize(
         dim: det.feature_dim(),
         frac_bits: cfg.frac_bits,
         weight_bits: cfg.weight_bits,
-        threshold_q: (threshold * pow2(cfg.frac_bits as i32)).round() as i64,
+        scale,
+        threshold: (threshold * scale).round() as i64 as f64 / scale,
     })
 }
 
@@ -1022,7 +1384,7 @@ impl QuantizedDetector {
     /// The alert threshold snapped to the score grid (`thr_q / 2^FA`),
     /// exactly representable in f64.
     pub fn threshold(&self) -> f64 {
-        self.threshold_q as f64 / pow2(self.frac_bits as i32)
+        self.threshold
     }
 
     /// Integer score at `FA` fraction bits.
@@ -1034,7 +1396,7 @@ impl QuantizedDetector {
             });
         }
         Ok(match &self.model {
-            QuantModel::KitNet(k) => k.score_q(x, self.frac_bits, self.weight_bits),
+            QuantModel::KitNet(k) => k.score_q(x),
             QuantModel::Centroid(c) => c.score_q(x, self.frac_bits),
             QuantModel::Cart(t) => t.score_q(x),
         })
@@ -1044,22 +1406,31 @@ impl QuantizedDetector {
     /// float comparison against [`QuantizedDetector::threshold`] is
     /// equivalent to the integer compare the pipeline performs.
     pub fn score(&self, x: &[f64]) -> Result<f64, MlError> {
-        Ok(self.score_q(x)? as f64 / pow2(self.frac_bits as i32))
+        Ok(self.score_q(x)? as f64 / self.scale)
     }
 
     /// Whether a score crosses the grid-snapped threshold (strictly above,
     /// matching [`FrozenDetector::is_alert`]).
     pub fn is_alert(&self, score: f64) -> bool {
-        score > self.threshold()
+        score > self.threshold
     }
 
     /// Integer ALU operations of one score evaluation — the quantity
     /// `cycles_from_cost` prices into NIC cycles.
     pub fn alu_ops(&self) -> u64 {
         match &self.model {
-            QuantModel::KitNet(k) => k.alu_ops(self.dim),
+            QuantModel::KitNet(k) => k.alu_ops,
             QuantModel::Centroid(c) => c.alu_ops(),
             QuantModel::Cart(t) => t.alu_ops(),
+        }
+    }
+
+    /// What lowering folded out of the program [`QuantizedDetector::alu_ops`]
+    /// prices (nothing, for a model that is not a KitNET).
+    pub fn folded(&self) -> Folded {
+        match &self.model {
+            QuantModel::KitNet(k) => k.folded,
+            QuantModel::Centroid(_) | QuantModel::Cart(_) => Folded::default(),
         }
     }
 
@@ -1078,7 +1449,7 @@ impl QuantizedDetector {
             )));
         }
         Ok(match &self.model {
-            QuantModel::KitNet(k) => k.error_bound(self.frac_bits, self.weight_bits),
+            QuantModel::KitNet(k) => k.bound.clone(),
             QuantModel::Centroid(c) => c.error_bound(domain, self.frac_bits),
             QuantModel::Cart(t) => t.error_bound(domain, self.frac_bits),
         })
@@ -1100,6 +1471,130 @@ impl Scorer for QuantizedDetector {
 
     fn threshold(&self) -> f64 {
         self.threshold()
+    }
+}
+
+/// The scorer this module had before KitNET lowering compiled a plan: the
+/// lowered tree walked feature by feature, every accumulator an `i128`,
+/// nothing folded. Kept as the oracle the plan is tested against bit for
+/// bit — each function is the old one, unchanged but for where it reads the
+/// sigmoid's coefficients.
+#[cfg(test)]
+mod reference {
+    use super::{isqrt_u128, pow2, QAffine, QAutoencoder, QKitNet, QNormEntry, QSigmoid};
+
+    pub fn rshift_round(v: i128, s: u32) -> i128 {
+        if s == 0 {
+            return v;
+        }
+        let half = 1i128 << (s - 1);
+        if v >= 0 {
+            (v + half) >> s
+        } else {
+            -((-v + half) >> s)
+        }
+    }
+
+    pub fn sigmoid(sig: &QSigmoid, z: i64) -> i64 {
+        let one = 1i64 << sig.frac_bits;
+        if z <= sig.lo_q {
+            return 0;
+        }
+        if z >= -sig.lo_q {
+            return one;
+        }
+        let k = ((z - sig.lo_q) >> sig.seg_shift) as usize;
+        let seg = sig.segments[k];
+        let center = sig.lo_q + ((2 * k as i64 + 1) << (sig.seg_shift - 1));
+        let u = z - center;
+        let fa = sig.frac_bits;
+        let t1 = rshift_round(i128::from(seg.c1) * i128::from(u), fa);
+        let u2 = rshift_round(i128::from(u) * i128::from(u), fa);
+        let t2 = rshift_round(i128::from(seg.c2) * u2, fa);
+        (i128::from(seg.c0) + t1 + t2).clamp(0, i128::from(one)) as i64
+    }
+
+    fn affine(input: &QAffine, x: &[f64], frac_bits: u32, out: &mut Vec<i64>) {
+        let one = 1i64 << frac_bits;
+        let scale = pow2(frac_bits as i32);
+        out.clear();
+        for (i, (&min, &range)) in input.mins.iter().zip(&input.ranges).enumerate() {
+            if range <= 0.0 {
+                out.push(one / 2);
+            } else {
+                let v = x.get(i).copied().unwrap_or(0.0);
+                let n = ((v - min) / range).clamp(0.0, 1.0);
+                out.push((n * scale).round() as i64);
+            }
+        }
+    }
+
+    fn norm(entry: &QNormEntry, r_q: i64, frac_bits: u32) -> i64 {
+        let one = 1i64 << frac_bits;
+        match entry {
+            QNormEntry::Flat => one / 2,
+            QNormEntry::Affine { min_q, m, t, .. } => {
+                let v = rshift_round(i128::from(r_q - min_q) * i128::from(*m), *t);
+                v.clamp(0, i128::from(one)) as i64
+            }
+        }
+    }
+
+    fn layer(
+        w: &[i64],
+        b: &[i64],
+        (rows, cols): (usize, usize),
+        x: &[i64],
+        sig: &QSigmoid,
+        weight_bits: u32,
+        out: &mut Vec<i64>,
+    ) {
+        out.clear();
+        for i in 0..rows {
+            let mut acc = i128::from(b[i]);
+            for j in 0..cols {
+                acc += i128::from(w[i * cols + j]) * i128::from(x[j]);
+            }
+            let z = rshift_round(acc, weight_bits) as i64;
+            out.push(sigmoid(sig, z));
+        }
+    }
+
+    fn rmse_q(ae: &QAutoencoder, x: &[i64], sig: &QSigmoid, weight_bits: u32) -> i64 {
+        let mut hid = Vec::with_capacity(ae.h);
+        let mut out = Vec::with_capacity(ae.d);
+        layer(&ae.w1, &ae.b1, (ae.h, ae.d), x, sig, weight_bits, &mut hid);
+        layer(
+            &ae.w2,
+            &ae.b2,
+            (ae.d, ae.h),
+            &hid,
+            sig,
+            weight_bits,
+            &mut out,
+        );
+        let mut sum: u128 = 0;
+        for (&a, &b) in x.iter().zip(&out) {
+            let d = i128::from(a - b);
+            sum += (d * d) as u128;
+        }
+        let n = ae.d as u128;
+        let mean = (sum + n / 2) / n;
+        isqrt_u128(mean) as i64
+    }
+
+    pub fn score_q(k: &QKitNet, x: &[f64], frac_bits: u32, weight_bits: u32) -> i64 {
+        let mut xn = Vec::with_capacity(k.input.mins.len());
+        affine(&k.input, x, frac_bits, &mut xn);
+        let mut sub = Vec::new();
+        let mut rn = Vec::with_capacity(k.ensemble.len());
+        for (c, ae) in k.clusters.iter().zip(&k.ensemble) {
+            sub.clear();
+            sub.extend(c.iter().map(|&i| xn[i]));
+            let r = rmse_q(ae, &sub, &k.sigmoid, weight_bits);
+            rn.push(norm(&k.out_norm[rn.len()], r, frac_bits));
+        }
+        rmse_q(&k.output, &rn, &k.sigmoid, weight_bits)
     }
 }
 
@@ -1301,5 +1796,281 @@ mod tests {
         let t = q.threshold();
         assert!((t - frozen.threshold()).abs() <= pow2(-25));
         assert_eq!(t * pow2(24), (t * pow2(24)).round());
+    }
+
+    // --- The compiled KitNET plan against the scorer it replaced ---
+
+    use crate::KitNet;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A KitNET trained on `groups` blocks of `width` correlated columns (so
+    /// each block maps to one non-trivial cluster), then `flat` constant
+    /// columns (clusters over flat dimensions only: rounding noise in the
+    /// correlation of two constants may group them), then `noise`
+    /// independent columns (singleton clusters). Returns the model and one
+    /// more sample from its training distribution.
+    fn trained_kitnet(
+        rng: &mut StdRng,
+        groups: usize,
+        width: usize,
+        flat: usize,
+        noise: usize,
+    ) -> (KitNet, Vec<f64>) {
+        let dim = groups * width + flat + noise;
+        let consts: Vec<f64> = (0..flat).map(|_| rng.random_range(-50.0..50.0)).collect();
+        let sample = |rng: &mut StdRng| -> Vec<f64> {
+            let mut x = Vec::with_capacity(dim);
+            for g in 0..groups {
+                let latent = rng.random::<f64>() * (g + 1) as f64;
+                x.extend((0..width).map(|_| latent + 0.05 * rng.random::<f64>()));
+            }
+            x.extend(&consts);
+            x.extend((0..noise).map(|_| rng.random::<f64>()));
+            x
+        };
+        let mut k = KitNet::new(dim, width, 120, 260, rng.random()).unwrap();
+        for _ in 0..380 {
+            k.process(&sample(rng));
+        }
+        assert!(k.is_executing());
+        let probe = sample(rng);
+        (k, probe)
+    }
+
+    /// Vectors a scorer must agree on: the training hull, far outside it,
+    /// and every float that is not a number one would train on.
+    fn probes(rng: &mut StdRng, in_hull: &[f64]) -> Vec<Vec<f64>> {
+        let dim = in_hull.len();
+        let each = |f: &mut dyn FnMut(usize) -> f64| (0..dim).map(f).collect::<Vec<f64>>();
+        let mut out = vec![in_hull.to_vec()];
+        out.push(each(&mut |i| in_hull[i] * (0.5 + rng.random::<f64>())));
+        out.push(each(&mut |i| in_hull[i] * 1e3 - 7.0));
+        out.push(each(&mut |_| rng.random_range(-1e12..1e12)));
+        out.push(each(&mut |_| f64::from_bits(rng.random())));
+        for special in [
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE / 4.0,
+            -0.0,
+        ] {
+            out.push(vec![special; dim]);
+            out.push(each(&mut |i| {
+                if rng.random::<bool>() {
+                    special
+                } else {
+                    in_hull[i]
+                }
+            }));
+        }
+        out
+    }
+
+    fn widened(plan: &KitNetPlan) -> KitNetPlan {
+        let arena = match &plan.arena {
+            Arena::Narrow(a) => Arena::Wide(a.iter().map(|&v| i128::from(v)).collect()),
+            wide @ Arena::Wide(_) => wide.clone(),
+        };
+        KitNetPlan {
+            arena,
+            ..plan.clone()
+        }
+    }
+
+    /// The plan is the old scorer, bit for bit: random trained models ×
+    /// every corner of the Q-format square × hostile vectors, at the width
+    /// lowering chose *and* at the wide one. Runs in the test profile, where
+    /// `overflow-checks` turns a wrong width proof into a panic.
+    /// `KERNEL_DIFF_CASES` sets the number of models (`ci.sh` raises it).
+    #[test]
+    fn plan_scores_are_bit_identical_to_the_reference_scorer() {
+        let cases: u64 = std::env::var("KERNEL_DIFF_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(6);
+        let (mut narrow, mut wide, mut clusters, mut bias_inputs) = (0, 0, 0, 0);
+        for case in 0..cases {
+            let mut rng = StdRng::seed_from_u64(0x5EED ^ case);
+            let groups = rng.random_range(2..=4usize);
+            let width = rng.random_range(2..=5usize);
+            // Every third model has 17 clusters or more: past 15 inputs the
+            // output layer's sum of squares at Q.30 needs the wide kernel.
+            let flat = rng.random_range(1..=3usize);
+            let noise = if case % 3 == 2 { 14 } else { 1 };
+            let (k, in_hull) = trained_kitnet(&mut rng, groups, width, flat, noise);
+            assert!(
+                k.feature_clusters().iter().filter(|c| c.len() > 1).count() >= 2,
+                "case {case}: fewer than two non-trivial clusters"
+            );
+            let vectors = probes(&mut rng, &in_hull);
+            for frac_bits in [8, 16, 24, 30] {
+                for weight_bits in [8, 16, 24, 30] {
+                    let cfg = QuantConfig {
+                        frac_bits,
+                        weight_bits,
+                        ..QuantConfig::default()
+                    };
+                    let tree = QKitNet::build(&k, &cfg).unwrap();
+                    let plan = KitNetPlan::compile(&tree, frac_bits, weight_bits);
+                    match plan.arena {
+                        Arena::Narrow(_) => narrow += 1,
+                        Arena::Wide(_) => wide += 1,
+                    }
+                    clusters += plan.folded.clusters;
+                    bias_inputs += plan.folded.bias_inputs;
+                    let forced = widened(&plan);
+                    for x in &vectors {
+                        let want = reference::score_q(&tree, x, frac_bits, weight_bits);
+                        let at = format!("case {case} Q{frac_bits}/{weight_bits} x={x:?}");
+                        assert_eq!(plan.score_q(x), want, "{at}");
+                        assert_eq!(forced.score_q(x), want, "wide, {at}");
+                    }
+                }
+            }
+        }
+        assert!(narrow > 0 && wide > 0, "widths hit: {narrow} / {wide}");
+        assert!(clusters > 0 && bias_inputs > 0, "nothing folded");
+        println!(
+            "kernel differential: {cases} models, {narrow} narrow and {wide} wide plans, \
+             {clusters} clusters and {bias_inputs} bias inputs folded"
+        );
+    }
+
+    /// Lowering picks the wide kernel by itself when a row's L1 norm fails
+    /// the proof, and a flat dimension inside a live cluster folds into that
+    /// cluster's encoder bias — two cases training does not produce.
+    #[test]
+    fn failed_width_proof_and_mixed_clusters_still_match_the_reference() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let (k, in_hull) = trained_kitnet(&mut rng, 2, 4, 2, 1);
+        let mut tree = QKitNet::build(&k, &QuantConfig::default()).unwrap();
+        let compile = |tree: &QKitNet| KitNetPlan::compile(tree, 24, 24);
+        let baseline = compile(&tree);
+        assert!(matches!(baseline.arena, Arena::Narrow(_)));
+
+        // Pretend one dimension of the first block was flat in training.
+        let member = tree.clusters.iter().find(|c| c.len() > 1).unwrap()[0];
+        tree.input.ranges[member] = 0.0;
+        let mixed = compile(&tree);
+        assert_eq!(mixed.folded.clusters, baseline.folded.clusters);
+        assert_eq!(mixed.folded.bias_inputs, baseline.folded.bias_inputs + 1);
+
+        // Weights of 2^16 and more in real units: |b| + ‖w‖₁ ≥ 2^15.
+        for w in &mut tree.output.w1 {
+            *w <<= 20;
+        }
+        let heavy = compile(&tree);
+        assert!(matches!(heavy.arena, Arena::Wide(_)));
+
+        for x in probes(&mut rng, &in_hull) {
+            let want = reference::score_q(&tree, &x, 24, 24);
+            assert_eq!(heavy.score_q(&x), want, "x={x:?}");
+        }
+        for w in &mut tree.output.w1 {
+            *w >>= 20;
+        }
+        for x in probes(&mut rng, &in_hull) {
+            let want = reference::score_q(&tree, &x, 24, 24);
+            assert_eq!(mixed.score_q(&x), want, "x={x:?}");
+        }
+    }
+
+    #[test]
+    fn a_model_of_flat_dimensions_only_scores_a_constant() {
+        let mut k = KitNet::new(3, 2, 20, 40, 5).unwrap();
+        for _ in 0..60 {
+            k.process(&[4.0, -1.0, 0.25]);
+        }
+        let tree = QKitNet::build(&k, &QuantConfig::default()).unwrap();
+        let plan = KitNetPlan::compile(&tree, 24, 24);
+        assert_eq!(plan.folded.clusters, plan.folded.of_clusters);
+        // What is left is the output decoder: 3 rows of 2 hidden units.
+        assert_eq!(plan.folded.macs, plan.folded.of_macs - 3 * 2);
+        assert!(plan.input.is_empty());
+        for x in [[4.0, -1.0, 0.25], [1e9, f64::NAN, -3.0]] {
+            assert_eq!(plan.score_q(&x), reference::score_q(&tree, &x, 24, 24));
+        }
+    }
+
+    #[test]
+    fn branch_free_shift_rounds_like_the_one_it_replaces() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for s in [0, 1, 2, 8, 24, 30] {
+            let edge = 1i64 << s;
+            let mut values = vec![0, 1, -1, edge / 2, -(edge / 2), edge / 2 - 1, 1 - edge / 2];
+            values.extend([
+                edge,
+                -edge,
+                3 * edge / 2,
+                -3 * edge / 2,
+                1 << 61,
+                -(1 << 61),
+            ]);
+            values.extend((0..200).map(|_| rng.random::<i64>() >> 2));
+            for v in values {
+                let want = reference::rshift_round(i128::from(v), s);
+                assert_eq!(i128::from(rshift_round(v, s)), want, "i64 {v} >> {s}");
+                assert_eq!(rshift_round(i128::from(v), s), want, "i128 {v} >> {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_sigmoid_is_the_wide_one() {
+        for frac_bits in [8, 16, 24, 30] {
+            let sig = QSigmoid::build(frac_bits);
+            let span = 17i64 << frac_bits;
+            let step = (span / 20_011).max(1);
+            let mut z = -span;
+            while z <= span {
+                assert_eq!(
+                    sig.eval(z),
+                    reference::sigmoid(&sig, z),
+                    "Q{frac_bits} z={z}"
+                );
+                z += step;
+            }
+        }
+    }
+
+    #[test]
+    fn grid_rounding_is_f64_round() {
+        let mut cases = vec![
+            0.0,
+            0.49999999999999994,
+            0.5,
+            0.9999999999999999,
+            1.0,
+            16_777_216.0,
+            16_777_215.5,
+            (1u64 << 30) as f64,
+            f64::NAN,
+        ];
+        cases.extend((0..64).map(|k| f64::from(k) + 0.5));
+        cases.extend((0..64).map(|k| (f64::from(k) + 0.5).next_down()));
+        let mut rng = StdRng::seed_from_u64(9);
+        cases.extend((0..2_000).map(|_| rng.random::<f64>() * pow2(rng.random_range(0..=30))));
+        for x in cases {
+            assert_eq!(round_to_grid(x), x.round() as i64, "{x:e}");
+        }
+    }
+
+    #[test]
+    fn u64_root_is_the_u128_root() {
+        let mut values = vec![0u64, 1, 2, 3, u64::MAX, u64::MAX - 1, (1 << 53) + 1];
+        for root in (0..=30)
+            .map(|e| 1u64 << e)
+            .chain([3, 1_000_003, (1 << 30) - 1])
+        {
+            let sq = root * root;
+            values.extend([sq.saturating_sub(1), sq, sq + 1]);
+        }
+        values.extend([u64::from(u32::MAX).pow(2), u64::from(u32::MAX).pow(2) - 1]);
+        let mut rng = StdRng::seed_from_u64(5);
+        values.extend((0..2_000).map(|_| rng.random::<u64>() >> rng.random_range(0..64u32)));
+        for v in values {
+            assert_eq!(u128::from(isqrt_u64(v)), isqrt_u128(u128::from(v)), "{v}");
+        }
     }
 }

@@ -65,6 +65,9 @@ impl InlineStats {
 /// the read-only model.
 pub struct InlineInference {
     model: SharedScorer,
+    /// The model's alert threshold (a constant of a calibrated scorer),
+    /// read once: it is compared per vector and copied per alert.
+    threshold: f64,
     shard: usize,
     /// Vectors offered so far — the `seq` the next alert carries. Counts
     /// rejected vectors too: a position, not a score count.
@@ -77,6 +80,7 @@ impl InlineInference {
     /// Creates the stage of `shard` over a shared scorer.
     pub fn new(model: SharedScorer, shard: usize) -> Self {
         InlineInference {
+            threshold: model.threshold(),
             model,
             shard,
             seq: 0,
@@ -102,7 +106,7 @@ impl InlineInference {
                 seq,
                 key: vector.key,
                 score,
-                threshold: self.model.threshold(),
+                threshold: self.threshold,
             });
         }
     }

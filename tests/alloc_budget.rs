@@ -1,8 +1,10 @@
 //! The allocation budget of the NIC hot path, held deterministically: how
 //! many heap allocations `FeNic::handle` makes for one Kitsune record that
 //! lands in existing groups, and how many more for one that opens a socket
-//! and a channel. Timing benches show the same thing on a quiet host; this
-//! counts, so it fails the same way everywhere.
+//! and a channel — and that scoring the record's vector in the shard's
+//! inference stage, with the float KitNET or its fixed-point plan, adds
+//! none. Timing benches show the same thing on a quiet host; this counts, so
+//! it fails the same way everywhere.
 //!
 //! A counting `#[global_allocator]` needs `unsafe impl GlobalAlloc`, which is
 //! why this file — and only this file — lifts the workspace's
@@ -12,10 +14,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use superfe::apps::policies::KITSUNE;
+use superfe::ml::{
+    quantize, train_and_calibrate, CalibrationConfig, KitNetDetector, QuantConfig, SharedScorer,
+};
 use superfe::net::PacketRecord;
-use superfe::nic::FeNic;
+use superfe::nic::{FeNic, InlineInference};
 use superfe::policy::{compile, dsl};
 use superfe::switch::{FeSwitch, MgpvConfig, MgpvMessage, SwitchEvent};
 
@@ -142,4 +148,74 @@ fn kitsune_records_stay_within_their_allocation_budget() {
     assert_eq!(after[0].1 - before[0].1, RECORDS, "sockets opened");
     assert_eq!(after[1].1 - before[1].1, RECORDS, "channels opened");
     assert_eq!(after[2].1, before[2].1, "same host throughout");
+}
+
+/// A steady-state Kitsune record whose vector is scored where it is
+/// finalized costs the allocations of the unscored record: the scorers keep
+/// their activations in per-thread scratch that has its size after one score.
+#[test]
+fn scoring_a_kitsune_record_in_the_shard_allocates_nothing() {
+    const RECORDS: usize = 64;
+    const STEADY: u64 = 2;
+    let compiled = compile(&dsl::parse(KITSUNE).unwrap()).unwrap();
+    let mut sw = FeSwitch::new(compiled.switch.clone()).unwrap();
+    let mut nic = FeNic::new(&compiled, MgpvConfig::default().fg_table_size).unwrap();
+    let mut ts = 0u64;
+    let mut packets = |n: usize| -> Vec<PacketRecord> {
+        (0..n)
+            .map(|i| {
+                ts += 1_000 + (i as u64 % 7) * 300;
+                PacketRecord::tcp(ts, 100 + (i % 11) as u16 * 120, 1, 1000, 2, 80)
+            })
+            .collect()
+    };
+
+    // Train on the socket's own vectors; a threshold far above them, so no
+    // record raises an alert (an alert is buffered, which allocates).
+    let mut train = Vec::new();
+    for e in events_per_record(&mut sw, &packets(400)) {
+        nic.handle(&e);
+        train.extend(nic.take_packet_vectors());
+    }
+    let refs: Vec<&[f64]> = train.iter().map(|v| v.values.as_slice()).collect();
+    let float = train_and_calibrate(
+        Box::new(KitNetDetector::new(refs[0].len(), 4).unwrap()),
+        &refs,
+        0.2,
+        CalibrationConfig {
+            quantile: 1.0,
+            margin: 100.0,
+        },
+    )
+    .unwrap();
+    let quant = quantize(&float, &QuantConfig::default()).unwrap();
+
+    let models: [(&str, SharedScorer); 2] =
+        [("Q39.24", Arc::new(quant)), ("float", Arc::new(float))];
+    for (name, model) in models {
+        let mut stage = InlineInference::new(model, 0);
+        for e in events_per_record(&mut sw, &packets(RECORDS)) {
+            nic.handle(&e);
+            score_pending(&mut nic, &mut stage);
+        }
+        let steady = events_per_record(&mut sw, &packets(RECORDS));
+        for e in &steady {
+            let n = allocations(|| {
+                nic.handle(e);
+                score_pending(&mut nic, &mut stage);
+            });
+            assert_eq!(n, STEADY * u64::from(is_record(e)), "scored by {name}");
+        }
+        let (alerts, stats) = stage.into_parts();
+        assert!(alerts.is_empty(), "scored by {name}");
+        assert_eq!(stats.scored as usize, 2 * RECORDS, "scored by {name}");
+    }
+}
+
+/// Takes the engine's pending per-packet vectors and scores each, as the
+/// shard does for a member with a detector.
+fn score_pending(nic: &mut FeNic, stage: &mut InlineInference) {
+    for v in &nic.take_packet_vectors() {
+        stage.score(v);
+    }
 }
