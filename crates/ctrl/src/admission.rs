@@ -90,6 +90,7 @@ fn inference_cycles(alu_ops: u64, nfp: &NfpModel) -> f64 {
             reduce_funcs: 1,
             alu_ops: alu_ops as usize,
             divisions: 0,
+            accesses: 1,
             touched_bytes: 0,
             resident_bytes: 0,
             feature_dim: 0,

@@ -12,7 +12,7 @@
 //! 3. **Division elimination**: the compare trick replaces ~1500-cycle soft
 //!    divisions with a handful of ALU ops.
 
-use superfe_policy::ast::ReduceFn;
+use superfe_policy::analyze::cost::{map_fn_cost, reduce_fn_cost};
 use superfe_policy::NicProgram;
 
 use crate::arch::NfpModel;
@@ -79,18 +79,6 @@ mod cost {
     pub const DISPATCH: f64 = 30.0;
     /// CRC hash of a group key.
     pub const HASH: f64 = 60.0;
-    /// One mapping function application.
-    pub const MAP: f64 = 4.0;
-    /// Simple reducer update (sum/min/max/count).
-    pub const REDUCE_SIMPLE: f64 = 4.0;
-    /// Welford-style update, divisions excluded.
-    pub const REDUCE_WELFORD: f64 = 10.0;
-    /// Damped-window update (decay via shift table), divisions excluded.
-    pub const REDUCE_DAMPED: f64 = 16.0;
-    /// Histogram/array update.
-    pub const REDUCE_TABLE: f64 = 12.0;
-    /// HyperLogLog update (reusing the hash).
-    pub const REDUCE_HLL: f64 = 10.0;
     /// The compare trick replacing one division.
     pub const DIV_ELIMINATED: f64 = 6.0;
 }
@@ -100,7 +88,7 @@ mod cost {
 pub struct CycleModel {
     model: NfpModel,
     levels: usize,
-    maps: usize,
+    map_cycles: f64,
     reduce_cycles: f64,
     divs_per_record: f64,
     memory_cycles: f64,
@@ -110,12 +98,16 @@ pub struct CycleModel {
 impl CycleModel {
     /// Builds the model from a compiled program and its state placement.
     pub fn new(program: &NicProgram, placement: &Placement, model: NfpModel) -> Self {
-        let mut maps = 0usize;
+        let mut map_cycles = 0.0;
         let mut reduce_cycles = 0.0;
         let mut divs = 0.0;
         let mut mem_accesses = 0.0;
         for level in &program.levels {
-            maps += level.maps.len();
+            map_cycles += level
+                .maps
+                .iter()
+                .map(|m| map_fn_cost(m.func).alu_ops as f64)
+                .sum::<f64>();
             mem_accesses += level
                 .maps
                 .iter()
@@ -133,24 +125,7 @@ impl CycleModel {
                     divs += 1.0;
                 }
                 for f in &r.funcs {
-                    reduce_cycles += match f {
-                        ReduceFn::Sum | ReduceFn::Max | ReduceFn::Min => cost::REDUCE_SIMPLE,
-                        ReduceFn::Mean | ReduceFn::Var | ReduceFn::Std => cost::REDUCE_WELFORD,
-                        ReduceFn::Kur | ReduceFn::Skew => cost::REDUCE_WELFORD * 1.5,
-                        ReduceFn::Mag
-                        | ReduceFn::Radius
-                        | ReduceFn::Cov
-                        | ReduceFn::Pcc
-                        | ReduceFn::Damped { .. }
-                        | ReduceFn::Damped2d { .. } => cost::REDUCE_DAMPED,
-                        ReduceFn::Card { .. } => cost::REDUCE_HLL,
-                        ReduceFn::Array { .. }
-                        | ReduceFn::Hist { .. }
-                        | ReduceFn::HistLog { .. }
-                        | ReduceFn::Pdf { .. }
-                        | ReduceFn::Cdf { .. }
-                        | ReduceFn::Percent { .. } => cost::REDUCE_TABLE,
-                    };
+                    reduce_cycles += reduce_fn_cost(f).alu_ops as f64;
                     mem_accesses += 1.0;
                 }
             }
@@ -158,7 +133,7 @@ impl CycleModel {
         CycleModel {
             model,
             levels: program.levels.len().max(1),
-            maps,
+            map_cycles,
             reduce_cycles,
             divs_per_record: divs,
             memory_cycles: placement.total_cost,
@@ -183,8 +158,7 @@ impl CycleModel {
         } else {
             self.model.soft_div_cycles as f64 * self.divs_per_record
         };
-        let compute =
-            cost::DISPATCH + hash + div + cost::MAP * self.maps as f64 + self.reduce_cycles;
+        let compute = cost::DISPATCH + hash + div + self.map_cycles + self.reduce_cycles;
         let memory = self.memory_cycles;
         let cycles = if flags.threading {
             // Threads overlap memory stalls; each access costs two context
@@ -222,12 +196,7 @@ pub fn cycles_from_cost(
     flags: OptFlags,
 ) -> PerfEstimate {
     let levels = cost.levels.len().max(1) as f64;
-    let accesses: f64 = cost
-        .levels
-        .iter()
-        .map(|l| (l.maps + l.reduce_funcs) as f64)
-        .sum::<f64>()
-        .max(1.0);
+    let accesses = (cost.total_accesses() as f64).max(1.0);
     let hash = if flags.reuse_hash {
         0.0
     } else {
@@ -279,13 +248,18 @@ mod tests {
         CycleModel::new(&c.nic, &p, nfp)
     }
 
+    /// Kitsune's shape at a third of its size: three levels, five decay
+    /// rates per reduce op (the division is shared per op, so the rates per
+    /// op set how much of a record the soft divide is).
     fn kitsune_like() -> CycleModel {
         model_for(
             "pktstream\n.groupby(socket)\n\
-             .reduce(size, [f_damped{5}, f_damped{1}, f_damped{0.1}])\n.collect(socket)\n\
-             .groupby(channel)\n\
-             .reduce(size, [f_damped2d{5}, f_damped2d{1}, f_damped2d{0.1}])\n.collect(channel)\n\
-             .groupby(host)\n.reduce(size, [f_damped{5}, f_damped{1}])\n.collect(pkt)",
+             .reduce(size, [f_damped{5}, f_damped{3}, f_damped{1}, f_damped{0.1}, f_damped{0.01}])\n\
+             .collect(socket)\n.groupby(channel)\n\
+             .reduce(size, [f_damped2d{5}, f_damped2d{3}, f_damped2d{1}, f_damped2d{0.1}, f_damped2d{0.01}])\n\
+             .collect(channel)\n.groupby(host)\n\
+             .reduce(size, [f_damped{5}, f_damped{3}, f_damped{1}, f_damped{0.1}, f_damped{0.01}])\n\
+             .collect(pkt)",
         )
     }
 

@@ -22,47 +22,59 @@ pub const OPS_NOTE_THRESHOLD: usize = 512;
 /// the memory bus may bottleneck.
 pub const STATE_NOTE_THRESHOLD: usize = 4096;
 
-/// ALU ops one update of a reducing function costs (arithmetic only; the
-/// per-record dispatch/hash overhead lives in the NIC cycle model).
-fn reduce_alu_ops(f: &ReduceFn) -> usize {
-    match f {
-        ReduceFn::Sum | ReduceFn::Max | ReduceFn::Min => 1,
-        ReduceFn::Mean | ReduceFn::Var | ReduceFn::Std => 4,
-        ReduceFn::Kur | ReduceFn::Skew => 6,
-        ReduceFn::Mag | ReduceFn::Radius | ReduceFn::Cov | ReduceFn::Pcc => 8,
-        ReduceFn::Card { .. } => 3,
-        ReduceFn::Array { .. } => 2,
+/// One row of the per-function price list: what one application of a
+/// mapping function, or one update of a reducing function, costs the NIC.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FnCost {
+    /// ALU ops (arithmetic only; the per-record dispatch/hash overhead
+    /// lives in the NIC cycle formula).
+    pub alu_ops: usize,
+    /// Whether the update divides on the naive (pre-elimination) path.
+    pub divides: bool,
+    /// State bytes one update touches.
+    pub touched_bytes: usize,
+}
+
+/// The price of one update of a reducing function.
+pub fn reduce_fn_cost(f: &ReduceFn) -> FnCost {
+    // Array/histogram/HLL reducers update a single slot plus a cursor, not
+    // their whole resident state.
+    const SLOT: usize = 8;
+    let state = f.state_bytes();
+    let (alu_ops, divides, touched_bytes) = match f {
+        ReduceFn::Sum | ReduceFn::Max | ReduceFn::Min => (1, false, state),
+        ReduceFn::Mean | ReduceFn::Var | ReduceFn::Std => (4, true, state),
+        ReduceFn::Kur | ReduceFn::Skew => (6, true, state),
+        ReduceFn::Mag | ReduceFn::Radius | ReduceFn::Cov | ReduceFn::Pcc => (8, true, state),
+        ReduceFn::Card { .. } => (3, false, SLOT),
+        ReduceFn::Array { .. } => (2, false, SLOT),
         ReduceFn::Pdf { .. }
         | ReduceFn::Cdf { .. }
         | ReduceFn::Hist { .. }
         | ReduceFn::HistLog { .. }
-        | ReduceFn::Percent { .. } => 3,
-        ReduceFn::Damped { .. } => 6,
-        ReduceFn::Damped2d { .. } => 10,
+        | ReduceFn::Percent { .. } => (3, false, SLOT),
+        ReduceFn::Damped { .. } => (6, true, state),
+        ReduceFn::Damped2d { .. } => (10, true, state),
+    };
+    FnCost {
+        alu_ops,
+        divides,
+        touched_bytes,
     }
 }
 
-/// State bytes one update actually touches. Array/histogram/HLL reducers
-/// update a single slot plus a cursor, not their whole resident state.
-fn reduce_touched_bytes(f: &ReduceFn) -> usize {
-    match f {
-        ReduceFn::Array { .. }
-        | ReduceFn::Pdf { .. }
-        | ReduceFn::Cdf { .. }
-        | ReduceFn::Hist { .. }
-        | ReduceFn::HistLog { .. }
-        | ReduceFn::Percent { .. }
-        | ReduceFn::Card { .. } => 8,
-        other => other.state_bytes(),
-    }
-}
-
-/// ALU ops one mapping-function application costs.
-fn map_alu_ops(f: MapFn) -> usize {
-    match f {
+/// The price of one application of a mapping function. A map with no state
+/// (`f_one`, `f_direction`) touches no memory.
+pub fn map_fn_cost(f: MapFn) -> FnCost {
+    let alu_ops = match f {
         MapFn::FOne | MapFn::FDirection => 1,
         MapFn::FIpt | MapFn::FBurst => 2,
         MapFn::FSpeed => 3,
+    };
+    FnCost {
+        alu_ops,
+        divides: false,
+        touched_bytes: f.state_bytes(),
     }
 }
 
@@ -77,14 +89,59 @@ pub struct LevelCost {
     pub reduce_funcs: usize,
     /// Estimated ALU ops per packet.
     pub alu_ops: usize,
-    /// Divisions per packet on the naive (pre-elimination) path.
+    /// Divisions per packet on the naive (pre-elimination) path: one per
+    /// dividing reduce *op*, whose functions share one normalisation pass.
     pub divisions: usize,
+    /// State accesses per packet: one per reduce function and stateful map.
+    pub accesses: usize,
     /// State bytes touched per packet.
     pub touched_bytes: usize,
     /// Resident state bytes per group.
     pub resident_bytes: usize,
     /// Feature values this level contributes to the output vector.
     pub feature_dim: usize,
+}
+
+impl LevelCost {
+    fn new(granularity: Granularity) -> Self {
+        LevelCost {
+            granularity,
+            maps: 0,
+            reduce_funcs: 0,
+            alu_ops: 0,
+            divisions: 0,
+            accesses: 0,
+            touched_bytes: 0,
+            resident_bytes: 0,
+            feature_dim: 0,
+        }
+    }
+
+    fn add_map(&mut self, func: MapFn) {
+        let c = map_fn_cost(func);
+        self.maps += 1;
+        self.alu_ops += c.alu_ops;
+        self.accesses += usize::from(c.touched_bytes > 0);
+        self.touched_bytes += c.touched_bytes;
+        self.resident_bytes += func.state_bytes();
+    }
+
+    fn add_reduce(&mut self, funcs: &[ReduceFn]) {
+        self.reduce_funcs += funcs.len();
+        self.accesses += funcs.len();
+        let mut divides = false;
+        for f in funcs {
+            let c = reduce_fn_cost(f);
+            self.alu_ops += c.alu_ops;
+            divides |= c.divides;
+            self.touched_bytes += c.touched_bytes;
+            self.resident_bytes += f.state_bytes();
+        }
+        // The generated Micro-C normalizes one reduce op's state block with
+        // a shared division pass: one division per dividing op, not one per
+        // statistic.
+        self.divisions += usize::from(divides);
+    }
 }
 
 /// The full static cost breakdown of a policy.
@@ -105,6 +162,11 @@ impl PolicyCost {
     /// Total divisions per packet on the naive path.
     pub fn total_divisions(&self) -> usize {
         self.levels.iter().map(|l| l.divisions).sum()
+    }
+
+    /// Total state accesses per packet.
+    pub fn total_accesses(&self) -> usize {
+        self.levels.iter().map(|l| l.accesses).sum()
     }
 
     /// Total state bytes touched per packet.
@@ -159,41 +221,32 @@ impl PolicyCost {
     }
 }
 
-/// Computes the static cost of a policy from its typed IR.
+/// Computes the static cost of a policy from its typed IR: per level, what
+/// the compiled NIC program executes for one record of that level.
 pub fn policy_cost(policy: &Policy) -> PolicyCost {
     let ir = lower(policy);
     let mut cost = PolicyCost::default();
+    // A later level re-runs every earlier map on per-group state of its own
+    // (`compile` hands each `LevelProgram` the maps declared before it).
+    let mut inherited: Vec<MapFn> = Vec::new();
     let mut last_dim = 0usize;
     for node in &ir.nodes {
         match &node.op {
             IrOp::Filter { pred } => cost.filter_entries += pred.table_entries(),
-            IrOp::GroupBy { granularity } => cost.levels.push(LevelCost {
-                granularity: *granularity,
-                maps: 0,
-                reduce_funcs: 0,
-                alu_ops: 0,
-                divisions: 0,
-                touched_bytes: 0,
-                resident_bytes: 0,
-                feature_dim: 0,
-            }),
+            IrOp::GroupBy { granularity } => {
+                let mut level = LevelCost::new(*granularity);
+                inherited.iter().for_each(|f| level.add_map(*f));
+                cost.levels.push(level);
+            }
             IrOp::Map { func, .. } => {
+                inherited.push(*func);
                 if let Some(l) = cost.levels.last_mut() {
-                    l.maps += 1;
-                    l.alu_ops += map_alu_ops(*func);
-                    l.touched_bytes += func.state_bytes();
-                    l.resident_bytes += func.state_bytes();
+                    l.add_map(*func);
                 }
             }
             IrOp::Reduce { funcs, .. } => {
                 if let Some(l) = cost.levels.last_mut() {
-                    l.reduce_funcs += funcs.len();
-                    for f in funcs {
-                        l.alu_ops += reduce_alu_ops(f);
-                        l.divisions += usize::from(f.divides_per_update());
-                        l.touched_bytes += reduce_touched_bytes(f);
-                        l.resident_bytes += f.state_bytes();
-                    }
+                    l.add_reduce(funcs);
                     last_dim = funcs.iter().map(ReduceFn::feature_len).sum();
                     l.feature_dim += last_dim;
                 }
@@ -275,12 +328,46 @@ mod tests {
         // f_ipt (2) + f_sum (1) + f_mean (4) + f_array (2).
         assert_eq!(l.alu_ops, 9);
         assert_eq!(l.divisions, 1, "only f_mean divides on the naive path");
+        assert_eq!(l.accesses, 4, "f_ipt's state and three reduce functions");
         // Synthesize replaced the 100-wide array with 10 samples.
         assert_eq!(l.feature_dim, 2 + 10);
         assert_eq!(c.feature_dimension(), 12);
         let text = c.render();
         assert!(text.contains("level 1 (flow)"));
         assert!(text.contains("total:"));
+    }
+
+    #[test]
+    fn divisions_count_per_op_and_stateless_maps_touch_no_memory() {
+        let c = policy_cost(
+            &dsl::parse(
+                "pktstream
+                 .groupby(socket)
+                 .map(one, _, f_one)
+                 .map(ipt, tstamp, f_ipt)
+                 .reduce(size, [f_mean, f_var, f_std])
+                 .collect(socket)
+                 .groupby(host)
+                 .reduce(size, [f_sum])
+                 .collect(host)",
+            )
+            .unwrap(),
+        );
+        let socket = &c.levels[0];
+        assert_eq!(socket.divisions, 1, "three dividing functions, one op");
+        assert_eq!(
+            (socket.maps, socket.accesses),
+            (2, 4),
+            "f_one adds no access"
+        );
+        // The host level re-runs both maps on its own per-group state, as
+        // the compiled `LevelProgram` does.
+        let host = &c.levels[1];
+        assert_eq!((host.maps, host.reduce_funcs, host.accesses), (2, 1, 2));
+        assert_eq!(host.alu_ops, 1 + 2 + 1);
+        assert_eq!(host.resident_bytes, 8 + 4);
+        assert_eq!(c.total_divisions(), 1);
+        assert_eq!(c.total_accesses(), 6);
     }
 
     #[test]
