@@ -98,6 +98,32 @@ step "benches compile (criterion targets + the one bench binary)"
 cargo build -q -p superfe-bench --benches --bins
 cargo run -q -p superfe-bench -- list >/dev/null
 
+step "one NIC cost model (one price table, one cycle formula)"
+# A `ReduceFn` is priced in policy/src/analyze/cost.rs and nowhere else, and
+# the hash / division / threading arithmetic has one body in
+# nic/src/perf.rs: the second table and the second model must not come
+# back, and the two hardware constants only that arithmetic needs are each
+# read on exactly one line outside the NfpModel definition.
+if grep -rn "REDUCE_SIMPLE\|REDUCE_WELFORD\|REDUCE_DAMPED\|REDUCE_TABLE\|REDUCE_HLL\|struct CycleModel" crates; then
+  echo "ci: a second NIC cost table or cycle model is back"
+  exit 1
+fi
+for field in soft_div_cycles ctx_switch_cycles; do
+  reads=$(grep -rn "$field" crates/*/src | grep -vc "/arch\.rs:" || true)
+  if [[ "$reads" -ne 1 ]]; then
+    echo "ci: $field is read on $reads lines outside arch.rs (the one formula reads it once)"
+    exit 1
+  fi
+done
+# Fig. 17 through that formula: each optimisation must lower the cycles.
+fig17_cycles=$(cargo run -q -p superfe-bench -- fig17 | grep -o '[0-9]* cycles' | grep -o '^[0-9]*')
+[[ $(wc -l <<<"$fig17_cycles") -eq 4 ]] \
+  || { echo "ci: bench -- fig17 did not print its four rows"; exit 1; }
+if ! sort -rnuc <<<"$fig17_cycles" 2>/dev/null; then
+  echo "ci: Fig. 17's rows are not strictly decreasing:" $fig17_cycles
+  exit 1
+fi
+
 step "online detection smoke (seeded train/calibrate/serve, in-pipeline)"
 # A seeded end-to-end detect run must raise at least one alert inside the
 # attack window and stay quiet on the benign warm-up (the calibrated
@@ -343,8 +369,9 @@ bash benchmark/run.sh --smoke --trace 0 >/dev/null \
 step "lines of Rust under crates/ (the ROADMAP net-LOC measure)"
 # 45,606 at PR 11, 45,945 before ISSUE 16 retired the second benchmark
 # stack, 43,942 before ISSUE 17 merged the two sharing analyses, 44,719
-# before ISSUE 20 retired the host-side scoring path; a simplicity PR
-# states its delta from the number printed here.
+# before ISSUE 20 retired the host-side scoring path, 44,768 before ISSUE 23
+# merged the two NIC cost models; a simplicity PR states its delta from the
+# number printed here.
 find crates -name '*.rs' | xargs wc -l | tail -1
 
 printf '\nci: all checks passed\n'

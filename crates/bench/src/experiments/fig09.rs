@@ -14,11 +14,10 @@ use std::time::Instant;
 
 use superfe_core::SoftwareExtractor;
 use superfe_net::wire::build_frame;
-use superfe_nic::{solve_placement, CycleModel, NfpModel};
-use superfe_policy::{compile, dsl};
+use superfe_nic::{NfpModel, OptFlags};
 use superfe_trafficgen::Workload;
 
-use crate::experiments::study_apps;
+use crate::experiments::{placed_estimate, study_apps};
 use crate::util;
 
 /// Packets in the measurement trace.
@@ -58,11 +57,9 @@ pub fn measure() -> Vec<Row> {
             let software_gbps = stats.total_bytes as f64 * 8.0 / secs / 1e9;
 
             // SuperFE: NIC cycle model at 120 cores over the same policy.
-            let compiled = compile(&dsl::parse(src).expect("parses")).expect("compiles");
-            let placement =
-                solve_placement(&compiled.nic.states(), &nfp, 1).expect("placement solves");
-            let model = CycleModel::new(&compiled.nic, &placement, nfp.clone());
-            let superfe_gbps = model.gbps(120, stats.avg_pkt_size).min(LINE_RATE_GBPS);
+            let superfe_gbps = placed_estimate(src, &nfp, OptFlags::all_on())
+                .gbps(120, &nfp, stats.avg_pkt_size)
+                .min(LINE_RATE_GBPS);
 
             Row {
                 app,

@@ -6,12 +6,12 @@
 //! (bounded by the host's parallelism, but demonstrating the same
 //! contention-free scaling mechanism).
 
-use superfe_nic::{solve_placement, CycleModel, NfpModel, OptFlags, ShardPool};
+use superfe_nic::{NfpModel, OptFlags, ShardPool};
 use superfe_policy::{compile, dsl};
 use superfe_switch::{FeSwitch, TaggedEvent, TenantId};
 use superfe_trafficgen::Workload;
 
-use crate::experiments::study_apps;
+use crate::experiments::{placed_estimate, study_apps};
 use crate::util;
 
 /// Core counts swept (the paper's x-axis, two NICs max).
@@ -27,11 +27,7 @@ pub fn modeled() -> Vec<(&'static str, Vec<(usize, f64)>)> {
     study_apps()
         .into_iter()
         .map(|(app, src)| {
-            let compiled = compile(&dsl::parse(src).expect("parses")).expect("compiles");
-            let placement =
-                solve_placement(&compiled.nic.states(), &nfp, 1).expect("placement solves");
-            let model = CycleModel::new(&compiled.nic, &placement, nfp.clone());
-            let e = model.estimate(OptFlags::all_on());
+            let e = placed_estimate(src, &nfp, OptFlags::all_on());
             let series = CORES
                 .iter()
                 .map(|&c| (c, e.gbps(c, &nfp, avg_pkt)))

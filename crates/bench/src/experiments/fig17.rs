@@ -2,9 +2,9 @@
 //! hash reuse, thread-level latency hiding, division elimination.
 
 use superfe_apps::policies;
-use superfe_nic::{solve_placement, CycleModel, NfpModel, OptFlags};
-use superfe_policy::{compile, dsl};
+use superfe_nic::{NfpModel, OptFlags};
 
+use crate::experiments::placed_estimate;
 use crate::util;
 
 /// The incremental configurations, in presentation order.
@@ -33,14 +33,12 @@ pub fn configurations() -> Vec<(&'static str, OptFlags)> {
 /// Modeled `(name, cycles/record, relative throughput)` rows for Kitsune.
 pub fn measure() -> Vec<(&'static str, f64, f64)> {
     let nfp = NfpModel::nfp4000();
-    let compiled = compile(&dsl::parse(policies::KITSUNE).expect("parses")).expect("compiles");
-    let placement = solve_placement(&compiled.nic.states(), &nfp, 1).expect("placement solves");
-    let model = CycleModel::new(&compiled.nic, &placement, nfp);
-    let base = model.estimate(OptFlags::all_off()).cycles_per_record;
+    let cycles = |flags| placed_estimate(policies::KITSUNE, &nfp, flags).cycles_per_record;
+    let base = cycles(OptFlags::all_off());
     configurations()
         .into_iter()
         .map(|(name, flags)| {
-            let c = model.estimate(flags).cycles_per_record;
+            let c = cycles(flags);
             (name, c, base / c)
         })
         .collect()

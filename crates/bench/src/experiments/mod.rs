@@ -15,6 +15,10 @@ pub mod tab02;
 pub mod tab03;
 pub mod tab04;
 
+use superfe_nic::{estimate, solve_placement, NfpModel, OptFlags, PerfEstimate, RecordWork};
+use superfe_policy::analyze::cost::policy_cost;
+use superfe_policy::{compile, dsl};
+
 /// The four §8.3 case-study applications: `(name, policy source)`.
 pub fn study_apps() -> Vec<(&'static str, &'static str)> {
     use superfe_apps::policies;
@@ -24,6 +28,16 @@ pub fn study_apps() -> Vec<(&'static str, &'static str)> {
         ("NPOD", policies::NPOD),
         ("Kitsune", policies::KITSUNE),
     ]
+}
+
+/// The NIC cycle estimate of policy `src` with its state placed by the ILP:
+/// the modelled side of Figs. 9, 16 and 17.
+pub fn placed_estimate(src: &str, nfp: &NfpModel, flags: OptFlags) -> PerfEstimate {
+    let policy = dsl::parse(src).expect("parses");
+    let states = compile(&policy).expect("compiles").nic.states();
+    let placement = solve_placement(&states, nfp, 1).expect("placement solves");
+    let work = RecordWork::from(&policy_cost(&policy));
+    estimate(work, Some(&placement), nfp, flags)
 }
 
 /// One experiment: the name the `bench` binary takes (its module's name)

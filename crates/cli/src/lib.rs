@@ -47,7 +47,8 @@ use std::fmt::Write as _;
 use superfe_apps::all_apps;
 use superfe_core::{analyze, AnalyzeConfig, SuperFe};
 use superfe_nic::{
-    cycles_from_cost, resources as nic_resources, solve_placement, CycleModel, NfpModel, OptFlags,
+    cycles_from_cost, estimate, resources as nic_resources, solve_placement, NfpModel, OptFlags,
+    RecordWork,
 };
 use superfe_policy::analyze::cost::policy_cost;
 use superfe_policy::analyze::json_escape;
@@ -1500,8 +1501,8 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             for (name, mem) in &placement.assignment {
                 writeln!(out, "  {name:<40} → {}", mem.name()).expect("write");
             }
-            let model = CycleModel::new(&compiled.nic, &placement, nfp.clone());
-            let e = model.estimate(OptFlags::all_on());
+            let work = RecordWork::from(&policy_cost(&p));
+            let e = estimate(work, Some(&placement), &nfp, OptFlags::all_on());
             writeln!(
                 out,
                 "cycle model: {:.0} cycles/record → {:.1} Gbps at 120 cores (1246 B packets)",

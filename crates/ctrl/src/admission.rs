@@ -17,8 +17,7 @@
 
 use superfe_core::analyze::AnalyzeConfig;
 use superfe_nic::resources::{model_many, NicResources};
-use superfe_nic::{cycles_from_cost, MemLevel, NfpModel, OptFlags};
-use superfe_policy::analyze::cost::{LevelCost, PolicyCost};
+use superfe_nic::{estimate, MemLevel, NfpModel, OptFlags, RecordWork};
 use superfe_policy::analyze::{codes, Diagnostic, Severity};
 use superfe_policy::CompiledPolicy;
 use superfe_switch::resources::{compose, model, SwitchResources};
@@ -77,26 +76,18 @@ pub struct InferenceDemand {
     pub certified: bool,
 }
 
-/// Prices a quantized model's per-vector ALU work through the same
-/// `cycles_from_cost` lower-bound model `superfe explain` uses for
-/// extraction: one synthetic level carrying the model's integer ops and a
-/// single state access (the finalized vector read), no divisions.
+/// Prices a quantized model's per-vector ALU work through the NIC cycle
+/// formula `superfe explain` uses for extraction: the model's integer ops
+/// and a single state access (the finalized vector read, assumed CTM), no
+/// divisions.
 fn inference_cycles(alu_ops: u64, nfp: &NfpModel) -> f64 {
-    let cost = PolicyCost {
-        filter_entries: 0,
-        levels: vec![LevelCost {
-            granularity: superfe_net::Granularity::Flow,
-            maps: 0,
-            reduce_funcs: 1,
-            alu_ops: alu_ops as usize,
-            divisions: 0,
-            accesses: 1,
-            touched_bytes: 0,
-            resident_bytes: 0,
-            feature_dim: 0,
-        }],
+    let work = RecordWork {
+        levels: 1,
+        alu_ops: alu_ops as usize,
+        divisions: 0,
+        accesses: 1,
     };
-    cycles_from_cost(&cost, nfp, OptFlags::all_on()).cycles_per_record
+    estimate(work, None, nfp, OptFlags::all_on()).cycles_per_record
 }
 
 /// Live per-unit group populations observed on the NIC data path, fed back

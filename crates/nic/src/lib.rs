@@ -53,7 +53,7 @@ pub use feasibility::{check_capacity, check_nic};
 pub use inference::{
     canonicalize, inline_alert_fingerprint, InlineAlert, InlineInference, InlineStats,
 };
-pub use perf::{cycles_from_cost, CycleModel, OptFlags, PerfEstimate};
+pub use perf::{cycles_from_cost, estimate, OptFlags, PerfEstimate, RecordWork};
 pub use placement::{solve_placement, Placement};
 pub use pool::{ShardPool, ShardUnitState, UnitPressure, UnitStateDump};
 pub use resources::{model_many, NicResources};

@@ -1,4 +1,4 @@
-//! The FE-NIC cycle model (§6.2, basis of Figs. 16 and 17).
+//! The FE-NIC cycle model (§6.2, basis of Figs. 9, 16 and 17).
 //!
 //! NFP cores are in-order RISC engines; throughput is determined by the
 //! cycles spent per metadata record. The model decomposes that cost into
@@ -11,11 +11,21 @@
 //!    2-cycle context switches.
 //! 3. **Division elimination**: the compare trick replaces ~1500-cycle soft
 //!    divisions with a handful of ALU ops.
+//!
+//! This module owns the *hardware* half of the NIC cost model: the
+//! per-record constants, the [`NfpModel`] fields and the one cycle formula,
+//! [`estimate`]. What a policy asks of a core — ALU ops, divisions and state
+//! accesses per function — is priced once, in
+//! [`superfe_policy::analyze::cost`], and arrives here as a [`RecordWork`].
+//! Every cycle figure in the tree (`superfe explain` and `compile`, the
+//! SF0903 admission note, Figs. 9/16/17, the ledger's
+//! `nic.model_cycles_per_record`) is that table through this formula; a
+//! state [`Placement`] is the only thing that can differ between two of
+//! them.
 
-use superfe_policy::analyze::cost::{map_fn_cost, reduce_fn_cost};
-use superfe_policy::NicProgram;
+use superfe_policy::analyze::cost::PolicyCost;
 
-use crate::arch::NfpModel;
+use crate::arch::{MemLevel, NfpModel};
 use crate::placement::Placement;
 
 /// Optimization toggles (§6.2).
@@ -83,142 +93,70 @@ mod cost {
     pub const DIV_ELIMINATED: f64 = 6.0;
 }
 
-/// The assembled cycle model for one deployed NIC program.
-#[derive(Clone, Debug)]
-pub struct CycleModel {
-    model: NfpModel,
-    levels: usize,
-    map_cycles: f64,
-    reduce_cycles: f64,
-    divs_per_record: f64,
-    memory_cycles: f64,
-    mem_accesses: f64,
+/// What one record asks of a core, as the formula reads it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RecordWork {
+    /// Group keys hashed (one per granularity level).
+    pub levels: usize,
+    /// ALU ops of the map and reduce updates.
+    pub alu_ops: usize,
+    /// Divisions on the naive path.
+    pub divisions: usize,
+    /// State accesses.
+    pub accesses: usize,
 }
 
-impl CycleModel {
-    /// Builds the model from a compiled program and its state placement.
-    pub fn new(program: &NicProgram, placement: &Placement, model: NfpModel) -> Self {
-        let mut map_cycles = 0.0;
-        let mut reduce_cycles = 0.0;
-        let mut divs = 0.0;
-        let mut mem_accesses = 0.0;
-        for level in &program.levels {
-            map_cycles += level
-                .maps
-                .iter()
-                .map(|m| map_fn_cost(m.func).alu_ops as f64)
-                .sum::<f64>();
-            mem_accesses += level
-                .maps
-                .iter()
-                .filter(|m| m.func.state_bytes() > 0)
-                .count() as f64;
-            for r in &level.reduces {
-                // The generated Micro-C normalizes one reduce op's state
-                // block with a shared division pass, so we charge one
-                // (expensive) division per dividing op per record, not one
-                // per statistic.
-                if r.funcs
-                    .iter()
-                    .any(superfe_policy::ReduceFn::divides_per_update)
-                {
-                    divs += 1.0;
-                }
-                for f in &r.funcs {
-                    reduce_cycles += reduce_fn_cost(f).alu_ops as f64;
-                    mem_accesses += 1.0;
-                }
-            }
+impl From<&PolicyCost> for RecordWork {
+    fn from(cost: &PolicyCost) -> Self {
+        RecordWork {
+            levels: cost.levels.len(),
+            alu_ops: cost.total_alu_ops(),
+            divisions: cost.total_divisions(),
+            accesses: cost.total_accesses(),
         }
-        CycleModel {
-            model,
-            levels: program.levels.len().max(1),
-            map_cycles,
-            reduce_cycles,
-            divs_per_record: divs,
-            memory_cycles: placement.total_cost,
-            mem_accesses: mem_accesses.max(1.0),
-        }
-    }
-
-    /// The hardware model in use.
-    pub fn hardware(&self) -> &NfpModel {
-        &self.model
-    }
-
-    /// Estimates per-record cycles under the given optimization flags.
-    pub fn estimate(&self, flags: OptFlags) -> PerfEstimate {
-        let hash = if flags.reuse_hash {
-            0.0
-        } else {
-            cost::HASH * self.levels as f64
-        };
-        let div = if flags.div_elim {
-            cost::DIV_ELIMINATED * self.divs_per_record
-        } else {
-            self.model.soft_div_cycles as f64 * self.divs_per_record
-        };
-        let compute = cost::DISPATCH + hash + div + self.map_cycles + self.reduce_cycles;
-        let memory = self.memory_cycles;
-        let cycles = if flags.threading {
-            // Threads overlap memory stalls; each access costs two context
-            // switches, and the residual latency is divided across threads.
-            let switch_overhead = 2.0 * self.model.ctx_switch_cycles as f64 * self.mem_accesses;
-            compute + switch_overhead + memory / self.model.threads_per_core as f64
-        } else {
-            compute + memory
-        };
-        PerfEstimate {
-            cycles_per_record: cycles,
-            compute_cycles: compute,
-            memory_cycles: memory,
-        }
-    }
-
-    /// Convenience: throughput in Gbps for `cores` cores, all-on flags.
-    pub fn gbps(&self, cores: usize, avg_pkt_bytes: f64) -> f64 {
-        self.estimate(OptFlags::all_on())
-            .gbps(cores, &self.model, avg_pkt_bytes)
     }
 }
 
-/// Per-record cycle estimate straight from the policy-level static cost
-/// model, before compilation or state placement. `superfe explain` uses this
-/// to turn the abstract `SF06xx` op counts into a concrete throughput figure
-/// without deploying anything; the full [`CycleModel`] (which knows the real
-/// placement) supersedes it once a program exists.
+/// Latency assumed for a state access before any placement exists: the
+/// on-island CTM, or a model's slowest on-chip level when it lists no CTM
+/// (`memories` is listed fastest first).
+fn assumed_latency(nfp: &NfpModel) -> f64 {
+    nfp.memory(MemLevel::Ctm)
+        .or_else(|| nfp.memories.iter().rfind(|m| m.level != MemLevel::Dram))
+        .map_or(0.0, |m| m.latency_cycles as f64)
+}
+
+/// The cycle formula: per-record cycles of `work` on one core of `nfp`.
 ///
-/// Memory accesses are assumed to land in on-island CTM — the optimistic end
-/// of the placement spectrum — so this is a lower bound on real cycles.
-pub fn cycles_from_cost(
-    cost: &superfe_policy::analyze::cost::PolicyCost,
-    model: &NfpModel,
+/// Memory latency is the solved `placement`'s `Σ t_s · l_m` when one is
+/// given and *assumed CTM* for every access otherwise; the compute term
+/// never depends on it. The assumption is neither bound: a solver that fits
+/// all state in CLS beats it (PeerShark), one that spills to IMEM/DRAM
+/// exceeds it (Kitsune).
+pub fn estimate(
+    work: RecordWork,
+    placement: Option<&Placement>,
+    nfp: &NfpModel,
     flags: OptFlags,
 ) -> PerfEstimate {
-    let levels = cost.levels.len().max(1) as f64;
-    let accesses = (cost.total_accesses() as f64).max(1.0);
+    let accesses = work.accesses.max(1) as f64;
     let hash = if flags.reuse_hash {
         0.0
     } else {
-        cost::HASH * levels
+        cost::HASH * work.levels.max(1) as f64
     };
-    let divs = cost.total_divisions() as f64;
-    let div = if flags.div_elim {
-        cost::DIV_ELIMINATED * divs
+    let per_div = if flags.div_elim {
+        cost::DIV_ELIMINATED
     } else {
-        model.soft_div_cycles as f64 * divs
+        nfp.soft_div_cycles as f64
     };
-    let compute = cost::DISPATCH + hash + div + cost.total_alu_ops() as f64;
-    let ctm_latency = model
-        .memories
-        .iter()
-        .find(|m| m.level == crate::arch::MemLevel::Ctm)
-        .map(|m| m.latency_cycles as f64)
-        .unwrap_or(80.0);
-    let memory = ctm_latency * accesses;
+    let compute = cost::DISPATCH + hash + per_div * work.divisions as f64 + work.alu_ops as f64;
+    let memory = placement.map_or_else(|| assumed_latency(nfp) * accesses, |p| p.total_cost);
     let cycles = if flags.threading {
-        let switch_overhead = 2.0 * model.ctx_switch_cycles as f64 * accesses;
-        compute + switch_overhead + memory / model.threads_per_core as f64
+        // Threads overlap memory stalls; each access costs two context
+        // switches, and the residual latency is divided across threads.
+        let switch_overhead = 2.0 * nfp.ctx_switch_cycles as f64 * accesses;
+        compute + switch_overhead + memory / nfp.threads_per_core as f64
     } else {
         compute + memory
     };
@@ -229,30 +167,34 @@ pub fn cycles_from_cost(
     }
 }
 
+/// [`estimate`] for a policy's static cost before compilation or state
+/// placement (memory is assumed CTM): `superfe explain` and the ledger's
+/// `nic.model_cycles_per_record`.
+pub fn cycles_from_cost(cost: &PolicyCost, model: &NfpModel, flags: OptFlags) -> PerfEstimate {
+    estimate(cost.into(), None, model, flags)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::placement::solve_placement;
+    use superfe_policy::analyze::cost::policy_cost;
+    use superfe_policy::compile;
     use superfe_policy::dsl::parse;
-    use superfe_policy::{compile, CompiledPolicy};
 
-    fn compiled(src: &str) -> CompiledPolicy {
-        compile(&parse(src).unwrap()).unwrap()
-    }
-
-    fn model_for(src: &str) -> CycleModel {
-        let c = compiled(src);
-        let states = c.nic.states();
-        let nfp = NfpModel::nfp4000();
-        let p = solve_placement(&states, &nfp, 1).unwrap();
-        CycleModel::new(&c.nic, &p, nfp)
+    /// The static cost of `src` and the solved placement of its state.
+    fn placed(src: &str) -> (PolicyCost, Placement) {
+        let p = parse(src).unwrap();
+        let states = compile(&p).unwrap().nic.states();
+        let placement = solve_placement(&states, &NfpModel::nfp4000(), 1).unwrap();
+        (policy_cost(&p), placement)
     }
 
     /// Kitsune's shape at a third of its size: three levels, five decay
     /// rates per reduce op (the division is shared per op, so the rates per
     /// op set how much of a record the soft divide is).
-    fn kitsune_like() -> CycleModel {
-        model_for(
+    fn kitsune_like() -> (PolicyCost, Placement) {
+        placed(
             "pktstream\n.groupby(socket)\n\
              .reduce(size, [f_damped{5}, f_damped{3}, f_damped{1}, f_damped{0.1}, f_damped{0.01}])\n\
              .collect(socket)\n.groupby(channel)\n\
@@ -263,11 +205,19 @@ mod tests {
         )
     }
 
+    fn placed_estimate(
+        (cost, placement): &(PolicyCost, Placement),
+        flags: OptFlags,
+    ) -> PerfEstimate {
+        estimate(cost.into(), Some(placement), &NfpModel::nfp4000(), flags)
+    }
+
     #[test]
     fn all_optimizations_give_multiple_x_speedup() {
         let m = kitsune_like();
-        let off = m.estimate(OptFlags::all_off()).cycles_per_record;
-        let on = m.estimate(OptFlags::all_on()).cycles_per_record;
+        let cycles = |flags| placed_estimate(&m, flags).cycles_per_record;
+        let off = cycles(OptFlags::all_off());
+        let on = cycles(OptFlags::all_on());
         let speedup = off / on;
         assert!(
             (2.0..20.0).contains(&speedup),
@@ -275,18 +225,14 @@ mod tests {
         );
         // The paper reports ~4x for Kitsune-class policies; we accept a band
         // but check it is the div elimination that dominates.
-        let div_only = m
-            .estimate(OptFlags {
-                div_elim: true,
-                ..OptFlags::all_off()
-            })
-            .cycles_per_record;
-        let hash_only = m
-            .estimate(OptFlags {
-                reuse_hash: true,
-                ..OptFlags::all_off()
-            })
-            .cycles_per_record;
+        let div_only = cycles(OptFlags {
+            div_elim: true,
+            ..OptFlags::all_off()
+        });
+        let hash_only = cycles(OptFlags {
+            reuse_hash: true,
+            ..OptFlags::all_off()
+        });
         assert!(
             off - div_only > off - hash_only,
             "division elimination must be the largest single win"
@@ -300,31 +246,29 @@ mod tests {
             threading: false,
             ..OptFlags::all_on()
         };
-        let with = m.estimate(OptFlags::all_on());
-        let without = m.estimate(base);
+        let with = placed_estimate(&m, OptFlags::all_on());
+        let without = placed_estimate(&m, base);
         assert!(with.cycles_per_record < without.cycles_per_record);
         assert_eq!(with.memory_cycles, without.memory_cycles);
     }
 
     #[test]
     fn throughput_scales_linearly_with_cores() {
-        let m = kitsune_like();
-        let e = m.estimate(OptFlags::all_on());
-        let one = e.records_per_sec(1, m.hardware());
-        let many = e.records_per_sec(120, m.hardware());
+        let nfp = NfpModel::nfp4000();
+        let e = placed_estimate(&kitsune_like(), OptFlags::all_on());
+        let one = e.records_per_sec(1, &nfp);
+        let many = e.records_per_sec(120, &nfp);
         assert!((many / one - 120.0).abs() < 1e-9);
     }
 
     #[test]
     fn simple_policy_is_cheaper_than_kitsune() {
-        let simple = model_for(
+        let simple = placed(
             "pktstream\n.groupby(flow)\n.map(one, _, f_one)\n.map(d, one, f_direction)\n\
              .reduce(d, [f_array{5000}])\n.collect(flow)",
         );
-        let s = simple.estimate(OptFlags::all_on()).cycles_per_record;
-        let k = kitsune_like()
-            .estimate(OptFlags::all_on())
-            .cycles_per_record;
+        let s = placed_estimate(&simple, OptFlags::all_on()).cycles_per_record;
+        let k = placed_estimate(&kitsune_like(), OptFlags::all_on()).cycles_per_record;
         assert!(s < k, "simple {s} vs kitsune {k}");
     }
 
@@ -332,14 +276,13 @@ mod tests {
     fn multi_100gbps_with_full_nics_on_backbone_traffic() {
         // The headline claim: with batching upstream, 120 cores keep up with
         // multi-100Gbps original traffic for MTU-heavy traces.
-        let m = kitsune_like();
-        let gbps = m.gbps(120, 1246.0);
+        let e = placed_estimate(&kitsune_like(), OptFlags::all_on());
+        let gbps = e.gbps(120, &NfpModel::nfp4000(), 1246.0);
         assert!(gbps > 100.0, "only {gbps} Gbps");
     }
 
     #[test]
     fn cost_model_estimate_tracks_policy_weight() {
-        use superfe_policy::analyze::cost::policy_cost;
         let light = policy_cost(
             &parse("pktstream\n.groupby(flow)\n.reduce(size, [f_mean])\n.collect(flow)").unwrap(),
         );
@@ -368,9 +311,24 @@ mod tests {
 
     #[test]
     fn gbps_accounts_for_packet_size() {
-        let m = kitsune_like();
-        let big = m.gbps(60, 1246.0);
-        let small = m.gbps(60, 135.0);
-        assert!(big > small * 5.0);
+        let nfp = NfpModel::nfp4000();
+        let e = placed_estimate(&kitsune_like(), OptFlags::all_on());
+        assert!(e.gbps(60, &nfp, 1246.0) > e.gbps(60, &nfp, 135.0) * 5.0);
+    }
+
+    #[test]
+    fn a_model_without_ctm_is_charged_its_slowest_on_chip_level() {
+        let full = NfpModel::nfp4000();
+        let work = RecordWork {
+            levels: 1,
+            alu_ops: 4,
+            divisions: 0,
+            accesses: 3,
+        };
+        let memory = |nfp: &NfpModel| estimate(work, None, nfp, OptFlags::all_on()).memory_cycles;
+        assert_eq!(memory(&full), 3.0 * 80.0);
+        let mut no_ctm = full.clone();
+        no_ctm.memories.retain(|m| m.level != MemLevel::Ctm);
+        assert_eq!(memory(&no_ctm), 3.0 * 300.0, "EMEM, never DRAM");
     }
 }

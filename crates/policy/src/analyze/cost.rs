@@ -7,6 +7,12 @@
 //! `superfe explain` renders the full breakdown; the analyzer only speaks up
 //! with note-severity findings when a policy is far enough outside the
 //! comfortable envelope that placement is likely to struggle.
+//!
+//! This module owns the *policy* half of the NIC cost model: the only
+//! per-function price list in the tree (`reduce_fn_cost`, `map_fn_cost`)
+//! and the only walker that totals it per level ([`policy_cost`]). The
+//! hardware half — per-record constants and the cycle formula — is
+//! `superfe_nic::perf`, which reads nothing of a policy but these totals.
 
 use superfe_net::Granularity;
 
@@ -22,26 +28,16 @@ pub const OPS_NOTE_THRESHOLD: usize = 512;
 /// the memory bus may bottleneck.
 pub const STATE_NOTE_THRESHOLD: usize = 4096;
 
-/// One row of the per-function price list: what one application of a
-/// mapping function, or one update of a reducing function, costs the NIC.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FnCost {
-    /// ALU ops (arithmetic only; the per-record dispatch/hash overhead
-    /// lives in the NIC cycle formula).
-    pub alu_ops: usize,
-    /// Whether the update divides on the naive (pre-elimination) path.
-    pub divides: bool,
-    /// State bytes one update touches.
-    pub touched_bytes: usize,
-}
-
-/// The price of one update of a reducing function.
-pub fn reduce_fn_cost(f: &ReduceFn) -> FnCost {
+/// The per-function price list, reduce side: what one update costs the NIC,
+/// as `(ALU ops, divides on the naive path, state bytes touched)`. The ops
+/// are arithmetic only; the per-record dispatch/hash overhead lives in the
+/// NIC cycle formula.
+fn reduce_fn_cost(f: &ReduceFn) -> (usize, bool, usize) {
     // Array/histogram/HLL reducers update a single slot plus a cursor, not
     // their whole resident state.
     const SLOT: usize = 8;
     let state = f.state_bytes();
-    let (alu_ops, divides, touched_bytes) = match f {
+    match f {
         ReduceFn::Sum | ReduceFn::Max | ReduceFn::Min => (1, false, state),
         ReduceFn::Mean | ReduceFn::Var | ReduceFn::Std => (4, true, state),
         ReduceFn::Kur | ReduceFn::Skew => (6, true, state),
@@ -55,26 +51,16 @@ pub fn reduce_fn_cost(f: &ReduceFn) -> FnCost {
         | ReduceFn::Percent { .. } => (3, false, SLOT),
         ReduceFn::Damped { .. } => (6, true, state),
         ReduceFn::Damped2d { .. } => (10, true, state),
-    };
-    FnCost {
-        alu_ops,
-        divides,
-        touched_bytes,
     }
 }
 
-/// The price of one application of a mapping function. A map with no state
-/// (`f_one`, `f_direction`) touches no memory.
-pub fn map_fn_cost(f: MapFn) -> FnCost {
-    let alu_ops = match f {
+/// The price list, map side: ALU ops of one application. A map never
+/// divides and touches all the state it has (`f_one`, `f_direction`: none).
+fn map_fn_cost(f: MapFn) -> usize {
+    match f {
         MapFn::FOne | MapFn::FDirection => 1,
         MapFn::FIpt | MapFn::FBurst => 2,
         MapFn::FSpeed => 3,
-    };
-    FnCost {
-        alu_ops,
-        divides: false,
-        touched_bytes: f.state_bytes(),
     }
 }
 
@@ -118,29 +104,28 @@ impl LevelCost {
     }
 
     fn add_map(&mut self, func: MapFn) {
-        let c = map_fn_cost(func);
         self.maps += 1;
-        self.alu_ops += c.alu_ops;
-        self.accesses += usize::from(c.touched_bytes > 0);
-        self.touched_bytes += c.touched_bytes;
+        self.alu_ops += map_fn_cost(func);
+        self.accesses += usize::from(func.state_bytes() > 0);
+        self.touched_bytes += func.state_bytes();
         self.resident_bytes += func.state_bytes();
     }
 
     fn add_reduce(&mut self, funcs: &[ReduceFn]) {
         self.reduce_funcs += funcs.len();
         self.accesses += funcs.len();
-        let mut divides = false;
+        let mut any_divides = false;
         for f in funcs {
-            let c = reduce_fn_cost(f);
-            self.alu_ops += c.alu_ops;
-            divides |= c.divides;
-            self.touched_bytes += c.touched_bytes;
+            let (alu_ops, divides, touched_bytes) = reduce_fn_cost(f);
+            self.alu_ops += alu_ops;
+            any_divides |= divides;
+            self.touched_bytes += touched_bytes;
             self.resident_bytes += f.state_bytes();
         }
         // The generated Micro-C normalizes one reduce op's state block with
         // a shared division pass: one division per dividing op, not one per
         // statistic.
-        self.divisions += usize::from(divides);
+        self.divisions += usize::from(any_divides);
     }
 }
 
@@ -310,64 +295,44 @@ mod tests {
         let p = dsl::parse(
             "pktstream
              .filter(tcp.exist)
-             .groupby(flow)
+             .groupby(socket)
+             .map(one, _, f_one)
              .map(ipt, tstamp, f_ipt)
              .reduce(size, [f_sum, f_mean])
-             .collect(flow)
+             .collect(socket)
              .reduce(ipt, [f_array{100}])
              .synthesize(ft_sample{10})
-             .collect(flow)",
+             .collect(socket)
+             .groupby(host)
+             .reduce(size, [f_mean, f_var, f_std])
+             .collect(host)",
         )
         .unwrap();
         let c = policy_cost(&p);
         assert_eq!(c.filter_entries, 1);
-        assert_eq!(c.levels.len(), 1);
+        assert_eq!(c.levels.len(), 2);
         let l = &c.levels[0];
-        assert_eq!(l.maps, 1);
+        assert_eq!(l.maps, 2);
         assert_eq!(l.reduce_funcs, 3);
-        // f_ipt (2) + f_sum (1) + f_mean (4) + f_array (2).
-        assert_eq!(l.alu_ops, 9);
+        // f_one (1) + f_ipt (2) + f_sum (1) + f_mean (4) + f_array (2).
+        assert_eq!(l.alu_ops, 10);
         assert_eq!(l.divisions, 1, "only f_mean divides on the naive path");
-        assert_eq!(l.accesses, 4, "f_ipt's state and three reduce functions");
+        assert_eq!(
+            l.accesses, 4,
+            "three reduce functions and f_ipt; f_one has no state"
+        );
         // Synthesize replaced the 100-wide array with 10 samples.
         assert_eq!(l.feature_dim, 2 + 10);
-        assert_eq!(c.feature_dimension(), 12);
-        let text = c.render();
-        assert!(text.contains("level 1 (flow)"));
-        assert!(text.contains("total:"));
-    }
-
-    #[test]
-    fn divisions_count_per_op_and_stateless_maps_touch_no_memory() {
-        let c = policy_cost(
-            &dsl::parse(
-                "pktstream
-                 .groupby(socket)
-                 .map(one, _, f_one)
-                 .map(ipt, tstamp, f_ipt)
-                 .reduce(size, [f_mean, f_var, f_std])
-                 .collect(socket)
-                 .groupby(host)
-                 .reduce(size, [f_sum])
-                 .collect(host)",
-            )
-            .unwrap(),
-        );
-        let socket = &c.levels[0];
-        assert_eq!(socket.divisions, 1, "three dividing functions, one op");
-        assert_eq!(
-            (socket.maps, socket.accesses),
-            (2, 4),
-            "f_one adds no access"
-        );
-        // The host level re-runs both maps on its own per-group state, as
-        // the compiled `LevelProgram` does.
+        // The host level re-runs both maps on per-group state of its own,
+        // and its three dividing functions share one op's division.
         let host = &c.levels[1];
-        assert_eq!((host.maps, host.reduce_funcs, host.accesses), (2, 1, 2));
-        assert_eq!(host.alu_ops, 1 + 2 + 1);
-        assert_eq!(host.resident_bytes, 8 + 4);
-        assert_eq!(c.total_divisions(), 1);
-        assert_eq!(c.total_accesses(), 6);
+        assert_eq!((host.maps, host.reduce_funcs, host.accesses), (2, 3, 4));
+        assert_eq!(host.alu_ops, 1 + 2 + 3 * 4);
+        assert_eq!(host.divisions, 1, "one division per dividing op");
+        assert_eq!(c.feature_dimension(), 12 + 3);
+        let text = c.render();
+        assert!(text.contains("level 1 (socket)"));
+        assert!(text.contains("total:"));
     }
 
     #[test]

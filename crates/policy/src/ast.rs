@@ -360,25 +360,6 @@ impl ReduceFn {
             ReduceFn::Damped2d { .. } => 40,
         }
     }
-
-    /// Whether this function's update involves a division on the naive path
-    /// (used by the division-elimination cycle model).
-    pub fn divides_per_update(&self) -> bool {
-        matches!(
-            self,
-            ReduceFn::Mean
-                | ReduceFn::Var
-                | ReduceFn::Std
-                | ReduceFn::Kur
-                | ReduceFn::Skew
-                | ReduceFn::Mag
-                | ReduceFn::Radius
-                | ReduceFn::Cov
-                | ReduceFn::Pcc
-                | ReduceFn::Damped { .. }
-                | ReduceFn::Damped2d { .. }
-        )
-    }
 }
 
 /// Synthesizing functions (`synthesize(sf)`, Table 5), post-processing the

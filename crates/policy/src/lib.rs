@@ -32,8 +32,6 @@
 //!   dead-field elimination).
 //! - [`exec`]: the shared `map`/`reduce`/`synthesize` execution semantics
 //!   used by both the SmartNIC engine and the software baseline.
-//! - [`graph`]: the §9 extension — decomposing granularity dependency
-//!   *graphs* into a minimum number of chains (one MGPV instance each).
 //! - [`mod@compile`]: the policy enforcement engine, splitting a policy into a
 //!   [`compile::SwitchProgram`] (`groupby` + `filter`, deployed on the
 //!   switch) and a [`compile::NicProgram`] (`map`/`reduce`/`synthesize`/
@@ -47,7 +45,6 @@ pub mod compile;
 pub mod dsl;
 pub mod error;
 pub mod exec;
-pub mod graph;
 pub mod ir;
 pub mod validate;
 

@@ -15,15 +15,12 @@
 //!   eviction, and recirculation-driven aging probes (§5.1–5.2).
 //! - [`gpv`]: the single-granularity GPV baseline (\*Flow), which replicates
 //!   the cache per granularity — the Fig. 13 comparison.
-//! - [`balance`]: the §8.5 multi-NIC load balancer (per-group routing with
-//!   FG-update broadcast).
 //! - [`resources`]: a static resource model (match tables, stateful ALUs,
 //!   SRAM) of the generated P4 program against Tofino budgets (Table 4).
 //! - [`feasibility`]: the `SF03xx` diagnostics of `superfe check`, mapping
 //!   the resource model onto pass/warn/fail findings with utilization
 //!   percentages.
 
-pub mod balance;
 pub mod feasibility;
 pub mod gpv;
 pub mod mgpv;
@@ -32,7 +29,6 @@ pub mod record;
 pub mod resources;
 pub mod tenant;
 
-pub use balance::NicLoadBalancer;
 pub use feasibility::{check_switch, check_switch_resources};
 pub use gpv::GpvBank;
 pub use mgpv::{CgEvictPolicy, MgpvCache, MgpvConfig, MgpvStats};

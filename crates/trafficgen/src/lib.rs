@@ -18,8 +18,6 @@
 //! - [`dist`]: the underlying samplers (log-normal, Pareto, exponential),
 //!   implemented locally so the dependency set stays on the approved list.
 //! - [`io`]: a compact binary trace format (save/replay, the pcap stand-in).
-//! - [`replay`]: trace amplification and rate assignment, standing in for
-//!   MoonGen replay plus switch-based packet replication.
 //!
 //! All generators are deterministic given a seed.
 
@@ -28,7 +26,6 @@ pub mod covert;
 pub mod dist;
 pub mod intrusion;
 pub mod io;
-pub mod replay;
 pub mod scale;
 pub mod wf;
 pub mod workload;

@@ -6,7 +6,7 @@
 use superfe::net::{Direction, PacketRecord};
 use superfe::nic::{EgressVector, FeNic, NicError, ShardPool, VectorSink};
 use superfe::policy::{compile, dsl, CompiledPolicy};
-use superfe::switch::{FeSwitch, MgpvRecord, NicLoadBalancer, SwitchEvent, TaggedEvent, TenantId};
+use superfe::switch::{FeSwitch, MgpvRecord, SwitchEvent, TaggedEvent, TenantId};
 use superfe::trafficgen::Workload;
 
 fn multi_level_policy() -> CompiledPolicy {
@@ -155,8 +155,9 @@ fn malformed_frames_do_not_corrupt_switch_state() {
     assert_eq!(sw.cache_stats().resident_records, 2);
 }
 
-/// Splitting the stream across NICs with the load balancer and merging the
-/// outputs gives exactly the monolithic result.
+/// Splitting the stream by CG key across the three shards of a `ShardPool`
+/// (a worker count no differential covers) and merging the outputs gives
+/// exactly the monolithic result.
 #[test]
 fn load_balanced_nics_match_single_nic() {
     let c = multi_level_policy();
@@ -175,17 +176,18 @@ fn load_balanced_nics_match_single_nic() {
     }
     let mut expected = single.finish();
 
-    // Balanced across 3 NICs.
-    let mut lb = NicLoadBalancer::new(3);
-    let streams = lb.demux(&events);
-    let mut merged = Vec::new();
-    for stream in streams {
-        let mut nic = FeNic::new(&c, 16_384).expect("engine");
-        for e in stream {
-            nic.handle(e);
-        }
-        merged.extend(nic.finish());
-    }
+    // Routed across 3 shards.
+    let tenant = TenantId(0);
+    let mut pool = ShardPool::new(3);
+    pool.attach(tenant, &c, 16_384, None).expect("engine");
+    pool.push_all(
+        events
+            .into_iter()
+            .map(|event| TaggedEvent { tenant, event }),
+    )
+    .expect("workers alive");
+    let (_, out) = pool.finish().expect("workers alive").remove(0);
+    let mut merged = out.group_vectors;
 
     let key = |v: &superfe::nic::FeatureVector| format!("{:?}", v.key);
     expected.sort_by_key(key);
