@@ -7,7 +7,8 @@
 //! map/reduce update through its `LevelPlan` plus finalization, and
 //! `FeNic::handle` over a real switch's events — every packet in one socket
 //! (`kitsune_steady`: update and finalize only) against every packet opening
-//! a socket and a channel (`kitsune_churn`: two group creations on top).
+//! a socket and a channel (`kitsune_churn`: two group creations on top), and
+//! the benchmark's Mirai trace with `finish` and teardown (`kitsune_mirai`).
 //! `kitnet_score` is the scorer alone — the Q39.24 plan and the float model
 //! it was lowered from — on a model of Kitsune's width with flat training
 //! dimensions, which is what constant folding acts on.
@@ -22,6 +23,7 @@ use superfe_policy::exec::{GroupExec, LevelPlan, RecordView};
 use superfe_policy::{compile, dsl};
 use superfe_streaming::DecayMemo;
 use superfe_switch::{FeSwitch, MgpvCache, MgpvConfig, SwitchEvent};
+use superfe_trafficgen::intrusion::{self, IntrusionConfig, Scenario};
 use superfe_trafficgen::Workload;
 
 const PACKETS: usize = 20_000;
@@ -149,6 +151,41 @@ fn bench_nic_reduce(c: &mut Criterion) {
             .map(|i| packet(i, i as u16, 2 + i as u32))
             .collect(),
     );
+
+    // The `kitsune_extract` input: 60k benign and 30k Mirai packets, which
+    // open ~49k groups. Group creation, cold state, `finish` and tearing the
+    // engine down are all timed, as a repetition of that workload times them.
+    let mirai = intrusion::generate(&IntrusionConfig {
+        scenario: Scenario::Mirai,
+        benign_packets: 60_000,
+        attack_packets: 30_000,
+        seed: 4,
+    })
+    .trace()
+    .records;
+    let mut sw = FeSwitch::new(kitsune.switch.clone()).expect("switch");
+    let mut events = Vec::new();
+    for p in &mirai {
+        sw.process_into(p, &mut events);
+    }
+    sw.flush_into(&mut events);
+    g.throughput(Throughput::Elements(mirai.len() as u64));
+    g.bench_function("kitsune_mirai", |b| {
+        b.iter_batched(
+            || FeNic::new(&kitsune, MgpvConfig::default().fg_table_size).expect("engine"),
+            |mut nic| {
+                let mut vectors = 0;
+                for frame in events.chunks(256) {
+                    nic.handle_all(frame);
+                    vectors += black_box(nic.take_packet_vectors()).len();
+                }
+                black_box(nic.finish());
+                drop(nic);
+                assert_eq!(vectors, mirai.len());
+            },
+            BatchSize::SmallInput,
+        );
+    });
     g.finish();
 }
 

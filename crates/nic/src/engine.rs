@@ -159,10 +159,12 @@ pub struct FeNic {
     levels: Vec<LevelState>,
     fg_mirror: Vec<Option<GroupKey>>,
     per_pkt: bool,
+    /// Values of a per-packet vector: every level's features.
+    pkt_width: usize,
     pkt_vectors: Vec<FeatureVector>,
-    /// Reused feature scratch: a record's `collect(pkt)` block, or one
-    /// budget-evicted group's.
-    pkt_scratch: Vec<f64>,
+    /// Reused feature scratch for vectors that fit inline: a record's
+    /// `collect(pkt)` block, or one budget-evicted group's.
+    scratch: Vec<f64>,
     /// Decay factors of the record in hand, shared by its levels.
     memo: DecayMemo,
     /// Groups evicted by the DRAM budget, finalized and awaiting drain.
@@ -223,8 +225,9 @@ impl FeNic {
             levels,
             fg_mirror: vec![None; fg_size],
             per_pkt,
+            pkt_width: compiled.nic.feature_dimension(),
             pkt_vectors: Vec::new(),
-            pkt_scratch: Vec::new(),
+            scratch: Vec::new(),
             memo: DecayMemo::new(),
             evicted: Vec::new(),
             evict_scratch: Vec::new(),
@@ -300,9 +303,14 @@ impl FeNic {
             };
 
             let mut emit_pkt_vector = self.per_pkt;
-            // Reuse one scratch buffer across records; the emitted vector
-            // copies out of it (inline, for short feature blocks).
-            let mut pkt_values = std::mem::take(&mut self.pkt_scratch);
+            // A wide vector is finalized straight into the buffer it is
+            // emitted in; a short one into the reused scratch, then inline.
+            let wide = self.per_pkt && self.pkt_width > FeatureValues::INLINE_CAP;
+            let mut pkt_values = if wide {
+                Vec::with_capacity(self.pkt_width)
+            } else {
+                std::mem::take(&mut self.scratch)
+            };
             pkt_values.clear();
             let mut pkt_key: Option<GroupKey> = None;
             self.memo.clear();
@@ -352,32 +360,36 @@ impl FeNic {
                 }
                 for (ekey, eexec) in self.evict_scratch.drain(..) {
                     self.stats.evicted_groups += 1;
-                    // Finalized behind the record's own block in the reused
-                    // scratch, copied out, and cut off again.
-                    let own = pkt_values.len();
-                    pkt_values.reserve(plan.feature_len());
-                    eexec.finalize_into(plan, &mut pkt_values);
+                    // Finalized behind the record's own block when that is
+                    // in the scratch.
+                    let (scratch, keep) = if wide {
+                        (&mut self.scratch, 0)
+                    } else {
+                        let own = pkt_values.len();
+                        (&mut pkt_values, own)
+                    };
+                    let values = group_values(&eexec, plan, scratch, keep);
                     self.evicted.push(EvictedVector {
                         level: g,
-                        vector: FeatureVector {
-                            key: ekey,
-                            values: pkt_values[own..].into(),
-                        },
+                        vector: FeatureVector { key: ekey, values },
                     });
-                    pkt_values.truncate(own);
                 }
             }
 
             if emit_pkt_vector {
                 if let Some(key) = fg_key.or(pkt_key) {
                     self.stats.vectors += 1;
-                    self.pkt_vectors.push(FeatureVector {
-                        key,
-                        values: pkt_values.as_slice().into(),
-                    });
+                    let values = if wide {
+                        std::mem::take(&mut pkt_values).into()
+                    } else {
+                        pkt_values.as_slice().into()
+                    };
+                    self.pkt_vectors.push(FeatureVector { key, values });
                 }
             }
-            self.pkt_scratch = pkt_values;
+            if !wide {
+                self.scratch = pkt_values;
+            }
         }
     }
 
@@ -395,15 +407,12 @@ impl FeNic {
     /// group, in policy order.
     pub fn finish(&mut self) -> Vec<FeatureVector> {
         let mut out = Vec::new();
-        let mut scratch = Vec::new();
         for level in &self.levels {
             if let Some(CollectUnit::Group(_)) = level.program.collect {
                 for (key, exec) in level.table.iter() {
-                    scratch.clear();
-                    exec.finalize_into(&level.plan, &mut scratch);
                     out.push(FeatureVector {
                         key: *key,
-                        values: scratch.as_slice().into(),
+                        values: group_values(exec, &level.plan, &mut self.scratch, 0),
                     });
                 }
             }
@@ -486,6 +495,27 @@ impl FeNic {
         self.stats = NicStats::load_state(r)?;
         Some(())
     }
+}
+
+/// One group's feature vector. A wide one is finalized straight into a
+/// buffer of its own; one that fits inline goes through `scratch` past its
+/// first `keep` values, which are left as they were.
+fn group_values(
+    exec: &GroupExec,
+    plan: &LevelPlan,
+    scratch: &mut Vec<f64>,
+    keep: usize,
+) -> FeatureValues {
+    if plan.feature_len() > FeatureValues::INLINE_CAP {
+        let mut values = Vec::with_capacity(plan.feature_len());
+        exec.finalize_into(plan, &mut values);
+        return values.into();
+    }
+    scratch.truncate(keep);
+    exec.finalize_into(plan, scratch);
+    let values = scratch[keep..].into();
+    scratch.truncate(keep);
+    values
 }
 
 #[cfg(test)]
@@ -638,6 +668,55 @@ mod tests {
             groups[0].values,
             vec![1.0, 1.0, -1.0, 1.0, -1.0, 0.0, 0.0, 0.0]
         );
+    }
+
+    #[test]
+    fn evicted_groups_keep_their_width_beside_a_wide_packet_vector() {
+        // Three socket features and six host features: a per-packet vector
+        // too wide to sit inline, of levels that each fit.
+        let c = compiled(
+            "pktstream\n.groupby(socket)\n.reduce(size, [f_sum, f_max, f_min])\n.collect(pkt)\n\
+             .groupby(host)\n.reduce(size, [f_sum, f_mean, f_max, f_min, f_var, f_std])\n\
+             .collect(pkt)",
+        );
+        // Enough hosts to spill past the fast table and evict under a cap.
+        let pkts: Vec<PacketRecord> = (0..TABLE_BUCKETS as u32 * TABLE_WIDTH as u32 + 2_000)
+            .map(|i| {
+                PacketRecord::tcp(
+                    u64::from(i) * 1_000,
+                    100 + (i % 7) as u16,
+                    i + 1,
+                    1000,
+                    2,
+                    80,
+                )
+            })
+            .collect();
+        let mut sw = FeSwitch::new(c.switch.clone()).unwrap();
+        let budget = TableBudget::capped(100, crate::table::EvictionPolicy::EvictOldest);
+        let mut nic = FeNic::with_budget(&c, 16_384, budget).unwrap();
+        for p in &pkts {
+            for e in sw.process(p) {
+                nic.handle(&e);
+            }
+        }
+        for e in sw.flush() {
+            nic.handle(&e);
+        }
+        let evicted = nic.take_evicted();
+        let hosts: Vec<_> = evicted
+            .iter()
+            .filter(|e| e.level == Granularity::Host)
+            .collect();
+        assert!(!hosts.is_empty() && evicted.len() > hosts.len());
+        for e in &evicted {
+            let f = &e.vector.values;
+            match e.level {
+                Granularity::Socket => assert_eq!(f.len(), 3, "{e:?}"),
+                // One packet per host: sum, mean, max and min are its size.
+                _ => assert_eq!(f.as_slice(), &[f[0], f[0], f[0], f[0], 0.0, 0.0], "{e:?}"),
+            }
+        }
     }
 
     #[test]

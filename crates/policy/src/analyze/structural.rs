@@ -192,7 +192,82 @@ pub fn check(policy: &Policy) -> Vec<Diagnostic> {
             .at_op(i),
         );
     }
+    out.extend(vector_widths(policy));
     out
+}
+
+/// Values one emitted feature vector may hold: a vector's snapshot stores
+/// its length as a `u16`. Bounding every vector by it — and `ft_percent`'s
+/// bins, which are state but not output — also bounds every reducer's state.
+pub const MAX_VECTOR_VALUES: usize = u16::MAX as usize;
+
+/// `SF0113` for a vector the policy would emit wider than
+/// [`MAX_VECTOR_VALUES`], named at the narrowest scope that overflows: a
+/// reduce's feature block (before and after each `synthesize`), else a
+/// level's group vector, else the per-packet vector, which holds every
+/// level's features.
+fn vector_widths(policy: &Policy) -> Vec<Diagnostic> {
+    let too_wide = |what: String, values: usize| {
+        (values > MAX_VECTOR_VALUES).then(|| {
+            Diagnostic::error(
+                codes::BAD_PARAMETERS,
+                format!("{what} emits {values} values; a vector holds at most {MAX_VECTOR_VALUES}"),
+            )
+        })
+    };
+    let mut out = Vec::new();
+    // Each level's reduce blocks, as synthesized so far.
+    let mut levels: Vec<(Granularity, Vec<usize>)> = Vec::new();
+    let mut per_pkt = false;
+    for (i, op) in policy.ops.iter().enumerate() {
+        let (what, width) = match op {
+            Operator::GroupBy(g) => {
+                levels.push((*g, Vec::new()));
+                continue;
+            }
+            Operator::Reduce { funcs, .. } => {
+                let block = saturating_sum(funcs.iter().map(ReduceFn::feature_len));
+                if let Some((_, blocks)) = levels.last_mut() {
+                    blocks.push(block);
+                }
+                ("reduce", block)
+            }
+            Operator::Synthesize(sf) => {
+                let Some(block) = levels.last_mut().and_then(|(_, b)| b.last_mut()) else {
+                    continue;
+                };
+                *block = sf.output_len(*block);
+                ("synthesize", *block)
+            }
+            Operator::Collect(u) => {
+                per_pkt |= *u == CollectUnit::Pkt;
+                continue;
+            }
+            Operator::Filter(_) | Operator::Map { .. } => continue,
+        };
+        out.extend(too_wide(format!("{what} at operator {i}"), width).map(|d| d.at_op(i)));
+    }
+    if !out.is_empty() {
+        return out;
+    }
+    let widths: Vec<usize> = levels
+        .iter()
+        .map(|(_, blocks)| saturating_sum(blocks.iter().copied()))
+        .collect();
+    for ((g, _), width) in levels.iter().zip(&widths) {
+        out.extend(too_wide(format!("a groupby({}) group", g.name()), *width));
+    }
+    if out.is_empty() && per_pkt {
+        out.extend(too_wide(
+            "a per-packet record".into(),
+            saturating_sum(widths),
+        ));
+    }
+    out
+}
+
+fn saturating_sum(values: impl IntoIterator<Item = usize>) -> usize {
+    values.into_iter().fold(0, usize::saturating_add)
 }
 
 fn check_field(
@@ -245,8 +320,12 @@ fn reduce_param_problem(f: &ReduceFn) -> Option<String> {
                 "ft_histlog with unit {unit}, base {base}, {bins} bins"
             ))
         }
+        // One value out, but a histogram of `bins` inside.
         ReduceFn::Percent { width, bins, q }
-            if *width <= 0.0 || *bins == 0 || !(0.0..=100.0).contains(q) =>
+            if *width <= 0.0
+                || *bins == 0
+                || *bins > MAX_VECTOR_VALUES
+                || !(0.0..=100.0).contains(q) =>
         {
             Some(format!("ft_percent with width {width}, {bins} bins, q {q}"))
         }
@@ -412,6 +491,62 @@ mod tests {
                 .build_unchecked();
             assert!(codes_of(&p).contains(&codes::BAD_PARAMETERS), "{p:?}");
         }
+    }
+
+    #[test]
+    fn sf0113_vectors_wider_than_a_snapshot_holds() {
+        let fits = || ReduceFn::Array {
+            cap: MAX_VECTOR_VALUES,
+        };
+        let wide_block = pktstream()
+            .groupby(Granularity::Flow)
+            .reduce("size", vec![fits(), ReduceFn::Sum])
+            .collect_group(Granularity::Flow)
+            .build_unchecked();
+        let wide_group = pktstream()
+            .groupby(Granularity::Flow)
+            .reduce("size", vec![fits()])
+            .reduce("size", vec![ReduceFn::Sum])
+            .collect_group(Granularity::Flow)
+            .build_unchecked();
+        let wide_record = pktstream()
+            .groupby(Granularity::Socket)
+            .reduce("size", vec![fits()])
+            .collect_pkt()
+            .groupby(Granularity::Host)
+            .reduce("size", vec![ReduceFn::Sum])
+            .collect_pkt()
+            .build_unchecked();
+        let wide_sample = pktstream()
+            .groupby(Granularity::Flow)
+            .reduce("size", vec![ReduceFn::Sum])
+            .synthesize(SynthFn::Sample {
+                n: MAX_VECTOR_VALUES + 1,
+            })
+            .collect_group(Granularity::Flow)
+            .build_unchecked();
+        let wide_state = pktstream()
+            .groupby(Granularity::Flow)
+            .reduce(
+                "size",
+                vec![ReduceFn::Percent {
+                    width: 1.0,
+                    bins: usize::MAX,
+                    q: 50.0,
+                }],
+            )
+            .collect_group(Granularity::Flow)
+            .build_unchecked();
+        for p in [wide_block, wide_group, wide_record, wide_sample, wide_state] {
+            assert_eq!(codes_of(&p), vec![codes::BAD_PARAMETERS], "{p:?}");
+        }
+        // The widest vector a snapshot holds is fine.
+        let widest = pktstream()
+            .groupby(Granularity::Flow)
+            .reduce("size", vec![fits()])
+            .collect_pkt()
+            .build_unchecked();
+        assert!(check(&widest).is_empty());
     }
 
     #[test]

@@ -14,8 +14,8 @@ use std::ops::Range;
 
 use superfe_net::snap::{StateReader, StateWriter};
 use superfe_streaming::{
-    markers, normalize, sample_evenly, DampedPair, DampedStat, DecayMemo, Histogram, HyperLogLog,
-    MinMax, Moments, Reducer, SeqArray, Sum, Welford,
+    markers, normalize, sample_evenly, BidirOut, DampedBank, DampedPair, DampedStat, DecayMemo,
+    Histogram, HyperLogLog, MinMax, Moments, PairBank, Reducer, SeqArray, Sum, Welford,
 };
 
 use crate::ast::{Field, MapFn, ReduceFn, SynthFn};
@@ -36,13 +36,16 @@ pub struct RecordView {
     pub tcp_flags: u8,
 }
 
-/// Snapshot tag of [`ReducerInstance::Damped`], which a [`GroupExec`] writes
-/// itself for the reducers it keeps in its damped lane.
+/// Snapshot tag of an `f_damped` window's record: a [`DampedStat`].
 const TAG_DAMPED: u8 = 7;
+/// Snapshot tag of a 2-D window's record (`f_damped2d`, `f_mag`, `f_radius`,
+/// `f_cov`, `f_pcc`): a [`DampedPair`].
+const TAG_PAIR: u8 = 8;
 
-/// One instantiated reducing function.
+/// The state of one reducing function outside the damped family, whose
+/// windows a [`LevelPlan`] keeps in banks.
 #[derive(Clone, Debug)]
-pub enum ReducerInstance {
+enum ReducerInstance {
     /// `f_sum`.
     Sum(Sum),
     /// `f_mean` / `f_var` / `f_std` (select one output).
@@ -57,10 +60,6 @@ pub enum ReducerInstance {
     Array(SeqArray),
     /// `ft_hist` / `f_pdf` / `f_cdf` / `ft_percent`.
     Hist(Histogram, HistOut),
-    /// `f_damped`.
-    Damped(DampedStat),
-    /// `f_mag`/`f_radius`/`f_cov`/`f_pcc` (λ=0) and `f_damped2d`.
-    Bidir(DampedPair, BidirOut),
 }
 
 /// Which Welford output a single-feature function emits.
@@ -105,25 +104,20 @@ pub enum HistOut {
     Percentile(f64),
 }
 
-/// Which bidirectional features to emit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BidirOut {
-    /// `f_mag`.
-    Mag,
-    /// `f_radius`.
-    Radius,
-    /// `f_cov`.
-    Cov,
-    /// `f_pcc`.
-    Pcc,
-    /// All four (`f_damped2d`).
-    Quad,
+/// Where one reducing function's state lives in a group.
+enum Lane {
+    /// An `f_damped{λ}` window of a 1-D bank.
+    Damped(f64),
+    /// A 2-D window of a pair bank: its λ and its outputs.
+    Pair(f64, BidirOut),
+    /// Every other function, in the general lane.
+    General(ReducerInstance),
 }
 
-impl ReducerInstance {
+impl Lane {
     /// Instantiates the state for one reducing function.
-    pub fn new(f: &ReduceFn) -> ReducerInstance {
-        match f {
+    fn of(f: &ReduceFn) -> Lane {
+        Lane::General(match f {
             ReduceFn::Sum => ReducerInstance::Sum(Sum::new()),
             ReduceFn::Mean => ReducerInstance::Welford(Welford::new(), WelfordOut::Mean),
             ReduceFn::Var => ReducerInstance::Welford(Welford::new(), WelfordOut::Var),
@@ -158,70 +152,33 @@ impl ReducerInstance {
                 Histogram::fixed(*width, *bins).expect("validated histogram"),
                 HistOut::Percentile(*q / 100.0),
             ),
-            ReduceFn::Mag => ReducerInstance::Bidir(DampedPair::new(0.0), BidirOut::Mag),
-            ReduceFn::Radius => ReducerInstance::Bidir(DampedPair::new(0.0), BidirOut::Radius),
-            ReduceFn::Cov => ReducerInstance::Bidir(DampedPair::new(0.0), BidirOut::Cov),
-            ReduceFn::Pcc => ReducerInstance::Bidir(DampedPair::new(0.0), BidirOut::Pcc),
-            ReduceFn::Damped { lambda } => ReducerInstance::Damped(DampedStat::new(*lambda)),
-            ReduceFn::Damped2d { lambda } => {
-                ReducerInstance::Bidir(DampedPair::new(*lambda), BidirOut::Quad)
-            }
-        }
+            ReduceFn::Mag => return Lane::Pair(0.0, BidirOut::Mag),
+            ReduceFn::Radius => return Lane::Pair(0.0, BidirOut::Radius),
+            ReduceFn::Cov => return Lane::Pair(0.0, BidirOut::Cov),
+            ReduceFn::Pcc => return Lane::Pair(0.0, BidirOut::Pcc),
+            ReduceFn::Damped { lambda } => return Lane::Damped(*lambda),
+            ReduceFn::Damped2d { lambda } => return Lane::Pair(*lambda, BidirOut::Quad),
+        })
     }
+}
 
-    /// Feeds one sample (with its observation context) into the state.
-    pub fn update(&mut self, value: f64, ts_ns: u64, direction: i64) {
+impl ReducerInstance {
+    /// Feeds one sample; `hash` is its hash, which `f_card` takes in place
+    /// of the value (hash-reuse path).
+    fn update(&mut self, value: f64, hash: u32) {
         match self {
             ReducerInstance::Sum(s) => s.update(value),
             ReducerInstance::Welford(w, _) => w.update(value),
             ReducerInstance::MinMax(m, _) => m.update(value),
             ReducerInstance::Moments(m, _) => m.update(value),
-            ReducerInstance::Card(h) => h.update(value),
+            ReducerInstance::Card(h) => h.update_hash(hash),
             ReducerInstance::Array(a) => a.update(value),
             ReducerInstance::Hist(h, _) => h.update(value),
-            ReducerInstance::Damped(d) => d.update_at(value, ts_ns),
-            ReducerInstance::Bidir(p, _) => {
-                if direction >= 0 {
-                    p.update_a(value, ts_ns);
-                } else {
-                    p.update_b(value, ts_ns);
-                }
-            }
         }
     }
 
-    /// Feeds a pre-computed hash into `f_card` (hash-reuse path); other
-    /// reducers fall back to the value path.
-    pub fn update_hashed(&mut self, value: f64, hash: u32, ts_ns: u64, direction: i64) {
-        match self {
-            ReducerInstance::Card(h) => h.update_hash(hash),
-            other => other.update(value, ts_ns, direction),
-        }
-    }
-
-    /// [`ReducerInstance::update_hashed`] with the damped reducers' decay
-    /// factors served from `memo` — bit-identical.
-    fn update_memo(&mut self, value: f64, hash: u32, rec: &RecordView, memo: &mut DecayMemo) {
-        match self {
-            ReducerInstance::Damped(d) => d.update_at_memo(value, rec.ts_ns, memo),
-            ReducerInstance::Bidir(p, _) => {
-                p.update_memo(value, rec.ts_ns, rec.direction >= 0, memo);
-            }
-            other => other.update_hashed(value, hash, rec.ts_ns, rec.direction),
-        }
-    }
-
-    /// Emits this function's feature values.
-    pub fn finalize(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.finalize_into(&mut out);
-        out
-    }
-
-    /// Appends this function's feature values to `out` — the allocation-free
-    /// form of [`ReducerInstance::finalize`] for scalar reducers (per-packet
-    /// `collect(pkt)` finalizes every record).
-    pub fn finalize_into(&self, out: &mut Vec<f64>) {
+    /// Appends this function's feature values to `out`.
+    fn finalize_into(&self, out: &mut Vec<f64>) {
         match self {
             ReducerInstance::Sum(s) => out.push(s.value()),
             ReducerInstance::Welford(w, which) => out.push(match which {
@@ -245,18 +202,11 @@ impl ReducerInstance {
                 HistOut::Cdf => out.extend(h.cdf()),
                 HistOut::Percentile(q) => out.push(h.percentile(*q).unwrap_or(0.0)),
             },
-            ReducerInstance::Damped(d) => out.extend_from_slice(&d.triple()),
-            ReducerInstance::Bidir(p, which) => match which {
-                BidirOut::Mag => out.push(p.magnitude()),
-                BidirOut::Radius => out.push(p.radius()),
-                BidirOut::Cov => out.push(p.covariance()),
-                BidirOut::Pcc => out.push(p.pcc()),
-                BidirOut::Quad => out.extend_from_slice(&p.quad()),
-            },
         }
     }
 
-    /// Variant discriminant used to validate snapshots against the policy.
+    /// Variant discriminant used to validate snapshots against the policy
+    /// (the damped family's are [`TAG_DAMPED`] and [`TAG_PAIR`]).
     fn tag(&self) -> u8 {
         match self {
             ReducerInstance::Sum(_) => 0,
@@ -266,15 +216,13 @@ impl ReducerInstance {
             ReducerInstance::Card(_) => 4,
             ReducerInstance::Array(_) => 5,
             ReducerInstance::Hist(..) => 6,
-            ReducerInstance::Damped(_) => TAG_DAMPED,
-            ReducerInstance::Bidir(..) => 8,
         }
     }
 
     /// Serializes the accumulator state. Output selectors (which Welford
     /// output, which quantile, …) are structural — rebuilt from the policy
     /// on load — so only the variant tag and the estimator state are stored.
-    pub fn save_state(&self, w: &mut StateWriter) {
+    fn save_state(&self, w: &mut StateWriter) {
         w.put_u8(self.tag());
         match self {
             ReducerInstance::Sum(s) => s.save_state(w),
@@ -284,8 +232,6 @@ impl ReducerInstance {
             ReducerInstance::Card(s) => s.save_state(w),
             ReducerInstance::Array(s) => s.save_state(w),
             ReducerInstance::Hist(s, _) => s.save_state(w),
-            ReducerInstance::Damped(s) => s.save_state(w),
-            ReducerInstance::Bidir(s, _) => s.save_state(w),
         }
     }
 
@@ -293,7 +239,7 @@ impl ReducerInstance {
     /// into this (freshly instantiated) reducer, keeping its selector.
     /// Returns `None` on a variant mismatch (snapshot from a different
     /// policy) or corrupt input.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Option<()> {
+    fn load_state(&mut self, r: &mut StateReader<'_>) -> Option<()> {
         if r.get_u8()? != self.tag() {
             return None;
         }
@@ -305,8 +251,6 @@ impl ReducerInstance {
             ReducerInstance::Card(s) => *s = HyperLogLog::load_state(r)?,
             ReducerInstance::Array(s) => *s = SeqArray::load_state(r)?,
             ReducerInstance::Hist(s, _) => *s = Histogram::load_state(r)?,
-            ReducerInstance::Damped(s) => *s = DampedStat::load_state(r)?,
-            ReducerInstance::Bidir(s, _) => *s = DampedPair::load_state(r)?,
         }
         Some(())
     }
@@ -449,22 +393,27 @@ impl ValueSource {
     }
 }
 
-/// Which lane of a [`GroupExec`] holds one reducer's accumulator.
+/// Where in a [`GroupExec`] one reducer — or one run of damped windows —
+/// keeps its accumulator.
 #[derive(Clone, Copy, Debug)]
 enum Slot {
-    /// Index into the dense `f_damped` lane.
-    Damped(usize),
+    /// A run of `f_damped` windows: index into [`LevelPlan::banks1`].
+    Bank1(usize),
+    /// A run of 2-D windows: index into [`LevelPlan::banks2`].
+    Bank2(usize),
     /// Index into the lane of every other reducer.
     General(usize),
 }
 
-/// One `reduce` of a level: where its value comes from, which reducers it
+/// One `reduce` of a level: where its value comes from, which slots it
 /// feeds and how its feature block is synthesized.
 #[derive(Clone, Debug)]
 struct ReducePlan {
     source: ValueSource,
-    /// This reduce's reducers, as a range of [`LevelPlan::slots`].
+    /// This reduce's slots, as a range of [`LevelPlan::slots`].
     slots: Range<usize>,
+    /// Its reducing functions: one per general slot, one per bank window.
+    reducers: usize,
     synths: Vec<SynthFn>,
 }
 
@@ -472,24 +421,30 @@ struct ReducePlan {
 const STACK_MAPS: usize = 8;
 
 /// Everything about a level that is the same for every group: the map
-/// functions, the bound value sources, the reduce layout and one pristine
-/// group to copy. Built once where the engine is constructed; a
-/// [`GroupExec`] holds only state and is driven through its plan.
+/// functions, the bound value sources, the reduce layout with the damped
+/// windows' decay rates, and one pristine group to copy. Built once where
+/// the engine is constructed; a [`GroupExec`] holds only state and is driven
+/// through its plan.
 #[derive(Clone, Debug)]
 pub struct LevelPlan {
     /// Each map's function and bound source, which references only the
     /// outputs of earlier maps.
     maps: Vec<(MapFn, ValueSource)>,
     reduces: Vec<ReducePlan>,
-    /// Lane slot of every reducer, in policy order — the order `update`,
-    /// `finalize_into` and `save_state` walk, whatever the lanes hold.
+    /// Every reduce's slots, in policy order — the order `update`,
+    /// `finalize_into` and `save_state` walk, whatever the slots hold.
     slots: Vec<Slot>,
+    /// Each 1-D bank and the word of the group's bank block it starts at.
+    banks1: Vec<(usize, DampedBank)>,
+    /// Each 2-D bank and the word it starts at.
+    banks2: Vec<(usize, PairBank)>,
     feature_len: usize,
     template: GroupExec,
 }
 
 impl LevelPlan {
-    /// Plans the execution of `level`.
+    /// Plans the execution of `level`. Each maximal run of `f_damped` in a
+    /// `reduce` becomes one bank, and so does each run of 2-D functions.
     pub fn new(level: &LevelProgram) -> Self {
         let maps = level
             .maps
@@ -497,39 +452,61 @@ impl LevelPlan {
             .enumerate()
             .map(|(i, m)| (m.func, ValueSource::bind(&m.src, &level.maps, i)))
             .collect();
-        let (mut slots, mut damped, mut general) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut slots, mut general) = (Vec::new(), Vec::new());
+        let mut banks1: Vec<(usize, DampedBank)> = Vec::new();
+        let mut banks2: Vec<(usize, PairBank)> = Vec::new();
         let reduces = level
             .reduces
             .iter()
             .map(|r| {
                 let first = slots.len();
                 for f in &r.funcs {
-                    slots.push(match ReducerInstance::new(f) {
-                        ReducerInstance::Damped(d) => {
-                            damped.push(d);
-                            Slot::Damped(damped.len() - 1)
+                    match (Lane::of(f), slots[first..].last()) {
+                        (Lane::Damped(lambda), Some(Slot::Bank1(i))) => banks1[*i].1.push(lambda),
+                        (Lane::Pair(lambda, out), Some(Slot::Bank2(i))) => {
+                            banks2[*i].1.push(lambda, out);
                         }
-                        other => {
-                            general.push(other);
-                            Slot::General(general.len() - 1)
+                        (Lane::Damped(lambda), _) => {
+                            banks1.push((0, DampedBank::new(lambda)));
+                            slots.push(Slot::Bank1(banks1.len() - 1));
                         }
-                    });
+                        (Lane::Pair(lambda, out), _) => {
+                            banks2.push((0, PairBank::new(lambda, out)));
+                            slots.push(Slot::Bank2(banks2.len() - 1));
+                        }
+                        (Lane::General(inst), _) => {
+                            general.push(inst);
+                            slots.push(Slot::General(general.len() - 1));
+                        }
+                    }
                 }
                 ReducePlan {
                     source: ValueSource::bind(&r.src, &level.maps, level.maps.len()),
                     slots: first..slots.len(),
+                    reducers: r.funcs.len(),
                     synths: r.synths.clone(),
                 }
             })
             .collect();
+        // The banks, one after another in slot order, make one block.
+        let mut words = 0;
+        for slot in &slots {
+            match *slot {
+                Slot::Bank1(i) => (banks1[i].0, words) = (words, words + banks1[i].1.words()),
+                Slot::Bank2(i) => (banks2[i].0, words) = (words, words + banks2[i].1.words()),
+                Slot::General(_) => {}
+            }
+        }
         LevelPlan {
             maps,
             reduces,
             slots,
+            banks1,
+            banks2,
             feature_len: level.feature_len(),
             template: GroupExec {
                 maps: vec![MapState::default(); level.maps.len()].into(),
-                damped: damped.into(),
+                banks: vec![0.0; words].into(),
                 general: general.into(),
             },
         }
@@ -547,9 +524,9 @@ impl LevelPlan {
 #[derive(Clone, Debug)]
 pub struct GroupExec {
     maps: Box<[MapState]>,
-    /// The 1-D damped statistics, 48 bytes each — a third of a
-    /// [`ReducerInstance`], which is sized by its largest variant.
-    damped: Box<[DampedStat]>,
+    /// The state of every damped bank of the level, in one allocation
+    /// however many windows there are.
+    banks: Box<[f64]>,
     general: Box<[ReducerInstance]>,
 }
 
@@ -590,10 +567,16 @@ impl GroupExec {
             let sample_hash = mix_hash(key_hash, value);
             for slot in &plan.slots[r.slots.clone()] {
                 match *slot {
-                    Slot::Damped(i) => self.damped[i].update_at_memo(value, rec.ts_ns, memo),
-                    Slot::General(i) => {
-                        self.general[i].update_memo(value, sample_hash, rec, memo);
+                    Slot::Bank1(i) => {
+                        let (at, bank) = &plan.banks1[i];
+                        bank.update(&mut self.banks[*at..], value, rec.ts_ns, memo);
                     }
+                    Slot::Bank2(i) => {
+                        let (at, bank) = &plan.banks2[i];
+                        let into_a = rec.direction >= 0;
+                        bank.update(&mut self.banks[*at..], value, rec.ts_ns, into_a, memo);
+                    }
+                    Slot::General(i) => self.general[i].update(value, sample_hash),
                 }
             }
         }
@@ -612,27 +595,35 @@ impl GroupExec {
         for r in &plan.reduces {
             let slots = &plan.slots[r.slots.clone()];
             if r.synths.is_empty() {
-                self.finalize_slots(slots, out);
+                self.finalize_slots(plan, slots, out);
             } else {
                 let mut block = Vec::new();
-                self.finalize_slots(slots, &mut block);
+                self.finalize_slots(plan, slots, &mut block);
                 out.extend(apply_synths(block, &r.synths));
             }
         }
     }
 
-    fn finalize_slots(&self, slots: &[Slot], out: &mut Vec<f64>) {
+    fn finalize_slots(&self, plan: &LevelPlan, slots: &[Slot], out: &mut Vec<f64>) {
         for slot in slots {
             match *slot {
-                Slot::Damped(i) => out.extend_from_slice(&self.damped[i].triple()),
+                Slot::Bank1(i) => {
+                    let (at, bank) = &plan.banks1[i];
+                    bank.finalize_into(&self.banks[*at..], out);
+                }
+                Slot::Bank2(i) => {
+                    let (at, bank) = &plan.banks2[i];
+                    bank.finalize_into(&self.banks[*at..], out);
+                }
                 Slot::General(i) => self.general[i].finalize_into(out),
             }
         }
     }
 
     /// Serializes the group's dynamic state (mapper state + reducer
-    /// accumulators, in policy order). Which lane holds a reducer is layout,
-    /// not state: the bytes are those of one [`ReducerInstance`] per reducer.
+    /// accumulators, in policy order). Banks are layout, not state: the
+    /// bytes are one record per reducer — a variant tag, then the
+    /// estimator's state, a bank window's as the window alone writes it.
     pub fn save_state(&self, plan: &LevelPlan, w: &mut StateWriter) {
         w.put_u16(self.maps.len() as u16);
         for state in self.maps.iter() {
@@ -640,12 +631,22 @@ impl GroupExec {
         }
         w.put_u16(plan.reduces.len() as u16);
         for r in &plan.reduces {
-            w.put_u16(r.slots.len() as u16);
+            w.put_u16(r.reducers as u16);
             for slot in &plan.slots[r.slots.clone()] {
                 match *slot {
-                    Slot::Damped(i) => {
-                        w.put_u8(TAG_DAMPED);
-                        self.damped[i].save_state(w);
+                    Slot::Bank1(b) => {
+                        let (at, bank) = &plan.banks1[b];
+                        for i in 0..bank.len() {
+                            w.put_u8(TAG_DAMPED);
+                            bank.window(&self.banks[*at..], i).save_state(w);
+                        }
+                    }
+                    Slot::Bank2(b) => {
+                        let (at, bank) = &plan.banks2[b];
+                        for i in 0..bank.len() {
+                            w.put_u8(TAG_PAIR);
+                            bank.window(&self.banks[*at..], i).save_state(w);
+                        }
                     }
                     Slot::General(i) => self.general[i].save_state(w),
                 }
@@ -655,7 +656,9 @@ impl GroupExec {
 
     /// Restores a group of `plan`'s level from the dynamic state written by
     /// [`GroupExec::save_state`]. Returns `None` when the snapshot's shape
-    /// does not match the plan (different policy) or the input is corrupt.
+    /// does not match the plan (different policy), when a damped window's λ
+    /// is not the plan's or the windows of one bank disagree on their shared
+    /// header, or when the input is corrupt.
     pub fn load_state(plan: &LevelPlan, r: &mut StateReader<'_>) -> Option<Self> {
         let mut g = GroupExec::new(plan);
         if r.get_u16()? as usize != g.maps.len() {
@@ -668,16 +671,30 @@ impl GroupExec {
             return None;
         }
         for reduce in &plan.reduces {
-            if r.get_u16()? as usize != reduce.slots.len() {
+            if r.get_u16()? as usize != reduce.reducers {
                 return None;
             }
             for slot in &plan.slots[reduce.slots.clone()] {
                 match *slot {
-                    Slot::Damped(i) => {
-                        if r.get_u8()? != TAG_DAMPED {
-                            return None;
+                    Slot::Bank1(b) => {
+                        let (at, bank) = &plan.banks1[b];
+                        for i in 0..bank.len() {
+                            if r.get_u8()? != TAG_DAMPED {
+                                return None;
+                            }
+                            let window = DampedStat::load_state(r)?;
+                            bank.load_window(&mut g.banks[*at..], i, &window)?;
                         }
-                        g.damped[i] = DampedStat::load_state(r)?;
+                    }
+                    Slot::Bank2(b) => {
+                        let (at, bank) = &plan.banks2[b];
+                        for i in 0..bank.len() {
+                            if r.get_u8()? != TAG_PAIR {
+                                return None;
+                            }
+                            let window = DampedPair::load_state(r)?;
+                            bank.load_window(&mut g.banks[*at..], i, &window)?;
+                        }
                     }
                     Slot::General(i) => g.general[i].load_state(r)?,
                 }
@@ -931,12 +948,15 @@ mod tests {
         assert!((est - 100.0).abs() / 100.0 < 0.3, "estimate {est}");
     }
 
-    /// Bytes a group keeps on the heap: its three lanes (none of Kitsune's
-    /// reducers owns a buffer of its own).
-    fn lane_bytes(g: &GroupExec) -> usize {
-        std::mem::size_of_val(&*g.maps)
-            + std::mem::size_of_val(&*g.damped)
-            + std::mem::size_of_val(&*g.general)
+    /// Bytes and allocations a group keeps on the heap: its three parts
+    /// (none of Kitsune's reducers owns a buffer of its own).
+    fn heap_of(g: &GroupExec) -> (usize, usize) {
+        let parts = [
+            std::mem::size_of_val(&*g.maps),
+            std::mem::size_of_val(&*g.banks),
+            std::mem::size_of_val(&*g.general),
+        ];
+        (parts.iter().sum(), parts.iter().filter(|&&b| b > 0).count())
     }
 
     #[test]
@@ -954,19 +974,121 @@ mod tests {
             .unwrap()
             .nic
             .levels;
-        let bytes: Vec<usize> = levels
+        let heap: Vec<(usize, usize)> = levels
             .iter()
-            .map(|l| lane_bytes(&GroupExec::new(&LevelPlan::new(l))))
+            .map(|l| heap_of(&GroupExec::new(&LevelPlan::new(l))))
             .collect();
         // The §6.2 model sizes the socket group at 280 bytes of 4-byte words;
-        // the host engine keeps f64 words and stays under four times that.
-        assert!(bytes[0] <= 1024, "socket group {} bytes", bytes[0]);
-        assert!(bytes[1] <= 1280, "channel group {} bytes", bytes[1]);
+        // the host engine keeps f64 words and stays under 2.2 times that.
+        assert!(
+            heap[0].0 <= 600 && heap[0].1 == 1,
+            "socket group {:?}",
+            heap[0]
+        );
+        assert!(heap[1].0 <= 760, "channel group {:?}", heap[1]);
         // The host level inherits the channel level's `ipt` map state.
-        assert!(bytes[2] <= 512, "host group {} bytes", bytes[2]);
-        // Five damped2d in the general lane, every f_damped in the dense one.
-        let socket = GroupExec::new(&LevelPlan::new(&levels[0]));
-        assert_eq!((socket.damped.len(), socket.general.len()), (5, 5));
+        assert!(heap[2].0 <= 320, "host group {:?}", heap[2]);
+        // A socket is two banks of five windows and nothing else.
+        let socket = LevelPlan::new(&levels[0]);
+        assert!(matches!(socket.slots[..], [Slot::Bank1(0), Slot::Bank2(0)]));
+        assert_eq!((socket.banks1[0].1.len(), socket.banks2[0].1.len()), (5, 5));
+        assert!(socket.template.general.is_empty());
+    }
+
+    #[test]
+    fn a_bank_is_a_run_within_one_reduce() {
+        let src = "pktstream\n.groupby(channel)\n\
+                   .reduce(size, [f_damped{5}, f_sum, f_damped{3}, f_damped{1}])\n\
+                   .reduce(size, [f_damped{0.1}])\n\
+                   .reduce(size, [f_damped2d{1}, f_mag, f_damped{1}, f_pcc])\n.collect(channel)";
+        let plan = LevelPlan::new(
+            &compile(&crate::dsl::parse(src).unwrap())
+                .unwrap()
+                .nic
+                .levels[0],
+        );
+        let shape: Vec<(char, usize)> = plan
+            .slots
+            .iter()
+            .map(|s| match s {
+                Slot::Bank1(i) => ('1', plan.banks1[*i].1.len()),
+                Slot::Bank2(i) => ('2', plan.banks2[*i].1.len()),
+                Slot::General(_) => ('g', 1),
+            })
+            .collect();
+        let want = [
+            ('1', 1),
+            ('g', 1),
+            ('1', 2),
+            ('1', 1),
+            ('2', 2),
+            ('1', 1),
+            ('2', 1),
+        ];
+        assert_eq!(shape, want);
+        // The banks' words tile one block.
+        let words: usize = plan.banks1.iter().map(|(_, b)| b.words()).sum::<usize>()
+            + plan.banks2.iter().map(|(_, b)| b.words()).sum::<usize>();
+        assert_eq!(plan.template.banks.len(), words);
+    }
+
+    /// A socket-like group that has seen both directions: one reduce of
+    /// Kitsune's five 1-D windows, one of its five 2-D windows.
+    fn kitsune_socket_snapshot() -> (LevelPlan, Vec<u8>) {
+        let src = "pktstream\n.groupby(socket)\n\
+                   .reduce(size, [f_damped{5}, f_damped{3}, f_damped{1}, f_damped{0.1}, f_damped{0.01}])\n\
+                   .reduce(size, [f_damped2d{5}, f_damped2d{3}, f_damped2d{1}, f_damped2d{0.1}, f_damped2d{0.01}])\n\
+                   .collect(pkt)";
+        let (plan, mut g) = group_of(crate::dsl::parse(src).unwrap());
+        for (i, dir) in [1i64, -1, 1, 1, -1].iter().enumerate() {
+            feed(&mut g, &plan, &rec(100.0 + i as f64, i as u64, *dir), 0);
+        }
+        let mut w = StateWriter::new();
+        g.save_state(&plan, &mut w);
+        (plan, w.into_bytes())
+    }
+
+    /// Byte offsets in [`kitsune_socket_snapshot`]'s bytes: the map count,
+    /// the reduce count and the first reduce's reducer count come first; a
+    /// 1-D window's record is a tag and a `DampedStat` (λ, w, LS, SS, last_ts,
+    /// seen); a 2-D window's a tag and a `DampedPair` (two such, then SR, w3,
+    /// the residuals, last_ts, seen).
+    const STAT: usize = 4 * 8 + 8 + 1;
+    const ONE_D: usize = 1 + STAT;
+    const TWO_D: usize = 1 + 2 * STAT + 4 * 8 + 8 + 1;
+    const FIRST_1D: usize = 3 * 2;
+    const FIRST_2D: usize = FIRST_1D + 5 * ONE_D + 2;
+
+    fn loads(plan: &LevelPlan, bytes: &[u8]) -> bool {
+        let mut r = StateReader::new(bytes);
+        GroupExec::load_state(plan, &mut r).is_some_and(|_| r.is_empty())
+    }
+
+    #[test]
+    fn a_snapshot_window_with_another_lambda_does_not_load() {
+        let (plan, mut bytes) = kitsune_socket_snapshot();
+        assert!(loads(&plan, &bytes));
+        // The lowest bit of window 2's λ.
+        bytes[FIRST_1D + 2 * ONE_D + 1] ^= 1;
+        assert!(!loads(&plan, &bytes));
+    }
+
+    #[test]
+    fn a_snapshot_window_on_a_clock_of_its_own_does_not_load() {
+        let (plan, mut bytes) = kitsune_socket_snapshot();
+        // Window 3's last_ts, its lowest bit flipped.
+        bytes[FIRST_1D + 3 * ONE_D + 1 + 4 * 8] ^= 1;
+        assert!(!loads(&plan, &bytes));
+    }
+
+    #[test]
+    fn a_snapshot_pair_whose_b_side_forgot_its_samples_does_not_load() {
+        let (plan, mut bytes) = kitsune_socket_snapshot();
+        // Window 1's b-side `seen`: the group has seen side b, so it is 1.
+        let seen_b = FIRST_2D + TWO_D + 1 + STAT + STAT - 1;
+        assert_eq!(bytes[seen_b], 1);
+        bytes[seen_b] = 0;
+        assert!(!loads(&plan, &bytes));
     }
 
     #[test]
@@ -990,13 +1112,88 @@ mod tests {
         assert_eq!(g.finalize(&plan), vec![-1.0]);
     }
 
+    /// One reducer as the shape before banks kept it: the general lane's
+    /// state, or one damped window on its own, updated and finalized window
+    /// by window and with no memo.
+    enum RefReducer {
+        General(ReducerInstance),
+        Damped(DampedStat),
+        Bidir(DampedPair, BidirOut),
+    }
+
+    impl RefReducer {
+        fn new(f: &ReduceFn) -> Self {
+            let pair = |lambda, which| RefReducer::Bidir(DampedPair::new(lambda), which);
+            match f {
+                ReduceFn::Damped { lambda } => RefReducer::Damped(DampedStat::new(*lambda)),
+                ReduceFn::Damped2d { lambda } => pair(*lambda, BidirOut::Quad),
+                ReduceFn::Mag => pair(0.0, BidirOut::Mag),
+                ReduceFn::Radius => pair(0.0, BidirOut::Radius),
+                ReduceFn::Cov => pair(0.0, BidirOut::Cov),
+                ReduceFn::Pcc => pair(0.0, BidirOut::Pcc),
+                other => match Lane::of(other) {
+                    Lane::General(inst) => RefReducer::General(inst),
+                    _ => panic!("{other:?} is a damped window"),
+                },
+            }
+        }
+
+        fn update_hashed(&mut self, value: f64, hash: u32, ts_ns: u64, direction: i64) {
+            match self {
+                RefReducer::General(g) => g.update(value, hash),
+                RefReducer::Damped(d) => d.update_at(value, ts_ns),
+                RefReducer::Bidir(p, _) => {
+                    if direction >= 0 {
+                        p.update_a(value, ts_ns);
+                    } else {
+                        p.update_b(value, ts_ns);
+                    }
+                }
+            }
+        }
+
+        fn finalize(&self) -> Vec<f64> {
+            match self {
+                RefReducer::General(g) => {
+                    let mut out = Vec::new();
+                    g.finalize_into(&mut out);
+                    out
+                }
+                RefReducer::Damped(d) => d.triple().to_vec(),
+                RefReducer::Bidir(p, which) => match which {
+                    BidirOut::Mag => vec![p.magnitude()],
+                    BidirOut::Radius => vec![p.radius()],
+                    BidirOut::Cov => vec![p.covariance()],
+                    BidirOut::Pcc => vec![p.pcc()],
+                    BidirOut::Quad => p.quad().to_vec(),
+                },
+            }
+        }
+
+        /// The variant tag, then the state — 7 and 8 are the tags the
+        /// damped variants of the one-enum shape wrote.
+        fn save_state(&self, w: &mut StateWriter) {
+            match self {
+                RefReducer::General(g) => g.save_state(w),
+                RefReducer::Damped(d) => {
+                    w.put_u8(7);
+                    d.save_state(w);
+                }
+                RefReducer::Bidir(p, _) => {
+                    w.put_u8(8);
+                    p.save_state(w);
+                }
+            }
+        }
+    }
+
     /// The shape this module had before plans and lanes: every reducer of a
-    /// group a [`ReducerInstance`] in one `Vec` per reduce, fields resolved
-    /// by name per record, decay factors computed per reducer. The lanes and
+    /// group a [`RefReducer`] in one `Vec` per reduce, fields resolved
+    /// by name per record, decay factors computed per window. The banks and
     /// the memo must not differ from it in one bit of output or of snapshot.
     struct RefGroup {
         maps: Vec<MapState>,
-        reduces: Vec<Vec<ReducerInstance>>,
+        reduces: Vec<Vec<RefReducer>>,
     }
 
     impl RefGroup {
@@ -1006,7 +1203,7 @@ mod tests {
                 reduces: level
                     .reduces
                     .iter()
-                    .map(|r| r.funcs.iter().map(ReducerInstance::new).collect())
+                    .map(|r| r.funcs.iter().map(RefReducer::new).collect())
                     .collect(),
             }
         }
@@ -1042,10 +1239,7 @@ mod tests {
         fn finalize(&self, level: &LevelProgram) -> Vec<f64> {
             let mut out = Vec::new();
             for (op, instances) in level.reduces.iter().zip(&self.reduces) {
-                let block = instances
-                    .iter()
-                    .flat_map(ReducerInstance::finalize)
-                    .collect();
+                let block = instances.iter().flat_map(RefReducer::finalize).collect();
                 out.extend(apply_synths(block, &op.synths));
             }
             out
@@ -1100,17 +1294,74 @@ mod tests {
                     q: 50.0
                 }),
             ],
-            // A third each to the dense lane and to its 2-D kin, so the lanes
-            // interleave and the memo sees repeats.
+            // A third each to 1-D and 2-D windows, so banks and the general
+            // lane interleave and the memo sees repeats.
             lambda().prop_map(|lambda| ReduceFn::Damped { lambda }),
             lambda().prop_map(|lambda| ReduceFn::Damped2d { lambda }),
         ]
     }
 
+    /// Kitsune's five decay rates.
+    const KITSUNE: [f64; 5] = [5.0, 3.0, 1.0, 0.1, 0.01];
+
+    /// Runs the plan must cut into banks: split by another function (two
+    /// banks of one), Kitsune's five windows of each kind, and a 2-D run of
+    /// every output beside a 1-D window.
+    fn bank_runs() -> impl Strategy<Value = Vec<ReduceFn>> {
+        let damped = |lambda| ReduceFn::Damped { lambda };
+        let damped2d = |lambda| ReduceFn::Damped2d { lambda };
+        prop_oneof![
+            Just(vec![damped(5.0), ReduceFn::Sum, damped(3.0)]),
+            Just(KITSUNE.map(damped).to_vec()),
+            Just(KITSUNE.map(damped2d).to_vec()),
+            Just(vec![
+                damped2d(1.0),
+                ReduceFn::Mag,
+                ReduceFn::Pcc,
+                damped(0.1),
+                ReduceFn::Cov,
+                ReduceFn::Radius,
+                damped2d(0.01),
+            ]),
+        ]
+    }
+
+    /// Kitsune's channel-level shape over `f_ipt`: both banks take their
+    /// first sample from the group's second packet.
+    fn ipt_level() -> LevelProgram {
+        let reduce = |funcs| crate::compile::ReduceOp {
+            src: Field::from_name("ipt"),
+            funcs,
+            synths: vec![],
+        };
+        LevelProgram {
+            granularity: Granularity::Channel,
+            maps: vec![MapOp {
+                dst: Field::from_name("ipt"),
+                src: Field::Tstamp,
+                func: MapFn::FIpt,
+            }],
+            reduces: vec![
+                reduce(KITSUNE.map(|lambda| ReduceFn::Damped { lambda }).to_vec()),
+                reduce(KITSUNE.map(|lambda| ReduceFn::Damped2d { lambda }).to_vec()),
+            ],
+            collect: None,
+        }
+    }
+
     /// A level built directly (no policy validation in the way): one of a
     /// few map chains, one to three reduces over sources that may or may not
-    /// resolve, with and without `synthesize` chains.
+    /// resolve, with and without `synthesize` chains — or [`ipt_level`].
     fn any_level() -> impl Strategy<Value = LevelProgram> {
+        prop_oneof![
+            random_level(),
+            random_level(),
+            random_level(),
+            Just(ipt_level())
+        ]
+    }
+
+    fn random_level() -> impl Strategy<Value = LevelProgram> {
         let map = |dst: &str, src: &str, func| MapOp {
             dst: Field::from_name(dst),
             src: Field::from_name(src),
@@ -1144,12 +1395,13 @@ mod tests {
             Just(vec![SynthFn::Norm]),
             Just(vec![SynthFn::Marker, SynthFn::Sample { n: 2 }]),
         ];
-        let reduce = (
-            src,
+        let funcs = prop_oneof![
             proptest::collection::vec(any_reduce_fn(), 1..6),
-            synths,
-        )
-            .prop_map(|(src, funcs, synths)| crate::compile::ReduceOp {
+            proptest::collection::vec(any_reduce_fn(), 1..6),
+            bank_runs(),
+        ];
+        let reduce =
+            (src, funcs, synths).prop_map(|(src, funcs, synths)| crate::compile::ReduceOp {
                 src: Field::from_name(src),
                 funcs,
                 synths,
@@ -1183,8 +1435,19 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Cases of the differential below: `BANK_DIFF_CASES` (`ci.sh` raises
+    /// it), else 96.
+    fn bank_diff_cases() -> u32 {
+        let cases = std::env::var("BANK_DIFF_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(96);
+        eprintln!("damped bank differential: {cases} cases");
+        cases
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
+        #![proptest_config(ProptestConfig::with_cases(bank_diff_cases()))]
 
         #[test]
         fn lanes_and_memo_match_the_reference_bitwise(
@@ -1231,7 +1494,7 @@ mod tests {
                     refs[li][which].save_state(&mut want);
                     let got = got.into_bytes();
                     prop_assert_eq!(&got, &want.into_bytes(), "snapshot of level {}", li);
-                    // And the bytes load back into the same lanes.
+                    // And the bytes load back into the same banks.
                     let mut r = StateReader::new(&got);
                     let loaded = GroupExec::load_state(plan, &mut r);
                     prop_assert!(loaded.is_some() && r.is_empty());

@@ -7,6 +7,13 @@
 //! stream additionally keeps a decayed residual-product sum to derive the
 //! bidirectional features `f_mag`, `f_radius`, `f_cov`, and `f_pcc`
 //! (Table 5).
+//!
+//! Each per-window formula — decay, insert, mean, variance, magnitude,
+//! radius, covariance, correlation — has one body, below. [`DampedStat`] and
+//! [`DampedPair`] apply them to one window. [`DampedBank`] and [`PairBank`]
+//! apply them to a *bank*: the windows of one `reduce`, which see the same
+//! `(value, timestamp)` sequence and so share one header, their state laid
+//! out as a structure of arrays in a caller's `f64` block.
 
 use superfe_net::snap::{StateReader, StateWriter};
 
@@ -26,7 +33,7 @@ const MEMO_SLOTS: usize = 16;
 
 /// A per-record memo of decay factors.
 ///
-/// One record updates many damped reducers — Kitsune's 35 across three
+/// One record updates many damped windows — Kitsune's 35 across three
 /// levels — but they share a handful of `(λ, Δt)` pairs: the same five λ at
 /// every level, and one Δt per group. `2^(-λ·Δt)` is a pure function of
 /// `(λ bits, Δt ns)`, so serving a repeat from this memo returns exactly the
@@ -51,6 +58,7 @@ impl DecayMemo {
 
     /// The decay factor for `(lambda, dt_ns)`, computed at most once until
     /// the next [`DecayMemo::clear`] while the memo has room.
+    #[inline]
     pub fn decay(&mut self, lambda: f64, dt_ns: u64) -> f64 {
         let key = (lambda.to_bits(), dt_ns);
         if let Some(i) = self.keys[..self.len].iter().position(|k| *k == key) {
@@ -63,6 +71,185 @@ impl DecayMemo {
             self.len += 1;
         }
         d
+    }
+}
+
+/// When a window last folded a sample in. Every window of a bank sees the
+/// same timestamps, so a bank keeps one header for all of them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Header {
+    last_ts: u64,
+    seen: bool,
+}
+
+/// Words a [`Header`] takes in a bank: the timestamp's bits (`from_bits` /
+/// `to_bits` round-trip every `u64`), then `seen` as 0 or 1. All-zero words
+/// are a header that has seen nothing.
+const HEADER_WORDS: usize = 2;
+
+impl Header {
+    /// The gap to decay over before a sample at `ts_ns`: none before the
+    /// first sample, and none for a timestamp that is not later (Δt = 0, the
+    /// same policy as Kitsune's reference implementation).
+    #[inline]
+    fn gap(self, ts_ns: u64) -> Option<u64> {
+        if self.seen && ts_ns > self.last_ts {
+            Some(ts_ns - self.last_ts)
+        } else {
+            None
+        }
+    }
+
+    /// Moves the header to a sample at `ts_ns`; returns the gap to decay
+    /// over first.
+    #[inline]
+    fn advance(&mut self, ts_ns: u64) -> Option<u64> {
+        let gap = self.gap(ts_ns);
+        self.last_ts = self.last_ts.max(ts_ns);
+        self.seen = true;
+        gap
+    }
+
+    #[inline]
+    fn read(words: &[f64]) -> Header {
+        Header {
+            last_ts: words[0].to_bits(),
+            seen: words[1] != 0.0,
+        }
+    }
+
+    #[inline]
+    fn write(self, words: &mut [f64]) {
+        words[0] = f64::from_bits(self.last_ts);
+        words[1] = if self.seen { 1.0 } else { 0.0 };
+    }
+
+    /// [`Header::advance`] on a header stored in `words`.
+    #[inline]
+    fn advance_in(words: &mut [f64], ts_ns: u64) -> Option<u64> {
+        let mut h = Header::read(words);
+        let gap = h.advance(ts_ns);
+        h.write(words);
+        gap
+    }
+
+    /// Stores `self` as the header of a bank being loaded window by window:
+    /// window 0 sets it, every later window must repeat it.
+    fn load_into(self, words: &mut [f64], window: usize) -> Option<()> {
+        if window == 0 {
+            self.write(words);
+        } else if Header::read(words) != self {
+            return None;
+        }
+        Some(())
+    }
+}
+
+// The per-window formulas. IEEE operations are correctly rounded, so any
+// caller applying the same ones per element gets the same bits.
+
+/// Decays one window's `(w, LS, SS)` by the factor `d`.
+#[inline]
+fn decay(w: &mut f64, ls: &mut f64, ss: &mut f64, d: f64) {
+    *w *= d;
+    *ls *= d;
+    *ss *= d;
+}
+
+/// Folds sample `x` into one window's `(w, LS, SS)`.
+#[inline]
+fn insert(w: &mut f64, ls: &mut f64, ss: &mut f64, x: f64) {
+    *w += 1.0;
+    *ls += x;
+    *ss += x * x;
+}
+
+/// Damped mean `LS/w` (0 when empty).
+#[inline]
+fn mean(w: f64, ls: f64) -> f64 {
+    if w <= 0.0 {
+        0.0
+    } else {
+        ls / w
+    }
+}
+
+/// Damped population variance `|SS/w − mean²|` (0 when empty).
+#[inline]
+fn variance(w: f64, ls: f64, ss: f64) -> f64 {
+    if w <= 0.0 {
+        return 0.0;
+    }
+    (ss / w - mean(w, ls).powi(2)).abs()
+}
+
+/// The 1-D feature triple `(weight, mean, std)`.
+#[inline]
+fn triple(w: f64, ls: f64, ss: f64) -> [f64; 3] {
+    [w, mean(w, ls), variance(w, ls, ss).sqrt()]
+}
+
+/// `f_mag`: magnitude of the two means, `sqrt(μ_a² + μ_b²)`.
+#[inline]
+fn magnitude(mean_a: f64, mean_b: f64) -> f64 {
+    (mean_a.powi(2) + mean_b.powi(2)).sqrt()
+}
+
+/// `f_radius`: `sqrt(σ_a⁴ + σ_b⁴)`.
+#[inline]
+fn radius(var_a: f64, var_b: f64) -> f64 {
+    (var_a.powi(2) + var_b.powi(2)).sqrt()
+}
+
+/// `f_cov`: damped covariance approximation `SR / w3` (0 when empty).
+#[inline]
+fn covariance(sr: f64, w3: f64) -> f64 {
+    if w3 <= 0.0 {
+        0.0
+    } else {
+        sr / w3
+    }
+}
+
+/// `f_pcc`: correlation coefficient (0 when either stream is degenerate).
+#[inline]
+fn pcc(cov: f64, std_a: f64, std_b: f64) -> f64 {
+    let denom = std_a * std_b;
+    if denom <= 1e-12 {
+        0.0
+    } else {
+        cov / denom
+    }
+}
+
+/// The Kitsune 2-D feature quadruple `(magnitude, radius, cov, pcc)` of one
+/// window, from its two sides' `(w, LS, SS)` and its joint `(SR, w3)`.
+#[inline]
+fn quad(a: [f64; 3], b: [f64; 3], joint: [f64; 2]) -> [f64; 4] {
+    let (var_a, var_b) = (variance(a[0], a[1], a[2]), variance(b[0], b[1], b[2]));
+    let cov = covariance(joint[0], joint[1]);
+    [
+        magnitude(mean(a[0], a[1]), mean(b[0], b[1])),
+        radius(var_a, var_b),
+        cov,
+        pcc(cov, var_a.sqrt(), var_b.sqrt()),
+    ]
+}
+
+/// Appends the features `which` selects of one 2-D window.
+#[inline]
+fn pair_features(which: BidirOut, a: [f64; 3], b: [f64; 3], joint: [f64; 2], out: &mut Vec<f64>) {
+    let var = |s: [f64; 3]| variance(s[0], s[1], s[2]);
+    match which {
+        BidirOut::Quad => out.extend_from_slice(&quad(a, b, joint)),
+        BidirOut::Mag => out.push(magnitude(mean(a[0], a[1]), mean(b[0], b[1]))),
+        BidirOut::Radius => out.push(radius(var(a), var(b))),
+        BidirOut::Cov => out.push(covariance(joint[0], joint[1])),
+        BidirOut::Pcc => out.push(pcc(
+            covariance(joint[0], joint[1]),
+            var(a).sqrt(),
+            var(b).sqrt(),
+        )),
     }
 }
 
@@ -84,12 +271,11 @@ pub struct DampedStat {
     w: f64,
     ls: f64,
     ss: f64,
-    last_ts: u64,
-    seen: bool,
+    header: Header,
 }
 
-// The NIC engine packs these into a dense per-group lane; its measured group
-// sizes (DESIGN.md, "NIC engine") assume this width.
+// One window on its own: λ, three state words and a header. Its snapshot
+// record is what a bank writes per window.
 const _: () = assert!(std::mem::size_of::<DampedStat>() == 48);
 
 impl DampedStat {
@@ -102,34 +288,17 @@ impl DampedStat {
             w: 0.0,
             ls: 0.0,
             ss: 0.0,
-            last_ts: 0,
-            seen: false,
-        }
-    }
-
-    /// Decay factor for a gap of `dt_ns` nanoseconds, through `memo` when
-    /// the caller has one.
-    fn decay(&self, dt_ns: u64, memo: Option<&mut DecayMemo>) -> f64 {
-        match memo {
-            Some(m) => m.decay(self.lambda, dt_ns),
-            None => decay_factor(self.lambda, dt_ns),
+            header: Header::default(),
         }
     }
 
     /// Applies decay up to `ts_ns` without inserting a sample.
     pub fn decay_to(&mut self, ts_ns: u64) {
-        self.decay_with(ts_ns, None);
-    }
-
-    fn decay_with(&mut self, ts_ns: u64, memo: Option<&mut DecayMemo>) {
-        if !self.seen || ts_ns <= self.last_ts {
-            return;
+        if let Some(dt) = self.header.gap(ts_ns) {
+            let d = decay_factor(self.lambda, dt);
+            decay(&mut self.w, &mut self.ls, &mut self.ss, d);
+            self.header.last_ts = ts_ns;
         }
-        let d = self.decay(ts_ns - self.last_ts, memo);
-        self.w *= d;
-        self.ls *= d;
-        self.ss *= d;
-        self.last_ts = ts_ns;
     }
 
     /// Inserts sample `x` observed at `ts_ns`.
@@ -137,22 +306,11 @@ impl DampedStat {
     /// Out-of-order timestamps are tolerated by treating them as Δt = 0 (the
     /// same policy as Kitsune's reference implementation).
     pub fn update_at(&mut self, x: f64, ts_ns: u64) {
-        self.update_with(x, ts_ns, None);
-    }
-
-    /// [`DampedStat::update_at`] taking its decay factor through `memo` —
-    /// bit-identical, one `powf` per distinct `(λ, Δt)` of the record.
-    pub fn update_at_memo(&mut self, x: f64, ts_ns: u64, memo: &mut DecayMemo) {
-        self.update_with(x, ts_ns, Some(memo));
-    }
-
-    fn update_with(&mut self, x: f64, ts_ns: u64, memo: Option<&mut DecayMemo>) {
-        self.decay_with(ts_ns, memo);
-        self.last_ts = self.last_ts.max(ts_ns);
-        self.seen = true;
-        self.w += 1.0;
-        self.ls += x;
-        self.ss += x * x;
+        if let Some(dt) = self.header.advance(ts_ns) {
+            let d = decay_factor(self.lambda, dt);
+            decay(&mut self.w, &mut self.ls, &mut self.ss, d);
+        }
+        insert(&mut self.w, &mut self.ls, &mut self.ss, x);
     }
 
     /// Decayed weight (effective sample count).
@@ -162,19 +320,12 @@ impl DampedStat {
 
     /// Damped mean `LS/w` (0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.w <= 0.0 {
-            0.0
-        } else {
-            self.ls / self.w
-        }
+        mean(self.w, self.ls)
     }
 
     /// Damped population variance `|SS/w − mean²|` (0 when empty).
     pub fn variance(&self) -> f64 {
-        if self.w <= 0.0 {
-            return 0.0;
-        }
-        (self.ss / self.w - self.mean().powi(2)).abs()
+        variance(self.w, self.ls, self.ss)
     }
 
     /// Damped standard deviation.
@@ -184,21 +335,27 @@ impl DampedStat {
 
     /// Last timestamp folded into the state.
     pub fn last_ts(&self) -> u64 {
-        self.last_ts
+        self.header.last_ts
     }
 
     /// The Kitsune 1-D feature triple `(weight, mean, std)`.
     pub fn triple(&self) -> [f64; 3] {
-        [self.w, self.mean(), self.std_dev()]
+        triple(self.w, self.ls, self.ss)
     }
 
-    /// Serializes the damped state (λ included, for self-contained loads).
+    /// `(w, LS, SS)`.
+    fn words(&self) -> [f64; 3] {
+        [self.w, self.ls, self.ss]
+    }
+
+    /// Serializes the damped state (λ included, which a bank's
+    /// [`DampedBank::load_window`] checks against its own).
     pub fn save_state(&self, w: &mut StateWriter) {
         for v in [self.lambda, self.w, self.ls, self.ss] {
             w.put_f64(v);
         }
-        w.put_u64(self.last_ts);
-        w.put_bool(self.seen);
+        w.put_u64(self.header.last_ts);
+        w.put_bool(self.header.seen);
     }
 
     /// Reads state written by [`DampedStat::save_state`].
@@ -208,8 +365,10 @@ impl DampedStat {
             w: r.get_f64()?,
             ls: r.get_f64()?,
             ss: r.get_f64()?,
-            last_ts: r.get_u64()?,
-            seen: r.get_bool()?,
+            header: Header {
+                last_ts: r.get_u64()?,
+                seen: r.get_bool()?,
+            },
         })
     }
 }
@@ -217,8 +376,8 @@ impl DampedStat {
 impl Reducer for DampedStat {
     /// Reducer-compat path: treats successive samples as 1 ms apart.
     fn update(&mut self, x: f64) {
-        let ts = self.last_ts + 1_000_000;
-        self.update_at(x, if self.seen { ts } else { 0 });
+        let ts = self.header.last_ts + 1_000_000;
+        self.update_at(x, if self.header.seen { ts } else { 0 });
     }
 
     fn finalize(&self) -> Vec<f64> {
@@ -253,8 +412,7 @@ pub struct DampedPair {
     w3: f64,
     last_res_a: f64,
     last_res_b: f64,
-    last_ts: u64,
-    seen: bool,
+    header: Header,
 }
 
 impl DampedPair {
@@ -267,48 +425,35 @@ impl DampedPair {
             w3: 0.0,
             last_res_a: 0.0,
             last_res_b: 0.0,
-            last_ts: 0,
-            seen: false,
+            header: Header::default(),
         }
-    }
-
-    fn decay_joint(&mut self, ts_ns: u64, memo: Option<&mut DecayMemo>) {
-        if self.seen && ts_ns > self.last_ts {
-            let d = self.a.decay(ts_ns - self.last_ts, memo);
-            self.sr *= d;
-            self.w3 *= d;
-            self.last_ts = ts_ns;
-        }
-        self.last_ts = self.last_ts.max(ts_ns);
-        self.seen = true;
     }
 
     /// Feeds a sample into stream "a" at `ts_ns`, updating the joint state
     /// with the most recent residual of stream "b" (Kitsune's incStatCov
     /// approximation).
     pub fn update_a(&mut self, x: f64, ts_ns: u64) {
-        self.update_with(x, ts_ns, true, None);
+        self.update(x, ts_ns, true);
     }
 
     /// Feeds a sample into stream "b" at `ts_ns`.
     pub fn update_b(&mut self, x: f64, ts_ns: u64) {
-        self.update_with(x, ts_ns, false, None);
+        self.update(x, ts_ns, false);
     }
 
-    /// [`DampedPair::update_a`] (`into_a`) or [`DampedPair::update_b`]
-    /// taking both decay factors through `memo` — bit-identical.
-    pub fn update_memo(&mut self, x: f64, ts_ns: u64, into_a: bool, memo: &mut DecayMemo) {
-        self.update_with(x, ts_ns, into_a, Some(memo));
-    }
-
-    fn update_with(&mut self, x: f64, ts_ns: u64, into_a: bool, mut memo: Option<&mut DecayMemo>) {
-        self.decay_joint(ts_ns, memo.as_deref_mut());
+    fn update(&mut self, x: f64, ts_ns: u64, into_a: bool) {
+        if let Some(dt) = self.header.advance(ts_ns) {
+            let d = decay_factor(self.a.lambda, dt);
+            self.sr *= d;
+            self.w3 *= d;
+        }
+        let side = if into_a { &mut self.a } else { &mut self.b };
+        side.update_at(x, ts_ns);
+        let res = x - side.mean();
         if into_a {
-            self.a.update_with(x, ts_ns, memo);
-            self.last_res_a = x - self.a.mean();
+            self.last_res_a = res;
         } else {
-            self.b.update_with(x, ts_ns, memo);
-            self.last_res_b = x - self.b.mean();
+            self.last_res_b = res;
         }
         self.sr += self.last_res_a * self.last_res_b;
         self.w3 += 1.0;
@@ -316,41 +461,27 @@ impl DampedPair {
 
     /// `f_mag`: magnitude of the two means, `sqrt(μ_a² + μ_b²)`.
     pub fn magnitude(&self) -> f64 {
-        (self.a.mean().powi(2) + self.b.mean().powi(2)).sqrt()
+        magnitude(self.a.mean(), self.b.mean())
     }
 
     /// `f_radius`: `sqrt(σ_a⁴ + σ_b⁴)`.
     pub fn radius(&self) -> f64 {
-        (self.a.variance().powi(2) + self.b.variance().powi(2)).sqrt()
+        radius(self.a.variance(), self.b.variance())
     }
 
     /// `f_cov`: damped covariance approximation `SR / w3` (0 when empty).
     pub fn covariance(&self) -> f64 {
-        if self.w3 <= 0.0 {
-            0.0
-        } else {
-            self.sr / self.w3
-        }
+        covariance(self.sr, self.w3)
     }
 
     /// `f_pcc`: correlation coefficient (0 when either stream is degenerate).
     pub fn pcc(&self) -> f64 {
-        let denom = self.a.std_dev() * self.b.std_dev();
-        if denom <= 1e-12 {
-            0.0
-        } else {
-            self.covariance() / denom
-        }
+        pcc(self.covariance(), self.a.std_dev(), self.b.std_dev())
     }
 
     /// The Kitsune 2-D feature quadruple `(magnitude, radius, cov, pcc)`.
     pub fn quad(&self) -> [f64; 4] {
-        [
-            self.magnitude(),
-            self.radius(),
-            self.covariance(),
-            self.pcc(),
-        ]
+        quad(self.a.words(), self.b.words(), [self.sr, self.w3])
     }
 
     /// Serializes both streams and the joint residual state.
@@ -360,8 +491,8 @@ impl DampedPair {
         for v in [self.sr, self.w3, self.last_res_a, self.last_res_b] {
             w.put_f64(v);
         }
-        w.put_u64(self.last_ts);
-        w.put_bool(self.seen);
+        w.put_u64(self.header.last_ts);
+        w.put_bool(self.header.seen);
     }
 
     /// Reads state written by [`DampedPair::save_state`].
@@ -373,9 +504,285 @@ impl DampedPair {
             w3: r.get_f64()?,
             last_res_a: r.get_f64()?,
             last_res_b: r.get_f64()?,
-            last_ts: r.get_u64()?,
-            seen: r.get_bool()?,
+            header: Header {
+                last_ts: r.get_u64()?,
+                seen: r.get_bool()?,
+            },
         })
+    }
+}
+
+/// Which features a 2-D window emits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BidirOut {
+    /// `f_mag`.
+    Mag,
+    /// `f_radius`.
+    Radius,
+    /// `f_cov`.
+    Cov,
+    /// `f_pcc`.
+    Pcc,
+    /// All four (`f_damped2d`).
+    Quad,
+}
+
+/// The first `N` lanes of `k` words each of `words`.
+#[inline]
+fn lanes<const N: usize>(words: &[f64], k: usize) -> [&[f64]; N] {
+    let mut rest = words;
+    std::array::from_fn(|_| {
+        let (lane, tail) = rest.split_at(k);
+        rest = tail;
+        lane
+    })
+}
+
+/// [`lanes`], mutable.
+#[inline]
+fn lanes_mut<const N: usize>(words: &mut [f64], k: usize) -> [&mut [f64]; N] {
+    let mut rest = words;
+    std::array::from_fn(|_| {
+        let (lane, tail) = std::mem::take(&mut rest).split_at_mut(k);
+        rest = tail;
+        lane
+    })
+}
+
+/// A run of 1-D windows of one `reduce` (`f_damped{λ}` after `f_damped{λ}`):
+/// their decay rates, which are the same for every group. The state of a
+/// bank of `k` windows is [`DampedBank::words`] `f64`s at the front of a
+/// caller's block — one header, then the `w`, `LS` and `SS` lanes of `k`
+/// words each — and a fresh bank is all zeros.
+#[derive(Clone, Debug)]
+pub struct DampedBank {
+    lambdas: Vec<f64>,
+}
+
+impl DampedBank {
+    /// A bank of one window of decay rate `lambda`.
+    pub fn new(lambda: f64) -> Self {
+        DampedBank {
+            lambdas: vec![lambda],
+        }
+    }
+
+    /// Appends a window of decay rate `lambda`.
+    pub fn push(&mut self, lambda: f64) {
+        self.lambdas.push(lambda);
+    }
+
+    /// Number of windows.
+    pub fn len(&self) -> usize {
+        self.lambdas.len()
+    }
+
+    /// Whether the bank has no window (never, once built by [`DampedBank::new`]).
+    pub fn is_empty(&self) -> bool {
+        self.lambdas.is_empty()
+    }
+
+    /// Words of state.
+    pub fn words(&self) -> usize {
+        HEADER_WORDS + 3 * self.len()
+    }
+
+    /// Inserts sample `x` observed at `ts_ns` into every window: one Δt
+    /// check, then per window a decay (factors through `memo`) and an
+    /// insert.
+    ///
+    /// Out of line on purpose, as is [`PairBank::update`]: inlined into the
+    /// caller's loop over a level's reducers, the bank kernels slowed that
+    /// loop by ~7% for policies with no damped window (NPOD on a CAMPUS
+    /// trace); one call per bank costs Kitsune ~3%.
+    #[inline(never)]
+    pub fn update(&self, state: &mut [f64], x: f64, ts_ns: u64, memo: &mut DecayMemo) {
+        let (head, body) = state.split_at_mut(HEADER_WORDS);
+        let [w, ls, ss] = lanes_mut(body, self.len());
+        let gap = Header::advance_in(head, ts_ns);
+        for (i, &lambda) in self.lambdas.iter().enumerate() {
+            if let Some(dt) = gap {
+                decay(&mut w[i], &mut ls[i], &mut ss[i], memo.decay(lambda, dt));
+            }
+            insert(&mut w[i], &mut ls[i], &mut ss[i], x);
+        }
+    }
+
+    /// Appends every window's `(weight, mean, std)`, in window order.
+    #[inline]
+    pub fn finalize_into(&self, state: &[f64], out: &mut Vec<f64>) {
+        let [w, ls, ss] = lanes(&state[HEADER_WORDS..], self.len());
+        out.reserve(3 * self.len());
+        for i in 0..self.len() {
+            out.extend_from_slice(&triple(w[i], ls[i], ss[i]));
+        }
+    }
+
+    /// Window `i` on its own — the form a snapshot stores.
+    pub fn window(&self, state: &[f64], i: usize) -> DampedStat {
+        let [w, ls, ss] = lanes(&state[HEADER_WORDS..], self.len());
+        DampedStat {
+            lambda: self.lambdas[i],
+            w: w[i],
+            ls: ls[i],
+            ss: ss[i],
+            header: Header::read(state),
+        }
+    }
+
+    /// Loads window `i` from `s`; windows load in order. `None` when `s`'s
+    /// λ is not the window's, or its header is not the one the bank's
+    /// earlier windows loaded.
+    pub fn load_window(&self, state: &mut [f64], i: usize, s: &DampedStat) -> Option<()> {
+        if s.lambda.to_bits() != self.lambdas[i].to_bits() {
+            return None;
+        }
+        let (head, body) = state.split_at_mut(HEADER_WORDS);
+        s.header.load_into(head, i)?;
+        let [w, ls, ss] = lanes_mut(body, self.len());
+        (w[i], ls[i], ss[i]) = (s.w, s.ls, s.ss);
+        Some(())
+    }
+}
+
+/// A run of 2-D windows of one `reduce` (`f_damped2d{λ}`, and `f_mag`,
+/// `f_radius`, `f_cov`, `f_pcc`, which are λ = 0 windows emitting one
+/// feature): their decay rates and outputs. Its state, at the front of a
+/// caller's block and all zeros when fresh, is three headers (joint, side a,
+/// side b), then ten lanes of `k` words: side a's `w`, `LS`, `SS`, side b's,
+/// `SR`, `w3`, and the two sides' last residuals.
+#[derive(Clone, Debug)]
+pub struct PairBank {
+    lambdas: Vec<f64>,
+    outs: Vec<BidirOut>,
+}
+
+impl PairBank {
+    /// A bank of one window of decay rate `lambda`, emitting `which`.
+    pub fn new(lambda: f64, which: BidirOut) -> Self {
+        PairBank {
+            lambdas: vec![lambda],
+            outs: vec![which],
+        }
+    }
+
+    /// Appends a window of decay rate `lambda`, emitting `which`.
+    pub fn push(&mut self, lambda: f64, which: BidirOut) {
+        self.lambdas.push(lambda);
+        self.outs.push(which);
+    }
+
+    /// Number of windows.
+    pub fn len(&self) -> usize {
+        self.lambdas.len()
+    }
+
+    /// Whether the bank has no window (never, once built by [`PairBank::new`]).
+    pub fn is_empty(&self) -> bool {
+        self.lambdas.is_empty()
+    }
+
+    /// Words of state.
+    pub fn words(&self) -> usize {
+        3 * HEADER_WORDS + 10 * self.len()
+    }
+
+    /// Inserts sample `x` observed at `ts_ns` into side a (`into_a`) or b of
+    /// every window: one Δt check for the joint header and one for the
+    /// side's, then per window the decays (factors through `memo`), the
+    /// insert, the side's residual and the joint residual product.
+    #[inline(never)]
+    pub fn update(
+        &self,
+        state: &mut [f64],
+        x: f64,
+        ts_ns: u64,
+        into_a: bool,
+        memo: &mut DecayMemo,
+    ) {
+        let (heads, body) = state.split_at_mut(3 * HEADER_WORDS);
+        let [aw, als, ass, bw, bls, bss, sr, w3, res_a, res_b] = lanes_mut(body, self.len());
+        let (joint_head, sides) = heads.split_at_mut(HEADER_WORDS);
+        let (a_head, b_head) = sides.split_at_mut(HEADER_WORDS);
+        let joint_gap = Header::advance_in(joint_head, ts_ns);
+        let (side_head, w, ls, ss) = if into_a {
+            (a_head, aw, als, ass)
+        } else {
+            (b_head, bw, bls, bss)
+        };
+        let side_gap = Header::advance_in(side_head, ts_ns);
+        for (i, &lambda) in self.lambdas.iter().enumerate() {
+            if let Some(dt) = joint_gap {
+                let d = memo.decay(lambda, dt);
+                sr[i] *= d;
+                w3[i] *= d;
+            }
+            if let Some(dt) = side_gap {
+                decay(&mut w[i], &mut ls[i], &mut ss[i], memo.decay(lambda, dt));
+            }
+            insert(&mut w[i], &mut ls[i], &mut ss[i], x);
+            let res = x - mean(w[i], ls[i]);
+            if into_a {
+                res_a[i] = res;
+            } else {
+                res_b[i] = res;
+            }
+            sr[i] += res_a[i] * res_b[i];
+            w3[i] += 1.0;
+        }
+    }
+
+    /// Appends every window's features, in window order.
+    #[inline]
+    pub fn finalize_into(&self, state: &[f64], out: &mut Vec<f64>) {
+        let [aw, als, ass, bw, bls, bss, sr, w3] = lanes(&state[3 * HEADER_WORDS..], self.len());
+        for (i, &which) in self.outs.iter().enumerate() {
+            let (a, b) = ([aw[i], als[i], ass[i]], [bw[i], bls[i], bss[i]]);
+            pair_features(which, a, b, [sr[i], w3[i]], out);
+        }
+    }
+
+    /// Window `i` on its own — the form a snapshot stores.
+    pub fn window(&self, state: &[f64], i: usize) -> DampedPair {
+        let (heads, body) = state.split_at(3 * HEADER_WORDS);
+        let [aw, als, ass, bw, bls, bss, sr, w3, res_a, res_b] = lanes(body, self.len());
+        let side = |w: &[f64], ls: &[f64], ss: &[f64], head: usize| DampedStat {
+            lambda: self.lambdas[i],
+            w: w[i],
+            ls: ls[i],
+            ss: ss[i],
+            header: Header::read(&heads[head..]),
+        };
+        DampedPair {
+            a: side(aw, als, ass, HEADER_WORDS),
+            b: side(bw, bls, bss, 2 * HEADER_WORDS),
+            sr: sr[i],
+            w3: w3[i],
+            last_res_a: res_a[i],
+            last_res_b: res_b[i],
+            header: Header::read(heads),
+        }
+    }
+
+    /// Loads window `i` from `p`; windows load in order. `None` when either
+    /// side's λ is not the window's, or one of its three headers is not the
+    /// one the bank's earlier windows loaded.
+    pub fn load_window(&self, state: &mut [f64], i: usize, p: &DampedPair) -> Option<()> {
+        let lambda = self.lambdas[i].to_bits();
+        if p.a.lambda.to_bits() != lambda || p.b.lambda.to_bits() != lambda {
+            return None;
+        }
+        let (heads, body) = state.split_at_mut(3 * HEADER_WORDS);
+        let (joint_head, sides) = heads.split_at_mut(HEADER_WORDS);
+        let (a_head, b_head) = sides.split_at_mut(HEADER_WORDS);
+        p.header.load_into(joint_head, i)?;
+        p.a.header.load_into(a_head, i)?;
+        p.b.header.load_into(b_head, i)?;
+        let [aw, als, ass, bw, bls, bss, sr, w3, res_a, res_b] = lanes_mut(body, self.len());
+        (aw[i], als[i], ass[i]) = (p.a.w, p.a.ls, p.a.ss);
+        (bw[i], bls[i], bss[i]) = (p.b.w, p.b.ls, p.b.ss);
+        (sr[i], w3[i], res_a[i], res_b[i]) = (p.sr, p.w3, p.last_res_a, p.last_res_b);
+        Some(())
     }
 }
 
@@ -496,35 +903,109 @@ mod tests {
         assert_eq!(memo.len, 4);
     }
 
+    /// Kitsune's five windows, and a 2-D run mixing every output.
+    const LAMBDAS: [f64; 5] = [5.0, 3.0, 1.0, 0.1, 0.01];
+    const PAIR_OUTS: [BidirOut; 5] = [
+        BidirOut::Quad,
+        BidirOut::Mag,
+        BidirOut::Radius,
+        BidirOut::Cov,
+        BidirOut::Pcc,
+    ];
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn memoised_updates_match_plain_updates_bitwise() {
-        let mut plain = (DampedStat::new(3.0), DampedPair::new(3.0));
-        let mut memod = plain;
+    fn banks_match_their_windows_one_by_one_bitwise() {
+        let mut bank = DampedBank::new(LAMBDAS[0]);
+        let mut pairs = PairBank::new(LAMBDAS[0], PAIR_OUTS[0]);
+        for i in 1..LAMBDAS.len() {
+            bank.push(LAMBDAS[i]);
+            pairs.push(LAMBDAS[i], PAIR_OUTS[i]);
+        }
+        let mut state = vec![0.0; bank.words() + pairs.words()];
+        let (one, two) = state.split_at_mut(bank.words());
+        let mut stats = LAMBDAS.map(DampedStat::new);
+        let mut pair_stats = LAMBDAS.map(DampedPair::new);
         let mut memo = DecayMemo::new();
         // Forward, repeated and backward timestamps, both directions.
-        for (i, ts) in [0, SEC, SEC, 5 * SEC / 2, 2 * SEC, 4 * SEC]
+        for (n, ts) in [0, SEC, SEC, 5 * SEC / 2, 2 * SEC, 4 * SEC, 4 * SEC + 7]
             .iter()
             .enumerate()
         {
-            let x = 100.0 + i as f64;
-            plain.0.update_at(x, *ts);
+            let (x, into_a) = (100.0 + n as f64, n % 3 != 1);
             memo.clear();
-            memod.0.update_at_memo(x, *ts, &mut memo);
-            if i % 2 == 0 {
-                plain.1.update_a(x, *ts);
-            } else {
-                plain.1.update_b(x, *ts);
+            bank.update(one, x, *ts, &mut memo);
+            pairs.update(two, x, *ts, into_a, &mut memo);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            bank.finalize_into(one, &mut got);
+            pairs.finalize_into(two, &mut got);
+            for s in &mut stats {
+                s.update_at(x, *ts);
+                want.extend_from_slice(&s.triple());
             }
-            memod.1.update_memo(x, *ts, i % 2 == 0, &mut memo);
-            let bits = |t: [f64; 3], q: [f64; 4]| {
-                t.iter().chain(&q).map(|v| v.to_bits()).collect::<Vec<_>>()
-            };
-            assert_eq!(
-                bits(plain.0.triple(), plain.1.quad()),
-                bits(memod.0.triple(), memod.1.quad()),
-                "record {i}"
-            );
+            for (p, which) in pair_stats.iter_mut().zip(PAIR_OUTS) {
+                if into_a {
+                    p.update_a(x, *ts);
+                } else {
+                    p.update_b(x, *ts);
+                }
+                match which {
+                    BidirOut::Quad => want.extend_from_slice(&p.quad()),
+                    BidirOut::Mag => want.push(p.magnitude()),
+                    BidirOut::Radius => want.push(p.radius()),
+                    BidirOut::Cov => want.push(p.covariance()),
+                    BidirOut::Pcc => want.push(p.pcc()),
+                }
+            }
+            assert_eq!(bits(&got), bits(&want), "record {n}");
         }
+        // Each window, taken out of its bank, is the window kept on its own,
+        // and loads back into a fresh bank word for word.
+        let snapshot = |save: &dyn Fn(&mut StateWriter)| {
+            let mut w = StateWriter::new();
+            save(&mut w);
+            w.into_bytes()
+        };
+        let mut fresh = vec![0.0; state.len()];
+        let (fresh_one, fresh_two) = fresh.split_at_mut(bank.words());
+        let (one, two) = state.split_at(bank.words());
+        for i in 0..LAMBDAS.len() {
+            let (s, p) = (bank.window(one, i), pairs.window(two, i));
+            assert_eq!(
+                snapshot(&|w| s.save_state(w)),
+                snapshot(&|w| stats[i].save_state(w))
+            );
+            assert_eq!(
+                snapshot(&|w| p.save_state(w)),
+                snapshot(&|w| pair_stats[i].save_state(w))
+            );
+            assert_eq!(bank.load_window(fresh_one, i, &s), Some(()));
+            assert_eq!(pairs.load_window(fresh_two, i, &p), Some(()));
+        }
+        assert_eq!(bits(&fresh), bits(&state));
+    }
+
+    #[test]
+    fn a_window_of_another_rate_or_clock_does_not_load() {
+        let mut bank = DampedBank::new(1.0);
+        bank.push(0.1);
+        let mut state = vec![0.0; bank.words()];
+        bank.update(&mut state, 7.0, SEC, &mut DecayMemo::new());
+        let (first, second) = (bank.window(&state, 0), bank.window(&state, 1));
+        let mut fresh = vec![0.0; bank.words()];
+        // Window 1 under window 0's rate.
+        assert_eq!(bank.load_window(&mut fresh, 0, &first), Some(()));
+        let mut renamed = second;
+        renamed.lambda = 1.0;
+        assert_eq!(bank.load_window(&mut fresh, 1, &renamed), None);
+        // Window 1 on a clock of its own.
+        let mut late = second;
+        late.header.last_ts += 1;
+        assert_eq!(bank.load_window(&mut fresh, 1, &late), None);
+        assert_eq!(bank.load_window(&mut fresh, 1, &second), Some(()));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod smallvec;
 pub mod transfer;
 pub mod welford;
 
-pub use damped::{DampedPair, DampedStat, DecayMemo};
+pub use damped::{BidirOut, DampedBank, DampedPair, DampedStat, DecayMemo, PairBank};
 pub use fixed::{FixedWelford, Q16};
 pub use hist::Histogram;
 pub use hll::HyperLogLog;

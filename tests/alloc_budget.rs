@@ -150,6 +150,47 @@ fn kitsune_records_stay_within_their_allocation_budget() {
     assert_eq!(after[2].1, before[2].1, "same host throughout");
 }
 
+/// A record that opens a socket and a channel allocates the groups' state
+/// and nothing more: one block of damped banks for the socket, and one block
+/// plus the `f_ipt` map state for the channel.
+#[test]
+fn opening_a_socket_and_a_channel_allocates_their_state_and_nothing_more() {
+    const RECORDS: usize = 64;
+    const STEADY: u64 = 2;
+    let compiled = compile(&dsl::parse(KITSUNE).unwrap()).unwrap();
+    let mut sw = FeSwitch::new(compiled.switch.clone()).unwrap();
+    let mut nic = FeNic::new(&compiled, MgpvConfig::default().fg_table_size).unwrap();
+    // One socket of host 1 first, so every buffer has its size.
+    let warm: Vec<_> = (0..RECORDS as u64)
+        .map(|i| PacketRecord::tcp(1_000 * (i + 1), 400, 1, 1000, 2, 80))
+        .collect();
+    for e in events_per_record(&mut sw, &warm) {
+        nic.handle(&e);
+        drop(nic.take_packet_vectors());
+    }
+    let fresh: Vec<_> = (0..RECORDS as u16)
+        .map(|i| {
+            let ts = 1_000 * (RECORDS as u64 + 1 + u64::from(i));
+            PacketRecord::tcp(ts, 400, 1, 2000 + i, 100 + u32::from(i), 80)
+        })
+        .collect();
+    let before = nic.groups_per_level();
+    for e in &events_per_record(&mut sw, &fresh) {
+        let n = allocations(|| {
+            nic.handle(e);
+            drop(nic.take_packet_vectors());
+        });
+        assert!(
+            n <= (STEADY + 3) * u64::from(is_record(e)),
+            "opening record: {n}"
+        );
+    }
+    let after = nic.groups_per_level();
+    assert_eq!(after[0].1 - before[0].1, RECORDS, "sockets opened");
+    assert_eq!(after[1].1 - before[1].1, RECORDS, "channels opened");
+    assert_eq!(after[2].1, before[2].1, "same host throughout");
+}
+
 /// A steady-state Kitsune record whose vector is scored where it is
 /// finalized costs the allocations of the unscored record: the scorers keep
 /// their activations in per-thread scratch that has its size after one score.
