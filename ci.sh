@@ -48,11 +48,12 @@ grep "schedules in all" <<<"$model_out"
 step "allocation budget (NIC hot path, counted)"
 # A counting global allocator around `FeNic::handle` on the Kitsune policy:
 # two allocations for a steady-state record (its emitted vector, and the
-# pending-vector buffer regrown after `take_packet_vectors`), at most three
-# more for a record that opens a socket and a channel (a block of damped
-# banks each, and the channel's `f_ipt` map state). Separate lanes per
-# reducer kind put that at five, per-group copies of the level program at
-# twenty. Scoring the
+# pending-vector buffer regrown after `take_packet_vectors`). A record that
+# opens a socket and a channel allocates nothing of its own: a group's state
+# is a block of its level's slab, so 64 such records cost 64 steady records
+# plus the chunks the slabs grew by, one per 64 groups of a slab. A block per
+# group put that at three per record, separate lanes per reducer kind at
+# five, per-group copies of the level program at twenty. Scoring the
 # record's vector in the shard — float KitNET or its Q39.24 plan — adds
 # none (it was 95 and 65). Already part of the workspace tests; named here
 # because it is the deterministic form of what the kitsune_steady /
@@ -61,13 +62,16 @@ cargo test -q --test alloc_budget
 
 step "damped bank differential (banked windows vs one window at a time)"
 # A level keeps each run of damped windows of a reduce as one bank: one
-# shared header, structure-of-arrays lanes, decay factors from a per-record
-# memo. Its contract is bit-identity — every emitted value after every
-# record, and every snapshot byte — with the shape it replaced, kept as a
-# test-only reference: random levels over every reducing function, Kitsune's
-# banks, runs split by other functions, 2-D banks in both directions,
-# backward timestamps, banks fed from `f_ipt`'s second packet. Already part
-# of the workspace tests at 96 cases; here at 2,000.
+# shared header, structure-of-arrays lanes, one probe of a per-record memo
+# for a header's decay factors. Its contract is bit-identity — every value a
+# group emits in the one walk that updates it, every value it finalizes to
+# after, and every snapshot byte — with the shape it replaced, kept as a
+# test-only reference that updates, then finalizes: random levels over every
+# reducing function, Kitsune's banks, runs split by other functions, 2-D
+# banks in both directions, backward timestamps, banks fed from `f_ipt`'s
+# second packet (its first only emits), banks behind `synthesize` chains,
+# and banks whose rates are a reordering or a part of Kitsune's at the same
+# gap. Already part of the workspace tests at 96 cases; here at 2,000.
 bank_out=$(BANK_DIFF_CASES=2000 cargo test -q -p superfe-policy --lib \
   lanes_and_memo_match_the_reference_bitwise -- --nocapture 2>&1) \
   || { printf '%s\n' "$bank_out"; echo "ci: a damped bank diverged from the one-window reference"; exit 1; }
@@ -359,17 +363,20 @@ if (( sparse_rate * 3 < dense_rate )); then
   exit 1
 fi
 # The NIC engine on Kitsune with every record in one socket, with every
-# record opening a socket and a channel, and on the kitsune_extract workload's
-# Mirai trace with `finish` and teardown timed. Printed, not gated:
+# record opening a socket and a channel, on the kitsune_extract workload's
+# Mirai trace with `finish` and teardown timed, and that engine's teardown
+# alone, as time per drop. Printed, not gated:
 # steady/churn has read anywhere from 1.3 to 3.3 with the host's load — no
 # threshold holds everywhere. The alloc_budget step is the gate.
 steady_rate=$(elem_rate nic_hotpath/kitsune_steady)
 churn_rate=$(elem_rate nic_hotpath/kitsune_churn)
 mirai_rate=$(elem_rate nic_hotpath/kitsune_mirai)
-[[ -n "$steady_rate" && -n "$churn_rate" && -n "$mirai_rate" ]] \
+teardown_time=$(grep -o 'nic_hotpath/kitsune_teardown *[0-9.]* [µm]*s' <<<"$bench_out" \
+  | grep -o '[0-9.]* [µm]*s$')
+[[ -n "$steady_rate" && -n "$churn_rate" && -n "$mirai_rate" && -n "$teardown_time" ]] \
   || { echo "ci: could not parse the kitsune hotpath output"; exit 1; }
 echo "ci: nic_hotpath kitsune_steady $steady_rate elem/s, kitsune_churn $churn_rate elem/s," \
-  "kitsune_mirai $mirai_rate elem/s"
+  "kitsune_mirai $mirai_rate elem/s, kitsune_teardown $teardown_time"
 # One KitNET score, fixed point and float. Printed, not gated: the gate on
 # the scorer is the differential above and the kitsune_inline workload.
 echo "ci: kitnet_score q39_24 $(elem_rate kitnet_score/q39_24) scores/s," \

@@ -8,7 +8,8 @@
 //! `FeNic::handle` over a real switch's events — every packet in one socket
 //! (`kitsune_steady`: update and finalize only) against every packet opening
 //! a socket and a channel (`kitsune_churn`: two group creations on top), and
-//! the benchmark's Mirai trace with `finish` and teardown (`kitsune_mirai`).
+//! the benchmark's Mirai trace with `finish` and teardown (`kitsune_mirai`)
+//! and its teardown alone (`kitsune_teardown`).
 //! `kitnet_score` is the scorer alone — the Q39.24 plan and the float model
 //! it was lowered from — on a model of Kitsune's width with flat training
 //! dimensions, which is what constant folding acts on.
@@ -19,7 +20,7 @@ use std::hint::black_box;
 use superfe_ml::{quantize, train_and_calibrate, CalibrationConfig, KitNetDetector, QuantConfig};
 use superfe_net::{Granularity, PacketRecord};
 use superfe_nic::FeNic;
-use superfe_policy::exec::{GroupExec, LevelPlan, RecordView};
+use superfe_policy::exec::{GroupExec, GroupSlab, LevelPlan, RecordView};
 use superfe_policy::{compile, dsl};
 use superfe_streaming::DecayMemo;
 use superfe_switch::{FeSwitch, MgpvCache, MgpvConfig, SwitchEvent};
@@ -83,8 +84,11 @@ fn bench_nic_reduce(c: &mut Criterion) {
     g.throughput(Throughput::Elements(PACKETS as u64));
     g.bench_function("reduce_update", |b| {
         b.iter_batched(
-            || GroupExec::new(&plan),
-            |mut exec| {
+            || {
+                let mut slab = GroupSlab::new(&plan);
+                (GroupExec::new(&plan, &mut slab), slab)
+            },
+            |(mut exec, mut slab)| {
                 let mut memo = DecayMemo::new();
                 for p in &trace.records {
                     let view = RecordView {
@@ -94,10 +98,10 @@ fn bench_nic_reduce(c: &mut Criterion) {
                         tcp_flags: p.tcp_flags,
                     };
                     memo.clear();
-                    exec.update(&plan, &view, 7, &mut memo);
+                    exec.update(&plan, &mut slab, &view, 7, &mut memo, None);
                 }
                 let mut out = Vec::new();
-                exec.finalize_into(&plan, &mut out);
+                exec.finalize_into(&plan, &slab, &mut out);
                 black_box(out.len())
             },
             BatchSize::SmallInput,
@@ -170,21 +174,24 @@ fn bench_nic_reduce(c: &mut Criterion) {
     }
     sw.flush_into(&mut events);
     g.throughput(Throughput::Elements(mirai.len() as u64));
+    let engine = || FeNic::new(&kitsune, MgpvConfig::default().fg_table_size).expect("engine");
+    let run = |mut nic: FeNic| {
+        let mut vectors = 0;
+        for frame in events.chunks(256) {
+            nic.handle_all(frame);
+            vectors += black_box(nic.take_packet_vectors()).len();
+        }
+        black_box(nic.finish());
+        assert_eq!(vectors, mirai.len());
+        nic
+    };
     g.bench_function("kitsune_mirai", |b| {
-        b.iter_batched(
-            || FeNic::new(&kitsune, MgpvConfig::default().fg_table_size).expect("engine"),
-            |mut nic| {
-                let mut vectors = 0;
-                for frame in events.chunks(256) {
-                    nic.handle_all(frame);
-                    vectors += black_box(nic.take_packet_vectors()).len();
-                }
-                black_box(nic.finish());
-                drop(nic);
-                assert_eq!(vectors, mirai.len());
-            },
-            BatchSize::SmallInput,
-        );
+        b.iter_batched(engine, |nic| drop(run(nic)), BatchSize::SmallInput);
+    });
+    // The same engine after `finish`, dropped alone: the teardown a
+    // repetition of that workload times inside its `finish`.
+    g.bench_function("kitsune_teardown", |b| {
+        b.iter_batched(|| run(engine()), drop, BatchSize::SmallInput);
     });
     g.finish();
 }

@@ -18,7 +18,7 @@ use superfe_net::{wire, Direction, GroupKey, PacketRecord};
 use superfe_nic::FeatureVector;
 use superfe_policy::ast::CollectUnit;
 use superfe_policy::dsl;
-use superfe_policy::exec::{view_of_packet, GroupExec, LevelPlan};
+use superfe_policy::exec::{view_of_packet, GroupExec, GroupSlab, LevelPlan};
 use superfe_policy::{compile, CompiledPolicy, Policy, PolicyError};
 use superfe_streaming::DecayMemo;
 use superfe_switch::pipeline::eval_predicate;
@@ -29,6 +29,8 @@ pub struct SoftwareExtractor {
     /// One plan per level of `compiled.nic`, driving that level's groups.
     plans: Vec<LevelPlan>,
     levels: Vec<HashMap<GroupKey, GroupExec>>,
+    /// Each level's group state, which its groups index.
+    slabs: Vec<GroupSlab>,
     /// Decay factors of the packet in hand, shared by its levels.
     memo: DecayMemo,
     per_pkt: bool,
@@ -43,6 +45,7 @@ impl SoftwareExtractor {
         let compiled = compile(policy)?;
         let plans: Vec<LevelPlan> = compiled.nic.levels.iter().map(LevelPlan::new).collect();
         let levels = plans.iter().map(|_| HashMap::new()).collect();
+        let slabs = plans.iter().map(GroupSlab::new).collect();
         let per_pkt = compiled
             .nic
             .levels
@@ -52,6 +55,7 @@ impl SoftwareExtractor {
             compiled,
             plans,
             levels,
+            slabs,
             memo: DecayMemo::new(),
             per_pkt,
             packet_vectors: Vec::new(),
@@ -91,13 +95,15 @@ impl SoftwareExtractor {
         for (li, level) in self.compiled.nic.levels.iter().enumerate() {
             let key = level.granularity.key_of(p);
             let hash = key.hash32();
-            let plan = &self.plans[li];
+            let (plan, slab) = (&self.plans[li], &mut self.slabs[li]);
             let exec = self.levels[li]
                 .entry(key)
-                .or_insert_with(|| GroupExec::new(plan));
-            exec.update(plan, &view, hash, &mut self.memo);
+                .or_insert_with(|| GroupExec::new(plan, slab));
+            // Update, then finalize: the oracle keeps the two walks the
+            // engine fuses into one.
+            exec.update(plan, slab, &view, hash, &mut self.memo, None);
             if self.per_pkt {
-                exec.finalize_into(plan, &mut pkt_values);
+                exec.finalize_into(plan, slab, &mut pkt_values);
                 pkt_key.get_or_insert(key);
             }
         }
@@ -129,7 +135,7 @@ impl SoftwareExtractor {
             if level.granularity == key.granularity() {
                 return self.levels[li]
                     .get(key)
-                    .map(|g| g.finalize(&self.plans[li]));
+                    .map(|g| g.finalize(&self.plans[li], &self.slabs[li]));
             }
         }
         None
@@ -143,7 +149,7 @@ impl SoftwareExtractor {
                 for (key, exec) in &self.levels[li] {
                     groups.push(FeatureVector {
                         key: *key,
-                        values: exec.finalize(&self.plans[li]).into(),
+                        values: exec.finalize(&self.plans[li], &self.slabs[li]).into(),
                     });
                 }
             }

@@ -177,6 +177,14 @@ impl<'a> StateReader<'a> {
         self.get_u8().map(|v| v != 0)
     }
 
+    /// Reads a `u32` count of items that take at least `item_bytes` bytes
+    /// each, and refuses a count the remaining bytes cannot hold — so a
+    /// decoder may reserve the count before it has read one item.
+    pub fn get_count(&mut self, item_bytes: usize) -> Option<usize> {
+        let n = self.get_u32()? as usize;
+        (n.checked_mul(item_bytes)? <= self.remaining()).then_some(n)
+    }
+
     /// Reads a length-prefixed byte slice.
     pub fn get_bytes(&mut self) -> Option<&'a [u8]> {
         let n = self.get_u32()? as usize;

@@ -9,7 +9,7 @@
 use superfe_net::snap::{StateReader, StateWriter};
 use superfe_net::{Granularity, GroupKey};
 use superfe_policy::ast::CollectUnit;
-use superfe_policy::exec::{GroupExec, LevelPlan, RecordView};
+use superfe_policy::exec::{GroupExec, GroupSlab, LevelPlan, RecordView};
 use superfe_policy::{CompiledPolicy, LevelProgram};
 use superfe_streaming::{DecayMemo, FeatureValues};
 use superfe_switch::{MgpvMessage, SwitchEvent};
@@ -139,13 +139,43 @@ impl NicStats {
     }
 }
 
-#[derive(Clone)]
 struct LevelState {
     program: LevelProgram,
     /// What every group of the level shares; the table's groups hold state
     /// only and are driven through it.
     plan: LevelPlan,
     table: GroupTable<GroupExec>,
+    /// The fixed-size state of the table's groups, which are indices into
+    /// it: cloned, cleared and restored with the table.
+    slab: GroupSlab,
+    /// Reused scratch receiving the table's raw evictions; empty between
+    /// records.
+    evictions: Vec<(GroupKey, GroupExec)>,
+}
+
+impl LevelState {
+    fn new(program: &LevelProgram, budget: TableBudget) -> Option<Self> {
+        let plan = LevelPlan::new(program);
+        Some(LevelState {
+            program: program.clone(),
+            table: GroupTable::with_budget(TABLE_BUCKETS, TABLE_WIDTH, budget)?,
+            slab: GroupSlab::new(&plan),
+            plan,
+            evictions: Vec::new(),
+        })
+    }
+}
+
+impl Clone for LevelState {
+    fn clone(&self) -> Self {
+        LevelState {
+            program: self.program.clone(),
+            plan: self.plan.clone(),
+            table: self.table.clone_with(GroupExec::fork),
+            slab: self.slab.clone(),
+            evictions: Vec::new(),
+        }
+    }
 }
 
 /// The SmartNIC feature-computation engine for one deployed policy.
@@ -169,8 +199,6 @@ pub struct FeNic {
     memo: DecayMemo,
     /// Groups evicted by the DRAM budget, finalized and awaiting drain.
     evicted: Vec<EvictedVector>,
-    /// Reused scratch receiving raw evictions from the group tables.
-    evict_scratch: Vec<(GroupKey, GroupExec)>,
     stats: NicStats,
 }
 
@@ -194,19 +222,8 @@ impl FeNic {
         fg_table_size: usize,
         budget: TableBudget,
     ) -> Option<Self> {
-        let levels = compiled
-            .nic
-            .levels
-            .iter()
-            .map(|lp| {
-                GroupTable::with_budget(TABLE_BUCKETS, TABLE_WIDTH, budget).map(|table| {
-                    LevelState {
-                        program: lp.clone(),
-                        plan: LevelPlan::new(lp),
-                        table,
-                    }
-                })
-            })
+        let levels = (compiled.nic.levels.iter())
+            .map(|lp| LevelState::new(lp, budget))
             .collect::<Option<Vec<_>>>()?;
         let per_pkt = compiled
             .nic
@@ -230,7 +247,6 @@ impl FeNic {
             scratch: Vec::new(),
             memo: DecayMemo::new(),
             evicted: Vec::new(),
-            evict_scratch: Vec::new(),
             stats: NicStats::default(),
         })
     }
@@ -316,7 +332,14 @@ impl FeNic {
             self.memo.clear();
 
             for level in &mut self.levels {
-                let g = level.program.granularity;
+                let LevelState {
+                    program,
+                    plan,
+                    table,
+                    slab,
+                    evictions,
+                } = level;
+                let g = program.granularity;
                 // MGPV recovery: the CG level uses the message key (and the
                 // switch-computed hash); finer levels project the FG key.
                 let (key, hash) = if g == self.cg {
@@ -336,17 +359,14 @@ impl FeNic {
                         }
                     }
                 };
-                let plan = &level.plan;
-                match level.table.get_or_insert_with(
-                    key,
-                    hash,
-                    || GroupExec::new(plan),
-                    &mut self.evict_scratch,
-                ) {
+                match table.get_or_insert_with(key, hash, || GroupExec::new(plan, slab), evictions)
+                {
                     Some(exec) => {
-                        exec.update(plan, &view, hash, &mut self.memo);
+                        // A per-packet record emits each level's block in
+                        // the walk that updates it.
+                        let out = self.per_pkt.then_some(&mut pkt_values);
+                        exec.update(plan, slab, &view, hash, &mut self.memo, out);
                         if self.per_pkt {
-                            exec.finalize_into(plan, &mut pkt_values);
                             pkt_key.get_or_insert(key);
                         }
                     }
@@ -358,7 +378,7 @@ impl FeNic {
                         emit_pkt_vector = false;
                     }
                 }
-                for (ekey, eexec) in self.evict_scratch.drain(..) {
+                for (ekey, eexec) in evictions.drain(..) {
                     self.stats.evicted_groups += 1;
                     // Finalized behind the record's own block when that is
                     // in the scratch.
@@ -368,7 +388,8 @@ impl FeNic {
                         let own = pkt_values.len();
                         (&mut pkt_values, own)
                     };
-                    let values = group_values(&eexec, plan, scratch, keep);
+                    let values = group_values(&eexec, plan, slab, scratch, keep);
+                    eexec.release(slab);
                     self.evicted.push(EvictedVector {
                         level: g,
                         vector: FeatureVector { key: ekey, values },
@@ -412,7 +433,7 @@ impl FeNic {
                 for (key, exec) in level.table.iter() {
                     out.push(FeatureVector {
                         key: *key,
-                        values: group_values(exec, &level.plan, &mut self.scratch, 0),
+                        values: group_values(exec, &level.plan, &level.slab, &mut self.scratch, 0),
                     });
                 }
             }
@@ -430,8 +451,10 @@ impl FeNic {
         w.put_u16(self.levels.len() as u16);
         for level in &self.levels {
             level.program.granularity.save_state(w);
-            let LevelState { plan, table, .. } = level;
-            w.put_section(|w| table.save_state(w, |g, w| g.save_state(plan, w)));
+            let LevelState {
+                plan, table, slab, ..
+            } = level;
+            w.put_section(|w| table.save_state(w, |g, w| g.save_state(plan, slab, w)));
         }
         w.put_u32(self.fg_mirror.len() as u32);
         for slot in &self.fg_mirror {
@@ -466,8 +489,11 @@ impl FeNic {
             if Granularity::load_state(r)? != level.program.granularity {
                 return None;
             }
-            let LevelState { plan, table, .. } = level;
-            r.get_section(|r| table.load_state(r, |r| GroupExec::load_state(plan, r)))?;
+            let LevelState {
+                plan, table, slab, ..
+            } = level;
+            slab.clear();
+            r.get_section(|r| table.load_state(r, |r| GroupExec::load_state(plan, slab, r)))?;
         }
         if r.get_u32()? as usize != self.fg_mirror.len() {
             return None;
@@ -503,16 +529,17 @@ impl FeNic {
 fn group_values(
     exec: &GroupExec,
     plan: &LevelPlan,
+    slab: &GroupSlab,
     scratch: &mut Vec<f64>,
     keep: usize,
 ) -> FeatureValues {
     if plan.feature_len() > FeatureValues::INLINE_CAP {
         let mut values = Vec::with_capacity(plan.feature_len());
-        exec.finalize_into(plan, &mut values);
+        exec.finalize_into(plan, slab, &mut values);
         return values.into();
     }
     scratch.truncate(keep);
-    exec.finalize_into(plan, scratch);
+    exec.finalize_into(plan, slab, scratch);
     let values = scratch[keep..].into();
     scratch.truncate(keep);
     values
@@ -717,6 +744,72 @@ mod tests {
                 _ => assert_eq!(f.as_slice(), &[f[0], f[0], f[0], f[0], 0.0, 0.0], "{e:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_freed_slab_block_is_a_fresh_group_and_a_fork_runs_on_alike() {
+        // One-packet hosts, each a fresh group: every window has weight 1,
+        // mean the packet's size and deviation 0, and `f_ipt` has no sample.
+        let c = compiled(
+            "pktstream\n.groupby(host)\n.map(ipt, tstamp, f_ipt)\n\
+             .reduce(size, [f_damped{5}, f_damped{0.1}])\n.reduce(ipt, [f_damped{1}])\n\
+             .collect(pkt)",
+        );
+        let size_of = |host: u32| 100.0 + f64::from((host - 1) % 7);
+        let fresh = |host: u32| {
+            let s = size_of(host);
+            vec![1.0, s, 0.0, 1.0, s, 0.0, 0.0, 0.0, 0.0]
+        };
+        // Enough hosts to spill past the fast table and evict, again and
+        // again, under a small cap: each spilled host reuses the block of
+        // the one evicted before it.
+        let hosts = TABLE_BUCKETS as u32 * TABLE_WIDTH as u32 + 2_000;
+        let mut sw = FeSwitch::new(c.switch.clone()).unwrap();
+        let mut events = Vec::new();
+        for i in 0..hosts {
+            let ts = u64::from(i) * 1_000;
+            events.extend(sw.process(&PacketRecord::tcp(
+                ts,
+                size_of(i + 1) as u16,
+                i + 1,
+                1000,
+                2,
+                80,
+            )));
+        }
+        events.extend(sw.flush());
+        let budget = TableBudget::capped(16, crate::table::EvictionPolicy::EvictOldest);
+        let mut nic = FeNic::with_budget(&c, 16_384, budget).unwrap();
+        let host = |key: &GroupKey| match key {
+            GroupKey::Host(ip) => *ip,
+            other => panic!("not a host: {other:?}"),
+        };
+        let check = |nic: &mut FeNic| {
+            let (vectors, evicted) = (nic.take_packet_vectors(), nic.take_evicted());
+            for v in vectors.iter().chain(evicted.iter().map(|e| &e.vector)) {
+                assert_eq!(v.values.as_slice(), fresh(host(&v.key)), "{v:?}");
+            }
+            (vectors, evicted)
+        };
+        // Fork once evictions are under way; both copies take the rest.
+        let fork_at = events.len() * 19 / 20;
+        nic.handle_all(&events[..fork_at]);
+        let (_, evicted) = check(&mut nic);
+        assert!(
+            evicted.len() > 100,
+            "{} evictions before the fork",
+            evicted.len()
+        );
+        let mut fork = nic.clone();
+        nic.handle_all(&events[fork_at..]);
+        fork.handle_all(&events[fork_at..]);
+        let (ours, theirs) = (check(&mut nic), check(&mut fork));
+        assert!(!ours.1.is_empty() && !ours.0.is_empty());
+        assert_eq!(ours, theirs);
+        let (mut a, mut b) = (StateWriter::new(), StateWriter::new());
+        nic.save_state(&mut a);
+        fork.save_state(&mut b);
+        assert!(a.into_bytes() == b.into_bytes(), "the fork's state differs");
     }
 
     #[test]

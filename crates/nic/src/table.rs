@@ -2,10 +2,11 @@
 //! size-capped DRAM overflow (§6.2 "group table implementation").
 //!
 //! The 512-bit data bus loads a whole bucket in one access, so a bucket
-//! holds `width` entries and a lookup scans them in registers. Entries that
-//! do not fit their bucket spill into external DRAM — slower, but harmless
-//! while the collision rate stays low, which the paper (and our tests)
-//! verify.
+//! holds `width` entries and a lookup scans them in registers. Here too a
+//! bucket is `width` consecutive slots of one array, filled in order.
+//! Entries that do not fit their bucket spill into external DRAM — slower,
+//! but harmless while the collision rate stays low, which the paper (and our
+//! tests) verify.
 //!
 //! The DRAM spill is **bounded**: a [`TableBudget`] caps the number of
 //! spilled entries under the memory the admission controller granted, and a
@@ -16,6 +17,7 @@
 
 use std::collections::VecDeque;
 
+use superfe_net::hash::bucket_of;
 use superfe_net::{FxHashMap, GroupKey};
 
 /// Default DRAM overflow cap (entries). Large enough that the bundled
@@ -144,11 +146,15 @@ impl TableStats {
 }
 
 /// A hash table with fixed-length chains and size-capped DRAM overflow.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct GroupTable<V> {
-    buckets: Vec<Vec<(GroupKey, V)>>,
-    /// Entries across all of `buckets`, so [`GroupTable::len`] — polled live
-    /// by admission feedback — does not sum 16k chain lengths per call.
+    /// The bucket array, `buckets × width` slots in one allocation: bucket
+    /// `b` is the `width` slots from `b × width`, filled in order, so its
+    /// chain is the slots before its first empty one.
+    slots: Vec<Option<(GroupKey, V)>>,
+    buckets: usize,
+    /// Entries across all of `slots`, so [`GroupTable::len`] — polled live
+    /// by admission feedback — does not count 64k slots per call.
     in_buckets: usize,
     width: usize,
     /// DRAM spill values. Keyed with the vendored Fx hasher: the std
@@ -192,7 +198,10 @@ impl<V> GroupTable<V> {
             _ => 0,
         };
         Some(GroupTable {
-            buckets: (0..buckets).map(|_| Vec::with_capacity(width)).collect(),
+            slots: std::iter::repeat_with(|| None)
+                .take(buckets.checked_mul(width)?)
+                .collect(),
+            buckets,
             in_buckets: 0,
             width,
             overflow: FxHashMap::default(),
@@ -210,13 +219,40 @@ impl<V> GroupTable<V> {
         self.budget
     }
 
+    /// A copy of the table whose values are `clone_v` of this one's.
+    pub fn clone_with(&self, mut clone_v: impl FnMut(&V) -> V) -> Self {
+        let slots = (self.slots.iter())
+            .map(|s| s.as_ref().map(|(k, v)| (*k, clone_v(v))))
+            .collect();
+        let overflow = (self.overflow.iter())
+            .map(|(k, v)| (*k, clone_v(v)))
+            .collect();
+        GroupTable {
+            slots,
+            overflow,
+            order: self.order.clone(),
+            ticks: self.ticks.clone(),
+            ..*self
+        }
+    }
+
     /// Number of resident groups (bucket array + overflow).
     pub fn len(&self) -> usize {
         debug_assert_eq!(
             self.in_buckets,
-            self.buckets.iter().map(Vec::len).sum::<usize>()
+            self.slots.iter().filter(|s| s.is_some()).count()
         );
         self.in_buckets + self.overflow.len()
+    }
+
+    /// Bucket `b`'s slots.
+    fn bucket(&self, b: usize) -> &[Option<(GroupKey, V)>] {
+        &self.slots[b * self.width..][..self.width]
+    }
+
+    /// Bucket `b`'s chain: its filled slots, in insertion order.
+    fn chain(&self, b: usize) -> impl Iterator<Item = &(GroupKey, V)> {
+        self.bucket(b).iter().map_while(Option::as_ref)
     }
 
     /// Whether the table holds no groups.
@@ -247,18 +283,23 @@ impl<V> GroupTable<V> {
         evicted: &mut Vec<(GroupKey, V)>,
     ) -> Option<&mut V> {
         self.stats.lookups += 1;
-        let b = (hash as usize) % self.buckets.len();
-        // Fixed-length chain scan (one bus access on hardware).
-        if let Some(pos) = self.buckets[b].iter().position(|(k, _)| *k == key) {
-            self.stats.fast_hits += 1;
-            return Some(&mut self.buckets[b][pos].1);
-        }
-        if self.buckets[b].len() < self.width && !self.overflow.contains_key(&key) {
-            self.stats.fast_hits += 1;
-            self.buckets[b].push((key, default()));
-            self.in_buckets += 1;
-            let last = self.buckets[b].len() - 1;
-            return Some(&mut self.buckets[b][last].1);
+        let b = bucket_of(hash, self.buckets);
+        // Fixed-length chain scan (one bus access on hardware): the key's
+        // slot, else the first empty one, which ends the chain.
+        let found = (self.bucket(b).iter())
+            .position(|s| s.as_ref().is_none_or(|(k, _)| *k == key))
+            .map(|i| b * self.width + i);
+        match found {
+            Some(at) if self.slots[at].is_some() => {
+                self.stats.fast_hits += 1;
+                return self.slots[at].as_mut().map(|(_, v)| v);
+            }
+            Some(at) if !self.overflow.contains_key(&key) => {
+                self.stats.fast_hits += 1;
+                self.in_buckets += 1;
+                return Some(&mut self.slots[at].insert((key, default())).1);
+            }
+            _ => {}
         }
         // Collision: go to DRAM.
         self.stats.dram_lookups += 1;
@@ -351,9 +392,8 @@ impl<V> GroupTable<V> {
     /// insertion order (recency order under [`EvictionPolicy::Lru`]) —
     /// deterministic, matching the serialized layout.
     pub fn iter(&self) -> impl Iterator<Item = (&GroupKey, &V)> {
-        self.buckets
-            .iter()
-            .flat_map(|b| b.iter().map(|(k, v)| (k, v)))
+        (self.slots.iter().flatten())
+            .map(|(k, v)| (k, v))
             .chain(self.order.iter().filter_map(|(k, t)| {
                 if !self.is_fresh(k, *t) {
                     return None;
@@ -365,9 +405,7 @@ impl<V> GroupTable<V> {
 
     /// Removes every group, keeping the structure and budget.
     pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
+        self.slots.fill_with(|| None);
         self.in_buckets = 0;
         self.overflow.clear();
         self.order.clear();
@@ -383,12 +421,12 @@ impl<V> GroupTable<V> {
         w: &mut superfe_net::snap::StateWriter,
         mut save_v: impl FnMut(&V, &mut superfe_net::snap::StateWriter),
     ) {
-        w.put_u32(self.buckets.len() as u32);
+        w.put_u32(self.buckets as u32);
         w.put_u32(self.width as u32);
         self.budget.save_state(w);
-        for b in &self.buckets {
-            w.put_u16(b.len() as u16);
-            for (k, v) in b {
+        for b in 0..self.buckets {
+            w.put_u16(self.chain(b).count() as u16);
+            for (k, v) in self.chain(b) {
                 k.save_state(w);
                 save_v(v, w);
             }
@@ -426,24 +464,24 @@ impl<V> GroupTable<V> {
         r: &mut superfe_net::snap::StateReader<'_>,
         mut load_v: impl FnMut(&mut superfe_net::snap::StateReader<'_>) -> Option<V>,
     ) -> Option<()> {
-        if r.get_u32()? as usize != self.buckets.len() || r.get_u32()? as usize != self.width {
+        if r.get_u32()? as usize != self.buckets || r.get_u32()? as usize != self.width {
             return None;
         }
         // Before the entries: the policy decides how re-inserts are ticked.
         self.budget = TableBudget::load_state(r)?;
         self.clear();
-        for b in 0..self.buckets.len() {
+        for b in 0..self.buckets {
             let n = r.get_u16()? as usize;
             if n > self.width {
                 return None;
             }
-            for _ in 0..n {
+            for i in 0..n {
                 let k = GroupKey::load_state(r)?;
-                if self.buckets[b].iter().any(|(seen, _)| *seen == k) {
+                if self.chain(b).any(|(seen, _)| *seen == k) {
                     return None;
                 }
                 let v = load_v(r)?;
-                self.buckets[b].push((k, v));
+                self.slots[b * self.width + i] = Some((k, v));
                 self.in_buckets += 1;
             }
         }
@@ -464,7 +502,7 @@ impl<V> GroupTable<V> {
         // A spilled key never also sits in a chain (`get_or_insert_with`
         // checks the spill before it fills a chain slot).
         if !self.overflow.is_empty()
-            && (self.buckets.iter().flatten()).any(|(k, _)| self.overflow.contains_key(k))
+            && (self.slots.iter().flatten()).any(|(k, _)| self.overflow.contains_key(k))
         {
             return None;
         }

@@ -6,8 +6,9 @@
 //!
 //! What a level *is* and what a group *has* are separate types. A
 //! [`LevelPlan`], built once per [`LevelProgram`], owns everything every
-//! group of the level shares; a [`GroupExec`] holds one group's mapper and
-//! reducer state and is driven through its plan with one [`RecordView`] per
+//! group of the level shares; a [`GroupSlab`] holds the fixed-size state of
+//! the level's groups; a [`GroupExec`] is one group's index into that slab
+//! and its general lane, driven through its plan with one [`RecordView`] per
 //! packet.
 
 use std::ops::Range;
@@ -164,7 +165,10 @@ impl Lane {
 
 impl ReducerInstance {
     /// Feeds one sample; `hash` is its hash, which `f_card` takes in place
-    /// of the value (hash-reuse path).
+    /// of the value (hash-reuse path). Inlined by force: with the slot loop
+    /// in two copies, one emitting, LLVM stopped inlining it, and the call
+    /// cost NPOD's update ~10%.
+    #[inline(always)]
     fn update(&mut self, value: f64, hash: u32) {
         match self {
             ReducerInstance::Sum(s) => s.update(value),
@@ -417,14 +421,24 @@ struct ReducePlan {
     synths: Vec<SynthFn>,
 }
 
+/// One reduce's sample of one record: its value, the value's hash (for
+/// `f_card`), when it was seen and which side of a 2-D window it feeds.
+#[derive(Clone, Copy, Debug)]
+struct Sample {
+    value: f64,
+    hash: u32,
+    ts_ns: u64,
+    into_a: bool,
+}
+
 /// Map outputs of one record live on the stack up to this many maps.
 const STACK_MAPS: usize = 8;
 
 /// Everything about a level that is the same for every group: the map
 /// functions, the bound value sources, the reduce layout with the damped
-/// windows' decay rates, and one pristine group to copy. Built once where
-/// the engine is constructed; a [`GroupExec`] holds only state and is driven
-/// through its plan.
+/// windows' decay rates, the size of a group's fixed state and one pristine
+/// general lane to copy. Built once where the engine is constructed; a
+/// [`GroupExec`] holds only state and is driven through its plan.
 #[derive(Clone, Debug)]
 pub struct LevelPlan {
     /// Each map's function and bound source, which references only the
@@ -438,8 +452,11 @@ pub struct LevelPlan {
     banks1: Vec<(usize, DampedBank)>,
     /// Each 2-D bank and the word it starts at.
     banks2: Vec<(usize, PairBank)>,
+    /// Words of a group's bank block; a fresh block is all zeros.
+    words: usize,
     feature_len: usize,
-    template: GroupExec,
+    /// A fresh group's general lane.
+    general: Box<[ReducerInstance]>,
 }
 
 impl LevelPlan {
@@ -503,12 +520,9 @@ impl LevelPlan {
             slots,
             banks1,
             banks2,
+            words,
             feature_len: level.feature_len(),
-            template: GroupExec {
-                maps: vec![MapState::default(); level.maps.len()].into(),
-                banks: vec![0.0; words].into(),
-                general: general.into(),
-            },
+            general: general.into(),
         }
     }
 
@@ -516,107 +530,309 @@ impl LevelPlan {
     pub fn feature_len(&self) -> usize {
         self.feature_len
     }
+
+    /// Appends reduce `r`'s feature block, read from a group's bank block
+    /// and general lane, to `out`, through its `synthesize` chain.
+    fn emit_block(
+        &self,
+        r: &ReducePlan,
+        banks: &[f64],
+        general: &[ReducerInstance],
+        out: &mut Vec<f64>,
+    ) {
+        let slots = &self.slots[r.slots.clone()];
+        if r.synths.is_empty() {
+            self.finalize_slots(slots, banks, general, out);
+        } else {
+            let mut block = Vec::new();
+            self.finalize_slots(slots, banks, general, &mut block);
+            out.extend(apply_synths(block, &r.synths));
+        }
+    }
+
+    fn finalize_slots(
+        &self,
+        slots: &[Slot],
+        banks: &[f64],
+        general: &[ReducerInstance],
+        out: &mut Vec<f64>,
+    ) {
+        for slot in slots {
+            match *slot {
+                Slot::Bank1(i) => {
+                    let (at, bank) = &self.banks1[i];
+                    bank.finalize_into(&banks[*at..], out);
+                }
+                Slot::Bank2(i) => {
+                    let (at, bank) = &self.banks2[i];
+                    bank.finalize_into(&banks[*at..], out);
+                }
+                Slot::General(i) => general[i].finalize_into(out),
+            }
+        }
+    }
 }
 
-/// The state of one group at one granularity level: mapper state and
-/// reducer accumulators, nothing of the program. Every method takes the
-/// [`LevelPlan`] the group was created from.
+/// Groups per chunk of a [`GroupSlab`]. A chunk of Kitsune's widest level
+/// (a channel's 720 bytes of bank words) is ~46 KB, under glibc's mmap
+/// threshold, so chunks freed at teardown go back to the allocator's arena
+/// and the next engine's chunks do not fault their pages in again.
+pub const SLAB_CHUNK_GROUPS: usize = 64;
+
+/// One kind of fixed-size group state, `stride` values per group, kept in
+/// chunks of [`SLAB_CHUNK_GROUPS`] groups that are allocated whole and never
+/// grown, copied or moved. A state of stride 0 allocates nothing.
 #[derive(Clone, Debug)]
+struct Chunks<T> {
+    stride: usize,
+    /// The value a fresh group's state is made of.
+    fresh: T,
+    chunks: Vec<Box<[T]>>,
+}
+
+impl<T: Copy> Chunks<T> {
+    fn new(stride: usize, fresh: T) -> Self {
+        Chunks {
+            stride,
+            fresh,
+            chunks: Vec::new(),
+        }
+    }
+
+    /// Makes room for group `at`, the first past every group so far: a new
+    /// chunk when `at` starts one.
+    fn grow_to(&mut self, at: usize) {
+        if self.stride > 0 && at == self.chunks.len() * SLAB_CHUNK_GROUPS {
+            let chunk = vec![self.fresh; SLAB_CHUNK_GROUPS * self.stride];
+            self.chunks.push(chunk.into_boxed_slice());
+        }
+    }
+
+    #[inline]
+    fn get(&self, at: usize) -> &[T] {
+        if self.stride == 0 {
+            return &[];
+        }
+        let chunk = &self.chunks[at / SLAB_CHUNK_GROUPS];
+        &chunk[at % SLAB_CHUNK_GROUPS * self.stride..][..self.stride]
+    }
+
+    #[inline]
+    fn get_mut(&mut self, at: usize) -> &mut [T] {
+        if self.stride == 0 {
+            return &mut [];
+        }
+        let chunk = &mut self.chunks[at / SLAB_CHUNK_GROUPS];
+        &mut chunk[at % SLAB_CHUNK_GROUPS * self.stride..][..self.stride]
+    }
+}
+
+/// The fixed-size state of one level's groups: a group's map states and its
+/// bank block sit at one index, in two chunked slabs. Released indices go on
+/// a free list and are handed out again, reset, before either slab grows. A
+/// level's table and its slab are cloned, cleared and restored together:
+/// a [`GroupExec`] is an index into the slab it was created in.
+#[derive(Clone, Debug)]
+pub struct GroupSlab {
+    maps: Chunks<MapState>,
+    banks: Chunks<f64>,
+    /// Indices handed out so far, live or released.
+    len: usize,
+    /// Released indices.
+    free: Vec<usize>,
+}
+
+impl GroupSlab {
+    /// An empty slab for the groups of `plan`'s level.
+    pub fn new(plan: &LevelPlan) -> Self {
+        GroupSlab {
+            maps: Chunks::new(plan.maps.len(), MapState::default()),
+            banks: Chunks::new(plan.words, 0.0),
+            len: 0,
+            free: Vec::new(),
+        }
+    }
+
+    /// Forgets every group and frees every chunk.
+    pub fn clear(&mut self) {
+        self.maps.chunks.clear();
+        self.banks.chunks.clear();
+        self.len = 0;
+        self.free.clear();
+    }
+
+    /// The index of a fresh group's state.
+    fn alloc(&mut self) -> usize {
+        if let Some(at) = self.free.pop() {
+            let (maps, banks) = self.state_mut(at);
+            maps.fill(MapState::default());
+            banks.fill(0.0);
+            return at;
+        }
+        let at = self.len;
+        self.len += 1;
+        self.maps.grow_to(at);
+        self.banks.grow_to(at);
+        at
+    }
+
+    /// Group `at`'s map states and bank block.
+    #[inline]
+    fn state_mut(&mut self, at: usize) -> (&mut [MapState], &mut [f64]) {
+        (self.maps.get_mut(at), self.banks.get_mut(at))
+    }
+}
+
+/// The state of one group at one granularity level, nothing of the program:
+/// where its fixed-size state sits in the level's [`GroupSlab`], and its
+/// general lane, which is empty — no allocation — when every reducer of the
+/// level is a damped window. Every method takes the [`LevelPlan`] the group
+/// was created from and that slab.
+///
+/// Not `Clone`: a copy of the index would share the state behind it. A
+/// group is copied only together with its slab, by [`GroupExec::fork`].
+#[derive(Debug)]
 pub struct GroupExec {
-    maps: Box<[MapState]>,
-    /// The state of every damped bank of the level, in one allocation
-    /// however many windows there are.
-    banks: Box<[f64]>,
+    at: usize,
     general: Box<[ReducerInstance]>,
 }
 
 impl GroupExec {
-    /// A fresh group of `plan`'s level: a copy of the plan's template.
-    pub fn new(plan: &LevelPlan) -> Self {
-        plan.template.clone()
+    /// A fresh group of `plan`'s level, its state at a fresh index of
+    /// `slab`.
+    pub fn new(plan: &LevelPlan, slab: &mut GroupSlab) -> Self {
+        GroupExec {
+            at: slab.alloc(),
+            general: plan.general.clone(),
+        }
+    }
+
+    /// This group in a clone of its slab: the same index, a copy of the
+    /// general lane.
+    pub fn fork(&self) -> Self {
+        GroupExec {
+            at: self.at,
+            general: self.general.clone(),
+        }
+    }
+
+    /// Returns the group's index to `slab`, whose next new group reuses it.
+    pub fn release(self, slab: &mut GroupSlab) {
+        slab.free.push(self.at);
     }
 
     /// Feeds one record through the level's maps and reduces.
     ///
     /// `key_hash` is the switch-computed hash, reused by `f_card`. `memo`
     /// serves repeated decay factors; the caller clears it once per record
-    /// (it may span the levels of that record).
+    /// (it may span the levels of that record). With `out` — a per-packet
+    /// vector — the group appends its feature block in the same walk: each
+    /// slot emits from the state it has just updated, a slot with no sample
+    /// only emits, and a reduce with a `synthesize` chain emits its block
+    /// once its slots have updated. The block is what
+    /// [`GroupExec::finalize_into`] appends after the update.
     pub fn update(
         &mut self,
         plan: &LevelPlan,
+        slab: &mut GroupSlab,
         rec: &RecordView,
         key_hash: u32,
         memo: &mut DecayMemo,
+        mut out: Option<&mut Vec<f64>>,
     ) {
+        let (maps, banks) = slab.state_mut(self.at);
         // Slot `i` is written before anything reads it.
         let (mut stack, mut heap) = ([None; STACK_MAPS], Vec::new());
-        let map_out: &mut [Option<f64>] = if self.maps.len() <= STACK_MAPS {
-            &mut stack[..self.maps.len()]
+        let map_out: &mut [Option<f64>] = if maps.len() <= STACK_MAPS {
+            &mut stack[..maps.len()]
         } else {
-            heap.resize(self.maps.len(), None);
+            heap.resize(maps.len(), None);
             &mut heap
         };
         // Evaluate maps in order; later maps may read earlier outputs.
-        for (i, (state, (func, source))) in self.maps.iter_mut().zip(&plan.maps).enumerate() {
+        for (i, (state, (func, source))) in maps.iter_mut().zip(&plan.maps).enumerate() {
             map_out[i] = state.apply(*func, source.read(rec, map_out), rec);
         }
         for r in &plan.reduces {
-            let Some(value) = r.source.read(rec, map_out) else {
-                continue; // e.g. f_ipt's first packet
+            let sample = r.source.read(rec, map_out).map(|value| Sample {
+                value,
+                hash: mix_hash(key_hash, value),
+                ts_ns: rec.ts_ns,
+                into_a: rec.direction >= 0,
+            });
+            let slots = &plan.slots[r.slots.clone()];
+            let Some(out) = out.as_deref_mut() else {
+                if let Some(s) = sample {
+                    self.update_slots(plan, slots, banks, s, memo, None);
+                }
+                continue;
             };
-            let sample_hash = mix_hash(key_hash, value);
-            for slot in &plan.slots[r.slots.clone()] {
-                match *slot {
-                    Slot::Bank1(i) => {
-                        let (at, bank) = &plan.banks1[i];
-                        bank.update(&mut self.banks[*at..], value, rec.ts_ns, memo);
+            match sample {
+                Some(s) if r.synths.is_empty() => {
+                    self.update_slots(plan, slots, banks, s, memo, Some(out));
+                }
+                // A synthesize chain reads the whole block: the slots
+                // update, then the block emits.
+                Some(s) => {
+                    self.update_slots(plan, slots, banks, s, memo, None);
+                    plan.emit_block(r, banks, &self.general, out);
+                }
+                // No sample (e.g. f_ipt's first packet): the block only
+                // emits.
+                None => plan.emit_block(r, banks, &self.general, out),
+            }
+        }
+    }
+
+    /// Feeds one reduce's sample to its `slots`, each slot then appending
+    /// its features to `emit` when there is one. Inlined into both of
+    /// [`GroupExec::update`]'s calls, so the one without `emit` carries no
+    /// trace of it.
+    #[inline(always)]
+    fn update_slots(
+        &mut self,
+        plan: &LevelPlan,
+        slots: &[Slot],
+        banks: &mut [f64],
+        s: Sample,
+        memo: &mut DecayMemo,
+        mut emit: Option<&mut Vec<f64>>,
+    ) {
+        for slot in slots {
+            let emit = emit.as_deref_mut();
+            match *slot {
+                Slot::Bank1(i) => {
+                    let (at, bank) = &plan.banks1[i];
+                    bank.update(&mut banks[*at..], s.value, s.ts_ns, memo, emit);
+                }
+                Slot::Bank2(i) => {
+                    let (at, bank) = &plan.banks2[i];
+                    let state = &mut banks[*at..];
+                    bank.update(state, s.value, s.ts_ns, s.into_a, memo, emit);
+                }
+                Slot::General(i) => {
+                    self.general[i].update(s.value, s.hash);
+                    if let Some(out) = emit {
+                        self.general[i].finalize_into(out);
                     }
-                    Slot::Bank2(i) => {
-                        let (at, bank) = &plan.banks2[i];
-                        let into_a = rec.direction >= 0;
-                        bank.update(&mut self.banks[*at..], value, rec.ts_ns, into_a, memo);
-                    }
-                    Slot::General(i) => self.general[i].update(value, sample_hash),
                 }
             }
         }
     }
 
     /// Emits the group's feature block (reduces in order, synthesized).
-    pub fn finalize(&self, plan: &LevelPlan) -> Vec<f64> {
+    pub fn finalize(&self, plan: &LevelPlan, slab: &GroupSlab) -> Vec<f64> {
         let mut out = Vec::with_capacity(plan.feature_len);
-        self.finalize_into(plan, &mut out);
+        self.finalize_into(plan, slab, &mut out);
         out
     }
 
     /// Appends the group's feature block to `out` — the buffer-reusing form
-    /// of [`GroupExec::finalize`] for the per-packet collection path.
-    pub fn finalize_into(&self, plan: &LevelPlan, out: &mut Vec<f64>) {
+    /// of [`GroupExec::finalize`].
+    pub fn finalize_into(&self, plan: &LevelPlan, slab: &GroupSlab, out: &mut Vec<f64>) {
+        let banks = slab.banks.get(self.at);
         for r in &plan.reduces {
-            let slots = &plan.slots[r.slots.clone()];
-            if r.synths.is_empty() {
-                self.finalize_slots(plan, slots, out);
-            } else {
-                let mut block = Vec::new();
-                self.finalize_slots(plan, slots, &mut block);
-                out.extend(apply_synths(block, &r.synths));
-            }
-        }
-    }
-
-    fn finalize_slots(&self, plan: &LevelPlan, slots: &[Slot], out: &mut Vec<f64>) {
-        for slot in slots {
-            match *slot {
-                Slot::Bank1(i) => {
-                    let (at, bank) = &plan.banks1[i];
-                    bank.finalize_into(&self.banks[*at..], out);
-                }
-                Slot::Bank2(i) => {
-                    let (at, bank) = &plan.banks2[i];
-                    bank.finalize_into(&self.banks[*at..], out);
-                }
-                Slot::General(i) => self.general[i].finalize_into(out),
-            }
+            plan.emit_block(r, banks, &self.general, out);
         }
     }
 
@@ -624,9 +840,10 @@ impl GroupExec {
     /// accumulators, in policy order). Banks are layout, not state: the
     /// bytes are one record per reducer — a variant tag, then the
     /// estimator's state, a bank window's as the window alone writes it.
-    pub fn save_state(&self, plan: &LevelPlan, w: &mut StateWriter) {
-        w.put_u16(self.maps.len() as u16);
-        for state in self.maps.iter() {
+    pub fn save_state(&self, plan: &LevelPlan, slab: &GroupSlab, w: &mut StateWriter) {
+        let (maps, banks) = (slab.maps.get(self.at), slab.banks.get(self.at));
+        w.put_u16(maps.len() as u16);
+        for state in maps {
             state.save_state(w);
         }
         w.put_u16(plan.reduces.len() as u16);
@@ -638,14 +855,14 @@ impl GroupExec {
                         let (at, bank) = &plan.banks1[b];
                         for i in 0..bank.len() {
                             w.put_u8(TAG_DAMPED);
-                            bank.window(&self.banks[*at..], i).save_state(w);
+                            bank.window(&banks[*at..], i).save_state(w);
                         }
                     }
                     Slot::Bank2(b) => {
                         let (at, bank) = &plan.banks2[b];
                         for i in 0..bank.len() {
                             w.put_u8(TAG_PAIR);
-                            bank.window(&self.banks[*at..], i).save_state(w);
+                            bank.window(&banks[*at..], i).save_state(w);
                         }
                     }
                     Slot::General(i) => self.general[i].save_state(w),
@@ -654,17 +871,38 @@ impl GroupExec {
         }
     }
 
-    /// Restores a group of `plan`'s level from the dynamic state written by
-    /// [`GroupExec::save_state`]. Returns `None` when the snapshot's shape
-    /// does not match the plan (different policy), when a damped window's λ
-    /// is not the plan's or the windows of one bank disagree on their shared
-    /// header, or when the input is corrupt.
-    pub fn load_state(plan: &LevelPlan, r: &mut StateReader<'_>) -> Option<Self> {
-        let mut g = GroupExec::new(plan);
-        if r.get_u16()? as usize != g.maps.len() {
+    /// Restores a group of `plan`'s level, at a fresh index of `slab`, from
+    /// the dynamic state written by [`GroupExec::save_state`]. Returns `None`
+    /// — and releases the index — when the snapshot's shape does not match
+    /// the plan (different policy), when a damped window's λ is not the
+    /// plan's or the windows of one bank disagree on their shared header, or
+    /// when the input is corrupt.
+    pub fn load_state(
+        plan: &LevelPlan,
+        slab: &mut GroupSlab,
+        r: &mut StateReader<'_>,
+    ) -> Option<Self> {
+        let mut g = GroupExec::new(plan, slab);
+        match g.load_into(plan, slab, r) {
+            Some(()) => Some(g),
+            None => {
+                g.release(slab);
+                None
+            }
+        }
+    }
+
+    fn load_into(
+        &mut self,
+        plan: &LevelPlan,
+        slab: &mut GroupSlab,
+        r: &mut StateReader<'_>,
+    ) -> Option<()> {
+        let (maps, banks) = slab.state_mut(self.at);
+        if r.get_u16()? as usize != maps.len() {
             return None;
         }
-        for state in g.maps.iter_mut() {
+        for state in maps.iter_mut() {
             *state = MapState::load_state(r)?;
         }
         if r.get_u16()? as usize != plan.reduces.len() {
@@ -683,7 +921,7 @@ impl GroupExec {
                                 return None;
                             }
                             let window = DampedStat::load_state(r)?;
-                            bank.load_window(&mut g.banks[*at..], i, &window)?;
+                            bank.load_window(&mut banks[*at..], i, &window)?;
                         }
                     }
                     Slot::Bank2(b) => {
@@ -693,14 +931,14 @@ impl GroupExec {
                                 return None;
                             }
                             let window = DampedPair::load_state(r)?;
-                            bank.load_window(&mut g.banks[*at..], i, &window)?;
+                            bank.load_window(&mut banks[*at..], i, &window)?;
                         }
                     }
-                    Slot::General(i) => g.general[i].load_state(r)?,
+                    Slot::General(i) => self.general[i].load_state(r)?,
                 }
             }
         }
-        Some(g)
+        Some(())
     }
 }
 
@@ -739,17 +977,31 @@ mod tests {
         compile(&src_policy).unwrap().nic.levels.remove(0)
     }
 
-    /// A level's plan and one fresh group of it.
-    fn group_of(src_policy: crate::ast::Policy) -> (LevelPlan, GroupExec) {
-        let plan = LevelPlan::new(&level_of(src_policy));
-        let g = GroupExec::new(&plan);
-        (plan, g)
+    /// A level's plan, its slab and one fresh group of it.
+    struct One {
+        plan: LevelPlan,
+        slab: GroupSlab,
+        g: GroupExec,
     }
 
-    /// One record into one group, under a memo of its own as an engine's
-    /// would be after its per-record `clear`.
-    fn feed(g: &mut GroupExec, plan: &LevelPlan, rec: &RecordView, key_hash: u32) {
-        g.update(plan, rec, key_hash, &mut DecayMemo::new());
+    impl One {
+        /// One record into the group, under a memo of its own as an
+        /// engine's would be after its per-record `clear`.
+        fn feed(&mut self, rec: &RecordView, key_hash: u32) {
+            let memo = &mut DecayMemo::new();
+            (self.g).update(&self.plan, &mut self.slab, rec, key_hash, memo, None);
+        }
+
+        fn finalize(&self) -> Vec<f64> {
+            self.g.finalize(&self.plan, &self.slab)
+        }
+    }
+
+    fn group_of(src_policy: crate::ast::Policy) -> One {
+        let plan = LevelPlan::new(&level_of(src_policy));
+        let mut slab = GroupSlab::new(&plan);
+        let g = GroupExec::new(&plan, &mut slab);
+        One { plan, slab, g }
     }
 
     fn rec(size: f64, ts_ms: u64, dir: i64) -> RecordView {
@@ -772,11 +1024,11 @@ mod tests {
             .collect_group(Granularity::Flow)
             .build()
             .unwrap();
-        let (plan, mut g) = group_of(p);
+        let mut g = group_of(p);
         for (i, s) in [100.0, 200.0, 300.0].iter().enumerate() {
-            feed(&mut g, &plan, &rec(*s, i as u64, 1), 0);
+            g.feed(&rec(*s, i as u64, 1), 0);
         }
-        let f = g.finalize(&plan);
+        let f = g.finalize();
         assert_eq!(f.len(), 4);
         assert!((f[0] - 200.0).abs() < 1e-9); // mean
         assert!((f[1] - 6666.666).abs() < 1.0); // var
@@ -793,11 +1045,11 @@ mod tests {
             .collect_group(Granularity::Flow)
             .build()
             .unwrap();
-        let (plan, mut g) = group_of(p);
-        feed(&mut g, &plan, &rec(100.0, 0, 1), 0);
-        feed(&mut g, &plan, &rec(100.0, 10, 1), 0);
-        feed(&mut g, &plan, &rec(100.0, 30, 1), 0);
-        let f = g.finalize(&plan);
+        let mut g = group_of(p);
+        g.feed(&rec(100.0, 0, 1), 0);
+        g.feed(&rec(100.0, 10, 1), 0);
+        g.feed(&rec(100.0, 30, 1), 0);
+        let f = g.finalize();
         // Two IPT samples: 10ms and 20ms (in ns).
         assert!((f[0] - 15e6).abs() < 1.0, "mean ipt {}", f[0]);
         assert!((f[1] - 30e6).abs() < 1.0, "sum ipt {}", f[1]);
@@ -813,11 +1065,11 @@ mod tests {
             .collect_group(Granularity::Flow)
             .build()
             .unwrap();
-        let (plan, mut g) = group_of(p);
+        let mut g = group_of(p);
         for (i, dir) in [1i64, 1, -1, 1, -1, -1].iter().enumerate() {
-            feed(&mut g, &plan, &rec(100.0, i as u64, *dir), 0);
+            g.feed(&rec(100.0, i as u64, *dir), 0);
         }
-        assert_eq!(g.finalize(&plan), vec![1.0, 1.0, -1.0, 1.0, -1.0, -1.0]);
+        assert_eq!(g.finalize(), vec![1.0, 1.0, -1.0, 1.0, -1.0, -1.0]);
     }
 
     #[test]
@@ -829,12 +1081,12 @@ mod tests {
             .collect_group(Granularity::Flow)
             .build()
             .unwrap();
-        let (plan, mut g) = group_of(p);
+        let mut g = group_of(p);
         for (i, dir) in [1i64, 1, -1, -1, 1].iter().enumerate() {
-            feed(&mut g, &plan, &rec(100.0, i as u64, *dir), 0);
+            g.feed(&rec(100.0, i as u64, *dir), 0);
         }
         // Three bursts.
-        assert_eq!(g.finalize(&plan), vec![3.0]);
+        assert_eq!(g.finalize(), vec![3.0]);
     }
 
     #[test]
@@ -857,10 +1109,10 @@ mod tests {
             .collect_group(Granularity::Channel)
             .build()
             .unwrap();
-        let (plan, mut g) = group_of(p);
-        feed(&mut g, &plan, &rec(300.0, 0, 1), 0);
-        feed(&mut g, &plan, &rec(400.0, 1, -1), 0);
-        let f = g.finalize(&plan);
+        let mut g = group_of(p);
+        g.feed(&rec(300.0, 0, 1), 0);
+        g.feed(&rec(400.0, 1, -1), 0);
+        let f = g.finalize();
         assert_eq!(f.len(), 4);
         assert!((f[0] - 500.0).abs() < 1e-6, "magnitude {}", f[0]); // 3-4-5
     }
@@ -877,11 +1129,11 @@ mod tests {
             .collect_group(Granularity::Flow)
             .build()
             .unwrap();
-        let (plan, mut g) = group_of(p);
+        let mut g = group_of(p);
         for (i, dir) in [1i64, -1, 1, -1].iter().enumerate() {
-            feed(&mut g, &plan, &rec(100.0, i as u64, *dir), 0);
+            g.feed(&rec(100.0, i as u64, *dir), 0);
         }
-        let f = g.finalize(&plan);
+        let f = g.finalize();
         assert_eq!(f.len(), 2);
         assert!(f.iter().all(|x| x.abs() <= 1.0));
     }
@@ -900,9 +1152,9 @@ mod tests {
             .collect_group(Granularity::Flow)
             .build()
             .unwrap();
-        let (plan, g) = group_of(p);
-        assert_eq!(plan.feature_len(), 16);
-        assert_eq!(g.finalize(&plan).len(), 16);
+        let g = group_of(p);
+        assert_eq!(g.plan.feature_len(), 16);
+        assert_eq!(g.finalize().len(), 16);
     }
 
     #[test]
@@ -920,12 +1172,12 @@ mod tests {
             .collect_group(Granularity::Flow)
             .build()
             .unwrap();
-        let (plan, mut g) = group_of(p);
+        let mut g = group_of(p);
         // Edges: 0,1,3,7,15,... — 0.5 -> bin 0, 2 -> bin 1, 5 -> bin 2.
         for (i, s) in [0.5, 2.0, 5.0].iter().enumerate() {
-            feed(&mut g, &plan, &rec(*s, i as u64, 1), 0);
+            g.feed(&rec(*s, i as u64, 1), 0);
         }
-        let f = g.finalize(&plan);
+        let f = g.finalize();
         assert_eq!(f[0], 1.0);
         assert_eq!(f[1], 1.0);
         assert_eq!(f[2], 1.0);
@@ -939,24 +1191,25 @@ mod tests {
             .collect_group(Granularity::Host)
             .build()
             .unwrap();
-        let (plan, mut g) = group_of(p);
+        let mut g = group_of(p);
         for i in 0..500u32 {
             // 100 distinct sizes.
-            feed(&mut g, &plan, &rec(f64::from(i % 100), u64::from(i), 1), 0);
+            g.feed(&rec(f64::from(i % 100), u64::from(i), 1), 0);
         }
-        let est = g.finalize(&plan)[0];
+        let est = g.finalize()[0];
         assert!((est - 100.0).abs() / 100.0 < 0.3, "estimate {est}");
     }
 
-    /// Bytes and allocations a group keeps on the heap: its three parts
-    /// (none of Kitsune's reducers owns a buffer of its own).
-    fn heap_of(g: &GroupExec) -> (usize, usize) {
-        let parts = [
-            std::mem::size_of_val(&*g.maps),
-            std::mem::size_of_val(&*g.banks),
-            std::mem::size_of_val(&*g.general),
-        ];
-        (parts.iter().sum(), parts.iter().filter(|&&b| b > 0).count())
+    /// Bytes a group of `plan`'s level keeps — its block of the slab and its
+    /// general lane — and the allocations of its own, which only a general
+    /// lane makes (none of Kitsune's reducers owns a buffer of its own).
+    fn heap_of(plan: &LevelPlan) -> (usize, usize) {
+        let mut slab = GroupSlab::new(plan);
+        let g = GroupExec::new(plan, &mut slab);
+        let block = std::mem::size_of_val(slab.maps.get(g.at))
+            + std::mem::size_of_val(slab.banks.get(g.at));
+        let general = std::mem::size_of_val(&*g.general);
+        (block + general, usize::from(general > 0))
     }
 
     #[test]
@@ -974,25 +1227,21 @@ mod tests {
             .unwrap()
             .nic
             .levels;
-        let heap: Vec<(usize, usize)> = levels
-            .iter()
-            .map(|l| heap_of(&GroupExec::new(&LevelPlan::new(l))))
-            .collect();
+        let heap: Vec<(usize, usize)> =
+            levels.iter().map(|l| heap_of(&LevelPlan::new(l))).collect();
         // The §6.2 model sizes the socket group at 280 bytes of 4-byte words;
         // the host engine keeps f64 words and stays under 2.2 times that.
-        assert!(
-            heap[0].0 <= 600 && heap[0].1 == 1,
-            "socket group {:?}",
-            heap[0]
-        );
+        assert!(heap[0].0 <= 600, "socket group {:?}", heap[0]);
         assert!(heap[1].0 <= 760, "channel group {:?}", heap[1]);
         // The host level inherits the channel level's `ipt` map state.
         assert!(heap[2].0 <= 320, "host group {:?}", heap[2]);
+        // No Kitsune group allocates anything of its own.
+        assert!(heap.iter().all(|&(_, allocs)| allocs == 0), "{heap:?}");
         // A socket is two banks of five windows and nothing else.
         let socket = LevelPlan::new(&levels[0]);
         assert!(matches!(socket.slots[..], [Slot::Bank1(0), Slot::Bank2(0)]));
         assert_eq!((socket.banks1[0].1.len(), socket.banks2[0].1.len()), (5, 5));
-        assert!(socket.template.general.is_empty());
+        assert!(socket.general.is_empty() && socket.maps.is_empty());
     }
 
     #[test]
@@ -1029,7 +1278,7 @@ mod tests {
         // The banks' words tile one block.
         let words: usize = plan.banks1.iter().map(|(_, b)| b.words()).sum::<usize>()
             + plan.banks2.iter().map(|(_, b)| b.words()).sum::<usize>();
-        assert_eq!(plan.template.banks.len(), words);
+        assert_eq!(plan.words, words);
     }
 
     /// A socket-like group that has seen both directions: one reduce of
@@ -1039,13 +1288,13 @@ mod tests {
                    .reduce(size, [f_damped{5}, f_damped{3}, f_damped{1}, f_damped{0.1}, f_damped{0.01}])\n\
                    .reduce(size, [f_damped2d{5}, f_damped2d{3}, f_damped2d{1}, f_damped2d{0.1}, f_damped2d{0.01}])\n\
                    .collect(pkt)";
-        let (plan, mut g) = group_of(crate::dsl::parse(src).unwrap());
+        let mut g = group_of(crate::dsl::parse(src).unwrap());
         for (i, dir) in [1i64, -1, 1, 1, -1].iter().enumerate() {
-            feed(&mut g, &plan, &rec(100.0 + i as f64, i as u64, *dir), 0);
+            g.feed(&rec(100.0 + i as f64, i as u64, *dir), 0);
         }
         let mut w = StateWriter::new();
-        g.save_state(&plan, &mut w);
-        (plan, w.into_bytes())
+        g.g.save_state(&g.plan, &g.slab, &mut w);
+        (g.plan, w.into_bytes())
     }
 
     /// Byte offsets in [`kitsune_socket_snapshot`]'s bytes: the map count,
@@ -1061,7 +1310,8 @@ mod tests {
 
     fn loads(plan: &LevelPlan, bytes: &[u8]) -> bool {
         let mut r = StateReader::new(bytes);
-        GroupExec::load_state(plan, &mut r).is_some_and(|_| r.is_empty())
+        let slab = &mut GroupSlab::new(plan);
+        GroupExec::load_state(plan, slab, &mut r).is_some_and(|_| r.is_empty())
     }
 
     #[test]
@@ -1104,12 +1354,12 @@ mod tests {
             .collect_group(Granularity::Flow)
             .build()
             .unwrap();
-        let (plan, mut g) = group_of(p);
-        assert!(g.maps.len() > STACK_MAPS);
+        let mut g = group_of(p);
+        assert!(g.plan.maps.len() > STACK_MAPS);
         for (i, dir) in [1i64, -1, -1].iter().enumerate() {
-            feed(&mut g, &plan, &rec(100.0, i as u64, *dir), 0);
+            g.feed(&rec(100.0, i as u64, *dir), 0);
         }
-        assert_eq!(g.finalize(&plan), vec![-1.0]);
+        assert_eq!(g.finalize(), vec![-1.0]);
     }
 
     /// One reducer as the shape before banks kept it: the general lane's
@@ -1314,6 +1564,10 @@ mod tests {
             Just(vec![damped(5.0), ReduceFn::Sum, damped(3.0)]),
             Just(KITSUNE.map(damped).to_vec()),
             Just(KITSUNE.map(damped2d).to_vec()),
+            // Banks a record's memo must tell apart from Kitsune's at the
+            // same gap: two of its rates, in another order and alone.
+            Just(vec![damped(3.0), damped(5.0)]),
+            Just(vec![damped2d(5.0), damped2d(3.0)]),
             Just(vec![
                 damped2d(1.0),
                 ReduceFn::Mag,
@@ -1349,15 +1603,29 @@ mod tests {
         }
     }
 
+    /// Banks behind `synthesize` chains: Kitsune's windows over `f_ipt`,
+    /// whose first packet emits a block of empty windows, normalized; and
+    /// 2-D windows marked and sampled. Each block emits once its bank has
+    /// updated, never window by window.
+    fn synth_level() -> LevelProgram {
+        let mut level = ipt_level();
+        level.reduces[0].synths = vec![SynthFn::Norm];
+        level.reduces[1].src = Field::Size;
+        level.reduces[1].synths = vec![SynthFn::Marker, SynthFn::Sample { n: 7 }];
+        level
+    }
+
     /// A level built directly (no policy validation in the way): one of a
     /// few map chains, one to three reduces over sources that may or may not
-    /// resolve, with and without `synthesize` chains — or [`ipt_level`].
+    /// resolve, with and without `synthesize` chains — or [`ipt_level`], or
+    /// [`synth_level`].
     fn any_level() -> impl Strategy<Value = LevelProgram> {
         prop_oneof![
             random_level(),
             random_level(),
             random_level(),
-            Just(ipt_level())
+            Just(ipt_level()),
+            Just(synth_level())
         ]
     }
 
@@ -1455,10 +1723,12 @@ mod tests {
             records in any_records(),
         ) {
             let plans: Vec<LevelPlan> = levels.iter().map(LevelPlan::new).collect();
-            // Two groups per level.
+            // Two groups per level, in one slab per level.
+            let mut slabs: Vec<GroupSlab> = plans.iter().map(GroupSlab::new).collect();
             let mut groups: Vec<[GroupExec; 2]> = plans
                 .iter()
-                .map(|p| [GroupExec::new(p), GroupExec::new(p)])
+                .zip(&mut slabs)
+                .map(|(p, s)| [GroupExec::new(p, s), GroupExec::new(p, s)])
                 .collect();
             let mut refs: Vec<[RefGroup; 2]> = levels
                 .iter()
@@ -1478,28 +1748,31 @@ mod tests {
                 memo.clear();
                 for (li, level) in levels.iter().enumerate() {
                     let hash = 0x9E37_79B9u32.wrapping_mul((li * 2 + which + 1) as u32);
-                    groups[li][which].update(&plans[li], &view, hash, &mut memo);
+                    let (plan, slab, g) = (&plans[li], &mut slabs[li], &mut groups[li][which]);
+                    // One walk, emitting as it updates, against the
+                    // reference's update, then finalize.
+                    let mut emitted = Vec::new();
+                    g.update(plan, slab, &view, hash, &mut memo, Some(&mut emitted));
                     refs[li][which].update(level, &view, hash);
-                    prop_assert_eq!(
-                        bits(&groups[li][which].finalize(&plans[li])),
-                        bits(&refs[li][which].finalize(level)),
-                        "record {} level {}", n, li
-                    );
+                    let want = bits(&refs[li][which].finalize(level));
+                    prop_assert_eq!(bits(&emitted), want.clone(), "record {} level {}", n, li);
+                    prop_assert_eq!(bits(&g.finalize(plan, slab)), want, "record {} level {}", n, li);
                 }
             }
             for (li, plan) in plans.iter().enumerate() {
+                let slab = &mut slabs[li];
                 for which in 0..2 {
                     let (mut got, mut want) = (StateWriter::new(), StateWriter::new());
-                    groups[li][which].save_state(plan, &mut got);
+                    groups[li][which].save_state(plan, slab, &mut got);
                     refs[li][which].save_state(&mut want);
                     let got = got.into_bytes();
                     prop_assert_eq!(&got, &want.into_bytes(), "snapshot of level {}", li);
                     // And the bytes load back into the same banks.
                     let mut r = StateReader::new(&got);
-                    let loaded = GroupExec::load_state(plan, &mut r);
+                    let loaded = GroupExec::load_state(plan, slab, &mut r);
                     prop_assert!(loaded.is_some() && r.is_empty());
                     let mut again = StateWriter::new();
-                    loaded.unwrap().save_state(plan, &mut again);
+                    loaded.unwrap().save_state(plan, slab, &mut again);
                     prop_assert_eq!(&again.into_bytes(), &got);
                 }
             }

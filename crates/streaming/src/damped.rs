@@ -28,21 +28,28 @@ fn decay_factor(lambda: f64, dt_ns: u64) -> f64 {
     (2.0f64).powf(-lambda * dt)
 }
 
-/// Entries a [`DecayMemo`] holds; a record that needs more simply computes.
+/// Entries a [`DecayMemo`] keeps per record; a probe past them still gets its
+/// factors, computed afresh.
 const MEMO_SLOTS: usize = 16;
 
-/// A per-record memo of decay factors.
+/// A per-record memo of decay factors, one entry per bank header.
 ///
 /// One record updates many damped windows — Kitsune's 35 across three
-/// levels — but they share a handful of `(λ, Δt)` pairs: the same five λ at
-/// every level, and one Δt per group. `2^(-λ·Δt)` is a pure function of
-/// `(λ bits, Δt ns)`, so serving a repeat from this memo returns exactly the
-/// bits a fresh `powf` would. The owner clears it once per record.
+/// levels, in seven banks — but the banks' headers share a handful of
+/// keys: the same five λ at every level, and one Δt per group. A bank asks
+/// once per header for the factors `2^(-λ·Δt)` of all its windows, keyed by
+/// Δt and the bits of its λs. Each factor is a pure function of `(λ bits, Δt
+/// ns)`, so a hit returns exactly the bits fresh `powf`s would. The owner
+/// clears it once per record.
 #[derive(Clone, Debug, Default)]
 pub struct DecayMemo {
-    keys: [(u64, u64); MEMO_SLOTS],
-    factors: [f64; MEMO_SLOTS],
-    len: usize,
+    /// Per kept entry: its Δt, where its words start and its window count.
+    keys: Vec<(u64, usize, usize)>,
+    /// Per entry: its `k` λs, then their `k` factors.
+    words: Vec<f64>,
+    /// Words of the kept entries; past them sit the factors of the last
+    /// probe that found no room.
+    kept: usize,
 }
 
 impl DecayMemo {
@@ -53,24 +60,40 @@ impl DecayMemo {
 
     /// Forgets every factor (start of a new record).
     pub fn clear(&mut self) {
-        self.len = 0;
+        self.keys.clear();
+        self.words.clear();
+        self.kept = 0;
     }
 
-    /// The decay factor for `(lambda, dt_ns)`, computed at most once until
-    /// the next [`DecayMemo::clear`] while the memo has room.
+    /// The decay factors of windows of rates `lambdas` over a gap of
+    /// `dt_ns`, one per window: computed at most once until the next
+    /// [`DecayMemo::clear`] while the memo has room.
     #[inline]
-    pub fn decay(&mut self, lambda: f64, dt_ns: u64) -> f64 {
-        let key = (lambda.to_bits(), dt_ns);
-        if let Some(i) = self.keys[..self.len].iter().position(|k| *k == key) {
-            return self.factors[i];
-        }
-        let d = decay_factor(lambda, dt_ns);
-        if self.len < MEMO_SLOTS {
-            self.keys[self.len] = key;
-            self.factors[self.len] = d;
-            self.len += 1;
-        }
-        d
+    pub fn factors(&mut self, lambdas: &[f64], dt_ns: u64) -> &[f64] {
+        let k = lambdas.len();
+        let hit = self.keys.iter().find(|&&(dt, at, n)| {
+            dt == dt_ns
+                && n == k
+                && (self.words[at..at + k].iter())
+                    .zip(lambdas)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+        });
+        let at = match hit {
+            Some(&(_, at, _)) => at,
+            None => {
+                self.words.truncate(self.kept);
+                let at = self.words.len();
+                self.words.extend_from_slice(lambdas);
+                self.words
+                    .extend(lambdas.iter().map(|&lambda| decay_factor(lambda, dt_ns)));
+                if self.keys.len() < MEMO_SLOTS {
+                    self.keys.push((dt_ns, at, k));
+                    self.kept = self.words.len();
+                }
+                at
+            }
+        };
+        &self.words[at + k..at + 2 * k]
     }
 }
 
@@ -588,23 +611,34 @@ impl DampedBank {
     }
 
     /// Inserts sample `x` observed at `ts_ns` into every window: one Δt
-    /// check, then per window a decay (factors through `memo`) and an
-    /// insert.
+    /// check and one `memo` probe for the windows' factors, then per window a
+    /// decay and an insert. With `out`, the windows then emit what
+    /// [`DampedBank::finalize_into`] would, from the state just updated.
     ///
     /// Out of line on purpose, as is [`PairBank::update`]: inlined into the
     /// caller's loop over a level's reducers, the bank kernels slowed that
     /// loop by ~7% for policies with no damped window (NPOD on a CAMPUS
     /// trace); one call per bank costs Kitsune ~3%.
     #[inline(never)]
-    pub fn update(&self, state: &mut [f64], x: f64, ts_ns: u64, memo: &mut DecayMemo) {
+    pub fn update(
+        &self,
+        state: &mut [f64],
+        x: f64,
+        ts_ns: u64,
+        memo: &mut DecayMemo,
+        out: Option<&mut Vec<f64>>,
+    ) {
         let (head, body) = state.split_at_mut(HEADER_WORDS);
         let [w, ls, ss] = lanes_mut(body, self.len());
-        let gap = Header::advance_in(head, ts_ns);
-        for (i, &lambda) in self.lambdas.iter().enumerate() {
-            if let Some(dt) = gap {
-                decay(&mut w[i], &mut ls[i], &mut ss[i], memo.decay(lambda, dt));
+        let factors = Header::advance_in(head, ts_ns).map(|dt| memo.factors(&self.lambdas, dt));
+        for i in 0..self.len() {
+            if let Some(d) = factors {
+                decay(&mut w[i], &mut ls[i], &mut ss[i], d[i]);
             }
             insert(&mut w[i], &mut ls[i], &mut ss[i], x);
+        }
+        if let Some(out) = out {
+            self.finalize_into(state, out);
         }
     }
 
@@ -688,9 +722,10 @@ impl PairBank {
     }
 
     /// Inserts sample `x` observed at `ts_ns` into side a (`into_a`) or b of
-    /// every window: one Δt check for the joint header and one for the
-    /// side's, then per window the decays (factors through `memo`), the
-    /// insert, the side's residual and the joint residual product.
+    /// every window: one Δt check and one `memo` probe for the joint header
+    /// and for the side's, then per window the decays, the insert, the
+    /// side's residual and the joint residual product. With `out`, the
+    /// windows then emit what [`PairBank::finalize_into`] would.
     #[inline(never)]
     pub fn update(
         &self,
@@ -699,26 +734,29 @@ impl PairBank {
         ts_ns: u64,
         into_a: bool,
         memo: &mut DecayMemo,
+        out: Option<&mut Vec<f64>>,
     ) {
         let (heads, body) = state.split_at_mut(3 * HEADER_WORDS);
         let [aw, als, ass, bw, bls, bss, sr, w3, res_a, res_b] = lanes_mut(body, self.len());
         let (joint_head, sides) = heads.split_at_mut(HEADER_WORDS);
         let (a_head, b_head) = sides.split_at_mut(HEADER_WORDS);
-        let joint_gap = Header::advance_in(joint_head, ts_ns);
+        if let Some(dt) = Header::advance_in(joint_head, ts_ns) {
+            let d = memo.factors(&self.lambdas, dt);
+            for i in 0..self.len() {
+                sr[i] *= d[i];
+                w3[i] *= d[i];
+            }
+        }
         let (side_head, w, ls, ss) = if into_a {
             (a_head, aw, als, ass)
         } else {
             (b_head, bw, bls, bss)
         };
-        let side_gap = Header::advance_in(side_head, ts_ns);
-        for (i, &lambda) in self.lambdas.iter().enumerate() {
-            if let Some(dt) = joint_gap {
-                let d = memo.decay(lambda, dt);
-                sr[i] *= d;
-                w3[i] *= d;
-            }
-            if let Some(dt) = side_gap {
-                decay(&mut w[i], &mut ls[i], &mut ss[i], memo.decay(lambda, dt));
+        let factors =
+            Header::advance_in(side_head, ts_ns).map(|dt| memo.factors(&self.lambdas, dt));
+        for i in 0..self.len() {
+            if let Some(d) = factors {
+                decay(&mut w[i], &mut ls[i], &mut ss[i], d[i]);
             }
             insert(&mut w[i], &mut ls[i], &mut ss[i], x);
             let res = x - mean(w[i], ls[i]);
@@ -729,6 +767,9 @@ impl PairBank {
             }
             sr[i] += res_a[i] * res_b[i];
             w3[i] += 1.0;
+        }
+        if let Some(out) = out {
+            self.finalize_into(state, out);
         }
     }
 
@@ -855,15 +896,44 @@ mod tests {
         assert_eq!(s.finalize().len(), 3);
     }
 
+    /// The factors a bank of rates `lambdas` gets from `memo`, as bits, and
+    /// the bits of one fresh `powf` per window.
+    fn probe(memo: &mut DecayMemo, lambdas: &[f64], dt: u64) -> (Vec<u64>, Vec<u64>) {
+        let fresh = lambdas.iter().map(|&l| decay_factor(l, dt).to_bits());
+        (bits(memo.factors(lambdas, dt)), fresh.collect())
+    }
+
     #[test]
-    fn memo_hit_returns_the_bits_of_a_fresh_powf() {
+    fn memo_hit_returns_the_bits_of_each_windows_fresh_powf() {
         let mut memo = DecayMemo::new();
-        for (lambda, dt) in [(5.0, 1_234_567u64), (0.01, 3 * SEC), (0.1, 1)] {
-            let fresh = decay_factor(lambda, dt).to_bits();
-            assert_eq!(memo.decay(lambda, dt).to_bits(), fresh, "miss");
-            assert_eq!(memo.decay(lambda, dt).to_bits(), fresh, "hit");
+        for dt in [1_234_567u64, 3 * SEC, 1] {
+            let (got, want) = probe(&mut memo, &LAMBDAS, dt);
+            assert_eq!(got, want, "miss");
+            let (got, want) = probe(&mut memo, &LAMBDAS, dt);
+            assert_eq!(got, want, "hit");
         }
-        assert_eq!(memo.len, 3);
+        assert_eq!(memo.keys.len(), 3);
+    }
+
+    #[test]
+    fn a_banks_rates_in_order_are_its_key() {
+        let mut memo = DecayMemo::new();
+        // One gap, five banks: a permutation, a longer bank and a rate of
+        // other bits are each a key of their own, not a hit on another's.
+        let banks: [&[f64]; 5] = [
+            &[5.0, 3.0],
+            &[3.0, 5.0],
+            &[5.0, 3.0, 1.0],
+            &[0.0, 3.0],
+            &[-0.0, 3.0],
+        ];
+        for round in 0..2 {
+            for lambdas in banks {
+                let (got, want) = probe(&mut memo, lambdas, SEC / 3);
+                assert_eq!(got, want, "{round}: {lambdas:?}");
+            }
+            assert_eq!(memo.keys.len(), banks.len());
+        }
     }
 
     #[test]
@@ -873,34 +943,34 @@ mod tests {
         // early ones are still served, late ones are recomputed each time.
         for round in 0..2 {
             for i in 0..40u64 {
-                let (lambda, dt) = (0.5 + i as f64, 1_000 * (i + 1));
-                let want = decay_factor(lambda, dt).to_bits();
-                assert_eq!(memo.decay(lambda, dt).to_bits(), want, "{round}/{i}");
+                let lambdas = [0.5 + i as f64, 0.25];
+                let (got, want) = probe(&mut memo, &lambdas, 1_000 * (i + 1));
+                assert_eq!(got, want, "{round}/{i}");
             }
-            assert_eq!(memo.len, MEMO_SLOTS);
+            assert_eq!(memo.keys.len(), MEMO_SLOTS);
         }
     }
 
     #[test]
     fn memo_clear_forgets() {
         let mut memo = DecayMemo::new();
-        memo.decay(1.0, SEC);
-        assert_eq!(memo.len, 1);
+        memo.factors(&[1.0], SEC);
+        assert_eq!(memo.keys.len(), 1);
         memo.clear();
-        assert_eq!(memo.len, 0);
+        assert_eq!(memo.keys.len(), 0);
         // Same key after clear: computed again, same bits.
-        assert_eq!(memo.decay(1.0, SEC).to_bits(), 0.5f64.to_bits());
+        assert_eq!(bits(memo.factors(&[1.0], SEC)), [0.5f64.to_bits()]);
     }
 
     #[test]
     fn memo_zero_lambda_and_zero_gap_are_exactly_one() {
         let mut memo = DecayMemo::new();
-        assert_eq!(memo.decay(0.0, 7 * SEC), 1.0);
-        assert_eq!(memo.decay(3.0, 0), 1.0);
+        assert_eq!(memo.factors(&[0.0], 7 * SEC), [1.0]);
+        assert_eq!(memo.factors(&[3.0], 0), [1.0]);
         // λ = 0 at two gaps and Δt = 0 at two rates are four distinct keys.
-        assert_eq!(memo.decay(0.0, SEC), 1.0);
-        assert_eq!(memo.decay(1.0, 0), 1.0);
-        assert_eq!(memo.len, 4);
+        assert_eq!(memo.factors(&[0.0], SEC), [1.0]);
+        assert_eq!(memo.factors(&[1.0], 0), [1.0]);
+        assert_eq!(memo.keys.len(), 4);
     }
 
     /// Kitsune's five windows, and a 2-D run mixing every output.
@@ -937,11 +1007,13 @@ mod tests {
         {
             let (x, into_a) = (100.0 + n as f64, n % 3 != 1);
             memo.clear();
-            bank.update(one, x, *ts, &mut memo);
-            pairs.update(two, x, *ts, into_a, &mut memo);
-            let (mut got, mut want) = (Vec::new(), Vec::new());
-            bank.finalize_into(one, &mut got);
-            pairs.finalize_into(two, &mut got);
+            // What the banks emit as they update, and what they finalize to.
+            let (mut got, mut again, mut want) = (Vec::new(), Vec::new(), Vec::new());
+            bank.update(one, x, *ts, &mut memo, Some(&mut got));
+            pairs.update(two, x, *ts, into_a, &mut memo, Some(&mut got));
+            bank.finalize_into(one, &mut again);
+            pairs.finalize_into(two, &mut again);
+            assert_eq!(bits(&got), bits(&again), "record {n}");
             for s in &mut stats {
                 s.update_at(x, *ts);
                 want.extend_from_slice(&s.triple());
@@ -993,7 +1065,7 @@ mod tests {
         let mut bank = DampedBank::new(1.0);
         bank.push(0.1);
         let mut state = vec![0.0; bank.words()];
-        bank.update(&mut state, 7.0, SEC, &mut DecayMemo::new());
+        bank.update(&mut state, 7.0, SEC, &mut DecayMemo::new(), None);
         let (first, second) = (bank.window(&state, 0), bank.window(&state, 1));
         let mut fresh = vec![0.0; bank.words()];
         // Window 1 under window 0's rate.

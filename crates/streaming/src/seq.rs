@@ -68,7 +68,7 @@ impl SeqArray {
     /// Reads a sequence written by [`SeqArray::save_state`].
     pub fn load_state(r: &mut StateReader<'_>) -> Option<Self> {
         let cap = r.get_u32()? as usize;
-        let n = r.get_u32()? as usize;
+        let n = r.get_count(8)?;
         if cap == 0 || n > cap {
             return None;
         }
@@ -164,7 +164,7 @@ impl BurstTracker {
     /// Reads a tracker written by [`BurstTracker::save_state`].
     pub fn load_state(r: &mut StateReader<'_>) -> Option<Self> {
         let max_bursts = r.get_u32()? as usize;
-        let n = r.get_u32()? as usize;
+        let n = r.get_count(8)?;
         if max_bursts == 0 || n > max_bursts {
             return None;
         }
@@ -318,6 +318,28 @@ mod tests {
     #[test]
     fn seq_array_rejects_zero_cap() {
         assert!(SeqArray::new(0).is_none());
+    }
+
+    #[test]
+    fn a_count_the_bytes_cannot_hold_is_refused_before_anything_is_reserved() {
+        // A header claiming u32::MAX values (32 GiB of f64s), four bytes of
+        // body: refused on the count, so nothing the size of the claim is
+        // ever reserved.
+        let mut w = StateWriter::new();
+        w.put_u32(u32::MAX);
+        w.put_u32(u32::MAX);
+        w.put_u32(0);
+        let lie = w.into_bytes();
+        assert!(SeqArray::load_state(&mut StateReader::new(&lie)).is_none());
+        assert!(BurstTracker::load_state(&mut StateReader::new(&lie)).is_none());
+        // The count of a well-formed snapshot still loads.
+        let mut a = SeqArray::new(4).unwrap();
+        update_all(&mut a, [1.0, -1.0]);
+        let mut w = StateWriter::new();
+        a.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let back = SeqArray::load_state(&mut StateReader::new(&bytes)).unwrap();
+        assert_eq!(back.as_slice(), a.as_slice());
     }
 
     #[test]

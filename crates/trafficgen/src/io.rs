@@ -34,6 +34,8 @@ pub enum TraceIoError {
     BadVersion(u16),
     /// The body is shorter than the header promised.
     Truncated,
+    /// The header's record count is more bytes than an address space holds.
+    CountTooLarge(u64),
 }
 
 impl std::fmt::Display for TraceIoError {
@@ -43,6 +45,12 @@ impl std::fmt::Display for TraceIoError {
             TraceIoError::BadMagic => f.write_str("not a SuperFE trace file (bad magic)"),
             TraceIoError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
             TraceIoError::Truncated => f.write_str("trace file is truncated"),
+            TraceIoError::CountTooLarge(n) => {
+                write!(
+                    f,
+                    "trace header claims {n} records, more than a file can hold"
+                )
+            }
         }
     }
 }
@@ -88,10 +96,14 @@ pub fn read_trace(r: &mut impl Read) -> Result<Trace, TraceIoError> {
     if version != VERSION {
         return Err(TraceIoError::BadVersion(version));
     }
-    let count = u64::from_be_bytes(header[6..14].try_into().expect("8 bytes")) as usize;
+    let claimed = u64::from_be_bytes(header[6..14].try_into().expect("8 bytes"));
+    let (count, bytes) = usize::try_from(claimed)
+        .ok()
+        .and_then(|n| Some((n, n.checked_mul(RECORD_BYTES)?)))
+        .ok_or(TraceIoError::CountTooLarge(claimed))?;
     let mut body = Vec::new();
     r.read_to_end(&mut body)?;
-    if body.len() < count * RECORD_BYTES {
+    if body.len() < bytes {
         return Err(TraceIoError::Truncated);
     }
     let mut records = Vec::with_capacity(count);
@@ -196,6 +208,28 @@ mod tests {
     }
 
     #[test]
+    fn a_count_whose_bytes_overflow_is_a_typed_error() {
+        // The smallest count whose byte length wraps, then a 3-byte body:
+        // refused from the header, before the count sizes any buffer.
+        let mut buf = Vec::new();
+        write_trace(&Trace::default(), &mut buf).unwrap();
+        let lie = (usize::MAX / RECORD_BYTES + 1) as u64;
+        buf[6..14].copy_from_slice(&lie.to_be_bytes());
+        buf.extend_from_slice(&[1, 2, 3]);
+        assert!(matches!(
+            read_trace(&mut buf.as_slice()),
+            Err(TraceIoError::CountTooLarge(n)) if n == lie
+        ));
+        // A count that does not overflow but that the body cannot hold is
+        // still a truncation.
+        buf[6..14].copy_from_slice(&(lie - 1).to_be_bytes());
+        assert!(matches!(
+            read_trace(&mut buf.as_slice()),
+            Err(TraceIoError::Truncated)
+        ));
+    }
+
+    #[test]
     fn file_round_trip() {
         let dir = std::env::temp_dir().join("superfe_io_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -212,6 +246,7 @@ mod tests {
         assert!(TraceIoError::BadMagic.to_string().contains("magic"));
         assert!(TraceIoError::BadVersion(7).to_string().contains('7'));
         assert!(TraceIoError::Truncated.to_string().contains("truncated"));
+        assert!(TraceIoError::CountTooLarge(9).to_string().contains('9'));
     }
 
     mod properties {

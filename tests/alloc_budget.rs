@@ -22,6 +22,7 @@ use superfe::ml::{
 };
 use superfe::net::PacketRecord;
 use superfe::nic::{FeNic, InlineInference};
+use superfe::policy::exec::SLAB_CHUNK_GROUPS;
 use superfe::policy::{compile, dsl};
 use superfe::switch::{FeSwitch, MgpvConfig, MgpvMessage, SwitchEvent};
 
@@ -189,6 +190,52 @@ fn opening_a_socket_and_a_channel_allocates_their_state_and_nothing_more() {
     assert_eq!(after[0].1 - before[0].1, RECORDS, "sockets opened");
     assert_eq!(after[1].1 - before[1].1, RECORDS, "channels opened");
     assert_eq!(after[2].1, before[2].1, "same host throughout");
+}
+
+/// A Kitsune group allocates nothing of its own: its state is a block of its
+/// level's slab. Sixty-four records that each open a socket and a channel
+/// cost the steady-state allocations plus the chunks the slabs grew by — one
+/// per `SLAB_CHUNK_GROUPS` groups of a slab: a socket's bank words, and a
+/// channel's (or a host's) bank words and `f_ipt` map state.
+#[test]
+fn opening_groups_costs_only_the_slab_chunks_they_fill() {
+    const RECORDS: usize = 64;
+    const STEADY: u64 = 2;
+    let compiled = compile(&dsl::parse(KITSUNE).unwrap()).unwrap();
+    let mut sw = FeSwitch::new(compiled.switch.clone()).unwrap();
+    let mut nic = FeNic::new(&compiled, MgpvConfig::default().fg_table_size).unwrap();
+    let warm: Vec<_> = (0..RECORDS as u64)
+        .map(|i| PacketRecord::tcp(1_000 * (i + 1), 400, 1, 1000, 2, 80))
+        .collect();
+    for e in events_per_record(&mut sw, &warm) {
+        nic.handle(&e);
+        drop(nic.take_packet_vectors());
+    }
+    let fresh: Vec<_> = (0..RECORDS as u16)
+        .map(|i| {
+            let ts = 1_000 * (RECORDS as u64 + 1 + u64::from(i));
+            PacketRecord::tcp(ts, 400, 1, 2000 + i, 100 + u32::from(i), 80)
+        })
+        .collect();
+    let fresh = events_per_record(&mut sw, &fresh);
+    let before = nic.groups_per_level();
+    let n = allocations(|| {
+        for e in &fresh {
+            nic.handle(e);
+            drop(nic.take_packet_vectors());
+        }
+    });
+    let after = nic.groups_per_level();
+    let chunks = |level: usize| {
+        (after[level].1.div_ceil(SLAB_CHUNK_GROUPS) - before[level].1.div_ceil(SLAB_CHUNK_GROUPS))
+            as u64
+    };
+    let grown = chunks(0) + 2 * chunks(1) + 2 * chunks(2);
+    assert!(grown > 0, "the fresh groups filled no chunk");
+    assert!(
+        n <= RECORDS as u64 * STEADY + grown,
+        "{n} allocations for {RECORDS} opening records ({grown} chunks grown)"
+    );
 }
 
 /// A steady-state Kitsune record whose vector is scored where it is
