@@ -57,7 +57,9 @@ step "allocation budget (NIC hot path, counted)"
 # record's vector in the shard — float KitNET or its Q39.24 plan — adds
 # none (it was 95 and 65). Already part of the workspace tests; named here
 # because it is the deterministic form of what the kitsune_steady /
-# kitsune_churn / kitnet_score microbenches below only time.
+# kitsune_churn / kitnet_score microbenches below only time. The same binary
+# holds the front-end to the solo switch: on the Mirai trace a one-partition
+# `SharedSwitch` allocates exactly as often as the `FeSwitch` it wraps.
 cargo test -q --test alloc_budget
 
 step "damped bank differential (banked windows vs one window at a time)"
@@ -141,6 +143,23 @@ fig17_cycles=$(cargo run -q -p superfe-bench -- fig17 | grep -o '[0-9]* cycles' 
   || { echo "ci: bench -- fig17 did not print its four rows"; exit 1; }
 if ! sort -rnuc <<<"$fig17_cycles" 2>/dev/null; then
   echo "ci: Fig. 17's rows are not strictly decreasing:" $fig17_cycles
+  exit 1
+fi
+
+step "one front-end (switch events become shard frames in one place)"
+# `superfe_core::stream::DataPath` is the one place switch output is routed
+# into the NIC shard pool, and `SharedSwitch` the one place a partition's
+# events are tagged: the solo pipeline is the data path with one partition,
+# the control plane drives it with N. The pool's own tests (crates/nic) and
+# the pool experiments (crates/bench) feed the pool directly.
+feeders=$(grep -rl "push_all(" crates --include='*.rs' | grep -v "^crates/nic/\|^crates/bench/" || true)
+if [[ $(grep -c . <<<"$feeders") -gt 1 ]]; then
+  echo "ci: more than one file pushes switch events into the shard pool:" $feeders
+  exit 1
+fi
+if grep -rn "TaggedEvent {" crates --include='*.rs' \
+    | grep -v "^crates/switch/src/tenant\.rs:\|^crates/nic/\|^crates/bench/"; then
+  echo "ci: switch events are tagged outside SharedSwitch"
   exit 1
 fi
 
@@ -397,6 +416,8 @@ step "lines of Rust under crates/ (the ROADMAP net-LOC measure)"
 # before ISSUE 20 retired the host-side scoring path, 44,768 before ISSUE 23
 # merged the two NIC cost models; a simplicity PR states its delta from the
 # number printed here.
+# 45,623 at commit efedb7c, before the solo pipeline became the one-partition
+# data path; 45,614 after it (-9).
 find crates -name '*.rs' | xargs wc -l | tail -1
 
 printf '\nci: all checks passed\n'

@@ -132,11 +132,6 @@ impl SuperFe {
         self.nic.take_packet_vectors()
     }
 
-    /// Live switch statistics.
-    pub fn switch_stats(&self) -> &SwitchStats {
-        self.switch.stats()
-    }
-
     /// Flushes the switch cache and collects all outputs.
     pub fn finish(mut self) -> Extraction {
         self.frame.clear();

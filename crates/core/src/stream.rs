@@ -1,36 +1,201 @@
-//! The streaming multi-core extraction pipeline.
+//! The one threaded data path, and the streaming pipeline that drives it.
 //!
-//! [`StreamingPipeline`] is the staged form of [`crate::SuperFe`]: the
-//! switch simulator acts as a producer whose emitted events flow straight
-//! into a [`superfe_nic::ShardPool`] — CG-key-sharded worker threads fed
-//! over bounded rings — so feature computation overlaps packet processing
-//! and the full event stream is never materialized. It is the one-unit
-//! case of the executor the multi-tenant control plane drives: a pool with
-//! a single unit attached at stream position zero. Results are identical
-//! to the single-threaded pipeline up to group ordering (see DESIGN.md
-//! "Threading model").
+//! [`DataPath`] is a [`SharedSwitch`] — one partition per deployed switch
+//! program — feeding a [`ShardPool`]: CG-key-sharded worker threads fed
+//! over bounded rings. Its methods are the one place switch output becomes
+//! shard frames: per packet, at a detach, and at end of stream.
+//!
+//! [`StreamingPipeline`] is the staged form of [`crate::SuperFe`]: the data
+//! path with one partition and one unit, [`TenantId`]`(0)`, attached at
+//! stream position zero, so feature computation overlaps packet processing
+//! and the full event stream is never materialized. The multi-tenant
+//! control plane (`superfe-ctrl`) drives the same type with N partitions.
+//! Results are identical to the single-threaded pipeline up to group
+//! ordering (see DESIGN.md "Threading model").
 
 use superfe_net::wire::ParseError;
 use superfe_net::{Direction, PacketRecord};
-use superfe_nic::{NicError, ShardPool};
+use superfe_nic::{NicError, ShardPool, StreamOutput, VectorSink};
 use superfe_policy::dsl;
-use superfe_policy::{CompiledPolicy, Policy, PolicyError};
-use superfe_switch::tenant::{TaggedEvent, TenantId};
-use superfe_switch::{FeSwitch, SwitchEvent};
+use superfe_policy::{CompiledPolicy, Policy, PolicyError, SwitchProgram};
+use superfe_switch::tenant::{SharedSwitch, TaggedEvent, TenantId};
 
 use crate::pipeline::{Extraction, SuperFeConfig};
 
-/// The pipeline's only unit (and its only switch partition).
+/// Why [`DataPath::attach`] refused a partition.
+#[derive(Debug)]
+pub enum AttachError {
+    /// The switch cannot build the partition: a degenerate cache
+    /// configuration, or an id already in use.
+    Switch,
+    /// The pool refused the unit; the partition was rolled back.
+    Nic(NicError),
+}
+
+impl std::fmt::Display for AttachError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AttachError::Switch => write!(f, "degenerate switch cache configuration"),
+            AttachError::Nic(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+/// One shared switch feeding one NIC shard pool.
+///
+/// Partitions and the units they feed are keyed by [`TenantId`]: a
+/// partition tags its events with its id, and the pool routes them to every
+/// unit subscribed to it. Operations that move no events — joining a fused
+/// member, detectors, state dumps, pressure, budgets, stream positions —
+/// are the pool's own, reached through [`DataPath::nic_mut`].
+pub struct DataPath {
+    switch: SharedSwitch,
+    nic: ShardPool,
+    /// Reused frame between switch and pool; empty between calls.
+    frame: Vec<TaggedEvent>,
+    /// Packets pushed so far.
+    pushed: u64,
+}
+
+impl DataPath {
+    /// An empty data path over `workers` NIC shards.
+    pub fn new(workers: usize) -> Self {
+        DataPath {
+            switch: SharedSwitch::new(),
+            nic: ShardPool::new(workers),
+            frame: Vec::new(),
+            pushed: 0,
+        }
+    }
+
+    /// The switch, whose partitions keep a solo switch's counters.
+    pub fn switch(&self) -> &SharedSwitch {
+        &self.switch
+    }
+
+    /// The switch, for restoring partition state.
+    pub fn switch_mut(&mut self) -> &mut SharedSwitch {
+        &mut self.switch
+    }
+
+    /// The shard pool.
+    pub fn nic(&self) -> &ShardPool {
+        &self.nic
+    }
+
+    /// The shard pool, for the operations that move no events.
+    pub fn nic_mut(&mut self) -> &mut ShardPool {
+        &mut self.nic
+    }
+
+    /// Packets pushed so far: the stream position.
+    pub fn pushed(&self) -> u64 {
+        self.pushed
+    }
+
+    /// Moves the stream position (replaying a saved plane's attaches, and
+    /// resuming it).
+    pub fn set_pushed(&mut self, pushed: u64) {
+        self.pushed = pushed;
+    }
+
+    /// Attaches partition `id`, running `compiled.switch` under `cfg`'s
+    /// cache quota, and unit `id` on it (see [`ShardPool::attach`] for
+    /// `sinks`). When the pool refuses the unit the partition is detached
+    /// again, so nothing is left half attached.
+    pub fn attach(
+        &mut self,
+        id: TenantId,
+        compiled: &CompiledPolicy,
+        cfg: &SuperFeConfig,
+        sinks: Option<Vec<Box<dyn VectorSink>>>,
+    ) -> Result<(), AttachError> {
+        let SuperFeConfig { cache, mode, .. } = *cfg;
+        if !self.switch.attach(id, compiled.switch.clone(), cache, mode) {
+            return Err(AttachError::Switch);
+        }
+        let fg_table_size = cache.fg_table_size;
+        self.nic
+            .attach(id, compiled, fg_table_size, sinks)
+            .map_err(|e| {
+                self.switch.detach_into(id, &mut self.frame);
+                self.frame.clear();
+                AttachError::Nic(e)
+            })
+    }
+
+    /// Attaches unit `unit` to the event stream of partition `partition`,
+    /// whose record is widened to the metadata union of `programs` (every
+    /// subscriber's switch program, the new unit's included). The partition
+    /// must not have been offered a packet yet, so re-laying it out loses
+    /// nothing; the pool checks the same of its events.
+    pub fn attach_to_partition(
+        &mut self,
+        partition: TenantId,
+        unit: TenantId,
+        compiled: &CompiledPolicy,
+        programs: &[&SwitchProgram],
+        cfg: &SuperFeConfig,
+        sinks: Option<Vec<Box<dyn VectorSink>>>,
+    ) -> Result<(), NicError> {
+        // The pool first: it is the fallible half.
+        let SuperFeConfig { cache, mode, .. } = *cfg;
+        let fg_table_size = cache.fg_table_size;
+        self.nic
+            .attach_to_group(partition, unit, compiled, fg_table_size, sinks)?;
+        self.switch.detach_into(partition, &mut self.frame);
+        debug_assert!(self.frame.is_empty(), "a re-laid partition held records");
+        self.frame.clear();
+        let ok = self.switch.attach_shared(partition, programs, cache, mode);
+        debug_assert!(ok, "re-attaching a validated partition cannot fail");
+        Ok(())
+    }
+
+    /// Offers one packet to every partition and routes what they emit.
+    /// Blocks when a shard is saturated (backpressure).
+    pub fn push(&mut self, p: &PacketRecord) -> Result<(), NicError> {
+        self.pushed += 1;
+        self.switch.process_into(p, &mut self.frame);
+        self.nic.push_all(self.frame.drain(..))
+    }
+
+    /// Detaches `member`, fed from `partition`, and returns its complete
+    /// output. The partition ends the member's window with its draining
+    /// flush when it dies with the member, and with a snapshot flush
+    /// (live state untouched) when `partition_survives` for other members
+    /// or units (see [`ShardPool::detach`]).
+    pub fn detach(
+        &mut self,
+        member: TenantId,
+        partition: TenantId,
+        partition_survives: bool,
+    ) -> Result<StreamOutput, NicError> {
+        if partition_survives {
+            self.switch.snapshot_into(partition, &mut self.frame);
+        } else {
+            self.switch.detach_into(partition, &mut self.frame);
+        }
+        self.nic.detach(member, self.frame.drain(..))
+    }
+
+    /// Flushes every partition, drains the shards, and returns each
+    /// remaining member's output in attach order, with the flushed switch,
+    /// whose partitions hold their final counters.
+    pub fn finish(mut self) -> Result<(Vec<(TenantId, StreamOutput)>, SharedSwitch), NicError> {
+        self.switch.flush_into(&mut self.frame);
+        self.nic.push_all(self.frame.drain(..))?;
+        Ok((self.nic.finish()?, self.switch))
+    }
+}
+
+/// The pipeline's only partition and unit.
 const UNIT: TenantId = TenantId(0);
 
-/// A deployed streaming SuperFE instance: one switch producer feeding
+/// A deployed streaming SuperFE instance: one switch partition feeding
 /// `workers` NIC shards.
 pub struct StreamingPipeline {
     compiled: CompiledPolicy,
-    switch: FeSwitch,
-    nic: ShardPool,
-    /// Reusable event frame between switch and executor.
-    frame: Vec<SwitchEvent>,
+    path: DataPath,
 }
 
 impl StreamingPipeline {
@@ -69,7 +234,8 @@ impl StreamingPipeline {
         model: superfe_ml::SharedScorer,
     ) -> Result<Self, PolicyError> {
         let mut fe = Self::build(policy, cfg, workers, None)?;
-        fe.nic
+        fe.path
+            .nic_mut()
             .score_with(UNIT, model)
             .map_err(|e| PolicyError::BadParameters(e.to_string()))?;
         Ok(fe)
@@ -83,7 +249,7 @@ impl StreamingPipeline {
         policy: &Policy,
         cfg: SuperFeConfig,
         workers: usize,
-        sinks: Vec<Box<dyn superfe_nic::VectorSink>>,
+        sinks: Vec<Box<dyn VectorSink>>,
     ) -> Result<Self, PolicyError> {
         Self::build(policy, cfg, workers, Some(sinks))
     }
@@ -92,22 +258,13 @@ impl StreamingPipeline {
         policy: &Policy,
         cfg: SuperFeConfig,
         workers: usize,
-        sinks: Option<Vec<Box<dyn superfe_nic::VectorSink>>>,
+        sinks: Option<Vec<Box<dyn VectorSink>>>,
     ) -> Result<Self, PolicyError> {
         let compiled = crate::deploy::gate(policy, &cfg)?;
-        let switch = FeSwitch::with_config(compiled.switch.clone(), cfg.cache, cfg.mode)
-            .ok_or_else(|| {
-                PolicyError::BadParameters("degenerate switch cache configuration".into())
-            })?;
-        let mut nic = ShardPool::new(workers);
-        nic.attach(UNIT, &compiled, cfg.cache.fg_table_size, sinks)
+        let mut path = DataPath::new(workers);
+        path.attach(UNIT, &compiled, &cfg, sinks)
             .map_err(|e| PolicyError::BadParameters(e.to_string()))?;
-        Ok(StreamingPipeline {
-            compiled,
-            switch,
-            nic,
-            frame: Vec::new(),
-        })
+        Ok(StreamingPipeline { compiled, path })
     }
 
     /// The compiled policy (switch and NIC halves).
@@ -117,24 +274,13 @@ impl StreamingPipeline {
 
     /// Number of NIC worker shards.
     pub fn workers(&self) -> usize {
-        self.nic.workers()
+        self.path.nic().workers()
     }
 
     /// Feeds one parsed packet through the switch and into the worker
     /// shards. Blocks when a shard is saturated (backpressure).
     pub fn push(&mut self, p: &PacketRecord) -> Result<(), NicError> {
-        self.frame.clear();
-        self.switch.process_into(p, &mut self.frame);
-        self.forward()
-    }
-
-    /// Tags the switch's pending events for the unit and routes them.
-    fn forward(&mut self) -> Result<(), NicError> {
-        let tagged = self.frame.drain(..).map(|event| TaggedEvent {
-            tenant: UNIT,
-            event,
-        });
-        self.nic.push_all(tagged)
+        self.path.push(p)
     }
 
     /// Feeds a raw Ethernet frame (exercising the switch parser).
@@ -157,22 +303,15 @@ impl StreamingPipeline {
     /// Flushes the switch cache, drains the shards, and collects all
     /// outputs. Group vectors are merged in shard order (deterministic for
     /// a given input and worker count).
-    pub fn finish(mut self) -> Result<Extraction, NicError> {
-        self.frame.clear();
-        self.switch.flush_into(&mut self.frame);
-        self.forward()?;
-        let cache_stats = self.switch.cache_stats();
-        let switch_stats = *self.switch.stats();
-        let (_, out) = self
-            .nic
-            .finish()?
-            .pop()
-            .expect("the pipeline's one unit is never detached");
+    pub fn finish(self) -> Result<Extraction, NicError> {
+        let (mut outs, switch) = self.path.finish()?;
+        let (_, out) = outs.pop().expect("the one unit is never detached");
+        let partition = switch.partition(UNIT).expect("the one partition");
         Ok(Extraction {
             group_vectors: out.group_vectors,
             packet_vectors: out.packet_vectors,
-            switch_stats,
-            cache_stats,
+            switch_stats: *partition.stats(),
+            cache_stats: partition.cache_stats(),
             nic_stats: out.stats,
             groups_per_level: out.groups_per_level,
             inline_alerts: out.inline_alerts,
@@ -186,6 +325,7 @@ mod tests {
     use super::*;
     use crate::SuperFe;
     use superfe_net::wire::build_frame;
+    use superfe_switch::{FeSwitch, SwitchEvent};
 
     const POLICY: &str =
         "pktstream\n.groupby(host)\n.reduce(size, [f_sum, f_mean])\n.collect(host)";
@@ -201,15 +341,27 @@ mod tests {
 
     #[test]
     fn streaming_matches_superfe() {
-        let mut base = SuperFe::from_dsl(POLICY).unwrap();
-        for p in packets(4000) {
+        // A filtered policy over mixed traffic: the partition is offered
+        // every packet and counts it, as the lock-step switch does.
+        const TCP_HOSTS: &str = "pktstream\n.filter(tcp.exist)\n.groupby(host)\n\
+                                 .reduce(size, [f_sum, f_mean])\n.collect(host)";
+        let mixed = || {
+            packets(4000).enumerate().map(|(i, p)| match i % 3 {
+                0 => PacketRecord::udp(p.ts_ns, 90, p.src_ip, 53, 9, 53),
+                _ => p,
+            })
+        };
+        let mut base = SuperFe::from_dsl(TCP_HOSTS).unwrap();
+        for p in mixed() {
             base.push(&p);
         }
         let expect = base.finish();
+        let offered = expect.switch_stats;
+        assert_eq!((offered.pkts_in, offered.pkts_matched), (4000, 2666));
 
         for workers in [1, 2, 4] {
-            let mut fe = StreamingPipeline::from_dsl(POLICY, workers).unwrap();
-            for p in packets(4000) {
+            let mut fe = StreamingPipeline::from_dsl(TCP_HOSTS, workers).unwrap();
+            for p in mixed() {
                 fe.push(&p).unwrap();
             }
             let got = fe.finish().unwrap();
@@ -219,7 +371,8 @@ mod tests {
                 "workers={workers}"
             );
             assert_eq!(got.nic_stats.records, expect.nic_stats.records);
-            assert_eq!(got.switch_stats.pkts_in, 4000);
+            assert_eq!(got.switch_stats, expect.switch_stats, "workers={workers}");
+            assert_eq!(got.cache_stats, expect.cache_stats, "workers={workers}");
             assert_eq!(got.groups_per_level, expect.groups_per_level);
         }
     }

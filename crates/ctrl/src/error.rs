@@ -1,5 +1,6 @@
 //! Errors of the multi-tenant control plane.
 
+use superfe_core::stream::AttachError;
 use superfe_nic::NicError;
 use superfe_policy::PolicyError;
 use superfe_switch::tenant::TenantId;
@@ -126,5 +127,14 @@ impl From<AdmissionError> for CtrlError {
 impl From<NicError> for CtrlError {
     fn from(e: NicError) -> Self {
         CtrlError::Nic(e)
+    }
+}
+
+impl From<AttachError> for CtrlError {
+    fn from(e: AttachError) -> Self {
+        match e {
+            AttachError::Switch => CtrlError::Switch(e.to_string()),
+            AttachError::Nic(e) => CtrlError::Nic(e),
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! The control plane: N admitted policies live on one shared data path.
 //!
-//! [`CtrlPlane`] owns the shared switch
-//! ([`SharedSwitch`](superfe_switch::tenant::SharedSwitch)) and the NIC
-//! shard pool ([`ShardPool`](superfe_nic::ShardPool)), and sequences
+//! [`CtrlPlane`] drives the one threaded data path
+//! ([`DataPath`]: a shared switch feeding the NIC shard pool, the same type
+//! a solo `StreamingPipeline` drives with one partition), and sequences
 //! reconfiguration in **epochs**:
 //!
 //! 1. [`CtrlPlane::attach`] gates the candidate policy (optimize → compile
@@ -12,14 +12,9 @@
 //!    rule leaves as marginal demand composes with the admitted set through
 //!    the admission controller before anything touches the data path.
 //! 2. [`CtrlPlane::detach`] is one epoch-boundary operation parameterized
-//!    by what survives: when the tenant's switch partition dies with it the
-//!    partition is drained, otherwise (a fused member, or a unit sharing
-//!    its partition) it is cloned and flushed non-destructively; either
-//!    flush travels in the NIC's detach marker and feeds only the departing
-//!    member's engine — the unit's own when it is the last member, a clone
-//!    when members survive — so the departing tenant's output is bitwise
-//!    what a solo run over its window returns while the survivors' state
-//!    is never touched.
+//!    by what survives ([`DataPath::detach`]), so the departing tenant's
+//!    output is bitwise what a solo run over its window returns while the
+//!    survivors' state is never touched.
 //!
 //! **The join rule.** Every deployed unit keeps its policy's canonical
 //! stage-prefix lattice ([`PrefixForm`]). A candidate is compared against
@@ -53,16 +48,15 @@
 //! the stream its solo partition would have produced.
 
 use superfe_core::pipeline::SuperFeConfig;
+use superfe_core::stream::DataPath;
 use superfe_net::{Granularity, PacketRecord};
-use superfe_nic::{ShardPool, SharedScorer, StreamOutput, UnitPressure, VectorSink};
+use superfe_nic::{SharedScorer, StreamOutput, UnitPressure, VectorSink};
 use superfe_policy::analyze::share::{certify, prefix_form, Depth, PrefixForm};
 use superfe_policy::analyze::{codes, Diagnostic};
 use superfe_policy::{NicProgram, Policy, SwitchProgram};
 use superfe_switch::resources::{compose, model, SwitchResources};
-use superfe_switch::tenant::{
-    union_metadata, SharedSwitch, SharedSwitchStats, TaggedEvent, TenantId,
-};
-use superfe_switch::{MgpvStats, SwitchStats};
+use superfe_switch::tenant::{union_metadata, TenantId};
+use superfe_switch::SwitchStats;
 
 use crate::admission::{
     admit_composed, admit_composed_observed, AdmissionReport, StatePressure, TenantDemand,
@@ -176,8 +170,7 @@ pub struct TenantOccupancy {
 /// The multi-tenant control plane over one shared switch + NIC.
 pub struct CtrlPlane {
     pub(crate) analyze: superfe_core::analyze::AnalyzeConfig,
-    pub(crate) switch: SharedSwitch,
-    pub(crate) nic: ShardPool,
+    pub(crate) path: DataPath,
     pub(crate) slots: Vec<Slot>,
     pub(crate) units: Vec<Unit>,
     pub(crate) groups: Vec<Group>,
@@ -185,9 +178,7 @@ pub struct CtrlPlane {
     /// The next tenant id; past `u16::MAX` the id space is exhausted (ids
     /// are never recycled).
     pub(crate) next_id: u32,
-    pub(crate) frame: Vec<TaggedEvent>,
     pub(crate) epoch: u64,
-    pub(crate) pushed: u64,
 }
 
 impl CtrlPlane {
@@ -213,22 +204,19 @@ impl CtrlPlane {
     ) -> Self {
         CtrlPlane {
             analyze,
-            switch: SharedSwitch::new(),
-            nic: ShardPool::new(workers),
+            path: DataPath::new(workers),
             slots: Vec::new(),
             units: Vec::new(),
             groups: Vec::new(),
             sharing,
             next_id: 0,
-            frame: Vec::new(),
             epoch: 0,
-            pushed: 0,
         }
     }
 
     /// Number of NIC shards.
     pub fn workers(&self) -> usize {
-        self.nic.workers()
+        self.path.nic().workers()
     }
 
     /// Sets the group-table budget (DRAM cap + eviction policy) applied to
@@ -236,7 +224,7 @@ impl CtrlPlane {
     /// `RandomWay` to an explicit `--evict-seed` so eviction sequences are
     /// reproducible run to run.
     pub fn set_table_budget(&mut self, budget: superfe_nic::TableBudget) {
-        self.nic.set_table_budget(budget);
+        self.path.nic_mut().set_table_budget(budget);
     }
 
     /// Whether analysis-certified cross-tenant sharing is enabled.
@@ -253,7 +241,7 @@ impl CtrlPlane {
     /// snapshot resumes at the saved count, so a caller replaying a
     /// deterministic trace knows exactly where to pick up.
     pub fn pushed(&self) -> u64 {
-        self.pushed
+        self.path.pushed()
     }
 
     /// Live tenants in attach order.
@@ -274,21 +262,12 @@ impl CtrlPlane {
         self.groups.iter().map(|g| (g.id, units(g.id))).collect()
     }
 
-    /// Link-level counters of the shared switch.
-    pub fn switch_stats(&self) -> &SharedSwitchStats {
-        self.switch.stats()
-    }
-
     /// Per-tenant switch link counters. For a fused or prefix-shared
     /// tenant these are the shared partition's counters: subscribers of
     /// one partition see one stream.
     pub fn tenant_switch_stats(&self, tenant: TenantId) -> Option<&SwitchStats> {
-        self.switch.tenant_stats(self.group_of(tenant)?)
-    }
-
-    /// Per-tenant cache counters (the shared partition's, when shared).
-    pub fn tenant_cache_stats(&self, tenant: TenantId) -> Option<MgpvStats> {
-        self.switch.tenant_cache_stats(self.group_of(tenant)?)
+        let partition = self.path.switch().partition(self.group_of(tenant)?)?;
+        Some(partition.stats())
     }
 
     /// The live state-pressure summary for admission: observed per-level
@@ -296,7 +275,7 @@ impl CtrlPlane {
     /// programs in). Synchronizes with every shard, so the observation is
     /// not stale.
     fn live_pressure(&mut self) -> Result<StatePressure, CtrlError> {
-        let raw = self.nic.state_pressure()?;
+        let raw = self.path.nic_mut().state_pressure()?;
         let per_unit = self
             .units
             .iter()
@@ -315,7 +294,7 @@ impl CtrlPlane {
     /// also surface overflow drops and budget evictions so operators can
     /// see when a tenant is running into its memory budget.
     pub fn state_occupancy(&mut self) -> Result<Vec<TenantOccupancy>, CtrlError> {
-        let raw: Vec<UnitPressure> = self.nic.state_pressure()?;
+        let raw: Vec<UnitPressure> = self.path.nic_mut().state_pressure()?;
         Ok(self
             .slots
             .iter()
@@ -364,7 +343,7 @@ impl CtrlPlane {
         for (upos, u) in self.units.iter().enumerate() {
             if u.form.switch_prefix != form.switch_prefix
                 || u.cfg != spec.cfg
-                || u.attach_pos != self.pushed
+                || u.attach_pos != self.path.pushed()
                 || u.demand.compiled.switch.levels != demand.compiled.switch.levels
             {
                 continue;
@@ -533,59 +512,34 @@ impl CtrlPlane {
         join: Join,
         sinks: Option<Vec<Box<dyn VectorSink>>>,
     ) -> Result<(), CtrlError> {
-        let fg_table_size = spec.cfg.cache.fg_table_size;
         let (unit, group) = match join {
             Join::Member(upos) => {
                 let unit = &mut self.units[upos];
-                self.nic.join(unit.id, id, sinks)?;
+                self.path.nic_mut().join(unit.id, id, sinks)?;
                 unit.members.push(id);
                 (unit.id, None)
             }
             Join::Unit(gpos) => {
+                // The position gate makes widening the partition's record
+                // lossless: no packet has reached it since the group
+                // attached.
                 let gid = self.groups[gpos].id;
                 let widened = self.widened_usage(gpos, &demand);
-                // NIC first — it is the fallible half; the switch re-attach
-                // below cannot fail for a configuration the group already
-                // validated.
-                self.nic
-                    .attach_to_group(gid, id, &demand.compiled, fg_table_size, sinks)?;
-                // Swap the partition in for one with the union record
-                // layout. The position gate makes this lossless: nothing has
-                // been routed since the group attached, so the partition
-                // holds no state.
-                self.frame.clear();
-                self.switch.detach_into(gid, &mut self.frame);
-                debug_assert!(
-                    self.frame.is_empty(),
-                    "position-gated partition must be empty at a prefix join"
-                );
-                self.frame.clear();
                 let mut progs = group_programs(&self.units, gid);
                 progs.push(&demand.compiled.switch);
-                let ok = self
-                    .switch
-                    .attach_shared(gid, &progs, spec.cfg.cache, spec.cfg.mode);
-                debug_assert!(ok, "re-attaching a validated partition cannot fail");
+                self.path.attach_to_partition(
+                    gid,
+                    id,
+                    &demand.compiled,
+                    &progs,
+                    &spec.cfg,
+                    sinks,
+                )?;
                 self.groups[gpos].switch = widened;
                 (id, Some(gid))
             }
             Join::Partition => {
-                if !self.switch.attach(
-                    id,
-                    demand.compiled.switch.clone(),
-                    spec.cfg.cache,
-                    spec.cfg.mode,
-                ) {
-                    return Err(CtrlError::Switch(
-                        "degenerate cache configuration for tenant partition".into(),
-                    ));
-                }
-                if let Err(e) = self.nic.attach(id, &demand.compiled, fg_table_size, sinks) {
-                    // Roll the switch half back so the plane stays consistent.
-                    let mut discard = Vec::new();
-                    self.switch.detach_into(id, &mut discard);
-                    return Err(CtrlError::Nic(e));
-                }
+                self.path.attach(id, &demand.compiled, &spec.cfg, sinks)?;
                 let switch = demand.switch;
                 self.groups.push(Group { id, switch });
                 (id, Some(id))
@@ -600,7 +554,7 @@ impl CtrlPlane {
                 demand,
                 members: vec![id],
                 group,
-                attach_pos: self.pushed,
+                attach_pos: self.path.pushed(),
             });
         }
         self.slots.push(Slot {
@@ -623,18 +577,16 @@ impl CtrlPlane {
         if self.unit_of(tenant).is_none() {
             return Err(CtrlError::UnknownTenant(tenant));
         }
-        self.nic.score_with(tenant, model).map_err(CtrlError::Nic)
+        Ok(self.path.nic_mut().score_with(tenant, model)?)
     }
 
     /// Detaches `tenant` at the current epoch, returning its complete
     /// isolated output (budget-evicted vectors included). Blocks until
     /// every NIC shard acked the epoch.
     ///
-    /// The tenant's switch partition is drained when it dies with the
-    /// tenant, and snapshot-flushed (live state untouched) when a fused
-    /// member or another unit keeps consuming it; the NIC finalizes the
-    /// tenant against that flush. In every case the survivors are bitwise
-    /// unaffected.
+    /// Whether its partition is drained or snapshot-flushed is decided by
+    /// what survives it ([`DataPath::detach`]); in every case the
+    /// survivors are bitwise unaffected.
     pub fn detach(&mut self, tenant: TenantId) -> Result<StreamOutput, CtrlError> {
         let Some(pos) = self.slots.iter().position(|s| s.id == tenant) else {
             return Err(CtrlError::UnknownTenant(tenant));
@@ -654,13 +606,7 @@ impl CtrlPlane {
         let unit_survives = self.units[upos].members.len() > 1;
         let partition_survives =
             unit_survives || self.units.iter().filter(|u| u.group == gid).count() > 1;
-        self.frame.clear();
-        if partition_survives {
-            self.switch.snapshot_into(gid, &mut self.frame);
-        } else {
-            self.switch.detach_into(gid, &mut self.frame);
-        }
-        let out = self.nic.detach(tenant, self.frame.drain(..))?;
+        let out = self.path.detach(tenant, gid, partition_survives)?;
         if unit_survives {
             self.units[upos].members.retain(|&m| m != tenant);
         } else {
@@ -674,24 +620,16 @@ impl CtrlPlane {
         Ok(out)
     }
 
-    /// Feeds one packet through the shared filter table into every
-    /// matching unit's partition and on to the NIC shards.
+    /// Offers one packet to every partition, whose filter entries decide
+    /// which units' engines see it, and on to the NIC shards.
     pub fn push(&mut self, p: &PacketRecord) -> Result<(), CtrlError> {
-        self.pushed += 1;
-        self.frame.clear();
-        self.switch.process_into(p, &mut self.frame);
-        self.nic
-            .push_all(self.frame.drain(..))
-            .map_err(CtrlError::Nic)
+        Ok(self.path.push(p)?)
     }
 
     /// Flushes every unit partition, drains the shards, and returns each
     /// remaining tenant's isolated output in attach order.
-    pub fn finish(mut self) -> Result<Vec<TenantRun>, CtrlError> {
-        self.frame.clear();
-        self.switch.flush_into(&mut self.frame);
-        self.nic.push_all(self.frame.drain(..))?;
-        let outs = self.nic.finish()?;
+    pub fn finish(self) -> Result<Vec<TenantRun>, CtrlError> {
+        let (outs, _) = self.path.finish()?;
         Ok(outs
             .into_iter()
             .map(|(id, output)| {

@@ -8,7 +8,7 @@
 //! - the tenant topology — slots, execution units with their member
 //!   rosters, and prefix groups — as *names and ids*, not policies,
 //! - every switch partition's dynamic MGPV state
-//!   ([`SharedSwitch::save_tenant_state`](superfe_switch::tenant::SharedSwitch::save_tenant_state)),
+//!   ([`SharedSwitch::partition`](superfe_switch::tenant::SharedSwitch::partition)),
 //! - every NIC unit's per-shard engine state, member egress sequence
 //!   numbers, and accumulated per-packet vectors
 //!   ([`ShardPool::dump_state`](superfe_nic::ShardPool::dump_state)),
@@ -85,16 +85,16 @@ impl CtrlPlane {
     /// bytes. Non-destructive: shards are flushed and synchronized (the
     /// snapshot is a clean stream cut), then the plane keeps serving.
     pub fn snapshot(&mut self) -> Result<Vec<u8>, CtrlError> {
-        let dumps = self.nic.dump_state()?;
+        let dumps = self.path.nic_mut().dump_state()?;
         let mut w = StateWriter::new();
         w.put_bytes(MAGIC);
         w.put_u16(SNAPSHOT_VERSION);
         // Meta.
-        w.put_u32(self.nic.workers() as u32);
+        w.put_u32(self.path.nic().workers() as u32);
         w.put_bool(self.sharing);
         w.put_u32(self.next_id);
         w.put_u64(self.epoch);
-        w.put_u64(self.pushed);
+        w.put_u64(self.path.pushed());
         // Topology: slots, units, groups — names and ids only. A slot's
         // unit is the one listing it as a member; a group's units are the
         // ones naming it.
@@ -119,19 +119,19 @@ impl CtrlPlane {
             w.put_u16(g.id.0);
         }
         // Switch dynamic state: link counters + one section per partition.
-        self.switch.save_stats(&mut w);
+        let switch = self.path.switch();
+        switch.save_stats(&mut w);
         for g in &self.groups {
-            let mut ok = false;
-            w.put_section(|w| ok = self.switch.save_tenant_state(g.id, w));
-            if !ok {
-                return Err(snap_err(format!(
+            let partition = switch.partition(g.id).ok_or_else(|| {
+                snap_err(format!(
                     "group {} has no switch partition to serialize",
                     g.id
-                )));
-            }
+                ))
+            })?;
+            w.put_section(|w| partition.save_state(w));
         }
         // NIC dynamic state: routed positions + per-unit shard dumps.
-        let positions = self.nic.group_positions();
+        let positions = self.path.nic().group_positions();
         w.put_u16(positions.len() as u16);
         for (g, routed) in &positions {
             w.put_u16(g.0);
@@ -279,7 +279,7 @@ impl CtrlPlane {
         };
         for u in &units {
             let gid = new_group(u.group)?;
-            plane.pushed = u.attach_pos;
+            plane.path.set_pushed(u.attach_pos);
             for (k, &m) in u.members.iter().enumerate() {
                 let spec = spec_of(name_of(m)?)?;
                 let demand = plane.gate(spec)?;
@@ -322,14 +322,12 @@ impl CtrlPlane {
 
         // Transplant the dynamic state: switch partitions first, then NIC
         // routed positions and per-shard engine state.
-        need(
-            plane.switch.load_stats(&mut r),
-            "shared switch link counters",
-        )?;
+        let switch = plane.path.switch_mut();
+        need(switch.load_stats(&mut r), "shared switch link counters")?;
         for &g in &groups {
             let gid = new_group(g)?;
             need(
-                r.get_section(|r| plane.switch.load_tenant_state(gid, r)),
+                r.get_section(|r| switch.load_tenant_state(gid, r)),
                 "switch partition state",
             )?;
         }
@@ -338,7 +336,7 @@ impl CtrlPlane {
             let old = need(r.get_u16(), "group position id")?;
             let routed = need(r.get_u64(), "group routed counter")?;
             let gid = new_group(old)?;
-            if !plane.nic.set_group_position(gid, routed) {
+            if !plane.path.nic_mut().set_group_position(gid, routed) {
                 return Err(snap_err(format!(
                     "saved group {old} is not attached on the rebuilt NIC"
                 )));
@@ -378,7 +376,10 @@ impl CtrlPlane {
                     let seq = need(r.get_u64(), "member seq")?;
                     member_seqs.push((TenantId(m), seq));
                 }
-                let npkts = need(r.get_u32(), "accumulated vector count")? as usize;
+                let npkts = need(
+                    r.get_count(FeatureVector::MIN_STATE_BYTES),
+                    "accumulated vector count",
+                )?;
                 let mut pkts_accum = Vec::with_capacity(npkts);
                 for _ in 0..npkts {
                     pkts_accum.push(need(
@@ -393,7 +394,7 @@ impl CtrlPlane {
                     pkts_accum,
                 });
             }
-            plane.nic.restore_unit(uid, shards)?;
+            plane.path.nic_mut().restore_unit(uid, shards)?;
         }
         if !r.is_empty() {
             return Err(snap_err(format!(
@@ -403,7 +404,7 @@ impl CtrlPlane {
         }
         plane.next_id = next_id;
         plane.epoch = epoch;
-        plane.pushed = pushed;
+        plane.path.set_pushed(pushed);
         Ok(plane)
     }
 }

@@ -29,6 +29,11 @@ pub struct FeatureVector {
 }
 
 impl FeatureVector {
+    /// The fewest bytes [`FeatureVector::save_state`] writes: a host key
+    /// (tag and address) and an empty value count. A decoder bounds a
+    /// vector count by it before reserving room for the vectors.
+    pub const MIN_STATE_BYTES: usize = 1 + 4 + 2;
+
     /// The feature values as a plain slice.
     pub fn values(&self) -> &[f64] {
         &self.values

@@ -20,7 +20,7 @@ pub enum CacheMode {
 }
 
 /// Link-level counters of the switch.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SwitchStats {
     /// Packets received.
     pub pkts_in: u64,

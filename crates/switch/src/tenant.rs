@@ -5,9 +5,10 @@
 //! that story:
 //!
 //! - **Tenant filter table**: the shared ingress match-action table gains
-//!   one entry per tenant — the tenant's compiled filter predicate — and
-//!   classifies each packet into the set of tenants whose policy wants it,
-//!   tagging the packet's downstream events with a [`TenantId`].
+//!   one entry per tenant — the tenant's compiled filter predicate, which
+//!   its partition evaluates once per packet exactly as a solo switch does
+//!   — and the packet's downstream events are tagged with the
+//!   [`TenantId`] of the partition that emitted them.
 //! - **Partitioned MGPV cache**: each tenant owns a cache partition sized
 //!   by its own [`MgpvConfig`] — its SRAM quota. Partitioning (rather than
 //!   a fully shared slot array) is what makes isolation *exact*: a
@@ -16,20 +17,22 @@
 //!   admission controller bounds the sum of quotas against the Tofino SRAM
 //!   budget via [`crate::resources::compose`].
 //! - **Per-tenant accounting**: every partition keeps the full
-//!   [`SwitchStats`]/[`MgpvStats`] counter set; the shared switch adds
-//!   link-level totals.
+//!   [`SwitchStats`](crate::SwitchStats) / [`MgpvStats`](crate::MgpvStats)
+//!   counter set — a solo switch's over the packets offered while it was
+//!   attached; the shared switch adds link-level totals.
 //!
-//! Hot attach/detach is driven from the control plane
-//! (`superfe-ctrl`): [`SharedSwitch::attach`] adds a filter entry and a
-//! partition, [`SharedSwitch::detach_into`] drains the departing tenant's
-//! partition into the event stream so no in-flight records are lost.
+//! Attach and detach are driven through `superfe_core::stream::DataPath`,
+//! which the solo pipeline runs with one partition and the control plane
+//! with N: [`SharedSwitch::attach`] adds a filter entry and a partition,
+//! [`SharedSwitch::detach_into`] drains the departing tenant's partition
+//! into the event stream so no in-flight records are lost.
 
 use superfe_net::snap::{StateReader, StateWriter};
 use superfe_net::PacketRecord;
 use superfe_policy::{MetaField, SwitchProgram};
 
-use crate::mgpv::{MgpvConfig, MgpvStats};
-use crate::pipeline::{CacheMode, FeSwitch, SwitchStats};
+use crate::mgpv::MgpvConfig;
+use crate::pipeline::{CacheMode, FeSwitch};
 use crate::record::SwitchEvent;
 
 /// Identifies one admitted tenant (policy instance) on the shared data
@@ -56,7 +59,7 @@ pub struct TaggedEvent {
 }
 
 /// Link-level counters of the shared switch (per-tenant counters live in
-/// each partition's [`SwitchStats`]).
+/// each partition's [`SwitchStats`](crate::SwitchStats)).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SharedSwitchStats {
     /// Packets offered to the shared pipeline.
@@ -97,6 +100,10 @@ struct TenantSlot {
 pub struct SharedSwitch {
     slots: Vec<TenantSlot>,
     stats: SharedSwitchStats,
+    /// What one partition call emits before it is tagged; empty between
+    /// calls, so tagging allocates only when a call out-emits every
+    /// earlier one.
+    scratch: Vec<SwitchEvent>,
 }
 
 impl SharedSwitch {
@@ -105,42 +112,18 @@ impl SharedSwitch {
         Self::default()
     }
 
-    /// Number of attached tenants.
-    pub fn tenants(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The attached tenant ids, in attach order.
-    pub fn tenant_ids(&self) -> Vec<TenantId> {
-        self.slots.iter().map(|s| s.tenant).collect()
-    }
-
     /// Link-level totals.
     pub fn stats(&self) -> &SharedSwitchStats {
         &self.stats
     }
 
-    /// Per-tenant link counters, or `None` for an unknown tenant.
-    pub fn tenant_stats(&self, tenant: TenantId) -> Option<&SwitchStats> {
-        self.slot(tenant).map(|s| s.switch.stats())
-    }
-
-    /// Per-tenant cache counters.
-    pub fn tenant_cache_stats(&self, tenant: TenantId) -> Option<MgpvStats> {
-        self.slot(tenant).map(|s| s.switch.cache_stats())
-    }
-
-    /// Total SRAM footprint across all tenant cache partitions — the
-    /// quantity the admission controller bounds.
-    pub fn cache_memory_bytes(&self) -> usize {
+    /// Tenant `tenant`'s partition — its counters, cache counters and
+    /// state for a snapshot — or `None` for an unknown tenant.
+    pub fn partition(&self, tenant: TenantId) -> Option<&FeSwitch> {
         self.slots
             .iter()
-            .map(|s| s.switch.cache_memory_bytes())
-            .sum()
-    }
-
-    fn slot(&self, tenant: TenantId) -> Option<&TenantSlot> {
-        self.slots.iter().find(|s| s.tenant == tenant)
+            .find(|s| s.tenant == tenant)
+            .map(|s| &s.switch)
     }
 
     /// Attaches a tenant: one filter-table entry plus a cache partition
@@ -156,7 +139,7 @@ impl SharedSwitch {
         cfg: MgpvConfig,
         mode: CacheMode,
     ) -> bool {
-        if self.slot(tenant).is_some() {
+        if self.partition(tenant).is_some() {
             return false;
         }
         let Some(switch) = FeSwitch::with_config(program, cfg, mode) else {
@@ -206,7 +189,7 @@ impl SharedSwitch {
             return false;
         };
         let mut slot = self.slots.remove(pos);
-        Self::tag_tail(&mut slot, out, super::pipeline::FeSwitch::flush_into);
+        Self::tag_tail(&mut slot, &mut self.scratch, out, FeSwitch::flush_into);
         true
     }
 
@@ -218,64 +201,40 @@ impl SharedSwitch {
     /// keep the real partition's batching state. Returns `false` for an
     /// unknown tenant.
     pub fn snapshot_into(&mut self, tenant: TenantId, out: &mut Vec<TaggedEvent>) -> bool {
-        let Some(pos) = self.slots.iter().position(|s| s.tenant == tenant) else {
+        let Some(switch) = self.partition(tenant).cloned() else {
             return false;
         };
-        let mut clone = TenantSlot {
-            tenant,
-            switch: self.slots[pos].switch.clone(),
-        };
-        Self::tag_tail(&mut clone, out, super::pipeline::FeSwitch::flush_into);
+        let clone = &mut TenantSlot { tenant, switch };
+        Self::tag_tail(clone, &mut self.scratch, out, FeSwitch::flush_into);
         true
     }
 
-    /// Processes one packet through every tenant whose filter matches,
-    /// appending tagged events in tenant attach order.
+    /// Offers one packet to every partition, appending tagged events in
+    /// tenant attach order. Each partition applies its own filter entry and
+    /// counts exactly as a solo switch does; a packet that matches no entry
+    /// touches no cache.
     pub fn process_into(&mut self, p: &PacketRecord, out: &mut Vec<TaggedEvent>) {
         self.stats.pkts_in += 1;
         self.stats.bytes_in += u64::from(p.size);
         for slot in &mut self.slots {
-            // The shared filter table: evaluate this tenant's entry once;
-            // non-matching tenants never see the packet. The partition
-            // re-runs the predicate internally (trivially true), keeping
-            // its behavior identical to a solo switch fed the matching
-            // subsequence.
-            let matched = slot
-                .switch
-                .program()
-                .filter
-                .as_ref()
-                .is_none_or(|pred| crate::pipeline::eval_predicate(pred, p));
-            if !matched {
-                continue;
-            }
-            self.stats.tenant_matches += 1;
-            Self::tag_tail(slot, out, |sw, frame| sw.process_into(p, frame));
+            let matched = slot.switch.stats().pkts_matched;
+            Self::tag_tail(slot, &mut self.scratch, out, |sw, frame| {
+                sw.process_into(p, frame);
+            });
+            self.stats.tenant_matches += slot.switch.stats().pkts_matched - matched;
         }
     }
 
     /// Flushes every tenant partition at end of trace (attach order).
     pub fn flush_into(&mut self, out: &mut Vec<TaggedEvent>) {
         for slot in &mut self.slots {
-            Self::tag_tail(slot, out, super::pipeline::FeSwitch::flush_into);
+            Self::tag_tail(slot, &mut self.scratch, out, FeSwitch::flush_into);
         }
     }
 
-    /// Serializes one tenant partition's dynamic state (cache + counters).
-    /// Returns `false` (writing nothing) for an unknown tenant.
-    pub fn save_tenant_state(&self, tenant: TenantId, w: &mut StateWriter) -> bool {
-        match self.slot(tenant) {
-            Some(s) => {
-                s.switch.save_state(w);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Restores one tenant partition's state written by
-    /// [`SharedSwitch::save_tenant_state`]. The tenant must already be
-    /// attached with the same program and cache configuration.
+    /// Restores one tenant partition's state written by its
+    /// [`FeSwitch::save_state`]. The tenant must already be attached with
+    /// the same program and cache configuration.
     pub fn load_tenant_state(&mut self, tenant: TenantId, r: &mut StateReader<'_>) -> Option<()> {
         let slot = self.slots.iter_mut().find(|s| s.tenant == tenant)?;
         slot.switch.load_state(r)
@@ -296,22 +255,20 @@ impl SharedSwitch {
         Some(())
     }
 
-    /// Runs `f` on the slot's switch with a scratch frame and appends the
-    /// produced events to `out` tagged with the slot's tenant id.
+    /// Runs `f` on the slot's switch with the (empty) scratch frame and
+    /// moves the produced events to `out`, tagged with the slot's tenant id.
     fn tag_tail(
         slot: &mut TenantSlot,
+        scratch: &mut Vec<SwitchEvent>,
         out: &mut Vec<TaggedEvent>,
         f: impl FnOnce(&mut FeSwitch, &mut Vec<SwitchEvent>),
     ) {
-        // Reuse the tail of `out` as scratch space is not possible across
-        // types; a small per-call frame is fine here — the hot path is the
-        // per-tenant cache, not this Vec.
-        let mut frame = Vec::new();
-        f(&mut slot.switch, &mut frame);
-        out.extend(frame.into_iter().map(|event| TaggedEvent {
-            tenant: slot.tenant,
-            event,
-        }));
+        f(&mut slot.switch, scratch);
+        if scratch.is_empty() {
+            return;
+        }
+        let tenant = slot.tenant;
+        out.extend(scratch.drain(..).map(|event| TaggedEvent { tenant, event }));
     }
 }
 
@@ -336,6 +293,16 @@ mod tests {
         )
     }
 
+    /// Attaches `program` as partition `id` under the default cache quota.
+    fn attach(sw: &mut SharedSwitch, id: u16, program: SwitchProgram) -> bool {
+        sw.attach(
+            TenantId(id),
+            program,
+            MgpvConfig::default(),
+            CacheMode::Mgpv,
+        )
+    }
+
     fn packets(n: u64) -> impl Iterator<Item = PacketRecord> {
         (0..n).map(|i| {
             if i % 3 == 0 {
@@ -349,56 +316,31 @@ mod tests {
     #[test]
     fn tenants_attach_and_detach() {
         let mut sw = SharedSwitch::new();
-        assert!(sw.attach(
-            TenantId(0),
-            host_sum(),
-            MgpvConfig::default(),
-            CacheMode::Mgpv
-        ));
-        assert!(sw.attach(
-            TenantId(1),
-            tcp_only(),
-            MgpvConfig::default(),
-            CacheMode::Mgpv
-        ));
+        assert!(attach(&mut sw, 0, host_sum()));
+        assert!(attach(&mut sw, 1, tcp_only()));
         // Duplicate ids are refused.
-        assert!(!sw.attach(
-            TenantId(1),
-            host_sum(),
-            MgpvConfig::default(),
-            CacheMode::Mgpv
-        ));
-        assert_eq!(sw.tenants(), 2);
-        assert_eq!(sw.tenant_ids(), vec![TenantId(0), TenantId(1)]);
+        assert!(!attach(&mut sw, 1, host_sum()));
         let mut out = Vec::new();
         assert!(sw.detach_into(TenantId(0), &mut out));
         assert!(!sw.detach_into(TenantId(0), &mut out));
-        assert_eq!(sw.tenants(), 1);
     }
 
     #[test]
     fn filter_table_routes_per_tenant() {
         let mut sw = SharedSwitch::new();
-        sw.attach(
-            TenantId(0),
-            host_sum(),
-            MgpvConfig::default(),
-            CacheMode::Mgpv,
-        );
-        sw.attach(
-            TenantId(1),
-            tcp_only(),
-            MgpvConfig::default(),
-            CacheMode::Mgpv,
-        );
+        attach(&mut sw, 0, host_sum());
+        attach(&mut sw, 1, tcp_only());
         let mut out = Vec::new();
         for p in packets(300) {
             sw.process_into(&p, &mut out);
         }
         sw.flush_into(&mut out);
-        // Tenant 0 (no filter) saw everything; tenant 1 only TCP.
-        assert_eq!(sw.tenant_stats(TenantId(0)).unwrap().pkts_in, 300);
-        assert_eq!(sw.tenant_stats(TenantId(1)).unwrap().pkts_in, 200);
+        // Both partitions were offered every packet, as solo switches would
+        // be; tenant 0 (no filter) matched everything, tenant 1 only TCP.
+        for (tenant, matched) in [(TenantId(0), 300), (TenantId(1), 200)] {
+            let stats = sw.partition(tenant).unwrap().stats();
+            assert_eq!((stats.pkts_in, stats.pkts_matched), (300, matched));
+        }
         assert_eq!(sw.stats().pkts_in, 300);
         assert_eq!(sw.stats().tenant_matches, 500);
         assert!(out.iter().any(|e| e.tenant == TenantId(0)));
@@ -413,21 +355,11 @@ mod tests {
         let mut solo = FeSwitch::new(host_sum()).unwrap();
         let mut solo_events = Vec::new();
         let mut shared = SharedSwitch::new();
-        shared.attach(
-            TenantId(0),
-            host_sum(),
-            MgpvConfig::default(),
-            CacheMode::Mgpv,
-        );
+        attach(&mut shared, 0, host_sum());
         let mut tagged = Vec::new();
         for (i, p) in packets(600).enumerate() {
             if i == 100 {
-                shared.attach(
-                    TenantId(1),
-                    tcp_only(),
-                    MgpvConfig::default(),
-                    CacheMode::Mgpv,
-                );
+                attach(&mut shared, 1, tcp_only());
             }
             if i == 400 {
                 shared.detach_into(TenantId(1), &mut tagged);
@@ -451,12 +383,7 @@ mod tests {
     #[test]
     fn snapshot_flush_leaves_live_partition_untouched() {
         let mut sw = SharedSwitch::new();
-        sw.attach(
-            TenantId(0),
-            host_sum(),
-            MgpvConfig::default(),
-            CacheMode::Mgpv,
-        );
+        attach(&mut sw, 0, host_sum());
         let mut out = Vec::new();
         for p in packets(100) {
             sw.process_into(&p, &mut out);
@@ -466,7 +393,7 @@ mod tests {
         assert!(sw.snapshot_into(TenantId(0), &mut snap));
         // The live partition kept its state: a destructive detach right
         // after emits exactly the events the snapshot predicted.
-        assert_eq!(sw.tenant_stats(TenantId(0)).unwrap().pkts_in, 100);
+        assert_eq!(sw.partition(TenantId(0)).unwrap().stats().pkts_in, 100);
         let mut drained = Vec::new();
         assert!(sw.detach_into(TenantId(0), &mut drained));
         assert_eq!(snap, drained);
@@ -486,14 +413,10 @@ mod tests {
              .reduce(ipt, [f_mean])\n.collect(host)",
         );
         assert_ne!(bytes.metadata, times.metadata);
-        let run = |program: SwitchProgram| {
+        let run = |programs: &[&SwitchProgram]| {
             let mut sw = SharedSwitch::new();
-            assert!(sw.attach_shared(
-                TenantId(0),
-                &[&program],
-                MgpvConfig::default(),
-                CacheMode::Mgpv
-            ));
+            let cfg = MgpvConfig::default();
+            assert!(sw.attach_shared(TenantId(0), programs, cfg, CacheMode::Mgpv));
             let mut out = Vec::new();
             for p in packets(500) {
                 sw.process_into(&p, &mut out);
@@ -501,44 +424,10 @@ mod tests {
             sw.flush_into(&mut out);
             out
         };
-        let solo_bytes = run(bytes.clone());
-        let solo_times = run(times.clone());
-
+        let shared = run(&[&bytes, &times]);
+        assert_eq!(shared, run(&[&bytes]));
+        assert_eq!(shared, run(&[&times]));
         let mut sw = SharedSwitch::new();
         assert!(!sw.attach_shared(TenantId(0), &[], MgpvConfig::default(), CacheMode::Mgpv));
-        assert!(sw.attach_shared(
-            TenantId(0),
-            &[&bytes, &times],
-            MgpvConfig::default(),
-            CacheMode::Mgpv
-        ));
-        let mut shared = Vec::new();
-        for p in packets(500) {
-            sw.process_into(&p, &mut shared);
-        }
-        sw.flush_into(&mut shared);
-        assert_eq!(shared, solo_bytes);
-        assert_eq!(shared, solo_times);
-    }
-
-    #[test]
-    fn quota_accounting_sums_partitions() {
-        let mut sw = SharedSwitch::new();
-        assert_eq!(sw.cache_memory_bytes(), 0);
-        sw.attach(
-            TenantId(0),
-            host_sum(),
-            MgpvConfig::default(),
-            CacheMode::Mgpv,
-        );
-        let one = sw.cache_memory_bytes();
-        assert!(one > 0);
-        sw.attach(
-            TenantId(1),
-            tcp_only(),
-            MgpvConfig::default(),
-            CacheMode::Mgpv,
-        );
-        assert!(sw.cache_memory_bytes() > one);
     }
 }

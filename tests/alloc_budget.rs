@@ -3,8 +3,10 @@
 //! lands in existing groups, and how many more for one that opens a socket
 //! and a channel — and that scoring the record's vector in the shard's
 //! inference stage, with the float KitNET or its fixed-point plan, adds
-//! none. Timing benches show the same thing on a quiet host; this counts, so
-//! it fails the same way everywhere.
+//! none — and that a one-partition shared switch, the front-end the threaded
+//! pipelines drive, allocates what a solo switch does. Timing benches show
+//! the same thing on a quiet host; this counts, so it fails the same way
+//! everywhere.
 //!
 //! A counting `#[global_allocator]` needs `unsafe impl GlobalAlloc`, which is
 //! why this file — and only this file — lifts the workspace's
@@ -24,7 +26,9 @@ use superfe::net::PacketRecord;
 use superfe::nic::{FeNic, InlineInference};
 use superfe::policy::exec::SLAB_CHUNK_GROUPS;
 use superfe::policy::{compile, dsl};
-use superfe::switch::{FeSwitch, MgpvConfig, MgpvMessage, SwitchEvent};
+use superfe::switch::tenant::{SharedSwitch, TenantId};
+use superfe::switch::{CacheMode, FeSwitch, MgpvConfig, MgpvMessage, SwitchEvent};
+use superfe::trafficgen::intrusion::{generate, IntrusionConfig, Scenario};
 
 thread_local! {
     /// Allocations made by this thread (the harness's other threads do not
@@ -306,4 +310,50 @@ fn score_pending(nic: &mut FeNic, stage: &mut InlineInference) {
     for v in &nic.take_packet_vectors() {
         stage.score(v);
     }
+}
+
+/// Tagging a partition's events costs nothing: over the Kitsune Mirai trace,
+/// a one-partition `SharedSwitch` allocates exactly as often as the solo
+/// `FeSwitch` it wraps. Both emit into frames reused across packets; the
+/// partition's scratch frame grows when, and only when, the solo switch's
+/// does, and the tagged frame already has its size.
+#[test]
+fn a_one_partition_shared_switch_allocates_what_the_solo_switch_does() {
+    let packets = generate(&IntrusionConfig {
+        scenario: Scenario::Mirai,
+        benign_packets: 1_500,
+        attack_packets: 500,
+        seed: 4,
+    })
+    .trace()
+    .records;
+    let compiled = compile(&dsl::parse(KITSUNE).unwrap()).unwrap();
+
+    let mut solo = FeSwitch::new(compiled.switch.clone()).unwrap();
+    let mut frame = Vec::new();
+    let mut most = 0;
+    let alone = allocations(|| {
+        for p in &packets {
+            frame.clear();
+            solo.process_into(p, &mut frame);
+            most = most.max(frame.len());
+        }
+    });
+
+    let mut shared = SharedSwitch::new();
+    let cfg = MgpvConfig::default();
+    assert!(shared.attach(TenantId(0), compiled.switch, cfg, CacheMode::Mgpv));
+    let mut tagged = Vec::with_capacity(most);
+    let partitioned = allocations(|| {
+        for p in &packets {
+            tagged.clear();
+            shared.process_into(p, &mut tagged);
+        }
+    });
+    assert!(most > 0 && alone > 0);
+    assert_eq!(partitioned, alone);
+    assert_eq!(
+        (shared.stats().pkts_in, shared.stats().tenant_matches),
+        (packets.len() as u64, packets.len() as u64)
+    );
 }

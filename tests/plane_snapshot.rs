@@ -404,6 +404,33 @@ fn restore_rejects_bad_bytes_and_wrong_specs() {
     restored.finish().expect("workers alive");
 }
 
+/// A vector count is checked against the bytes left before anything is
+/// reserved for it: a per-group policy's snapshot ends in its one shard's
+/// (zero) count of accumulated per-packet vectors, and a count patched to
+/// `u32::MAX` restores to a typed error, not an abort.
+#[test]
+fn restore_rejects_a_vector_count_the_bytes_cannot_hold() {
+    let specs = [host_sum()];
+    let mut plane = CtrlPlane::new(1, AnalyzeConfig::default());
+    plane.attach(&specs[0], None).expect("admitted");
+    for p in &packets(200) {
+        plane.push(p).expect("workers alive");
+    }
+    let mut bytes = plane.snapshot().expect("snapshot");
+    plane.finish().expect("workers alive");
+
+    let count = bytes.len() - 4;
+    assert_eq!(bytes[count..], [0; 4]);
+    bytes[count..].copy_from_slice(&u32::MAX.to_le_bytes());
+    let err = CtrlPlane::restore(AnalyzeConfig::default(), &specs, &bytes, |_| None)
+        .err()
+        .expect("a count past the end of the bytes restored");
+    assert!(
+        matches!(&err, CtrlError::Snapshot(m) if m.contains("accumulated vector count")),
+        "{err}"
+    );
+}
+
 /// The topology section is checked edge by edge, not trusted: bytes that
 /// point a unit at another partition's group restore to a typed error,
 /// never to a plane that would feed the unit a foreign event stream.
