@@ -85,8 +85,13 @@ step "scorer kernel differential (compiled KitNET plan vs the i128 reference)"
 # Its contract is bit-identity with the scorer it replaced, which is kept
 # as a test-only reference: random trained models x all sixteen (FA, FW)
 # corners x hostile vectors, at the proved width and forced wide. The test
-# profile's overflow checks turn a wrong width proof into a panic. Already
-# part of the workspace tests at six models; here at sixty.
+# profile's overflow checks turn a wrong width proof into a panic. Every
+# plan also scores batches through the detector's batch entry point — a full
+# tile of sixteen, then every remainder, each vector at every lane — which
+# must give the single-vector bits; an exact-f64 plan whose proof were
+# wrong would round there. The line printed counts the plans that ran at
+# exact-f64, i64 and i128, and the batch cases. Already part of the
+# workspace tests at six models; here at sixty.
 diff_out=$(KERNEL_DIFF_CASES=60 cargo test -q -p superfe-ml --lib \
   plan_scores_are_bit_identical_to_the_reference_scorer -- --nocapture 2>&1) \
   || { printf '%s\n' "$diff_out"; echo "ci: the plan diverged from the reference scorer"; exit 1; }
@@ -396,10 +401,22 @@ teardown_time=$(grep -o 'nic_hotpath/kitsune_teardown *[0-9.]* [µm]*s' <<<"$ben
   || { echo "ci: could not parse the kitsune hotpath output"; exit 1; }
 echo "ci: nic_hotpath kitsune_steady $steady_rate elem/s, kitsune_churn $churn_rate elem/s," \
   "kitsune_mirai $mirai_rate elem/s, kitsune_teardown $teardown_time"
-# One KitNET score, fixed point and float. Printed, not gated: the gate on
-# the scorer is the differential above and the kitsune_inline workload.
+# One KitNET score, fixed point and float, and the fixed-point plan over the
+# same vectors handed over as one batch, as a shard hands over a frame's:
+# full tiles of sixteen in f64 lanes when lowering proved every accumulator
+# below 2^53 (exact-f64), one i64 lane a vector otherwise. Printed, not
+# gated: the gate on the scorer is the differential above and the
+# kitsune_inline workload.
+kitnet_width=$(grep -o 'kitnet_score/q39_24 plan width: [a-z0-9-]*' <<<"$bench_out" \
+  | grep -o '[a-z0-9-]*$')
+[[ -n "$kitnet_width" ]] || { echo "ci: the kitnet_score bench did not print its plan width"; exit 1; }
 echo "ci: kitnet_score q39_24 $(elem_rate kitnet_score/q39_24) scores/s," \
+  "q39_24_batch $(elem_rate kitnet_score/q39_24_batch) scores/s (plan width $kitnet_width)," \
   "float $(elem_rate kitnet_score/float) scores/s"
+if [[ "$kitnet_width" != "exact-f64" ]]; then
+  echo "ci: the synthetic model does not prove its accumulators below 2^53:" \
+    "q39_24_batch scores one vector at a time"
+fi
 
 step "benchmark package (offline build against these crates + smoke set)"
 # The benchmark is a package of its own that calls a pinned list of public

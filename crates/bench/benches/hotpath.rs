@@ -10,14 +10,18 @@
 //! a socket and a channel (`kitsune_churn`: two group creations on top), and
 //! the benchmark's Mirai trace with `finish` and teardown (`kitsune_mirai`)
 //! and its teardown alone (`kitsune_teardown`).
-//! `kitnet_score` is the scorer alone — the Q39.24 plan and the float model
-//! it was lowered from — on a model of Kitsune's width with flat training
+//! `kitnet_score` is the scorer alone — the Q39.24 plan one vector at a
+//! time and as one batch (`q39_24_batch`), and the float model it was
+//! lowered from — on a model of Kitsune's width with flat training
 //! dimensions, which is what constant folding acts on.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Bencher, Criterion, Throughput};
 use std::hint::black_box;
 
-use superfe_ml::{quantize, train_and_calibrate, CalibrationConfig, KitNetDetector, QuantConfig};
+use superfe_ml::{
+    quantize, train_and_calibrate, CalibrationConfig, KernelWidth, KitNetDetector, QuantConfig,
+    Scorer,
+};
 use superfe_net::{Granularity, PacketRecord};
 use superfe_nic::FeNic;
 use superfe_policy::exec::{GroupExec, GroupSlab, LevelPlan, RecordView};
@@ -234,6 +238,22 @@ fn bench_kitnet_score(c: &mut Criterion) {
     g.bench_function("q39_24", |b| {
         b.iter(|| {
             let sum: f64 = vectors.iter().map(|x| quant.score(x).expect("115")).sum();
+            black_box(sum)
+        });
+    });
+    // The same vectors as one batch, as a shard hands over a frame's: full
+    // tiles in f64 lanes when the plan proved exact-f64.
+    let width = quant.kernel_width().expect("a KitNET");
+    println!("kitnet_score/q39_24 plan width: {width}");
+    if width != KernelWidth::ExactF64 {
+        println!("kitnet_score/q39_24_batch: no accumulator bound below 2^53, one lane a vector");
+    }
+    let mut scores = Vec::with_capacity(VECTORS);
+    g.bench_function("q39_24_batch", |b| {
+        b.iter(|| {
+            scores.clear();
+            quant.score_batch(&mut vectors.iter().map(Vec::as_slice), &mut scores);
+            let sum: f64 = scores.iter().map(|s| s.as_ref().expect("115")).sum();
             black_box(sum)
         });
     });

@@ -712,6 +712,17 @@ pub trait Scorer {
     /// Scores a vector (pure); a wrong-length vector is an error.
     fn score(&self, x: &[f64]) -> Result<f64, MlError>;
 
+    /// Scores a batch of vectors, appending to `scores` what
+    /// [`Scorer::score`] gives each, in order. A scorer that runs several
+    /// vectors per pass overrides it.
+    fn score_batch(
+        &self,
+        xs: &mut dyn Iterator<Item = &[f64]>,
+        scores: &mut Vec<Result<f64, MlError>>,
+    ) {
+        scores.extend(xs.map(|x| self.score(x)));
+    }
+
     /// The alert threshold in force.
     fn threshold(&self) -> f64;
 

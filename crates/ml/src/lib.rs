@@ -43,6 +43,7 @@ pub use knn::Knn;
 pub use metrics::{accuracy, auc, f1_score, precision_recall, Confusion};
 pub use norm::MinMaxNorm;
 pub use quant::{
-    quantize, ErrorBound, Folded, LayerBound, QuantConfig, QuantError, QuantizedDetector,
+    quantize, ErrorBound, Folded, KernelWidth, LayerBound, QuantConfig, QuantError,
+    QuantizedDetector,
 };
 pub use tree::DecisionTree;

@@ -13,10 +13,12 @@
 //!   normalizer stay integer end to end (integer square root,
 //!   reciprocal-by-multiplication). The lowering is compiled, not walked:
 //!   [`KitNetPlan`] proves the accumulator width from the rows' L1 norms
-//!   (`i64` when every row fits, `i128` otherwise — one kernel, two
-//!   instantiations), folds what is a constant of the model (clusters over
-//!   flat training dimensions, and their column of the output encoder),
-//!   and streams weights from one arena into per-thread scratch.
+//!   (`i64` when every row fits, `i128` otherwise, and exact `f64` lanes
+//!   for a tile of [`TILE`] vectors when every accumulator is below 2^53 —
+//!   one kernel, generic over the accumulator and the lane count), folds
+//!   what is a constant of the model (clusters over flat training
+//!   dimensions, and their column of the output encoder), and streams
+//!   weights from one arena into per-thread scratch.
 //! - **Nearest centroid**: one global power-of-two input grid, integer dot
 //!   product and norms, one rounded division for the cosine.
 //! - **CART**: thresholds snap to a power-of-two grid (`floor(t·2^s)`), so
@@ -36,7 +38,9 @@ use crate::detector::{
 use crate::kitnet::KitNet;
 use crate::tree::FlatNode;
 use std::cell::RefCell;
+use std::fmt;
 use std::ops::{Add, Mul, Shl, Shr, Sub};
+use std::thread::LocalKey;
 
 /// Quantization parameters: the Qm.n format split.
 #[derive(Clone, Copy, Debug)]
@@ -170,6 +174,99 @@ macro_rules! impl_acc {
 impl_acc!(i64, u64, isqrt_u64);
 impl_acc!(i128, u128, isqrt_u128);
 
+/// What a plan's arena holds and its dot products accumulate in: the
+/// proved integer for one vector at a time, or — when every accumulator of
+/// the model is an integer below 2^53, so every product and partial sum is
+/// exact in a double — `f64` for a tile of vectors, which SSE2 multiplies
+/// and adds natively. A neuron leaves its lane as the integer `Int`; the
+/// shift, the sigmoid, the RMSE and the out-norm run in that.
+trait Lane: Copy + Add<Output = Self> + Mul<Output = Self> {
+    /// The integer the rest of a step runs in.
+    type Int: Acc;
+    /// How an activation is stored: it feeds the multiply as it is.
+    type Act: Activation;
+    /// An activation as a multiplicand.
+    fn widen(a: Self::Act) -> Self;
+    /// The accumulated sum as its integer, exactly.
+    fn exact(self) -> Self::Int;
+}
+
+impl Lane for i64 {
+    type Int = i64;
+    type Act = i64;
+
+    fn widen(a: i64) -> i64 {
+        a
+    }
+
+    fn exact(self) -> i64 {
+        self
+    }
+}
+
+impl Lane for i128 {
+    type Int = i128;
+    type Act = i64;
+
+    fn widen(a: i64) -> i128 {
+        i128::from(a)
+    }
+
+    fn exact(self) -> i128 {
+        self
+    }
+}
+
+impl Lane for f64 {
+    type Int = i64;
+    type Act = f64;
+
+    fn widen(a: f64) -> f64 {
+        a
+    }
+
+    /// Exact under the proof: the double holds an integer below 2^53.
+    fn exact(self) -> i64 {
+        self as i64
+    }
+}
+
+/// An activation slot: an `i64` in `[0, 2^FA]`, or the `f64` holding it.
+trait Activation: Copy + 'static {
+    /// The scoring thread's scratch of this type.
+    fn scratch() -> &'static LocalKey<RefCell<Vec<Self>>>;
+    fn of(v: i64) -> Self;
+    fn int(self) -> i64;
+}
+
+impl Activation for i64 {
+    fn scratch() -> &'static LocalKey<RefCell<Vec<i64>>> {
+        &SCRATCH
+    }
+
+    fn of(v: i64) -> i64 {
+        v
+    }
+
+    fn int(self) -> i64 {
+        self
+    }
+}
+
+impl Activation for f64 {
+    fn scratch() -> &'static LocalKey<RefCell<Vec<f64>>> {
+        &TILE_SCRATCH
+    }
+
+    fn of(v: i64) -> f64 {
+        v as f64
+    }
+
+    fn int(self) -> i64 {
+        self as i64
+    }
+}
+
 /// Arithmetic right shift with round-half-away-from-zero, without a branch
 /// on the sign: for `v < 0`, `−((−v + h) >> s) = (v + h − 1) >> s` because
 /// `2^s − h = h` and `>>` floors.
@@ -282,10 +379,16 @@ struct SigSegment {
 #[derive(Clone, Debug)]
 struct QSigmoid {
     frac_bits: u32,
+    /// `2^frac_bits`: σ = 1.
+    one: i64,
     /// `-16 · 2^frac_bits`.
     lo_q: i64,
     /// `log2(Δ · 2^frac_bits)` — the segment-index shift.
     seg_shift: u32,
+    /// `2^seg_shift − 1`: an offset's position inside its segment.
+    seg_mask: i64,
+    /// `2^(seg_shift − 1)`: a segment's center, from its start.
+    half_seg: i64,
     segments: Vec<SigSegment>,
 }
 
@@ -310,11 +413,15 @@ impl QSigmoid {
                 }
             })
             .collect();
+        // Δ = 2⁻⁴, so a segment spans 2^(frac_bits − 4) grid units.
+        let seg_shift = frac_bits - 4;
         QSigmoid {
             frac_bits,
+            one: 1 << frac_bits,
             lo_q: -((SIG_HALF_RANGE * scale) as i64),
-            // Δ = 2⁻⁴, so a segment spans 2^(frac_bits − 4) grid units.
-            seg_shift: frac_bits - 4,
+            seg_shift,
+            seg_mask: (1 << seg_shift) - 1,
+            half_seg: 1 << (seg_shift - 1),
             segments,
         }
     }
@@ -323,24 +430,27 @@ impl QSigmoid {
     ///
     /// All in `i64`, whatever the model's accumulator: `|u| ≤ 2^(FA−5)` and
     /// `|c1|, |c2| < 2^(FA−2)`, so each of the three products is below
-    /// `2^(2·FA−7) ≤ 2^53` for every legal `frac_bits`.
+    /// `2^(2·FA−7) ≤ 2^53` for every legal `frac_bits`. `u` is `z` less its
+    /// segment's center, `lo_q + k·2^s + 2^(s−1)`: the offset's low `s`
+    /// bits less half a segment. Inlined by force, as are [`layer`] and its
+    /// tails: out of line, the sigmoid was a call per lane, and a tile of
+    /// Kitsune vectors scored ~1.1× faster than one at a time, not ~1.25×.
+    #[inline(always)]
     fn eval(&self, z: i64) -> i64 {
-        let one = 1i64 << self.frac_bits;
         if z <= self.lo_q {
             return 0;
         }
         if z >= -self.lo_q {
-            return one;
+            return self.one;
         }
-        let k = ((z - self.lo_q) >> self.seg_shift) as usize;
-        let SigSegment { c0, c1, c2 } = self.segments[k];
-        let center = self.lo_q + ((2 * k as i64 + 1) << (self.seg_shift - 1));
-        let u = z - center;
+        let off = z - self.lo_q;
+        let SigSegment { c0, c1, c2 } = self.segments[(off >> self.seg_shift) as usize];
+        let u = (off & self.seg_mask) - self.half_seg;
         let fa = self.frac_bits;
         let t1 = rshift_round(i64::from(c1) * u, fa);
         let u2 = rshift_round(u * u, fa);
         let t2 = rshift_round(i64::from(c2) * u2, fa);
-        (i64::from(c0) + t1 + t2).clamp(0, one)
+        (i64::from(c0) + t1 + t2).clamp(0, self.one)
     }
 
     /// Certified |table − σ| bound: Taylor remainder + tail clamp +
@@ -757,37 +867,89 @@ impl AeStep {
         }
     }
 
-    /// Integer reconstruction RMSE of `inp` at `FA` fraction bits; `arena`
-    /// is this step's [`AeStep::arena_len`] elements.
-    fn rmse<A: Acc>(
+    /// Integer reconstruction RMSEs of `L` vectors at `FA` fraction bits;
+    /// `arena` is this step's [`AeStep::arena_len`] elements, `inp` its
+    /// block of activations and `hid` the hidden layer, both slot-major
+    /// (`L` lanes a slot).
+    fn rmse<A: Lane, const L: usize>(
         &self,
         arena: &[A],
-        inp: &[i64],
-        hid: &mut [i64],
+        inp: &[A::Act],
+        hid: &mut [A::Act],
         sig: &QSigmoid,
         weight_bits: u32,
-    ) -> i64 {
+    ) -> [i64; L] {
         let (encoder, decoder) = arena.split_at(self.encoder_len());
-        let hid = &mut hid[..self.h];
-        for (row, o) in encoder.chunks_exact(self.live + 1).zip(hid.iter_mut()) {
-            *o = sig.eval(neuron(row, &inp[..self.live], weight_bits));
-        }
-        let mut sum = A::NO_ERROR;
-        for (row, &x) in decoder.chunks_exact(self.h + 1).zip(inp) {
-            sum = A::add_sq(sum, x - sig.eval(neuron(row, hid, weight_bits)));
-        }
-        A::root_mean(sum, self.d)
+        let hid = &mut hid[..self.h * L];
+        let (hid_lanes, _) = hid.as_chunks_mut::<L>();
+        layer::<A, L>(
+            encoder,
+            self.live + 1,
+            &inp[..self.live * L],
+            #[inline(always)]
+            |i, acc| {
+                for (o, acc) in hid_lanes[i].iter_mut().zip(acc) {
+                    *o = A::Act::of(sig.eval(shift(acc, weight_bits)));
+                }
+            },
+        );
+        let mut sum = [<A::Int as Acc>::NO_ERROR; L];
+        let (inp_lanes, _) = inp.as_chunks::<L>();
+        layer::<A, L>(
+            decoder,
+            self.h + 1,
+            hid,
+            #[inline(always)]
+            |j, acc| {
+                for ((sum, x), acc) in sum.iter_mut().zip(&inp_lanes[j]).zip(acc) {
+                    *sum = A::Int::add_sq(*sum, x.int() - sig.eval(shift(acc, weight_bits)));
+                }
+            },
+        );
+        sum.map(|sum| A::Int::root_mean(sum, self.d))
     }
 }
 
-/// `bias + w · x` of one arena row `[bias, weights…]`, shifted from
-/// `FA + FW` back to `FA` fraction bits.
-fn neuron<A: Acc>(row: &[A], x: &[i64], weight_bits: u32) -> i64 {
-    let mut acc = row[0];
-    for (&w, &x) in row[1..].iter().zip(x) {
-        acc = acc + w * A::from(x);
+/// [`neuron`] of every row of `rows` (`width` elements each) over `x`,
+/// handing each row's sums to `emit` with the row's index — one row late,
+/// so a row's dot products are issued ahead of the previous row's integer
+/// tail and the two overlap.
+#[inline(always)]
+fn layer<A: Lane, const L: usize>(
+    rows: &[A],
+    width: usize,
+    x: &[A::Act],
+    mut emit: impl FnMut(usize, [A; L]),
+) {
+    let mut rows = rows.chunks_exact(width);
+    let Some(first) = rows.next() else {
+        return;
+    };
+    let mut acc = neuron::<A, L>(first, x);
+    let mut i = 0;
+    for row in rows {
+        let next = neuron::<A, L>(row, x);
+        emit(i, acc);
+        (acc, i) = (next, i + 1);
     }
-    rshift_round(acc, weight_bits).low64()
+    emit(i, acc);
+}
+
+/// `bias + w · x` of one arena row `[bias, weights…]` for each of `L`
+/// vectors, `x` slot-major: the row streams once for all lanes.
+fn neuron<A: Lane, const L: usize>(row: &[A], x: &[A::Act]) -> [A; L] {
+    let mut acc = [row[0]; L];
+    for (&w, x) in row[1..].iter().zip(x.as_chunks::<L>().0) {
+        for (acc, &x) in acc.iter_mut().zip(x) {
+            *acc = *acc + w * A::widen(x);
+        }
+    }
+    acc
+}
+
+/// A neuron's sum shifted from `FA + FW` back to `FA` fraction bits.
+fn shift<A: Lane>(acc: A, weight_bits: u32) -> i64 {
+    rshift_round(acc.exact(), weight_bits).low64()
 }
 
 /// The plan's weights and biases, every step's rows in evaluation order, at
@@ -798,6 +960,32 @@ enum Arena {
     Wide(Vec<i128>),
 }
 
+/// Vectors a tile of an exact-f64 plan scores in one pass.
+const TILE: usize = 16;
+
+/// The arithmetic lowering proved a KitNET's scores need (see
+/// [`QuantizedDetector::kernel_width`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum KernelWidth {
+    /// Every accumulator is an integer below 2^53: full tiles of vectors
+    /// run in `f64` lanes, single vectors in `i64`.
+    ExactF64,
+    /// Every accumulator fits 64 bits.
+    I64,
+    /// The rest: 128-bit accumulators.
+    I128,
+}
+
+impl fmt::Display for KernelWidth {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            KernelWidth::ExactF64 => "exact-f64",
+            KernelWidth::I64 => "i64",
+            KernelWidth::I128 => "i128",
+        })
+    }
+}
+
 thread_local! {
     /// The scoring thread's activations and hidden layer. Scratch is not
     /// part of the model (which is shared read-only across shards), and it
@@ -805,6 +993,8 @@ thread_local! {
     /// can share it; it grows to the largest plan the thread has scored
     /// and is never allocated again.
     static SCRATCH: RefCell<Vec<i64>> = const { RefCell::new(Vec::new()) };
+    /// The same for a tile of [`TILE`] vectors in `f64` lanes.
+    static TILE_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A KitNET compiled for scoring: [`QKitNet`] with its accumulator width
@@ -825,6 +1015,9 @@ struct KitNetPlan {
     /// output autoencoder.
     steps: Vec<AeStep>,
     arena: Arena,
+    /// The arena as exact doubles, when the model is exact-f64: what full
+    /// tiles stream.
+    lanes: Option<Vec<f64>>,
     sigmoid: QSigmoid,
     folded: Folded,
     /// The certificate and cost of the *unfolded* tree the plan came from.
@@ -854,7 +1047,8 @@ impl KitNetPlan {
                     let step = AeStep::lower(ae, &vec![None; ae.d], &mut arena, &mut inp);
                     inp.fill(half);
                     let mut hid = vec![0; ae.h];
-                    let r = step.rmse(&arena, &inp, &mut hid, &tree.sigmoid, weight_bits);
+                    let [r] =
+                        step.rmse::<i128, 1>(&arena, &inp, &mut hid, &tree.sigmoid, weight_bits);
                     norm.eval::<i128>(r, frac_bits)
                 })
             })
@@ -901,6 +1095,10 @@ impl KitNetPlan {
             && all()
                 .all(|ae| ((ae.d as u128) << (2 * frac_bits)) + (ae.d as u128) / 2 < 1u128 << 64)
             && tree.out_norm.iter().all(|n| n.fits_i64(frac_bits));
+        // Below 2^53 every product, partial sum and folded bias is an
+        // integer a double holds exactly, in any order of summation.
+        let exact = narrow && all().all(|ae| ae.acc_bound(frac_bits, weight_bits) < 1u128 << 53);
+        let lanes = exact.then(|| arena.iter().map(|&v| v as f64).collect());
         let arena = if narrow {
             Arena::Narrow(
                 arena
@@ -921,6 +1119,7 @@ impl KitNetPlan {
             hidden: steps.iter().map(|s| s.h).max().unwrap_or(0),
             steps,
             arena,
+            lanes,
             sigmoid: tree.sigmoid.clone(),
             folded,
             bound: tree.error_bound(frac_bits, weight_bits),
@@ -928,45 +1127,75 @@ impl KitNetPlan {
         }
     }
 
-    /// Integer score of a vector of the model's dimension.
+    /// Integer score of a vector of the model's dimension: one lane at the
+    /// proved integer width.
     fn score_q(&self, x: &[f64]) -> i64 {
-        SCRATCH.with_borrow_mut(|scratch| {
-            let slots = self.template.len();
-            if scratch.len() < slots + self.hidden {
-                scratch.resize(slots + self.hidden, 0);
+        let [q] = match &self.arena {
+            Arena::Narrow(arena) => self.score_lanes::<i64, 1>(arena, [x]),
+            Arena::Wide(arena) => self.score_lanes::<i128, 1>(arena, [x]),
+        };
+        q
+    }
+
+    /// Integer scores of `L` vectors of the model's dimension, their
+    /// activations slot-major in the thread's scratch.
+    fn score_lanes<A: Lane, const L: usize>(&self, arena: &[A], xs: [&[f64]; L]) -> [i64; L] {
+        A::Act::scratch().with_borrow_mut(|scratch| {
+            let slots = self.template.len() * L;
+            let need = slots + self.hidden * L;
+            if scratch.len() < need {
+                scratch.resize(need, A::Act::of(0));
             }
             let (act, hid) = scratch.split_at_mut(slots);
-            act.copy_from_slice(&self.template);
-            for op in &self.input {
-                // Same f64 expression as MinMaxNorm::transform, then an
-                // exact power-of-two scale and one round.
-                let n = ((x[op.src] - op.min) / op.range).clamp(0.0, 1.0);
-                act[op.slot] = round_to_grid(n * self.scale);
+            for (lanes, &t) in act.as_chunks_mut::<L>().0.iter_mut().zip(&self.template) {
+                *lanes = [A::Act::of(t); L];
             }
-            match &self.arena {
-                Arena::Narrow(arena) => self.run(arena, act, hid),
-                Arena::Wide(arena) => self.run(arena, act, hid),
+            for (lane, x) in xs.iter().enumerate() {
+                for op in &self.input {
+                    // Same f64 expression as MinMaxNorm::transform, then an
+                    // exact power-of-two scale and one round.
+                    let n = ((x[op.src] - op.min) / op.range).clamp(0.0, 1.0);
+                    act[op.slot * L + lane] = A::Act::of(round_to_grid(n * self.scale));
+                }
             }
+            self.run::<A, L>(arena, act, hid)
         })
     }
 
     /// The one kernel: every step in order, each streaming its rows off the
-    /// front of the arena, the ensemble's normalised RMSEs filling the head
-    /// of the output step's block as they come.
-    fn run<A: Acc>(&self, mut arena: &[A], act: &mut [i64], hid: &mut [i64]) -> i64 {
+    /// front of the arena once for all `L` lanes, the ensemble's normalised
+    /// RMSEs filling the head of the output step's block as they come.
+    fn run<A: Lane, const L: usize>(
+        &self,
+        mut arena: &[A],
+        act: &mut [A::Act],
+        hid: &mut [A::Act],
+    ) -> [i64; L] {
         let mut next_rmse = self.steps.last().map_or(0, |output| output.at);
-        let mut rmse = 0;
+        let mut rmse = [0; L];
         for step in &self.steps {
             let (rows, rest) = arena.split_at(step.arena_len());
             arena = rest;
-            let inp = &act[step.at..step.at + step.d];
-            rmse = step.rmse(rows, inp, hid, &self.sigmoid, self.weight_bits);
+            let inp = &act[step.at * L..(step.at + step.d) * L];
+            rmse = step.rmse::<A, L>(rows, inp, hid, &self.sigmoid, self.weight_bits);
             if let Some(norm) = &step.norm {
-                act[next_rmse] = norm.eval::<A>(rmse, self.frac_bits);
+                let lanes = &mut act[next_rmse * L..(next_rmse + 1) * L];
+                for (a, &r) in lanes.iter_mut().zip(&rmse) {
+                    *a = A::Act::of(norm.eval::<A::Int>(r, self.frac_bits));
+                }
                 next_rmse += 1;
             }
         }
         rmse
+    }
+
+    /// The width lowering proved.
+    fn width(&self) -> KernelWidth {
+        match (&self.arena, &self.lanes) {
+            (_, Some(_)) => KernelWidth::ExactF64,
+            (Arena::Narrow(_), None) => KernelWidth::I64,
+            (Arena::Wide(_), None) => KernelWidth::I128,
+        }
     }
 }
 
@@ -1434,6 +1663,15 @@ impl QuantizedDetector {
         }
     }
 
+    /// The arithmetic lowering proved a KitNET's scores need (`None` for a
+    /// model that is not a KitNET).
+    pub fn kernel_width(&self) -> Option<KernelWidth> {
+        match &self.model {
+            QuantModel::KitNet(k) => Some(k.width()),
+            QuantModel::Centroid(_) | QuantModel::Cart(_) => None,
+        }
+    }
+
     /// Certifies a worst-case |float − quantized| score bound over the
     /// per-feature input intervals `domain` (one `(lo, hi)` pair per
     /// feature). KitNET's bound is domain-independent (the affine input
@@ -1467,6 +1705,47 @@ impl Scorer for QuantizedDetector {
 
     fn score(&self, x: &[f64]) -> Result<f64, MlError> {
         self.score(x)
+    }
+
+    /// An exact-f64 KitNET scores every full tile of [`TILE`] vectors of
+    /// the model's dimension in one pass; the vectors left over, and every
+    /// vector of any other model, are scored one at a time. Same bits as
+    /// [`QuantizedDetector::score`], vector by vector.
+    fn score_batch(
+        &self,
+        xs: &mut dyn Iterator<Item = &[f64]>,
+        scores: &mut Vec<Result<f64, MlError>>,
+    ) {
+        let tiled = match &self.model {
+            QuantModel::KitNet(plan) => plan.lanes.as_ref().map(|lanes| (plan, lanes)),
+            QuantModel::Centroid(_) | QuantModel::Cart(_) => None,
+        };
+        let Some((plan, lanes)) = tiled else {
+            return scores.extend(xs.map(|x| self.score(x)));
+        };
+        // The tile being filled, and where each lane's score goes.
+        let mut tile: [&[f64]; TILE] = [&[]; TILE];
+        let mut at = [0; TILE];
+        let mut n = 0;
+        for x in xs {
+            if x.len() != self.dim {
+                scores.push(self.score(x));
+                continue;
+            }
+            (tile[n], at[n]) = (x, scores.len());
+            scores.push(Ok(0.0));
+            n += 1;
+            if n == TILE {
+                let q = plan.score_lanes::<f64, TILE>(lanes, tile);
+                for (&i, q) in at.iter().zip(q) {
+                    scores[i] = Ok(q as f64 / self.scale);
+                }
+                n = 0;
+            }
+        }
+        for (&i, x) in at.iter().zip(tile).take(n) {
+            scores[i] = self.score(x);
+        }
     }
 
     fn threshold(&self) -> f64 {
@@ -1890,6 +2169,7 @@ mod tests {
             .and_then(|v| v.parse().ok())
             .unwrap_or(6);
         let (mut narrow, mut wide, mut clusters, mut bias_inputs) = (0, 0, 0, 0);
+        let (mut exact, mut batches) = (0, 0);
         for case in 0..cases {
             let mut rng = StdRng::seed_from_u64(0x5EED ^ case);
             let groups = rng.random_range(2..=4usize);
@@ -1926,15 +2206,96 @@ mod tests {
                         assert_eq!(plan.score_q(x), want, "{at}");
                         assert_eq!(forced.score_q(x), want, "wide, {at}");
                     }
+                    let at = format!("case {case} Q{frac_bits}/{weight_bits}");
+                    if plan.width() == KernelWidth::ExactF64 {
+                        // Scores of trained models stay far from the bound,
+                        // so rounding would rarely show in them: hold the
+                        // proof to the rows it lays out instead.
+                        let most = arena_bound(&plan);
+                        assert!(most < 1u128 << 53, "{at}: a row reaches {most}");
+                        exact += 1;
+                    }
+                    batches += check_batches(&plan, k.dim(), &vectors, &at);
                 }
             }
         }
         assert!(narrow > 0 && wide > 0, "widths hit: {narrow} / {wide}");
+        assert!(
+            exact > 0 && narrow > exact,
+            "exact-f64 plans: {exact} of {narrow}"
+        );
         assert!(clusters > 0 && bias_inputs > 0, "nothing folded");
         println!(
-            "kernel differential: {cases} models, {narrow} narrow and {wide} wide plans, \
-             {clusters} clusters and {bias_inputs} bias inputs folded"
+            "kernel differential: {cases} models, {exact} exact-f64, {} i64 and {wide} i128 \
+             plans, {batches} batch cases, {clusters} clusters and {bias_inputs} bias inputs \
+             folded",
+            narrow - exact
         );
+    }
+
+    /// The largest magnitude a row of `plan` can accumulate, read off the
+    /// compiled arena rather than the tree: `|bias| + Σ|w| · 2^FA + 2^(FW−1)`
+    /// over every row of every step.
+    fn arena_bound(plan: &KitNetPlan) -> u128 {
+        let Arena::Narrow(mut arena) = plan.arena.clone() else {
+            return u128::MAX;
+        };
+        let mut most = 0;
+        for step in &plan.steps {
+            let rest = arena.split_off(step.arena_len());
+            let (encoder, decoder) = arena.split_at(step.encoder_len());
+            let rows = encoder.chunks_exact(step.live + 1);
+            for row in rows.chain(decoder.chunks_exact(step.h + 1)) {
+                let l1: u128 = row[1..].iter().map(|w| u128::from(w.unsigned_abs())).sum();
+                most = most.max(u128::from(row[0].unsigned_abs()) + (l1 << plan.frac_bits));
+            }
+            arena = rest;
+        }
+        most + (1 << (plan.weight_bits - 1))
+    }
+
+    /// Scores batches through the detector's batch entry point, as the
+    /// shard does, against `plan.score_q` vector by vector: `TILE + r`
+    /// vectors for every `r < TILE` — a full tile, then each remainder —
+    /// rotated by `r`, so each of the (at most `TILE`) vectors visits every
+    /// lane, with a vector of the wrong dimension at position `r`. Returns
+    /// the batches run.
+    fn check_batches(plan: &KitNetPlan, dim: usize, vectors: &[Vec<f64>], at: &str) -> u64 {
+        assert!(vectors.len() <= TILE, "{at}: a vector would miss a lane");
+        let det = QuantizedDetector {
+            model: QuantModel::KitNet(Box::new(plan.clone())),
+            name: "kitnet",
+            dim,
+            frac_bits: plan.frac_bits,
+            weight_bits: plan.weight_bits,
+            scale: plan.scale,
+            threshold: 0.0,
+        };
+        let short = vec![0.5; dim - 1];
+        let mut scores = Vec::new();
+        for r in 0..TILE {
+            let mut batch: Vec<&[f64]> = (0..TILE + r)
+                .map(|i| vectors[(i + r) % vectors.len()].as_slice())
+                .collect();
+            batch.insert(r, &short);
+            scores.clear();
+            Scorer::score_batch(&det, &mut batch.iter().copied(), &mut scores);
+            assert_eq!(scores.len(), batch.len(), "{at}");
+            for (i, (x, got)) in batch.iter().zip(&scores).enumerate() {
+                let want = if x.len() == dim {
+                    Ok(plan.score_q(x) as f64 / plan.scale)
+                } else {
+                    det.score(x)
+                };
+                assert_eq!(
+                    got.clone().map(f64::to_bits),
+                    want.map(f64::to_bits),
+                    "{at}: batch of {}, position {i}",
+                    batch.len()
+                );
+            }
+        }
+        TILE as u64
     }
 
     /// Lowering picks the wide kernel by itself when a row's L1 norm fails
@@ -2030,6 +2391,34 @@ mod tests {
                     "Q{frac_bits} z={z}"
                 );
                 z += step;
+            }
+        }
+    }
+
+    /// The hoisted segment arithmetic — `u` from the offset's low bits, the
+    /// index masked into the table — at every edge it could get wrong: each
+    /// segment's first, center and last offsets, and both saturation edges.
+    #[test]
+    fn hoisted_sigmoid_is_the_reference_at_every_segment_edge() {
+        for frac_bits in [8, 16, 24, 30] {
+            let sig = QSigmoid::build(frac_bits);
+            let (lo, seg) = (sig.lo_q, 1i64 << sig.seg_shift);
+            let mut z: Vec<i64> = (-1..=1).flat_map(|d| [lo + d, -lo + d]).collect();
+            for k in 0..SIG_SEGMENTS as i64 {
+                let start = lo + k * seg;
+                let center = start + seg / 2;
+                z.extend([
+                    start,
+                    start + 1,
+                    center - 1,
+                    center,
+                    center + 1,
+                    start + seg - 1,
+                ]);
+            }
+            for z in z {
+                let want = reference::sigmoid(&sig, z);
+                assert_eq!(sig.eval(z), want, "Q{frac_bits} z={z}");
             }
         }
     }

@@ -49,15 +49,6 @@ const CRC32_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC-32 of two 32-bit words, used for host/channel keys.
-pub fn crc32_words(words: &[u32]) -> u32 {
-    let mut buf = Vec::with_capacity(words.len() * 4);
-    for w in words {
-        buf.extend_from_slice(&w.to_be_bytes());
-    }
-    crc32(&buf)
-}
-
 /// Folds a 32-bit hash into `buckets` (power-of-two fast path).
 ///
 /// Returns 0 when `buckets == 0` so callers can treat an empty table
@@ -225,15 +216,6 @@ mod tests {
     #[test]
     fn crc32_empty_is_zero() {
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc32_words_matches_bytes() {
-        let words = [0x0102_0304u32, 0xAABB_CCDD];
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&words[0].to_be_bytes());
-        bytes.extend_from_slice(&words[1].to_be_bytes());
-        assert_eq!(crc32_words(&words), crc32(&bytes));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! a detector whose cost dwarfs extraction (brute-force k-NN) inherits the
 //! CG-key load balance instead of a finer re-hash.
 
-use superfe_ml::SharedScorer;
+use superfe_ml::{MlError, SharedScorer};
 use superfe_net::GroupKey;
 
 use crate::engine::FeatureVector;
@@ -74,6 +74,9 @@ pub struct InlineInference {
     seq: u64,
     alerts: Vec<InlineAlert>,
     stats: InlineStats,
+    /// The scores of the batch being offered, one per vector: scratch that
+    /// keeps its size from batch to batch.
+    scores: Vec<Result<f64, MlError>>,
 }
 
 impl InlineInference {
@@ -86,28 +89,42 @@ impl InlineInference {
             seq: 0,
             alerts: Vec::new(),
             stats: InlineStats::default(),
+            scores: Vec::new(),
         }
     }
 
     /// Scores one finalized vector at the stage's next stream position,
     /// buffering an alert when the score crosses the threshold.
     pub fn score(&mut self, vector: &FeatureVector) {
-        let seq = self.seq;
-        self.seq += 1;
-        let Ok(score) = self.model.score(vector.values()) else {
-            self.stats.dim_errors += 1;
-            return;
-        };
-        self.stats.scored += 1;
-        if self.model.is_alert(score) {
-            self.stats.alerts += 1;
-            self.alerts.push(InlineAlert {
-                shard: self.shard,
-                seq,
-                key: vector.key,
-                score,
-                threshold: self.threshold,
-            });
+        self.score_batch(std::slice::from_ref(vector));
+    }
+
+    /// Scores a batch of finalized vectors — a frame's drained vectors, or
+    /// a unit's group vectors at finish — in one call to the scorer, each
+    /// at its own stream position, exactly as [`InlineInference::score`]
+    /// would one after the other.
+    pub fn score_batch(&mut self, vectors: &[FeatureVector]) {
+        self.scores.clear();
+        let mut xs = vectors.iter().map(FeatureVector::values);
+        self.model.score_batch(&mut xs, &mut self.scores);
+        for (vector, score) in vectors.iter().zip(&self.scores) {
+            let seq = self.seq;
+            self.seq += 1;
+            let &Ok(score) = score else {
+                self.stats.dim_errors += 1;
+                continue;
+            };
+            self.stats.scored += 1;
+            if self.model.is_alert(score) {
+                self.stats.alerts += 1;
+                self.alerts.push(InlineAlert {
+                    shard: self.shard,
+                    seq,
+                    key: vector.key,
+                    score,
+                    threshold: self.threshold,
+                });
+            }
         }
     }
 
@@ -196,6 +213,33 @@ mod tests {
         assert_eq!((alerts[0].shard, alerts[0].seq), (3, 1));
         assert!(alerts[0].score > alerts[0].threshold);
         assert_eq!(alerts[0].threshold, m.threshold());
+    }
+
+    #[test]
+    fn a_batch_is_its_vectors_scored_one_by_one() {
+        let m = model(3);
+        let vectors = [
+            vector(1, &[5.0, 6.0, 5.0]),
+            vector(2, &[-5.0, -6.0, -5.0]),
+            vector(3, &[1.0]),
+            vector(4, &[-4.0, -6.0, -5.0]),
+        ];
+        let mut one = InlineInference::new(m.clone(), 1);
+        vectors.iter().for_each(|v| one.score(v));
+        let mut batched = InlineInference::new(m, 1);
+        batched.score_batch(&vectors[..3]);
+        batched.score_batch(&vectors[3..]);
+        let positions = |(alerts, stats): (Vec<InlineAlert>, InlineStats)| {
+            let at: Vec<_> = alerts
+                .iter()
+                .map(|a| (a.seq, a.key, a.score.to_bits()))
+                .collect();
+            (at, stats)
+        };
+        let (at, stats) = positions(batched.into_parts());
+        assert_eq!((at.clone(), stats), positions(one.into_parts()));
+        assert_eq!(at.iter().map(|a| a.0).collect::<Vec<_>>(), [1, 3]);
+        assert_eq!((stats.scored, stats.dim_errors), (3, 1));
     }
 
     #[test]

@@ -224,10 +224,11 @@ impl MemberEgress {
         }
     }
 
-    /// Scores freshly finalized vectors, when the member has a detector.
+    /// Scores freshly finalized vectors as one batch, when the member has a
+    /// detector.
     fn score(&mut self, vectors: &[FeatureVector]) {
         if let Some(infer) = self.infer.as_mut() {
-            vectors.iter().for_each(|v| infer.score(v));
+            infer.score_batch(vectors);
         }
     }
 

@@ -242,8 +242,14 @@ impl ReducerInstance {
     /// Restores accumulator state written by [`ReducerInstance::save_state`]
     /// into this (freshly instantiated) reducer, keeping its selector.
     /// Returns `None` on a variant mismatch (snapshot from a different
-    /// policy) or corrupt input.
+    /// policy), on a layout that is not the policy's — a histogram's binning
+    /// or bin count, an `f_array`'s cap, an `f_card`'s register count, each
+    /// of which sets how many values the group emits — or on corrupt input.
     fn load_state(&mut self, r: &mut StateReader<'_>) -> Option<()> {
+        /// Takes `loaded` only when `same` says its layout is `slot`'s.
+        fn adopt<T>(slot: &mut T, loaded: T, same: impl Fn(&T, &T) -> bool) -> Option<()> {
+            same(slot, &loaded).then(|| *slot = loaded)
+        }
         if r.get_u8()? != self.tag() {
             return None;
         }
@@ -252,9 +258,15 @@ impl ReducerInstance {
             ReducerInstance::Welford(s, _) => *s = Welford::load_state(r)?,
             ReducerInstance::MinMax(s, _) => *s = MinMax::load_state(r)?,
             ReducerInstance::Moments(s, _) => *s = Moments::load_state(r)?,
-            ReducerInstance::Card(s) => *s = HyperLogLog::load_state(r)?,
-            ReducerInstance::Array(s) => *s = SeqArray::load_state(r)?,
-            ReducerInstance::Hist(s, _) => *s = Histogram::load_state(r)?,
+            ReducerInstance::Card(s) => adopt(s, HyperLogLog::load_state(r)?, |a, b| {
+                a.register_count() == b.register_count()
+            })?,
+            ReducerInstance::Array(s) => adopt(s, SeqArray::load_state(r)?, |a, b| {
+                a.feature_len() == b.feature_len()
+            })?,
+            ReducerInstance::Hist(s, _) => adopt(s, Histogram::load_state(r)?, |a, b| {
+                a.binning() == b.binning() && a.bins() == b.bins()
+            })?,
         }
         Some(())
     }
@@ -1339,6 +1351,63 @@ mod tests {
         assert_eq!(bytes[seen_b], 1);
         bytes[seen_b] = 0;
         assert!(!loads(&plan, &bytes));
+    }
+
+    /// A flow group of one reduce of `funcs` over `size` that has seen a few
+    /// packets, and its snapshot bytes.
+    fn general_snapshot(funcs: &str) -> (LevelPlan, Vec<u8>) {
+        let src = format!("pktstream\n.groupby(flow)\n.reduce(size, [{funcs}])\n.collect(flow)");
+        let mut g = group_of(crate::dsl::parse(&src).unwrap());
+        for (i, size) in [120.0, 1400.0, 64.0].iter().enumerate() {
+            g.feed(&rec(*size, i as u64, 1), 17 + i as u32);
+        }
+        let mut w = StateWriter::new();
+        g.g.save_state(&g.plan, &g.slab, &mut w);
+        (g.plan, w.into_bytes())
+    }
+
+    #[test]
+    fn a_histogram_of_another_bin_count_does_not_load() {
+        let (plan, bytes) = general_snapshot("ft_hist{100, 16}");
+        assert!(loads(&plan, &bytes));
+        let (_, wider) = general_snapshot("ft_hist{100, 17}");
+        assert!(!loads(&plan, &wider), "the group vector would grow a value");
+        let (_, other) = general_snapshot("ft_histlog{1, 2, 16}");
+        assert!(
+            !loads(&plan, &other),
+            "geometric bins where the policy says fixed"
+        );
+    }
+
+    #[test]
+    fn a_histogram_bin_count_past_the_bytes_does_not_load() {
+        let (plan, mut bytes) = general_snapshot("ft_hist{100, 16}");
+        // Map, reduce and reducer counts, the tag, the binning's tag and
+        // width: then the bin count.
+        let bins = 3 * 2 + 1 + 1 + 8;
+        assert_eq!(bytes[bins..bins + 4], 16u32.to_le_bytes());
+        bytes[bins..bins + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(!loads(&plan, &bytes));
+    }
+
+    #[test]
+    fn an_array_of_another_cap_does_not_load() {
+        let (plan, mut bytes) = general_snapshot("f_array{4}");
+        assert!(loads(&plan, &bytes));
+        // The counts and the tag, then the cap: 2^26 would finalize to
+        // 67,108,864 values.
+        let cap = 3 * 2 + 1;
+        assert_eq!(bytes[cap..cap + 4], 4u32.to_le_bytes());
+        bytes[cap..cap + 4].copy_from_slice(&(1u32 << 26).to_le_bytes());
+        assert!(!loads(&plan, &bytes));
+    }
+
+    #[test]
+    fn a_cardinality_sketch_of_another_size_does_not_load() {
+        let (plan, bytes) = general_snapshot("f_card{8}");
+        assert!(loads(&plan, &bytes));
+        let (_, larger) = general_snapshot("f_card{10}");
+        assert!(!loads(&plan, &larger));
     }
 
     #[test]

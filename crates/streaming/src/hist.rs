@@ -87,6 +87,11 @@ impl Histogram {
         self.counts.len()
     }
 
+    /// Bin-edge layout.
+    pub fn binning(&self) -> Binning {
+        self.binning
+    }
+
     /// Raw bin counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
@@ -224,7 +229,7 @@ impl Histogram {
             },
             _ => return None,
         };
-        let bins = r.get_u32()? as usize;
+        let bins = r.get_count(8)?;
         if bins == 0 {
             return None;
         }
@@ -278,6 +283,20 @@ mod tests {
         assert!(Histogram::fixed(1.0, 0).is_none());
         assert!(Histogram::geometric(1.0, 1.0, 4).is_none());
         assert!(Histogram::geometric(-1.0, 2.0, 4).is_none());
+    }
+
+    #[test]
+    fn a_bin_count_the_bytes_cannot_hold_does_not_load() {
+        let mut h = Histogram::fixed(100.0, 16).unwrap();
+        h.update(250.0);
+        let mut w = StateWriter::new();
+        h.save_state(&mut w);
+        let mut bytes = w.into_bytes();
+        assert!(Histogram::load_state(&mut StateReader::new(&bytes)).is_some());
+        // The bin count follows the tag and the width: u32::MAX bins would
+        // be a 32 GiB reservation before the first count is read.
+        bytes[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(Histogram::load_state(&mut StateReader::new(&bytes)).is_none());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! lands in existing groups, and how many more for one that opens a socket
 //! and a channel — and that scoring the record's vector in the shard's
 //! inference stage, with the float KitNET or its fixed-point plan, adds
-//! none — and that a one-partition shared switch, the front-end the threaded
+//! none, one vector at a time or a frame's vectors as one batch — and that a
+//! one-partition shared switch, the front-end the threaded
 //! pipelines drive, allocates what a solo switch does. Timing benches show
 //! the same thing on a quiet host; this counts, so it fails the same way
 //! everywhere.
@@ -20,7 +21,8 @@ use std::sync::Arc;
 
 use superfe::apps::policies::KITSUNE;
 use superfe::ml::{
-    quantize, train_and_calibrate, CalibrationConfig, KitNetDetector, QuantConfig, SharedScorer,
+    quantize, train_and_calibrate, CalibrationConfig, KernelWidth, KitNetDetector, QuantConfig,
+    SharedScorer,
 };
 use superfe::net::PacketRecord;
 use superfe::nic::{FeNic, InlineInference};
@@ -301,6 +303,79 @@ fn scoring_a_kitsune_record_in_the_shard_allocates_nothing() {
         let (alerts, stats) = stage.into_parts();
         assert!(alerts.is_empty(), "scored by {name}");
         assert_eq!(stats.scored as usize, 2 * RECORDS, "scored by {name}");
+    }
+}
+
+/// A shard scores the vectors a frame drained as one batch: the Q39.24
+/// plan runs full tiles in exact `f64` lanes and the rest one vector at a
+/// time. Steady frames scored that way cost what the same frames cost an
+/// engine that scores nothing: the stage's scores and the tile's
+/// activations are scratch that keeps its size from frame to frame.
+#[test]
+fn scoring_a_frame_as_one_batch_allocates_nothing() {
+    // Two full tiles of sixteen and a remainder of eight.
+    const FRAME: usize = 40;
+    let compiled = compile(&dsl::parse(KITSUNE).unwrap()).unwrap();
+    let mut sw = FeSwitch::new(compiled.switch.clone()).unwrap();
+    let engine = || FeNic::new(&compiled, MgpvConfig::default().fg_table_size).unwrap();
+    let (mut scored, mut unscored) = (engine(), engine());
+    let mut ts = 0u64;
+    let mut packets = |n: usize| -> Vec<PacketRecord> {
+        (0..n)
+            .map(|i| {
+                ts += 1_000 + (i as u64 % 7) * 300;
+                PacketRecord::tcp(ts, 100 + (i % 11) as u16 * 120, 1, 1000, 2, 80)
+            })
+            .collect()
+    };
+    let mut both = |events: &[SwitchEvent]| {
+        unscored.handle_all(events);
+        drop(unscored.take_packet_vectors());
+        scored.handle_all(events);
+        scored.take_packet_vectors()
+    };
+
+    let train: Vec<_> = both(&events_per_record(&mut sw, &packets(400)));
+    let refs: Vec<&[f64]> = train.iter().map(|v| v.values.as_slice()).collect();
+    let float = train_and_calibrate(
+        Box::new(KitNetDetector::new(refs[0].len(), 4).unwrap()),
+        &refs,
+        0.2,
+        CalibrationConfig {
+            quantile: 1.0,
+            margin: 100.0,
+        },
+    )
+    .unwrap();
+    let quant = quantize(&float, &QuantConfig::default()).unwrap();
+    assert_eq!(quant.kernel_width(), Some(KernelWidth::ExactF64));
+
+    let models: [(&str, SharedScorer); 2] =
+        [("Q39.24", Arc::new(quant)), ("float", Arc::new(float))];
+    for (name, model) in models {
+        let mut stage = InlineInference::new(model, 0);
+        let mut frames = 0;
+        for round in 0..6 {
+            let events = events_per_record(&mut sw, &packets(FRAME));
+            let plain = allocations(|| {
+                unscored.handle_all(&events);
+                drop(unscored.take_packet_vectors());
+            });
+            let batched = allocations(|| {
+                scored.handle_all(&events);
+                let vectors = scored.take_packet_vectors();
+                stage.score_batch(&vectors);
+                frames += usize::from(vectors.len() == FRAME);
+            });
+            // Two rounds grow the scratch; the rest are steady.
+            if round >= 2 {
+                assert_eq!(batched, plain, "scored by {name}, round {round}");
+            }
+        }
+        let (alerts, stats) = stage.into_parts();
+        assert!(alerts.is_empty(), "scored by {name}");
+        assert_eq!(frames, 6, "scored by {name}");
+        assert_eq!(stats.scored as usize, 6 * FRAME, "scored by {name}");
     }
 }
 

@@ -431,6 +431,48 @@ fn restore_rejects_a_vector_count_the_bytes_cannot_hold() {
     );
 }
 
+/// A group's general-lane reducer is checked against the policy before it
+/// is adopted: a histogram whose bin count is patched to `u32::MAX` restores
+/// to a typed error, not a 32 GiB reservation and an abort.
+#[test]
+fn restore_rejects_a_histogram_bin_count_the_bytes_cannot_hold() {
+    let specs = [spec(
+        "host-hist",
+        "pktstream\n.groupby(host)\n.reduce(size, [ft_hist{100, 16}])\n.collect(host)",
+    )];
+    let mut plane = CtrlPlane::new(1, AnalyzeConfig::default());
+    plane.attach(&specs[0], None).expect("admitted");
+    for p in &packets(5_000) {
+        plane.push(p).expect("workers alive");
+    }
+    let bytes = plane.snapshot().expect("snapshot");
+    plane.finish().expect("workers alive");
+
+    // Each host group's histogram: the reducer's tag, the fixed binning's
+    // tag and width, then the bin count.
+    let mut head = vec![6, 0];
+    head.extend(100f64.to_le_bytes());
+    head.extend(16u32.to_le_bytes());
+    let mut patched = bytes.clone();
+    let mut groups = 0;
+    for at in 0..bytes.len() - head.len() {
+        if bytes[at..at + head.len()] == head[..] {
+            let bins = at + head.len() - 4;
+            patched[bins..bins + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            groups += 1;
+        }
+    }
+    assert_eq!(groups, 13, "one histogram per host");
+    match CtrlPlane::restore(AnalyzeConfig::default(), &specs, &patched, |_| None) {
+        Err(CtrlError::Snapshot(msg)) => assert!(msg.contains("engine state"), "{msg}"),
+        Err(other) => panic!("expected a snapshot error, got {other}"),
+        Ok(_) => panic!("a histogram of u32::MAX bins must not restore"),
+    }
+    let restored =
+        CtrlPlane::restore(AnalyzeConfig::default(), &specs, &bytes, |_| None).expect("restore");
+    restored.finish().expect("workers alive");
+}
+
 /// The topology section is checked edge by edge, not trusted: bytes that
 /// point a unit at another partition's group restore to a typed error,
 /// never to a plane that would feed the unit a foreign event stream.
