@@ -5,6 +5,11 @@
 //! the commit that still ran two analyses; they differ from its output only
 //! in the 16 hex digits of the plan hash and in `f_one(_)` for `f_one(?)`.
 //!
+//! Also pins the single-policy `check` / `explain` outputs, `compile`,
+//! `apps`, `help`, a `run` and a two-tenant `serve` with a hot attach and
+//! detach, as the binary printed them before the CLI was split by
+//! subcommand.
+//!
 //! Also pins `superfe detect` — document and summary lines, every byte a
 //! function of the flags — as the binary printed it while the float section
 //! was still scored by host-side inference workers.
@@ -72,5 +77,36 @@ fn detect_documents_match_the_golden_files() {
         let file = golden.join(format!("detect_{stem}.txt"));
         let want = std::fs::read_to_string(&file).expect("golden file");
         assert_eq!(out, want, "`superfe {line}` vs {}", file.display());
+    }
+}
+
+/// `(file, command line)` for the commands a golden file pins alone. The
+/// `serve` line runs at two workers: its digests are those of two shards,
+/// as the test profile computes them (a release build prints another
+/// digest for the Kitsune tenant).
+const SINGLE_RUNS: [(&str, &str); 9] = [
+    ("check_kitsune.txt", "check kitsune"),
+    ("check_kitsune.json", "check kitsune --format json"),
+    ("explain_kitsune.txt", "explain kitsune"),
+    ("explain_kitsune.json", "explain kitsune --format json"),
+    ("compile_kitsune.txt", "compile kitsune"),
+    ("apps.txt", "apps"),
+    ("help.txt", "help"),
+    ("run_npod.txt", "run npod --packets 2000 --limit 3"),
+    (
+        "serve_cumul_kitsune.txt",
+        "serve cumul kitsune --packets 2000 --workers 2 --attach-at 1:100 \
+         --detach-at 1:1500 --verify-solo",
+    ),
+];
+
+#[test]
+fn single_commands_match_the_golden_files() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for (file, line) in SINGLE_RUNS {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let out = execute(parse_args(&args).expect("valid arguments")).expect(line);
+        let want = std::fs::read_to_string(golden.join(file)).expect("golden file");
+        assert_eq!(out, want, "`superfe {line}` vs {file}");
     }
 }
