@@ -168,6 +168,27 @@ if grep -rn "TaggedEvent {" crates --include='*.rs' \
   exit 1
 fi
 
+step "one JSON writer, one flag loop"
+# JSON is a `superfe_policy::analyze::json::Json` value, rendered compact or
+# pretty by that module alone, which owns the escaping; the CLI reads every
+# subcommand's flags through one cursor (cli/src/args.rs), which owns the
+# missing-value refusal. A second writer or a second flag loop must not come
+# back.
+writer=crates/policy/src/analyze/json.rs
+if grep -rn "json_escape" crates --include='*.rs' | grep -v "^$writer:"; then
+  echo "ci: json_escape is referenced outside the JSON writer"
+  exit 1
+fi
+if grep -rn '{\\"' crates/*/src --include='*.rs' | grep -v "^$writer:"; then
+  echo "ci: JSON is built by hand outside the JSON writer"
+  exit 1
+fi
+value_refusals=$(grep -ro "needs a value" crates/cli/src | wc -l)
+if [[ "$value_refusals" -ne 1 ]]; then
+  echo "ci: 'needs a value' is in crates/cli/src $value_refusals times (one flag loop owns it)"
+  exit 1
+fi
+
 step "online detection smoke (seeded train/calibrate/serve, in-pipeline)"
 # A seeded end-to-end detect run must raise at least one alert inside the
 # attack window and stay quiet on the benign warm-up (the calibrated
@@ -435,6 +456,8 @@ step "lines of Rust under crates/ (the ROADMAP net-LOC measure)"
 # number printed here.
 # 45,623 at commit efedb7c, before the solo pipeline became the one-partition
 # data path; 45,614 after it (-9).
+# 46,150 at commit fc1896e, before the CLI was split by subcommand over one
+# flag parser and one JSON writer; 45,826 after it (-324).
 find crates -name '*.rs' | xargs wc -l | tail -1
 
 printf '\nci: all checks passed\n'

@@ -24,11 +24,11 @@ use superfe_ml::{
     auc, train_and_calibrate, CalibrationConfig, Confusion, FrozenDetector, SharedScorer,
 };
 use superfe_net::PacketRecord;
-use superfe_policy::analyze::json_escape;
+use superfe_policy::analyze::json::Json;
 use superfe_policy::analyze::quant::{certify, QuantCheckConfig};
 use superfe_trafficgen::intrusion::{self, IntrusionConfig, Scenario};
 
-use crate::{err, parsed, CliError};
+use crate::args::{err, fail, CliError, Flags};
 
 /// The policy served: Kitsune's 115-dimensional per-packet feature vector
 /// over three granularities.
@@ -92,20 +92,13 @@ fn parse_scenario(s: &str) -> Option<Scenario> {
 /// optional `--out` path. Flags are a trust boundary: every value that
 /// would make the run meaningless (a non-finite threshold, an empty served
 /// trace) is refused here, naming the flag.
-pub(crate) fn parse_flags<'a>(
-    mut it: impl Iterator<Item = &'a String>,
-) -> Result<(DetectConfig, Option<String>), CliError> {
+pub(crate) fn parse_flags(args: &[String]) -> Result<(DetectConfig, Option<String>), CliError> {
     let mut cfg = DetectConfig::default();
     let mut out = None;
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| err(format!("{flag} needs a value")))
-        };
-        match flag.as_str() {
+    Flags::new(args).each(|flag, f| {
+        match flag {
             "--scenario" => {
-                let v = value()?;
+                let v = f.value()?;
                 cfg.scenario = parse_scenario(&v).ok_or_else(|| {
                     err(format!(
                         "--scenario expects one of os_scan, ssdp_flood, syn_dos, \
@@ -114,32 +107,27 @@ pub(crate) fn parse_flags<'a>(
                 })?;
             }
             "--detector" => {
-                let v = value()?;
+                let v = f.value()?;
                 cfg.detector = DetectorKind::parse(&v).ok_or_else(|| {
                     err(format!(
                         "--detector expects one of kitnet, knn, cart, centroid; got '{v}'"
                     ))
                 })?;
             }
-            "--benign" => cfg.benign_packets = parsed(flag, &value()?, "an integer")?,
-            "--serve-benign" => cfg.serve_benign = parsed(flag, &value()?, "an integer")?,
-            "--attack" => cfg.attack_packets = parsed(flag, &value()?, "an integer")?,
-            "--seed" => cfg.seed = parsed(flag, &value()?, "an integer")?,
-            "--workers" => {
-                cfg.workers = parsed(flag, &value()?, "an integer")?;
-                if cfg.workers == 0 {
-                    return Err(err("--workers expects a positive count"));
-                }
-            }
+            "--benign" => cfg.benign_packets = f.parse("an integer")?,
+            "--serve-benign" => cfg.serve_benign = f.parse("an integer")?,
+            "--attack" => cfg.attack_packets = f.parse("an integer")?,
+            "--seed" => cfg.seed = f.parse("an integer")?,
+            "--workers" => cfg.workers = f.workers()?,
             "--quantile" => {
-                cfg.quantile = parsed(flag, &value()?, "a number")?;
+                cfg.quantile = f.parse("a number")?;
                 // `contains` is false for NaN, so this refuses it too.
                 if !(0.0..=1.0).contains(&cfg.quantile) {
                     return Err(err("--quantile expects a value in [0, 1]"));
                 }
             }
             "--margin" => {
-                cfg.margin = parsed(flag, &value()?, "a number")?;
+                cfg.margin = f.parse("a number")?;
                 // NaN and inf parse as numbers and would calibrate a
                 // threshold no score can cross.
                 if !(cfg.margin.is_finite() && cfg.margin > 0.0) {
@@ -147,10 +135,11 @@ pub(crate) fn parse_flags<'a>(
                 }
             }
             "--in-pipeline" => cfg.in_pipeline = true,
-            "--out" => out = Some(value()?),
-            other => return Err(err(format!("unknown option '{other}'"))),
+            "--out" => out = Some(f.value()?),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     if cfg.serve_benign == 0 && cfg.attack_packets == 0 {
         return Err(err(
             "--serve-benign and --attack are both 0: the served trace is empty",
@@ -213,11 +202,6 @@ pub(crate) struct DetectRun {
     detection: DetectionSummary,
     /// Present when `cfg.in_pipeline`.
     in_pipeline: Option<InPipelineSummary>,
-}
-
-/// A library error surfaced to the user as its message.
-fn fail(e: impl std::fmt::Display) -> CliError {
-    err(e.to_string())
 }
 
 /// Serves `labelled` with `model` scoring in the NIC shards. Returns the
@@ -362,136 +346,91 @@ fn serve_in_pipeline(
     })
 }
 
-/// How a float of the document is written.
-#[derive(Clone, Copy)]
-enum Notation {
-    /// `{:.9e}`: thresholds, bounds, score deltas.
-    Scientific,
-    /// `{:.4}`: ratios in [0, 1].
-    Fixed,
+/// A threshold, bound or score delta in the document: `{:.9e}`; a bound
+/// SF0902 could not prove is infinite, and the writer makes it `null`.
+fn sci(x: f64) -> Json {
+    Json::num(format!("{x:.9e}"))
 }
 
-/// Renders one float of the document. JSON has no `NaN` or `inf`; a value
-/// that is not finite (an unprovable SF0902 bound) is written as `null`.
-fn json_f64(x: f64, notation: Notation) -> String {
-    if !x.is_finite() {
-        return "null".into();
-    }
-    match notation {
-        Notation::Scientific => format!("{x:.9e}"),
-        Notation::Fixed => format!("{x:.4}"),
-    }
+/// A ratio in [0, 1] in the document: `{:.4}`.
+fn ratio(x: f64) -> Json {
+    Json::num(format!("{x:.4}"))
 }
 
 impl DetectRun {
     /// The `"detection"` section alone.
-    fn detection_json(&self) -> String {
-        use Notation::{Fixed, Scientific};
+    fn detection_json(&self) -> Json {
         let d = &self.detection;
-        format!(
-            "  \"detection\": {{\n\
-             \x20   \"feature_dim\": {},\n\
-             \x20   \"train_vectors\": {},\n\
-             \x20   \"calibration_vectors\": {},\n\
-             \x20   \"threshold\": {},\n\
-             \x20   \"scored\": {},\n\
-             \x20   \"matched\": {},\n\
-             \x20   \"alerts\": {},\n\
-             \x20   \"alerts_on_attack\": {},\n\
-             \x20   \"alerts_on_benign\": {},\n\
-             \x20   \"precision\": {},\n\
-             \x20   \"recall\": {},\n\
-             \x20   \"f1\": {},\n\
-             \x20   \"auc\": {}\n\
-             \x20 }}",
-            d.feature_dim,
-            d.train_vectors,
-            d.calibration_vectors,
-            json_f64(d.threshold, Scientific),
-            d.scored,
-            d.matched,
-            d.alerts,
-            d.confusion.tp,
-            d.confusion.fp,
-            json_f64(d.confusion.precision(), Fixed),
-            json_f64(d.confusion.recall(), Fixed),
-            json_f64(d.confusion.f1(), Fixed),
-            json_f64(d.auc, Fixed),
-        )
+        Json::Obj(vec![
+            ("feature_dim", Json::num(d.feature_dim)),
+            ("train_vectors", Json::num(d.train_vectors)),
+            ("calibration_vectors", Json::num(d.calibration_vectors)),
+            ("threshold", sci(d.threshold)),
+            ("scored", Json::num(d.scored)),
+            ("matched", Json::num(d.matched)),
+            ("alerts", Json::num(d.alerts)),
+            ("alerts_on_attack", Json::num(d.confusion.tp)),
+            ("alerts_on_benign", Json::num(d.confusion.fp)),
+            ("precision", ratio(d.confusion.precision())),
+            ("recall", ratio(d.confusion.recall())),
+            ("f1", ratio(d.confusion.f1())),
+            ("auc", ratio(d.auc)),
+        ])
     }
 
-    /// Renders the `"in_pipeline"` section: the SF09xx certificate next to
-    /// the in-pipeline alert stream and score fidelity.
-    fn in_pipeline_json(ip: &InPipelineSummary) -> String {
-        use Notation::Scientific;
-        let body = match ip {
-            InPipelineSummary::Unsupported { reason } => format!(
-                "    \"supported\": false,\n    \"reason\": \"{}\"\n",
-                json_escape(reason)
-            ),
+    /// The `"in_pipeline"` section: the SF09xx certificate next to the
+    /// in-pipeline alert stream and score fidelity.
+    fn in_pipeline_json(ip: &InPipelineSummary) -> Json {
+        match ip {
+            InPipelineSummary::Unsupported { reason } => Json::Obj(vec![
+                ("supported", Json::Bool(false)),
+                ("reason", Json::str(reason)),
+            ]),
             InPipelineSummary::Served {
                 section,
                 matched,
                 confusion,
-            } => format!(
-                "    \"supported\": true,\n\
-                 \x20   \"format\": \"{}\",\n\
-                 \x20   \"certified\": {},\n\
-                 \x20   \"bound\": {},\n\
-                 \x20   \"culprit\": {},\n\
-                 \x20   \"alu_ops\": {},\n\
-                 \x20   \"threshold\": {},\n\
-                 \x20   \"scored\": {},\n\
-                 \x20   \"alerts\": {},\n\
-                 \x20   \"dim_errors\": {},\n\
-                 \x20   \"matched\": {matched},\n\
-                 \x20   \"alerts_on_attack\": {},\n\
-                 \x20   \"alerts_on_benign\": {},\n\
-                 \x20   \"score_delta_max\": {},\n\
-                 \x20   \"delta_within_bound\": {}\n",
-                json_escape(&section.format),
-                section.certified,
-                json_f64(section.bound, Scientific),
-                section
-                    .culprit
-                    .as_ref()
-                    .map_or("null".into(), |c| format!("\"{}\"", json_escape(c))),
-                section.alu_ops,
-                json_f64(section.threshold, Scientific),
-                section.scored,
-                section.alerts,
-                section.dim_errors,
-                confusion.tp,
-                confusion.fp,
-                json_f64(section.score_delta_max, Scientific),
-                section.delta_within_bound(),
-            ),
-        };
-        format!("  \"in_pipeline\": {{\n{body}  }}")
+            } => Json::Obj(vec![
+                ("supported", Json::Bool(true)),
+                ("format", Json::str(&section.format)),
+                ("certified", Json::Bool(section.certified)),
+                ("bound", sci(section.bound)),
+                (
+                    "culprit",
+                    section.culprit.as_ref().map_or(Json::Null, Json::str),
+                ),
+                ("alu_ops", Json::num(section.alu_ops)),
+                ("threshold", sci(section.threshold)),
+                ("scored", Json::num(section.scored)),
+                ("alerts", Json::num(section.alerts)),
+                ("dim_errors", Json::num(section.dim_errors)),
+                ("matched", Json::num(matched)),
+                ("alerts_on_attack", Json::num(confusion.tp)),
+                ("alerts_on_benign", Json::num(confusion.fp)),
+                ("score_delta_max", sci(section.score_delta_max)),
+                (
+                    "delta_within_bound",
+                    Json::Bool(section.delta_within_bound()),
+                ),
+            ]),
+        }
     }
 
-    /// Renders the full document.
+    /// The full document.
     fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\n\
-             \x20 \"experiment\": \"online_detection\",\n\
-             \x20 \"policy\": \"Kitsune\",\n\
-             \x20 \"scenario\": \"{}\",\n\
-             \x20 \"detector\": \"{}\",\n\
-             \x20 \"seed\": {},\n\
-             \x20 \"workers\": {},\n",
-            json_escape(self.cfg.scenario.name()),
-            json_escape(self.cfg.detector.name()),
-            self.cfg.seed,
-            self.cfg.workers,
-        );
-        out.push_str(&self.detection_json());
+        let mut doc = vec![
+            ("experiment", Json::str("online_detection")),
+            ("policy", Json::str("Kitsune")),
+            ("scenario", Json::str(self.cfg.scenario.name())),
+            ("detector", Json::str(self.cfg.detector.name())),
+            ("seed", Json::num(self.cfg.seed)),
+            ("workers", Json::num(self.cfg.workers)),
+            ("detection", self.detection_json()),
+        ];
         if let Some(ip) = &self.in_pipeline {
-            out.push_str(",\n");
-            out.push_str(&Self::in_pipeline_json(ip));
+            doc.push(("in_pipeline", Self::in_pipeline_json(ip)));
         }
-        out.push_str("\n}\n");
-        out
+        Json::Obj(doc).pretty() + "\n"
     }
 
     /// The human-readable lines printed under the document.
@@ -553,11 +492,8 @@ pub(crate) fn execute(cfg: &DetectConfig, out: Option<String>) -> Result<String,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::argv;
     use crate::{parse_args, Command};
-
-    fn args(s: &str) -> Vec<String> {
-        s.split_whitespace().map(String::from).collect()
-    }
 
     /// A small, fast configuration for tests.
     fn small() -> DetectConfig {
@@ -569,45 +505,6 @@ mod tests {
             workers: 2,
             ..DetectConfig::default()
         }
-    }
-
-    /// The document is written one `"key": value` per line, so checking
-    /// each line's value and comma is a full JSON check of it — enough to
-    /// refuse `NaN`, `inf` and a dangling comma, which is what a
-    /// hand-written document can get wrong.
-    fn assert_is_json(doc: &str) {
-        let lines: Vec<&str> = doc.lines().map(str::trim).collect();
-        let mut depth = 0;
-        for (i, line) in lines.iter().enumerate() {
-            let body = line.strip_suffix(',').unwrap_or(line);
-            let last_member = lines.get(i + 1).is_none_or(|next| next.starts_with('}'));
-            let wants_comma = !last_member && !body.ends_with('{');
-            assert_eq!(
-                line.ends_with(','),
-                wants_comma,
-                "comma on line {i}: {line}"
-            );
-            let value = match body {
-                "{" => "{",
-                "}" => "}",
-                member => {
-                    let (key, value) = member.split_once(": ").expect("\"key\": value");
-                    assert!(key.len() > 2 && key.starts_with('"') && key.ends_with('"'));
-                    value
-                }
-            };
-            let number = value.starts_with(|c: char| c == '-' || c.is_ascii_digit())
-                && value.parse::<f64>().is_ok_and(f64::is_finite);
-            let string = value.len() >= 2 && value.starts_with('"') && value.ends_with('"');
-            match value {
-                "{" => depth += 1,
-                "}" => depth -= 1,
-                "true" | "false" | "null" => {}
-                _ => assert!(number || string, "'{value}' on line {i} is not JSON"),
-            }
-            assert!(depth > 0 || i + 1 == lines.len(), "document closed early");
-        }
-        assert_eq!(depth, 0, "unbalanced braces");
     }
 
     #[test]
@@ -665,7 +562,6 @@ mod tests {
         );
         // The attack must still be visible through the fixed-point path.
         assert!(confusion.tp > 0, "quantized path missed the attack");
-        assert_is_json(&run.to_json());
     }
 
     /// What lowering folds on the model the `detect_kitnet*` golden
@@ -715,7 +611,6 @@ mod tests {
         };
         assert!(!reason.is_empty());
         let json = run.to_json();
-        assert_is_json(&json);
         assert!(json.contains("\"supported\": false"));
     }
 
@@ -730,7 +625,7 @@ mod tests {
 
     #[test]
     fn parses_detect_options() {
-        let c = parse_args(&args(
+        let c = parse_args(&argv(
             "detect --scenario syn_dos --detector centroid --benign 900 \
              --serve-benign 400 --attack 200 --seed 5 --workers 4 \
              --quantile 0.99 --margin 1.2 --in-pipeline --out d.json",
@@ -755,15 +650,15 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_args(&args("detect")),
+            parse_args(&argv("detect")),
             Ok(Command::Detect {
                 cfg: DetectConfig::default(),
                 out: None,
             })
         );
         // One empty half of the served trace is a legal (if dull) run.
-        assert!(parse_args(&args("detect --attack 0")).is_ok());
-        assert!(parse_args(&args("detect --serve-benign 0")).is_ok());
+        assert!(parse_args(&argv("detect --attack 0")).is_ok());
+        assert!(parse_args(&argv("detect --serve-benign 0")).is_ok());
     }
 
     #[test]
@@ -784,19 +679,9 @@ mod tests {
             ("detect --serve-benign 0 --attack 0", "--serve-benign"),
             ("detect --attack 0 --serve-benign 0", "--attack"),
         ] {
-            let e = parse_args(&args(line)).expect_err(line);
+            let e = parse_args(&argv(line)).expect_err(line);
             assert!(e.message.contains(flag), "'{line}' -> '{e}' omits {flag}");
         }
-    }
-
-    #[test]
-    fn non_finite_floats_render_as_null() {
-        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            assert_eq!(json_f64(x, Notation::Scientific), "null");
-            assert_eq!(json_f64(x, Notation::Fixed), "null");
-        }
-        assert_eq!(json_f64(0.25, Notation::Fixed), "0.2500");
-        assert_eq!(json_f64(0.25, Notation::Scientific), "2.500000000e-1");
     }
 
     #[test]
@@ -810,7 +695,6 @@ mod tests {
         )
         .unwrap();
         let (json, summary) = out.split_at(out.find("\n}\n").expect("document ends") + 3);
-        assert_is_json(json);
         for key in [
             "\"experiment\": \"online_detection\"",
             "\"detection\"",

@@ -1,5 +1,5 @@
-//! The deployment gate: optimize → compile → static analysis, shared by
-//! every path that turns a [`Policy`] into a runnable deployment.
+//! The deployment gate: compile → static analysis, shared by every path
+//! that turns a [`Policy`] into a runnable deployment.
 //!
 //! [`SuperFe`](crate::SuperFe), [`StreamingPipeline`](crate::StreamingPipeline),
 //! and the multi-tenant control plane (`superfe-ctrl`) all refuse to deploy
@@ -11,21 +11,14 @@ use superfe_policy::{compile, CompiledPolicy, Policy, PolicyError};
 
 use crate::pipeline::SuperFeConfig;
 
-/// Optimizes (when configured), compiles, and analyzes `policy` under
-/// `cfg`, returning the compiled halves only if the analysis is clean of
-/// errors. Error findings surface as [`PolicyError::Infeasible`] with the
-/// rendered report (the same text `superfe check` prints).
+/// Compiles and analyzes `policy` under `cfg`, returning the compiled
+/// halves only if the analysis is clean of errors. Error findings surface as
+/// [`PolicyError::Infeasible`] with the rendered report (the same text
+/// `superfe check` prints).
 pub fn gate(policy: &Policy, cfg: &SuperFeConfig) -> Result<CompiledPolicy, PolicyError> {
     let analyze_cfg = crate::analyze::AnalyzeConfig {
         cache: cfg.cache,
         ..crate::analyze::AnalyzeConfig::default()
-    };
-    let optimized;
-    let policy = if cfg.optimize {
-        optimized = superfe_policy::ir::opt::optimize(policy, &analyze_cfg.value_config());
-        &optimized.policy
-    } else {
-        policy
     };
     let compiled = compile(policy)?;
     let report = crate::analyze::analyze(policy, &analyze_cfg);

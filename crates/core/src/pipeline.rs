@@ -14,11 +14,6 @@ pub struct SuperFeConfig {
     pub cache: MgpvConfig,
     /// Cache architecture (MGPV, or the GPV baseline).
     pub mode: CacheMode,
-    /// Run the analysis-gated optimizer (filter pushdown, map fusion, dead
-    /// field elimination) before compiling. Off by default: the rewrites are
-    /// output-preserving, but deployments that want the policy on the wire
-    /// to match the policy in the file byte-for-byte can keep it that way.
-    pub optimize: bool,
 }
 
 impl Default for SuperFeConfig {
@@ -26,7 +21,6 @@ impl Default for SuperFeConfig {
         SuperFeConfig {
             cache: MgpvConfig::default(),
             mode: CacheMode::Mgpv,
-            optimize: false,
         }
     }
 }
@@ -229,15 +223,12 @@ pktstream
                    .map(one, _, f_one)\n.map(d, one, f_direction)\n\
                    .reduce(d, [f_sum])\n.reduce(one, [f_sum])\n.collect(flow)";
         let policy = superfe_policy::dsl::parse(src).unwrap();
-        let run = |optimize: bool| {
-            let mut fe = SuperFe::with_config(
-                &policy,
-                SuperFeConfig {
-                    optimize,
-                    ..SuperFeConfig::default()
-                },
-            )
-            .unwrap();
+        let o = superfe_policy::ir::opt::optimize(
+            &policy,
+            &crate::analyze::AnalyzeConfig::default().value_config(),
+        );
+        let run = |policy: &Policy| {
+            let mut fe = SuperFe::new(policy).unwrap();
             for i in 0..200u64 {
                 fe.push(&PacketRecord::tcp(
                     i * 1000,
@@ -254,14 +245,8 @@ pktstream
                 .map(|v| (format!("{:?}", v.key), v.values))
                 .collect::<Vec<_>>()
         };
-        let plain = run(false);
-        let opt = run(true);
-        assert_eq!(plain, opt);
+        assert_eq!(run(&policy), run(&o.policy));
         // And the optimizer really did rewrite something.
-        let o = superfe_policy::ir::opt::optimize(
-            &policy,
-            &crate::analyze::AnalyzeConfig::default().value_config(),
-        );
         assert!(o.changed(), "expected rewrites on this policy");
         assert!(o.policy.ops.len() < policy.ops.len());
     }

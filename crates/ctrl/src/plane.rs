@@ -5,9 +5,9 @@
 //! a solo `StreamingPipeline` drives with one partition), and sequences
 //! reconfiguration in **epochs**:
 //!
-//! 1. [`CtrlPlane::attach`] gates the candidate policy (optimize → compile
-//!    → static analysis, the same `superfe_core::deploy::gate` every solo
-//!    path uses), then asks the one **join rule** how deep the candidate
+//! 1. [`CtrlPlane::attach`] gates the candidate policy (compile → static
+//!    analysis, the same `superfe_core::deploy::gate` every solo path
+//!    uses), then asks the one **join rule** how deep the candidate
 //!    may share with what is already deployed (see below). Whatever the
 //!    rule leaves as marginal demand composes with the admitted set through
 //!    the admission controller before anything touches the data path.

@@ -19,8 +19,8 @@
 //!   prefixes.
 //! - [`ring`]: the bounded SPSC frame ring with doorbell batching that the
 //!   streaming pipeline moves event frames over.
-//! - [`metrics`]: the process-wide monotonic clock and lock-free latency
-//!   histograms instrumenting that data path.
+//! - [`metrics`]: the process-wide monotonic clock instrumenting that data
+//!   path.
 
 pub mod dir;
 pub mod hash;
@@ -34,6 +34,6 @@ pub mod wire;
 pub use dir::{Direction, DirectionResolver};
 pub use hash::{crc32, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use key::{ChannelKey, FiveTuple, Granularity, GroupKey, HostKey};
-pub use metrics::{monotonic_ns, AtomicHistogram, HistSummary};
+pub use metrics::monotonic_ns;
 pub use packet::{PacketRecord, Protocol};
 pub use snap::{StateReader, StateWriter};

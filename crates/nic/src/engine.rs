@@ -14,7 +14,7 @@ use superfe_policy::{CompiledPolicy, LevelProgram};
 use superfe_streaming::{DecayMemo, FeatureValues};
 use superfe_switch::{MgpvMessage, SwitchEvent};
 
-use crate::table::{GroupTable, TableBudget, TableStats};
+use crate::table::{GroupTable, TableBudget};
 
 /// One emitted feature vector.
 #[derive(Clone, Debug, PartialEq)]
@@ -259,14 +259,6 @@ impl FeNic {
     /// Engine counters.
     pub fn stats(&self) -> &NicStats {
         &self.stats
-    }
-
-    /// Per-level group-table statistics.
-    pub fn table_stats(&self) -> Vec<(Granularity, TableStats)> {
-        self.levels
-            .iter()
-            .map(|l| (l.program.granularity, l.table.stats()))
-            .collect()
     }
 
     /// Number of live groups per level.

@@ -133,16 +133,6 @@ impl TableStats {
             self.dram_lookups as f64 / self.lookups as f64
         }
     }
-
-    /// Folds another table's counters into this one.
-    pub fn absorb(&mut self, other: &TableStats) {
-        self.lookups += other.lookups;
-        self.fast_hits += other.fast_hits;
-        self.dram_lookups += other.dram_lookups;
-        self.dram_entries += other.dram_entries;
-        self.overflow_drops += other.overflow_drops;
-        self.overflow_evictions += other.overflow_evictions;
-    }
 }
 
 /// A hash table with fixed-length chains and size-capped DRAM overflow.

@@ -38,6 +38,7 @@
 pub mod codes;
 pub mod cost;
 pub mod dataflow;
+pub mod json;
 pub mod quant;
 pub mod share;
 pub mod structural;
@@ -46,6 +47,7 @@ pub mod values;
 use std::fmt;
 
 use crate::ast::Policy;
+use json::Json;
 
 /// How serious a finding is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -126,23 +128,21 @@ impl Diagnostic {
         self
     }
 
-    /// Renders the diagnostic as one JSON object (see
-    /// [`AnalysisReport::render_json`] for the schema).
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"severity\":\"{}\",\"code\":\"{}\"",
-            self.severity.label(),
-            self.code
-        );
+    /// The diagnostic as one JSON object (see [`AnalysisReport::to_json`]
+    /// for the schema).
+    pub fn to_json(&self) -> Json {
+        let mut members = vec![
+            ("severity", Json::str(self.severity.label())),
+            ("code", Json::str(self.code)),
+        ];
         if let Some(i) = self.op_index {
-            out.push_str(&format!(",\"op\":{i}"));
+            members.push(("op", Json::num(i)));
         }
-        out.push_str(&format!(",\"message\":\"{}\"", json_escape(&self.message)));
+        members.push(("message", Json::str(&self.message)));
         if let Some(s) = &self.suggestion {
-            out.push_str(&format!(",\"suggestion\":\"{}\"", json_escape(s)));
+            members.push(("suggestion", Json::str(s)));
         }
-        out.push('}');
-        out
+        Json::Obj(members)
     }
 }
 
@@ -252,40 +252,24 @@ impl AnalysisReport {
         out
     }
 
-    /// Renders the report as a JSON object for machine consumers (CI), most
-    /// severe findings first. The schema is stable:
+    /// The report as a JSON object for machine consumers (CI), most severe
+    /// findings first. The schema is stable:
     /// `{"errors": n, "warnings": n, "notes": n, "diagnostics": [...]}` with
     /// each diagnostic carrying `severity`, `code`, `message`, and optional
     /// `op` / `suggestion`.
-    pub fn render_json(&self) -> String {
+    pub fn to_json(&self) -> Json {
         let mut sorted: Vec<&Diagnostic> = self.diagnostics.iter().collect();
         sorted.sort_by_key(|d| std::cmp::Reverse(d.severity));
-        let items: Vec<String> = sorted.iter().map(|d| d.to_json()).collect();
-        format!(
-            "{{\"errors\":{},\"warnings\":{},\"notes\":{},\"diagnostics\":[{}]}}",
-            self.error_count(),
-            self.warning_count(),
-            self.note_count(),
-            items.join(",")
-        )
+        Json::Obj(vec![
+            ("errors", Json::num(self.error_count())),
+            ("warnings", Json::num(self.warning_count())),
+            ("notes", Json::num(self.note_count())),
+            (
+                "diagnostics",
+                Json::Arr(sorted.iter().map(|d| d.to_json()).collect()),
+            ),
+        ])
     }
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Runs the policy-level passes with explicit deployment parameters for the

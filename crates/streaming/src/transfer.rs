@@ -107,11 +107,6 @@ pub fn sum_bound(x: Interval, n: u64) -> Interval {
     }
 }
 
-/// Count growth per batch: a counter incremented once per sample.
-pub fn count_bound(n: u64) -> Interval {
-    Interval::new(0.0, n as f64)
-}
-
 /// Welford running mean: with a zero start and convex updates, the mean
 /// never leaves the hull of the samples and the origin.
 pub fn welford_mean_bound(x: Interval) -> Interval {

@@ -174,16 +174,6 @@ pub struct MgpvStats {
 }
 
 impl MgpvStats {
-    /// Mean messages per evicted record (inverse batching factor).
-    pub fn records_per_message(&self) -> f64 {
-        let msgs: u64 = self.evictions.iter().sum();
-        if msgs == 0 {
-            0.0
-        } else {
-            self.evicted_records as f64 / msgs as f64
-        }
-    }
-
     /// Mean batching delay in nanoseconds (§8.4: bounded by the aging
     /// timeout at O(10) ms).
     pub fn mean_delay_ns(&self) -> f64 {
