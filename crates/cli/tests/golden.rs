@@ -52,12 +52,14 @@ fn multi_policy_reports_match_the_golden_files() {
 
 /// `(file stem, flags)` on top of [`DETECT_SIZES`]: the float section
 /// alone, float beside the certified Q39.24 model, a detector with no
-/// fixed-point lowering, and a second detector at another shard count whose
-/// calibration is tight enough to alert.
-const DETECT_RUNS: [(&str, &str); 4] = [
+/// fixed-point lowering, CART with its uncertified lowering, and a second
+/// detector at another shard count whose calibration is tight enough to
+/// alert.
+const DETECT_RUNS: [(&str, &str); 5] = [
     ("kitnet", ""),
     ("kitnet_in_pipeline", "--in-pipeline"),
     ("knn_in_pipeline", "--detector knn --in-pipeline"),
+    ("cart_in_pipeline", "--detector cart --in-pipeline"),
     (
         "centroid_in_pipeline_w4",
         "--detector centroid --in-pipeline --workers 4 --quantile 0.99 --margin 1.0",
