@@ -189,6 +189,15 @@ if [[ "$value_refusals" -ne 1 ]]; then
   exit 1
 fi
 
+step "one fit (a detector is fitted once; no staged trainer, no downcasts)"
+# `Detector::fit` over a slice is the only way to get a model, and the
+# quantizer matches on the closed `FittedModel` enum: the per-vector
+# trainer, its stage machine and the `as_any` downcast must not come back.
+if grep -rnE "as_any|downcast_ref|Lifecycle|WrongStage|end_training" crates/ml/src crates/detect/src; then
+  echo "ci: a second trainer or a detector downcast is back"
+  exit 1
+fi
+
 step "online detection smoke (seeded train/calibrate/serve, in-pipeline)"
 # A seeded end-to-end detect run must raise at least one alert inside the
 # attack window and stay quiet on the benign warm-up (the calibrated
@@ -458,6 +467,8 @@ step "lines of Rust under crates/ (the ROADMAP net-LOC measure)"
 # data path; 45,614 after it (-9).
 # 46,150 at commit fc1896e, before the CLI was split by subcommand over one
 # flag parser and one JSON writer; 45,826 after it (-324).
+# 45,826 at commit 970e275, before a detector was fitted once over a closed
+# set of four models; 45,580 after it (-246).
 find crates -name '*.rs' | xargs wc -l | tail -1
 
 printf '\nci: all checks passed\n'

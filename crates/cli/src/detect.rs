@@ -1,7 +1,7 @@
 //! `superfe detect`: online detection over a labelled intrusion trace.
 //!
-//! Trains a detector on a benign intrusion-scenario trace through the
-//! `Training → Calibrating → Serving` lifecycle, then serves a labelled
+//! Fits a detector once on a benign intrusion-scenario trace and calibrates
+//! its threshold on the trace's held-out tail, then serves a labelled
 //! attack trace through [`StreamingPipeline::with_inference`] — the float
 //! model scoring each vector in the NIC shard that finalized it — and
 //! reports the calibrated threshold, alert counts split by ground-truth

@@ -39,21 +39,6 @@ impl NearestCentroid {
         self.sums.len()
     }
 
-    /// The centroid of `label` (`None` when not enrolled).
-    pub(crate) fn centroid(&self, label: usize) -> Option<Vec<f64>> {
-        let (sum, n) = self.sums.get(&label)?;
-        Some(sum.iter().map(|s| s / *n as f64).collect())
-    }
-
-    /// Cosine similarity of `x` to the centroid of `label`.
-    ///
-    /// Returns `None` when the class is not enrolled.
-    pub fn similarity(&self, x: &[f64], label: usize) -> Option<f64> {
-        let (sum, n) = self.sums.get(&label)?;
-        let centroid: Vec<f64> = sum.iter().map(|s| s / *n as f64).collect();
-        Some(cosine(x, &centroid))
-    }
-
     /// Predicts the label of `x` (highest cosine similarity to a centroid).
     ///
     /// Returns `None` when no class is enrolled.
@@ -70,7 +55,7 @@ impl NearestCentroid {
 }
 
 /// Cosine similarity, tolerant of length mismatch (zero-padded).
-fn cosine(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn cosine(a: &[f64], b: &[f64]) -> f64 {
     let n = a.len().max(b.len());
     let mut dot = 0.0;
     let mut na = 0.0;

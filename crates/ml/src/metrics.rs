@@ -97,8 +97,8 @@ pub fn f1_score(pairs: impl IntoIterator<Item = (bool, bool)>) -> f64 {
 }
 
 /// Area under the ROC curve from `(score, is_positive)` pairs, computed via
-/// the rank statistic (ties get mid-ranks). Returns 0.5 when one class is
-/// absent.
+/// the rank statistic (ties get mid-ranks, a NaN ranks by
+/// [`f64::total_cmp`]). Returns 0.5 when one class is absent.
 pub fn auc(scored: &[(f64, bool)]) -> f64 {
     let pos = scored.iter().filter(|&&(_, p)| p).count();
     let neg = scored.len() - pos;
@@ -106,7 +106,7 @@ pub fn auc(scored: &[(f64, bool)]) -> f64 {
         return 0.5;
     }
     let mut sorted: Vec<(f64, bool)> = scored.to_vec();
-    sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite scores"));
+    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
     // Mid-rank assignment.
     let mut rank_sum_pos = 0.0;
     let mut i = 0usize;
@@ -180,6 +180,12 @@ mod tests {
     fn auc_inverted_is_zero() {
         let scored = vec![(0.9, false), (0.8, false), (0.2, true), (0.1, true)];
         assert!(auc(&scored).abs() < 1e-12);
+    }
+
+    #[test]
+    fn auc_ranks_a_nan_score_without_panicking() {
+        // `total_cmp` ranks a positive NaN above every number.
+        assert_eq!(auc(&[(0.1, false), (f64::NAN, true), (0.5, true)]), 1.0);
     }
 
     #[test]

@@ -32,9 +32,7 @@
 //! conversion, hence bitwise deterministic across threads and worker
 //! counts.
 
-use crate::detector::{
-    CartDetector, CentroidDetector, FrozenDetector, KitNetDetector, MlError, Scorer,
-};
+use crate::detector::{FittedModel, FrozenDetector, MlError, Scorer};
 use crate::kitnet::KitNet;
 use crate::tree::FlatNode;
 use std::cell::RefCell;
@@ -72,8 +70,6 @@ pub enum QuantError {
     /// The model family has no fixed-point lowering (e.g. k-NN, whose
     /// score needs the full training set at runtime).
     Unsupported(&'static str),
-    /// The detector never finished training.
-    Untrained,
     /// The model or config is degenerate for the chosen Q-format.
     Degenerate(String),
 }
@@ -84,7 +80,6 @@ impl std::fmt::Display for QuantError {
             QuantError::Unsupported(name) => {
                 write!(f, "detector '{name}' has no fixed-point lowering")
             }
-            QuantError::Untrained => write!(f, "detector has not finished training"),
             QuantError::Degenerate(msg) => write!(f, "quantization is degenerate: {msg}"),
         }
     }
@@ -645,7 +640,9 @@ impl QKitNet {
         {
             return Err(QuantError::Degenerate("non-finite normalizer range".into()));
         }
-        let output_ae = k.output_layer().ok_or(QuantError::Untrained)?;
+        let output_ae = k
+            .output_layer()
+            .expect("an executing KitNET has its output layer");
         let ensemble: Vec<QAutoencoder> = k
             .ensemble()
             .iter()
@@ -1551,32 +1548,23 @@ pub fn quantize(
             cfg.frac_bits
         )));
     }
-    let det = frozen.detector();
-    let any = det.as_any();
-    let model = if let Some(k) = any.downcast_ref::<KitNetDetector>() {
-        let tree = QKitNet::build(k.model().ok_or(QuantError::Untrained)?, cfg)?;
-        QuantModel::KitNet(Box::new(KitNetPlan::compile(
-            &tree,
+    let model = match frozen.model() {
+        FittedModel::KitNet(k) => QuantModel::KitNet(Box::new(KitNetPlan::compile(
+            &QKitNet::build(k, cfg)?,
             cfg.frac_bits,
             cfg.weight_bits,
-        )))
-    } else if let Some(c) = any.downcast_ref::<CentroidDetector>() {
-        if !c.is_frozen() {
-            return Err(QuantError::Untrained);
+        ))),
+        FittedModel::Centroid(centroid) => QuantModel::Centroid(QCentroid::build(centroid, cfg)?),
+        FittedModel::Cart(tree) => {
+            let flat = tree.flatten().expect("a fitted tree has a root");
+            QuantModel::Cart(QCart::build(&flat, cfg)?)
         }
-        let centroid = c.model().centroid(0).ok_or(QuantError::Untrained)?;
-        QuantModel::Centroid(QCentroid::build(&centroid, cfg)?)
-    } else if let Some(t) = any.downcast_ref::<CartDetector>() {
-        let tree = t.tree().ok_or(QuantError::Untrained)?;
-        let flat = tree.flatten().ok_or(QuantError::Untrained)?;
-        QuantModel::Cart(QCart::build(&flat, cfg)?)
-    } else {
-        return Err(QuantError::Unsupported(det.name()));
+        FittedModel::Knn { .. } => return Err(QuantError::Unsupported(frozen.name())),
     };
     Ok(QuantizedDetector {
         model,
-        name: det.name(),
-        dim: det.feature_dim(),
+        name: frozen.name(),
+        dim: frozen.feature_dim(),
         frac_bits: cfg.frac_bits,
         weight_bits: cfg.weight_bits,
         scale,
@@ -1986,10 +1974,6 @@ mod tests {
     fn cart_routes_exactly_on_the_integer_grid() {
         // Integer-valued training data → half-integer midpoints → exact
         // fixed-point routing; scores differ only by leaf rounding.
-        let mut det = crate::CartDetector::new(2, 11).unwrap();
-        for i in 0..64 {
-            det.train(&[f64::from(i % 8), f64::from(i / 8)]).unwrap();
-        }
         let data: Vec<Vec<f64>> = (0..64)
             .map(|i| vec![f64::from(i % 8), f64::from(i / 8)])
             .collect();

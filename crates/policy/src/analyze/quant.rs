@@ -289,7 +289,7 @@ pub fn certify(
     };
 
     let domain = feature_domain(policy, &cfg.value);
-    let want = frozen.detector().feature_dim();
+    let want = frozen.feature_dim();
     if domain.len() != want {
         diags.push(Diagnostic::warning(
             codes::QUANT_BOUND_EXCEEDED,
@@ -297,7 +297,7 @@ pub fn certify(
                 "policy emits {} features but detector '{}' expects {}; the \
                  lowering cannot be certified against this policy",
                 domain.len(),
-                frozen.detector().name(),
+                frozen.name(),
                 want
             ),
         ));
@@ -327,10 +327,7 @@ pub fn certify(
             diags.push(
                 Diagnostic::warning(
                     codes::QUANT_BOUND_EXCEEDED,
-                    format!(
-                        "detector '{}' cannot run in-pipeline: {e}",
-                        frozen.detector().name()
-                    ),
+                    format!("detector '{}' cannot run in-pipeline: {e}", frozen.name()),
                 )
                 .with_suggestion("use a kitnet, centroid, or cart detector for in-pipeline mode"),
             );
