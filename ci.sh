@@ -326,6 +326,13 @@ step "corpus-scale state (90k flows under a DRAM budget; bounded RSS from the le
 # past the NIC fast table: the cap bites, every evicted group surfaces as a
 # typed vector, and drop_new costs more accuracy than evict_oldest.
 cargo test --release -q -p superfe-bench -- --ignored tight_budget
+# The corpus itself: the benchmark's 100k-flow, 60 s stream at seeds 4 and 11
+# must fold (FNV-1a over every field of every packet) to its pinned digest.
+# The stream's cost per packet is printed for information, not gated.
+corpus_out=$(cargo test --release -q -p superfe-trafficgen --lib -- --ignored \
+  corpus_bytes_are_pinned --nocapture 2>&1) \
+  || { printf '%s\n' "$corpus_out"; echo "ci: the corpus-scale stream changed its bytes"; exit 1; }
+grep "scale corpus seed" <<<"$corpus_out"
 # The memory half, read from the benchmark: 100k flows through the budgeted
 # pair must come out digest-correct with peak RSS bounded — the DRAM budget
 # is what makes corpus-scale cardinality safe, so a blow-up here means the

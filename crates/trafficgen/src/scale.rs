@@ -720,6 +720,64 @@ mod tests {
         assert!(err < 0.5, "estimate {est}, actual {actual}");
     }
 
+    /// FNV-1a over 64-bit words: every field of every packet, in order.
+    fn fold(stream: impl Iterator<Item = PacketRecord>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for p in stream {
+            for w in [
+                p.ts_ns,
+                u64::from(p.size),
+                u64::from(p.src_ip),
+                u64::from(p.dst_ip),
+                u64::from(p.src_port),
+                u64::from(p.dst_port),
+                u64::from(p.proto.number()),
+                u64::from(p.tcp_flags),
+                u64::from(p.direction == Direction::Ingress),
+            ] {
+                h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// The streams' bytes, pinned. The two capped streams have more flows
+    /// than their cap, so launches wait on freed slots; the cap changes no
+    /// content, so the 10k stream folds the same with and without it.
+    #[test]
+    fn stream_bytes_are_pinned() {
+        let ten_k = ScaleWorkload::flows(10_000).seed(4);
+        assert_eq!(fold(ten_k.stream()), 0x5757_0d06_0700_b2b9);
+        assert_eq!(
+            fold(ten_k.active_cap(1_024).stream()),
+            0x5757_0d06_0700_b2b9
+        );
+        let capped = ScaleWorkload::flows(20_000).seed(5).active_cap(256);
+        assert_eq!(fold(capped.stream()), 0xec8f_85b3_f548_00d4);
+    }
+
+    /// The benchmark's own corpus (`scale_churn`: 100k flows over 60 s),
+    /// pinned at two seeds, with the stream's cost printed per packet.
+    /// Slow in debug builds, so opt-in and a named `ci.sh` step:
+    /// `cargo test --release -p superfe-trafficgen -- --ignored corpus`.
+    #[test]
+    #[ignore = "streams 1.3M packets in all; run in release"]
+    fn corpus_bytes_are_pinned() {
+        for (seed, want) in [(4, 0xebae_fc38_29df_0cd1), (11, 0x377a_ca57_4f75_a92d)] {
+            let w = ScaleWorkload::flows(100_000).duration_s(60.0).seed(seed);
+            let t0 = std::time::Instant::now();
+            let mut s = w.stream();
+            let h = fold(s.by_ref());
+            let ns = t0.elapsed().as_nanos() as f64;
+            let pkts = s.stats().packets;
+            println!(
+                "scale corpus seed {seed}: {pkts} packets, {:.0} ns/packet",
+                ns / pkts as f64
+            );
+            assert_eq!(h, want, "seed {seed}: {h:016x}");
+        }
+    }
+
     #[test]
     fn mass_inversion_round_trips() {
         let cfg = ScaleConfig::default();
