@@ -278,21 +278,53 @@ fn arrival_mass(cfg: &ScaleConfig, x: f64) -> f64 {
     m
 }
 
-/// Inverts the normalized arrival mass by bisection: the trace fraction `x`
-/// with `mass(x)/mass(1) = u`.
-fn invert_mass(cfg: &ScaleConfig, u: f64) -> f64 {
-    let total = arrival_mass(cfg, 1.0);
-    let target = u * total;
-    let (mut lo, mut hi) = (0.0f64, 1.0f64);
-    for _ in 0..52 {
-        let mid = 0.5 * (lo + hi);
-        if arrival_mass(cfg, mid) < target {
-            lo = mid;
-        } else {
-            hi = mid;
+/// Bisection steps of one inversion.
+const BISECT_STEPS: usize = 52;
+
+/// The inverse of the normalized arrival mass, by bisection. Flows launch
+/// in index order, so consecutive targets are close and their bisections
+/// visit the same midpoints for a prefix of steps: the last path's
+/// `(mid, mass)` pairs are kept and a midpoint seen before is read back,
+/// not recomputed. `arrival_mass` is a pure function of the midpoint, so
+/// the result is bit-identical to a cold bisection.
+#[derive(Clone, Debug)]
+struct ArrivalInverse {
+    /// `arrival_mass(cfg, 1.0)`.
+    total: f64,
+    /// The last bisection's midpoint and its mass at each step.
+    path: [(f64, f64); BISECT_STEPS],
+    /// Inversions made, for the launch-once regression test.
+    inversions: u64,
+}
+
+impl ArrivalInverse {
+    fn new(cfg: &ScaleConfig) -> Self {
+        ArrivalInverse {
+            total: arrival_mass(cfg, 1.0),
+            // No midpoint is NaN, so the empty path matches nothing.
+            path: [(f64::NAN, 0.0); BISECT_STEPS],
+            inversions: 0,
         }
     }
-    0.5 * (lo + hi)
+
+    /// The trace fraction `x` with `mass(x)/mass(1) = u`.
+    fn invert(&mut self, cfg: &ScaleConfig, u: f64) -> f64 {
+        self.inversions += 1;
+        let target = u * self.total;
+        let (mut lo, mut hi) = (0.0f64, 1.0f64);
+        for step in &mut self.path {
+            let mid = 0.5 * (lo + hi);
+            if step.0.to_bits() != mid.to_bits() {
+                *step = (mid, arrival_mass(cfg, mid));
+            }
+            if step.1 < target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        0.5 * (lo + hi)
+    }
 }
 
 /// One live flow inside the generator.
@@ -337,6 +369,10 @@ pub struct ScaleStream {
     free: Vec<u32>,
     /// Next background flow index to launch (stratified start times).
     next_bg: usize,
+    /// `(next_bg, its start)`: a flow held back by the cap keeps its start
+    /// across the packets it waits behind.
+    bg_start: Option<(usize, u64)>,
+    curve: ArrivalInverse,
     /// Next attack flow index to launch.
     next_attack: usize,
     last_ts: u64,
@@ -352,6 +388,8 @@ impl ScaleStream {
             slots: Vec::new(),
             free: Vec::new(),
             next_bg: 0,
+            bg_start: None,
+            curve: ArrivalInverse::new(&cfg),
             next_attack: 0,
             last_ts: 0,
             stats: ScaleStats::default(),
@@ -364,14 +402,22 @@ impl ScaleStream {
         self.stats
     }
 
-    /// Start timestamp of the next pending background flow, if any.
-    fn next_bg_start(&self) -> Option<u64> {
+    /// Start timestamp of the next pending background flow, if any; the
+    /// arrival curve is inverted once per flow.
+    fn next_bg_start(&mut self) -> Option<u64> {
         if self.next_bg >= self.cfg.flows {
             return None;
         }
+        if let Some((idx, start)) = self.bg_start {
+            if idx == self.next_bg {
+                return Some(start);
+            }
+        }
         let u = (self.next_bg as f64 + 0.5) / self.cfg.flows as f64;
-        let x = invert_mass(&self.cfg, u);
-        Some((x * self.duration_ns as f64) as u64)
+        let x = self.curve.invert(&self.cfg, u);
+        let start = (x * self.duration_ns as f64) as u64;
+        self.bg_start = Some((self.next_bg, start));
+        Some(start)
     }
 
     /// Start timestamp of the next pending attack flow, if any.
@@ -781,11 +827,33 @@ mod tests {
     #[test]
     fn mass_inversion_round_trips() {
         let cfg = ScaleConfig::default();
-        for i in 0..50 {
+        let mut curve = ArrivalInverse::new(&cfg);
+        // Out of order, so the kept path is reused, abandoned and rebuilt:
+        // every answer must carry the bits of a cold bisection.
+        for i in (0..50).map(|i| (i * 17) % 50) {
             let u = f64::from(i) / 50.0;
-            let x = invert_mass(&cfg, u);
+            let x = curve.invert(&cfg, u);
+            let cold = ArrivalInverse::new(&cfg).invert(&cfg, u);
+            assert_eq!(x.to_bits(), cold.to_bits(), "u {u}");
             let back = arrival_mass(&cfg, x) / arrival_mass(&cfg, 1.0);
             assert!((back - u).abs() < 1e-9, "u {u} x {x} back {back}");
         }
+    }
+
+    /// A flow held back by the cap keeps its start: the curve is inverted
+    /// once per background flow, not once per packet it waits behind.
+    #[test]
+    fn each_flow_inverts_the_arrival_curve_once() {
+        let mut s = ScaleWorkload::flows(20_000)
+            .seed(5)
+            .active_cap(256)
+            .stream();
+        let packets = s.by_ref().count();
+        assert!(packets > 20_000);
+        assert!(
+            s.curve.inversions <= 20_000 + 1,
+            "{} inversions",
+            s.curve.inversions
+        );
     }
 }
