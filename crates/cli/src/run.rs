@@ -4,7 +4,8 @@
 use std::fmt::Write as _;
 
 use superfe_core::SuperFe;
-use superfe_trafficgen::{Workload, WorkloadPreset};
+use superfe_switch::record::TS_HORIZON_NS;
+use superfe_trafficgen::{Trace, Workload, WorkloadPreset};
 
 use crate::args::{err, fail, resolve_policy, CliError, Flags};
 
@@ -74,9 +75,7 @@ pub(crate) fn run(a: &RunArgs) -> Result<String, CliError> {
     let (_, p) = resolve_policy(&a.policy)?;
     let mut fe = SuperFe::new(&p).map_err(fail)?;
     let t = match &a.load_trace {
-        Some(path) => {
-            superfe_trafficgen::io::load(path).map_err(|e| err(format!("loading {path}: {e}")))?
-        }
+        Some(path) => load(path)?,
         None => Workload::preset(a.trace)
             .packets(a.packets)
             .seed(a.seed)
@@ -94,7 +93,7 @@ pub(crate) fn run(a: &RunArgs) -> Result<String, CliError> {
     writeln!(
         text,
         "trace: {} ({} packets, {} flows, {:.0} B avg)",
-        a.trace.name(),
+        a.load_trace.as_deref().unwrap_or(a.trace.name()),
         stats.packets,
         stats.flows,
         stats.avg_pkt_size
@@ -129,6 +128,26 @@ pub(crate) fn run(a: &RunArgs) -> Result<String, CliError> {
         writeln!(text, "wrote {} vectors to {path}", vectors.len()).expect("write");
     }
     Ok(text)
+}
+
+/// Loads a saved trace, refusing one the switch cannot replay: a packet at
+/// or past the MGPV timestamp horizon would wrap its 32-bit microsecond
+/// tstamp.
+fn load(path: &str) -> Result<Trace, CliError> {
+    let t = superfe_trafficgen::io::load(path).map_err(|e| err(format!("loading {path}: {e}")))?;
+    if let Some((i, p)) = t
+        .records
+        .iter()
+        .enumerate()
+        .find(|(_, p)| p.ts_ns >= TS_HORIZON_NS)
+    {
+        return Err(err(format!(
+            "loading {path}: packet {i} at {} ns is at or past the switch's timestamp horizon \
+             ({TS_HORIZON_NS} ns); rebase the trace's timestamps",
+            p.ts_ns
+        )));
+    }
+    Ok(t)
 }
 
 #[cfg(test)]

@@ -8,6 +8,9 @@
 //! record: ts_ns u64 | size u16 | src u32 | dst u32 | sport u16 | dport u16
 //!         | proto u8 | tcp_flags u8 | direction u8          (= 25 bytes)
 //! ```
+//!
+//! The body is exactly the header's count of records: a shorter one is
+//! [`TraceIoError::Truncated`], a longer one [`TraceIoError::TrailingBytes`].
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -36,6 +39,14 @@ pub enum TraceIoError {
     Truncated,
     /// The header's record count is more bytes than an address space holds.
     CountTooLarge(u64),
+    /// The body is longer than the header promised: `extra` bytes follow
+    /// the `claimed` records.
+    TrailingBytes {
+        /// The header's record count.
+        claimed: u64,
+        /// Bytes past the last claimed record.
+        extra: usize,
+    },
 }
 
 impl std::fmt::Display for TraceIoError {
@@ -51,6 +62,10 @@ impl std::fmt::Display for TraceIoError {
                     "trace header claims {n} records, more than a file can hold"
                 )
             }
+            TraceIoError::TrailingBytes { claimed, extra } => write!(
+                f,
+                "trace header claims {claimed} records but {extra} bytes follow them"
+            ),
         }
     }
 }
@@ -106,8 +121,14 @@ pub fn read_trace(r: &mut impl Read) -> Result<Trace, TraceIoError> {
     if body.len() < bytes {
         return Err(TraceIoError::Truncated);
     }
+    if body.len() > bytes {
+        return Err(TraceIoError::TrailingBytes {
+            claimed,
+            extra: body.len() - bytes,
+        });
+    }
     let mut records = Vec::with_capacity(count);
-    for chunk in body.chunks_exact(RECORD_BYTES).take(count) {
+    for chunk in body.chunks_exact(RECORD_BYTES) {
         let ts_ns = u64::from_be_bytes(chunk[0..8].try_into().expect("8"));
         let size = u16::from_be_bytes([chunk[8], chunk[9]]);
         let src_ip = u32::from_be_bytes(chunk[10..14].try_into().expect("4"));
@@ -230,6 +251,31 @@ mod tests {
     }
 
     #[test]
+    fn a_body_longer_than_its_count_is_a_typed_error() {
+        // A header claiming 1 record over a body of 3: refused, not read
+        // as its first record.
+        let t = Workload::campus().packets(3).seed(1).generate();
+        let mut buf = Vec::new();
+        write_trace(&t, &mut buf).unwrap();
+        buf[6..14].copy_from_slice(&1u64.to_be_bytes());
+        assert!(matches!(
+            read_trace(&mut buf.as_slice()),
+            Err(TraceIoError::TrailingBytes { claimed: 1, extra }) if extra == 2 * RECORD_BYTES
+        ));
+        // So is a stray byte past the last record.
+        let mut buf = Vec::new();
+        write_trace(&t, &mut buf).unwrap();
+        buf.push(0);
+        assert!(matches!(
+            read_trace(&mut buf.as_slice()),
+            Err(TraceIoError::TrailingBytes {
+                claimed: 3,
+                extra: 1
+            })
+        ));
+    }
+
+    #[test]
     fn file_round_trip() {
         let dir = std::env::temp_dir().join("superfe_io_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -247,6 +293,11 @@ mod tests {
         assert!(TraceIoError::BadVersion(7).to_string().contains('7'));
         assert!(TraceIoError::Truncated.to_string().contains("truncated"));
         assert!(TraceIoError::CountTooLarge(9).to_string().contains('9'));
+        let trailing = TraceIoError::TrailingBytes {
+            claimed: 1,
+            extra: 50,
+        };
+        assert!(trailing.to_string().contains("50 bytes follow"));
     }
 
     mod properties {

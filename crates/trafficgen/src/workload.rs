@@ -273,16 +273,17 @@ impl Trace {
         use std::collections::HashSet;
         let mut flows: HashSet<FiveTuple> = HashSet::new();
         let mut total_bytes = 0u64;
+        let (mut first, mut last) = (u64::MAX, 0u64);
         for r in &self.records {
             flows.insert(FiveTuple::of(r).canonical().0);
             total_bytes += u64::from(r.size);
+            first = first.min(r.ts_ns);
+            last = last.max(r.ts_ns);
         }
         let packets = self.records.len();
         let nflows = flows.len().max(1);
-        let duration_ns = match (self.records.first(), self.records.last()) {
-            (Some(f), Some(l)) => l.ts_ns - f.ts_ns,
-            _ => 0,
-        };
+        // Earliest to latest: a loaded trace need not be time-sorted.
+        let duration_ns = last.saturating_sub(first);
         TraceStats {
             packets,
             flows: flows.len(),
@@ -350,6 +351,16 @@ mod tests {
         let trace = Workload::enterprise().packets(5_000).seed(1).generate();
         assert!(trace.len() >= 5_000);
         assert!(trace.records.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+    }
+
+    #[test]
+    fn an_unsorted_trace_spans_earliest_to_latest() {
+        // A loaded trace need not be time-sorted: reversed, it spans the
+        // same time and its stats do not underflow.
+        let mut trace = Workload::campus().packets(500).seed(2).generate();
+        let sorted = trace.stats();
+        trace.records.reverse();
+        assert_eq!(trace.stats(), sorted);
     }
 
     #[test]
