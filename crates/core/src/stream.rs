@@ -18,6 +18,7 @@ use superfe_net::{Direction, PacketRecord};
 use superfe_nic::{NicError, ShardPool, StreamOutput, VectorSink};
 use superfe_policy::dsl;
 use superfe_policy::{CompiledPolicy, Policy, PolicyError, SwitchProgram};
+use superfe_switch::record::TS_HORIZON_NS;
 use superfe_switch::tenant::{SharedSwitch, TaggedEvent, TenantId};
 
 use crate::pipeline::{Extraction, SuperFeConfig};
@@ -152,8 +153,13 @@ impl DataPath {
     }
 
     /// Offers one packet to every partition and routes what they emit.
-    /// Blocks when a shard is saturated (backpressure).
+    /// Blocks when a shard is saturated (backpressure). A packet at or past
+    /// [`TS_HORIZON_NS`] is refused with [`NicError::PastHorizon`] before
+    /// any partition sees it and is not counted.
     pub fn push(&mut self, p: &PacketRecord) -> Result<(), NicError> {
+        if p.ts_ns >= TS_HORIZON_NS {
+            return Err(NicError::PastHorizon { ts_ns: p.ts_ns });
+        }
         self.pushed += 1;
         self.switch.process_into(p, &mut self.frame);
         self.nic.push_all(self.frame.drain(..))

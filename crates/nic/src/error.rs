@@ -1,5 +1,7 @@
 //! Errors of the NIC-side executors.
 
+use superfe_switch::record::TS_HORIZON_NS;
+
 /// Why a NIC engine or multi-core executor failed.
 ///
 /// Engine-instantiation failures used to collapse to `None`, which told the
@@ -14,6 +16,13 @@ pub enum NicError {
         /// Shard index of the lost worker.
         worker: usize,
     },
+    /// A packet timestamp at or past the switch's 32-bit microsecond
+    /// horizon ([`TS_HORIZON_NS`]) was refused before any partition saw it;
+    /// the stream continues as if it had never been offered.
+    PastHorizon {
+        /// The refused packet's timestamp.
+        ts_ns: u64,
+    },
 }
 
 impl std::fmt::Display for NicError {
@@ -23,6 +32,11 @@ impl std::fmt::Display for NicError {
             NicError::WorkerLost { worker } => {
                 write!(f, "NIC worker {worker} terminated unexpectedly")
             }
+            NicError::PastHorizon { ts_ns } => write!(
+                f,
+                "packet at {ts_ns} ns is at or past the timestamp horizon ({TS_HORIZON_NS} ns); \
+                 rebase the trace's timestamps"
+            ),
         }
     }
 }

@@ -451,3 +451,65 @@ fn dim_mismatch_is_counted_not_fatal() {
     assert!(dims(1) > 0 && dims(2) > 0, "{} / {}", dims(1), dims(2));
     assert_eq!((stats.dim_errors, stats.scored), (dims(1), dims(2)));
 }
+
+/// A packet at or past the switch's timestamp horizon is refused with a
+/// typed error by both data-path entry points — the solo pipeline and the
+/// control plane — before any partition sees it, and is not counted: the
+/// stream then continues exactly as if it had never been offered.
+#[test]
+fn a_packet_past_the_timestamp_horizon_is_refused_not_a_panic() {
+    use superfe::ctrl::{CtrlError, CtrlPlane, TenantSpec};
+    use superfe::switch::record::TS_HORIZON_NS;
+    use superfe::{AnalyzeConfig, StreamingPipeline, SuperFeConfig};
+
+    let src = "pktstream\n.groupby(socket)\n.reduce(size, [f_sum])\n.collect(socket)\n\
+               .groupby(host)\n.reduce(size, [f_sum])\n.collect(host)";
+    let policy = dsl::parse(src).expect("parses");
+    let packets: Vec<PacketRecord> = (0..2_000u64)
+        .map(|i| PacketRecord::tcp(i * 1_000, 100, (i % 23 + 1) as u32, 1000, 2, 80))
+        .collect();
+    let late = PacketRecord::tcp(TS_HORIZON_NS, 100, 1, 1000, 2, 80);
+    let refused = Err(NicError::PastHorizon {
+        ts_ns: TS_HORIZON_NS,
+    });
+
+    let solo = |offer_late: bool| {
+        let mut fe =
+            StreamingPipeline::with_config(&policy, SuperFeConfig::default(), 2).expect("deploys");
+        for (i, p) in packets.iter().enumerate() {
+            if offer_late && i == 1_000 {
+                assert_eq!(fe.push(&late), refused);
+            }
+            fe.push(p).expect("pushes");
+        }
+        fe.finish().expect("finishes")
+    };
+    let (clean, offered) = (solo(false), solo(true));
+    assert_eq!(offered.switch_stats.pkts_in, clean.switch_stats.pkts_in);
+    assert_eq!(offered.group_vectors, clean.group_vectors);
+    assert_eq!(offered.packet_vectors, clean.packet_vectors);
+
+    let spec = TenantSpec {
+        name: "multi-level".into(),
+        policy: policy.clone(),
+        cfg: SuperFeConfig::default(),
+    };
+    let plane = |offer_late: bool| {
+        let mut plane = CtrlPlane::new(2, AnalyzeConfig::default());
+        plane.attach(&spec, None).expect("admits");
+        for (i, p) in packets.iter().enumerate() {
+            if offer_late && i == 1_000 {
+                match plane.push(&late) {
+                    Err(CtrlError::Nic(e)) => assert_eq!(Err(e), refused),
+                    other => panic!("expected the horizon refusal, got {other:?}"),
+                }
+                assert_eq!(plane.pushed(), 1_000, "a refused packet is not counted");
+            }
+            plane.push(p).expect("pushes");
+        }
+        plane.finish().expect("finishes").remove(0).output
+    };
+    let (clean, offered) = (plane(false), plane(true));
+    assert_eq!(offered.group_vectors, clean.group_vectors);
+    assert_eq!(offered.packet_vectors, clean.packet_vectors);
+}
