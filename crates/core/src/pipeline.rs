@@ -120,12 +120,6 @@ impl SuperFe {
         Ok(())
     }
 
-    /// Drains per-packet feature vectors produced so far without ending the
-    /// extraction (the streaming consumption path).
-    pub fn drain_packet_vectors(&mut self) -> Vec<FeatureVector> {
-        self.nic.take_packet_vectors()
-    }
-
     /// Flushes the switch cache and collects all outputs.
     pub fn finish(mut self) -> Extraction {
         self.frame.clear();
@@ -265,33 +259,5 @@ pktstream
             assert!(matches!(v.key, GroupKey::Host(_)));
             assert_eq!(v.values, vec![10_000.0]);
         }
-    }
-
-    #[test]
-    fn drain_packet_vectors_streams() {
-        let mut fe = SuperFe::from_dsl(
-            "pktstream\n.groupby(host)\n.reduce(size, [f_damped{0.1}])\n.collect(pkt)",
-        )
-        .unwrap();
-        fe.push(&PacketRecord::tcp(0, 100, 1, 1, 2, 2));
-        // Records may still sit in the switch cache; force some flow churn.
-        for i in 0..2000u64 {
-            fe.push(&PacketRecord::tcp(
-                i * 1000,
-                100,
-                (i % 997) as u32 + 10,
-                1,
-                2,
-                2,
-            ));
-        }
-        let drained = fe.drain_packet_vectors();
-        let out = fe.finish();
-        assert!(
-            drained.len() + out.packet_vectors.len() >= 2001,
-            "{} + {}",
-            drained.len(),
-            out.packet_vectors.len()
-        );
     }
 }

@@ -183,20 +183,6 @@ impl Histogram {
         }
     }
 
-    /// Merges another histogram with identical binning.
-    ///
-    /// Returns `false` (leaving `self` unchanged) on layout mismatch.
-    pub fn merge(&mut self, other: &Histogram) -> bool {
-        if self.binning != other.binning || self.counts.len() != other.counts.len() {
-            return false;
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        true
-    }
-
     /// Serializes the histogram (binning layout + counts).
     pub fn save_state(&self, w: &mut StateWriter) {
         match self.binning {
@@ -378,27 +364,6 @@ mod tests {
             let mid = (lo + hi) / 2.0;
             assert_eq!(h.bin_of(mid), i, "mid {mid} of bin {i}");
         }
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Histogram::fixed(5.0, 4).unwrap();
-        let mut b = Histogram::fixed(5.0, 4).unwrap();
-        a.update(1.0);
-        b.update(6.0);
-        b.update(19.0);
-        assert!(a.merge(&b));
-        assert_eq!(a.total(), 3);
-        assert_eq!(a.counts(), &[1, 1, 0, 1]);
-    }
-
-    #[test]
-    fn merge_rejects_mismatch() {
-        let mut a = Histogram::fixed(5.0, 4).unwrap();
-        let b = Histogram::fixed(6.0, 4).unwrap();
-        let c = Histogram::fixed(5.0, 8).unwrap();
-        assert!(!a.merge(&b));
-        assert!(!a.merge(&c));
     }
 
     #[test]

@@ -96,22 +96,6 @@ impl HyperLogLog {
         }
     }
 
-    /// Merges another sketch of the same size (register-wise max).
-    ///
-    /// Returns `false` (and leaves `self` unchanged) if the sizes differ.
-    pub fn merge(&mut self, other: &HyperLogLog) -> bool {
-        if self.k != other.k {
-            return false;
-        }
-        for (a, b) in self.registers.iter_mut().zip(&other.registers) {
-            if *b > *a {
-                *a = *b;
-            }
-        }
-        self.updates += other.updates;
-        true
-    }
-
     /// Serializes the sketch (size + registers).
     pub fn save_state(&self, w: &mut StateWriter) {
         w.put_u8(self.k);
@@ -226,29 +210,6 @@ mod tests {
         }
         let est = h.estimate();
         assert!((est - 10.0).abs() < 2.0, "estimate {est}");
-    }
-
-    #[test]
-    fn merge_is_union() {
-        let mut a = HyperLogLog::new(9).unwrap();
-        let mut b = HyperLogLog::new(9).unwrap();
-        for i in 0..5000u32 {
-            a.update(f64::from(i));
-        }
-        for i in 2500..7500u32 {
-            b.update(f64::from(i));
-        }
-        assert!(a.merge(&b));
-        let est = a.estimate();
-        let err = (est - 7500.0).abs() / 7500.0;
-        assert!(err < 0.08, "estimate {est}");
-    }
-
-    #[test]
-    fn merge_rejects_mismatched_sizes() {
-        let mut a = HyperLogLog::new(9).unwrap();
-        let b = HyperLogLog::new(10).unwrap();
-        assert!(!a.merge(&b));
     }
 
     #[test]

@@ -12,14 +12,14 @@
 //! | [`hll`] | `f_card` | HyperLogLog with 2^k buckets |
 //! | [`hist`] | `ft_hist`, `ft_percent`, `f_cdf`, `f_pdf` | fixed/variable-width histograms |
 //! | [`damped`] | Kitsune-style damped-window stats incl. `f_mag`, `f_radius`, `f_cov`, `f_pcc` | exponentially decayed sums |
-//! | [`seq`] | `f_array`, `f_burst`, `f_speed`, `f_marker`, `f_norm`, `ft_sample` | bounded sequence ops |
+//! | [`seq`] | `f_array`, `f_marker`, `f_norm`, `ft_sample` | bounded sequence ops |
 //! | [`fixed`] | NIC integer path | division-free fixed-point variants (§6.2) |
 //! | [`naive`] | — | buffer-everything baselines for the Fig. 15 comparison |
 //! | [`transfer`] | — | abstract transfer functions for the SF05xx value analysis |
 //!
-//! All estimators implement [`Reducer`], report their state footprint via
-//! [`Reducer::state_bytes`] (the quantity Fig. 15 compares), and most support
-//! `merge` so per-core partial states can be combined.
+//! All estimators implement [`Reducer`] and report their state footprint
+//! via [`Reducer::state_bytes`] (the quantity Fig. 15 compares). A group
+//! lives on exactly one NIC shard, so no partial states are ever combined.
 
 pub mod damped;
 pub mod fixed;
@@ -41,7 +41,7 @@ pub use hll::HyperLogLog;
 pub use moments::Moments;
 pub use naive::{NaiveCardinality, NaiveDistribution, NaiveVariance};
 pub use reducer::Reducer;
-pub use seq::{cumul_interp, markers, normalize, sample_evenly, BurstTracker, SeqArray};
+pub use seq::{markers, normalize, sample_evenly, SeqArray};
 pub use simple::{Count, MinMax, Sum};
 pub use smallvec::FeatureValues;
 pub use transfer::Interval;

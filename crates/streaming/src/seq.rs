@@ -1,10 +1,12 @@
-//! Sequence features: `f_array`, `f_burst`, and the synthesizing functions
-//! `f_marker`, `f_norm`, `ft_sample` (Table 5).
+//! Sequence features: `f_array` and the synthesizing functions `f_marker`,
+//! `f_norm`, `ft_sample` (Table 5).
 //!
 //! Deep-learning website fingerprinting consumes fixed-length packet
-//! direction sequences; CUMUL consumes interpolated cumulative sums with
+//! direction sequences; CUMUL consumes cumulative sums with
 //! direction-change markers. These are "pack and post-process" operations
 //! rather than statistics, so they live apart from the numeric estimators.
+//! `f_burst` is not here: it is a mapping function, a per-group burst
+//! counter (`superfe_policy::exec::MapState`).
 
 use superfe_net::snap::{StateReader, StateWriter};
 
@@ -114,110 +116,6 @@ impl Reducer for SeqArray {
     }
 }
 
-/// `f_burst`: identifies bursts — maximal runs of same-direction packets —
-/// and records each burst's length, up to `max_bursts`.
-#[derive(Clone, Debug)]
-pub struct BurstTracker {
-    bursts: Vec<f64>,
-    max_bursts: usize,
-    current_sign: i8,
-    current_len: u64,
-}
-
-impl BurstTracker {
-    /// Creates a tracker that records up to `max_bursts` burst lengths.
-    pub fn new(max_bursts: usize) -> Option<Self> {
-        if max_bursts == 0 {
-            return None;
-        }
-        Some(BurstTracker {
-            bursts: Vec::new(),
-            max_bursts,
-            current_sign: 0,
-            current_len: 0,
-        })
-    }
-
-    fn close_current(&mut self) {
-        if self.current_len > 0 && self.bursts.len() < self.max_bursts {
-            self.bursts.push(self.current_len as f64);
-        }
-        self.current_len = 0;
-    }
-
-    /// Burst lengths recorded so far, *excluding* the still-open burst.
-    pub fn closed_bursts(&self) -> &[f64] {
-        &self.bursts
-    }
-
-    /// Serializes the tracker (closed bursts + open-run state).
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.put_u32(self.max_bursts as u32);
-        w.put_u32(self.bursts.len() as u32);
-        for v in &self.bursts {
-            w.put_f64(*v);
-        }
-        w.put_u8(self.current_sign as u8);
-        w.put_u64(self.current_len);
-    }
-
-    /// Reads a tracker written by [`BurstTracker::save_state`].
-    pub fn load_state(r: &mut StateReader<'_>) -> Option<Self> {
-        let max_bursts = r.get_u32()? as usize;
-        let n = r.get_count(8)?;
-        if max_bursts == 0 || n > max_bursts {
-            return None;
-        }
-        let mut bursts = Vec::with_capacity(n);
-        for _ in 0..n {
-            bursts.push(r.get_f64()?);
-        }
-        Some(BurstTracker {
-            bursts,
-            max_bursts,
-            current_sign: r.get_u8()? as i8,
-            current_len: r.get_u64()?,
-        })
-    }
-}
-
-impl Reducer for BurstTracker {
-    /// Feeds a signed sample; the sign (±) is the packet direction.
-    fn update(&mut self, x: f64) {
-        let sign: i8 = if x >= 0.0 { 1 } else { -1 };
-        if sign != self.current_sign {
-            self.close_current();
-            self.current_sign = sign;
-        }
-        self.current_len += 1;
-    }
-
-    /// Emits the burst-length sequence padded with zeros to `max_bursts`,
-    /// including the trailing open burst.
-    fn finalize(&self) -> Vec<f64> {
-        let mut v = self.bursts.clone();
-        if self.current_len > 0 && v.len() < self.max_bursts {
-            v.push(self.current_len as f64);
-        }
-        v.resize(self.max_bursts, 0.0);
-        v
-    }
-
-    fn feature_len(&self) -> usize {
-        self.max_bursts
-    }
-
-    fn state_bytes(&self) -> usize {
-        self.bursts.len() * 4 + 8
-    }
-
-    fn reset(&mut self) {
-        self.bursts.clear();
-        self.current_sign = 0;
-        self.current_len = 0;
-    }
-}
-
 /// `f_norm`: scales a sequence so its maximum absolute value is 1.
 ///
 /// A zero (or empty) sequence is returned unchanged.
@@ -272,33 +170,6 @@ pub fn markers(seq: &[f64]) -> Vec<f64> {
     out
 }
 
-/// CUMUL's feature layout: the cumulative sum of a signed sequence,
-/// linearly interpolated at `n` evenly spaced positions.
-pub fn cumul_interp(seq: &[f64], n: usize) -> Vec<f64> {
-    if n == 0 {
-        return Vec::new();
-    }
-    if seq.is_empty() {
-        return vec![0.0; n];
-    }
-    let mut cum = Vec::with_capacity(seq.len());
-    let mut acc = 0.0;
-    for &x in seq {
-        acc += x;
-        cum.push(acc);
-    }
-    (0..n)
-        .map(|i| {
-            // Position in [0, len-1].
-            let pos = i as f64 * (cum.len() - 1) as f64 / (n.max(2) - 1) as f64;
-            let lo = pos.floor() as usize;
-            let hi = (lo + 1).min(cum.len() - 1);
-            let frac = pos - lo as f64;
-            cum[lo] * (1.0 - frac) + cum[hi] * frac
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,7 +202,6 @@ mod tests {
         w.put_u32(0);
         let lie = w.into_bytes();
         assert!(SeqArray::load_state(&mut StateReader::new(&lie)).is_none());
-        assert!(BurstTracker::load_state(&mut StateReader::new(&lie)).is_none());
         // The count of a well-formed snapshot still loads.
         let mut a = SeqArray::new(4).unwrap();
         update_all(&mut a, [1.0, -1.0]);
@@ -340,34 +210,6 @@ mod tests {
         let bytes = w.into_bytes();
         let back = SeqArray::load_state(&mut StateReader::new(&bytes)).unwrap();
         assert_eq!(back.as_slice(), a.as_slice());
-    }
-
-    #[test]
-    fn burst_tracker_segments_runs() {
-        let mut b = BurstTracker::new(8).unwrap();
-        // +++ -- + ---- : bursts 3, 2, 1, 4.
-        for x in [1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0, -1.0] {
-            b.update(x);
-        }
-        assert_eq!(b.finalize()[..4], [3.0, 2.0, 1.0, 4.0]);
-    }
-
-    #[test]
-    fn burst_tracker_open_burst_included_in_finalize() {
-        let mut b = BurstTracker::new(4).unwrap();
-        b.update(1.0);
-        b.update(1.0);
-        assert!(b.closed_bursts().is_empty());
-        assert_eq!(b.finalize(), vec![2.0, 0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn burst_tracker_caps() {
-        let mut b = BurstTracker::new(2).unwrap();
-        for i in 0..10 {
-            b.update(if i % 2 == 0 { 1.0 } else { -1.0 });
-        }
-        assert_eq!(b.finalize().len(), 2);
     }
 
     #[test]
@@ -399,24 +241,5 @@ mod tests {
     fn markers_of_monotone_sequence() {
         assert_eq!(markers(&[1.0, 1.0, 1.0]), vec![3.0]);
         assert!(markers(&[]).is_empty());
-    }
-
-    #[test]
-    fn cumul_interp_endpoints() {
-        let seq = [1.0, 1.0, 1.0, 1.0];
-        let c = cumul_interp(&seq, 4);
-        assert!((c[0] - 1.0).abs() < 1e-9);
-        assert!((c[3] - 4.0).abs() < 1e-9);
-        assert_eq!(cumul_interp(&[], 3), vec![0.0; 3]);
-        assert!(cumul_interp(&seq, 0).is_empty());
-    }
-
-    #[test]
-    fn cumul_interp_is_monotone_for_positive_input() {
-        let seq: Vec<f64> = (0..37).map(|_| 2.0).collect();
-        let c = cumul_interp(&seq, 100);
-        for w in c.windows(2) {
-            assert!(w[1] >= w[0] - 1e-9);
-        }
     }
 }

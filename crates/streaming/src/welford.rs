@@ -60,23 +60,6 @@ impl Welford {
         self.variance().sqrt()
     }
 
-    /// Combines two partial estimates (Chan et al. parallel update), so
-    /// per-core partial states can be merged.
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.n as f64 / n;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n;
-        self.n += other.n;
-    }
-
     /// Serializes the estimator.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.put_u64(self.n);
@@ -157,38 +140,6 @@ mod tests {
         w.update(42.0);
         assert_eq!(w.mean(), 42.0);
         assert_eq!(w.variance(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..500).map(|i| f64::from(i).sin() * 10.0).collect();
-        let mut seq = Welford::new();
-        update_all(&mut seq, xs.iter().copied());
-
-        let mut a = Welford::new();
-        let mut b = Welford::new();
-        update_all(&mut a, xs[..200].iter().copied());
-        update_all(&mut b, xs[200..].iter().copied());
-        a.merge(&b);
-
-        assert_eq!(a.count(), seq.count());
-        assert!((a.mean() - seq.mean()).abs() < 1e-9);
-        assert!((a.variance() - seq.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Welford::new();
-        update_all(&mut a, [1.0, 2.0, 3.0]);
-        let before = a;
-        a.merge(&Welford::new());
-        assert_eq!(a.count(), before.count());
-        assert_eq!(a.mean(), before.mean());
-
-        let mut e = Welford::new();
-        e.merge(&before);
-        assert_eq!(e.count(), 3);
-        assert!((e.mean() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use superfe::nic::{solve_placement, MemLevel, NfpModel};
 use superfe::policy::compile::StateSpec;
-use superfe::streaming::{HyperLogLog, Moments, Reducer, Welford};
+use superfe::streaming::{Moments, Reducer, Welford};
 
 fn states_strategy() -> impl Strategy<Value = Vec<StateSpec>> {
     proptest::collection::vec((1usize..80, 1u8..8), 1..5).prop_map(|raw| {
@@ -125,30 +125,6 @@ proptest! {
             let skew = central(3) / var.powf(1.5);
             prop_assert!((m.skewness() - skew).abs() <= 1e-5 * skew.abs().max(1.0));
         }
-    }
-
-    #[test]
-    fn hll_merge_commutes(
-        xs in proptest::collection::vec(0u32..5_000, 1..500),
-        split in 0usize..500,
-    ) {
-        let split = split.min(xs.len());
-        let mut ab = HyperLogLog::new(8).expect("valid");
-        let mut a = HyperLogLog::new(8).expect("valid");
-        let mut b = HyperLogLog::new(8).expect("valid");
-        for (i, &x) in xs.iter().enumerate() {
-            ab.update(f64::from(x));
-            if i < split {
-                a.update(f64::from(x));
-            } else {
-                b.update(f64::from(x));
-            }
-        }
-        let mut ba = b.clone();
-        prop_assert!(ba.merge(&a));
-        prop_assert!(a.merge(&b));
-        prop_assert_eq!(a.estimate().to_bits(), ba.estimate().to_bits());
-        prop_assert_eq!(a.estimate().to_bits(), ab.estimate().to_bits());
     }
 
     #[test]
