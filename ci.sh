@@ -198,6 +198,40 @@ if grep -rnE "as_any|downcast_ref|Lifecycle|WrongStage|end_training" crates/ml/s
   exit 1
 fi
 
+step "one admission path (attach is admission's one caller)"
+# `CtrlPlane::attach` is the one way into admission: no dry run, no
+# per-tenant pricer, no second shape of the NIC pool's observed state.
+# Outside test modules, `admission::admit` is called from `attach` alone,
+# and the SF0903 note has one producer, the quantization certifier.
+nontest_src() {
+  # Every line of crates/*/src outside a top-level `#[cfg(test)] mod`, as
+  # file:line:text.
+  find crates -path '*/src/*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { t = 0 }
+    prev ~ /^#\[cfg\(test\)\]/ && /^(pub )?mod / { t = 1 }
+    { prev = $0 }
+    !t { print FILENAME ":" FNR ":" $0 }
+    t && /^}/ { t = 0 }'
+}
+admit_calls=$(nontest_src | awk '
+  { split($0, f, ":"); if (f[1] != file) { file = f[1]; fn = "" } }
+  match($0, /fn [a-z_0-9]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+  /([^a-z_:]admit|admission::admit)\(/ && !/fn admit\(/ { print f[1] " in fn " fn }')
+if [[ "$admit_calls" != "crates/ctrl/src/plane.rs in fn attach" ]]; then
+  echo "ci: admission::admit must be called from CtrlPlane::attach alone; its calls:"
+  printf '%s\n' "$admit_calls"
+  exit 1
+fi
+if nontest_src | grep "QUANT_CYCLE_COST" \
+    | grep -v "^crates/policy/src/analyze/quant\.rs:\|^crates/policy/src/analyze/codes\.rs:"; then
+  echo "ci: the SF0903 note is emitted outside analyze/quant.rs"
+  exit 1
+fi
+if grep -rnE "admission_check|InferenceDemand|StatePressure|TenantOccupancy|admit_composed|BurstTracker" crates; then
+  echo "ci: a second admission path, re-shape of the observed state, or BurstTracker is back"
+  exit 1
+fi
+
 step "online detection smoke (seeded train/calibrate/serve, in-pipeline)"
 # A seeded end-to-end detect run must raise at least one alert inside the
 # attack window and stay quiet on the benign warm-up (the calibrated
@@ -476,6 +510,9 @@ step "lines of Rust under crates/ (the ROADMAP net-LOC measure)"
 # flag parser and one JSON writer; 45,826 after it (-324).
 # 45,826 at commit 970e275, before a detector was fitted once over a closed
 # set of four models; 45,580 after it (-246).
+# 45,872 at commit c78f1da, before admission had one path and the
+# callerless streaming surface went; 45,468 after it (-404, the 202-line
+# attach pin in crates/ctrl/tests included).
 find crates -name '*.rs' | xargs wc -l | tail -1
 
 printf '\nci: all checks passed\n'

@@ -4,8 +4,8 @@
 use std::fmt::Write as _;
 
 use superfe_core::{AnalyzeConfig, StreamingPipeline, SuperFeConfig};
-use superfe_ctrl::{CtrlPlane, TenantOccupancy, TenantSpec};
-use superfe_nic::StreamOutput;
+use superfe_ctrl::{CtrlPlane, TenantSpec};
+use superfe_nic::{StreamOutput, UnitPressure};
 use superfe_switch::TenantId;
 use superfe_trafficgen::{Workload, WorkloadPreset};
 
@@ -155,8 +155,8 @@ fn output_digest(out: &StreamOutput) -> u64 {
 }
 
 /// One tenant's live state occupancy as a report line.
-fn occupancy_line(occ: &TenantOccupancy) -> String {
-    let mut line = format!("tenant {} {} state:", occ.tenant, occ.name);
+fn occupancy_line(id: TenantId, name: &str, occ: &UnitPressure) -> String {
+    let mut line = format!("tenant {id} {name} state:");
     for (g, n) in &occ.groups_per_level {
         write!(line, " {}={n}", format!("{g:?}").to_lowercase()).expect("write");
     }
@@ -259,8 +259,8 @@ pub(crate) fn serve(a: &ServeArgs) -> Result<String, CliError> {
         for rec in &t.records[resume..] {
             plane.push(rec).map_err(fail)?;
         }
-        for occ in plane.state_occupancy().map_err(fail)? {
-            writeln!(text, "{}", occupancy_line(&occ)).expect("write");
+        for (id, name, occ) in plane.state_occupancy().map_err(fail)? {
+            writeln!(text, "{}", occupancy_line(id, &name, &occ)).expect("write");
         }
         for run in plane.finish().map_err(fail)? {
             writeln!(text, "{}", output_line(run.id, &run.name, &run.output)).expect("write");
@@ -383,8 +383,8 @@ pub(crate) fn serve(a: &ServeArgs) -> Result<String, CliError> {
         "shared switch partitions at shutdown: {live_groups} (cross-tenant CSE {sharing})"
     )
     .expect("write");
-    for occ in &occupancy {
-        writeln!(text, "{}", occupancy_line(occ)).expect("write");
+    for (id, name, occ) in &occupancy {
+        writeln!(text, "{}", occupancy_line(*id, name, occ)).expect("write");
     }
     for (ti, spec) in specs.iter().enumerate() {
         let out = outputs[ti].as_ref().expect("every tenant ran");

@@ -1,4 +1,5 @@
-//! The admission controller: composed feasibility for a tenant set.
+//! The admission controller: composed feasibility for a deployed set.
+//! [`admit`] has one caller, [`CtrlPlane::attach`](crate::CtrlPlane::attach).
 //!
 //! Admission reuses the repo's existing resource models end to end — it
 //! introduces **no second model**:
@@ -9,7 +10,8 @@
 //!   which counts the shared pipeline skeleton once.
 //! - NIC demand comes from `superfe_nic::resources::model_many`, the same
 //!   greedy fastest-memory-first allocation as the solo model with every
-//!   tenant drawing from one shared capacity pool.
+//!   unit drawing from one shared capacity pool, each at its observed group
+//!   population where the pool reports one.
 //! - The verdict comes from the same `SF03xx`/`SF04xx` diagnostic passes
 //!   `superfe check` runs (`check_switch_resources`, `check_capacity`);
 //!   error findings are mapped onto a typed [`AdmissionError`] naming the
@@ -17,9 +19,9 @@
 
 use superfe_core::analyze::AnalyzeConfig;
 use superfe_nic::resources::{model_many, NicResources};
-use superfe_nic::{estimate, MemLevel, NfpModel, OptFlags, RecordWork};
+use superfe_nic::{MemLevel, UnitPressure};
 use superfe_policy::analyze::{codes, Diagnostic, Severity};
-use superfe_policy::CompiledPolicy;
+use superfe_policy::{CompiledPolicy, NicProgram};
 use superfe_switch::resources::{compose, model, SwitchResources};
 use superfe_switch::{check_switch_resources, MgpvConfig};
 
@@ -34,9 +36,6 @@ pub struct TenantDemand {
     pub cache: MgpvConfig,
     /// Modeled switch usage under that quota.
     pub switch: SwitchResources,
-    /// In-pipeline quantized-inference demand declared by the tenant, if
-    /// any. Admission prices it into NIC cycles as an `SF0903` note.
-    pub inference: Option<InferenceDemand>,
 }
 
 impl TenantDemand {
@@ -47,73 +46,6 @@ impl TenantDemand {
             compiled,
             cache,
             switch,
-            inference: None,
-        }
-    }
-
-    /// Declares an in-pipeline quantized model for this tenant (from an
-    /// SF09xx `QuantCertificate`).
-    pub fn with_inference(mut self, inference: InferenceDemand) -> Self {
-        self.inference = Some(inference);
-        self
-    }
-}
-
-/// The in-pipeline inference load a tenant declares at admission time —
-/// the admission-facing digest of an SF09xx
-/// [`QuantCertificate`](superfe_policy::analyze::quant::QuantCertificate).
-#[derive(Clone, Debug)]
-pub struct InferenceDemand {
-    /// Detector model name (e.g. `"kitnet"`).
-    pub detector: String,
-    /// Fixed-point format of the lowering (e.g. `"Q39.24"`).
-    pub format: String,
-    /// Integer ALU ops the quantized model executes per emitted feature
-    /// vector.
-    pub alu_ops: u64,
-    /// Whether the SF0901 error-bound certification held for this
-    /// policy × detector pair.
-    pub certified: bool,
-}
-
-/// Prices a quantized model's per-vector ALU work through the NIC cycle
-/// formula `superfe explain` uses for extraction: the model's integer ops
-/// and a single state access (the finalized vector read, assumed CTM), no
-/// divisions.
-fn inference_cycles(alu_ops: u64, nfp: &NfpModel) -> f64 {
-    let work = RecordWork {
-        levels: 1,
-        alu_ops: alu_ops as usize,
-        divisions: 0,
-        accesses: 1,
-    };
-    estimate(work, None, nfp, OptFlags::all_on()).cycles_per_record
-}
-
-/// Live per-unit group populations observed on the NIC data path, fed back
-/// into admission in place of the static `cfg.groups` estimate.
-///
-/// `per_unit[i]` holds the observed per-level group count for the `i`-th
-/// NIC program offered to [`admit_composed_observed`]; a missing or empty
-/// entry — or a level observed at zero population — falls back to the
-/// static estimate, so a freshly attached (or not-yet-loaded) tenant is
-/// still sized for its worst case. The control plane builds this from
-/// [`ShardPool::state_pressure`](superfe_nic::ShardPool::state_pressure).
-#[derive(Clone, Debug, Default)]
-pub struct StatePressure {
-    /// Observed per-level group populations, aligned with the NIC program
-    /// slice under admission.
-    pub per_unit: Vec<Vec<usize>>,
-}
-
-impl StatePressure {
-    /// The effective population estimate for level `level` of NIC program
-    /// `unit`: the live observation when one exists and is non-zero, the
-    /// static `fallback` otherwise.
-    pub fn effective(&self, unit: usize, level: usize, fallback: usize) -> usize {
-        match self.per_unit.get(unit).and_then(|u| u.get(level)).copied() {
-            Some(observed) if observed > 0 => observed,
-            _ => fallback,
         }
     }
 }
@@ -129,64 +61,24 @@ pub struct AdmissionReport {
     pub warnings: Vec<Diagnostic>,
 }
 
-/// Decides whether the tenant set in `tenants` fits the hardware described
-/// by `cfg` — callers include the candidate alongside the already-admitted
-/// tenants. Accepts with an [`AdmissionReport`]; rejects with a typed
+/// Decides whether a deployed set fits the hardware described by `cfg`:
+/// `switch` holds one usage entry per *switch partition* and `nics` one
+/// program per *execution unit*, so a prefix-shared partition's demand is
+/// counted once no matter how many units consume its event stream. Accepts
+/// with an [`AdmissionReport`]; rejects with a typed
 /// [`AdmissionError::Budget`] naming the binding resource.
+///
+/// `observed[i]`, when present, is the live occupancy the NIC pool reports
+/// for the unit running `nics[i]`: a level observed at a non-zero group
+/// population is modeled at that population, every other level (and every
+/// unit without an observation, notably the candidate) at the static
+/// `cfg.groups` estimate, so a not-yet-loaded unit is sized for its worst
+/// case.
 pub fn admit(
     cfg: &AnalyzeConfig,
-    tenants: &[&TenantDemand],
-) -> Result<AdmissionReport, AdmissionError> {
-    let usages: Vec<SwitchResources> = tenants.iter().map(|t| t.switch).collect();
-    let nics: Vec<&superfe_policy::NicProgram> = tenants.iter().map(|t| &t.compiled.nic).collect();
-    let mut report = admit_composed(cfg, &usages, &nics)?;
-    // Price declared in-pipeline inference into NIC cycles (SF0903). The
-    // load is per emitted *vector*, not per packet, so it rides as a note
-    // alongside the capacity verdict rather than inside it.
-    for (i, t) in tenants.iter().enumerate() {
-        if let Some(inf) = &t.inference {
-            let cycles = inference_cycles(inf.alu_ops, &cfg.nfp);
-            let certainty = if inf.certified {
-                "SF0901-certified"
-            } else {
-                "UNCERTIFIED (SF0902)"
-            };
-            report.warnings.push(Diagnostic::note(
-                codes::QUANT_CYCLE_COST,
-                format!(
-                    "tenant {i}: in-pipeline {} inference ({}) adds {} integer ALU ops \
-                     ≈ {:.0} NIC cycles per emitted feature vector [{certainty}]",
-                    inf.detector, inf.format, inf.alu_ops, cycles
-                ),
-            ));
-        }
-    }
-    Ok(report)
-}
-
-/// The composed admission core: `switch` holds one usage entry per *switch
-/// partition* and `nics` one program per *execution unit*. [`admit`] feeds
-/// it one of each per tenant; a sharing control plane passes fewer switch
-/// entries than NIC programs, so that a prefix-shared partition's demand is
-/// counted once no matter how many tenants consume its event stream.
-pub fn admit_composed(
-    cfg: &AnalyzeConfig,
     switch: &[SwitchResources],
-    nics: &[&superfe_policy::NicProgram],
-) -> Result<AdmissionReport, AdmissionError> {
-    admit_composed_observed(cfg, switch, nics, &StatePressure::default())
-}
-
-/// [`admit_composed`] with live population feedback: where the data path
-/// has observed a unit's actual per-level group population, NIC capacity is
-/// modeled against that observation instead of the static `cfg.groups`
-/// estimate. Units the pressure summary does not cover (notably the
-/// candidate itself) keep the static worst-case estimate.
-pub fn admit_composed_observed(
-    cfg: &AnalyzeConfig,
-    switch: &[SwitchResources],
-    nics: &[&superfe_policy::NicProgram],
-    pressure: &StatePressure,
+    nics: &[&NicProgram],
+    observed: &[Option<&UnitPressure>],
 ) -> Result<AdmissionReport, AdmissionError> {
     let mut warnings = Vec::new();
 
@@ -229,12 +121,18 @@ pub fn admit_composed_observed(
         .iter()
         .enumerate()
         .map(|(unit, n)| {
+            let seen = observed.get(unit).copied().flatten();
             (0..n.levels.len())
-                .map(|level| pressure.effective(unit, level, cfg.groups))
+                .map(|level| {
+                    seen.and_then(|p| p.groups_per_level.get(level))
+                        .map(|&(_, population)| population)
+                        .filter(|&population| population > 0)
+                        .unwrap_or(cfg.groups)
+                })
                 .collect()
         })
         .collect();
-    let inputs: Vec<(&superfe_policy::NicProgram, &[usize])> = nics
+    let inputs: Vec<(&NicProgram, &[usize])> = nics
         .iter()
         .zip(&groups)
         .map(|(n, g)| (*n, g.as_slice()))
@@ -268,9 +166,11 @@ pub fn admit_composed_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use superfe_net::Granularity;
     use superfe_nic::NfpModel;
     use superfe_policy::compile;
     use superfe_policy::dsl::parse;
+    use superfe_switch::tenant::TenantId;
     use superfe_switch::TofinoBudget;
 
     fn demand(src: &str) -> TenantDemand {
@@ -293,6 +193,17 @@ mod tests {
         )
     }
 
+    /// Admits `tenants` with one switch partition and one execution unit
+    /// each, at the static population estimate.
+    fn admit_each(
+        cfg: &AnalyzeConfig,
+        tenants: &[&TenantDemand],
+    ) -> Result<AdmissionReport, AdmissionError> {
+        let switch: Vec<SwitchResources> = tenants.iter().map(|t| t.switch).collect();
+        let nics: Vec<&NicProgram> = tenants.iter().map(|t| &t.compiled.nic).collect();
+        admit(cfg, &switch, &nics, &[])
+    }
+
     fn big_array() -> TenantDemand {
         demand(
             "pktstream\n.groupby(flow)\n.map(one, _, f_one)\n.map(d, one, f_direction)\n\
@@ -303,51 +214,9 @@ mod tests {
     #[test]
     fn defaults_admit_a_modest_pair() {
         let (a, b) = (host_sum(), kitsune_like());
-        let report = admit(&AnalyzeConfig::default(), &[&a, &b]).unwrap();
+        let report = admit_each(&AnalyzeConfig::default(), &[&a, &b]).unwrap();
         assert!(report.switch.salus > a.switch.salus);
         assert!(report.nic.used_bytes > 0);
-    }
-
-    #[test]
-    fn declared_inference_is_priced_as_an_sf0903_note() {
-        let a = host_sum();
-        let b = kitsune_like().with_inference(InferenceDemand {
-            detector: "kitnet".into(),
-            format: "Q39.24".into(),
-            alu_ops: 120_000,
-            certified: true,
-        });
-        let cfg = AnalyzeConfig::default();
-        let baseline = admit(&cfg, &[&a]).unwrap();
-        let report = admit(&cfg, &[&a, &b]).unwrap();
-        let notes: Vec<_> = report
-            .warnings
-            .iter()
-            .filter(|d| d.code == codes::QUANT_CYCLE_COST)
-            .collect();
-        assert!(baseline
-            .warnings
-            .iter()
-            .all(|d| d.code != codes::QUANT_CYCLE_COST));
-        assert_eq!(notes.len(), 1);
-        assert_eq!(notes[0].severity, Severity::Note);
-        assert!(notes[0].message.contains("tenant 1"));
-        assert!(notes[0].message.contains("Q39.24"));
-        assert!(notes[0].message.contains("SF0901-certified"));
-        // The priced cycle figure includes the ALU ops themselves, so it
-        // must exceed them.
-        assert!(inference_cycles(120_000, &cfg.nfp) > 120_000.0);
-        // An uncertified lowering is priced but flagged.
-        let c = host_sum().with_inference(InferenceDemand {
-            detector: "centroid".into(),
-            format: "Q39.24".into(),
-            alu_ops: 64,
-            certified: false,
-        });
-        let report = admit(&cfg, &[&c]).unwrap();
-        assert!(report.warnings.iter().any(
-            |d| d.code == codes::QUANT_CYCLE_COST && d.message.contains("UNCERTIFIED (SF0902)")
-        ));
     }
 
     /// The off-by-one boundary matrix: for each switch resource, a budget
@@ -412,7 +281,7 @@ mod tests {
                 budget: case.at,
                 ..AnalyzeConfig::default()
             };
-            let report = admit(&accept, &[&a, &b])
+            let report = admit_each(&accept, &[&a, &b])
                 .unwrap_or_else(|e| panic!("{}: budget at demand must admit, got {e}", case.name));
             // At 100% utilization the headroom warning fires — warn, not
             // reject.
@@ -428,7 +297,7 @@ mod tests {
                 budget: case.below,
                 ..AnalyzeConfig::default()
             };
-            match admit(&reject, &[&a, &b]) {
+            match admit_each(&reject, &[&a, &b]) {
                 Err(AdmissionError::Budget {
                     resource,
                     demand,
@@ -452,7 +321,7 @@ mod tests {
             groups: 50_000,
             ..AnalyzeConfig::default()
         };
-        let report = admit(&cfg, &[&a, &b]).unwrap();
+        let report = admit_each(&cfg, &[&a, &b]).unwrap();
         let spill = report.nic.dram_bytes;
         assert!(spill > 0, "big-array pair must spill to DRAM");
         let with_dram = |bytes: usize| {
@@ -468,8 +337,8 @@ mod tests {
                 ..AnalyzeConfig::default()
             }
         };
-        admit(&with_dram(spill), &[&a, &b]).expect("spill exactly at DRAM capacity admits");
-        match admit(&with_dram(spill - 1), &[&a, &b]) {
+        admit_each(&with_dram(spill), &[&a, &b]).expect("spill exactly at DRAM capacity admits");
+        match admit_each(&with_dram(spill - 1), &[&a, &b]) {
             Err(AdmissionError::Budget {
                 resource,
                 demand,
@@ -497,28 +366,20 @@ mod tests {
         };
         let usages = [a.switch, b.switch];
         let nics = [&a.compiled.nic, &b.compiled.nic];
-        let static_rep = admit_composed(&cfg, &usages, &nics).unwrap();
+        let seen = |unit, groups| UnitPressure {
+            unit: TenantId(unit),
+            groups_per_level: vec![(Granularity::Flow, groups)],
+            overflow_drops: 0,
+            evicted_groups: 0,
+        };
+        let static_rep = admit(&cfg, &usages, &nics, &[]).unwrap();
         assert!(static_rep.nic.dram_bytes > 0, "static estimate must spill");
-        let live = admit_composed_observed(
-            &cfg,
-            &usages,
-            &nics,
-            &StatePressure {
-                per_unit: vec![vec![10], vec![10]],
-            },
-        )
-        .unwrap();
+        let (a_seen, b_seen) = (seen(0, 10), seen(1, 10));
+        let live = admit(&cfg, &usages, &nics, &[Some(&a_seen), Some(&b_seen)]).unwrap();
         assert!(live.nic.used_bytes < static_rep.nic.used_bytes);
         assert_eq!(live.nic.dram_bytes, 0, "10 observed groups fit on-chip");
-        let fallback = admit_composed_observed(
-            &cfg,
-            &usages,
-            &nics,
-            &StatePressure {
-                per_unit: vec![vec![0], Vec::new()],
-            },
-        )
-        .unwrap();
+        let empty = seen(0, 0);
+        let fallback = admit(&cfg, &usages, &nics, &[Some(&empty), None]).unwrap();
         assert_eq!(fallback.nic.used_bytes, static_rep.nic.used_bytes);
         assert_eq!(fallback.nic.dram_bytes, static_rep.nic.dram_bytes);
     }
@@ -530,10 +391,9 @@ mod tests {
         // still adds NIC bytes.
         let cfg = AnalyzeConfig::default();
         let (a, b) = (host_sum(), host_sum());
-        let shared =
-            admit_composed(&cfg, &[a.switch], &[&a.compiled.nic, &b.compiled.nic]).unwrap();
-        let solo = admit(&cfg, &[&a]).unwrap();
-        let unshared = admit(&cfg, &[&a, &b]).unwrap();
+        let shared = admit(&cfg, &[a.switch], &[&a.compiled.nic, &b.compiled.nic], &[]).unwrap();
+        let solo = admit_each(&cfg, &[&a]).unwrap();
+        let unshared = admit_each(&cfg, &[&a, &b]).unwrap();
         assert_eq!(shared.switch.salus, solo.switch.salus);
         assert_eq!(shared.switch.tables, solo.switch.tables);
         assert!(unshared.switch.salus > shared.switch.salus);
@@ -552,7 +412,7 @@ mod tests {
         let mut rejected = None;
         for _ in 0..16 {
             set.push(&tenant);
-            match admit(&cfg, &set) {
+            match admit_each(&cfg, &set) {
                 Ok(report) => {
                     assert!(report.switch.salus > last_salus);
                     last_salus = report.switch.salus;

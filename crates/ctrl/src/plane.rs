@@ -36,7 +36,7 @@
 //! So units nest inside **groups**: a group is one switch partition; each
 //! of its units is one NIC engine set; fused tenants share a unit via
 //! demux. Admission composes switch demand once per group and NIC demand
-//! once per unit ([`crate::admission::admit_composed`]).
+//! once per unit ([`crate::admission::admit`]).
 //!
 //! Untouched tenants lose or duplicate zero vectors across either
 //! operation: their partitions, engines, and channels are never touched,
@@ -49,18 +49,15 @@
 
 use superfe_core::pipeline::SuperFeConfig;
 use superfe_core::stream::DataPath;
-use superfe_net::{Granularity, PacketRecord};
+use superfe_net::PacketRecord;
 use superfe_nic::{SharedScorer, StreamOutput, UnitPressure, VectorSink};
 use superfe_policy::analyze::share::{certify, prefix_form, Depth, PrefixForm};
-use superfe_policy::analyze::{codes, Diagnostic};
 use superfe_policy::{NicProgram, Policy, SwitchProgram};
-use superfe_switch::resources::{compose, model, SwitchResources};
+use superfe_switch::resources::{model, SwitchResources};
 use superfe_switch::tenant::{union_metadata, TenantId};
 use superfe_switch::SwitchStats;
 
-use crate::admission::{
-    admit_composed, admit_composed_observed, AdmissionReport, StatePressure, TenantDemand,
-};
+use crate::admission::{admit, TenantDemand};
 use crate::error::{AdmissionError, CtrlError};
 
 /// A policy a tenant asks to deploy.
@@ -146,25 +143,6 @@ pub struct TenantRun {
     pub name: String,
     /// Its isolated extraction output.
     pub output: StreamOutput,
-}
-
-/// One live tenant's observed NIC state occupancy (see
-/// [`CtrlPlane::state_occupancy`]).
-#[derive(Clone, Debug)]
-pub struct TenantOccupancy {
-    /// The tenant id.
-    pub tenant: TenantId,
-    /// The tenant's display name.
-    pub name: String,
-    /// Live group population per granularity level of the tenant's
-    /// execution unit (summed across NIC shards; fused members report
-    /// their shared unit's population).
-    pub groups_per_level: Vec<(Granularity, usize)>,
-    /// Group inserts refused because the unit's DRAM overflow table was at
-    /// its budget.
-    pub overflow_drops: u64,
-    /// Groups evicted by the unit's table budget policy.
-    pub evicted_groups: u64,
 }
 
 /// The multi-tenant control plane over one shared switch + NIC.
@@ -270,43 +248,21 @@ impl CtrlPlane {
         Some(partition.stats())
     }
 
-    /// The live state-pressure summary for admission: observed per-level
-    /// group populations in plane unit order (the order admission sees NIC
-    /// programs in). Synchronizes with every shard, so the observation is
-    /// not stale.
-    fn live_pressure(&mut self) -> Result<StatePressure, CtrlError> {
+    /// Observed NIC state occupancy per live tenant, in attach order, next
+    /// to the tenant's id and name. Fused members report their shared
+    /// unit's population; the counters also surface overflow drops and
+    /// budget evictions so operators can see when a tenant is running into
+    /// its memory budget. Synchronizes with every shard, so the observation
+    /// is not stale.
+    pub fn state_occupancy(&mut self) -> Result<Vec<(TenantId, String, UnitPressure)>, CtrlError> {
         let raw = self.path.nic_mut().state_pressure()?;
-        let per_unit = self
-            .units
-            .iter()
-            .map(|u| {
-                raw.iter()
-                    .find(|p| p.unit == u.id)
-                    .map(|p| p.groups_per_level.iter().map(|&(_, n)| n).collect())
-                    .unwrap_or_default()
-            })
-            .collect();
-        Ok(StatePressure { per_unit })
-    }
-
-    /// Observed NIC state occupancy per live tenant, in attach order.
-    /// Fused members report their shared unit's population; the counters
-    /// also surface overflow drops and budget evictions so operators can
-    /// see when a tenant is running into its memory budget.
-    pub fn state_occupancy(&mut self) -> Result<Vec<TenantOccupancy>, CtrlError> {
-        let raw: Vec<UnitPressure> = self.path.nic_mut().state_pressure()?;
         Ok(self
             .slots
             .iter()
             .map(|s| {
-                let p = raw.iter().find(|p| p.unit == s.unit);
-                TenantOccupancy {
-                    tenant: s.id,
-                    name: s.name.clone(),
-                    groups_per_level: p.map(|p| p.groups_per_level.clone()).unwrap_or_default(),
-                    overflow_drops: p.map_or(0, |p| p.overflow_drops),
-                    evicted_groups: p.map_or(0, |p| p.evicted_groups),
-                }
+                let unit = raw.iter().find(|p| p.unit == s.unit);
+                let unit = unit.expect("the pool reports every live unit");
+                (s.id, s.name.clone(), unit.clone())
             })
             .collect())
     }
@@ -398,84 +354,20 @@ impl CtrlPlane {
         (switch, nics)
     }
 
-    /// Dry-runs admission for `spec` against the currently-admitted set
-    /// without deploying anything. The verdict's warnings carry an SF0703
-    /// note when fusion changes the composed demand — either because the
-    /// candidate itself would fuse (zero marginal demand) or because the
-    /// admitted set already shares plans — and an SF0803 note when units
-    /// outnumber the partitions that feed them.
-    pub fn admission_check(&self, spec: &TenantSpec) -> Result<AdmissionReport, AdmissionError> {
-        let demand = self.gate(spec)?;
-        let form = prefix_form(&spec.policy, &self.analyze.value_config());
-        let join = self.plan_join(spec, &demand, &form);
-        let (switch, nics) = self.composed(join, &demand);
-        let mut report = admit_composed(&self.analyze, &switch, &nics)?;
-        // Surface the fusion headroom: what the same tenant set would cost
-        // with one partition + engine set per tenant.
-        let mut unfused: Vec<SwitchResources> = self
-            .slots
-            .iter()
-            .filter_map(|s| {
-                self.units
-                    .iter()
-                    .find(|u| u.id == s.unit)
-                    .map(|u| u.demand.switch)
-            })
-            .collect();
-        unfused.push(demand.switch);
-        if unfused.len() > nics.len() {
-            let solo = compose(&unfused);
-            let mut note = format!(
-                "cross-policy fusion serves {} tenants with {} plans: composed switch demand \
-                 {} sALUs / {} tables (unfused: {} sALUs / {} tables)",
-                unfused.len(),
-                nics.len(),
-                report.switch.salus,
-                report.switch.tables,
-                solo.salus,
-                solo.tables,
-            );
-            if let Join::Member(upos) = join {
-                note.push_str(&format!(
-                    "; candidate is SF07xx-equivalent to unit {} and adds zero marginal demand",
-                    self.units[upos].id
-                ));
-            }
-            report
-                .warnings
-                .push(Diagnostic::note(codes::FUSION_HEADROOM, note));
-        }
-        // Surface the prefix-sharing saving: units vs the partitions that
-        // feed them.
-        if switch.len() < nics.len() {
-            let mut note = format!(
-                "prefix sharing serves {} execution units on {} switch partition(s)",
-                nics.len(),
-                switch.len(),
-            );
-            if let Join::Unit(gpos) = join {
-                note.push_str(&format!(
-                    "; candidate shares partition {}'s certified switch prefix and its marginal \
-                     demand is NIC-only",
-                    self.groups[gpos].id
-                ));
-            }
-            report
-                .warnings
-                .push(Diagnostic::note(codes::SHARE_SAVING, note));
-        }
-        Ok(report)
-    }
-
     /// Admits and deploys `spec` at the current epoch. `sinks`, when given,
     /// must hold one [`VectorSink`] per NIC shard (the tenant's private
     /// egress; a detector is given with [`CtrlPlane::score_with`]).
     ///
     /// Packets pushed before this call never reach the new tenant; packets
     /// pushed after all do. Other tenants are unaffected. How much hardware
-    /// the tenant consumes is the join rule's decision (see
-    /// [`CtrlPlane::admission_check`]); its observable output is bitwise
-    /// identical either way.
+    /// the tenant consumes is the join rule's decision (see the module
+    /// docs); its observable output is bitwise identical either way.
+    ///
+    /// This is the one way into admission: a fused member adds no demand
+    /// and is not admitted; any other candidate is composed with the
+    /// deployed set, already-loaded units modeled at the group population
+    /// the NIC pool reports for them, the candidate at the static
+    /// worst-case estimate.
     pub fn attach(
         &mut self,
         spec: &TenantSpec,
@@ -487,12 +379,14 @@ impl CtrlPlane {
         let form = prefix_form(&spec.policy, &self.analyze.value_config());
         let join = self.plan_join(spec, &demand, &form);
         if !matches!(join, Join::Member(_)) {
-            // Admission with population feedback: already-loaded units are
-            // modeled at their observed group population, the candidate at
-            // the static worst-case estimate.
-            let pressure = self.live_pressure()?;
+            let raw = self.path.nic_mut().state_pressure()?;
+            let observed: Vec<_> = self
+                .units
+                .iter()
+                .map(|u| raw.iter().find(|p| p.unit == u.id))
+                .collect();
             let (switch, nics) = self.composed(join, &demand);
-            admit_composed_observed(&self.analyze, &switch, &nics, &pressure)?;
+            admit(&self.analyze, &switch, &nics, &observed)?;
         }
         self.install(TenantId(id), spec, demand, form, join, sinks)?;
         self.next_id += 1;
@@ -877,27 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn admission_check_surfaces_prefix_saving() {
-        let mut plane = CtrlPlane::new(1, AnalyzeConfig::default());
-        plane.attach(&host_sum(), None).unwrap();
-        let report = plane.admission_check(&host_max()).unwrap();
-        let note = report
-            .warnings
-            .iter()
-            .find(|d| d.code == codes::SHARE_SAVING)
-            .expect("prefix-sharing candidate must surface SF0803 saving");
-        assert!(note.message.contains("NIC-only"), "{note:?}");
-        assert!(
-            !report
-                .warnings
-                .iter()
-                .any(|d| d.code == codes::FUSION_HEADROOM),
-            "a prefix share is not a fusion"
-        );
-        plane.finish().unwrap();
-    }
-
-    #[test]
     fn late_or_unfused_attach_gets_its_own_unit() {
         // Fusion is position-gated: once the stream has moved past the
         // unit's attach point, an equivalent candidate gets fresh hardware
@@ -921,26 +794,6 @@ mod tests {
         assert_eq!(plain.units().len(), 3);
         assert_eq!(plain.groups().len(), 3);
         plain.finish().unwrap();
-    }
-
-    #[test]
-    fn admission_check_surfaces_fusion_headroom() {
-        let mut plane = CtrlPlane::new(1, AnalyzeConfig::default());
-        plane.attach(&host_sum(), None).unwrap();
-        let report = plane.admission_check(&host_sum_renamed()).unwrap();
-        let note = report
-            .warnings
-            .iter()
-            .find(|d| d.code == codes::FUSION_HEADROOM)
-            .expect("fusable candidate must surface SF0703 headroom");
-        assert!(note.message.contains("zero marginal demand"), "{note:?}");
-        // A non-fusable candidate against a non-shared set gets no note.
-        let report = plane.admission_check(&flow_stats()).unwrap();
-        assert!(!report
-            .warnings
-            .iter()
-            .any(|d| d.code == codes::FUSION_HEADROOM));
-        plane.finish().unwrap();
     }
 
     #[test]

@@ -17,11 +17,10 @@
 //! [`estimate`]. What a policy asks of a core — ALU ops, divisions and state
 //! accesses per function — is priced once, in
 //! [`superfe_policy::analyze::cost`], and arrives here as a [`RecordWork`].
-//! Every cycle figure in the tree (`superfe explain` and `compile`, the
-//! SF0903 admission note, Figs. 9/16/17, the ledger's
-//! `nic.model_cycles_per_record`) is that table through this formula; a
-//! state [`Placement`] is the only thing that can differ between two of
-//! them.
+//! Every cycle figure in the tree (`superfe explain` and `compile`, Figs.
+//! 9/16/17, the ledger's `nic.model_cycles_per_record`) is that table
+//! through this formula; a state [`Placement`] is the only thing that can
+//! differ between two of them.
 
 use superfe_policy::analyze::cost::PolicyCost;
 

@@ -109,8 +109,8 @@ pub const COST_OPS_HIGH: &str = "SF0601";
 /// Per-packet state bytes touched exceed the memory-bus comfort threshold.
 pub const COST_STATE_HIGH: &str = "SF0602";
 
-// --- SF07xx: cross-policy equivalence / fusion (emitted by analyze::share
-// and the admission controller) ---------------------------------------------
+// --- SF07xx: cross-policy equivalence / fusion (emitted by analyze::share)
+// ---------------------------------------------------------------------------
 
 /// Two or more policies are proven semantically equivalent and fusible
 /// into one shared extraction plan.
@@ -118,12 +118,9 @@ pub const FUSION_CLASS: &str = "SF0701";
 /// Two policies share a subplan (filter set or a whole level program) but
 /// cannot fuse; the message names the blocking reason.
 pub const FUSION_NEAR_MISS: &str = "SF0702";
-/// Admission headroom bought by plan fusion: the composed demand counts
-/// each shared plan once instead of per tenant.
-pub const FUSION_HEADROOM: &str = "SF0703";
 
 // --- SF08xx: shared-prefix analysis / cross-tenant CSE (emitted by
-// analyze::share and the control plane) --------------------------------------
+// analyze::share) ------------------------------------------------------------
 
 /// Two or more policies share a value-certified stage prefix (parse →
 /// groupby key → filter conjunct set): one switch partition can serve all
@@ -137,8 +134,8 @@ pub const SHARE_NEAR_MISS: &str = "SF0802";
 /// the SF06xx cost model.
 pub const SHARE_SAVING: &str = "SF0803";
 
-// --- SF09xx: quantized-inference certification (emitted by analyze::quant
-// and the admission controller) ----------------------------------------------
+// --- SF09xx: quantized-inference certification (emitted by analyze::quant)
+// ---------------------------------------------------------------------------
 
 /// The fixed-point lowering of a detector is certified against this policy:
 /// the worst-case |float − quantized| score error is provably within the
@@ -150,7 +147,7 @@ pub const QUANT_CERTIFIED: &str = "SF0901";
 pub const QUANT_BOUND_EXCEEDED: &str = "SF0902";
 /// Cycle-cost note for in-pipeline inference: the integer ALU ops the
 /// quantized model adds per emitted feature vector, alongside the policy's
-/// own per-packet cost (priced into NIC cycles by the admission controller).
+/// own per-packet cost. Admission does not charge it.
 pub const QUANT_CYCLE_COST: &str = "SF0903";
 
 #[cfg(test)]
@@ -195,7 +192,6 @@ mod tests {
             super::COST_STATE_HIGH,
             super::FUSION_CLASS,
             super::FUSION_NEAR_MISS,
-            super::FUSION_HEADROOM,
             super::SHARE_PREFIX,
             super::SHARE_NEAR_MISS,
             super::SHARE_SAVING,

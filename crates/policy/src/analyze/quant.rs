@@ -26,8 +26,8 @@
 //!   with this warning attached.
 //! - [`QUANT_CYCLE_COST`](codes::QUANT_CYCLE_COST) (note): the integer ALU
 //!   ops one quantized evaluation adds per emitted vector, next to the
-//!   policy's own per-packet cost; the admission controller prices this
-//!   into NIC cycles.
+//!   policy's own per-packet cost. It informs; admission does not charge
+//!   it.
 
 use superfe_ml::{quantize, FrozenDetector, QuantConfig, QuantizedDetector};
 use superfe_streaming::transfer::{sum_bound, Interval};

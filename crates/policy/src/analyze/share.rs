@@ -58,9 +58,6 @@
 //!   constant/field broke sharing.
 //! - `SF0803`: the estimated switch/NIC demand saving, priced by the
 //!   SF06xx cost model.
-//!
-//! `SF0703` is left to the admission controller, which reports the
-//! headroom the sharing bought.
 
 use std::fmt;
 use std::fmt::Write as _;
