@@ -232,6 +232,23 @@ if grep -rnE "admission_check|InferenceDemand|StatePressure|TenantOccupancy|admi
   exit 1
 fi
 
+step "one topology (the plane keeps the roster and the position gate)"
+# `CtrlPlane` is the one keeper of the tenant -> unit -> partition topology
+# and of the stream-position gate (`plan_join`). The shard pool keeps only
+# each member's unit and partition, for routing and demux: one `attach`
+# (a partition of its own or a prefix share), no second roster, no
+# events-routed counter, no second gate; the plane carries no callerless
+# accessors over the same tables.
+pool_attach=$(grep -c "pub fn attach" crates/nic/src/pool.rs || true)
+if [[ "$pool_attach" -ne 1 ]]; then
+  echo "ci: crates/nic/src/pool.rs has $pool_attach 'pub fn attach'; the pool has one"
+  exit 1
+fi
+if grep -rnE "attach_to_group|group_positions|set_group_position|routed_of_group|UnitEntry|tenant_switch_stats|fusion_enabled" crates; then
+  echo "ci: a second topology keeper or position gate is back"
+  exit 1
+fi
+
 step "online detection smoke (seeded train/calibrate/serve, in-pipeline)"
 # A seeded end-to-end detect run must raise at least one alert inside the
 # attack window and stay quiet on the benign warm-up (the calibrated
@@ -513,6 +530,10 @@ step "lines of Rust under crates/ (the ROADMAP net-LOC measure)"
 # 45,872 at commit c78f1da, before admission had one path and the
 # callerless streaming surface went; 45,468 after it (-404, the 202-line
 # attach pin in crates/ctrl/tests included).
+# 45,468 at commit 07a72a8, before the plane became the one keeper of the
+# topology and the position gate; 45,494 after it (+26 with the 158-line
+# position pin in crates/ctrl/tests and the 29-line worker-bound test in
+# ctrl/src/snapshot.rs; -163 without the new tests).
 find crates -name '*.rs' | xargs wc -l | tail -1
 
 printf '\nci: all checks passed\n'

@@ -60,7 +60,7 @@ pub fn measured_parallel() -> Vec<(usize, f64)> {
     // Wall-clock time from first push to merged output on `w` shards.
     let run = |w: usize| -> f64 {
         let mut pool = ShardPool::new(w);
-        pool.attach(tenant, &compiled, 16_384, None)
+        pool.attach(tenant, tenant, &compiled, 16_384, None)
             .expect("engine");
         let start = std::time::Instant::now();
         pool.push_all(events.iter().cloned()).expect("runs");

@@ -4,6 +4,7 @@
 use std::str::FromStr;
 
 use superfe_apps::all_apps;
+use superfe_nic::MAX_WORKERS;
 use superfe_policy::{dsl, Policy, PolicyError};
 use superfe_trafficgen::WorkloadPreset;
 
@@ -122,10 +123,14 @@ impl<'a> Flags<'a> {
         }
     }
 
-    /// `--workers`: a positive shard count.
+    /// `--workers`: a positive shard count, at most one shard per modelled
+    /// NIC hardware thread.
     pub(crate) fn workers(&mut self) -> Result<usize, CliError> {
         match self.parse("an integer")? {
             0 => Err(err("--workers expects a positive count")),
+            n if n > MAX_WORKERS => Err(err(format!(
+                "--workers expects at most {MAX_WORKERS} (the NFP-4000's hardware threads)"
+            ))),
             n => Ok(n),
         }
     }

@@ -43,6 +43,7 @@ serve cumul --packets abc => --packets expects an integer
 serve cumul --seed x => --seed expects an integer
 serve cumul --workers x => --workers expects an integer
 serve cumul --workers 0 => --workers expects a positive count
+serve cumul --workers 481 => --workers expects at most 480 (the NFP-4000's hardware threads)
 serve cumul --attach-at nope => --attach-at expects TENANT:VALUE, got 'nope'
 serve cumul --detach-at 0:x => --detach-at expects TENANT:VALUE, got '0:x'
 serve cumul --cache-slots 0 => --cache-slots expects TENANT:VALUE, got '0'

@@ -47,8 +47,10 @@ impl std::fmt::Display for AttachError {
 /// Partitions and the units they feed are keyed by [`TenantId`]: a
 /// partition tags its events with its id, and the pool routes them to every
 /// unit subscribed to it. Operations that move no events — joining a fused
-/// member, detectors, state dumps, pressure, budgets, stream positions —
-/// are the pool's own, reached through [`DataPath::nic_mut`].
+/// member, detectors, state dumps, pressure, budgets — are the pool's own,
+/// reached through [`DataPath::nic_mut`]. Which unit may share which
+/// partition, and when, is the caller's decision: the data path counts
+/// packets ([`DataPath::pushed`]) and does not second-guess it.
 pub struct DataPath {
     switch: SharedSwitch,
     nic: ShardPool,
@@ -117,7 +119,7 @@ impl DataPath {
         }
         let fg_table_size = cache.fg_table_size;
         self.nic
-            .attach(id, compiled, fg_table_size, sinks)
+            .attach(id, id, compiled, fg_table_size, sinks)
             .map_err(|e| {
                 self.switch.detach_into(id, &mut self.frame);
                 self.frame.clear();
@@ -129,7 +131,7 @@ impl DataPath {
     /// whose record is widened to the metadata union of `programs` (every
     /// subscriber's switch program, the new unit's included). The partition
     /// must not have been offered a packet yet, so re-laying it out loses
-    /// nothing; the pool checks the same of its events.
+    /// nothing.
     pub fn attach_to_partition(
         &mut self,
         partition: TenantId,
@@ -143,7 +145,7 @@ impl DataPath {
         let SuperFeConfig { cache, mode, .. } = *cfg;
         let fg_table_size = cache.fg_table_size;
         self.nic
-            .attach_to_group(partition, unit, compiled, fg_table_size, sinks)?;
+            .attach(unit, partition, compiled, fg_table_size, sinks)?;
         self.switch.detach_into(partition, &mut self.frame);
         debug_assert!(self.frame.is_empty(), "a re-laid partition held records");
         self.frame.clear();

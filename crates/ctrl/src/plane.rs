@@ -20,7 +20,11 @@
 //! stage-prefix lattice ([`PrefixForm`]). A candidate is compared against
 //! the units deployed under the same configuration that are still at the
 //! candidate's stream position, and joins at the deepest depth
-//! [`certify`] proves:
+//! [`certify`] proves. That **position gate** (`Unit::attach_pos` equal to
+//! the packets pushed) is the plane's alone: the plane is the one keeper of
+//! the tenant → unit → partition topology, and the shard pool below it
+//! keeps only the member → unit → partition edges its routing and demux
+//! need, trusting the plane's placement.
 //!
 //! - the **whole lattice** → [`Join::Member`]: the same program. The
 //!   tenant joins that unit's demux fan-out with zero marginal hardware
@@ -55,7 +59,6 @@ use superfe_policy::analyze::share::{certify, prefix_form, Depth, PrefixForm};
 use superfe_policy::{NicProgram, Policy, SwitchProgram};
 use superfe_switch::resources::{model, SwitchResources};
 use superfe_switch::tenant::{union_metadata, TenantId};
-use superfe_switch::SwitchStats;
 
 use crate::admission::{admit, TenantDemand};
 use crate::error::{AdmissionError, CtrlError};
@@ -205,11 +208,6 @@ impl CtrlPlane {
         self.path.nic_mut().set_table_budget(budget);
     }
 
-    /// Whether analysis-certified cross-tenant sharing is enabled.
-    pub fn fusion_enabled(&self) -> bool {
-        self.sharing
-    }
-
     /// Completed reconfiguration epochs (each attach/detach is one).
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -240,14 +238,6 @@ impl CtrlPlane {
         self.groups.iter().map(|g| (g.id, units(g.id))).collect()
     }
 
-    /// Per-tenant switch link counters. For a fused or prefix-shared
-    /// tenant these are the shared partition's counters: subscribers of
-    /// one partition see one stream.
-    pub fn tenant_switch_stats(&self, tenant: TenantId) -> Option<&SwitchStats> {
-        let partition = self.path.switch().partition(self.group_of(tenant)?)?;
-        Some(partition.stats())
-    }
-
     /// Observed NIC state occupancy per live tenant, in attach order, next
     /// to the tenant's id and name. Fused members report their shared
     /// unit's population; the counters also surface overflow drops and
@@ -265,17 +255,6 @@ impl CtrlPlane {
                 (s.id, s.name.clone(), unit.clone())
             })
             .collect())
-    }
-
-    /// The execution unit serving `tenant`.
-    fn unit_of(&self, tenant: TenantId) -> Option<TenantId> {
-        self.slots.iter().find(|s| s.id == tenant).map(|s| s.unit)
-    }
-
-    /// The switch partition feeding `tenant`'s unit.
-    fn group_of(&self, tenant: TenantId) -> Option<TenantId> {
-        let unit = self.unit_of(tenant)?;
-        self.units.iter().find(|u| u.id == unit).map(|u| u.group)
     }
 
     /// The join rule (see the module docs): the deepest certified sharing
@@ -468,7 +447,7 @@ impl CtrlPlane {
     /// alone. Valid at any stream position, a restored plane included: a
     /// snapshot carries no detector state.
     pub fn score_with(&mut self, tenant: TenantId, model: SharedScorer) -> Result<(), CtrlError> {
-        if self.unit_of(tenant).is_none() {
+        if !self.slots.iter().any(|s| s.id == tenant) {
             return Err(CtrlError::UnknownTenant(tenant));
         }
         Ok(self.path.nic_mut().score_with(tenant, model)?)
@@ -616,7 +595,6 @@ mod tests {
         for p in packets(900) {
             plane.push(&p).unwrap();
         }
-        assert!(plane.tenant_switch_stats(a).unwrap().pkts_in == 900);
         let runs = plane.finish().unwrap();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].name, "host-sum");
@@ -653,9 +631,8 @@ mod tests {
     #[test]
     fn equivalent_tenants_fuse_and_demux_bitwise() {
         let mut plane = CtrlPlane::new(2, AnalyzeConfig::default());
-        assert!(plane.fusion_enabled());
         let a = plane.attach(&host_sum(), None).unwrap();
-        let b = plane.attach(&host_sum_renamed(), None).unwrap();
+        plane.attach(&host_sum_renamed(), None).unwrap();
         let c = plane.attach(&flow_stats(), None).unwrap();
         assert_eq!(plane.tenants().len(), 3);
         assert_eq!(
@@ -666,8 +643,6 @@ mod tests {
         for p in packets(900) {
             plane.push(&p).unwrap();
         }
-        // Fused members read the shared unit's counters.
-        assert_eq!(plane.tenant_switch_stats(b).unwrap().pkts_in, 900);
         let runs = plane.finish().unwrap();
         assert_eq!(runs.len(), 3);
         let solo_h = solo(&host_sum(), 900, 2);
@@ -720,7 +695,7 @@ mod tests {
         // prefix: one partition, two execution units.
         let mut plane = CtrlPlane::new(2, AnalyzeConfig::default());
         let a = plane.attach(&host_sum(), None).unwrap();
-        let b = plane.attach(&host_max(), None).unwrap();
+        plane.attach(&host_max(), None).unwrap();
         let c = plane.attach(&flow_stats(), None).unwrap();
         assert_eq!(plane.units().len(), 3, "distinct tails keep their units");
         assert_eq!(
@@ -731,8 +706,6 @@ mod tests {
         for p in packets(900) {
             plane.push(&p).unwrap();
         }
-        // Prefix-shared tenants read the shared partition's counters.
-        assert_eq!(plane.tenant_switch_stats(b).unwrap().pkts_in, 900);
         let runs = plane.finish().unwrap();
         assert_eq!(runs.len(), 3);
         let solo_s = solo(&host_sum(), 900, 2);
@@ -787,7 +760,6 @@ mod tests {
         // And with sharing disabled, even position-aligned equivalents
         // stay separate, at every depth of the lattice.
         let mut plain = CtrlPlane::without_fusion(1, AnalyzeConfig::default());
-        assert!(!plain.fusion_enabled());
         plain.attach(&host_sum(), None).unwrap();
         plain.attach(&host_sum_renamed(), None).unwrap();
         plain.attach(&host_max(), None).unwrap();

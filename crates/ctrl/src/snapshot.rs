@@ -11,9 +11,12 @@
 //!   ([`SharedSwitch::partition`](superfe_switch::tenant::SharedSwitch::partition)),
 //! - every NIC unit's per-shard engine state, member egress sequence
 //!   numbers, and accumulated per-packet vectors
-//!   ([`ShardPool::dump_state`](superfe_nic::ShardPool::dump_state)),
-//! - per-group events-routed counters (they gate late joins, so they must
-//!   survive).
+//!   ([`ShardPool::dump_state`](superfe_nic::ShardPool::dump_state)).
+//!
+//! The stream position that gates late joins is the meta block's packet
+//! cursor next to each unit's attach position: the plane's one gate
+//! ([`CtrlPlane::plan_join`]) reads nothing else, so a restored plane past
+//! its units' attach point shares nothing with a new candidate.
 //!
 //! **Structure is rebuilt, not stored.** Policies are not serializable (and
 //! a snapshot must not become an alternative deployment channel that skips
@@ -38,7 +41,7 @@
 
 use superfe_core::analyze::AnalyzeConfig;
 use superfe_net::snap::{StateReader, StateWriter};
-use superfe_nic::{FeNic, FeatureVector, ShardUnitState, VectorSink};
+use superfe_nic::{FeNic, FeatureVector, ShardUnitState, VectorSink, MAX_WORKERS};
 use superfe_policy::analyze::share::prefix_form;
 use superfe_switch::tenant::TenantId;
 
@@ -47,7 +50,7 @@ use crate::plane::{CtrlPlane, Join, TenantSpec};
 
 /// Format version of plane snapshot bytes. Bumped on any layout change;
 /// [`CtrlPlane::restore`] refuses other versions rather than guessing.
-pub const SNAPSHOT_VERSION: u16 = 3;
+pub const SNAPSHOT_VERSION: u16 = 4;
 
 const MAGIC: &[u8] = b"SFSN";
 
@@ -130,13 +133,7 @@ impl CtrlPlane {
             })?;
             w.put_section(|w| partition.save_state(w));
         }
-        // NIC dynamic state: routed positions + per-unit shard dumps.
-        let positions = self.path.nic().group_positions();
-        w.put_u16(positions.len() as u16);
-        for (g, routed) in &positions {
-            w.put_u16(g.0);
-            w.put_u64(*routed);
-        }
+        // NIC dynamic state: per-unit shard dumps.
         w.put_u16(dumps.len() as u16);
         for d in &dumps {
             w.put_u16(d.unit.0);
@@ -168,7 +165,8 @@ impl CtrlPlane {
     ///
     /// The worker count is taken from the snapshot — CG-key sharding is
     /// worker-count dependent, so resuming on different parallelism cannot
-    /// be bitwise and is refused by construction.
+    /// be bitwise and is refused by construction. A count of zero or past
+    /// [`MAX_WORKERS`] is refused before any shard thread is spawned.
     pub fn restore(
         analyze: AnalyzeConfig,
         specs: &[TenantSpec],
@@ -186,8 +184,10 @@ impl CtrlPlane {
             )));
         }
         let workers = need(r.get_u32(), "worker count")? as usize;
-        if workers == 0 {
-            return Err(snap_err("snapshot records zero workers"));
+        if !(1..=MAX_WORKERS).contains(&workers) {
+            return Err(snap_err(format!(
+                "snapshot records {workers} workers; a plane runs 1 to {MAX_WORKERS}"
+            )));
         }
         let sharing = need(r.get_bool(), "sharing flag")?;
         let next_id = need(r.get_u32(), "id allocator")?;
@@ -320,8 +320,8 @@ impl CtrlPlane {
             plane.slots.push(installed.swap_remove(pos));
         }
 
-        // Transplant the dynamic state: switch partitions first, then NIC
-        // routed positions and per-shard engine state.
+        // Transplant the dynamic state: switch partitions first, then the
+        // NIC's per-shard engine state.
         let switch = plane.path.switch_mut();
         need(switch.load_stats(&mut r), "shared switch link counters")?;
         for &g in &groups {
@@ -330,17 +330,6 @@ impl CtrlPlane {
                 r.get_section(|r| switch.load_tenant_state(gid, r)),
                 "switch partition state",
             )?;
-        }
-        let npos = need(r.get_u16(), "group position count")? as usize;
-        for _ in 0..npos {
-            let old = need(r.get_u16(), "group position id")?;
-            let routed = need(r.get_u64(), "group routed counter")?;
-            let gid = new_group(old)?;
-            if !plane.path.nic_mut().set_group_position(gid, routed) {
-                return Err(snap_err(format!(
-                    "saved group {old} is not attached on the rebuilt NIC"
-                )));
-            }
         }
         let ndumps = need(r.get_u16(), "unit dump count")? as usize;
         for _ in 0..ndumps {
@@ -406,5 +395,35 @@ impl CtrlPlane {
         plane.epoch = epoch;
         plane.path.set_pushed(pushed);
         Ok(plane)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Where the worker count sits: after the length-prefixed magic and
+    /// the version.
+    const WORKERS_AT: usize = 4 + MAGIC.len() + 2;
+
+    #[test]
+    fn a_worker_count_past_the_hardware_threads_is_refused_before_any_spawn() {
+        let mut plane = CtrlPlane::new(1, AnalyzeConfig::default());
+        let bytes = plane.snapshot().unwrap();
+        plane.finish().unwrap();
+        assert_eq!(bytes[WORKERS_AT..WORKERS_AT + 4], 1u32.to_le_bytes());
+        for workers in [MAX_WORKERS as u32 + 1, u32::MAX] {
+            let mut patched = bytes.clone();
+            patched[WORKERS_AT..WORKERS_AT + 4].copy_from_slice(&workers.to_le_bytes());
+            match CtrlPlane::restore(AnalyzeConfig::default(), &[], &patched, |_| None) {
+                Err(CtrlError::Snapshot(msg)) => {
+                    assert!(msg.contains(&format!("{workers} workers")), "{msg}");
+                }
+                Err(other) => panic!("expected a snapshot error, got {other}"),
+                Ok(_) => panic!("{workers} workers must not restore"),
+            }
+        }
+        let restored = CtrlPlane::restore(AnalyzeConfig::default(), &[], &bytes, |_| None);
+        assert_eq!(restored.unwrap().workers(), 1);
     }
 }

@@ -137,6 +137,7 @@ mod tests {
         let m = NfpModel::nfp4000();
         assert_eq!(m.total_cores(), 60);
         assert_eq!(m.threads_per_core, 8);
+        assert_eq!(m.total_cores() * m.threads_per_core, crate::MAX_WORKERS);
         assert_eq!(m.freq_hz, 800e6);
         assert_eq!(m.ctx_switch_cycles, 2);
         assert_eq!(m.soft_div_cycles, 1500);

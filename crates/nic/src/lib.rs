@@ -55,7 +55,7 @@ pub use inference::{
 };
 pub use perf::{cycles_from_cost, estimate, OptFlags, PerfEstimate, RecordWork};
 pub use placement::{solve_placement, Placement};
-pub use pool::{ShardPool, ShardUnitState, UnitPressure, UnitStateDump};
+pub use pool::{ShardPool, ShardUnitState, UnitPressure, UnitStateDump, MAX_WORKERS};
 pub use resources::{model_many, NicResources};
 pub use stream::{EgressVector, StreamOutput, VectorSink};
 /// The scorer contract of [`ShardPool::score_with`], re-exported because it

@@ -63,6 +63,11 @@
 //!   behind a half-staged frame batch, and every wait for their acks gives
 //!   up with [`NicError::WorkerLost`] once the worker's thread has
 //!   finished.
+//! - **The caller keeps the topology**: which tenant may share which unit
+//!   or partition, and whether the stream is still at the point where
+//!   sharing loses nothing, is the control plane's decision
+//!   (`superfe_ctrl::CtrlPlane`). The pool keeps only what routing and
+//!   demux need: each member's unit and partition.
 
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
@@ -83,6 +88,13 @@ use crate::stream::{
     RECYCLE_DEPTH,
 };
 use crate::table::TableBudget;
+
+/// The most shard threads a pool is asked for: the modelled NFP-4000's
+/// hardware threads (`total_cores() × threads_per_core`, 60 × 8). A larger
+/// count is a corrupt snapshot or a mistyped flag, not a deployment, and is
+/// refused before any thread is spawned (`CtrlPlane::restore`, the CLI's
+/// `--workers`).
+pub const MAX_WORKERS: usize = 480;
 
 /// How often a wait for handshake acks re-checks that the workers it is
 /// waiting on are still running.
@@ -165,8 +177,6 @@ pub struct ShardUnitState {
 pub struct UnitStateDump {
     /// The unit id.
     pub unit: TenantId,
-    /// The shared-prefix group (switch partition) feeding the unit.
-    pub group: TenantId,
     /// Per-shard state, sorted by shard index.
     pub shards: Vec<ShardUnitState>,
 }
@@ -517,26 +527,22 @@ struct Worker {
     pending: Vec<TaggedEvent>,
 }
 
-/// One attached member and the unit whose engine serves it.
+/// One attached member, the unit whose engine serves it and the switch
+/// partition (shared-prefix group) feeding that unit; `group == unit`
+/// outside prefix sharing.
 struct MemberEntry {
     member: TenantId,
     unit: TenantId,
+    group: TenantId,
     /// Whether the member was given a detector ([`ShardPool::score_with`]).
     scored: bool,
-}
-
-/// One execution unit and the shared-prefix group (switch partition) whose
-/// event stream feeds it; `group == unit` outside prefix sharing.
-struct UnitEntry {
-    unit: TenantId,
-    group: TenantId,
 }
 
 /// The streaming NIC executor: one worker pool, any number of units.
 ///
 /// Constructed empty; units come and go via [`ShardPool::attach`] /
 /// [`ShardPool::detach`], and fused members via [`ShardPool::join`], while
-/// the event stream flows. [`ShardPool::push`] routes events as they
+/// the event stream flows. [`ShardPool::push_all`] routes events as they
 /// arrive and [`ShardPool::finish`] flushes, joins, and merges
 /// deterministically.
 pub struct ShardPool {
@@ -546,11 +552,6 @@ pub struct ShardPool {
     spare: Vec<Vec<TaggedEvent>>,
     /// Attached members in attach order.
     members: Vec<MemberEntry>,
-    /// Execution units in creation order.
-    units: Vec<UnitEntry>,
-    /// Shared-prefix groups (switch partitions) in creation order, with
-    /// events-routed counters; a solo unit is a group of one.
-    groups: Vec<(TenantId, u64)>,
     /// Group-table budget applied to every subsequently attached unit.
     budget: TableBudget,
 }
@@ -580,8 +581,6 @@ impl ShardPool {
             workers,
             spare: Vec::new(),
             members: Vec::new(),
-            units: Vec::new(),
-            groups: Vec::new(),
             budget: TableBudget::default(),
         }
     }
@@ -600,17 +599,6 @@ impl ShardPool {
         self.workers.len()
     }
 
-    fn group_of_unit(&self, unit: TenantId) -> Option<TenantId> {
-        self.units.iter().find(|u| u.unit == unit).map(|u| u.group)
-    }
-
-    fn routed_of_group(&self, group: TenantId) -> Option<u64> {
-        self.groups
-            .iter()
-            .find(|(g, _)| *g == group)
-            .map(|(_, n)| *n)
-    }
-
     /// Validates and splits an optional per-shard sink list.
     fn split_sinks(
         &self,
@@ -627,70 +615,38 @@ impl ShardPool {
         }
     }
 
-    /// Attaches `tenant` as a new unit (of which it is the first member)
-    /// at the current epoch: all events pushed after this call are
-    /// processed by its engines; nothing before is.
+    /// Attaches `unit` as a new unit (of which it is the first member) at
+    /// the current epoch, fed by the events switch partition `group` tags
+    /// — `unit` itself for a partition of its own, an already-attached
+    /// unit's partition for an SF08xx prefix share. All events pushed after
+    /// this call are processed by its engines; nothing before is. The unit
+    /// gets its own engines and its own NIC program, so its output is
+    /// bitwise a solo run's as long as the caller attaches it only while
+    /// `group` is still at the stream position where sharing loses nothing.
     ///
     /// `fg_table_size` is the unit's NIC group-table quota. `sinks`, when
     /// given, must hold one sink per shard (`sinks[i]` moves into worker
     /// `i` and receives that shard's vectors as they are computed,
     /// [`EgressVector`]-tagged with their stream position). With sinks
-    /// attached the tenant's per-packet vectors are *diverted*: they flow
-    /// to the sinks incrementally instead of accumulating in
+    /// attached the unit's per-packet vectors are *diverted*: they flow to
+    /// the sinks incrementally instead of accumulating in
     /// [`StreamOutput::packet_vectors`] (which comes back empty); per-group
     /// vectors are both egressed at end of stream and returned.
     pub fn attach(
         &mut self,
-        tenant: TenantId,
-        compiled: &CompiledPolicy,
-        fg_table_size: usize,
-        sinks: Option<Vec<Box<dyn VectorSink>>>,
-    ) -> Result<(), NicError> {
-        self.attach_unit(tenant, tenant, compiled, fg_table_size, sinks)?;
-        self.groups.push((tenant, 0));
-        Ok(())
-    }
-
-    /// Attaches `tenant` as a new unit consuming the event stream of the
-    /// already-attached shared-prefix group `group` (the id the shared
-    /// switch partition tags its events with). The unit gets its own
-    /// engines and its own NIC program — only the switch-side prefix is
-    /// shared — so its output is bitwise a solo run's.
-    ///
-    /// The group must still be at stream position zero (no events routed),
-    /// or the new unit's output would miss history; the control plane
-    /// additionally guarantees no *packets* reached the shared partition.
-    pub fn attach_to_group(
-        &mut self,
+        unit: TenantId,
         group: TenantId,
-        tenant: TenantId,
         compiled: &CompiledPolicy,
         fg_table_size: usize,
         sinks: Option<Vec<Box<dyn VectorSink>>>,
     ) -> Result<(), NicError> {
-        match self.routed_of_group(group) {
-            None => Err(NicError::Engine(format!("group {group} is not attached"))),
-            Some(0) => self.attach_unit(group, tenant, compiled, fg_table_size, sinks),
-            Some(_) => Err(NicError::Engine(format!(
-                "group {group} has already processed events; a late unit cannot share its prefix"
-            ))),
-        }
-    }
-
-    /// Builds per-shard engines for a new unit of one and sends the attach
-    /// markers; shared by [`ShardPool::attach`] (solo group) and
-    /// [`ShardPool::attach_to_group`] (existing group).
-    fn attach_unit(
-        &mut self,
-        group: TenantId,
-        tenant: TenantId,
-        compiled: &CompiledPolicy,
-        fg_table_size: usize,
-        sinks: Option<Vec<Box<dyn VectorSink>>>,
-    ) -> Result<(), NicError> {
-        if self.members.iter().any(|m| m.member == tenant) {
+        if self
+            .members
+            .iter()
+            .any(|m| m.member == unit || m.unit == unit)
+        {
             return Err(NicError::Engine(format!(
-                "tenant {tenant} is already attached"
+                "tenant {unit} is already attached"
             )));
         }
         let sinks = self.split_sinks(sinks)?;
@@ -714,20 +670,17 @@ impl ShardPool {
             self.workers[w]
                 .tx
                 .send_now(ShardMsg::Attach {
-                    unit: tenant,
+                    unit,
                     group,
                     engine,
                     sink,
                 })
                 .map_err(|_| NicError::WorkerLost { worker: w })?;
         }
-        self.units.push(UnitEntry {
-            unit: tenant,
-            group,
-        });
         self.members.push(MemberEntry {
-            member: tenant,
-            unit: tenant,
+            member: unit,
+            unit,
+            group,
             scored: false,
         });
         Ok(())
@@ -736,26 +689,23 @@ impl ShardPool {
     /// Joins `member` to the existing unit `unit`'s demux fan-out.
     ///
     /// The caller (the control plane) certifies equivalence and must
-    /// guarantee the unit is still at stream position zero — no events
-    /// routed to it yet — otherwise the member's output would include
-    /// history from before its attach point. That necessary condition is
-    /// re-checked here; the sufficient condition (no *packets* offered to
-    /// the unit's switch partition, which could be batching records that
-    /// have not evicted yet) is the control plane's.
+    /// guarantee that no packet has been offered to the unit's switch
+    /// partition since the unit attached, otherwise the member's output
+    /// would include history from before its attach point.
     pub fn join(
         &mut self,
         unit: TenantId,
         member: TenantId,
         sinks: Option<Vec<Box<dyn VectorSink>>>,
     ) -> Result<(), NicError> {
-        let Some(group) = self.group_of_unit(unit) else {
+        let Some(group) = self
+            .members
+            .iter()
+            .find(|m| m.unit == unit)
+            .map(|m| m.group)
+        else {
             return Err(NicError::Engine(format!("unit {unit} is not attached")));
         };
-        if self.routed_of_group(group) != Some(0) {
-            return Err(NicError::Engine(format!(
-                "unit {unit} has already processed events; a late member cannot join"
-            )));
-        }
         if self.members.iter().any(|m| m.member == member) {
             return Err(NicError::Engine(format!(
                 "tenant {member} is already attached"
@@ -772,6 +722,7 @@ impl ShardPool {
         self.members.push(MemberEntry {
             member,
             unit,
+            group,
             scored: false,
         });
         Ok(())
@@ -835,10 +786,7 @@ impl ShardPool {
         let Some(pos) = self.members.iter().position(|m| m.member == member) else {
             return Err(NicError::Engine(format!("tenant {member} is not attached")));
         };
-        let unit = self.members[pos].unit;
-        let group = self
-            .group_of_unit(unit)
-            .expect("attached members have units");
+        let MemberEntry { unit, group, .. } = self.members[pos];
         let mut per_shard = self.route_flush(group, events).into_iter();
         let pieces = self.handshake(|ack| ShardMsg::Detach {
             unit,
@@ -847,12 +795,6 @@ impl ShardPool {
             ack,
         })?;
         self.members.remove(pos);
-        if !self.members.iter().any(|m| m.unit == unit) {
-            self.units.retain(|u| u.unit != unit);
-            if !self.units.iter().any(|u| u.group == group) {
-                self.groups.retain(|(g, _)| *g != group);
-            }
-        }
         let mut out = StreamOutput::default();
         for (_, piece) in pieces {
             out.absorb(piece);
@@ -887,22 +829,19 @@ impl ShardPool {
     /// at the current stream cut — the NIC half of a plane snapshot. The
     /// live engines keep processing afterwards; pending frames are flushed
     /// first so the dump lands on a clean epoch boundary. Units are
-    /// returned in creation order, shards sorted within each unit.
-    /// Inference-stage state is not part of a dump.
+    /// returned in creation order — the order every shard keeps them in —
+    /// shards sorted within each unit. Inference-stage state is not part of
+    /// a dump.
     pub fn dump_state(&mut self) -> Result<Vec<UnitStateDump>, NicError> {
         let acks = self.handshake(|ack| ShardMsg::Dump { ack })?;
-        let mut units: Vec<UnitStateDump> = self
-            .units
-            .iter()
-            .map(|u| UnitStateDump {
-                unit: u.unit,
-                group: u.group,
-                shards: Vec::with_capacity(self.workers.len()),
-            })
-            .collect();
+        let mut units: Vec<UnitStateDump> = Vec::new();
         for (unit, state) in acks.into_iter().flat_map(|(_, dump)| dump) {
-            if let Some(u) = units.iter_mut().find(|x| x.unit == unit) {
-                u.shards.push(state);
+            match units.iter_mut().find(|x| x.unit == unit) {
+                Some(u) => u.shards.push(state),
+                None => units.push(UnitStateDump {
+                    unit,
+                    shards: vec![state],
+                }),
             }
         }
         Ok(units)
@@ -957,43 +896,18 @@ impl ShardPool {
     /// admission consumes in place of its static per-tenant estimates.
     pub fn state_pressure(&mut self) -> Result<Vec<UnitPressure>, NicError> {
         let acks = self.handshake(|ack| ShardMsg::Pressure { ack })?;
-        let mut merged: Vec<UnitPressure> = self
-            .units
-            .iter()
-            .map(|u| UnitPressure {
-                unit: u.unit,
-                groups_per_level: Vec::new(),
-                overflow_drops: 0,
-                evicted_groups: 0,
-            })
-            .collect();
+        let mut merged: Vec<UnitPressure> = Vec::new();
         for p in acks.into_iter().flat_map(|(_, pressures)| pressures) {
-            if let Some(m) = merged.iter_mut().find(|m| m.unit == p.unit) {
-                add_levels(&mut m.groups_per_level, p.groups_per_level);
-                m.overflow_drops += p.overflow_drops;
-                m.evicted_groups += p.evicted_groups;
+            match merged.iter_mut().find(|m| m.unit == p.unit) {
+                Some(m) => {
+                    add_levels(&mut m.groups_per_level, p.groups_per_level);
+                    m.overflow_drops += p.overflow_drops;
+                    m.evicted_groups += p.evicted_groups;
+                }
+                None => merged.push(p),
             }
         }
         Ok(merged)
-    }
-
-    /// The shared-prefix groups' events-routed counters, in creation order
-    /// — the stream positions a plane snapshot must persist, because they
-    /// gate late joins and prefix shares.
-    pub fn group_positions(&self) -> Vec<(TenantId, u64)> {
-        self.groups.clone()
-    }
-
-    /// Overwrites one group's events-routed counter (plane restore).
-    /// Returns `false` for an unknown group.
-    pub fn set_group_position(&mut self, group: TenantId, routed: u64) -> bool {
-        match self.groups.iter_mut().find(|(g, _)| *g == group) {
-            Some(entry) => {
-                entry.1 = routed;
-                true
-            }
-            None => false,
-        }
     }
 
     /// One epoch handshake: flushes pending frames, sends one marker per
@@ -1047,20 +961,14 @@ impl ShardPool {
         Ok(acks)
     }
 
-    /// Routes one tagged event: MGPV evictions to shard `hash % workers`,
-    /// FG updates to every shard.
-    ///
-    /// Blocks when the target worker is [`CHANNEL_DEPTH`] frames behind
-    /// (backpressure). Fails only if a worker thread has died.
-    pub fn push(&mut self, event: TaggedEvent) -> Result<(), NicError> {
-        self.route(event)?;
-        self.serve_hungry()
-    }
-
     /// Routes a batch of tagged events in order — everything the switch
     /// emitted for one packet, possibly nothing: a worker that asked for
     /// its frame is served by the next packet whether or not that packet
-    /// produced an event for it.
+    /// produced an event for it. MGPV evictions go to shard
+    /// `hash % workers`, FG updates to every shard.
+    ///
+    /// Blocks when a target worker is [`CHANNEL_DEPTH`] frames behind
+    /// (backpressure). Fails only if a worker thread has died.
     pub fn push_all(
         &mut self,
         events: impl IntoIterator<Item = TaggedEvent>,
@@ -1074,9 +982,6 @@ impl ShardPool {
     /// Appends one event to its workers' pending frames and sends the
     /// frames that became full.
     fn route(&mut self, event: TaggedEvent) -> Result<(), NicError> {
-        if let Some(entry) = self.groups.iter_mut().find(|(g, _)| *g == event.tenant) {
-            entry.1 += 1;
-        }
         match &event.event {
             SwitchEvent::FgUpdate(_) => {
                 for w in 0..self.workers.len() {
@@ -1277,7 +1182,7 @@ mod tests {
     ) -> StreamOutput {
         let mut sw = switch(&[(T0, c)]);
         let mut pool = ShardPool::new(workers);
-        pool.attach(T0, c, 16_384, sinks).unwrap();
+        pool.attach(T0, T0, c, 16_384, sinks).unwrap();
         if let Some(model) = model {
             pool.score_with(T0, model).unwrap();
         }
@@ -1478,14 +1383,14 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let mut pool = ShardPool::new(1);
         let sinks: Vec<Box<dyn VectorSink>> = vec![Box::new(StampSink(seen.clone()))];
-        pool.attach(T0, &c, 16_384, Some(sinks)).unwrap();
+        pool.attach(T0, T0, &c, 16_384, Some(sinks)).unwrap();
         // Far less than a frame, then silence, then one more event: the
         // worker sat out its dwell and asked, and that push serves it —
         // or, on a host too loaded for the worker to have run yet, the
         // next packet does, though the switch emits nothing for it.
         pool.push_all(first.iter().cloned()).unwrap();
         std::thread::sleep(A_FEW_DWELLS);
-        pool.push(last[0].clone()).unwrap();
+        pool.push_all([last[0].clone()]).unwrap();
         wait_for_vectors(&seen, 0, records_in(first), || {
             pool.push_all(std::iter::empty()).unwrap();
         });
@@ -1521,12 +1426,12 @@ mod tests {
         let sinks = (0..4)
             .map(|_| Box::new(StampSink(seen.clone())) as Box<dyn VectorSink>)
             .collect();
-        pool.attach(T0, &c, 16_384, Some(sinks)).unwrap();
+        pool.attach(T0, T0, &c, 16_384, Some(sinks)).unwrap();
         pool.push_all(by_shard[idle].iter().cloned()).unwrap();
         std::thread::sleep(A_FEW_DWELLS);
         let mut elsewhere = by_shard[busy].iter().cycle().cloned();
         wait_for_vectors(&seen, idle, records_in(&by_shard[idle]), || {
-            pool.push(elsewhere.next().unwrap()).unwrap();
+            pool.push_all(elsewhere.next()).unwrap();
         });
         pool.finish().unwrap();
     }
@@ -1590,7 +1495,7 @@ mod tests {
         let alone = solo_with(&c, &pkts, 2, None, Some(hostile_model()));
         let fused = || {
             let mut pool = ShardPool::new(2);
-            pool.attach(T0, &c, 16_384, None).unwrap();
+            pool.attach(T0, T0, &c, 16_384, None).unwrap();
             pool.join(T0, T1, None).unwrap();
             pool.score_with(T1, hostile_model()).unwrap();
             // One detector per member, and only for members.
@@ -1675,8 +1580,8 @@ mod tests {
             let pkts = packets(800);
             let mut sw = switch(&[(T0, &a), (T1, &b)]);
             let mut pool = ShardPool::new(workers);
-            pool.attach(T0, &a, 16_384, None).unwrap();
-            pool.attach(T1, &b, 16_384, None).unwrap();
+            pool.attach(T0, T0, &a, 16_384, None).unwrap();
+            pool.attach(T1, T1, &b, 16_384, None).unwrap();
             feed(&mut sw, &mut pool, &pkts);
             flush(&mut sw, &mut pool);
             let outs = pool.finish().unwrap();
@@ -1721,8 +1626,8 @@ mod tests {
         let pkts = packets(1000);
         let sw = switch(&[(T0, &a), (T1, &b)]);
         let mut pool = ShardPool::new(2);
-        pool.attach(T0, &a, 16_384, None).unwrap();
-        pool.attach(T1, &b, 16_384, None).unwrap();
+        pool.attach(T0, T0, &a, 16_384, None).unwrap();
+        pool.attach(T1, T1, &b, 16_384, None).unwrap();
         // Epoch: drain tenant 1 out of switch and NIC mid-stream.
         let (gone, outs) = detach_midway(sw, pool, &pkts, T1, T1, false);
         assert_eq!(gone.group_vectors, solo(&b, &pkts[..500], 2).group_vectors);
@@ -1739,7 +1644,7 @@ mod tests {
             let pkts = packets(800);
             let mut sw = switch(&[(T0, &a)]);
             let mut pool = ShardPool::new(workers);
-            pool.attach(T0, &a, 16_384, None).unwrap();
+            pool.attach(T0, T0, &a, 16_384, None).unwrap();
             pool.join(T0, T1, None).unwrap();
             pool.join(T0, T2, None).unwrap();
             feed(&mut sw, &mut pool, &pkts);
@@ -1763,7 +1668,7 @@ mod tests {
         let pkts = packets(1000);
         let sw = switch(&[(T0, &a)]);
         let mut pool = ShardPool::new(2);
-        pool.attach(T0, &a, 16_384, None).unwrap();
+        pool.attach(T0, T0, &a, 16_384, None).unwrap();
         pool.join(T0, T1, None).unwrap();
         // Member detach: the partition is snapshot-flushed (live state
         // untouched) and member 1 is finalized on a fork of the unit.
@@ -1779,21 +1684,6 @@ mod tests {
     }
 
     #[test]
-    fn join_guards_stream_position() {
-        let a = host_sum();
-        let mut sw = switch(&[(T0, &a)]);
-        let mut pool = ShardPool::new(2);
-        pool.attach(T0, &a, 16_384, None).unwrap();
-        pool.join(T0, T1, None).unwrap();
-        // Once the unit has routed events, late joins are refused.
-        feed(&mut sw, &mut pool, &packets(50));
-        flush(&mut sw, &mut pool);
-        assert!(pool.join(T0, T2, None).is_err());
-        assert!(pool.join(TenantId(9), TenantId(3), None).is_err());
-        pool.finish().unwrap();
-    }
-
-    #[test]
     fn prefix_group_units_match_their_solo_runs() {
         // Two tenants sharing one switch partition (same prefix: no
         // filter, groupby host) but running different reduce tails: each
@@ -1805,8 +1695,8 @@ mod tests {
             // One partition, attached under the group id (tenant 0).
             let mut sw = switch(&[(T0, &a)]);
             let mut pool = ShardPool::new(workers);
-            pool.attach(T0, &a, 16_384, None).unwrap();
-            pool.attach_to_group(T0, T1, &b, 16_384, None).unwrap();
+            pool.attach(T0, T0, &a, 16_384, None).unwrap();
+            pool.attach(T1, T0, &b, 16_384, None).unwrap();
             feed(&mut sw, &mut pool, &pkts);
             flush(&mut sw, &mut pool);
             let outs = pool.finish().unwrap();
@@ -1825,8 +1715,8 @@ mod tests {
         let pkts = packets(1000);
         let sw = switch(&[(T0, &a)]);
         let mut pool = ShardPool::new(2);
-        pool.attach(T0, &a, 16_384, None).unwrap();
-        pool.attach_to_group(T0, T1, &b, 16_384, None).unwrap();
+        pool.attach(T0, T0, &a, 16_384, None).unwrap();
+        pool.attach(T1, T0, &b, 16_384, None).unwrap();
         // The shared partition stays live for tenant 0; tenant 1's own
         // engines finalize against the partition's snapshot flush.
         let (gone, outs) = detach_midway(sw, pool, &pkts, T1, T0, true);
@@ -1839,37 +1729,23 @@ mod tests {
     }
 
     #[test]
-    fn prefix_group_guards_position() {
-        let (a, b) = (host_sum(), host("f_max", "host"));
-        let mut sw = switch(&[(T0, &a)]);
-        let mut pool = ShardPool::new(2);
-        pool.attach(T0, &a, 16_384, None).unwrap();
-        // Unknown group, and duplicate members, are refused.
-        assert!(pool
-            .attach_to_group(TenantId(9), T1, &b, 16_384, None)
-            .is_err());
-        pool.attach_to_group(T0, T1, &b, 16_384, None).unwrap();
-        assert!(pool.attach_to_group(T0, T1, &b, 16_384, None).is_err());
-        // Once the group has routed events, late prefix shares are refused.
-        feed(&mut sw, &mut pool, &packets(50));
-        flush(&mut sw, &mut pool);
-        let late = pool
-            .attach_to_group(T0, T2, &b, 16_384, None)
-            .expect_err("late prefix share");
-        assert!(!late.to_string().contains("  "), "mangled message: {late}");
-        pool.finish().unwrap();
-    }
-
-    #[test]
     fn attach_rejects_duplicates_and_bad_sink_counts() {
         let a = host_sum();
         let mut pool = ShardPool::new(2);
-        pool.attach(TenantId(7), &a, 16_384, None).unwrap();
-        assert!(pool.attach(TenantId(7), &a, 16_384, None).is_err());
+        pool.attach(TenantId(7), TenantId(7), &a, 16_384, None)
+            .unwrap();
+        assert!(pool
+            .attach(TenantId(7), TenantId(7), &a, 16_384, None)
+            .is_err());
+        // A unit on another's partition is a member like any other: once.
+        pool.attach(T1, TenantId(7), &a, 16_384, None).unwrap();
+        assert!(pool.attach(T1, TenantId(7), &a, 16_384, None).is_err());
         // One sink per shard, or none at all.
-        let no_sinks = pool.attach(TenantId(8), &a, 16_384, Some(Vec::new()));
+        let no_sinks = pool.attach(TenantId(8), TenantId(8), &a, 16_384, Some(Vec::new()));
         assert!(matches!(no_sinks, Err(NicError::Engine(_))));
         assert!(pool.detach(TenantId(9), Vec::new()).is_err());
+        // Joins go to attached units, and only for new members.
+        assert!(pool.join(TenantId(9), TenantId(3), None).is_err());
         assert!(pool.join(TenantId(7), TenantId(7), None).is_err());
         pool.finish().unwrap();
     }
@@ -1883,8 +1759,8 @@ mod tests {
             let (a, b) = (host_sum(), flow_tcp());
             let pkts = packets(1000);
             let attach_both = |pool: &mut ShardPool| {
-                pool.attach(T0, &a, 16_384, None).unwrap();
-                pool.attach(T1, &b, 16_384, None).unwrap();
+                pool.attach(T0, T0, &a, 16_384, None).unwrap();
+                pool.attach(T1, T1, &b, 16_384, None).unwrap();
             };
             // Uninterrupted reference.
             let mut sw = switch(&[(T0, &a), (T1, &b)]);
@@ -1899,7 +1775,6 @@ mod tests {
             attach_both(&mut pool1);
             feed(&mut sw1, &mut pool1, &pkts[..500]);
             let dumps = pool1.dump_state().unwrap();
-            let positions = pool1.group_positions();
             assert_eq!(dumps.len(), 2);
             assert!(dumps.iter().all(|d| d.shards.len() == workers));
             drop(pool1.finish().unwrap());
@@ -1909,9 +1784,6 @@ mod tests {
             attach_both(&mut pool2);
             for d in dumps {
                 pool2.restore_unit(d.unit, d.shards).unwrap();
-            }
-            for (g, n) in positions {
-                assert!(pool2.set_group_position(g, n));
             }
             feed(&mut sw1, &mut pool2, &pkts[500..]);
             flush(&mut sw1, &mut pool2);
@@ -1934,7 +1806,7 @@ mod tests {
     fn restore_guards_roster_and_shard_count() {
         let a = host_sum();
         let mut pool = ShardPool::new(2);
-        pool.attach(T0, &a, 16_384, None).unwrap();
+        pool.attach(T0, T0, &a, 16_384, None).unwrap();
         let dumps = pool.dump_state().unwrap();
         let shards = dumps.into_iter().next().unwrap().shards;
         // Wrong unit id: the roster check rejects it.
@@ -1956,8 +1828,8 @@ mod tests {
         let (a, b) = (host_sum(), flow_tcp());
         let mut sw = switch(&[(T0, &a), (T1, &b)]);
         let mut pool = ShardPool::new(2);
-        pool.attach(T0, &a, 16_384, None).unwrap();
-        pool.attach(T1, &b, 16_384, None).unwrap();
+        pool.attach(T0, T0, &a, 16_384, None).unwrap();
+        pool.attach(T1, T1, &b, 16_384, None).unwrap();
         feed(&mut sw, &mut pool, &packets(600));
         let pressure = pool.state_pressure().unwrap();
         assert_eq!(pressure.len(), 2);
@@ -1968,10 +1840,6 @@ mod tests {
             assert_eq!(p.overflow_drops, 0);
             assert_eq!(p.evicted_groups, 0);
         }
-        // Every partition's routed counter moved with the traffic.
-        let positions = pool.group_positions();
-        assert_eq!(positions.len(), 2);
-        assert!(positions.iter().all(|(_, n)| *n > 0));
         pool.finish().unwrap();
     }
 }

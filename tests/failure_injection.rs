@@ -179,7 +179,8 @@ fn load_balanced_nics_match_single_nic() {
     // Routed across 3 shards.
     let tenant = TenantId(0);
     let mut pool = ShardPool::new(3);
-    pool.attach(tenant, &c, 16_384, None).expect("engine");
+    pool.attach(tenant, tenant, &c, 16_384, None)
+        .expect("engine");
     pool.push_all(
         events
             .into_iter()
@@ -229,11 +230,11 @@ fn dead_worker_is_an_error_not_a_hung_handshake() {
         for (name, op) in ops {
             let mut pool = ShardPool::new(1);
             let sinks: Vec<Box<dyn VectorSink>> = vec![Box::new(PanickingSink)];
-            pool.attach(doomed, &per_packet, 16_384, Some(sinks))
+            pool.attach(doomed, doomed, &per_packet, 16_384, Some(sinks))
                 .expect("attaches");
             let healthy = TenantId(units - 1);
             if healthy != doomed {
-                pool.attach(healthy, &per_packet, 16_384, None)
+                pool.attach(healthy, healthy, &per_packet, 16_384, None)
                     .expect("attaches");
             }
             // Less than a frame: the events (and the panic they cause) are
@@ -246,7 +247,7 @@ fn dead_worker_is_an_error_not_a_hung_handshake() {
                     tenant: doomed,
                     event,
                 };
-                match pool.push(tagged) {
+                match pool.push_all([tagged]) {
                     Ok(()) | Err(NicError::WorkerLost { worker: 0 }) => {}
                     Err(e) => panic!("push: {e}"),
                 }
@@ -316,18 +317,24 @@ fn worker_dying_under_a_blocked_producer_is_an_error_not_a_hang() {
         entered: entered_tx,
         release: release_rx,
     };
-    pool.attach(doomed, &per_packet, 16_384, Some(vec![Box::new(sink)]))
-        .expect("attaches");
+    pool.attach(
+        doomed,
+        doomed,
+        &per_packet,
+        16_384,
+        Some(vec![Box::new(sink)]),
+    )
+    .expect("attaches");
     let pushed = Arc::new(AtomicUsize::new(0));
     let (done_tx, done) = channel();
     let producer = {
         let pushed = pushed.clone();
         std::thread::spawn(move || {
             let outcome = events.into_iter().try_for_each(|event| {
-                pool.push(TaggedEvent {
+                pool.push_all([TaggedEvent {
                     tenant: doomed,
                     event,
-                })?;
+                }])?;
                 pushed.fetch_add(1, Ordering::SeqCst);
                 Ok(())
             });

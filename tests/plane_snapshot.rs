@@ -404,6 +404,33 @@ fn restore_rejects_bad_bytes_and_wrong_specs() {
     restored.finish().expect("workers alive");
 }
 
+/// The format is versioned strictly: bytes that claim the previous layout
+/// (v3, which carried a section of per-partition routed counters) restore
+/// to the typed version error, never to a misread.
+#[test]
+fn restore_refuses_a_version_3_snapshot() {
+    let specs = [host_sum()];
+    let mut plane = CtrlPlane::new(1, AnalyzeConfig::default());
+    plane.attach(&specs[0], None).expect("admitted");
+    for p in &packets(200) {
+        plane.push(p).expect("workers alive");
+    }
+    let mut bytes = plane.snapshot().expect("snapshot");
+    plane.finish().expect("workers alive");
+
+    // The version follows the length-prefixed magic.
+    let mut r = StateReader::new(&bytes);
+    r.get_bytes().expect("magic");
+    let version_field = bytes.len() - r.remaining();
+    assert_eq!(r.get_u16(), Some(superfe::ctrl::SNAPSHOT_VERSION));
+    bytes[version_field..version_field + 2].copy_from_slice(&3u16.to_le_bytes());
+    match CtrlPlane::restore(AnalyzeConfig::default(), &specs, &bytes, |_| None) {
+        Err(CtrlError::Snapshot(msg)) => assert!(msg.contains("version 3"), "{msg}"),
+        Err(other) => panic!("expected a snapshot error, got {other}"),
+        Ok(_) => panic!("a version 3 snapshot must not restore"),
+    }
+}
+
 /// A vector count is checked against the bytes left before anything is
 /// reserved for it: a per-group policy's snapshot ends in its one shard's
 /// (zero) count of accumulated per-packet vectors, and a count patched to
