@@ -32,15 +32,18 @@
 //! - the **switch prefix** — parse, groupby chain, filter conjunct set →
 //!   [`Join::Unit`]: a new execution unit (its own NIC engines and
 //!   map/reduce tail) subscribed to that unit's switch partition. The
-//!   partition's record layout is widened to the canonical metadata union
-//!   at join time — lossless, the position gate guarantees it is empty
-//!   (SF08xx prefix sharing);
+//!   partition's record is re-laid in place as the canonical metadata
+//!   union at join time — no flush, no rebuild; the layout only drives
+//!   wire-byte accounting, so it is lossless at any position (SF08xx prefix
+//!   sharing);
 //! - nothing → [`Join::Partition`]: a new partition and a new unit.
 //!
 //! So units nest inside **groups**: a group is one switch partition; each
 //! of its units is one NIC engine set; fused tenants share a unit via
-//! demux. Admission composes switch demand once per group and NIC demand
-//! once per unit ([`crate::admission::admit`]).
+//! demux, and a tenant's id and name live in its unit's member list. Ids
+//! are allocated monotonically at attach and a restore keeps them, so
+//! attach order is ascending id. Admission composes switch demand once per
+//! group and NIC demand once per unit ([`crate::admission::admit`]).
 //!
 //! Untouched tenants lose or duplicate zero vectors across either
 //! operation: their partitions, engines, and channels are never touched,
@@ -74,13 +77,6 @@ pub struct TenantSpec {
     pub cfg: SuperFeConfig,
 }
 
-/// One live tenant and the execution unit serving it.
-pub(crate) struct Slot {
-    pub(crate) id: TenantId,
-    pub(crate) name: String,
-    pub(crate) unit: TenantId,
-}
-
 /// One deployed execution unit: a NIC engine set that one or more
 /// tenants running the same plan share, fed by the switch partition of the
 /// group it belongs to.
@@ -94,7 +90,8 @@ pub(crate) struct Unit {
     pub(crate) policy: Policy,
     pub(crate) cfg: SuperFeConfig,
     pub(crate) demand: TenantDemand,
-    pub(crate) members: Vec<TenantId>,
+    /// The tenants the unit serves — id and display name — in join order.
+    pub(crate) members: Vec<(TenantId, String)>,
     /// The switch partition whose event stream feeds this unit; equals
     /// `id` unless the unit joined an existing partition.
     pub(crate) group: TenantId,
@@ -152,7 +149,6 @@ pub struct TenantRun {
 pub struct CtrlPlane {
     pub(crate) analyze: superfe_core::analyze::AnalyzeConfig,
     pub(crate) path: DataPath,
-    pub(crate) slots: Vec<Slot>,
     pub(crate) units: Vec<Unit>,
     pub(crate) groups: Vec<Group>,
     pub(crate) sharing: bool,
@@ -186,7 +182,6 @@ impl CtrlPlane {
         CtrlPlane {
             analyze,
             path: DataPath::new(workers),
-            slots: Vec::new(),
             units: Vec::new(),
             groups: Vec::new(),
             sharing,
@@ -222,7 +217,26 @@ impl CtrlPlane {
 
     /// Live tenants in attach order.
     pub fn tenants(&self) -> Vec<(TenantId, &str)> {
-        self.slots.iter().map(|s| (s.id, s.name.as_str())).collect()
+        self.roster().map(|(id, name, _)| (id, name)).collect()
+    }
+
+    /// Every live tenant with its name and the unit serving it, in attach
+    /// order: ascending id (see the module docs).
+    fn roster(&self) -> impl Iterator<Item = (TenantId, &str, &Unit)> {
+        let mut all: Vec<_> = (self.units.iter())
+            .flat_map(|u| {
+                u.members
+                    .iter()
+                    .map(move |(id, name)| (*id, name.as_str(), u))
+            })
+            .collect();
+        all.sort_unstable_by_key(|&(id, ..)| id);
+        all.into_iter()
+    }
+
+    /// The position of the unit serving `tenant`.
+    fn serving(&self, tenant: TenantId) -> Option<usize> {
+        (self.units.iter()).position(|u| u.members.iter().any(|(m, _)| *m == tenant))
     }
 
     /// Live execution units in creation order, each with its member count
@@ -247,12 +261,11 @@ impl CtrlPlane {
     pub fn state_occupancy(&mut self) -> Result<Vec<(TenantId, String, UnitPressure)>, CtrlError> {
         let raw = self.path.nic_mut().state_pressure()?;
         Ok(self
-            .slots
-            .iter()
-            .map(|s| {
-                let unit = raw.iter().find(|p| p.unit == s.unit);
+            .roster()
+            .map(|(id, name, u)| {
+                let unit = raw.iter().find(|p| p.unit == u.id);
                 let unit = unit.expect("the pool reports every live unit");
-                (s.id, s.name.clone(), unit.clone())
+                (id, name.to_string(), unit.clone())
             })
             .collect())
     }
@@ -373,7 +386,7 @@ impl CtrlPlane {
     }
 
     /// Carries out `join` for tenant `id`: the one place the data path and
-    /// the slot / unit / group tables change on an attach. Admission is the
+    /// the unit / group tables change on an attach. Admission is the
     /// caller's; [`CtrlPlane::restore`] replays saved tenants through here
     /// without it.
     pub(crate) fn install(
@@ -385,17 +398,14 @@ impl CtrlPlane {
         join: Join,
         sinks: Option<Vec<Box<dyn VectorSink>>>,
     ) -> Result<(), CtrlError> {
-        let (unit, group) = match join {
+        let group = match join {
             Join::Member(upos) => {
                 let unit = &mut self.units[upos];
                 self.path.nic_mut().join(unit.id, id, sinks)?;
-                unit.members.push(id);
-                (unit.id, None)
+                unit.members.push((id, spec.name.clone()));
+                None
             }
             Join::Unit(gpos) => {
-                // The position gate makes widening the partition's record
-                // lossless: no packet has reached it since the group
-                // attached.
                 let gid = self.groups[gpos].id;
                 let widened = self.widened_usage(gpos, &demand);
                 let mut progs = group_programs(&self.units, gid);
@@ -409,13 +419,13 @@ impl CtrlPlane {
                     sinks,
                 )?;
                 self.groups[gpos].switch = widened;
-                (id, Some(gid))
+                Some(gid)
             }
             Join::Partition => {
                 self.path.attach(id, &demand.compiled, &spec.cfg, sinks)?;
                 let switch = demand.switch;
                 self.groups.push(Group { id, switch });
-                (id, Some(id))
+                Some(id)
             }
         };
         if let Some(group) = group {
@@ -425,16 +435,11 @@ impl CtrlPlane {
                 policy: spec.policy.clone(),
                 cfg: spec.cfg,
                 demand,
-                members: vec![id],
+                members: vec![(id, spec.name.clone())],
                 group,
                 attach_pos: self.path.pushed(),
             });
         }
-        self.slots.push(Slot {
-            id,
-            name: spec.name.clone(),
-            unit,
-        });
         self.epoch += 1;
         Ok(())
     }
@@ -447,7 +452,7 @@ impl CtrlPlane {
     /// alone. Valid at any stream position, a restored plane included: a
     /// snapshot carries no detector state.
     pub fn score_with(&mut self, tenant: TenantId, model: SharedScorer) -> Result<(), CtrlError> {
-        if !self.slots.iter().any(|s| s.id == tenant) {
+        if self.serving(tenant).is_none() {
             return Err(CtrlError::UnknownTenant(tenant));
         }
         Ok(self.path.nic_mut().score_with(tenant, model)?)
@@ -461,15 +466,9 @@ impl CtrlPlane {
     /// what survives it ([`DataPath::detach`]); in every case the
     /// survivors are bitwise unaffected.
     pub fn detach(&mut self, tenant: TenantId) -> Result<StreamOutput, CtrlError> {
-        let Some(pos) = self.slots.iter().position(|s| s.id == tenant) else {
+        let Some(upos) = self.serving(tenant) else {
             return Err(CtrlError::UnknownTenant(tenant));
         };
-        let unit_id = self.slots[pos].unit;
-        let upos = self
-            .units
-            .iter()
-            .position(|u| u.id == unit_id)
-            .expect("slot without unit");
         let gid = self.units[upos].group;
         let gpos = self
             .groups
@@ -481,14 +480,13 @@ impl CtrlPlane {
             unit_survives || self.units.iter().filter(|u| u.group == gid).count() > 1;
         let out = self.path.detach(tenant, gid, partition_survives)?;
         if unit_survives {
-            self.units[upos].members.retain(|&m| m != tenant);
+            self.units[upos].members.retain(|(m, _)| *m != tenant);
         } else {
             self.units.remove(upos);
         }
         if !partition_survives {
             self.groups.remove(gpos);
         }
-        self.slots.remove(pos);
         self.epoch += 1;
         Ok(out)
     }
@@ -500,18 +498,17 @@ impl CtrlPlane {
     }
 
     /// Flushes every unit partition, drains the shards, and returns each
-    /// remaining tenant's isolated output in attach order.
+    /// remaining tenant's isolated output in attach order — ascending id,
+    /// also on a restored plane, whose pool joined them unit by unit.
     pub fn finish(self) -> Result<Vec<TenantRun>, CtrlError> {
-        let (outs, _) = self.path.finish()?;
+        let (mut outs, _) = self.path.finish()?;
+        outs.sort_by_key(|&(id, _)| id);
+        let members: Vec<_> = self.units.into_iter().flat_map(|u| u.members).collect();
         Ok(outs
             .into_iter()
             .map(|(id, output)| {
-                let name = self
-                    .slots
-                    .iter()
-                    .find(|s| s.id == id)
-                    .map(|s| s.name.clone())
-                    .unwrap_or_else(|| id.to_string());
+                let name = (members.iter().find(|(m, _)| *m == id))
+                    .map_or_else(|| id.to_string(), |(_, name)| name.clone());
                 TenantRun { id, name, output }
             })
             .collect())
@@ -795,6 +792,21 @@ mod tests {
             runs[0].output.group_vectors,
             solo(&host_sum(), 300, 1).group_vectors
         );
+    }
+
+    #[test]
+    fn a_restored_plane_finishes_in_attach_order() {
+        // t2 fuses into t0's unit, so a restore replays t0, t2, t1.
+        let specs = [host_sum(), flow_stats(), host_sum_renamed()];
+        let mut plane = CtrlPlane::new(2, AnalyzeConfig::default());
+        for s in &specs {
+            plane.attach(s, None).unwrap();
+        }
+        let bytes = plane.snapshot().unwrap();
+        let ids = |runs: Vec<TenantRun>| runs.into_iter().map(|r| r.id.0).collect::<Vec<_>>();
+        assert_eq!(ids(plane.finish().unwrap()), [0, 1, 2]);
+        let restored = CtrlPlane::restore(AnalyzeConfig::default(), &specs, &bytes, |_| None);
+        assert_eq!(ids(restored.unwrap().finish().unwrap()), [0, 1, 2]);
     }
 
     #[test]

@@ -51,11 +51,9 @@ impl FeatureVector {
     /// Reads a vector written by [`FeatureVector::save_state`].
     pub fn load_state(r: &mut StateReader<'_>) -> Option<Self> {
         let key = GroupKey::load_state(r)?;
-        let n = r.get_u16()? as usize;
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            values.push(r.get_f64()?);
-        }
+        // The `u16` count sizes nothing: values are read one at a time.
+        let n = r.get_u16()?;
+        let values: Vec<f64> = (0..n).map(|_| r.get_f64()).collect::<Option<_>>()?;
         Some(FeatureVector {
             key,
             values: values.as_slice().into(),

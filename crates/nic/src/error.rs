@@ -1,6 +1,7 @@
 //! Errors of the NIC-side executors.
 
 use superfe_switch::record::TS_HORIZON_NS;
+use superfe_switch::tenant::TenantId;
 
 /// Why a NIC engine or multi-core executor failed.
 ///
@@ -23,6 +24,12 @@ pub enum NicError {
         /// The refused packet's timestamp.
         ts_ns: u64,
     },
+    /// A unit was asked to subscribe to a switch partition that is not
+    /// attached; refused before the pool was touched.
+    UnknownPartition {
+        /// The missing partition.
+        partition: TenantId,
+    },
 }
 
 impl std::fmt::Display for NicError {
@@ -37,6 +44,9 @@ impl std::fmt::Display for NicError {
                 "packet at {ts_ns} ns is at or past the timestamp horizon ({TS_HORIZON_NS} ns); \
                  rebase the trace's timestamps"
             ),
+            NicError::UnknownPartition { partition } => {
+                write!(f, "switch partition {partition} is not attached")
+            }
         }
     }
 }

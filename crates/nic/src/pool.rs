@@ -47,13 +47,14 @@
 //! - **Execution units with member demux**: each worker owns one private
 //!   [`FeNic`] per *unit* — a set of tenants the SF07xx analysis proved
 //!   equivalent, fused by the control plane; a lone tenant is a unit of
-//!   one. The engine runs the extraction once and fans the results out:
-//!   every member receives its own copy of each vector under its own egress
-//!   numbering through its own [`VectorSink`], and a member given a scorer
-//!   ([`ShardPool::score_with`]) has each vector scored by its own
-//!   inference stage on the way. Several units may consume one switch
-//!   partition's events (an SF08xx prefix *group*); state never crosses
-//!   unit boundaries.
+//!   one. The engine runs the extraction once and fans the results out to
+//!   each member's own outlet — its [`VectorSink`] under its own egress
+//!   numbering, or the vectors kept for its output — every outlet but the
+//!   last getting a copy, so a one-member unit copies nothing. A member
+//!   given a scorer ([`ShardPool::score_with`]) has each vector scored by
+//!   its own inference stage on the way; a detaching member takes both
+//!   with it. Several units may consume one switch partition's events (an
+//!   SF08xx prefix *group*); state never crosses unit boundaries.
 //! - **Epoch-based reconfiguration**: [`ShardPool::attach`],
 //!   [`ShardPool::join`], [`ShardPool::score_with`], [`ShardPool::detach`]
 //!   and the state handshakes travel *in-band* as control markers through
@@ -145,10 +146,10 @@ enum ShardMsg {
     /// Dump marker: non-destructively capture every unit's engine state on
     /// this shard (clones — live processing state is untouched).
     Dump { ack: Sender<(usize, ShardDump)> },
-    /// Restore marker: overwrite one unit's dynamic state (engine, member
-    /// egress sequence counters, accumulated per-packet vectors) with a
-    /// previously dumped shard state. The unit must already exist with the
-    /// same member roster; acks `false` otherwise.
+    /// Restore marker: overwrite one unit's dynamic state (engine, and per
+    /// member its egress sequence counter and kept per-packet vectors) with
+    /// a previously dumped shard state. The unit must already exist with
+    /// the same member roster; acks `false` otherwise.
     Restore {
         unit: TenantId,
         state: ShardUnitState,
@@ -167,10 +168,18 @@ pub struct ShardUnitState {
     pub shard: usize,
     /// A clone of the unit's engine at the dump's stream cut.
     pub engine: Box<FeNic>,
-    /// Per-member `(member, next egress seq)` counters, in join order.
-    pub member_seqs: Vec<(TenantId, u64)>,
-    /// Per-packet vectors accumulated for sinkless members.
-    pub pkts_accum: Vec<FeatureVector>,
+    /// Every member's own state, in join order.
+    pub members: Vec<MemberState>,
+}
+
+/// One member's dumped state on one shard: what its outlet holds.
+pub struct MemberState {
+    /// The member.
+    pub member: TenantId,
+    /// Its next egress sequence number on this shard.
+    pub seq: u64,
+    /// The per-packet vectors kept for its output (empty with sinks).
+    pub kept: Vec<FeatureVector>,
 }
 
 /// One execution unit's dumped state across every shard, in shard order.
@@ -196,30 +205,16 @@ pub struct UnitPressure {
     pub evicted_groups: u64,
 }
 
-/// Egresses `vectors` through one member's sink under its own numbering.
-fn egress(
-    sink: &mut dyn VectorSink,
-    shard: usize,
-    seq: &mut u64,
-    vectors: impl IntoIterator<Item = FeatureVector>,
-) {
-    for vector in vectors {
-        sink.emit(EgressVector {
-            shard,
-            seq: *seq,
-            vector,
-        });
-        *seq += 1;
-    }
-}
-
-/// One member's egress half: its sink, its `(shard, seq)` numbering and
-/// the detector it owns, if any.
+/// One member's egress half: its outlet — its sink, or the per-packet
+/// vectors kept for its output — its `(shard, seq)` numbering and the
+/// detector it owns, if any.
 struct MemberEgress {
     member: TenantId,
     sink: Option<Box<dyn VectorSink>>,
     /// Per-(member, shard) monotonic egress sequence number.
     seq: u64,
+    /// Per-packet vectors kept for a sinkless member's output.
+    kept: Vec<FeatureVector>,
     /// The member's inference stage (see [`ShardPool::score_with`]).
     infer: Option<InlineInference>,
 }
@@ -230,7 +225,21 @@ impl MemberEgress {
             member,
             sink,
             seq: 0,
+            kept: Vec::new(),
             infer: None,
+        }
+    }
+
+    /// Hands freshly finalized vectors to the member's outlet: its sink
+    /// under its own numbering, or its kept vectors.
+    fn deliver(&mut self, shard: usize, vectors: impl IntoIterator<Item = FeatureVector>) {
+        let Some(sink) = self.sink.as_deref_mut() else {
+            return self.kept.extend(vectors);
+        };
+        for vector in vectors {
+            let seq = self.seq;
+            sink.emit(EgressVector { shard, seq, vector });
+            self.seq += 1;
         }
     }
 
@@ -243,23 +252,24 @@ impl MemberEgress {
     }
 
     /// End of stream for this member on this shard: `out` is the unit's
-    /// output, to which the member adds what its own stage raised; a member
-    /// with a sink streamed its per-packet vectors out already and now
-    /// egresses the group vectors and flushes.
+    /// output, to which the member adds its kept per-packet vectors and
+    /// what its own stage raised. A member with a sink streamed its
+    /// per-packet vectors out already; it egresses the group vectors and
+    /// flushes, and dropping the sink here (before the worker is joined)
+    /// closes any downstream channels it holds.
     fn finish(mut self, shard: usize, mut out: StreamOutput) -> (TenantId, StreamOutput) {
         if let Some(infer) = self.infer.take() {
             let (alerts, stats) = infer.into_parts();
             out.inline_alerts = alerts;
             out.inline_stats = Some(stats);
         }
-        if let Some(mut sink) = self.sink.take() {
-            out.packet_vectors.clear();
-            let groups = out.group_vectors.iter().cloned();
-            egress(sink.as_mut(), shard, &mut self.seq, groups);
-            sink.flush();
-            // Dropping the sink here (before the worker is joined) closes
-            // any downstream channels it holds.
+        if self.sink.is_some() {
+            self.deliver(shard, out.group_vectors.iter().cloned());
         }
+        if let Some(mut sink) = self.sink.take() {
+            sink.flush();
+        }
+        out.packet_vectors = self.kept;
         (self.member, out)
     }
 }
@@ -273,9 +283,6 @@ struct UnitEngine {
     group: TenantId,
     nic: Box<FeNic>,
     members: Vec<MemberEgress>,
-    /// Per-packet vectors accumulated for sinkless members' final output
-    /// (sinked members stream theirs out per frame).
-    pkts_accum: Vec<FeatureVector>,
     shard: usize,
 }
 
@@ -285,44 +292,33 @@ impl UnitEngine {
         self.members.iter_mut().for_each(|m| m.score(vectors));
     }
 
-    /// Scores and demuxes freshly accumulated per-packet vectors: a copy
-    /// to every member with a sink (each under its own numbering), and
-    /// into the unit buffer when any sinkless member still needs them. The
-    /// last taker gets them by move.
+    /// Scores and demuxes freshly finalized per-packet vectors — the one
+    /// place a unit copies them: every member's outlet but the last gets a
+    /// clone, the last takes them by move, so a one-member unit (every solo
+    /// run) clones nothing.
     fn drain_packets(&mut self) {
-        let mut fresh = self.nic.take_packet_vectors();
+        let fresh = self.nic.take_packet_vectors();
         if fresh.is_empty() {
             return;
         }
         self.score(&fresh);
-        let keep = self.members.iter().any(|m| m.sink.is_none());
-        let last_sink = self.members.iter().rposition(|m| m.sink.is_some());
-        for (i, m) in self.members.iter_mut().enumerate() {
-            let Some(sink) = m.sink.as_deref_mut() else {
-                continue;
-            };
-            if !keep && Some(i) == last_sink {
-                egress(sink, self.shard, &mut m.seq, fresh.drain(..));
-            } else {
-                egress(sink, self.shard, &mut m.seq, fresh.iter().cloned());
-            }
+        let (last, rest) = self.members.split_last_mut().expect("a unit has a member");
+        for m in rest {
+            m.deliver(self.shard, fresh.iter().cloned());
         }
-        if keep {
-            self.pkts_accum.append(&mut fresh);
-        }
+        last.deliver(self.shard, fresh);
     }
 
     /// End of stream for the whole unit on this shard: finish the engine
-    /// once, then demux — every member gets its own copy of the output
-    /// (and its sink flushed), the last one by move, so a one-member unit
-    /// (every solo run) clones nothing.
+    /// once, then demux — every member gets its own copy of the group
+    /// vectors and counters (and its sink flushed), the last one by move,
+    /// next to its own kept per-packet vectors.
     fn finalize(mut self) -> Vec<(TenantId, StreamOutput)> {
         self.drain_packets();
         let groups = self.nic.finish();
         self.score(&groups);
         let mut whole = StreamOutput {
             group_vectors: groups,
-            packet_vectors: self.pkts_accum,
             stats: *self.nic.stats(),
             groups_per_level: self.nic.groups_per_level(),
             evicted_vectors: self.nic.take_evicted(),
@@ -345,23 +341,13 @@ impl UnitEngine {
 
     /// Splits the member at `pos` off a still-populated unit as a unit of
     /// its own over a *clone* of the engine, so finalizing it cannot touch
-    /// the survivors' live state. Its detector leaves with it.
+    /// the survivors' live state. Its outlet and detector leave with it.
     fn fork(&mut self, pos: usize) -> UnitEngine {
-        let m = self.members.remove(pos);
-        let pkts_accum = if m.sink.is_some() {
-            Vec::new()
-        } else {
-            self.pkts_accum.clone()
-        };
-        if self.members.iter().all(|m| m.sink.is_some()) {
-            self.pkts_accum.clear();
-        }
         UnitEngine {
             unit: self.unit,
             group: self.group,
             nic: self.nic.clone(),
-            members: vec![m],
-            pkts_accum,
+            members: vec![self.members.remove(pos)],
             shard: self.shard,
         }
     }
@@ -410,7 +396,6 @@ impl Shard {
                     group,
                     nic: engine,
                     members: vec![MemberEgress::new(unit, sink)],
-                    pkts_accum: Vec::new(),
                     shard,
                 }),
                 ShardMsg::Join { unit, member, sink } => {
@@ -478,11 +463,15 @@ impl Shard {
         self.engines
             .iter()
             .map(|u| {
+                let members = u.members.iter().map(|m| MemberState {
+                    member: m.member,
+                    seq: m.seq,
+                    kept: m.kept.clone(),
+                });
                 let state = ShardUnitState {
                     shard: self.index,
                     engine: u.nic.clone(),
-                    member_seqs: u.members.iter().map(|m| (m.member, m.seq)).collect(),
-                    pkts_accum: u.pkts_accum.clone(),
+                    members: members.collect(),
                 };
                 (u.unit, state)
             })
@@ -494,14 +483,14 @@ impl Shard {
             return false;
         };
         let roster = u.members.iter().map(|m| m.member);
-        if !roster.eq(state.member_seqs.iter().map(|(id, _)| *id)) {
+        if !roster.eq(state.members.iter().map(|m| m.member)) {
             return false;
         }
         u.nic = state.engine;
-        for (m, (_, seq)) in u.members.iter_mut().zip(state.member_seqs) {
-            m.seq = seq;
+        for (m, saved) in u.members.iter_mut().zip(state.members) {
+            m.seq = saved.seq;
+            m.kept = saved.kept;
         }
-        u.pkts_accum = state.pkts_accum;
         true
     }
 

@@ -25,7 +25,10 @@
 //! which the solo pipeline runs with one partition and the control plane
 //! with N: [`SharedSwitch::attach`] adds a filter entry and a partition,
 //! [`SharedSwitch::detach_into`] drains the departing tenant's partition
-//! into the event stream so no in-flight records are lost.
+//! into the event stream so no in-flight records are lost. A unit that
+//! subscribes to a live partition (SF08xx prefix sharing) only widens its
+//! record, in place: [`SharedSwitch::relayout`] flushes and rebuilds
+//! nothing, so the partition's batched records stay where they are.
 
 use superfe_net::snap::{StateReader, StateWriter};
 use superfe_net::PacketRecord;
@@ -71,8 +74,8 @@ pub struct SharedSwitchStats {
 }
 
 /// The union of several switch programs' metadata records, in canonical
-/// field order — deterministic regardless of member order, so re-attaching
-/// a group after membership changes produces the same record layout.
+/// field order — deterministic regardless of member order, so a partition
+/// re-laid after membership changes gets the same record layout.
 pub fn union_metadata(programs: &[&SwitchProgram]) -> Vec<MetaField> {
     const CANONICAL: [MetaField; 4] = [
         MetaField::Size,
@@ -149,36 +152,21 @@ impl SharedSwitch {
         true
     }
 
-    /// Attaches one partition serving a whole shared-prefix group: the
-    /// filter and granularity chain come from the first member (the group
-    /// representative — the SF08xx certificate guarantees every member's
-    /// are interchangeable), while the metadata record is the **union** of
-    /// all members' records in canonical field order, so the partition
-    /// materializes every field any member's NIC tail reads.
+    /// Re-lays partition `tenant`'s record, in place, as the **union** of
+    /// `programs`' metadata records in canonical field order, so the
+    /// partition materializes every field any subscriber's NIC tail reads.
+    /// Its filter, granularity chain, cache and counters are untouched (the
+    /// SF08xx certificate makes every subscriber's interchangeable).
     ///
     /// The MGPV cache's event stream — record content and eviction timing —
     /// does not depend on the metadata layout (records materialize all
-    /// fields; the layout only drives wire-byte accounting), which is what
-    /// makes widening the record sound for every member.
-    ///
-    /// Returns `false` when `programs` is empty, the id is in use, or the
-    /// cache configuration is degenerate.
-    pub fn attach_shared(
-        &mut self,
-        tenant: TenantId,
-        programs: &[&SwitchProgram],
-        cfg: MgpvConfig,
-        mode: CacheMode,
-    ) -> bool {
-        let Some(rep) = programs.first() else {
-            return false;
-        };
-        let union = SwitchProgram {
-            filter: rep.filter.clone(),
-            levels: rep.levels.clone(),
-            metadata: union_metadata(programs),
-        };
-        self.attach(tenant, union, cfg, mode)
+    /// fields; the layout only drives wire-byte accounting), so re-laying
+    /// is lossless at any stream position and needs no flush. An unknown
+    /// partition is left alone.
+    pub fn relayout(&mut self, tenant: TenantId, programs: &[&SwitchProgram]) {
+        if let Some(slot) = self.slots.iter_mut().find(|s| s.tenant == tenant) {
+            slot.switch.relayout(union_metadata(programs));
+        }
     }
 
     /// Detaches a tenant, draining its partition into `out` (tagged with
@@ -403,31 +391,40 @@ mod tests {
     fn shared_partition_event_stream_is_metadata_independent() {
         // Two policies with the same switch prefix (no filter, groupby
         // host) but different metadata demands: one reads sizes, the other
-        // inter-packet times. attach_shared builds one partition with the
-        // union record; its event stream must be bitwise identical to each
-        // member's own partition, because record content and eviction
-        // timing do not depend on the metadata layout.
+        // inter-packet times. Re-laying either's partition as the union
+        // record, at the start or mid-stream, must leave its event stream
+        // bitwise identical, because record content and eviction timing do
+        // not depend on the metadata layout.
         let bytes = host_sum();
         let times = program(
             "pktstream\n.groupby(host)\n.map(ipt, tstamp, f_ipt)\n\
              .reduce(ipt, [f_mean])\n.collect(host)",
         );
         assert_ne!(bytes.metadata, times.metadata);
-        let run = |programs: &[&SwitchProgram]| {
+        let union = [&bytes, &times];
+        let run = |program: &SwitchProgram, relayout_at: Option<usize>| {
             let mut sw = SharedSwitch::new();
-            let cfg = MgpvConfig::default();
-            assert!(sw.attach_shared(TenantId(0), programs, cfg, CacheMode::Mgpv));
+            attach(&mut sw, 0, program.clone());
             let mut out = Vec::new();
-            for p in packets(500) {
+            for (i, p) in packets(500).enumerate() {
+                if relayout_at == Some(i) {
+                    sw.relayout(TenantId(0), &union);
+                    let laid = &sw.partition(TenantId(0)).unwrap().program().metadata;
+                    assert_eq!(laid, &union_metadata(&union));
+                }
                 sw.process_into(&p, &mut out);
             }
             sw.flush_into(&mut out);
             out
         };
-        let shared = run(&[&bytes, &times]);
-        assert_eq!(shared, run(&[&bytes]));
-        assert_eq!(shared, run(&[&times]));
+        for program in union {
+            let alone = run(program, None);
+            assert_eq!(run(program, Some(0)), alone);
+            assert_eq!(run(program, Some(250)), alone);
+        }
+        // An unknown partition is left alone.
         let mut sw = SharedSwitch::new();
-        assert!(!sw.attach_shared(TenantId(0), &[], MgpvConfig::default(), CacheMode::Mgpv));
+        sw.relayout(TenantId(0), &union);
+        assert!(sw.partition(TenantId(0)).is_none());
     }
 }

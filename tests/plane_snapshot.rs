@@ -431,6 +431,29 @@ fn restore_refuses_a_version_3_snapshot() {
     }
 }
 
+/// Bytes that claim v4 — whose NIC section kept one vector buffer per unit
+/// for its sinkless members, where v5 writes one per member — restore to
+/// the typed version error too.
+#[test]
+fn restore_refuses_a_version_4_snapshot() {
+    let specs = [host_sum()];
+    let mut plane = CtrlPlane::new(1, AnalyzeConfig::default());
+    plane.attach(&specs[0], None).expect("admitted");
+    let mut bytes = plane.snapshot().expect("snapshot");
+    plane.finish().expect("workers alive");
+
+    let mut r = StateReader::new(&bytes);
+    r.get_bytes().expect("magic");
+    let version_field = bytes.len() - r.remaining();
+    assert_eq!(r.get_u16(), Some(superfe::ctrl::SNAPSHOT_VERSION));
+    bytes[version_field..version_field + 2].copy_from_slice(&4u16.to_le_bytes());
+    match CtrlPlane::restore(AnalyzeConfig::default(), &specs, &bytes, |_| None) {
+        Err(CtrlError::Snapshot(msg)) => assert!(msg.contains("version 4"), "{msg}"),
+        Err(other) => panic!("expected a snapshot error, got {other}"),
+        Ok(_) => panic!("a version 4 snapshot must not restore"),
+    }
+}
+
 /// A vector count is checked against the bytes left before anything is
 /// reserved for it: a per-group policy's snapshot ends in its one shard's
 /// (zero) count of accumulated per-packet vectors, and a count patched to
