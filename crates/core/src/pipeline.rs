@@ -100,6 +100,16 @@ impl SuperFe {
     }
 
     /// Feeds one parsed packet through switch and NIC.
+    ///
+    /// # Panics
+    ///
+    /// On a packet at or past the switch's timestamp horizon
+    /// ([`TS_HORIZON_NS`](superfe_switch::record::TS_HORIZON_NS), ~71.6
+    /// minutes) that reaches the MGPV cache. A caller replaying longer
+    /// captures rebases timestamps first, or feeds a
+    /// [`DataPath`](crate::stream::DataPath), whose
+    /// [`push`](crate::stream::DataPath::push) refuses such a packet with
+    /// the typed [`NicError::PastHorizon`](superfe_nic::NicError::PastHorizon).
     pub fn push(&mut self, p: &PacketRecord) {
         self.frame.clear();
         self.switch.process_into(p, &mut self.frame);
@@ -109,6 +119,16 @@ impl SuperFe {
     }
 
     /// Feeds a raw Ethernet frame (exercising the switch parser).
+    ///
+    /// # Panics
+    ///
+    /// On a packet at or past the switch's timestamp horizon
+    /// ([`TS_HORIZON_NS`](superfe_switch::record::TS_HORIZON_NS), ~71.6
+    /// minutes) that reaches the MGPV cache. A caller replaying longer
+    /// captures rebases timestamps first, or feeds a
+    /// [`DataPath`](crate::stream::DataPath), whose
+    /// [`push`](crate::stream::DataPath::push) refuses such a packet with
+    /// the typed [`NicError::PastHorizon`](superfe_nic::NicError::PastHorizon).
     pub fn push_frame(
         &mut self,
         frame: &[u8],

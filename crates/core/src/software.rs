@@ -129,18 +129,6 @@ impl SoftwareExtractor {
         Ok(())
     }
 
-    /// Features of a specific group, if it exists.
-    pub fn group_features(&self, key: &GroupKey) -> Option<Vec<f64>> {
-        for (li, level) in self.compiled.nic.levels.iter().enumerate() {
-            if level.granularity == key.granularity() {
-                return self.levels[li]
-                    .get(key)
-                    .map(|g| g.finalize(&self.plans[li], &self.slabs[li]));
-            }
-        }
-        None
-    }
-
     /// Finishes, producing all group and packet vectors.
     pub fn finish(mut self) -> (Vec<FeatureVector>, Vec<FeatureVector>) {
         let mut groups = Vec::new();
@@ -235,16 +223,5 @@ pktstream
         assert_eq!(sw.packets(), 1);
         assert_eq!(sw.bytes(), 500);
         assert!(sw.push_frame(&[1, 2, 3], 0, Direction::Ingress).is_err());
-    }
-
-    #[test]
-    fn group_features_lookup() {
-        let mut sw = SoftwareExtractor::from_dsl(
-            "pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(host)",
-        )
-        .unwrap();
-        sw.push(&PacketRecord::tcp(0, 100, 42, 1, 2, 2));
-        assert_eq!(sw.group_features(&GroupKey::Host(42)), Some(vec![100.0]));
-        assert_eq!(sw.group_features(&GroupKey::Host(1)), None);
     }
 }

@@ -47,7 +47,7 @@
 //!
 //! Untouched tenants lose or duplicate zero vectors across either
 //! operation: their partitions, engines, and channels are never touched,
-//! and the epoch markers travel in-band so they cannot reorder against
+//! and the pool's epochs travel in-band so they cannot reorder against
 //! event frames. Sharing preserves the same contract: every fused member
 //! receives its own copy of every vector under its own egress numbering,
 //! and the MGPV event stream — record content *and* eviction timing — is

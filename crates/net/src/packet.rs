@@ -38,11 +38,6 @@ impl Protocol {
             other => Protocol::Other(other),
         }
     }
-
-    /// Whether this protocol carries transport-layer ports.
-    pub fn has_ports(self) -> bool {
-        matches!(self, Protocol::Tcp | Protocol::Udp)
-    }
 }
 
 /// TCP flag bits, as laid out in the TCP header's flags octet.
@@ -179,14 +174,6 @@ mod tests {
         for n in 0..=255u8 {
             assert_eq!(Protocol::from_number(n).number(), n);
         }
-    }
-
-    #[test]
-    fn protocol_ports() {
-        assert!(Protocol::Tcp.has_ports());
-        assert!(Protocol::Udp.has_ports());
-        assert!(!Protocol::Icmp.has_ports());
-        assert!(!Protocol::Other(47).has_ports());
     }
 
     #[test]

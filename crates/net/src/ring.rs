@@ -334,7 +334,7 @@ impl<T> Producer<T> {
         Ok(())
     }
 
-    /// Sends and immediately rings the doorbell — for control markers that
+    /// Sends and immediately rings the doorbell — for control messages that
     /// must be visible to the consumer before the caller blocks on a
     /// response.
     pub fn send_now(&mut self, item: T) -> Result<(), SendError<T>> {

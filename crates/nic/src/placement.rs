@@ -28,16 +28,22 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// The level a named state was placed into.
-    pub fn level_of(&self, name: &str) -> Option<MemLevel> {
+    /// The level a named state was placed into: the oracle of the tests
+    /// `single_small_state_goes_to_cls`, `hottest_states_win_the_fast_memory`,
+    /// `wide_tables_shrink_budgets` and `oversized_states_fall_to_dram`.
+    #[cfg(test)]
+    fn level_of(&self, name: &str) -> Option<MemLevel> {
         self.assignment
             .iter()
             .find(|(n, _)| n == name)
             .map(|&(_, m)| m)
     }
 
-    /// Total state bytes placed per memory level.
-    pub fn bytes_per_level(&self, states: &[StateSpec]) -> Vec<(MemLevel, usize)> {
+    /// Total state bytes placed per memory level: the oracle of the tests
+    /// `bytes_per_level_partitions_states` and
+    /// `kitsune_scale_instance_solves_optimally`.
+    #[cfg(test)]
+    fn bytes_per_level(&self, states: &[StateSpec]) -> Vec<(MemLevel, usize)> {
         MemLevel::all()
             .iter()
             .map(|&lvl| {

@@ -23,9 +23,14 @@ use crate::reducer::Reducer;
 const NS_PER_SEC: f64 = 1e9;
 
 /// Decay factor `2^(-λ·Δt)` for a gap of `dt_ns` nanoseconds.
+///
+/// Always libm's `pow`: an optimized build rewrites `pow(2.0, x)` into
+/// `exp2(x)`, which differs from `pow` in the last bit on some inputs, so
+/// the base is hidden from the optimizer and every build prints the same
+/// digests.
 fn decay_factor(lambda: f64, dt_ns: u64) -> f64 {
     let dt = dt_ns as f64 / NS_PER_SEC;
-    (2.0f64).powf(-lambda * dt)
+    std::hint::black_box(2.0f64).powf(-lambda * dt)
 }
 
 /// Entries a [`DecayMemo`] keeps per record; a probe past them still gets its

@@ -164,6 +164,15 @@ impl FeSwitch {
     }
 
     /// Processes a raw Ethernet frame observed at `ts_ns` / `direction`.
+    ///
+    /// # Panics
+    ///
+    /// On a packet at or past [`TS_HORIZON_NS`](crate::record::TS_HORIZON_NS)
+    /// (~71.6 minutes) that reaches the MGPV cache: its 32-bit microsecond
+    /// record timestamp would wrap. A caller replaying longer captures
+    /// rebases timestamps first, or feeds `superfe_core`'s
+    /// `DataPath::push`, which refuses such a packet with the typed
+    /// `NicError::PastHorizon`.
     pub fn process_frame(
         &mut self,
         frame: &[u8],
@@ -175,6 +184,15 @@ impl FeSwitch {
     }
 
     /// Processes a pre-parsed packet record.
+    ///
+    /// # Panics
+    ///
+    /// On a packet at or past [`TS_HORIZON_NS`](crate::record::TS_HORIZON_NS)
+    /// (~71.6 minutes) that reaches the MGPV cache: its 32-bit microsecond
+    /// record timestamp would wrap. A caller replaying longer captures
+    /// rebases timestamps first, or feeds `superfe_core`'s
+    /// `DataPath::push`, which refuses such a packet with the typed
+    /// `NicError::PastHorizon`.
     pub fn process(&mut self, p: &PacketRecord) -> Vec<SwitchEvent> {
         let mut events = Vec::new();
         self.process_into(p, &mut events);
@@ -185,6 +203,15 @@ impl FeSwitch {
     /// a caller-supplied frame. The allocation-free form of
     /// [`FeSwitch::process`]: the streaming pipeline recycles one frame
     /// across packets instead of allocating a `Vec` per packet.
+    ///
+    /// # Panics
+    ///
+    /// On a packet at or past [`TS_HORIZON_NS`](crate::record::TS_HORIZON_NS)
+    /// (~71.6 minutes) that reaches the MGPV cache: its 32-bit microsecond
+    /// record timestamp would wrap. A caller replaying longer captures
+    /// rebases timestamps first, or feeds `superfe_core`'s
+    /// `DataPath::push`, which refuses such a packet with the typed
+    /// `NicError::PastHorizon`.
     pub fn process_into(&mut self, p: &PacketRecord, out: &mut Vec<SwitchEvent>) {
         self.stats.pkts_in += 1;
         self.stats.bytes_in += u64::from(p.size);

@@ -239,18 +239,6 @@ impl ScaleWorkload {
         &self.cfg
     }
 
-    /// Expected packet count (background mean × flows + attack packets) —
-    /// an estimate for sizing benchmark runs, not a promise.
-    pub fn expected_packets(&self) -> usize {
-        let bg = (self.cfg.flows as f64 * self.cfg.mean_flow_len) as usize;
-        let atk = self
-            .cfg
-            .attack
-            .as_ref()
-            .map_or(0, |a| a.flows * a.pkts_per_flow as usize);
-        bg + atk
-    }
-
     /// Starts streaming. The iterator's live state is bounded by
     /// [`ScaleConfig::active_cap`] flows regardless of `flows`.
     pub fn stream(&self) -> ScaleStream {
@@ -755,15 +743,6 @@ mod tests {
         // shortly after (50 µs pacing), so allow a small overhang.
         let slack = dur_ns / 20;
         assert!(hits.iter().all(|&t| t + slack >= lo && t <= hi + slack));
-    }
-
-    #[test]
-    fn expected_packets_is_a_sane_estimate() {
-        let w = small();
-        let est = w.expected_packets();
-        let actual = w.stream().count();
-        let err = (actual as f64 - est as f64).abs() / est as f64;
-        assert!(err < 0.5, "estimate {est}, actual {actual}");
     }
 
     /// FNV-1a over 64-bit words: every field of every packet, in order.

@@ -4,7 +4,7 @@
 //! must surface as an error, never as a hung handshake.
 
 use superfe::net::{Direction, PacketRecord};
-use superfe::nic::{EgressVector, FeNic, NicError, ShardPool, VectorSink};
+use superfe::nic::{EgressVector, FeNic, NicError, ShardPool, ShardUnitState, VectorSink};
 use superfe::policy::{compile, dsl, CompiledPolicy};
 use superfe::switch::{FeSwitch, MgpvRecord, SwitchEvent, TaggedEvent, TenantId};
 use superfe::trafficgen::Workload;
@@ -205,18 +205,27 @@ impl VectorSink for PanickingSink {
     }
 }
 
-/// A shard worker that dies with an epoch marker already in its ring can
-/// never ack it — and the marker keeps the ack channel open — so every
-/// wait on the pool must notice the dead thread instead: `detach`,
-/// `dump_state` and `finish` all return `WorkerLost`, under a watchdog,
-/// whether the pool serves the doomed unit alone or next to a healthy one.
+/// A shard worker that dies with an epoch already in its ring can never
+/// ack it — and the epoch keeps the ack channel open — so every wait on the
+/// pool must notice the dead thread instead: `detach`, `dump_state`,
+/// `state_pressure`, `restore_unit` (of a dump taken while the worker
+/// lived) and `finish` all return `WorkerLost`, under a watchdog, whether
+/// the pool serves the doomed unit alone or next to a healthy one.
 #[test]
 fn dead_worker_is_an_error_not_a_hung_handshake() {
-    type Op = fn(ShardPool, TenantId) -> Result<(), NicError>;
-    let ops: [(&str, Op); 3] = [
-        ("detach", |mut pool, t| pool.detach(t, Vec::new()).map(drop)),
-        ("dump_state", |mut pool, _| pool.dump_state().map(drop)),
-        ("finish", |pool, _| pool.finish().map(drop)),
+    type Op = fn(ShardPool, TenantId, Vec<ShardUnitState>) -> Result<(), NicError>;
+    let ops: [(&str, Op); 5] = [
+        ("detach", |mut pool, t, _| {
+            pool.detach(t, Vec::new()).map(drop)
+        }),
+        ("dump_state", |mut pool, _, _| pool.dump_state().map(drop)),
+        ("state_pressure", |mut pool, _, _| {
+            pool.state_pressure().map(drop)
+        }),
+        ("restore_unit", |mut pool, t, saved| {
+            pool.restore_unit(t, saved)
+        }),
+        ("finish", |pool, _, _| pool.finish().map(drop)),
     ];
     let per_packet = compile(
         &dsl::parse("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(pkt)")
@@ -237,6 +246,9 @@ fn dead_worker_is_an_error_not_a_hung_handshake() {
                 pool.attach(healthy, healthy, &per_packet, 16_384, None)
                     .expect("attaches");
             }
+            let saved = pool.dump_state().expect("the worker still lives");
+            let saved = saved.into_iter().find(|d| d.unit == healthy);
+            let saved = saved.expect("the healthy unit is dumped").shards;
             // Less than a frame: the events (and the panic they cause) are
             // usually still pending when the operation under test starts.
             // Not always: a worker that idled a whole ring dwell through
@@ -253,7 +265,7 @@ fn dead_worker_is_an_error_not_a_hung_handshake() {
                 }
             }
             let (done_tx, done_rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || done_tx.send(op(pool, healthy)));
+            std::thread::spawn(move || done_tx.send(op(pool, healthy, saved)));
             let result = done_rx
                 .recv_timeout(std::time::Duration::from_secs(5))
                 .unwrap_or_else(|_| panic!("{name} hung on a dead worker ({units} units)"));
