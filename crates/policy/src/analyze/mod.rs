@@ -217,11 +217,6 @@ impl AnalysisReport {
         self.error_count() > 0
     }
 
-    /// The first error-severity finding, if any.
-    pub fn first_error(&self) -> Option<&Diagnostic> {
-        self.of_severity(Severity::Error).next()
-    }
-
     /// Whether the report is lint-clean: no errors and no warnings (notes
     /// are allowed — they describe expected behavior).
     pub fn is_lint_clean(&self) -> bool {
@@ -333,7 +328,6 @@ mod tests {
         assert_eq!(r.error_count(), 1);
         assert_eq!(r.warning_count(), 1);
         assert_eq!(r.note_count(), 1);
-        assert_eq!(r.first_error().unwrap().code, "SF0303");
         assert!(r.has_code("SF0201"));
         assert!(!r.has_code("SF0999"));
     }

@@ -181,20 +181,6 @@ pub struct PolicyIr {
     pub nodes: Vec<IrNode>,
 }
 
-impl PolicyIr {
-    /// The type of `field` as seen *after* the whole chain (builtin or last
-    /// `map` definition), if it is ever defined.
-    pub fn field_ty(&self, field: &Field) -> Option<ValueTy> {
-        if field.is_builtin() {
-            return Some(builtin_ty(field));
-        }
-        self.nodes.iter().rev().find_map(|n| match &n.op {
-            IrOp::Map { dst, ty, .. } if dst == field => Some(*ty),
-            _ => None,
-        })
-    }
-}
-
 /// Lowers a parsed policy into the typed IR.
 ///
 /// Lowering never fails: undefined named fields get the [`ValueUnit::Scalar`]
@@ -275,16 +261,6 @@ mod tests {
         assert_eq!(ir.nodes[0].level, 0);
         assert!(ir.nodes[2..].iter().all(|n| n.level == 1));
 
-        // f_ipt over tstamp is unsigned time.
-        assert_eq!(
-            ir.field_ty(&Field::Named("ipt".into())),
-            Some(ValueTy::unsigned(ValueUnit::TimeNs))
-        );
-        // f_one is an unsigned count; f_direction keeps the unit but signs it.
-        assert_eq!(
-            ir.field_ty(&Field::Named("dirone".into())),
-            Some(ValueTy::signed(ValueUnit::Count))
-        );
         // The reduce sees the mapped type on its source edge.
         let reduce = ir
             .nodes
@@ -313,14 +289,5 @@ mod tests {
     fn value_ty_display_is_compact() {
         assert_eq!(ValueTy::unsigned(ValueUnit::Bytes).to_string(), "bytes");
         assert_eq!(ValueTy::signed(ValueUnit::Count).to_string(), "±count");
-    }
-
-    #[test]
-    fn field_ty_of_undefined_named_field_is_scalar() {
-        let ir = lower(
-            &dsl::parse("pktstream\n.groupby(flow)\n.reduce(size, [f_sum])\n.collect(flow)")
-                .unwrap(),
-        );
-        assert_eq!(ir.field_ty(&Field::Named("nope".into())), None);
     }
 }

@@ -107,12 +107,6 @@ pub fn sum_bound(x: Interval, n: u64) -> Interval {
     }
 }
 
-/// Welford running mean: with a zero start and convex updates, the mean
-/// never leaves the hull of the samples and the origin.
-pub fn welford_mean_bound(x: Interval) -> Interval {
-    x.hull(Interval::point(0.0))
-}
-
 /// Welford `M2` after at most `n` updates: the population variance of any
 /// sample confined to `[a, b]` is at most `(b − a)²/4` (Popoviciu's
 /// inequality), so `M2 = n · Var ≤ n · (width/2)²`. The bound is attained by
@@ -122,26 +116,6 @@ pub fn welford_mean_bound(x: Interval) -> Interval {
 pub fn welford_m2_bound(x: Interval, n: u64) -> f64 {
     let half = x.width() / 2.0;
     n as f64 * half * half
-}
-
-/// Fourth central moment `M4` after at most `n` updates: `M4 ≤ n · range⁴`
-/// by the same residual argument (skew/kurtosis reducers).
-pub fn moments_m4_bound(x: Interval, n: u64) -> f64 {
-    let r = x.width();
-    n as f64 * r * r * r * r
-}
-
-/// Largest rank a HyperLogLog register can hold with `2^k` buckets: `k` bits
-/// index the bucket, the remaining `32 − k` hash bits feed the
-/// leading-zero count, whose maximum rank is `32 − k + 1`.
-pub fn hll_register_max(k: u8) -> u32 {
-    32 - u32::from(k) + 1
-}
-
-/// Bits one HyperLogLog register needs to store every reachable rank.
-pub fn hll_register_bits(k: u8) -> u32 {
-    let max = hll_register_max(k);
-    32 - max.leading_zeros()
 }
 
 #[cfg(test)]
@@ -191,7 +165,6 @@ mod tests {
         for i in 0..n {
             w.update(if i % 2 == 0 { x.hi } else { x.lo });
         }
-        assert!(welford_mean_bound(x).contains(w.mean()));
         // The oscillating stream attains Popoviciu's bound exactly; allow a
         // hair of floating-point slack on the comparison.
         let m2 = w.variance() * n as f64;
@@ -213,23 +186,5 @@ mod tests {
             fx.update_int(65535);
         }
         assert!((fx.mean() - 65535.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn moments_bound_dominates_m2() {
-        let x = Interval::new(0.0, 100.0);
-        assert!(moments_m4_bound(x, 10) >= welford_m2_bound(x, 10));
-    }
-
-    #[test]
-    fn hll_register_widths() {
-        assert_eq!(hll_register_max(4), 29);
-        assert_eq!(hll_register_max(16), 17);
-        assert_eq!(hll_register_bits(4), 5);
-        assert_eq!(hll_register_bits(16), 5);
-        // Every reachable rank fits in the byte-wide registers hll.rs uses.
-        for k in 4..=16u8 {
-            assert!(hll_register_max(k) <= 255);
-        }
     }
 }
