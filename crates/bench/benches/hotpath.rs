@@ -22,7 +22,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Bencher, Criterion, 
 use std::hint::black_box;
 
 use superfe_ml::{
-    quantize, train_and_calibrate, CalibrationConfig, KernelWidth, KitNetDetector, QuantConfig,
+    quantize, train_and_calibrate, CalibrationConfig, DetectorKind, KernelWidth, QuantConfig,
     Scorer,
 };
 use superfe_net::{crc32, FiveTuple, Granularity, GroupKey, PacketRecord};
@@ -274,7 +274,7 @@ fn bench_kitnet_score(c: &mut Criterion) {
     };
     let train: Vec<Vec<f64>> = (0..1_500).map(|_| sample()).collect();
     let refs: Vec<&[f64]> = train.iter().map(Vec::as_slice).collect();
-    let detector = Box::new(KitNetDetector::new(DIM, 4).expect("detector"));
+    let detector = DetectorKind::KitNet.build(DIM, 4).expect("detector");
     let float =
         train_and_calibrate(detector, &refs, 0.2, CalibrationConfig::default()).expect("trains");
     let quant = quantize(&float, &QuantConfig::default()).expect("lowers");

@@ -8,8 +8,9 @@
 //! finalized it, by a float [`superfe_ml::FrozenDetector`] or its certified
 //! fixed-point lowering, and only alerts leave. This crate holds the rest:
 //!
-//! - [`DetectorKind`]: the four built-in models by name, re-exported from
-//!   [`superfe_ml::detector`], next to the models it names.
+//! - [`DetectorKind`]: the model registry, re-exported from
+//!   [`superfe_ml::detector`]: the four built-in models by name, and
+//!   [`DetectorKind::build`], the one way to get an unfitted detector.
 //! - [`offline`]: [`score_offline`], batch scoring under the same canonical
 //!   `(key, per-key position)` semantics — the reference the in-shard stage
 //!   is differentially tested against, for any [`superfe_ml::Scorer`].
@@ -19,8 +20,8 @@
 //! - [`quantized`]: measured float-vs-quantized score deltas and the report
 //!   section for `detect --in-pipeline`.
 //!
-//! Fitting and threshold calibration live in [`superfe_ml::detector`]: a
-//! model is fitted once on a benign slice
+//! Fitting and threshold calibration live in [`superfe_ml::detector`]: the
+//! built detector is fitted once on a benign slice
 //! ([`superfe_ml::train_and_calibrate`]) and calibrated on its held-out
 //! tail.
 

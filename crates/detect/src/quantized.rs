@@ -94,9 +94,7 @@ impl QuantizedSection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use superfe_ml::{
-        quantize, train_and_calibrate, CalibrationConfig, CentroidDetector, QuantConfig,
-    };
+    use superfe_ml::{quantize, train_and_calibrate, CalibrationConfig, DetectorKind, QuantConfig};
     use superfe_net::GroupKey;
     use superfe_streaming::FeatureValues;
 
@@ -117,7 +115,7 @@ mod tests {
             .collect();
         let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
         let frozen = train_and_calibrate(
-            Box::new(CentroidDetector::new(dim).unwrap()),
+            DetectorKind::Centroid.build(dim, 0).unwrap(),
             &refs,
             0.2,
             CalibrationConfig::default(),

@@ -1,14 +1,16 @@
-//! The detector contract: a [`Detector`] is a model family with its
-//! feature dimension and parameters, fitted once on a benign slice and
+//! The detector registry: [`DetectorKind`] names the four models, and
+//! [`DetectorKind::build`] makes an unfitted [`Detector`] — a kind, a
+//! feature dimension and a seed — fitted once on a benign slice and
 //! calibrated on the held-out rest of it.
 //!
 //! The figure benches (`superfe-apps`) drive each model through its own ad
 //! hoc API with hard-coded anomaly thresholds. Online serving
-//! (`superfe-detect`) needs one contract for all four models instead:
+//! (`superfe-detect`) needs one surface for all four models instead:
 //!
-//! - **Feature dimension**: every model declares it up front, and fitting
-//!   and scoring return a typed [`MlError::DimMismatch`] on violation — no
-//!   silent zero-padding, no `INFINITY` sentinels. [`train_and_calibrate`]
+//! - **Feature dimension**: every detector declares it up front
+//!   ([`DetectorKind::build`] refuses zero), and fitting and scoring return
+//!   a typed [`MlError::DimMismatch`] on violation — no silent
+//!   zero-padding, no `INFINITY` sentinels. [`train_and_calibrate`]
 //!   refuses a NaN or an infinity with [`MlError::NonFinite`] before
 //!   fitting.
 //! - **Anomaly semantics**: all scores are nonnegative and higher-is-more-
@@ -18,13 +20,12 @@
 //!   CART is reduced from density estimation to classification against a
 //!   seeded synthetic uniform background sample and scores with the leaf's
 //!   background fraction.
-//! - **Fitting**: [`Detector::fit`] consumes the spec and returns a
-//!   [`FittedModel`], one of four. [`train_and_calibrate`] fits the head of
-//!   a benign slice and replaces the benches' hard-coded thresholds: the
+//! - **Fitting**: [`Detector::fit`] is one `match` on the kind and returns
+//!   a [`FittedModel`], one of four. [`train_and_calibrate`] fits the head
+//!   of a benign slice and replaces the benches' hard-coded thresholds: the
 //!   alert threshold is a quantile (times a safety margin) of the scores of
 //!   the *held-out* tail, and the result is an immutable, shareable
 //!   [`FrozenDetector`].
-//! - [`DetectorKind`] names the four models (CLI `--detector`).
 
 use std::sync::Arc;
 
@@ -36,7 +37,7 @@ use crate::kitnet::KitNet;
 use crate::knn::euclidean2;
 use crate::tree::DecisionTree;
 
-/// Typed errors of the [`Detector`] contract.
+/// Typed errors of building, fitting and scoring a detector.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MlError {
     /// A feature vector's dimension did not match the model's contract.
@@ -83,20 +84,6 @@ impl std::fmt::Display for MlError {
 }
 
 impl std::error::Error for MlError {}
-
-/// The unified anomaly-detector contract: an unfitted model, its feature
-/// dimension and its parameters.
-pub trait Detector: Send + Sync {
-    /// Short model name (`"kitnet"`, `"knn"`, `"cart"`, `"centroid"`).
-    fn name(&self) -> &'static str;
-
-    /// The feature dimension this detector was built for.
-    fn feature_dim(&self) -> usize;
-
-    /// Fits the model on benign vectors, each of [`Detector::feature_dim`]
-    /// entries.
-    fn fit(self: Box<Self>, train: &[&[f64]]) -> Result<FittedModel, MlError>;
-}
 
 /// A fitted model: what [`Detector::fit`] returns.
 #[derive(Debug)]
@@ -151,215 +138,180 @@ fn stride<'a>(train: &[&'a [f64]], cap: usize) -> Vec<&'a [f64]> {
 }
 
 // ---------------------------------------------------------------------------
-// KitNET
+// The registry
 // ---------------------------------------------------------------------------
 
-/// [`KitNet`] behind the [`Detector`] contract.
-///
-/// Fitting sizes the feature-mapping grace period as one fifth of the
-/// sample (clamped) and trains on the rest, replaying the slice in order.
-pub struct KitNetDetector {
-    dim: usize,
-    m: usize,
-    seed: u64,
+/// KitNET: minimum training vectors for a meaningful ensemble.
+const KITNET_MIN_TRAIN: usize = 50;
+/// KitNET: Kitsune's default maximum cluster size.
+const KITNET_M: usize = 10;
+/// k-NN: neighbours averaged per score.
+const KNN_K: usize = 3;
+/// k-NN: reference points retained after striding.
+const KNN_CAP: usize = 1024;
+/// CART: benign samples retained for the fit.
+const CART_CAP: usize = 512;
+/// CART: minimum benign samples for a meaningful fit.
+const CART_MIN_TRAIN: usize = 8;
+
+/// The four built-in detector models, selectable by name (CLI `--detector`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DetectorKind {
+    /// Kitsune's autoencoder ensemble, scored by its native RMSE. Fitting
+    /// sizes the feature-mapping grace period as one fifth of the sample
+    /// (clamped) and trains on the rest, replaying the slice in order.
+    KitNet,
+    /// k-NN novelty: the mean Euclidean distance to the 3 nearest benign
+    /// training points, strided down to 1,024 so scoring cost stays bounded
+    /// whatever the trace length.
+    Knn,
+    /// CART via the classification-vs-background reduction: the tree
+    /// separates the benign sample from an equal-sized synthetic sample
+    /// drawn uniformly (seeded) over the slightly expanded benign bounding
+    /// box, and scores the background fraction of the leaf `x` lands in —
+    /// near 0 in dense benign regions, near 1 in empty space.
+    Cart,
+    /// Nearest centroid: `1 − cosine` to the benign centroid (0 for
+    /// perfectly aligned traffic, up to 2 for opposed).
+    Centroid,
 }
 
-impl KitNetDetector {
-    /// Minimum training vectors for a meaningful ensemble.
-    pub const MIN_TRAIN: usize = 50;
+impl DetectorKind {
+    /// All kinds, in CLI listing order.
+    pub fn all() -> [DetectorKind; 4] {
+        [
+            DetectorKind::KitNet,
+            DetectorKind::Knn,
+            DetectorKind::Cart,
+            DetectorKind::Centroid,
+        ]
+    }
 
-    /// Creates a detector for `dim`-dimensional vectors with Kitsune's
-    /// default maximum cluster size.
-    pub fn new(dim: usize, seed: u64) -> Result<Self, MlError> {
+    /// The CLI name of the kind.
+    pub fn name(self) -> &'static str {
+        match self {
+            DetectorKind::KitNet => "kitnet",
+            DetectorKind::Knn => "knn",
+            DetectorKind::Cart => "cart",
+            DetectorKind::Centroid => "centroid",
+        }
+    }
+
+    /// Parses a CLI name (case-insensitive).
+    pub fn parse(s: &str) -> Option<DetectorKind> {
+        match s.to_ascii_lowercase().as_str() {
+            "kitnet" | "kitsune" => Some(DetectorKind::KitNet),
+            "knn" => Some(DetectorKind::Knn),
+            "cart" | "tree" => Some(DetectorKind::Cart),
+            "centroid" => Some(DetectorKind::Centroid),
+            _ => None,
+        }
+    }
+
+    /// Builds an unfitted detector of this kind for `dim`-dimensional
+    /// vectors. `seed` drives any model randomness (KitNET initialization,
+    /// CART's background sample). A zero dimension is refused.
+    pub fn build(self, dim: usize, seed: u64) -> Result<Detector, MlError> {
         if dim == 0 {
             return Err(MlError::InvalidConfig("feature dim must be > 0".into()));
         }
-        Ok(KitNetDetector { dim, m: 10, seed })
-    }
-}
-
-impl Detector for KitNetDetector {
-    fn name(&self) -> &'static str {
-        "kitnet"
-    }
-
-    fn feature_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn fit(self: Box<Self>, train: &[&[f64]]) -> Result<FittedModel, MlError> {
-        check_train(self.dim, train, Self::MIN_TRAIN)?;
-        let n = train.len();
-        let fm = (n / 5).clamp(10, 2000);
-        let mut model = KitNet::new(self.dim, self.m, fm, n - fm, self.seed)
-            .expect("MIN_TRAIN leaves both grace periods positive");
-        for x in train {
-            model.process(x);
-        }
-        debug_assert!(model.is_executing(), "both grace periods end at n");
-        Ok(FittedModel::KitNet(Box::new(model)))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// k-NN novelty
-// ---------------------------------------------------------------------------
-
-/// k-NN as a novelty detector: the score of `x` is the mean Euclidean
-/// distance to its `k` nearest benign training points.
-///
-/// Training points are subsampled to [`KnnNovelty::CAP`] by deterministic
-/// striding so scoring cost stays bounded regardless of trace length.
-pub struct KnnNovelty {
-    dim: usize,
-    k: usize,
-}
-
-impl KnnNovelty {
-    /// Retained reference points after subsampling.
-    pub const CAP: usize = 1024;
-
-    /// Creates a novelty detector with `k` neighbours (k ≥ 1).
-    pub fn new(dim: usize, k: usize) -> Result<Self, MlError> {
-        if dim == 0 || k == 0 {
-            return Err(MlError::InvalidConfig("dim and k must be > 0".into()));
-        }
-        Ok(KnnNovelty { dim, k })
-    }
-}
-
-impl Detector for KnnNovelty {
-    fn name(&self) -> &'static str {
-        "knn"
-    }
-
-    fn feature_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn fit(self: Box<Self>, train: &[&[f64]]) -> Result<FittedModel, MlError> {
-        check_train(self.dim, train, self.k)?;
-        let points = stride(train, Self::CAP).into_iter().map(<[f64]>::to_vec);
-        Ok(FittedModel::Knn {
-            k: self.k,
-            points: points.collect(),
+        Ok(Detector {
+            kind: self,
+            dim,
+            seed,
         })
     }
 }
 
-// ---------------------------------------------------------------------------
-// Nearest centroid
-// ---------------------------------------------------------------------------
-
-/// Nearest-centroid as an anomaly detector: score is `1 − cosine` to the
-/// benign centroid (0 for perfectly aligned traffic, up to 2 for opposed).
-pub struct CentroidDetector {
-    dim: usize,
-}
-
-impl CentroidDetector {
-    /// Creates a detector for `dim`-dimensional vectors.
-    pub fn new(dim: usize) -> Result<Self, MlError> {
-        if dim == 0 {
-            return Err(MlError::InvalidConfig("feature dim must be > 0".into()));
-        }
-        Ok(CentroidDetector { dim })
-    }
-}
-
-impl Detector for CentroidDetector {
-    fn name(&self) -> &'static str {
-        "centroid"
-    }
-
-    fn feature_dim(&self) -> usize {
-        self.dim
-    }
-
-    fn fit(self: Box<Self>, train: &[&[f64]]) -> Result<FittedModel, MlError> {
-        check_train(self.dim, train, 1)?;
-        let mut sum = vec![0.0; self.dim];
-        for x in train {
-            for (s, v) in sum.iter_mut().zip(*x) {
-                *s += v;
-            }
-        }
-        let n = train.len() as f64;
-        Ok(FittedModel::Centroid(sum.iter().map(|s| s / n).collect()))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// CART vs. uniform background
-// ---------------------------------------------------------------------------
-
-/// CART as an anomaly detector, via the classification-vs-background
-/// reduction: the tree is trained to separate the benign sample from an
-/// equal-sized *synthetic* sample drawn uniformly over the (slightly
-/// expanded) benign bounding box, and the anomaly score of `x` is the
-/// background fraction of the leaf it lands in — near 0 in dense benign
-/// regions, near 1 in empty space.
-pub struct CartDetector {
+/// An unfitted detector: a model kind, the feature dimension it was built
+/// for and its seed. [`DetectorKind::build`] is the only way to get one.
+#[derive(Clone, Copy, Debug)]
+pub struct Detector {
+    kind: DetectorKind,
     dim: usize,
     seed: u64,
 }
 
-impl CartDetector {
-    /// Benign samples retained for the fit (deterministic striding).
-    pub const CAP: usize = 512;
-    /// Minimum benign samples for a meaningful fit.
-    pub const MIN_TRAIN: usize = 8;
-
-    /// Creates a detector for `dim`-dimensional vectors; `seed` drives the
-    /// synthetic background sample.
-    pub fn new(dim: usize, seed: u64) -> Result<Self, MlError> {
-        if dim == 0 {
-            return Err(MlError::InvalidConfig("feature dim must be > 0".into()));
-        }
-        Ok(CartDetector { dim, seed })
-    }
-}
-
-impl Detector for CartDetector {
-    fn name(&self) -> &'static str {
-        "cart"
+impl Detector {
+    /// Short model name: its kind's ([`DetectorKind::name`]).
+    pub fn name(&self) -> &'static str {
+        self.kind.name()
     }
 
-    fn feature_dim(&self) -> usize {
+    /// The feature dimension this detector was built for.
+    pub fn feature_dim(&self) -> usize {
         self.dim
     }
 
-    fn fit(self: Box<Self>, train: &[&[f64]]) -> Result<FittedModel, MlError> {
-        check_train(self.dim, train, Self::MIN_TRAIN)?;
-        let benign = stride(train, Self::CAP);
-        // Per-dimension bounding box, expanded 10% (at least ±0.5 for
-        // constant dimensions) so the background sample surrounds the data.
-        let mut lo = vec![f64::INFINITY; self.dim];
-        let mut hi = vec![f64::NEG_INFINITY; self.dim];
-        for x in &benign {
-            for d in 0..self.dim {
-                lo[d] = lo[d].min(x[d]);
-                hi[d] = hi[d].max(x[d]);
+    /// Fits the model on benign vectors, each of [`Detector::feature_dim`]
+    /// entries.
+    pub fn fit(self, train: &[&[f64]]) -> Result<FittedModel, MlError> {
+        let Detector { kind, dim, seed } = self;
+        match kind {
+            DetectorKind::KitNet => {
+                check_train(dim, train, KITNET_MIN_TRAIN)?;
+                let n = train.len();
+                let fm = (n / 5).clamp(10, 2000);
+                let mut model = KitNet::new(dim, KITNET_M, fm, n - fm, seed)
+                    .expect("KITNET_MIN_TRAIN leaves both grace periods positive");
+                for x in train {
+                    model.process(x);
+                }
+                debug_assert!(model.is_executing(), "both grace periods end at n");
+                Ok(FittedModel::KitNet(Box::new(model)))
+            }
+            DetectorKind::Knn => {
+                check_train(dim, train, KNN_K)?;
+                let points = stride(train, KNN_CAP).into_iter().map(<[f64]>::to_vec);
+                Ok(FittedModel::Knn {
+                    k: KNN_K,
+                    points: points.collect(),
+                })
+            }
+            DetectorKind::Centroid => {
+                check_train(dim, train, 1)?;
+                let mut sum = vec![0.0; dim];
+                for x in train {
+                    for (s, v) in sum.iter_mut().zip(*x) {
+                        *s += v;
+                    }
+                }
+                let n = train.len() as f64;
+                Ok(FittedModel::Centroid(sum.iter().map(|s| s / n).collect()))
+            }
+            DetectorKind::Cart => {
+                check_train(dim, train, CART_MIN_TRAIN)?;
+                let benign = stride(train, CART_CAP);
+                // Per-dimension bounding box, expanded 10% (at least ±0.5 for
+                // constant dimensions) so the background sample surrounds the
+                // data.
+                let mut lo = vec![f64::INFINITY; dim];
+                let mut hi = vec![f64::NEG_INFINITY; dim];
+                for x in &benign {
+                    for d in 0..dim {
+                        lo[d] = lo[d].min(x[d]);
+                        hi[d] = hi[d].max(x[d]);
+                    }
+                }
+                for d in 0..dim {
+                    let pad = (0.1 * (hi[d] - lo[d])).max(0.5);
+                    lo[d] -= pad;
+                    hi[d] += pad;
+                }
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut data: Vec<(Vec<f64>, usize)> =
+                    benign.iter().map(|x| (x.to_vec(), 0)).collect();
+                for _ in 0..benign.len() {
+                    let x: Vec<f64> = (0..dim).map(|d| rng.random_range(lo[d]..hi[d])).collect();
+                    data.push((x, 1));
+                }
+                let mut tree = DecisionTree::new(6, 4);
+                if !tree.fit(&data) {
+                    return Err(MlError::InvalidConfig("CART fit rejected the data".into()));
+                }
+                Ok(FittedModel::Cart(tree))
             }
         }
-        for d in 0..self.dim {
-            let pad = (0.1 * (hi[d] - lo[d])).max(0.5);
-            lo[d] -= pad;
-            hi[d] += pad;
-        }
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut data: Vec<(Vec<f64>, usize)> = benign.iter().map(|x| (x.to_vec(), 0)).collect();
-        for _ in 0..benign.len() {
-            let x: Vec<f64> = (0..self.dim)
-                .map(|d| rng.random_range(lo[d]..hi[d]))
-                .collect();
-            data.push((x, 1));
-        }
-        let mut tree = DecisionTree::new(6, 4);
-        if !tree.fit(&data) {
-            return Err(MlError::InvalidConfig("CART fit rejected the data".into()));
-        }
-        Ok(FittedModel::Cart(tree))
     }
 }
 
@@ -501,7 +453,7 @@ impl Scorer for FrozenDetector {
 /// trailing `cal_frac` fraction (at least one vector each side). A NaN or an
 /// infinity anywhere in the slice is refused before fitting.
 pub fn train_and_calibrate(
-    det: Box<dyn Detector>,
+    det: Detector,
     data: &[&[f64]],
     cal_frac: f64,
     cfg: CalibrationConfig,
@@ -535,68 +487,6 @@ pub fn train_and_calibrate(
     Ok(frozen)
 }
 
-// ---------------------------------------------------------------------------
-// The registry
-// ---------------------------------------------------------------------------
-
-/// The four built-in detector models, selectable by name (CLI `--detector`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DetectorKind {
-    /// Kitsune's autoencoder ensemble (native RMSE score).
-    KitNet,
-    /// k-NN novelty detection (mean distance to k nearest benign points).
-    Knn,
-    /// CART against a seeded synthetic uniform background sample.
-    Cart,
-    /// Nearest-centroid (1 − cosine to the benign centroid).
-    Centroid,
-}
-
-impl DetectorKind {
-    /// All kinds, in CLI listing order.
-    pub fn all() -> [DetectorKind; 4] {
-        [
-            DetectorKind::KitNet,
-            DetectorKind::Knn,
-            DetectorKind::Cart,
-            DetectorKind::Centroid,
-        ]
-    }
-
-    /// The CLI name of the kind.
-    pub fn name(self) -> &'static str {
-        match self {
-            DetectorKind::KitNet => "kitnet",
-            DetectorKind::Knn => "knn",
-            DetectorKind::Cart => "cart",
-            DetectorKind::Centroid => "centroid",
-        }
-    }
-
-    /// Parses a CLI name (case-insensitive).
-    pub fn parse(s: &str) -> Option<DetectorKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "kitnet" | "kitsune" => Some(DetectorKind::KitNet),
-            "knn" => Some(DetectorKind::Knn),
-            "cart" | "tree" => Some(DetectorKind::Cart),
-            "centroid" => Some(DetectorKind::Centroid),
-            _ => None,
-        }
-    }
-
-    /// Builds an unfitted detector of this kind for `dim`-dimensional
-    /// vectors. `seed` drives any model randomness (KitNET initialization,
-    /// CART's background sample).
-    pub fn build(self, dim: usize, seed: u64) -> Result<Box<dyn Detector>, MlError> {
-        Ok(match self {
-            DetectorKind::KitNet => Box::new(KitNetDetector::new(dim, seed)?),
-            DetectorKind::Knn => Box::new(KnnNovelty::new(dim, 3)?),
-            DetectorKind::Cart => Box::new(CartDetector::new(dim, seed)?),
-            DetectorKind::Centroid => Box::new(CentroidDetector::new(dim)?),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -614,13 +504,13 @@ mod tests {
             .collect()
     }
 
-    fn all_detectors(dim: usize) -> Vec<Box<dyn Detector>> {
-        vec![
-            Box::new(KitNetDetector::new(dim, 7).unwrap()),
-            Box::new(KnnNovelty::new(dim, 3).unwrap()),
-            Box::new(CentroidDetector::new(dim).unwrap()),
-            Box::new(CartDetector::new(dim, 7).unwrap()),
-        ]
+    /// One detector of each kind, seeded 7, in the order
+    /// `fitted_scores_are_pinned` lists them.
+    fn all_detectors(dim: usize) -> Vec<Detector> {
+        use DetectorKind::{Cart, Centroid, KitNet, Knn};
+        [KitNet, Knn, Centroid, Cart]
+            .map(|kind| kind.build(dim, 7).unwrap())
+            .to_vec()
     }
 
     fn refs(data: &[Vec<f64>]) -> Vec<&[f64]> {
@@ -630,7 +520,7 @@ mod tests {
     #[test]
     fn every_model_rejects_dim_mismatch_on_fit_and_score() {
         let data = benign(4, 100);
-        for (det, spec) in all_detectors(4).into_iter().zip(all_detectors(4)) {
+        for det in all_detectors(4) {
             let name = det.name();
             assert_eq!(
                 det.fit(&[&[1.0, 2.0]]).unwrap_err(),
@@ -641,7 +531,7 @@ mod tests {
                 "{name} fit"
             );
             let frozen =
-                train_and_calibrate(spec, &refs(&data), 0.2, CalibrationConfig::default()).unwrap();
+                train_and_calibrate(det, &refs(&data), 0.2, CalibrationConfig::default()).unwrap();
             assert_eq!(
                 frozen.score(&[0.0; 7]).unwrap_err(),
                 MlError::DimMismatch {
@@ -672,15 +562,15 @@ mod tests {
     #[test]
     fn too_few_samples_is_typed_error() {
         let one: [&[f64]; 1] = [&[1.0, 1.0]];
-        let det = Box::new(KitNetDetector::new(2, 1).unwrap());
+        let det = DetectorKind::KitNet.build(2, 1).unwrap();
         assert!(matches!(
             det.fit(&one),
             Err(MlError::TooFewSamples { got: 1, .. })
         ));
-        let det = Box::new(KnnNovelty::new(2, 5).unwrap());
+        let det = DetectorKind::Knn.build(2, 1).unwrap();
         assert!(matches!(
             det.fit(&one),
-            Err(MlError::TooFewSamples { got: 1, need: 5 })
+            Err(MlError::TooFewSamples { got: 1, need: 3 })
         ));
     }
 
@@ -688,10 +578,8 @@ mod tests {
     fn a_nan_in_the_calibration_slice_is_refused() {
         let mut data = benign(3, 100);
         data[95][1] = f64::NAN;
-        for det in [
-            Box::new(CentroidDetector::new(3).unwrap()) as Box<dyn Detector>,
-            Box::new(KitNetDetector::new(3, 7).unwrap()),
-        ] {
+        for kind in [DetectorKind::Centroid, DetectorKind::KitNet] {
+            let det = kind.build(3, 7).unwrap();
             assert_eq!(
                 train_and_calibrate(det, &refs(&data), 0.2, CalibrationConfig::default())
                     .unwrap_err(),
@@ -704,10 +592,8 @@ mod tests {
     fn a_nan_in_a_training_vector_is_refused() {
         let mut data = benign(3, 100);
         data[10][0] = f64::NAN;
-        for det in [
-            Box::new(KnnNovelty::new(3, 3).unwrap()) as Box<dyn Detector>,
-            Box::new(CartDetector::new(3, 7).unwrap()),
-        ] {
+        for kind in [DetectorKind::Knn, DetectorKind::Cart] {
+            let det = kind.build(3, 7).unwrap();
             assert_eq!(
                 train_and_calibrate(det, &refs(&data), 0.2, CalibrationConfig::default())
                     .unwrap_err(),
@@ -719,7 +605,7 @@ mod tests {
     #[test]
     fn knn_scores_a_vector_holding_nan_without_panicking() {
         let data = benign(3, 100);
-        let det = Box::new(KnnNovelty::new(3, 3).unwrap());
+        let det = DetectorKind::Knn.build(3, 1).unwrap();
         let frozen =
             train_and_calibrate(det, &refs(&data), 0.2, CalibrationConfig::default()).unwrap();
         let s = frozen.score(&[f64::NAN, 1.0, 1.0]).unwrap();
@@ -730,7 +616,7 @@ mod tests {
     fn calibrated_threshold_tracks_benign_quantile() {
         let data = benign(3, 200);
         let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
-        let det = Box::new(KnnNovelty::new(3, 3).unwrap());
+        let det = DetectorKind::Knn.build(3, 1).unwrap();
         let frozen = train_and_calibrate(
             det,
             &refs,
@@ -797,7 +683,7 @@ mod tests {
         let data = benign(2, 100);
         let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
         let frozen = train_and_calibrate(
-            Box::new(CentroidDetector::new(2).unwrap()),
+            DetectorKind::Centroid.build(2, 1).unwrap(),
             &refs,
             0.2,
             CalibrationConfig::default(),
@@ -821,10 +707,15 @@ mod tests {
     #[test]
     fn kinds_build_detectors() {
         for kind in DetectorKind::all() {
-            let det = kind.build(4, 1).unwrap();
-            assert_eq!(det.feature_dim(), 4);
-            assert_eq!(det.name(), kind.name());
+            for dim in [1, 4, 115] {
+                let det = kind.build(dim, 1).unwrap();
+                assert_eq!(det.feature_dim(), dim, "{kind:?}");
+                assert_eq!(det.name(), kind.name());
+            }
+            assert!(
+                matches!(kind.build(0, 1), Err(MlError::InvalidConfig(_))),
+                "{kind:?} accepted dim 0"
+            );
         }
-        assert!(DetectorKind::KitNet.build(0, 1).is_err());
     }
 }

@@ -13,11 +13,11 @@
 //!   (the stand-in for TF's triplet network).
 //! - [`norm`]: feature normalization, [`metrics`]: accuracy/precision/
 //!   recall/F1/AUC.
-//! - [`detector`]: the unified [`Detector`] contract over all four models,
-//!   each fitted once on a benign slice into a [`FittedModel`] and
-//!   calibrated on its held-out tail; [`DetectorKind`], the four by name;
-//!   and [`Scorer`] — what a frozen float detector and its fixed-point
-//!   lowering both offer the NIC's in-shard scoring stage.
+//! - [`detector`]: the model registry. [`DetectorKind`] names the four
+//!   models and builds each as a [`Detector`], fitted once on a benign
+//!   slice into a [`FittedModel`] and calibrated on its held-out tail; and
+//!   [`Scorer`] — what a frozen float detector and its fixed-point lowering
+//!   both offer the NIC's in-shard scoring stage.
 //! - [`quant`]: fixed-point (Qm.n) lowering of frozen detectors for
 //!   in-pipeline NIC inference, with analytically certified float-vs-
 //!   quantized score error bounds (the basis of the SF09xx pass).
@@ -35,8 +35,8 @@ pub mod tree;
 pub use autoencoder::Autoencoder;
 pub use centroid::NearestCentroid;
 pub use detector::{
-    train_and_calibrate, CalibrationConfig, CartDetector, CentroidDetector, Detector, DetectorKind,
-    FittedModel, FrozenDetector, KitNetDetector, KnnNovelty, MlError, Scorer, SharedScorer,
+    train_and_calibrate, CalibrationConfig, Detector, DetectorKind, FittedModel, FrozenDetector,
+    MlError, Scorer, SharedScorer,
 };
 pub use kitnet::KitNet;
 pub use knn::Knn;

@@ -1868,7 +1868,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detector::{train_and_calibrate, CalibrationConfig, Detector, KnnNovelty};
+    use crate::detector::{train_and_calibrate, CalibrationConfig, Detector, DetectorKind};
 
     fn benign(dim: usize, n: usize) -> Vec<Vec<f64>> {
         (0..n)
@@ -1880,8 +1880,8 @@ mod tests {
             .collect()
     }
 
-    fn freeze(det: Box<dyn Detector>, dim: usize, n: usize) -> FrozenDetector {
-        let data = benign(dim, n);
+    fn freeze(det: Detector, n: usize) -> FrozenDetector {
+        let data = benign(det.feature_dim(), n);
         let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
         train_and_calibrate(det, &refs, 0.2, CalibrationConfig::default()).unwrap()
     }
@@ -1915,7 +1915,7 @@ mod tests {
 
     #[test]
     fn kitnet_quantized_score_stays_within_certified_bound() {
-        let frozen = freeze(Box::new(crate::KitNetDetector::new(5, 7).unwrap()), 5, 150);
+        let frozen = freeze(DetectorKind::KitNet.build(5, 7).unwrap(), 150);
         let q = quantize(&frozen, &QuantConfig::default()).unwrap();
         let domain = vec![(0.0, 3.0); 5];
         let eb = q.error_bound(&domain).unwrap();
@@ -1937,7 +1937,7 @@ mod tests {
 
     #[test]
     fn centroid_quantized_score_stays_within_certified_bound() {
-        let frozen = freeze(Box::new(crate::CentroidDetector::new(4).unwrap()), 4, 100);
+        let frozen = freeze(DetectorKind::Centroid.build(4, 0).unwrap(), 100);
         let q = quantize(&frozen, &QuantConfig::default()).unwrap();
         // Domain bounded away from zero in every coordinate → ‖x‖ ≥ L > 0.
         let domain = vec![(0.5, 4.0); 4];
@@ -1961,7 +1961,7 @@ mod tests {
 
     #[test]
     fn centroid_domain_through_zero_is_unprovable_with_culprit() {
-        let frozen = freeze(Box::new(crate::CentroidDetector::new(3).unwrap()), 3, 60);
+        let frozen = freeze(DetectorKind::Centroid.build(3, 0).unwrap(), 60);
         let q = quantize(&frozen, &QuantConfig::default()).unwrap();
         let eb = q
             .error_bound(&[(-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)])
@@ -1979,7 +1979,7 @@ mod tests {
             .collect();
         let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
         let frozen = train_and_calibrate(
-            Box::new(crate::CartDetector::new(2, 11).unwrap()),
+            DetectorKind::Cart.build(2, 11).unwrap(),
             &refs,
             0.2,
             CalibrationConfig::default(),
@@ -2001,7 +2001,7 @@ mod tests {
 
     #[test]
     fn knn_has_no_lowering() {
-        let frozen = freeze(Box::new(KnnNovelty::new(3, 3).unwrap()), 3, 60);
+        let frozen = freeze(DetectorKind::Knn.build(3, 0).unwrap(), 60);
         assert_eq!(
             quantize(&frozen, &QuantConfig::default()).unwrap_err(),
             QuantError::Unsupported("knn")
@@ -2010,7 +2010,7 @@ mod tests {
 
     #[test]
     fn scores_are_bitwise_deterministic_and_grid_exact() {
-        let frozen = freeze(Box::new(crate::KitNetDetector::new(4, 3).unwrap()), 4, 120);
+        let frozen = freeze(DetectorKind::KitNet.build(4, 3).unwrap(), 120);
         let q = quantize(&frozen, &QuantConfig::default()).unwrap();
         let x = [1.0, 2.0, 0.5, 1.5];
         let a = q.score(&x).unwrap();
@@ -2024,7 +2024,7 @@ mod tests {
 
     #[test]
     fn dim_mismatch_is_typed() {
-        let frozen = freeze(Box::new(crate::CentroidDetector::new(3).unwrap()), 3, 60);
+        let frozen = freeze(DetectorKind::Centroid.build(3, 0).unwrap(), 60);
         let q = quantize(&frozen, &QuantConfig::default()).unwrap();
         assert_eq!(
             q.score(&[1.0]).unwrap_err(),
@@ -2039,12 +2039,12 @@ mod tests {
     #[test]
     fn alu_ops_are_positive_and_model_dependent() {
         let kit = quantize(
-            &freeze(Box::new(crate::KitNetDetector::new(6, 1).unwrap()), 6, 150),
+            &freeze(DetectorKind::KitNet.build(6, 1).unwrap(), 150),
             &QuantConfig::default(),
         )
         .unwrap();
         let cen = quantize(
-            &freeze(Box::new(crate::CentroidDetector::new(6).unwrap()), 6, 60),
+            &freeze(DetectorKind::Centroid.build(6, 0).unwrap(), 60),
             &QuantConfig::default(),
         )
         .unwrap();
@@ -2054,7 +2054,7 @@ mod tests {
 
     #[test]
     fn threshold_snaps_to_grid() {
-        let frozen = freeze(Box::new(crate::CentroidDetector::new(2).unwrap()), 2, 60);
+        let frozen = freeze(DetectorKind::Centroid.build(2, 0).unwrap(), 60);
         let q = quantize(&frozen, &QuantConfig::default()).unwrap();
         let t = q.threshold();
         assert!((t - frozen.threshold()).abs() <= pow2(-25));

@@ -169,7 +169,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use superfe_ml::{
-        quantize, train_and_calibrate, CalibrationConfig, CentroidDetector, Detector, QuantConfig,
+        quantize, train_and_calibrate, CalibrationConfig, DetectorKind, QuantConfig,
         QuantizedDetector,
     };
     use superfe_streaming::FeatureValues;
@@ -180,7 +180,7 @@ mod tests {
             .collect();
         let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
         let frozen = train_and_calibrate(
-            Box::new(CentroidDetector::new(dim).unwrap()) as Box<dyn Detector>,
+            DetectorKind::Centroid.build(dim, 0).unwrap(),
             &refs,
             0.2,
             CalibrationConfig::default(),

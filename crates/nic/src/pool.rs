@@ -1365,12 +1365,11 @@ mod tests {
 
     fn quant_model(train: &[Vec<f64>]) -> SharedScorer {
         use superfe_ml::{
-            quantize, train_and_calibrate, CalibrationConfig, CentroidDetector, Detector,
-            QuantConfig,
+            quantize, train_and_calibrate, CalibrationConfig, DetectorKind, QuantConfig,
         };
         let refs: Vec<&[f64]> = train.iter().map(Vec::as_slice).collect();
         let frozen = train_and_calibrate(
-            Box::new(CentroidDetector::new(train[0].len()).unwrap()) as Box<dyn Detector>,
+            DetectorKind::Centroid.build(train[0].len(), 0).unwrap(),
             &refs,
             0.05,
             CalibrationConfig::default(),

@@ -445,19 +445,16 @@ pub fn check(policy: &Policy, frozen: &FrozenDetector, cfg: &QuantCheckConfig) -
 mod tests {
     use super::*;
     use crate::dsl;
-    use superfe_ml::{
-        train_and_calibrate, CalibrationConfig, CartDetector, CentroidDetector, Detector,
-        KitNetDetector, KnnNovelty,
-    };
+    use superfe_ml::{train_and_calibrate, CalibrationConfig, Detector, DetectorKind};
 
     fn parse(src: &str) -> Policy {
         dsl::parse(src).unwrap()
     }
 
-    fn freeze(det: Box<dyn Detector>, dim: usize) -> FrozenDetector {
+    fn freeze(det: Detector) -> FrozenDetector {
         let data: Vec<Vec<f64>> = (0..150)
             .map(|i| {
-                (0..dim)
+                (0..det.feature_dim())
                     .map(|d| 10.0 + ((i * 13 + d * 7) % 23) as f64)
                     .collect()
             })
@@ -510,7 +507,7 @@ mod tests {
             "pktstream .groupby(flow) .reduce(size, [f_sum, f_mean, f_max, f_min])
              .collect(flow)",
         );
-        let frozen = freeze(Box::new(KitNetDetector::new(4, 5).unwrap()), 4);
+        let frozen = freeze(DetectorKind::KitNet.build(4, 5).unwrap());
         let cert = certify(&p, &frozen, &QuantCheckConfig::default());
         assert!(
             cert.certified,
@@ -533,7 +530,7 @@ mod tests {
     fn centroid_with_zero_containing_hull_is_unprovable() {
         // f_sum over size has hull [0, …] — ‖x‖ is not bounded away from 0.
         let p = parse("pktstream .groupby(flow) .reduce(size, [f_sum]) .collect(flow)");
-        let frozen = freeze(Box::new(CentroidDetector::new(1).unwrap()), 1);
+        let frozen = freeze(DetectorKind::Centroid.build(1, 0).unwrap());
         let cert = certify(&p, &frozen, &QuantCheckConfig::default());
         assert!(!cert.certified);
         assert!(cert.bound.is_infinite());
@@ -550,7 +547,7 @@ mod tests {
             parse("pktstream .groupby(flow) .reduce(size, [f_sum, f_max]) .collect(flow)");
         let float_policy =
             parse("pktstream .groupby(flow) .reduce(size, [f_mean, f_std]) .collect(flow)");
-        let frozen = freeze(Box::new(CartDetector::new(2, 3).unwrap()), 2);
+        let frozen = freeze(DetectorKind::Cart.build(2, 3).unwrap());
         let ok = certify(&int_policy, &frozen, &QuantCheckConfig::default());
         assert!(ok.certified, "bound {} tol {}", ok.bound, ok.tolerance);
         let bad = certify(&float_policy, &frozen, &QuantCheckConfig::default());
@@ -561,7 +558,7 @@ mod tests {
     #[test]
     fn knn_is_rejected_with_a_warning() {
         let p = parse("pktstream .groupby(flow) .reduce(size, [f_sum, f_max]) .collect(flow)");
-        let frozen = freeze(Box::new(KnnNovelty::new(2, 3).unwrap()), 2);
+        let frozen = freeze(DetectorKind::Knn.build(2, 0).unwrap());
         let cert = certify(&p, &frozen, &QuantCheckConfig::default());
         assert!(!cert.certified);
         assert!(cert.detector.is_none());
@@ -576,7 +573,7 @@ mod tests {
     #[test]
     fn dimension_mismatch_is_reported() {
         let p = parse("pktstream .groupby(flow) .reduce(size, [f_sum]) .collect(flow)");
-        let frozen = freeze(Box::new(CentroidDetector::new(5).unwrap()), 5);
+        let frozen = freeze(DetectorKind::Centroid.build(5, 0).unwrap());
         let cert = certify(&p, &frozen, &QuantCheckConfig::default());
         assert!(!cert.certified);
         assert_eq!(cert.culprit.as_deref(), Some("feature-dimension"));

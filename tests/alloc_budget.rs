@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use superfe::apps::policies::KITSUNE;
 use superfe::ml::{
-    quantize, train_and_calibrate, CalibrationConfig, KernelWidth, KitNetDetector, QuantConfig,
+    quantize, train_and_calibrate, CalibrationConfig, DetectorKind, KernelWidth, QuantConfig,
     SharedScorer,
 };
 use superfe::net::PacketRecord;
@@ -273,7 +273,7 @@ fn scoring_a_kitsune_record_in_the_shard_allocates_nothing() {
     }
     let refs: Vec<&[f64]> = train.iter().map(|v| v.values.as_slice()).collect();
     let float = train_and_calibrate(
-        Box::new(KitNetDetector::new(refs[0].len(), 4).unwrap()),
+        DetectorKind::KitNet.build(refs[0].len(), 4).unwrap(),
         &refs,
         0.2,
         CalibrationConfig {
@@ -338,7 +338,7 @@ fn scoring_a_frame_as_one_batch_allocates_nothing() {
     let train: Vec<_> = both(&events_per_record(&mut sw, &packets(400)));
     let refs: Vec<&[f64]> = train.iter().map(|v| v.values.as_slice()).collect();
     let float = train_and_calibrate(
-        Box::new(KitNetDetector::new(refs[0].len(), 4).unwrap()),
+        DetectorKind::KitNet.build(refs[0].len(), 4).unwrap(),
         &refs,
         0.2,
         CalibrationConfig {

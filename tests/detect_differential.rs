@@ -13,8 +13,8 @@ use proptest::prelude::*;
 
 use superfe::detect::score_offline;
 use superfe::ml::{
-    quantize, train_and_calibrate, CalibrationConfig, CentroidDetector, KnnNovelty, QuantConfig,
-    QuantizedDetector, SharedScorer,
+    quantize, train_and_calibrate, CalibrationConfig, DetectorKind, QuantConfig, QuantizedDetector,
+    SharedScorer,
 };
 use superfe::net::{Direction, PacketRecord};
 use superfe::nic::{canonicalize, inline_alert_fingerprint, FeatureVector, InlineAlert};
@@ -120,10 +120,11 @@ fn freeze(
         return None;
     }
     let dim = all[0].len();
-    let det: Box<dyn superfe::ml::Detector> = match kind {
-        Kind::Knn => Box::new(KnnNovelty::new(dim, 3).expect("valid k")),
-        Kind::Centroid => Box::new(CentroidDetector::new(dim).expect("valid dim")),
+    let det = match kind {
+        Kind::Knn => DetectorKind::Knn,
+        Kind::Centroid => DetectorKind::Centroid,
     };
+    let det = det.build(dim, 0).expect("valid dim");
     let frozen = train_and_calibrate(
         det,
         &all,

@@ -451,12 +451,12 @@ fn a_panicking_scorer_is_a_lost_worker_not_a_hang() {
 /// vector is still returned and the rest are scored.
 #[test]
 fn dim_mismatch_is_counted_not_fatal() {
-    use superfe::ml::{train_and_calibrate, CalibrationConfig, CentroidDetector};
+    use superfe::ml::{train_and_calibrate, CalibrationConfig, DetectorKind};
     // Socket vectors have one value, host vectors two.
     const TWO_DIMS: &str = "pktstream\n.groupby(socket)\n.reduce(size, [f_sum])\n\
          .collect(socket)\n.groupby(host)\n.reduce(size, [f_sum, f_mean])\n.collect(host)";
     let refs: [&[f64]; 4] = [&[1.0, 1.0], &[2.0, 1.5], &[3.0, 2.0], &[4.0, 2.5]];
-    let det = Box::new(CentroidDetector::new(2).expect("dim 2"));
+    let det = DetectorKind::Centroid.build(2, 0).expect("dim 2");
     let frozen =
         train_and_calibrate(det, &refs, 0.25, CalibrationConfig::default()).expect("calibrates");
     let out = serve_with(TWO_DIMS, std::sync::Arc::new(frozen)).expect("the stream continues");

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 
 use superfe::ml::{
-    quantize, train_and_calibrate, CalibrationConfig, CartDetector, CentroidDetector, Detector,
-    FrozenDetector, KitNetDetector, QuantConfig, QuantizedDetector,
+    quantize, train_and_calibrate, CalibrationConfig, DetectorKind, FrozenDetector, QuantConfig,
+    QuantizedDetector,
 };
 
 /// The feature hull every generated vector stays inside. The lower edge is
@@ -17,26 +17,14 @@ use superfe::ml::{
 const LO: f64 = 1.0;
 const HI: f64 = 16.0;
 
-/// Which lowering the property exercises.
-#[derive(Clone, Copy, Debug)]
-enum Kind {
-    Centroid,
-    KitNet,
-    Cart,
-}
-
 /// Trains and calibrates a detector of `kind` on `data`, then lowers it.
 fn freeze_and_quantize(
-    kind: Kind,
+    kind: DetectorKind,
     dim: usize,
     seed: u64,
     data: &[Vec<f64>],
 ) -> Option<(FrozenDetector, QuantizedDetector)> {
-    let det: Box<dyn Detector> = match kind {
-        Kind::Centroid => Box::new(CentroidDetector::new(dim).ok()?),
-        Kind::KitNet => Box::new(KitNetDetector::new(dim, seed).ok()?),
-        Kind::Cart => Box::new(CartDetector::new(dim, seed).ok()?),
-    };
+    let det = kind.build(dim, seed).ok()?;
     let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
     let frozen = train_and_calibrate(det, &refs, 0.2, CalibrationConfig::default()).ok()?;
     let quant = quantize(
@@ -79,7 +67,8 @@ proptest! {
         let data: Vec<Vec<f64>> =
             wide_data.iter().map(|r| r[..dim].to_vec()).collect();
         let xs: Vec<Vec<f64>> = wide_xs.iter().map(|r| r[..dim].to_vec()).collect();
-        let kind = [Kind::Centroid, Kind::KitNet, Kind::Cart][kind_ix];
+        use DetectorKind::{Cart, Centroid, KitNet};
+        let kind = [Centroid, KitNet, Cart][kind_ix];
         let Some((frozen, quant)) = freeze_and_quantize(kind, dim, seed, &data) else {
             return Ok(());
         };
@@ -119,7 +108,7 @@ fn cart_is_grid_exact_on_integer_inputs() {
         .map(|i| vec![f64::from(i % 12) + 1.0, f64::from(i / 12) + 1.0, 3.0])
         .collect();
     let (frozen, quant) =
-        freeze_and_quantize(Kind::Cart, 3, 7, &data).expect("cart trains and lowers");
+        freeze_and_quantize(DetectorKind::Cart, 3, 7, &data).expect("cart trains and lowers");
     let eb = quant
         .error_bound(&[(0.0, 16.0), (0.0, 16.0), (0.0, 16.0)])
         .expect("dim matches");
