@@ -26,9 +26,10 @@
 //! keeps only the member → unit → partition edges its routing and demux
 //! need, trusting the plane's placement.
 //!
-//! - the **whole lattice** → [`Join::Member`]: the same program. The
-//!   tenant joins that unit's demux fan-out with zero marginal hardware
-//!   demand (SF07xx fusion);
+//! - the **whole lattice** → [`Join::Member`]: the same program, on
+//!   engines that run under the table budget in force. The tenant joins
+//!   that unit's demux fan-out with zero marginal hardware demand (SF07xx
+//!   fusion);
 //! - the **switch prefix** — parse, groupby chain, filter conjunct set →
 //!   [`Join::Unit`]: a new execution unit (its own NIC engines and
 //!   map/reduce tail) subscribed to that unit's switch partition. The
@@ -198,7 +199,10 @@ impl CtrlPlane {
     /// Sets the group-table budget (DRAM cap + eviction policy) applied to
     /// every tenant attached after this call — how the CLI pins
     /// `RandomWay` to an explicit `--evict-seed` so eviction sequences are
-    /// reproducible run to run.
+    /// reproducible run to run. A fused member runs on its unit's engines,
+    /// so the join rule fuses a candidate only with a unit whose engines
+    /// run under this budget; a unit attached before the call keeps its
+    /// own and takes no new members.
     pub fn set_table_budget(&mut self, budget: superfe_nic::TableBudget) {
         self.path.nic_mut().set_table_budget(budget);
     }
@@ -276,7 +280,9 @@ impl CtrlPlane {
     /// behavior — that is still at the candidate's stream position.
     /// Equal hashes nominate, [`certify`] against the unit's founding
     /// policy decides; the granularity chain is compared structurally as a
-    /// belt-and-braces check behind the prefix hash.
+    /// belt-and-braces check behind the prefix hash. A member joins only a
+    /// unit whose engines run under the pool's current table budget
+    /// ([`CtrlPlane::set_table_budget`]); the switch prefix is budget-free.
     pub(crate) fn plan_join(
         &self,
         spec: &TenantSpec,
@@ -297,6 +303,7 @@ impl CtrlPlane {
                 continue;
             }
             if u.form.full() == form.full()
+                && self.path.nic().under_current_budget(u.id)
                 && certify(&u.policy, &spec.policy, &vc, Depth::Full).is_ok()
             {
                 return Join::Member(upos);

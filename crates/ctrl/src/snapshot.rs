@@ -34,7 +34,12 @@
 //! rejected rather than silently producing drift; and every saved
 //! tenant → unit → group edge must be the one the join rule re-derives, so
 //! bytes that point a unit at a foreign partition are refused instead of
-//! feeding it another partition's event stream.
+//! feeding it another partition's event stream. The rule's table-budget
+//! test is the one part replay cannot re-derive: the budgets are in the
+//! engine state transplanted after it. So a saved unit's founder that the
+//! rule would fuse into an earlier unit of its partition stood apart by
+//! its budget, and founds its unit on that partition; once transplanted,
+//! every unit runs under the budget its engines carry.
 //!
 //! One re-seating rule makes replay total: a unit whose *founding* member
 //! detached before the snapshot keeps running under the founder's id, but
@@ -300,7 +305,16 @@ impl CtrlPlane {
                         None => Join::Partition,
                     }
                 };
-                let join = plane.plan_join(spec, &demand, &form);
+                let join = match plane.plan_join(spec, &demand, &form) {
+                    // A founder kept apart by its budget (see the module
+                    // docs): a unit of its own on that unit's partition.
+                    Join::Member(upos) if k == 0 => {
+                        let gid = plane.units[upos].group;
+                        let gpos = plane.groups.iter().position(|g| g.id == gid);
+                        Join::Unit(gpos.expect("unit without group"))
+                    }
+                    join => join,
+                };
                 if join != expected {
                     return Err(snap_err(format!(
                         "saved topology places tenant '{}' in unit {} of group {} ({expected:?}), \

@@ -259,6 +259,13 @@ impl FeNic {
         &self.stats
     }
 
+    /// The DRAM budget the engine's group tables run under (every level
+    /// is built under one, and a restore loads it back); `None` for an
+    /// engine without levels.
+    pub fn table_budget(&self) -> Option<TableBudget> {
+        self.levels.first().map(|l| l.table.budget())
+    }
+
     /// Number of live groups per level.
     pub fn groups_per_level(&self) -> Vec<(Granularity, usize)> {
         self.levels

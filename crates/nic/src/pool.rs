@@ -446,6 +446,9 @@ struct MemberEntry {
     group: TenantId,
     /// Whether the member was given a detector ([`ShardPool::score_with`]).
     scored: bool,
+    /// The table budget its unit's engines run under: the pool's when the
+    /// unit attached, or the one its restored engines carry.
+    budget: TableBudget,
 }
 
 /// The streaming NIC executor: one worker pool, any number of units.
@@ -497,9 +500,11 @@ impl ShardPool {
 
     /// Sets the group-table budget (DRAM cap + eviction policy) used by
     /// every unit attached *after* this call; already-attached units keep
-    /// theirs. Lets operators pin `RandomWay` to an explicit seed
-    /// (CLI `--evict-seed`) so evictions replay deterministically. Groups
-    /// the budget evicts come back in [`StreamOutput::evicted_vectors`].
+    /// theirs, and a member joins ([`ShardPool::join`]) only a unit whose
+    /// engines run under the budget in force. Lets operators pin
+    /// `RandomWay` to an explicit seed (CLI `--evict-seed`) so evictions
+    /// replay deterministically. Groups the budget evicts come back in
+    /// [`StreamOutput::evicted_vectors`].
     pub fn set_table_budget(&mut self, budget: TableBudget) {
         self.budget = budget;
     }
@@ -589,30 +594,36 @@ impl ShardPool {
             unit,
             group,
             scored: false,
+            budget: self.budget,
         });
         Ok(())
     }
 
     /// Joins `member` to the existing unit `unit`'s demux fan-out.
     ///
-    /// The caller (the control plane) certifies equivalence and must
-    /// guarantee that no packet has been offered to the unit's switch
-    /// partition since the unit attached, otherwise the member's output
-    /// would include history from before its attach point.
+    /// The member runs on the unit's engines, table budget and all, so a
+    /// unit whose engines do not run under the budget in force
+    /// ([`ShardPool::under_current_budget`]) is refused: every member runs
+    /// under the budget set before its attach, fused or not. The caller
+    /// (the control plane) certifies equivalence and must guarantee that no
+    /// packet has been offered to the unit's switch partition since the
+    /// unit attached, otherwise the member's output would include history
+    /// from before its attach point.
     pub fn join(
         &mut self,
         unit: TenantId,
         member: TenantId,
         sinks: Option<Vec<Box<dyn VectorSink>>>,
     ) -> Result<(), NicError> {
-        let Some(group) = self
-            .members
-            .iter()
-            .find(|m| m.unit == unit)
-            .map(|m| m.group)
+        let Some(&MemberEntry { group, budget, .. }) = self.members.iter().find(|m| m.unit == unit)
         else {
             return Err(NicError::Engine(format!("unit {unit} is not attached")));
         };
+        if budget != self.budget {
+            return Err(NicError::Engine(format!(
+                "unit {unit} runs under another table budget"
+            )));
+        }
         if self.members.iter().any(|m| m.member == member) {
             return Err(NicError::Engine(format!(
                 "tenant {member} is already attached"
@@ -632,8 +643,15 @@ impl ShardPool {
             unit,
             group,
             scored: false,
+            budget,
         });
         Ok(())
+    }
+
+    /// Whether `unit`'s engines run under the budget in force, which a
+    /// member joining it now is owed ([`ShardPool::join`]).
+    pub fn under_current_budget(&self, unit: TenantId) -> bool {
+        (self.members.iter()).any(|m| m.unit == unit && m.budget == self.budget)
     }
 
     /// Gives `member` a detector of its own at the current epoch: every
@@ -759,7 +777,8 @@ impl ShardPool {
     /// The unit must already be attached — structurally rebuilt by
     /// replaying its attach/join history — with the same member roster and
     /// at the same worker count; `shards` must hold exactly one state per
-    /// shard. Fails without touching the unit otherwise.
+    /// shard. Fails without touching the unit otherwise. From here on the
+    /// unit runs under the table budget its restored engines carry.
     pub fn restore_unit(
         &mut self,
         unit: TenantId,
@@ -778,17 +797,22 @@ impl ShardPool {
                 "restore of unit {unit} has a missing or duplicate shard index"
             )));
         }
+        let budget = shards[0].engine.table_budget();
         let mut states = shards.into_iter();
         let acks = self.handshake(|_| {
             let state = states.next().expect("one state per shard");
             move |s: &mut Shard| Some(s.restore(unit, state))
         })?;
-        match acks.iter().find(|(_, ok)| !ok) {
-            Some((shard, _)) => Err(NicError::Engine(format!(
+        if let Some((shard, _)) = acks.iter().find(|(_, ok)| !ok) {
+            return Err(NicError::Engine(format!(
                 "shard {shard} rejected the restore of unit {unit}: engine geometry or member roster mismatch"
-            ))),
-            None => Ok(()),
+            )));
         }
+        if let Some(budget) = budget {
+            let members = self.members.iter_mut().filter(|m| m.unit == unit);
+            members.for_each(|m| m.budget = budget);
+        }
+        Ok(())
     }
 
     /// Reports every unit's live state occupancy — resident groups per
@@ -1746,6 +1770,27 @@ mod tests {
         let mut shards = dumps.into_iter().next().unwrap().shards;
         shards.pop();
         assert!(pool.restore_unit(T0, shards).is_err());
+        pool.finish().unwrap();
+    }
+
+    #[test]
+    fn a_member_joins_only_a_unit_under_the_budget_in_force() {
+        let a = host_sum();
+        let capped = TableBudget::capped(1, crate::table::EvictionPolicy::EvictOldest);
+        let mut pool = ShardPool::new(2);
+        pool.attach(T0, T0, &a, 16_384, None).unwrap();
+        pool.set_table_budget(capped);
+        assert!(!pool.under_current_budget(T0));
+        assert!(pool.join(T0, T1, None).is_err());
+        // A restored unit runs under the budget its engines carry.
+        let mut saved = ShardPool::new(2);
+        saved.set_table_budget(capped);
+        saved.attach(T0, T0, &a, 16_384, None).unwrap();
+        let dump = saved.dump_state().unwrap().pop().unwrap();
+        saved.finish().unwrap();
+        pool.restore_unit(T0, dump.shards).unwrap();
+        assert!(pool.under_current_budget(T0));
+        pool.join(T0, T1, None).unwrap();
         pool.finish().unwrap();
     }
 

@@ -268,8 +268,8 @@ struct Tenant {
     /// Packets pushed when it attached and, once detached, when it left.
     from: usize,
     to: Option<usize>,
-    /// The budget of its unit: the one in force when the unit attached. A
-    /// fused member joins its unit's engines, budget and all.
+    /// The budget set before its attach. A fused member joins its unit's
+    /// engines, so the join rule fuses it only with a unit under that one.
     budget: TableBudget,
     /// Its unit and partition, by their current ids.
     unit: TenantId,
@@ -414,7 +414,7 @@ pub fn run(s: &Schedule) -> Result<BTreeSet<&'static str>, String> {
                     sinks: sinked,
                     from: pos,
                     to: None,
-                    budget: founder.map_or(budget, |f| f.budget),
+                    budget,
                     unit,
                     group,
                     scored_at: None,
@@ -600,8 +600,8 @@ pub fn run(s: &Schedule) -> Result<BTreeSet<&'static str>, String> {
     Ok(reached)
 }
 
-/// `t` alone over its window, on a data path of its own under its unit's
-/// budget, with its detector given at the same point of its window and its
+/// `t` alone over its window, on a data path of its own under the budget
+/// set before its attach, with its detector given at the same point of its window and its
 /// sinks if it had them: its output and its egress.
 fn solo(t: &Tenant, s: &Schedule) -> (StreamOutput, Vec<Egress>) {
     const SOLO: TenantId = TenantId(0);
