@@ -116,8 +116,7 @@ mod tests {
     fn clean_policy_clean_report() {
         let p = policy("pktstream\n.groupby(flow)\n.reduce(size, [f_mean])\n.collect(flow)");
         let r = analyze(&p, &AnalyzeConfig::default());
-        assert!(r.is_lint_clean(), "{}", r.render());
-        assert_eq!(r.diagnostics().len(), 0);
+        assert!(r.diagnostics().is_empty(), "{}", r.render());
     }
 
     #[test]
@@ -132,7 +131,10 @@ mod tests {
         };
         let r = analyze(&p, &cfg);
         assert!(r.has_errors());
-        assert!(r.has_code(codes::SWITCH_SRAM_EXCEEDED));
+        assert!(r
+            .diagnostics()
+            .iter()
+            .any(|d| d.code == codes::SWITCH_SRAM_EXCEEDED));
     }
 
     #[test]
@@ -155,8 +157,8 @@ mod tests {
         );
         let r = analyze(&p, &AnalyzeConfig::default());
         assert!(!r.has_errors(), "{}", r.render());
-        assert!(r.has_code(codes::DEAD_MAP));
-        assert!(r.has_code(codes::NIC_DRAM_SPILL));
-        assert!(!r.is_lint_clean());
+        assert!(r.warning_count() > 0);
+        let has = |code| r.diagnostics().iter().any(|d| d.code == code);
+        assert!(has(codes::DEAD_MAP) && has(codes::NIC_DRAM_SPILL));
     }
 }

@@ -218,13 +218,17 @@ impl AnalysisReport {
     }
 
     /// Whether the report is lint-clean: no errors and no warnings (notes
-    /// are allowed — they describe expected behavior).
-    pub fn is_lint_clean(&self) -> bool {
+    /// are allowed — they describe expected behavior). The oracle of this
+    /// module's report tests.
+    #[cfg(test)]
+    pub(crate) fn is_lint_clean(&self) -> bool {
         self.error_count() == 0 && self.warning_count() == 0
     }
 
-    /// Whether a finding with the given code is present.
-    pub fn has_code(&self, code: &str) -> bool {
+    /// Whether a finding with the given code is present: the oracle of the
+    /// analyzer's unit tests.
+    #[cfg(test)]
+    pub(crate) fn has_code(&self, code: &str) -> bool {
         self.diagnostics.iter().any(|d| d.code == code)
     }
 

@@ -75,8 +75,10 @@ impl PolicyBuilder {
         self
     }
 
-    /// Appends `collect(pkt)`.
-    pub fn collect_pkt(mut self) -> Self {
+    /// Appends `collect(pkt)`: the builder of the validator's and the
+    /// structural lints' per-packet test policies.
+    #[cfg(test)]
+    pub(crate) fn collect_pkt(mut self) -> Self {
         self.ops.push(Operator::Collect(CollectUnit::Pkt));
         self
     }
@@ -94,8 +96,10 @@ impl PolicyBuilder {
         Ok(policy)
     }
 
-    /// Finishes the chain without validation (for tests of the validator).
-    pub fn build_unchecked(self) -> Policy {
+    /// Finishes the chain without validation: the builder of the
+    /// validator's and the analyzer's unit-test policies.
+    #[cfg(test)]
+    pub(crate) fn build_unchecked(self) -> Policy {
         Policy { ops: self.ops }
     }
 }

@@ -1461,13 +1461,7 @@ mod tests {
             match self {
                 RefReducer::General(g) => g.update(value, hash),
                 RefReducer::Damped(d) => d.update_at(value, ts_ns),
-                RefReducer::Bidir(p, _) => {
-                    if direction >= 0 {
-                        p.update_a(value, ts_ns);
-                    } else {
-                        p.update_b(value, ts_ns);
-                    }
-                }
+                RefReducer::Bidir(p, _) => p.update(value, ts_ns, direction >= 0),
             }
         }
 

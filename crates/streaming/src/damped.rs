@@ -320,8 +320,10 @@ impl DampedStat {
         }
     }
 
-    /// Applies decay up to `ts_ns` without inserting a sample.
-    pub fn decay_to(&mut self, ts_ns: u64) {
+    /// Applies decay up to `ts_ns` without inserting a sample: the oracle
+    /// of `decay_halves_weight_per_period`.
+    #[cfg(test)]
+    fn decay_to(&mut self, ts_ns: u64) {
         if let Some(dt) = self.header.gap(ts_ns) {
             let d = decay_factor(self.lambda, dt);
             decay(&mut self.w, &mut self.ls, &mut self.ss, d);
@@ -457,19 +459,13 @@ impl DampedPair {
         }
     }
 
-    /// Feeds a sample into stream "a" at `ts_ns`, updating the joint state
-    /// with the most recent residual of stream "b" (Kitsune's incStatCov
-    /// approximation).
-    pub fn update_a(&mut self, x: f64, ts_ns: u64) {
-        self.update(x, ts_ns, true);
-    }
-
-    /// Feeds a sample into stream "b" at `ts_ns`.
-    pub fn update_b(&mut self, x: f64, ts_ns: u64) {
-        self.update(x, ts_ns, false);
-    }
-
-    fn update(&mut self, x: f64, ts_ns: u64, into_a: bool) {
+    /// Feeds a sample into stream "a" (`into_a`) or "b" at `ts_ns`,
+    /// updating the joint state with the most recent residual of the other
+    /// (Kitsune's incStatCov approximation). The banks compute the same
+    /// update lane-wise; this one window at a time is their reference in
+    /// `superfe_policy::exec`'s `lanes_and_memo_match_the_reference_bitwise`
+    /// and in this module's tests.
+    pub fn update(&mut self, x: f64, ts_ns: u64, into_a: bool) {
         if let Some(dt) = self.header.advance(ts_ns) {
             let d = decay_factor(self.a.lambda, dt);
             self.sr *= d;
@@ -1025,9 +1021,9 @@ mod tests {
             }
             for (p, which) in pair_stats.iter_mut().zip(PAIR_OUTS) {
                 if into_a {
-                    p.update_a(x, *ts);
+                    p.update(x, *ts, true);
                 } else {
-                    p.update_b(x, *ts);
+                    p.update(x, *ts, false);
                 }
                 match which {
                     BidirOut::Quad => want.extend_from_slice(&p.quad()),
@@ -1091,8 +1087,8 @@ mod tests {
         // a and b move together.
         for i in 0..200u64 {
             let v = (i % 10) as f64;
-            p.update_a(v, i * SEC / 100);
-            p.update_b(v * 2.0, i * SEC / 100 + 1);
+            p.update(v, i * SEC / 100, true);
+            p.update(v * 2.0, i * SEC / 100 + 1, false);
         }
         assert!(p.pcc() > 0.5, "pcc {}", p.pcc());
         assert!(p.covariance() > 0.0);
@@ -1103,8 +1099,8 @@ mod tests {
         let mut p = DampedPair::new(0.01);
         for i in 0..200u64 {
             let v = (i % 10) as f64;
-            p.update_a(v, i * SEC / 100);
-            p.update_b(10.0 - v, i * SEC / 100 + 1);
+            p.update(v, i * SEC / 100, true);
+            p.update(10.0 - v, i * SEC / 100 + 1, false);
         }
         assert!(p.pcc() < -0.3, "pcc {}", p.pcc());
     }
@@ -1112,8 +1108,8 @@ mod tests {
     #[test]
     fn pair_magnitude_and_radius() {
         let mut p = DampedPair::new(0.0);
-        p.update_a(3.0, 0);
-        p.update_b(4.0, 1);
+        p.update(3.0, 0, true);
+        p.update(4.0, 1, false);
         assert!((p.magnitude() - 5.0).abs() < 1e-9);
         assert_eq!(p.radius(), 0.0); // single samples: zero variance
     }
@@ -1128,8 +1124,8 @@ mod tests {
     fn pair_degenerate_pcc_is_zero() {
         let mut p = DampedPair::new(0.0);
         for i in 0..10u64 {
-            p.update_a(7.0, i); // zero variance
-            p.update_b(i as f64, i);
+            p.update(7.0, i, true); // zero variance
+            p.update(i as f64, i, false);
         }
         assert_eq!(p.pcc(), 0.0);
     }

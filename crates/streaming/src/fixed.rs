@@ -160,8 +160,11 @@ impl FixedWelford {
         Q16(steps.saturating_mul(Q16::ONE.0))
     }
 
-    /// Feeds an integer sample (packet size in bytes, IPT in microseconds...).
-    pub fn update_int(&mut self, x: i64) {
+    /// Feeds an integer sample (packet size in bytes, IPT in
+    /// microseconds...): the feeder of this module's and the transfer
+    /// functions' unit tests.
+    #[cfg(test)]
+    pub(crate) fn update_int(&mut self, x: i64) {
         self.update_q(Q16::from_int(x));
     }
 

@@ -33,8 +33,10 @@ pub trait Reducer {
     fn reset(&mut self);
 }
 
-/// Extends a reducer over all samples of an iterator.
-pub fn update_all<R: Reducer + ?Sized>(r: &mut R, xs: impl IntoIterator<Item = f64>) {
+/// Extends a reducer over all samples of an iterator: the feeder of the
+/// reducers' unit tests.
+#[cfg(test)]
+pub(crate) fn update_all<R: Reducer + ?Sized>(r: &mut R, xs: impl IntoIterator<Item = f64>) {
     for x in xs {
         r.update(x);
     }

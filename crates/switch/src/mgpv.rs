@@ -111,31 +111,6 @@ impl MgpvConfig {
         };
         short + long + fg
     }
-
-    /// Derives a configuration fitting an explicit SRAM budget.
-    ///
-    /// The default table shapes (buffer sizes, aging, probe rate) are kept;
-    /// only the three counts — CG slots, long buffers, FG slots — are scaled
-    /// down proportionally until [`MgpvConfig::memory_bytes`] with the given
-    /// CG key width fits `budget_bytes`. Budgets below the one-slot minimum
-    /// yield the smallest valid cache (which may still exceed the budget).
-    pub fn with_memory_budget(budget_bytes: usize, cg_key_bytes: usize) -> Self {
-        let base = MgpvConfig::default();
-        let mut scale = budget_bytes as f64 / base.memory_bytes(cg_key_bytes) as f64;
-        loop {
-            let cfg = MgpvConfig {
-                short_count: ((base.short_count as f64 * scale) as usize).max(1),
-                long_count: (base.long_count as f64 * scale) as usize,
-                fg_table_size: (base.fg_table_size as f64 * scale) as usize,
-                ..base
-            };
-            let at_floor = cfg.short_count == 1 && cfg.long_count == 0 && cfg.fg_table_size == 0;
-            if cfg.memory_bytes(cg_key_bytes) <= budget_bytes || at_floor {
-                return cfg;
-            }
-            scale *= 0.9;
-        }
-    }
 }
 
 /// One step of the splitmix64 sequence (victim-way selection).
@@ -174,16 +149,6 @@ pub struct MgpvStats {
 }
 
 impl MgpvStats {
-    /// Mean batching delay in nanoseconds (§8.4: bounded by the aging
-    /// timeout at O(10) ms).
-    pub fn mean_delay_ns(&self) -> f64 {
-        if self.delay_samples == 0 {
-            0.0
-        } else {
-            self.delay_sum_ns as f64 / self.delay_samples as f64
-        }
-    }
-
     /// Fraction of occupied buffer slots that held recently-active flows
     /// (the Fig. 14 "buffer efficiency" metric).
     pub fn buffer_efficiency(&self) -> f64 {
@@ -1146,7 +1111,7 @@ mod tests {
             s.delay_max_ns,
             bound
         );
-        assert!(s.mean_delay_ns() <= t_ns as f64 * 1.5);
+        assert!(s.delay_sum_ns as f64 / s.delay_samples as f64 <= t_ns as f64 * 1.5);
     }
 
     #[test]
@@ -1253,23 +1218,6 @@ mod tests {
             }
         }
         assert_eq!(evicted, n as usize);
-    }
-
-    #[test]
-    fn memory_budget_fits_and_scales() {
-        for budget in [1usize << 18, 1 << 20, 1 << 22] {
-            let cfg = MgpvConfig::with_memory_budget(budget, 4);
-            assert!(
-                cfg.memory_bytes(4) <= budget,
-                "budget {budget}: {} bytes",
-                cfg.memory_bytes(4)
-            );
-            assert!(cfg.short_count >= 1);
-            assert!(MgpvCache::new(cfg).is_some());
-        }
-        let small = MgpvConfig::with_memory_budget(1 << 18, 4);
-        let big = MgpvConfig::with_memory_budget(1 << 22, 4);
-        assert!(big.short_count > small.short_count);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub struct MgpvRecord {
 
 impl MgpvRecord {
     /// Builds a record from a parsed packet.
-    pub fn from_packet(p: &PacketRecord, fg_idx: u16) -> Self {
+    pub(crate) fn from_packet(p: &PacketRecord, fg_idx: u16) -> Self {
         let dir = if p.direction == Direction::Ingress {
             DIR_BIT
         } else {
