@@ -225,6 +225,13 @@ if grep -rnE "as_any|downcast_ref|Lifecycle|WrongStage|end_training" crates/ml/s
   echo "ci: a second trainer or a detector downcast is back"
   exit 1
 fi
+# The four models are a closed set, so `DetectorKind` is their one
+# registry: `DetectorKind::build` makes every unfitted `Detector`, and the
+# open trait with its four wrapper types must not come back.
+if grep -rnE "trait Detector|dyn Detector|KitNetDetector|KnnNovelty|CentroidDetector|CartDetector" crates; then
+  echo "ci: a second detector registry (the Detector trait or a wrapper type) is back"
+  exit 1
+fi
 
 step "one admission path (attach is admission's one caller)"
 # `CtrlPlane::attach` is the one way into admission: no dry run, no
