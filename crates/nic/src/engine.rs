@@ -262,7 +262,7 @@ impl FeNic {
     /// The DRAM budget the engine's group tables run under (every level
     /// is built under one, and a restore loads it back); `None` for an
     /// engine without levels.
-    pub fn table_budget(&self) -> Option<TableBudget> {
+    pub(crate) fn table_budget(&self) -> Option<TableBudget> {
         self.levels.first().map(|l| l.table.budget())
     }
 

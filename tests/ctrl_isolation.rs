@@ -183,27 +183,16 @@ mod eviction_isolation {
     /// A budget set between two attaches of one policy at one position
     /// holds for the second: it does not fuse into the first's unit, whose
     /// engines run under the default, but gets engines of its own under
-    /// the one-group spill, and gets back what that spill evicts.
+    /// the one-group spill. Across a restore the two units stay apart (their
+    /// engines carry their budgets), and a third attach under the budget
+    /// in force fuses with the second.
     #[test]
     fn a_budget_set_before_an_attach_holds_for_a_duplicate() {
         let ops = [attach(0), Budget(budget(1, 1)), attach(0)];
         let reached = check(&ops, &colliders(), &WORKER_COUNTS);
         assert!(!reached.contains("fused"), "{reached:?}");
         assert!(reached.contains("budget evicted"), "{reached:?}");
-    }
-
-    /// The same two units across a restore: their engines carry their
-    /// budgets in the snapshot, so the restored plane keeps them apart,
-    /// and a third attach under the budget in force fuses with the second.
-    #[test]
-    fn a_restored_plane_keeps_two_budgets_apart() {
-        let ops = [
-            attach(0),
-            Budget(budget(1, 1)),
-            attach(0),
-            Restore,
-            attach(0),
-        ];
+        let ops = [&ops[..], &[Restore, attach(0)]].concat();
         let reached = check(&ops, &colliders(), &WORKER_COUNTS);
         for shape in ["restored", "fused", "restored under a budget that evicts"] {
             assert!(reached.contains(shape), "{shape}: {reached:?}");
