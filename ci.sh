@@ -690,6 +690,10 @@ step "lines of Rust under crates/ (the ROADMAP net-LOC measure)"
 # way to one generated oracle in tests/; 45,450 after it (-454: the
 # 370-line position and outlet pins in crates/ctrl/tests, and 84 lines of
 # callerless analysis helpers with their tests).
+# 45,450 at commit cbf4222, before `DetectorKind` became the one model
+# registry; 45,362 after it (-88: the registry -114, detector.rs alone
+# -109; twelve callerless functions settled -47, mgpv.rs -52; the table
+# budget rule for fused members +73, its 20-line pool test included).
 find crates -name '*.rs' | xargs wc -l | tail -1
 
 printf '\nci: all checks passed\n'
