@@ -691,9 +691,11 @@ step "lines of Rust under crates/ (the ROADMAP net-LOC measure)"
 # 370-line position and outlet pins in crates/ctrl/tests, and 84 lines of
 # callerless analysis helpers with their tests).
 # 45,450 at commit cbf4222, before `DetectorKind` became the one model
-# registry; 45,362 after it (-88: the registry -114, detector.rs alone
+# registry; 45,430 after it (-20: the registry -114, detector.rs alone
 # -109; twelve callerless functions settled -47, mgpv.rs -52; the table
-# budget rule for fused members +73, its 20-line pool test included).
+# budget rule for fused members and its restore +141, the 20-line pool
+# test and the 43-line split-refusal test in ctrl/src/snapshot.rs
+# included).
 find crates -name '*.rs' | xargs wc -l | tail -1
 
 printf '\nci: all checks passed\n'

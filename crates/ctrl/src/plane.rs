@@ -283,11 +283,14 @@ impl CtrlPlane {
     /// belt-and-braces check behind the prefix hash. A member joins only a
     /// unit whose engines run under the pool's current table budget
     /// ([`CtrlPlane::set_table_budget`]); the switch prefix is budget-free.
+    /// Units before `open` take no members: a live attach passes 0, a
+    /// restore closes the units it has already rebuilt.
     pub(crate) fn plan_join(
         &self,
         spec: &TenantSpec,
         demand: &TenantDemand,
         form: &PrefixForm,
+        open: usize,
     ) -> Join {
         let mut join = Join::Partition;
         if !self.sharing {
@@ -302,7 +305,8 @@ impl CtrlPlane {
             {
                 continue;
             }
-            if u.form.full() == form.full()
+            if upos >= open
+                && u.form.full() == form.full()
                 && self.path.nic().under_current_budget(u.id)
                 && certify(&u.policy, &spec.policy, &vc, Depth::Full).is_ok()
             {
@@ -376,7 +380,7 @@ impl CtrlPlane {
         let id = u16::try_from(self.next_id).map_err(|_| CtrlError::TenantIdsExhausted)?;
         let demand = self.gate(spec)?;
         let form = prefix_form(&spec.policy, &self.analyze.value_config());
-        let join = self.plan_join(spec, &demand, &form);
+        let join = self.plan_join(spec, &demand, &form, 0);
         if !matches!(join, Join::Member(_)) {
             let raw = self.path.nic_mut().state_pressure()?;
             let observed: Vec<_> = self

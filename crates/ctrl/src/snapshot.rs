@@ -36,10 +36,12 @@
 //! bytes that point a unit at a foreign partition are refused instead of
 //! feeding it another partition's event stream. The rule's table-budget
 //! test is the one part replay cannot re-derive: the budgets are in the
-//! engine state transplanted after it. So a saved unit's founder that the
-//! rule would fuse into an earlier unit of its partition stood apart by
-//! its budget, and founds its unit on that partition; once transplanted,
-//! every unit runs under the budget its engines carry.
+//! engine state transplanted after it, and every replayed unit runs under
+//! the fresh pool's. So replay closes a rebuilt unit to members, and once
+//! the engines are transplanted — each unit then runs under the budget
+//! they carry — a unit the budget-blind rule would have fused a saved
+//! tenant into must run under another budget than the tenant's own unit:
+//! bytes that split a unit the budgets do not split are refused.
 //!
 //! One re-seating rule makes replay total: a unit whose *founding* member
 //! detached before the snapshot keeps running under the founder's id, but
@@ -277,13 +279,16 @@ impl CtrlPlane {
         // The rule must re-derive exactly the saved edge: the unit's first
         // member founds its partition or joins the one its group already
         // rebuilt, every later member joins that unit. The saved set was
-        // admitted as a whole, so composed admission is not re-run.
+        // admitted as a whole, so composed admission is not re-run. Every
+        // unit the rule open to all would fuse a tenant into instead is
+        // recorded with the tenant's unit, to be told apart by budget.
         let spec_of = |name: &str| -> Result<&TenantSpec, CtrlError> {
             specs
                 .iter()
                 .find(|sp| sp.name == name)
                 .ok_or_else(|| snap_err(format!("no spec provided for saved tenant '{name}'")))
         };
+        let mut splits = Vec::new();
         for u in &units {
             let gid = new_group(u.group)?;
             plane.path.set_pushed(u.attach_pos);
@@ -291,8 +296,9 @@ impl CtrlPlane {
                 let spec = spec_of(name_of(m)?)?;
                 let demand = plane.gate(spec)?;
                 let form = prefix_form(&spec.policy, &vc);
+                let open = plane.units.len() - usize::from(k > 0);
                 let expected = if k > 0 {
-                    Join::Member(plane.units.len() - 1)
+                    Join::Member(open)
                 } else {
                     if form.full() != u.hash {
                         return Err(snap_err(format!(
@@ -305,16 +311,12 @@ impl CtrlPlane {
                         None => Join::Partition,
                     }
                 };
-                let join = match plane.plan_join(spec, &demand, &form) {
-                    // A founder kept apart by its budget (see the module
-                    // docs): a unit of its own on that unit's partition.
-                    Join::Member(upos) if k == 0 => {
-                        let gid = plane.units[upos].group;
-                        let gpos = plane.groups.iter().position(|g| g.id == gid);
-                        Join::Unit(gpos.expect("unit without group"))
+                let join = plane.plan_join(spec, &demand, &form, open);
+                if let Join::Member(upos) = plane.plan_join(spec, &demand, &form, 0) {
+                    if upos < open {
+                        splits.push((plane.units[upos].id, TenantId(u.members[0])));
                     }
-                    join => join,
-                };
+                }
                 if join != expected {
                     return Err(snap_err(format!(
                         "saved topology places tenant '{}' in unit {} of group {} ({expected:?}), \
@@ -395,6 +397,15 @@ impl CtrlPlane {
                 r.remaining()
             )));
         }
+        let nic = plane.path.nic();
+        if let Some((a, b)) =
+            (splits.iter()).find(|(a, b)| nic.unit_budget(*a) == nic.unit_budget(*b))
+        {
+            return Err(snap_err(format!(
+                "saved units {a} and {b} run under one table budget, \
+                 but the join rule fuses them"
+            )));
+        }
         plane.next_id = next_id;
         plane.epoch = epoch;
         plane.path.set_pushed(pushed);
@@ -429,5 +440,50 @@ mod tests {
         }
         let restored = CtrlPlane::restore(AnalyzeConfig::default(), &[], &bytes, |_| None);
         assert_eq!(restored.unwrap().workers(), 1);
+    }
+
+    /// Two units of one policy at one position stand apart only by their
+    /// table budgets: bytes rewired to give the second unit the first's
+    /// budget split a unit the rule fuses, and are refused.
+    #[test]
+    fn a_split_its_budgets_do_not_explain_is_refused() {
+        use superfe_nic::{EvictionPolicy, TableBudget};
+        const CAP: u64 = 0x5EED;
+        let spec = |name: &str| TenantSpec {
+            name: name.into(),
+            policy: superfe_policy::dsl::parse(
+                "pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(host)",
+            )
+            .unwrap(),
+            cfg: Default::default(),
+        };
+        let specs = [spec("t0"), spec("t1")];
+        let mut plane = CtrlPlane::new(1, AnalyzeConfig::default());
+        for (spec, policy) in specs
+            .iter()
+            .zip([EvictionPolicy::DropNew, EvictionPolicy::EvictOldest])
+        {
+            plane.set_table_budget(TableBudget::capped(CAP as usize, policy));
+            plane.attach(spec, None).unwrap();
+        }
+        let bytes = plane.snapshot().unwrap();
+        plane.finish().unwrap();
+        let restore =
+            |bytes: &[u8]| CtrlPlane::restore(AnalyzeConfig::default(), &specs, bytes, |_| None);
+        restore(&bytes).unwrap().finish().unwrap();
+        // A saved budget is its `u64` cap, its policy tag (0 drops the new
+        // group, 1 evicts the oldest) and a `u64` seed.
+        let evicting = [&CAP.to_le_bytes()[..], &[1], &[0; 8]].concat();
+        let at = (bytes.windows(evicting.len()).position(|w| w == evicting))
+            .expect("the second unit's one level saves its budget");
+        let mut rewired = bytes.clone();
+        rewired[at + 8] = 0;
+        let err = restore(&rewired)
+            .err()
+            .expect("a split one budget runs is refused");
+        assert!(
+            matches!(&err, CtrlError::Snapshot(m) if m.contains("one table budget")),
+            "{err}"
+        );
     }
 }

@@ -651,7 +651,14 @@ impl ShardPool {
     /// Whether `unit`'s engines run under the budget in force, which a
     /// member joining it now is owed ([`ShardPool::join`]).
     pub fn under_current_budget(&self, unit: TenantId) -> bool {
-        (self.members.iter()).any(|m| m.unit == unit && m.budget == self.budget)
+        self.unit_budget(unit) == Some(self.budget)
+    }
+
+    /// The table budget `unit`'s engines run under, if it is attached.
+    pub fn unit_budget(&self, unit: TenantId) -> Option<TableBudget> {
+        (self.members.iter())
+            .find(|m| m.unit == unit)
+            .map(|m| m.budget)
     }
 
     /// Gives `member` a detector of its own at the current epoch: every
@@ -1789,6 +1796,7 @@ mod tests {
         let dump = saved.dump_state().unwrap().pop().unwrap();
         saved.finish().unwrap();
         pool.restore_unit(T0, dump.shards).unwrap();
+        assert_eq!(pool.unit_budget(T0), Some(capped));
         assert!(pool.under_current_budget(T0));
         pool.join(T0, T1, None).unwrap();
         pool.finish().unwrap();

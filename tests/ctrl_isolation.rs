@@ -197,6 +197,13 @@ mod eviction_isolation {
         for shape in ["restored", "fused", "restored under a budget that evicts"] {
             assert!(reached.contains(shape), "{shape}: {reached:?}");
         }
+        // The third attach fuses before the snapshot: the restore must
+        // rebuild it into the second's unit, not the first's.
+        let ops = [&ops[..3], &[attach(0), Restore]].concat();
+        let reached = check(&ops, &colliders(), &WORKER_COUNTS);
+        for shape in ["restored", "fused", "restored under a budget that evicts"] {
+            assert!(reached.contains(shape), "{shape}: {reached:?}");
+        }
     }
 }
 
