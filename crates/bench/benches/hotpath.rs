@@ -93,7 +93,7 @@ fn bench_nic_reduce(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut slab = GroupSlab::new(&plan);
-                (GroupExec::new(&plan, &mut slab), slab)
+                (GroupExec::new(&mut slab), slab)
             },
             |(mut exec, mut slab)| {
                 let mut memo = DecayMemo::new();

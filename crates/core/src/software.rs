@@ -98,7 +98,7 @@ impl SoftwareExtractor {
             let (plan, slab) = (&self.plans[li], &mut self.slabs[li]);
             let exec = self.levels[li]
                 .entry(key)
-                .or_insert_with(|| GroupExec::new(plan, slab));
+                .or_insert_with(|| GroupExec::new(slab));
             // Update, then finalize: the oracle keeps the two walks the
             // engine fuses into one.
             exec.update(plan, slab, &view, hash, &mut self.memo, None);

@@ -339,7 +339,10 @@ impl CtrlPlane {
                 "switch partition state",
             )?;
         }
+        // Every saved unit gets exactly one dump: a unit without one would
+        // resume from empty engines, and a second would overwrite the first.
         let ndumps = need(r.get_u16(), "unit dump count")? as usize;
+        let mut dumped = Vec::new();
         for _ in 0..ndumps {
             let old = need(r.get_u16(), "dump unit id")?;
             let uid = new_unit(old)?;
@@ -348,6 +351,10 @@ impl CtrlPlane {
                 .iter()
                 .find(|u| u.id == uid)
                 .ok_or_else(|| snap_err(format!("dump for unknown unit {old}")))?;
+            if dumped.contains(&old) {
+                return Err(snap_err(format!("unit {old} has a second NIC dump")));
+            }
+            dumped.push(old);
             let nshards = need(r.get_u32(), "dump shard count")? as usize;
             if nshards != workers {
                 return Err(snap_err(format!(
@@ -390,6 +397,9 @@ impl CtrlPlane {
                 });
             }
             plane.path.nic_mut().restore_unit(uid, shards)?;
+        }
+        if let Some(u) = units.iter().find(|u| !dumped.contains(&u.id)) {
+            return Err(snap_err(format!("unit {} has no NIC dump", u.id)));
         }
         if !r.is_empty() {
             return Err(snap_err(format!(
@@ -440,6 +450,115 @@ mod tests {
         }
         let restored = CtrlPlane::restore(AnalyzeConfig::default(), &[], &bytes, |_| None);
         assert_eq!(restored.unwrap().workers(), 1);
+    }
+
+    /// A plane of two units — a host sum and a flow sum, which do not
+    /// fuse — that has seen a few packets, its specs and its snapshot.
+    fn two_unit_snapshot() -> ([TenantSpec; 2], Vec<u8>) {
+        let spec = |name: &str, by: &str| TenantSpec {
+            name: name.into(),
+            policy: superfe_policy::dsl::parse(&format!(
+                "pktstream\n.groupby({by})\n.reduce(size, [f_sum])\n.collect({by})"
+            ))
+            .unwrap(),
+            cfg: Default::default(),
+        };
+        let specs = [spec("hosts", "host"), spec("flows", "flow")];
+        let mut plane = CtrlPlane::new(1, AnalyzeConfig::default());
+        for spec in &specs {
+            plane.attach(spec, None).unwrap();
+        }
+        assert_eq!(plane.units.len(), 2);
+        for i in 0..40u16 {
+            let p = superfe_net::PacketRecord::tcp(
+                u64::from(i) * 1_000,
+                100 + i,
+                1,
+                1000 + i % 3,
+                2,
+                80,
+            );
+            plane.push(&p).unwrap();
+        }
+        let bytes = plane.snapshot().unwrap();
+        plane.finish().unwrap();
+        (specs, bytes)
+    }
+
+    /// Where the NIC dumps of `bytes` start — their `u16` count — and the
+    /// byte range of each: the dumps are the snapshot's last section, so the
+    /// one offset from which they read to the end.
+    fn dump_spans(bytes: &[u8]) -> (usize, Vec<std::ops::Range<usize>>) {
+        let spans_from = |at: usize| -> Option<Vec<std::ops::Range<usize>>> {
+            let mut r = StateReader::new(&bytes[at..]);
+            let pos = |r: &StateReader<'_>| bytes.len() - r.remaining();
+            let mut spans = Vec::new();
+            for _ in 0..r.get_u16()? {
+                let start = pos(&r);
+                r.get_u16()?;
+                for _ in 0..r.get_u32()? {
+                    r.get_u32()?;
+                    r.get_bytes()?;
+                    for _ in 0..r.get_u16()? {
+                        r.get_u16()?;
+                        r.get_u64()?;
+                        for _ in 0..r.get_u32()? {
+                            FeatureVector::load_state(&mut r)?;
+                        }
+                    }
+                }
+                spans.push(start..pos(&r));
+            }
+            (r.is_empty() && spans.len() == 2).then_some(spans)
+        };
+        (0..bytes.len())
+            .rev()
+            .find_map(|at| Some((at, spans_from(at)?)))
+            .expect("the snapshot ends in two unit dumps")
+    }
+
+    /// `bytes` with its dumps replaced by the ones `pick` selects.
+    fn with_dumps(bytes: &[u8], pick: &[usize]) -> Vec<u8> {
+        let (at, spans) = dump_spans(bytes);
+        let mut out = bytes[..at].to_vec();
+        out.extend_from_slice(&(pick.len() as u16).to_le_bytes());
+        for &i in pick {
+            out.extend_from_slice(&bytes[spans[i].clone()]);
+        }
+        out
+    }
+
+    fn refusal(specs: &[TenantSpec], bytes: &[u8]) -> String {
+        match CtrlPlane::restore(AnalyzeConfig::default(), specs, bytes, |_| None) {
+            Err(CtrlError::Snapshot(msg)) => msg,
+            Err(other) => panic!("expected a snapshot error, got {other}"),
+            Ok(plane) => {
+                plane.finish().unwrap();
+                panic!("bytes without one dump per unit restored")
+            }
+        }
+    }
+
+    #[test]
+    fn a_unit_whose_dump_is_missing_is_refused() {
+        let (specs, bytes) = two_unit_snapshot();
+        let whole = with_dumps(&bytes, &[0, 1]);
+        assert_eq!(whole, bytes);
+        let restored = CtrlPlane::restore(AnalyzeConfig::default(), &specs, &whole, |_| None);
+        restored.unwrap().finish().unwrap();
+        for kept in [0, 1] {
+            let msg = refusal(&specs, &with_dumps(&bytes, &[kept]));
+            assert!(msg.contains("has no NIC dump"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn a_unit_dumped_twice_is_refused() {
+        let (specs, bytes) = two_unit_snapshot();
+        for twice in [[0, 1, 0], [0, 1, 1], [1, 0, 1]] {
+            let msg = refusal(&specs, &with_dumps(&bytes, &twice));
+            assert!(msg.contains("has a second NIC dump"), "{msg}");
+        }
     }
 
     /// Two units of one policy at one position stand apart only by their

@@ -142,14 +142,18 @@ impl NicStats {
     }
 }
 
+/// A table slot holds a group key and the group's slab index, and nothing
+/// else: 32 bytes, so a level's 65,536 bucket slots take 2 MiB.
+const _: () = assert!(std::mem::size_of::<Option<(GroupKey, GroupExec)>>() <= 32);
+
 struct LevelState {
     program: LevelProgram,
-    /// What every group of the level shares; the table's groups hold state
-    /// only and are driven through it.
+    /// What every group of the level shares; the table's groups are
+    /// indices into `slab` and are driven through it.
     plan: LevelPlan,
     table: GroupTable<GroupExec>,
-    /// The fixed-size state of the table's groups, which are indices into
-    /// it: cloned, cleared and restored with the table.
+    /// All state of the table's groups, which are indices into it: cloned,
+    /// cleared and restored with the table.
     slab: GroupSlab,
     /// Reused scratch receiving the table's raw evictions; empty between
     /// records.
@@ -361,8 +365,7 @@ impl FeNic {
                         }
                     }
                 };
-                match table.get_or_insert_with(key, hash, || GroupExec::new(plan, slab), evictions)
-                {
+                match table.get_or_insert_with(key, hash, || GroupExec::new(slab), evictions) {
                     Some(exec) => {
                         // A per-packet record emits each level's block in
                         // the walk that updates it.

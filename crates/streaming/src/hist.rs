@@ -30,6 +30,73 @@ pub enum Binning {
     },
 }
 
+impl Binning {
+    /// Index of the bin of `bins` a sample falls into (clamped to the last
+    /// bin; negative samples go to bin 0).
+    #[inline]
+    pub fn bin_of(self, bins: usize, x: f64) -> usize {
+        let last = bins - 1;
+        if x <= 0.0 {
+            return 0;
+        }
+        match self {
+            Binning::Fixed { width } => ((x / width) as usize).min(last),
+            Binning::Geometric { unit, base } => {
+                // Find i with unit*(base^i - 1) <= x < unit*(base^{i+1} - 1).
+                let v = x / unit + 1.0;
+                (v.log(base).floor().max(0.0) as usize).min(last)
+            }
+        }
+    }
+
+    /// `[lo, hi)` edges of bin `i`.
+    pub fn edges(self, i: usize) -> (f64, f64) {
+        match self {
+            Binning::Fixed { width } => (i as f64 * width, (i + 1) as f64 * width),
+            Binning::Geometric { unit, base } => {
+                let lo = unit * (base.powi(i as i32) - 1.0);
+                let hi = unit * (base.powi(i as i32 + 1) - 1.0);
+                (lo, hi)
+            }
+        }
+    }
+
+    /// Estimates the `q`-quantile of the bin `counts` (`total` samples in
+    /// all), `0 <= q <= 1`, by linear interpolation within the bin where the
+    /// cumulative mass crosses `q`: the one formula of
+    /// [`Histogram::percentile`], for counts kept anywhere.
+    ///
+    /// Returns `None` for an empty histogram or `q` outside `[0, 1]`.
+    pub fn percentile(
+        self,
+        counts: impl ExactSizeIterator<Item = u64>,
+        total: u64,
+        q: f64,
+    ) -> Option<f64> {
+        if total == 0 || !(0.0..=1.0).contains(&q) {
+            return None;
+        }
+        let bins = counts.len();
+        let target = q * total as f64;
+        let mut acc = 0.0;
+        for (i, c) in counts.enumerate() {
+            let next = acc + c as f64;
+            if next >= target && c > 0 {
+                let frac = if c == 0 {
+                    0.0
+                } else {
+                    (target - acc) / c as f64
+                };
+                let (lo, hi) = self.edges(i);
+                return Some(lo + frac.clamp(0.0, 1.0) * (hi - lo));
+            }
+            acc = next;
+        }
+        let (_, hi) = self.edges(bins - 1);
+        Some(hi)
+    }
+}
+
 /// A streaming histogram with a fixed number of bins.
 ///
 /// # Examples
@@ -105,18 +172,7 @@ impl Histogram {
     /// Index of the bin a sample falls into (clamped to the last bin;
     /// negative samples go to bin 0).
     pub fn bin_of(&self, x: f64) -> usize {
-        let last = self.counts.len() - 1;
-        if x <= 0.0 {
-            return 0;
-        }
-        match self.binning {
-            Binning::Fixed { width } => ((x / width) as usize).min(last),
-            Binning::Geometric { unit, base } => {
-                // Find i with unit*(base^i - 1) <= x < unit*(base^{i+1} - 1).
-                let v = x / unit + 1.0;
-                (v.log(base).floor().max(0.0) as usize).min(last)
-            }
-        }
+        self.binning.bin_of(self.counts.len(), x)
     }
 
     /// Normalized probability mass per bin (`f_pdf`). Zeros when empty.
@@ -149,38 +205,13 @@ impl Histogram {
     ///
     /// Returns `None` for an empty histogram or `q` outside `[0, 1]`.
     pub fn percentile(&self, q: f64) -> Option<f64> {
-        if self.total == 0 || !(0.0..=1.0).contains(&q) {
-            return None;
-        }
-        let target = q * self.total as f64;
-        let mut acc = 0.0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            let next = acc + c as f64;
-            if next >= target && c > 0 {
-                let frac = if c == 0 {
-                    0.0
-                } else {
-                    (target - acc) / c as f64
-                };
-                let (lo, hi) = self.bin_edges(i);
-                return Some(lo + frac.clamp(0.0, 1.0) * (hi - lo));
-            }
-            acc = next;
-        }
-        let (_, hi) = self.bin_edges(self.counts.len() - 1);
-        Some(hi)
+        self.binning
+            .percentile(self.counts.iter().copied(), self.total, q)
     }
 
     /// `[lo, hi)` edges of bin `i`.
     pub fn bin_edges(&self, i: usize) -> (f64, f64) {
-        match self.binning {
-            Binning::Fixed { width } => (i as f64 * width, (i + 1) as f64 * width),
-            Binning::Geometric { unit, base } => {
-                let lo = unit * (base.powi(i as i32) - 1.0);
-                let hi = unit * (base.powi(i as i32 + 1) - 1.0);
-                (lo, hi)
-            }
-        }
+        self.binning.edges(i)
     }
 
     /// Serializes the histogram (binning layout + counts).
@@ -228,6 +259,31 @@ impl Histogram {
             counts,
             total: r.get_u64()?,
         })
+    }
+
+    /// Words of a histogram of `bins` bins kept in a run of `f64` words:
+    /// each bin's count's bits, then the total's. A fresh one is all zeros.
+    pub fn words(bins: usize) -> usize {
+        bins + 1
+    }
+
+    /// The histogram of `binning` kept in `words`, a run of
+    /// [`Histogram::words`] words.
+    pub fn from_words(binning: Binning, words: &[f64]) -> Self {
+        let (counts, total) = words.split_at(words.len() - 1);
+        Histogram {
+            binning,
+            counts: counts.iter().map(|c| c.to_bits()).collect(),
+            total: total[0].to_bits(),
+        }
+    }
+
+    /// Keeps the histogram's counts in `words`.
+    pub fn to_words(&self, words: &mut [f64]) {
+        let counts = self.counts.iter().chain([&self.total]);
+        for (w, c) in words.iter_mut().zip(counts) {
+            *w = f64::from_bits(*c);
+        }
     }
 }
 
@@ -283,6 +339,19 @@ mod tests {
         // be a 32 GiB reservation before the first count is read.
         bytes[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(Histogram::load_state(&mut StateReader::new(&bytes)).is_none());
+    }
+
+    #[test]
+    fn words_keep_the_counts_and_the_total() {
+        let mut h = Histogram::geometric(1.0, 2.0, 5).unwrap();
+        for x in [0.5, 2.0, 5.0, 5.5, 1e9] {
+            h.update(x);
+        }
+        let mut words = vec![0.0; Histogram::words(5)];
+        h.to_words(&mut words);
+        let back = Histogram::from_words(h.binning(), &words);
+        assert_eq!((back.counts(), back.total()), (h.counts(), 5));
+        assert_eq!(back.binning(), h.binning());
     }
 
     #[test]

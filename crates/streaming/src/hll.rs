@@ -59,41 +59,9 @@ impl HyperLogLog {
         }
     }
 
-    /// Bias-correction constant `alpha_m`.
-    fn alpha(&self) -> f64 {
-        let m = self.registers.len() as f64;
-        match self.registers.len() {
-            16 => 0.673,
-            32 => 0.697,
-            64 => 0.709,
-            _ => 0.7213 / (1.0 + 1.079 / m),
-        }
-    }
-
     /// Estimated number of distinct hashed elements.
     pub fn estimate(&self) -> f64 {
-        let m = self.registers.len() as f64;
-        let sum: f64 = self
-            .registers
-            .iter()
-            .map(|&r| 1.0 / ((1u64 << r) as f64))
-            .sum();
-        let raw = self.alpha() * m * m / sum;
-
-        if raw <= 2.5 * m {
-            // Small-range correction: linear counting on empty registers.
-            let zeros = self.registers.iter().filter(|&&r| r == 0).count();
-            if zeros != 0 {
-                return m * (m / zeros as f64).ln();
-            }
-            raw
-        } else if raw > (1u64 << 32) as f64 / 30.0 {
-            // Large-range correction for 32-bit hashes.
-            let two32 = (1u64 << 32) as f64;
-            -two32 * (1.0 - raw / two32).ln()
-        } else {
-            raw
-        }
+        estimate_registers(self.registers.iter().copied())
     }
 
     /// Serializes the sketch (size + registers).
@@ -115,6 +83,71 @@ impl HyperLogLog {
             registers,
             updates: r.get_u64()?,
         })
+    }
+
+    /// Words of a sketch of `2^k` registers kept in a run of `f64` words:
+    /// the registers, eight to a word in little-endian byte order, then the
+    /// update count's bits. A fresh one is all zeros.
+    pub fn words(k: u8) -> usize {
+        (1usize << k) / 8 + 1
+    }
+
+    /// The sketch kept in `words`, a run of [`HyperLogLog::words`] words.
+    pub fn from_words(words: &[f64]) -> Self {
+        let (registers, updates) = words.split_at(words.len() - 1);
+        let registers: Vec<u8> = (registers.iter())
+            .flat_map(|w| w.to_bits().to_le_bytes())
+            .collect();
+        HyperLogLog {
+            k: registers.len().trailing_zeros() as u8,
+            registers,
+            updates: updates[0].to_bits(),
+        }
+    }
+
+    /// Keeps the sketch in `words`.
+    pub fn to_words(&self, words: &mut [f64]) {
+        let (registers, updates) = words.split_at_mut(words.len() - 1);
+        for (w, bytes) in registers.iter_mut().zip(self.registers.chunks_exact(8)) {
+            *w = f64::from_bits(u64::from_le_bytes(
+                bytes.try_into().expect("eight registers"),
+            ));
+        }
+        updates[0] = f64::from_bits(self.updates);
+    }
+}
+
+/// The HyperLogLog estimate of `registers`, with the bias constant of their
+/// number and the small- and large-range corrections: the one formula of
+/// [`HyperLogLog::estimate`], for registers kept anywhere.
+pub fn estimate_registers(registers: impl Iterator<Item = u8> + Clone) -> f64 {
+    let count = registers.clone().count();
+    let m = count as f64;
+    // Bias-correction constant `alpha_m`.
+    let alpha = match count {
+        16 => 0.673,
+        32 => 0.697,
+        64 => 0.709,
+        _ => 0.7213 / (1.0 + 1.079 / m),
+    };
+    let sum: f64 = (registers.clone())
+        .map(|r| 1.0 / ((1u64 << r) as f64))
+        .sum();
+    let raw = alpha * m * m / sum;
+
+    if raw <= 2.5 * m {
+        // Small-range correction: linear counting on empty registers.
+        let zeros = registers.filter(|&r| r == 0).count();
+        if zeros != 0 {
+            return m * (m / zeros as f64).ln();
+        }
+        raw
+    } else if raw > (1u64 << 32) as f64 / 30.0 {
+        // Large-range correction for 32-bit hashes.
+        let two32 = (1u64 << 32) as f64;
+        -two32 * (1.0 - raw / two32).ln()
+    } else {
+        raw
     }
 }
 
@@ -226,6 +259,24 @@ mod tests {
         }
         h.reset();
         assert_eq!(h.estimate(), 0.0);
+    }
+
+    #[test]
+    fn words_keep_every_register_and_the_count() {
+        let mut h = HyperLogLog::new(6).unwrap();
+        for i in 0..500u32 {
+            h.update_hash(i.wrapping_mul(0x9E37_79B9));
+        }
+        let mut words = vec![0.0; HyperLogLog::words(6)];
+        assert_eq!(words.len(), 64 / 8 + 1);
+        h.to_words(&mut words);
+        let back = HyperLogLog::from_words(&words);
+        assert_eq!(
+            (back.k, &back.registers, back.updates),
+            (6, &h.registers, 500)
+        );
+        assert_eq!(back.estimate().to_bits(), h.estimate().to_bits());
+        assert_eq!(HyperLogLog::from_words(&[0.0; 3]).estimate(), 0.0);
     }
 
     #[test]

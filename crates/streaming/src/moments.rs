@@ -83,6 +83,27 @@ impl Moments {
             m4: r.get_f64()?,
         })
     }
+
+    /// Words of an estimator kept in a run of `f64` words: the count's
+    /// bits, the mean, then `M2`, `M3` and `M4`.
+    pub const WORDS: usize = 5;
+
+    /// The estimator kept in `words` (see [`Moments::WORDS`]).
+    pub fn from_words(words: &[f64]) -> Self {
+        Moments {
+            n: words[0].to_bits(),
+            mean: words[1],
+            m2: words[2],
+            m3: words[3],
+            m4: words[4],
+        }
+    }
+
+    /// Keeps the estimator in `words`.
+    pub fn to_words(&self, words: &mut [f64]) {
+        words[0] = f64::from_bits(self.n);
+        words[1..5].copy_from_slice(&[self.mean, self.m2, self.m3, self.m4]);
+    }
 }
 
 impl Reducer for Moments {

@@ -57,6 +57,17 @@ impl SeqArray {
         &self.data
     }
 
+    /// The array of capacity `cap` holding `data` after dropping `dropped`
+    /// samples; `None` when `cap` is zero or `data` is longer.
+    pub fn from_parts(cap: usize, data: Vec<f64>, dropped: u64) -> Option<Self> {
+        (cap > 0 && data.len() <= cap).then_some(SeqArray { data, cap, dropped })
+    }
+
+    /// The accepted samples and the dropped count.
+    pub fn into_parts(self) -> (Vec<f64>, u64) {
+        (self.data, self.dropped)
+    }
+
     /// Serializes the sequence and its capacity.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.put_u32(self.cap as u32);
@@ -184,6 +195,15 @@ mod tests {
         assert_eq!(a.len(), 4);
         assert_eq!(a.dropped(), 1);
         assert_eq!(a.finalize().len(), 4);
+    }
+
+    #[test]
+    fn parts_hold_no_more_than_the_cap() {
+        assert!(SeqArray::from_parts(2, vec![1.0, 2.0, 3.0], 0).is_none());
+        assert!(SeqArray::from_parts(0, Vec::new(), 0).is_none());
+        let a = SeqArray::from_parts(3, vec![1.0], 4).unwrap();
+        assert_eq!((a.finalize(), a.dropped()), (vec![1.0, 0.0, 0.0], 4));
+        assert_eq!(a.into_parts(), (vec![1.0], 4));
     }
 
     #[test]

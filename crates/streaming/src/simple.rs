@@ -43,6 +43,24 @@ impl Sum {
             n: r.get_u64()?,
         })
     }
+
+    /// Words of a sum kept in a run of `f64` words: the total, then the
+    /// count's bits.
+    pub const WORDS: usize = 2;
+
+    /// The sum kept in `words` (see [`Sum::WORDS`]).
+    pub fn from_words(words: &[f64]) -> Self {
+        Sum {
+            sum: words[0],
+            n: words[1].to_bits(),
+        }
+    }
+
+    /// Keeps the sum in `words`.
+    pub fn to_words(&self, words: &mut [f64]) {
+        words[0] = self.sum;
+        words[1] = f64::from_bits(self.n);
+    }
 }
 
 impl Reducer for Sum {
@@ -164,6 +182,27 @@ impl MinMax {
             max: r.get_f64()?,
             n: r.get_u64()?,
         })
+    }
+
+    /// Words of an extremum pair kept in a run of `f64` words: the
+    /// minimum, the maximum, then the count's bits. A fresh pair is not all
+    /// zeros: its minimum is +∞ and its maximum −∞.
+    pub const WORDS: usize = 3;
+
+    /// The pair kept in `words` (see [`MinMax::WORDS`]).
+    pub fn from_words(words: &[f64]) -> Self {
+        MinMax {
+            min: words[0],
+            max: words[1],
+            n: words[2].to_bits(),
+        }
+    }
+
+    /// Keeps the pair in `words`.
+    pub fn to_words(&self, words: &mut [f64]) {
+        words[0] = self.min;
+        words[1] = self.max;
+        words[2] = f64::from_bits(self.n);
     }
 }
 

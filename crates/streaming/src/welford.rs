@@ -75,6 +75,26 @@ impl Welford {
             m2: r.get_f64()?,
         })
     }
+
+    /// Words of an estimator kept in a run of `f64` words: the count's
+    /// bits, the mean, then `M2`.
+    pub const WORDS: usize = 3;
+
+    /// The estimator kept in `words` (see [`Welford::WORDS`]).
+    pub fn from_words(words: &[f64]) -> Self {
+        Welford {
+            n: words[0].to_bits(),
+            mean: words[1],
+            m2: words[2],
+        }
+    }
+
+    /// Keeps the estimator in `words`.
+    pub fn to_words(&self, words: &mut [f64]) {
+        words[0] = f64::from_bits(self.n);
+        words[1] = self.mean;
+        words[2] = self.m2;
+    }
 }
 
 impl Reducer for Welford {

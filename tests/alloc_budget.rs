@@ -19,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use superfe::apps::policies::KITSUNE;
+use superfe::apps::policies::{KITSUNE, NPOD};
 use superfe::ml::{
     quantize, train_and_calibrate, CalibrationConfig, DetectorKind, KernelWidth, QuantConfig,
     SharedScorer,
@@ -242,6 +242,93 @@ fn opening_groups_costs_only_the_slab_chunks_they_fill() {
         n <= RECORDS as u64 * STEADY + grown,
         "{n} allocations for {RECORDS} opening records ({grown} chunks grown)"
     );
+}
+
+/// Flows a test opens at once.
+const FLOWS: usize = 64;
+
+/// One packet of each of [`FLOWS`] flows at `ts` (source ports from 3000),
+/// through the switch and flushed, one event per record.
+fn flow_records(sw: &mut FeSwitch, ts: u64) -> Vec<SwitchEvent> {
+    let packets: Vec<_> = (0..FLOWS as u16)
+        .map(|i| PacketRecord::tcp(ts + u64::from(i), 400, 1, 3000 + i, 2, 80))
+        .collect();
+    events_per_record(sw, &packets)
+}
+
+/// A flow policy's switch and engine, warmed by one flow of its own so
+/// every buffer has its size.
+fn flow_engine(src: &str) -> (FeSwitch, FeNic) {
+    let compiled = compile(&dsl::parse(src).unwrap()).unwrap();
+    let mut sw = FeSwitch::new(compiled.switch.clone()).unwrap();
+    let mut nic = FeNic::new(&compiled, MgpvConfig::default().fg_table_size).unwrap();
+    let warm: Vec<_> = (0..4u64)
+        .map(|i| PacketRecord::tcp(1_000 * (i + 1), 400, 1, 1000, 2, 80))
+        .collect();
+    nic.handle_all(&events_per_record(&mut sw, &warm));
+    drop(nic.finish());
+    (sw, nic)
+}
+
+/// Allocations of `nic` handling `events`, and the chunks its one level's
+/// slab grew by in them, one per [`SLAB_CHUNK_GROUPS`] groups of a lane.
+fn open_flows(nic: &mut FeNic, events: &[SwitchEvent]) -> (u64, u64) {
+    let before = nic.groups_per_level()[0].1;
+    let n = allocations(|| nic.handle_all(events));
+    let after = nic.groups_per_level()[0].1;
+    let grown = after.div_ceil(SLAB_CHUNK_GROUPS) - before.div_ceil(SLAB_CHUNK_GROUPS);
+    (n, grown as u64)
+}
+
+/// Groups outside the damped family allocate nothing of their own either:
+/// a `flow_bytes`, `flow_stats` or NPOD group's sums, extremes, Welford
+/// moments and histograms are words of its level's slab, so records that
+/// each open a flow cost the chunks the slab grew by and nothing more — a
+/// word lane, and a map-state lane for the two with maps.
+#[test]
+fn opening_flow_groups_costs_only_the_slab_chunks_they_fill() {
+    const FLOW_BYTES: &str =
+        "pktstream\n.groupby(flow)\n.reduce(size, [f_sum, f_max])\n.collect(flow)";
+    let flow_stats = include_str!("../examples/flow_stats.sfe");
+    for (name, src, lanes) in [
+        ("flow_bytes", FLOW_BYTES, 1),
+        ("flow_stats", flow_stats, 2),
+        ("npod", NPOD, 2),
+    ] {
+        let (mut sw, mut nic) = flow_engine(src);
+        let (n, grown) = open_flows(&mut nic, &flow_records(&mut sw, 1_000_000));
+        assert_eq!(
+            nic.groups_per_level()[0].1,
+            1 + FLOWS,
+            "{name}: flows opened"
+        );
+        assert!(grown > 0, "{name}: the fresh groups filled no chunk");
+        assert!(
+            n <= lanes * grown,
+            "{name}: {n} allocations for {FLOWS} opening records ({grown} chunks grown)"
+        );
+    }
+}
+
+/// An `f_array` keeps one growing sequence per group, and the sequence
+/// allocates on its first sample, not before: over `f_ipt`, a flow's first
+/// packet brings no sample, so opening the flows costs the slab's chunks
+/// alone, and each flow's second packet allocates once.
+#[test]
+fn an_array_allocates_on_its_first_sample() {
+    const IPT_SEQ: &str = "pktstream\n.groupby(flow)\n.map(ipt, tstamp, f_ipt)\n\
+                           .reduce(ipt, [f_array{5000}])\n.collect(flow)";
+    let (mut sw, mut nic) = flow_engine(IPT_SEQ);
+    let (opened, grown) = open_flows(&mut nic, &flow_records(&mut sw, 1_000_000));
+    // Map states, words and sequences: three lanes.
+    assert!(
+        grown > 0 && opened <= 3 * grown,
+        "{opened} allocations to open"
+    );
+    let (sampled, grown) = open_flows(&mut nic, &flow_records(&mut sw, 2_000_000));
+    assert_eq!((sampled, grown), (FLOWS as u64, 0), "first samples");
+    let (steady, _) = open_flows(&mut nic, &flow_records(&mut sw, 3_000_000));
+    assert_eq!(steady, 0, "second samples");
 }
 
 /// A steady-state Kitsune record whose vector is scored where it is
