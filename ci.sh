@@ -252,6 +252,21 @@ if grep -nE "Box|Vec|Rc|Arc" <<<"$group_exec"; then
   exit 1
 fi
 
+step "one vector representation (a feature vector's values are a Vec<f64>)"
+# `FeatureVector::values` is a plain `Vec<f64>`: a per-packet vector is the
+# buffer it was finalized into, an evicted or finished group's is
+# `GroupExec::finalize`. The inline small-vector, whose eight-value cap fit
+# no per-packet policy (N-BaIoT emits 65 values, Kitsune 115) and which made
+# every vector 96 bytes, must not come back as a second storage path.
+if grep -rnE "FeatureValues|INLINE_CAP" crates; then
+  echo "ci: a second feature-vector storage type is back"
+  exit 1
+fi
+if find crates -name 'smallvec.rs' | grep . || grep -rnE "mod smallvec\b" crates; then
+  echo "ci: a smallvec module is back under crates/"
+  exit 1
+fi
+
 step "one admission path (attach is admission's one caller)"
 # `CtrlPlane::attach` is the one way into admission: no dry run, no
 # per-tenant pricer, no second shape of the NIC pool's observed state.
@@ -532,7 +547,8 @@ grep "scale corpus seed" <<<"$corpus_out"
 # is what makes corpus-scale cardinality safe, so a blow-up here means the
 # cap stopped biting. The cap is 56 MiB: with every group's state in its
 # level's slab the workload reads 46.3 MiB (seed 4, 2-vCPU host), where a
-# boxed lane of reducer instances per group read 58.2-58.6. The last line
+# boxed lane of reducer instances per group read 58.2-58.6, and 40.4 MiB
+# with a vector's values a plain Vec (48-byte vectors, not 96). The last line
 # of standard output is the workload's result.
 scale_line=$(bash benchmark/run.sh --workload scale_churn --seed 4 --seconds 2 --trace 0 \
   | tail -1) || { echo "ci: the scale_churn workload did not run"; exit 1; }
@@ -721,6 +737,11 @@ step "lines of Rust under crates/ (the ROADMAP net-LOC measure)"
 # level's slab; 46,099 after it (+669: the word kernels in exec.rs and the
 # streaming-type oracle of its differential, the word codecs, the two
 # restore tests).
+# 46,099 at commit a553250, before a feature vector's values became a
+# Vec<f64> and stateless maps stopped keeping a MapState; 45,754 after it
+# (-345: smallvec.rs and its re-export -328, engine.rs -44, two test
+# helpers -8, the scale experiment -3, two dropped conversions -3; exec.rs
+# +41 with the 17-line stateless-map refusal test).
 find crates -name '*.rs' | xargs wc -l | tail -1
 
 printf '\nci: all checks passed\n'

@@ -256,10 +256,7 @@ pub fn afterimage_packet_vectors(trace: &Trace) -> Vec<FeatureVector> {
             values.extend(st.triple().iter().map(|&v| f64::from(v)));
         }
 
-        out.push(FeatureVector {
-            key: sk,
-            values: values.into(),
-        });
+        out.push(FeatureVector { key: sk, values });
     }
     out
 }

@@ -143,9 +143,9 @@ pub fn run_cumul(data: &WfDataset) -> StudyResult {
 pub fn run_mptd(data: &CovertDataset) -> StudyResult {
     let vectors = group_vectors(policies::MPTD, &data.trace);
     let labelled: Vec<(Vec<f64>, usize)> = vectors
-        .iter()
+        .into_iter()
         .filter_map(|v| match v.key {
-            GroupKey::Flow(ft) => Some((v.values.to_vec(), usize::from(data.covert.contains(&ft)))),
+            GroupKey::Flow(ft) => Some((v.values, usize::from(data.covert.contains(&ft)))),
             _ => None,
         })
         .collect();
@@ -246,9 +246,9 @@ pub fn run_nbaiot(data: &BotnetDataset) -> StudyResult {
 pub fn run_npod(data: &CovertDataset) -> StudyResult {
     let vectors = group_vectors(policies::NPOD, &data.trace);
     let labelled: Vec<(Vec<f64>, usize)> = vectors
-        .iter()
+        .into_iter()
         .filter_map(|v| match v.key {
-            GroupKey::Flow(ft) => Some((v.values.to_vec(), usize::from(data.covert.contains(&ft)))),
+            GroupKey::Flow(ft) => Some((v.values, usize::from(data.covert.contains(&ft)))),
             _ => None,
         })
         .collect();

@@ -94,16 +94,13 @@ impl PassOutput {
     /// record.
     fn absorb(&mut self, vectors: impl IntoIterator<Item = FeatureVector>, evicted: bool) {
         for v in vectors {
-            digest_vector(&mut self.digest, &v.key, v.values.as_slice());
+            digest_vector(&mut self.digest, &v.key, &v.values);
             if evicted {
                 self.evicted_vectors += 1;
             } else {
                 self.final_vectors += 1;
             }
-            self.per_key
-                .entry(v.key)
-                .or_default()
-                .push(v.values.as_slice().to_vec());
+            self.per_key.entry(v.key).or_default().push(v.values);
         }
     }
 }

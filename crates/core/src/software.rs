@@ -111,7 +111,7 @@ impl SoftwareExtractor {
             if let Some(key) = pkt_key {
                 self.packet_vectors.push(FeatureVector {
                     key,
-                    values: pkt_values.into(),
+                    values: pkt_values,
                 });
             }
         }
@@ -137,7 +137,7 @@ impl SoftwareExtractor {
                 for (key, exec) in &self.levels[li] {
                     groups.push(FeatureVector {
                         key: *key,
-                        values: exec.finalize(&self.plans[li], &self.slabs[li]).into(),
+                        values: exec.finalize(&self.plans[li], &self.slabs[li]),
                     });
                 }
             }

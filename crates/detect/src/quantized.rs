@@ -96,16 +96,11 @@ mod tests {
     use super::*;
     use superfe_ml::{quantize, train_and_calibrate, CalibrationConfig, DetectorKind, QuantConfig};
     use superfe_net::GroupKey;
-    use superfe_streaming::FeatureValues;
 
     fn vector(host: u32, vals: &[f64]) -> FeatureVector {
-        let mut values = FeatureValues::new();
-        for &v in vals {
-            values.push(v);
-        }
         FeatureVector {
             key: GroupKey::Host(host),
-            values,
+            values: vals.to_vec(),
         }
     }
 

@@ -11,7 +11,7 @@ use superfe_net::{Granularity, GroupKey};
 use superfe_policy::ast::CollectUnit;
 use superfe_policy::exec::{GroupExec, GroupSlab, LevelPlan, RecordView};
 use superfe_policy::{CompiledPolicy, LevelProgram};
-use superfe_streaming::{DecayMemo, FeatureValues};
+use superfe_streaming::DecayMemo;
 use superfe_switch::{MgpvMessage, SwitchEvent};
 
 use crate::table::{GroupTable, TableBudget};
@@ -22,10 +22,8 @@ pub struct FeatureVector {
     /// The key of the group (or finest-granularity key for per-packet
     /// vectors).
     pub key: GroupKey,
-    /// The features, in policy order. Stored inline for short vectors (the
-    /// common case) — no per-vector heap allocation on the `collect(pkt)`
-    /// path.
-    pub values: FeatureValues,
+    /// The features, in policy order.
+    pub values: Vec<f64>,
 }
 
 impl FeatureVector {
@@ -53,11 +51,8 @@ impl FeatureVector {
         let key = GroupKey::load_state(r)?;
         // The `u16` count sizes nothing: values are read one at a time.
         let n = r.get_u16()?;
-        let values: Vec<f64> = (0..n).map(|_| r.get_f64()).collect::<Option<_>>()?;
-        Some(FeatureVector {
-            key,
-            values: values.as_slice().into(),
-        })
+        let values = (0..n).map(|_| r.get_f64()).collect::<Option<_>>()?;
+        Some(FeatureVector { key, values })
     }
 }
 
@@ -146,6 +141,10 @@ impl NicStats {
 /// else: 32 bytes, so a level's 65,536 bucket slots take 2 MiB.
 const _: () = assert!(std::mem::size_of::<Option<(GroupKey, GroupExec)>>() <= 32);
 
+/// An emitted vector is its key and the buffer of its values: 48 bytes,
+/// whatever its width.
+const _: () = assert!(std::mem::size_of::<FeatureVector>() <= 48);
+
 struct LevelState {
     program: LevelProgram,
     /// What every group of the level shares; the table's groups are
@@ -199,9 +198,6 @@ pub struct FeNic {
     /// Values of a per-packet vector: every level's features.
     pkt_width: usize,
     pkt_vectors: Vec<FeatureVector>,
-    /// Reused feature scratch for vectors that fit inline: a record's
-    /// `collect(pkt)` block, or one budget-evicted group's.
-    scratch: Vec<f64>,
     /// Decay factors of the record in hand, shared by its levels.
     memo: DecayMemo,
     /// Groups evicted by the DRAM budget, finalized and awaiting drain.
@@ -251,7 +247,6 @@ impl FeNic {
             per_pkt,
             pkt_width: compiled.nic.feature_dimension(),
             pkt_vectors: Vec::new(),
-            scratch: Vec::new(),
             memo: DecayMemo::new(),
             evicted: Vec::new(),
             stats: NicStats::default(),
@@ -325,15 +320,13 @@ impl FeNic {
             };
 
             let mut emit_pkt_vector = self.per_pkt;
-            // A wide vector is finalized straight into the buffer it is
-            // emitted in; a short one into the reused scratch, then inline.
-            let wide = self.per_pkt && self.pkt_width > FeatureValues::INLINE_CAP;
-            let mut pkt_values = if wide {
+            // The record's vector is emitted straight into the buffer it
+            // leaves in.
+            let mut pkt_values = if self.per_pkt {
                 Vec::with_capacity(self.pkt_width)
             } else {
-                std::mem::take(&mut self.scratch)
+                Vec::new()
             };
-            pkt_values.clear();
             let mut pkt_key: Option<GroupKey> = None;
             self.memo.clear();
 
@@ -385,15 +378,7 @@ impl FeNic {
                 }
                 for (ekey, eexec) in evictions.drain(..) {
                     self.stats.evicted_groups += 1;
-                    // Finalized behind the record's own block when that is
-                    // in the scratch.
-                    let (scratch, keep) = if wide {
-                        (&mut self.scratch, 0)
-                    } else {
-                        let own = pkt_values.len();
-                        (&mut pkt_values, own)
-                    };
-                    let values = group_values(&eexec, plan, slab, scratch, keep);
+                    let values = eexec.finalize(plan, slab);
                     eexec.release(slab);
                     self.evicted.push(EvictedVector {
                         level: g,
@@ -405,16 +390,9 @@ impl FeNic {
             if emit_pkt_vector {
                 if let Some(key) = fg_key.or(pkt_key) {
                     self.stats.vectors += 1;
-                    let values = if wide {
-                        std::mem::take(&mut pkt_values).into()
-                    } else {
-                        pkt_values.as_slice().into()
-                    };
+                    let values = std::mem::take(&mut pkt_values);
                     self.pkt_vectors.push(FeatureVector { key, values });
                 }
-            }
-            if !wide {
-                self.scratch = pkt_values;
             }
         }
     }
@@ -438,7 +416,7 @@ impl FeNic {
                 for (key, exec) in level.table.iter() {
                     out.push(FeatureVector {
                         key: *key,
-                        values: group_values(exec, &level.plan, &level.slab, &mut self.scratch, 0),
+                        values: exec.finalize(&level.plan, &level.slab),
                     });
                 }
             }
@@ -526,28 +504,6 @@ impl FeNic {
         self.stats = NicStats::load_state(r)?;
         Some(())
     }
-}
-
-/// One group's feature vector. A wide one is finalized straight into a
-/// buffer of its own; one that fits inline goes through `scratch` past its
-/// first `keep` values, which are left as they were.
-fn group_values(
-    exec: &GroupExec,
-    plan: &LevelPlan,
-    slab: &GroupSlab,
-    scratch: &mut Vec<f64>,
-    keep: usize,
-) -> FeatureValues {
-    if plan.feature_len() > FeatureValues::INLINE_CAP {
-        let mut values = Vec::with_capacity(plan.feature_len());
-        exec.finalize_into(plan, slab, &mut values);
-        return values.into();
-    }
-    scratch.truncate(keep);
-    exec.finalize_into(plan, slab, scratch);
-    let values = scratch[keep..].into();
-    scratch.truncate(keep);
-    values
 }
 
 #[cfg(test)]

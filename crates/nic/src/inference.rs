@@ -172,7 +172,6 @@ mod tests {
         quantize, train_and_calibrate, CalibrationConfig, DetectorKind, QuantConfig,
         QuantizedDetector,
     };
-    use superfe_streaming::FeatureValues;
 
     fn model(dim: usize) -> Arc<QuantizedDetector> {
         let data: Vec<Vec<f64>> = (0..80)
@@ -190,11 +189,9 @@ mod tests {
     }
 
     fn vector(key_host: u32, values: &[f64]) -> FeatureVector {
-        let mut buf = FeatureValues::with_capacity(values.len());
-        buf.extend_from_slice(values);
         FeatureVector {
             key: GroupKey::Host(key_host),
-            values: buf,
+            values: values.to_vec(),
         }
     }
 

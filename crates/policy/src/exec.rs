@@ -442,6 +442,15 @@ pub struct MapState {
 }
 
 impl MapState {
+    /// Whether `func` reads or writes a state. A map that does not keeps
+    /// none in its group.
+    fn kept_by(func: MapFn) -> bool {
+        match func {
+            MapFn::FIpt | MapFn::FSpeed | MapFn::FBurst => true,
+            MapFn::FOne | MapFn::FDirection => false,
+        }
+    }
+
     /// Applies the mapping function for one record, given the source value.
     ///
     /// Returns `None` when the function has no output for this record (e.g.
@@ -615,9 +624,10 @@ const STACK_MAPS: usize = 8;
 /// through its plan.
 #[derive(Clone, Debug)]
 pub struct LevelPlan {
-    /// Each map's function and bound source, which references only the
-    /// outputs of earlier maps.
-    maps: Vec<(MapFn, ValueSource)>,
+    /// Each map's function, its bound source, which references only the
+    /// outputs of earlier maps, and its index into a group's map states
+    /// when it keeps one.
+    maps: Vec<(MapFn, ValueSource, Option<usize>)>,
     reduces: Vec<ReducePlan>,
     /// Every reduce's slots, in policy order — the order `update`,
     /// `finalize_into` and `save_state` walk, whatever the slots hold.
@@ -633,6 +643,7 @@ pub struct LevelPlan {
     fresh: Box<[f64]>,
     /// `f_array`s of a group, each a sequence of its own.
     arrays: usize,
+    /// Feature length of every group of the level.
     feature_len: usize,
 }
 
@@ -641,11 +652,15 @@ impl LevelPlan {
     /// `reduce` becomes one bank, and so does each run of 2-D functions;
     /// every other reducer is a kernel.
     pub fn new(level: &LevelProgram) -> Self {
-        let maps = level
-            .maps
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.func, ValueSource::bind(&m.src, &level.maps, i)))
+        let mut map_states = 0;
+        let maps = (level.maps.iter().enumerate())
+            .map(|(i, m)| {
+                let state = MapState::kept_by(m.func).then(|| {
+                    map_states += 1;
+                    map_states - 1
+                });
+                (m.func, ValueSource::bind(&m.src, &level.maps, i), state)
+            })
             .collect();
         let (mut slots, mut kernels) = (Vec::new(), Vec::new());
         let mut banks1: Vec<(usize, DampedBank)> = Vec::new();
@@ -716,11 +731,6 @@ impl LevelPlan {
             arrays,
             feature_len: level.feature_len(),
         }
-    }
-
-    /// Feature length of every group of the level.
-    pub fn feature_len(&self) -> usize {
-        self.feature_len
     }
 
     /// Appends reduce `r`'s feature block, read from a group's words and
@@ -877,9 +887,10 @@ impl<T: Clone + Default + PartialEq> Chunks<T> {
     }
 }
 
-/// All state of one level's groups: a group's map states, its words — its
-/// damped banks and every other reducer's kernel state, one after another —
-/// and its `f_array` sequences sit at one index, in three chunked lanes.
+/// All state of one level's groups: the states of a group's maps that keep
+/// one (`f_ipt`, `f_speed`, `f_burst`), its words — its damped banks and
+/// every other reducer's kernel state, one after another — and its
+/// `f_array` sequences sit at one index, in three chunked lanes.
 /// Released indices are reset, go on a free list and are handed out again
 /// before any lane grows. A level's table and its slab are cloned, cleared
 /// and restored together: a [`GroupExec`] is an index into the slab it was
@@ -900,8 +911,9 @@ pub struct GroupSlab {
 impl GroupSlab {
     /// An empty slab for the groups of `plan`'s level.
     pub fn new(plan: &LevelPlan) -> Self {
+        let states = plan.maps.iter().filter(|(.., s)| s.is_some()).count();
         GroupSlab {
-            maps: Chunks::new(vec![MapState::default(); plan.maps.len()].into()),
+            maps: Chunks::new(vec![MapState::default(); states].into()),
             words: Chunks::new(plan.fresh.clone()),
             arrays: Chunks::new(vec![Vec::new(); plan.arrays].into()),
             len: 0,
@@ -1002,14 +1014,17 @@ impl GroupExec {
         let (maps, words, arrays) = slab.state_mut(self.at);
         // Slot `i` is written before anything reads it.
         let (mut stack, mut heap) = ([None; STACK_MAPS], Vec::new());
-        let map_out: &mut [Option<f64>] = if maps.len() <= STACK_MAPS {
-            &mut stack[..maps.len()]
+        let map_out: &mut [Option<f64>] = if plan.maps.len() <= STACK_MAPS {
+            &mut stack[..plan.maps.len()]
         } else {
-            heap.resize(maps.len(), None);
+            heap.resize(plan.maps.len(), None);
             &mut heap
         };
-        // Evaluate maps in order; later maps may read earlier outputs.
-        for (i, (state, (func, source))) in maps.iter_mut().zip(&plan.maps).enumerate() {
+        // Evaluate maps in order; later maps may read earlier outputs. A
+        // map that keeps no state applies to one it does not touch.
+        let mut stateless = MapState::default();
+        for (i, (func, source, state)) in plan.maps.iter().enumerate() {
+            let state = state.map_or(&mut stateless, |s| &mut maps[s]);
             map_out[i] = state.apply(*func, source.read(rec, map_out), rec);
         }
         for r in &plan.reduces {
@@ -1067,9 +1082,10 @@ impl GroupExec {
     pub fn save_state(&self, plan: &LevelPlan, slab: &GroupSlab, w: &mut StateWriter) {
         let maps = slab.maps.get(self.at);
         let (words, arrays) = (slab.words.get(self.at), slab.arrays.get(self.at));
-        w.put_u16(maps.len() as u16);
-        for state in maps {
-            state.save_state(w);
+        // One record per map: a map that keeps no state writes a fresh one.
+        w.put_u16(plan.maps.len() as u16);
+        for (.., state) in &plan.maps {
+            state.map_or(MapState::default(), |s| maps[s]).save_state(w);
         }
         w.put_u16(plan.reduces.len() as u16);
         for r in &plan.reduces {
@@ -1127,11 +1143,17 @@ impl GroupExec {
         r: &mut StateReader<'_>,
     ) -> Option<()> {
         let (maps, words, arrays) = slab.state_mut(self.at);
-        if r.get_u16()? as usize != maps.len() {
+        if r.get_u16()? as usize != plan.maps.len() {
             return None;
         }
-        for state in maps.iter_mut() {
-            *state = MapState::load_state(r)?;
+        for (.., state) in &plan.maps {
+            let loaded = MapState::load_state(r)?;
+            match state {
+                Some(s) => maps[*s] = loaded,
+                // No group could have written a stateless map's state.
+                None if loaded != MapState::default() => return None,
+                None => {}
+            }
         }
         if r.get_u16()? as usize != plan.reduces.len() {
             return None;
@@ -1384,7 +1406,7 @@ mod tests {
             .build()
             .unwrap();
         let g = group_of(p);
-        assert_eq!(g.plan.feature_len(), 16);
+        assert_eq!(g.plan.feature_len, 16);
         assert_eq!(g.finalize().len(), 16);
     }
 
@@ -1493,17 +1515,18 @@ mod tests {
                           .collect(flow)";
         assert_eq!(size_of(flow_stats), (152, 0));
         // NPOD: two histograms of 16 and 20 bins with their totals and a
-        // Sum (40 words), and two map states.
+        // Sum (40 words), and `f_ipt`'s map state; `f_one` keeps none.
         let npod = "pktstream\n.groupby(flow)\n.map(one, _, f_one)\n.map(ipt, tstamp, f_ipt)\n\
                     .reduce(size, [ft_hist{100, 16}])\n.collect(flow)\n\
                     .reduce(ipt, [ft_hist{10000000, 20}])\n.collect(flow)\n\
                     .reduce(one, [f_sum])\n.collect(flow)";
-        assert_eq!(size_of(npod), (384, 0));
-        // AWF's fixed part: two map states, the dropped count and an empty
-        // sequence, which reserves none of its 5,000 values until a sample.
+        assert_eq!(size_of(npod), (352, 0));
+        // AWF's fixed part: the dropped count and an empty sequence, which
+        // reserves none of its 5,000 values until a sample; neither of its
+        // maps keeps a state.
         let awf = "pktstream\n.filter(tcp.exist)\n.groupby(flow)\n.map(one, _, f_one)\n\
                    .map(dirseq, one, f_direction)\n.reduce(dirseq, [f_array{5000}])\n.collect(flow)";
-        assert_eq!(size_of(awf), (96, 0));
+        assert_eq!(size_of(awf), (32, 0));
     }
 
     #[test]
@@ -1651,6 +1674,24 @@ mod tests {
         assert_eq!(bytes[cap..cap + 4], 4u32.to_le_bytes());
         bytes[cap..cap + 4].copy_from_slice(&(1u32 << 26).to_le_bytes());
         assert!(!loads(&plan, &bytes));
+    }
+
+    #[test]
+    fn a_stateless_map_with_a_state_does_not_load() {
+        let src =
+            "pktstream\n.groupby(flow)\n.map(one, _, f_one)\n.reduce(one, [f_sum])\n.collect(flow)";
+        let mut g = group_of(crate::dsl::parse(src).unwrap());
+        g.feed(&rec(100.0, 0, 1), 0);
+        let mut w = StateWriter::new();
+        g.g.save_state(&g.plan, &g.slab, &mut w);
+        let mut bytes = w.into_bytes();
+        assert!(loads(&g.plan, &bytes));
+        // The map count, then `f_one`'s record: no last timestamp, the last
+        // direction, then the burst count, which no `f_one` moves.
+        let burst = 2 + 1 + 8;
+        assert_eq!(bytes[burst..burst + 8], 0u64.to_le_bytes());
+        bytes[burst] = 1;
+        assert!(!loads(&g.plan, &bytes));
     }
 
     #[test]

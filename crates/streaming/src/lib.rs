@@ -30,7 +30,6 @@ pub mod naive;
 pub mod reducer;
 pub mod seq;
 pub mod simple;
-pub mod smallvec;
 pub mod transfer;
 pub mod welford;
 
@@ -43,6 +42,5 @@ pub use naive::{NaiveCardinality, NaiveDistribution, NaiveVariance};
 pub use reducer::Reducer;
 pub use seq::{markers, normalize, sample_evenly, SeqArray};
 pub use simple::{Count, MinMax, Sum};
-pub use smallvec::FeatureValues;
 pub use transfer::Interval;
 pub use welford::Welford;

@@ -94,7 +94,7 @@ fn run(policy: &Policy, pkts: &[PacketRecord]) -> Vec<(String, Vec<f64>)> {
     let mut out: Vec<(String, Vec<f64>)> = groups
         .into_iter()
         .chain(per_pkt)
-        .map(|v| (format!("{:?}", v.key), v.values.into_vec()))
+        .map(|v| (format!("{:?}", v.key), v.values))
         .collect();
     out.sort_by(|a, b| a.0.cmp(&b.0));
     out

@@ -11,9 +11,7 @@ use superfe::trafficgen::{Workload, WorkloadPreset};
 use superfe::{SoftwareExtractor, SuperFe};
 
 fn by_key(vs: Vec<FeatureVector>) -> HashMap<GroupKey, Vec<f64>> {
-    vs.into_iter()
-        .map(|v| (v.key, v.values.into_vec()))
-        .collect()
+    vs.into_iter().map(|v| (v.key, v.values)).collect()
 }
 
 /// Truncates timestamps to the MGPV metadata resolution (32-bit µs), so the

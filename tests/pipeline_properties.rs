@@ -85,14 +85,11 @@ fn compare(policy: &str, packets: &[PacketRecord]) -> Result<(), TestCaseError> 
     }
     let (sw_groups, _) = sw.finish();
     let hw_out = hw.finish();
-    let a: HashMap<GroupKey, Vec<f64>> = sw_groups
-        .into_iter()
-        .map(|v| (v.key, v.values.into_vec()))
-        .collect();
+    let a: HashMap<GroupKey, Vec<f64>> = sw_groups.into_iter().map(|v| (v.key, v.values)).collect();
     let b: HashMap<GroupKey, Vec<f64>> = hw_out
         .group_vectors
         .into_iter()
-        .map(|v| (v.key, v.values.into_vec()))
+        .map(|v| (v.key, v.values))
         .collect();
     prop_assert_eq!(a.len(), b.len());
     for (k, va) in &a {

@@ -102,7 +102,7 @@ type Sorted = Vec<(String, Vec<f64>)>;
 fn sort_vectors(vs: Vec<superfe::nic::FeatureVector>) -> Sorted {
     let mut out: Sorted = vs
         .into_iter()
-        .map(|v| (format!("{:?}", v.key), v.values.into_vec()))
+        .map(|v| (format!("{:?}", v.key), v.values))
         .collect();
     out.sort_by(|a, b| a.0.cmp(&b.0));
     out
@@ -267,7 +267,7 @@ fn merge_order_is_deterministic_across_runs() {
         let out = fe.finish().expect("workers alive");
         out.group_vectors
             .into_iter()
-            .map(|v| (format!("{:?}", v.key), v.values.into_vec()))
+            .map(|v| (format!("{:?}", v.key), v.values))
             .collect::<Vec<_>>()
     };
     let first = run_once();
